@@ -32,17 +32,11 @@ import random
 import time
 from pathlib import Path
 
+from repro import runtime
 from repro.core.synthesis import synthesize
 from repro.core.table import NormalizedTable
 from repro.ir import lower, optimize_program
-from repro.network import (
-    NetworkBuilder,
-    clear_plan_cache,
-    compile_plan,
-    evaluate_batch,
-    optimize,
-    plan_cache_info,
-)
+from repro.network import NetworkBuilder, compile_plan, evaluate_batch, optimize
 from repro.network.generate import random_volley
 from repro.neuron.response import ResponseFunction
 from repro.neuron.srm0 import SRM0Neuron
@@ -158,8 +152,8 @@ def measure_minimal(network, *, batch, repeats, seed=1):
 def run(*, smoke=False, repeats=None):
     batch = 64 if smoke else 256
     repeats = repeats or (5 if smoke else 30)
-    clear_plan_cache()
-    cache_before = plan_cache_info()
+    runtime.clear_caches(results=False)
+    cache_before = runtime.cache_info()["plan"]
     redundant = {
         name: measure_redundant(net, batch=batch, repeats=repeats)
         for name, net in redundant_networks().items()
@@ -168,7 +162,7 @@ def run(*, smoke=False, repeats=None):
         name: measure_minimal(net, batch=batch, repeats=repeats)
         for name, net in minimal_networks().items()
     }
-    cache_after = plan_cache_info()
+    cache_after = runtime.cache_info()["plan"]
     return {
         "benchmark": "bench_ir_passes",
         "smoke": smoke,

@@ -1,17 +1,15 @@
 """Per-kernel batched throughput for the s-t kernel stdlib.
 
 Every registry kernel (:data:`repro.kernels.KERNELS`) plus one composed
-three-stage chain is timed through both batch engines — the compiled
-int64 instruction stream (:mod:`repro.network.compile_plan`) and the
-fused native arena backend (:mod:`repro.native`) — across a batch-size
-ladder.  Outputs are checked for exact agreement before any timing.
+three-stage chain is timed through the compiled batch engine
+(:mod:`repro.network.compile_plan`) across a batch-size ladder.  Outputs
+are checked against the interpreted evaluator before any timing.
 
 The acceptance property (asserted in full mode) is **monotone-or-flat
-throughput**: for every kernel and engine, volleys/sec at the largest
-batch must stay within 25% of the best batch size on the ladder — i.e.
-batching never collapses (the B=1024 cliff class of regression the
-batched-eval benchmark pinned for the compiled engine, now held for the
-whole kernel library on both engines).
+throughput**: for every kernel, volleys/sec at the largest batch must
+stay within 25% of the best batch size on the ladder — i.e. batching
+never collapses (the B=1024 cliff class of regression the batched-eval
+benchmark pinned, held for the whole kernel library).
 
 Results land in ``BENCH_kernels.json`` (repo root).
 
@@ -32,12 +30,10 @@ import statistics
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro.kernels import KERNELS, build_kernel, compose, interval_shift
-from repro.native import compile_native
-from repro.network.compile_plan import compile_plan, encode_volleys
+from repro.network.compile_plan import compile_plan, decode_matrix, encode_volleys
 from repro.network.generate import random_volley
+from repro.network.simulator import evaluate_all_interpreted
 
 BATCHES = (64, 256, 1024)
 SMOKE_BATCHES = (16, 64)
@@ -83,33 +79,28 @@ def _median_of(repeats, fn):
 
 
 def measure(network, *, batches, repeats, seed=0):
-    """Throughput ladder for one kernel: compiled and native engines."""
+    """Throughput ladder for one kernel through the batch engine."""
     rng = random.Random(seed)
     arity = len(network.input_names)
-    plan = compile_plan(network)
-    native = compile_native(network).warm()
-    ladder = {"compiled": [], "native": []}
+    plan = compile_plan(network).warm()
+    ladder = []
     for batch in batches:
-        matrix = encode_volleys(
-            [
-                random_volley(arity, rng=rng, silence_probability=0.25)
-                for _ in range(batch)
-            ]
-        )
-        want = plan.outputs(matrix)
-        got = native.outputs(matrix)
-        np.testing.assert_array_equal(
-            got, want, err_msg=f"native != compiled at B={batch}"
-        )
+        volleys = [
+            random_volley(arity, rng=rng, silence_probability=0.25)
+            for _ in range(batch)
+        ]
+        matrix = encode_volleys(volleys)
+        got = decode_matrix(plan.outputs(matrix)[:8])
+        want = []
+        for volley in volleys[:8]:
+            values = evaluate_all_interpreted(
+                network, dict(zip(network.input_names, volley))
+            )
+            want.append(tuple(values[i] for i in network.outputs.values()))
+        assert got == want, f"batch engine != interpreted at B={batch}"
         t_plan = _median_of(repeats, lambda: plan.outputs(matrix))
-        t_native = _median_of(repeats, lambda: native.outputs(matrix))
-        ladder["compiled"].append(batch / t_plan)
-        ladder["native"].append(batch / t_native)
-    return {
-        "batches": list(batches),
-        "compiled_vps": ladder["compiled"],
-        "native_vps": ladder["native"],
-    }
+        ladder.append(batch / t_plan)
+    return {"batches": list(batches), "compiled_vps": ladder}
 
 
 def run(*, smoke=False, repeats=None):
@@ -131,14 +122,13 @@ def run(*, smoke=False, repeats=None):
 
 
 def flatness_violations(data):
-    """(kernel, engine, ratio) rows breaking the monotone-or-flat bar."""
+    """(kernel, ratio) rows breaking the monotone-or-flat bar."""
     violations = []
     for name, entry in data["kernels"].items():
-        for engine in ("compiled", "native"):
-            vps = entry["results"][f"{engine}_vps"]
-            ratio = vps[-1] / max(vps)
-            if ratio < FLATNESS:
-                violations.append((name, engine, ratio))
+        vps = entry["results"]["compiled_vps"]
+        ratio = vps[-1] / max(vps)
+        if ratio < FLATNESS:
+            violations.append((name, ratio))
     return violations
 
 
@@ -153,33 +143,27 @@ def report(*, smoke=False, artifact_path=ARTIFACT) -> str:
         f"ladder {data['batches']}"
     ]
     lines.append(
-        f"{'kernel':<22} {'nodes':>5} {'compiled@B=' + str(largest):>16} "
-        f"{'native@B=' + str(largest):>16} {'flat(c)':>8} {'flat(n)':>8}"
+        f"{'kernel':<22} {'nodes':>5} {'vps@B=' + str(largest):>16} {'flat':>6}"
     )
     for name, entry in data["kernels"].items():
-        row = entry["results"]
-        flat_c = row["compiled_vps"][-1] / max(row["compiled_vps"])
-        flat_n = row["native_vps"][-1] / max(row["native_vps"])
+        vps = entry["results"]["compiled_vps"]
         lines.append(
-            f"{name:<22} {entry['nodes']:>5} "
-            f"{row['compiled_vps'][-1]:>16.0f} "
-            f"{row['native_vps'][-1]:>16.0f} "
-            f"{flat_c:>7.2f} {flat_n:>8.2f}"
+            f"{name:<22} {entry['nodes']:>5} {vps[-1]:>16.0f} "
+            f"{vps[-1] / max(vps):>6.2f}"
         )
 
     if not smoke:
         violations = flatness_violations(data)
         if violations:
             detail = "; ".join(
-                f"{name}/{engine} {ratio:.2f}"
-                for name, engine, ratio in violations
+                f"{name} {ratio:.2f}" for name, ratio in violations
             )
             lines.append(
                 f"\nMONOTONE-OR-FLAT VIOLATION(S) (< {FLATNESS}): {detail}"
             )
         else:
             lines.append(
-                f"\nmonotone-or-flat holds: every kernel x engine keeps "
+                f"\nmonotone-or-flat holds: every kernel keeps "
                 f">= {FLATNESS:.0%} of its best ladder throughput at "
                 f"B={largest}"
             )
@@ -187,8 +171,8 @@ def report(*, smoke=False, artifact_path=ARTIFACT) -> str:
     lines.append(f"\nartifact: {artifact_path}")
     lines.append(
         "\nshape: stdlib kernels are tiny (2-13 blocks), so per-call "
-        "dispatch dominates at small batches and both engines gain "
-        "roughly linearly until the arena/instruction work saturates; "
+        "dispatch dominates at small batches and throughput grows "
+        "roughly linearly until the arena/kernel work saturates; "
         "the accumulator's k-subset min/max lattice is the largest and "
         "benefits most from fused reductions."
     )
@@ -199,21 +183,21 @@ def report(*, smoke=False, artifact_path=ARTIFACT) -> str:
 
 def bench_kernels_accumulator_b1024(benchmark):
     network = bench_models()["accumulator"]
-    native = compile_native(network).warm()
+    plan = compile_plan(network).warm()
     rng = random.Random(0)
     matrix = encode_volleys(
         [random_volley(4, rng=rng) for _ in range(1024)]
     )
-    out = benchmark(native.outputs, matrix)
+    out = benchmark(plan.outputs, matrix)
     assert out.shape == (1024, 1)
 
 
 def bench_kernels_acceptance(benchmark, show):
-    # Monotone-or-flat throughput for every kernel on both engines.
+    # Monotone-or-flat throughput for every kernel.
     data = benchmark.pedantic(run, kwargs={"repeats": 7}, rounds=1, iterations=1)
     violations = flatness_violations(data)
     show(
-        f"kernels x engines checked: {2 * len(data['kernels'])}, "
+        f"kernels checked: {len(data['kernels'])}, "
         f"violations: {len(violations)}"
     )
     assert not violations, f"throughput collapsed with batch: {violations}"

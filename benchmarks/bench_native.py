@@ -1,28 +1,28 @@
-"""Native arena backend vs the compiled instruction-stream engine.
+"""The batch engine's per-family throughput table, both executors.
 
-The native backend (:mod:`repro.native`) lowers the optimized program a
-second time into fused per-level megaops over a preallocated int64
-arena — one gather/segment-reduce/saturating-inc/latch kernel per
-(level, op-kind) bucket instead of one instruction per node.  This
-report measures the payoff over the compiled engine
-(:mod:`repro.network.compile_plan`) at the acceptance batch size on
-four families: the Fig. 9 synthesized minterm network, the Fig. 12 SRM0
-construction, a wider 7-input SRM0 neuron (reduction-heavy — where the
-fused kernels shine), and a deep layered DAG.
+One compiled plan (:mod:`repro.network.compile_plan`) serves every
+batch: one fused kernel per (level, op-kind) bucket over a node-major
+int64 arena, with mixed-arity ``min``/``max`` groups padded to a
+rectangle by repeating a source.  It has two executors: the fused NumPy
+kernels (always available) and the Numba row interpreter of
+:mod:`repro.native.jit` (timed only when Numba is importable).
 
-Both native strategies are covered when available: the fused-NumPy
-fallback (always timed; the ``>= 2x on at least one family`` acceptance
-bar) and the Numba row-parallel JIT (timed only when numba is
-importable in this environment; ``>= 10x`` bar).  Every timed
-configuration is first checked for exact agreement with the compiled
-engine.  Results land in ``BENCH_native.json`` (repo root).
+The table covers five families at B ∈ {1, 64, 1024}: the Fig. 9
+synthesized minterm network, the Fig. 12 SRM0 construction, a wider
+7-input SRM0 neuron, a deep layered DAG, and the pass-optimized
+10-input SRM0 column the served benchmark's narrow workloads use.  The
+``mixed`` column marks families whose plan pads a mixed-arity group.
+Every cell is the best of interleaved repetitions, in volleys per
+second; before timing, each executor's outputs are checked against the
+interpreted evaluator (first rows) and against each other (whole
+batch).  Results land in ``BENCH_native.json`` (repo root) with an
+``env`` header naming the machine and software they were measured on.
 
 Run standalone::
 
     python benchmarks/bench_native.py [--smoke] [--json PATH]
 
-``--smoke`` shrinks the batch and repeats for CI and skips the
-acceptance assertion (timing noise on shared runners).
+``--smoke`` shrinks the batch sizes and repeats for CI.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import random
-import statistics
+import subprocess
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -40,22 +41,32 @@ import numpy as np
 
 from repro.core.table import NormalizedTable
 from repro.core.synthesis import synthesize
-from repro.native import NUMBA_AVAILABLE, compile_native
-from repro.network.compile_plan import compile_plan, encode_volleys
+from repro.ir import ensure_program, lower, optimize_program
+from repro.native import NUMBA_AVAILABLE
+from repro.network.compile_plan import (
+    INF_I64,
+    compile_plan,
+    decode_matrix,
+    encode_volleys,
+)
 from repro.network.generate import random_volley
+from repro.network.simulator import evaluate_all_interpreted
 from repro.neuron.response import ResponseFunction
 from repro.neuron.srm0 import SRM0Neuron
 from repro.neuron.srm0_network import build_srm0_network
 from repro.testing.generators import random_layered_network
 
-BATCH = 1024
-SMOKE_BATCH = 128
+BATCHES = (1, 64, 1024)
+SMOKE_BATCHES = (1, 16)
+
+#: Rows checked against the interpreted evaluator per family and size.
+CHECK_ROWS = 16
 
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_native.json"
 
 
 def bench_networks():
-    """The four families the native speedup claim is stated over."""
+    """The families the table is stated over."""
     table = NormalizedTable.random(3, window=3, n_rows=16, rng=random.Random(4))
     fig09 = synthesize(table)
     fig12 = build_srm0_network(
@@ -77,11 +88,58 @@ def bench_networks():
     layered = random_layered_network(
         seed=3, n_inputs=8, n_layers=6, width=16, n_outputs=4
     )
+    # The served narrow column: seeded weights, piecewise-linear response.
+    rng = random.Random(0)
+    column = build_srm0_network(
+        SRM0Neuron.homogeneous(
+            10,
+            [rng.randint(1, 3) for _ in range(10)],
+            base_response=ResponseFunction.piecewise_linear(
+                amplitude=2, rise=1, fall=3
+            ),
+            threshold=3,
+        )
+    )
+    column_optimized, _report = optimize_program(lower(column))
     return {
         "fig09-minterm(3x16)": fig09,
         "fig12-srm0(4in)": fig12,
         "srm0-wide(7in)": srm0_wide,
         "layered(8x6x16)": layered,
+        "srm0-column(10in,optimized)": column_optimized,
+    }
+
+
+def mixed_arity(program) -> bool:
+    """True when some (level, kind) min/max group mixes arities."""
+    widths: dict[tuple[int, str], set[int]] = {}
+    for node in program.nodes:
+        if node.kind in ("min", "max") and node.sources:
+            key = (program.levels[node.id], node.kind)
+            widths.setdefault(key, set()).add(len(node.sources))
+    return any(len(w) > 1 for w in widths.values())
+
+
+def env_header() -> dict:
+    """Where and how the artifact was measured."""
+    try:
+        commit = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True,
+            text=True,
+            check=True,
+            cwd=Path(__file__).resolve().parent,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = None
+    return {
+        "commit": commit,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpus": os.cpu_count(),
+        "machine": platform.machine(),
+        "repro_native": os.environ.get("REPRO_NATIVE", "auto"),
+        "numba": NUMBA_AVAILABLE,
     }
 
 
@@ -99,75 +157,79 @@ def _forced_mode(mode: str):
             os.environ["REPRO_NATIVE"] = previous
 
 
-def _median_of(repeats, fn):
-    """Median wall time — robust to scheduler noise on shared runners."""
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
+def _interpreted(program, matrix) -> np.ndarray:
+    """Reference outputs of the interpreted evaluator, sentinel-encoded."""
+    out_ids = list(program.outputs.values())
+    rows = []
+    for volley in decode_matrix(matrix):
+        values = evaluate_all_interpreted(
+            program, dict(zip(program.input_names, volley))
+        )
+        rows.append([min(values[i], INF_I64) for i in out_ids])
+    return np.asarray(rows, dtype=np.int64).reshape(len(rows), len(out_ids))
 
 
-def measure(network, *, batch=BATCH, repeats=15, seed=0):
-    """One family's row: compiled vs native-numpy (vs native-numba)."""
-    rng = random.Random(seed)
-    arity = len(network.input_names)
-    plan = compile_plan(network)
-    native = compile_native(network)
-    matrix = encode_volleys(
-        [
-            random_volley(arity, rng=rng, silence_probability=0.25)
-            for _ in range(batch)
-        ]
-    )
-
-    want = plan.outputs(matrix)
+def measure(program, *, batches, samples, seed=0) -> dict:
+    """One family's row: volleys/s per batch size and executor."""
+    plan = compile_plan(program).warm()
+    arity = len(program.input_ids)
     modes = ["numpy"] + (["numba"] if NUMBA_AVAILABLE else [])
-    row = {
-        "batch": batch,
-        "kernels": len(native.kernels),
-        "instructions": plan.n_instructions,
-    }
-    t_compiled = _median_of(repeats, lambda: plan.outputs(matrix))
-    row["compiled_vps"] = batch / t_compiled
-    for mode in modes:
-        with _forced_mode(mode):
-            got = native.outputs(matrix)
-            np.testing.assert_array_equal(
-                got, want, err_msg=f"native ({mode}) != compiled"
-            )
-            t_native = _median_of(repeats, lambda: native.outputs(matrix))
-        row[f"native_{mode}_vps"] = batch / t_native
-        row[f"speedup_{mode}"] = t_compiled / t_native
-    return row
+    results = {}
+    for batch in batches:
+        rng = random.Random(seed + batch)
+        matrix = encode_volleys(
+            [
+                random_volley(arity, rng=rng, silence_probability=0.25)
+                for _ in range(batch)
+            ]
+        )
+        outputs = {}
+        for mode in modes:
+            with _forced_mode(mode):
+                outputs[mode] = plan.outputs(matrix)
+        head = min(batch, CHECK_ROWS)
+        np.testing.assert_array_equal(
+            outputs["numpy"][:head], _interpreted(program, matrix[:head])
+        )
+        for mode in modes[1:]:
+            np.testing.assert_array_equal(outputs[mode], outputs["numpy"])
+        # Enough calls per sample that one sample lasts a few ms.
+        number = max(1, 256 // batch)
+        best = {mode: float("inf") for mode in modes}
+        for _ in range(samples):
+            for mode in modes:  # interleaved: drift hits every column
+                with _forced_mode(mode):
+                    start = time.perf_counter()
+                    for _ in range(number):
+                        plan.outputs(matrix)
+                    best[mode] = min(best[mode], (time.perf_counter() - start) / number)
+        results[str(batch)] = {
+            f"{mode}_vps": batch / best[mode] for mode in modes
+        }
+    return results
 
 
-def run(*, smoke=False, repeats=None):
+def run(*, smoke=False, samples=None) -> dict:
     """Measure every family; returns the artifact dict."""
-    batch = SMOKE_BATCH if smoke else BATCH
-    repeats = repeats or (3 if smoke else 15)
+    batches = SMOKE_BATCHES if smoke else BATCHES
+    samples = samples or (3 if smoke else 15)
     families = {}
     for name, network in bench_networks().items():
+        program = ensure_program(network)
+        plan = compile_plan(program)
         families[name] = {
-            "nodes": len(network.nodes),
-            "results": measure(network, batch=batch, repeats=repeats),
+            "nodes": plan.n_nodes,
+            "kernels": len(plan.kernels),
+            "mixed_arity": mixed_arity(program),
+            "results": measure(program, batches=batches, samples=samples),
         }
     return {
         "benchmark": "bench_native",
+        "env": env_header(),
         "smoke": smoke,
-        "batch": batch,
-        "numba_available": NUMBA_AVAILABLE,
+        "batches": list(batches),
         "families": families,
     }
-
-
-def best_speedup(data, mode="numpy"):
-    """The acceptance number: best family's native-over-compiled ratio."""
-    return max(
-        entry["results"].get(f"speedup_{mode}", 0.0)
-        for entry in data["families"].values()
-    )
 
 
 def report(*, smoke=False, artifact_path=ARTIFACT) -> str:
@@ -175,51 +237,29 @@ def report(*, smoke=False, artifact_path=ARTIFACT) -> str:
     artifact_path = Path(artifact_path)
     artifact_path.write_text(json.dumps(data, indent=2) + "\n")
 
+    numba = data["env"]["numba"]
     lines = [
-        "Native arena backend vs compiled engine — throughput (volleys/sec)"
-        f" at B={data['batch']}"
+        "Batch engine throughput (volleys/s, best of interleaved samples); "
+        f"numba {'present' if numba else 'not importable'}"
     ]
-    header = f"{'family':<22} {'instrs':>7} {'kernels':>8} {'compiled':>10}"
-    header += f" {'numpy':>10} {'ratio':>6}"
-    if data["numba_available"]:
-        header += f" {'numba':>10} {'ratio':>6}"
+    header = f"{'family':<28} {'nodes':>6} {'kernels':>8} {'mixed':>6}"
+    for batch in data["batches"]:
+        header += f" {'numpy B=' + str(batch):>13}"
+        if numba:
+            header += f" {'numba B=' + str(batch):>13}"
     lines.append(header)
     for name, entry in data["families"].items():
-        row = entry["results"]
         line = (
-            f"{name:<22} {row['instructions']:>7} {row['kernels']:>8} "
-            f"{row['compiled_vps']:>10.0f} {row['native_numpy_vps']:>10.0f} "
-            f"{row['speedup_numpy']:>5.2f}x"
+            f"{name:<28} {entry['nodes']:>6} {entry['kernels']:>8} "
+            f"{'yes' if entry['mixed_arity'] else 'no':>6}"
         )
-        if data["numba_available"]:
-            line += (
-                f" {row['native_numba_vps']:>10.0f}"
-                f" {row['speedup_numba']:>5.2f}x"
-            )
+        for batch in data["batches"]:
+            cell = entry["results"][str(batch)]
+            line += f" {cell['numpy_vps']:>13.0f}"
+            if numba:
+                line += f" {cell['numba_vps']:>13.0f}"
         lines.append(line)
-
-    if not smoke:
-        best = best_speedup(data, "numpy")
-        bar = "meets" if best >= 2 else "BELOW"
-        lines.append(
-            f"\nfused-NumPy fallback: best {best:.2f}x — {bar} the 2x bar"
-        )
-        if data["numba_available"]:
-            best_nb = best_speedup(data, "numba")
-            bar = "meets" if best_nb >= 10 else "BELOW"
-            lines.append(f"numba JIT: best {best_nb:.2f}x — {bar} the 10x bar")
-        else:
-            lines.append(
-                "numba not importable here — the 10x JIT bar applies only "
-                "where the [native] extra is installed (see CI native-smoke)"
-            )
     lines.append(f"\nartifact: {artifact_path}")
-    lines.append(
-        "\nshape: per-node instruction dispatch collapses into one fused "
-        "kernel per (level, op-kind) bucket; the reduction-heavy SRM0 "
-        "families gain most because segment-min over sorted buckets "
-        "replaces dozens of per-node minimum calls."
-    )
     return "\n".join(lines)
 
 
@@ -227,26 +267,13 @@ def report(*, smoke=False, artifact_path=ARTIFACT) -> str:
 
 def bench_native_outputs_b1024(benchmark):
     network = bench_networks()["srm0-wide(7in)"]
-    native = compile_native(network).warm()
+    plan = compile_plan(network).warm()
     rng = random.Random(0)
     matrix = encode_volleys(
         [random_volley(7, rng=rng) for _ in range(1024)]
     )
-    out = benchmark(native.outputs, matrix)
+    out = benchmark(plan.outputs, matrix)
     assert out.shape == (1024, 1)
-
-
-def bench_native_acceptance(benchmark, show):
-    # The tentpole claim: the fused-NumPy fallback beats the compiled
-    # engine >= 2x on at least one family (>= 10x with numba installed).
-    data = benchmark.pedantic(run, kwargs={"repeats": 9}, rounds=1, iterations=1)
-    best = best_speedup(data, "numpy")
-    show(f"native/compiled (numpy): best {best:.2f}x")
-    assert best >= 2, f"fused-NumPy fallback only {best:.2f}x"
-    if data["numba_available"]:
-        best_nb = best_speedup(data, "numba")
-        show(f"native/compiled (numba): best {best_nb:.2f}x")
-        assert best_nb >= 10, f"numba JIT only {best_nb:.2f}x"
 
 
 def main(argv=None) -> int:
@@ -254,7 +281,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small batch, fewer repeats, no acceptance assertion (CI)",
+        help="small batches and few samples (CI)",
     )
     parser.add_argument(
         "--json",

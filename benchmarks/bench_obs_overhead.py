@@ -1,17 +1,18 @@
 """Observability overhead: the disabled path must cost (almost) nothing.
 
 The tracing/metrics/profiling hooks added by ``repro.obs`` sit directly
-on the hottest loop in the repository — ``CompiledPlan.run`` — so this
-report proves the acceptance bound: with no sink attached and profiling
-off, ``evaluate_batch`` at B=1024 runs within 5% of the pre-hook
-engine.  Three configurations are timed on the acceptance networks:
+on the hottest loop in the repository — ``CompiledPlan.outputs`` — so
+this report proves the acceptance bound: with no sink attached and
+profiling off, the plan at B=1024 runs within 5% of the bare kernel
+executor.  Three configurations are timed on the acceptance networks:
 
-* ``baseline``  — a local replica of the pre-observability ``run`` loop
-  (scatter + fused groups, no flag checks, no counters), executed over
-  the *same* compiled plan groups;
-* ``null-sink`` — the shipped ``plan.run`` with its defaults (the
-  disabled path: one identity check, one module flag, one counter);
-* ``recording`` — ``plan.run`` with a live :class:`RecordingSink`
+* ``baseline``  — the plan's kernels run through the NumPy executor
+  (buffer acquire, scatter, kernels, gather, release) with no sink
+  check, no executor-mode read, no profiling flag and no counters;
+* ``null-sink`` — the shipped ``plan.outputs`` with its defaults (the
+  disabled path: one identity check, one mode read, one module flag,
+  one counter);
+* ``recording`` — ``plan.outputs`` with a live :class:`RecordingSink`
   (the priced, opt-in path; reported for scale, not bounded).
 
 A second grid prices **request tracing** (:mod:`repro.obs.rtrace`) on
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import time
 from pathlib import Path
@@ -43,12 +45,8 @@ import numpy as np
 from repro.core.synthesis import synthesize
 from repro.core.table import NormalizedTable
 from repro.network.compile_plan import (
-    INF_I64,
     CompiledPlan,
-    _ConstGroup,
-    _IncGroup,
-    _LtGroup,
-    _ReduceGroup,
+    _execute_kernels,
     compile_plan,
     encode_volleys,
 )
@@ -82,33 +80,20 @@ def acceptance_networks():
 
 
 def baseline_run(plan: CompiledPlan, matrix: np.ndarray) -> np.ndarray:
-    """The pre-observability ``CompiledPlan.run`` loop, verbatim.
+    """The plan's NumPy executor with every observability hook removed.
 
-    No sink check, no profiling flag, no counters — the engine exactly
-    as it shipped before ``repro.obs`` existed, over today's compiled
-    groups, so the diff isolates the hook cost and nothing else.
+    The same buffers, scatter, kernels and gather as the shipped path,
+    but no sink check, no executor-mode read, no profiling flag and no
+    counters, so the diff isolates the hook cost and nothing else.
     """
-    values = np.empty((matrix.shape[0], plan.n_nodes), dtype=np.int64)
-    if plan.input_ids.size:
-        values[:, plan.input_ids] = matrix
-    for group in plan.groups:
-        if isinstance(group, _IncGroup):
-            gathered = values[:, group.srcs]
-            np.minimum(gathered, group.caps, out=gathered)
-            gathered += group.amounts
-            values[:, group.ids] = gathered
-        elif isinstance(group, _ReduceGroup):
-            gathered = values[:, group.srcs]
-            values[:, group.ids] = (
-                gathered.min(axis=2) if group.is_min else gathered.max(axis=2)
-            )
-        elif isinstance(group, _LtGroup):
-            a = values[:, group.a]
-            b = values[:, group.b]
-            values[:, group.ids] = np.where(a < b, a, INF_I64)
-        else:  # _ConstGroup
-            values[:, group.ids] = group.value
-    return values[:, plan.output_ids]
+    batch = matrix.shape[0]
+    buffers = plan._acquire("cols", batch)
+    arena, s1, s2, mask = buffers
+    arena[: plan.n_inputs] = matrix.T
+    _execute_kernels(plan.kernels, arena, s1, s2, mask)
+    out = np.ascontiguousarray(arena[plan.out_cols].T)
+    plan._release("cols", batch, buffers)
+    return out
 
 
 def _best_of(repeats, fn):
@@ -125,6 +110,19 @@ def measure(network, batch_sizes=BATCH_SIZES, *, repeats=30, seed=0):
     rng = random.Random(seed)
     arity = len(network.input_names)
     plan = compile_plan(network)
+    # The baseline is the NumPy executor; pin the shipped path to it too.
+    previous = os.environ.get("REPRO_NATIVE")
+    os.environ["REPRO_NATIVE"] = "numpy"
+    try:
+        return _measure_rows(plan, arity, batch_sizes, repeats, rng)
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_NATIVE", None)
+        else:
+            os.environ["REPRO_NATIVE"] = previous
+
+
+def _measure_rows(plan, arity, batch_sizes, repeats, rng):
     rows = []
     for batch in batch_sizes:
         volleys = [
@@ -134,16 +132,13 @@ def measure(network, batch_sizes=BATCH_SIZES, *, repeats=30, seed=0):
         matrix = encode_volleys(volleys)
 
         want = baseline_run(plan, matrix)
-        got = plan.run(matrix)[:, plan.output_ids]
+        got = plan.outputs(matrix)
         assert (want == got).all(), f"hooked run != baseline at B={batch}"
 
         t_base = _best_of(repeats, lambda: baseline_run(plan, matrix))
-        t_null = _best_of(
-            repeats, lambda: plan.run(matrix)[:, plan.output_ids]
-        )
+        t_null = _best_of(repeats, lambda: plan.outputs(matrix))
         t_rec = _best_of(
-            repeats,
-            lambda: plan.run(matrix, sink=RecordingSink())[:, plan.output_ids],
+            repeats, lambda: plan.outputs(matrix, sink=RecordingSink())
         )
         rows.append(
             {
@@ -311,7 +306,7 @@ def report(*, smoke=False, artifact_path=ARTIFACT) -> tuple[str, bool]:
     artifact_path.write_text(json.dumps(data, indent=2) + "\n")
 
     ok = True
-    lines = ["Observability overhead — CompiledPlan.run per batch (ms, best-of)"]
+    lines = ["Observability overhead — CompiledPlan.outputs per batch (ms, best-of)"]
     for name, entry in data["networks"].items():
         lines.append(f"\n{name}: {entry['instructions']} instructions")
         lines.append(
@@ -355,9 +350,9 @@ def report(*, smoke=False, artifact_path=ARTIFACT) -> tuple[str, bool]:
 
     lines.append(f"\nartifact: {artifact_path}")
     lines.append(
-        "\nshape: the disabled path adds one identity check, one module "
-        "flag read, and one counter per run — constant per batch, so its "
-        "relative cost shrinks as B grows."
+        "\nshape: the disabled path adds one identity check, one executor-"
+        "mode read, one module flag read, and one counter per run — "
+        "constant per batch, so its relative cost shrinks as B grows."
     )
     return "\n".join(lines), ok
 

@@ -1,15 +1,14 @@
 """Runtime seam overhead: registry dispatch and the result-cache hot path.
 
-PR 9 routed every execution through one seam — ``ENGINES.resolve(policy)``
+Every execution goes through one seam — ``ENGINES.resolve(policy)``
 returning an engine object whose ``evaluate`` the serving stack calls —
-and put a ``(fingerprint, volley digest)`` result cache ahead of
-admission.  Both moves only pay off if the seam itself is free:
+and a ``(fingerprint, volley digest)`` result cache sits ahead of
+admission.  Both only pay off if the seam itself is free:
 
-* **dispatch overhead** — ``engine.evaluate(network, volleys)`` through a
-  resolved engine vs calling ``evaluate_batch`` / ``evaluate_batch_native``
-  directly, at B=1024.  The indirection is one attribute lookup and a
-  bound-method call, so the acceptance bound is **≤ 2%** per serving
-  engine.
+* **dispatch overhead** — ``engine.evaluate(network, volleys)`` through
+  the resolved serving engine vs calling ``evaluate_batch`` directly, at
+  B=1024.  The indirection is one attribute lookup and a bound-method
+  call, so the acceptance bound is **≤ 2%**.
 * **hot-hit speedup** — a served request answered from the result cache
   (no queue slot, no micro-batch, no pool round-trip) vs the same request
   dispatched cold through the full stack.  Acceptance: **≥ 10×** lower
@@ -75,19 +74,13 @@ def _paired_rates(
 
 
 def _bench_dispatch(network, volleys, *, repeats: int) -> list[dict]:
-    """Direct engine-function calls vs resolved-engine dispatch, per engine."""
-    from repro.native import evaluate_batch_native as _evaluate_batch_native
+    """Direct ``evaluate_batch`` calls vs resolved-engine dispatch."""
     from repro.network import evaluate_batch as _evaluate_batch
-
-    direct_fns = {
-        "int64": lambda: _evaluate_batch(network, volleys),
-        "native": lambda: _evaluate_batch_native(network, volleys),
-    }
 
     cells = []
     for key in ENGINES.serving_keys():
         engine = ENGINES.resolve(key)
-        direct = direct_fns[key]
+        direct = lambda: _evaluate_batch(network, volleys)  # noqa: E731
         dispatch = lambda: engine.evaluate(network, volleys)  # noqa: E731
         engine.warm(network)  # plans compiled before any timing
         for _ in range(3):  # both paths hot before sampling

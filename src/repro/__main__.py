@@ -140,7 +140,7 @@ def _conformance(argv: list[str]) -> int:
         description=(
             "Differential conformance sweep: run seeded random networks "
             "through every evaluation backend (interpreted, compiled "
-            "batch, event-driven, GRL circuit, native arena), diff their outputs over "
+            "batch, event-driven, GRL circuit), diff their outputs over "
             "adversarial volleys, shrink any disagreement to a minimal "
             "reproducer, and self-check the harness by injecting faults "
             "that must be caught."
@@ -196,7 +196,7 @@ def _conformance(argv: list[str]) -> int:
         metavar="NAMES",
         help=(
             "comma-separated engine names or keys resolved through the "
-            "runtime registry (e.g. 'interpreted,native' or "
+            "runtime registry (e.g. 'interpreted,event' or "
             "'interpreted,auto'); default: every registered backend"
         ),
     )
@@ -548,28 +548,20 @@ def _stats(argv: list[str]) -> int:
             "training": training_stats_snapshot(),
         }
         if args.plan_cache or args.clear_plan_cache:
-            # "cache" is the unified runtime surface; "plan_cache"
-            # keeps the pre-runtime shape for existing consumers.
             payload["cache"] = runtime.cache_info()
-            payload["plan_cache"] = runtime.legacy_plan_cache_info()
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(METRICS.render())
         if args.plan_cache or args.clear_plan_cache:
-            info = runtime.legacy_plan_cache_info()
-            print("plan cache:")
-            for key in sorted(info):
-                value = info[key]
-                if isinstance(value, dict):  # the nested native-cache record
-                    print(f"  {key}:")
-                    for sub in sorted(value):
-                        print(f"    {sub:<20} {value[sub]}")
-                else:
-                    print(f"  {key:<20} {value}")
-            result = runtime.cache_info()["result"]
-            print("result cache:")
-            for key in sorted(result):
-                print(f"  {key:<20} {result[key]}")
+            info = runtime.cache_info()
+            for section in ("plan", "result"):
+                print(f"{section} cache:")
+                for key in sorted(info[section]):
+                    print(f"  {key:<20} {info[section][key]}")
+            print(
+                f"native mode: {info['native_mode']} "
+                f"(numba available: {info['numba_available']})"
+            )
     if args.reset:
         reset_metrics()
         print("metrics reset")
@@ -786,8 +778,8 @@ def _runtime(argv: list[str]) -> int:
         description=(
             "The unified execution runtime: every registered engine with "
             "its capability descriptor and availability probe, the "
-            "policy-resolved serving engine, and the cache tiers "
-            "(plan namespaces + result cache)."
+            "policy-resolved serving engine, and the plan and result "
+            "caches."
         ),
     )
     parser.add_argument(
@@ -836,8 +828,8 @@ def _runtime(argv: list[str]) -> int:
     plan, result = info["plan"], info["result"]
     print(
         f"plan cache: {plan['entries']} entries / {plan['bytes']} bytes "
-        f"across {len(plan['namespaces'])} namespaces "
-        f"(budget: {plan['budget']})"
+        f"(limit {plan['limit']}; hits {plan['hits_structural']}, misses "
+        f"{plan['misses']}, evictions {plan['evictions']})"
     )
     print(
         f"result cache: {result['entries']} entries / {result['bytes']} "

@@ -21,7 +21,7 @@ Every kernel also carries the repo's standard *contract* surface:
 * :meth:`Kernel.contract` infers one table per output port;
 * the conformance generator family ``kernels``
   (:mod:`repro.testing.generators`) fuzzes randomly composed kernel
-  networks across all five backends.
+  networks across all four backends.
 """
 
 from __future__ import annotations

@@ -1,33 +1,11 @@
-"""Native-speed backend: fused arena kernels with optional Numba JIT.
+"""The optional Numba executor of the compiled batch plan.
 
-The fifth execution backend.  :func:`compile_native` lowers an
-optimized :class:`~repro.ir.program.Program` to a :class:`NativePlan`
-of fused, gather-based level kernels over preallocated int64 arenas;
-:func:`evaluate_batch_native` is the drop-in batched entry point.
-``REPRO_NATIVE=numpy|numba`` (default ``auto``) selects the execution
-strategy per run.  See DESIGN.md §11.
+:mod:`repro.native.jit` runs a :class:`~repro.network.compile_plan.
+CompiledPlan` through one row-parallel interpreter compiled with Numba
+when it is importable.  ``REPRO_NATIVE=numpy|numba`` (default ``auto``)
+selects the executor per run.  See DESIGN.md §11.
 """
 
-from .jit import NUMBA_AVAILABLE
-from .plan import (
-    NATIVE_MODES,
-    NativePlan,
-    clear_native_plan_cache,
-    compile_native,
-    evaluate_batch_native,
-    native_mode,
-    native_plan_cache_info,
-    set_native_plan_cache_limit,
-)
+from .jit import NATIVE_MODES, NUMBA_AVAILABLE, native_mode
 
-__all__ = [
-    "NATIVE_MODES",
-    "NUMBA_AVAILABLE",
-    "NativePlan",
-    "clear_native_plan_cache",
-    "compile_native",
-    "evaluate_batch_native",
-    "native_mode",
-    "native_plan_cache_info",
-    "set_native_plan_cache_limit",
-]
+__all__ = ["NATIVE_MODES", "NUMBA_AVAILABLE", "native_mode"]

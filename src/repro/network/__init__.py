@@ -15,7 +15,6 @@ from .compile_plan import (
     INF_I64,
     MAX_FINITE,
     CompiledPlan,
-    clear_plan_cache,
     compile_plan,
     decode_matrix,
     decode_time,
@@ -24,8 +23,6 @@ from .compile_plan import (
     evaluate_batch,
     evaluate_batch_all,
     evaluate_batch_dicts,
-    plan_cache_info,
-    set_plan_cache_limit,
 )
 from .events import EventSimulator, SimulationResult, SpikeEvent, simulate
 from .generate import input_batch, random_inputs, random_network, random_volley
@@ -75,7 +72,6 @@ __all__ = [
     "ValidationReport",
     "activity",
     "analyze",
-    "clear_plan_cache",
     "compile_plan",
     "default_input_window",
     "check_feedforward",
@@ -92,7 +88,6 @@ __all__ = [
     "evaluate_batch_dicts",
     "evaluate_vector",
     "input_batch",
-    "plan_cache_info",
     "live_node_ids",
     "load",
     "loads",
@@ -105,7 +100,6 @@ __all__ = [
     "random_network",
     "random_volley",
     "save",
-    "set_plan_cache_limit",
     "simulate",
     "strip_dead_nodes",
     "structure",

@@ -5,8 +5,8 @@ The denotational evaluator (:mod:`repro.network.simulator`) walks Python
 arithmetic one volley at a time.  The algebra's semantics — ``min``,
 ``max``, ``lt`` and saturating ``inc`` over ``N0∞`` — map directly onto
 saturating integer array operations, so a network can instead be
-*compiled once* into a flat instruction stream and then applied to a
-whole **batch** of input volleys in a handful of NumPy calls.
+*compiled once* into a short list of fused kernels and then applied to
+a whole **batch** of input volleys in a handful of NumPy calls.
 
 Encoding
 --------
@@ -24,23 +24,42 @@ interpreted evaluator for such inputs).
 
 Compilation
 -----------
-:func:`compile_plan` schedules the (already topologically ordered) node
-list by *level* — the longest structural distance from a terminal — and
-fuses every same-kind group within a level into a single vectorized
-instruction: one gather + reduction for a whole layer of ``min``
-comparators, one saturating add for a whole layer of delays, one
-``where`` for a whole layer of ``lt`` races.  Nodes at equal level can
-never depend on each other, so any order within a level is valid.
-Variadic ``min``/``max`` groups are padded to a rectangular source
-matrix by repeating each node's own first source (both ops are
-idempotent, so padding does not change the result).
+:func:`compile_plan` lowers a :class:`~repro.ir.program.Program` (or a
+``Network``, lowered on entry) to a :class:`CompiledPlan`:
+
+* **node-major arena** — values live in an ``(n_cols, B)`` int64 arena
+  whose rows are *permuted* so inputs, params and every fused kernel
+  occupy contiguous row ranges.  The input scatter is one transposed
+  copy, every kernel writes one contiguous slice, and constant rows
+  (the lattice identities ``∞`` and ``0`` of zero-source ``min``/``max``)
+  are filled once when the arena is allocated;
+* **one kernel per (level, kind)** — nodes at equal level can never
+  depend on each other, so each level's ``inc`` nodes become one
+  gather + clamp + add, its ``lt`` nodes one compare + masked copy, and
+  its ``min``/``max`` nodes one gather + rectangular reshape-reduce.
+  Mixed-arity ``min``/``max`` groups are padded to a rectangle by
+  repeating each node's first source: both operations are idempotent,
+  so ``min(a, b, a) = min(a, b)``, and every reduction has one shape;
+* **recycled scratch** — arenas and gather buffers are kept per batch
+  size in a small thread-safe free-list, so steady-state runs allocate
+  only their output matrix.
+
+The same plan has a second executor: with ``REPRO_NATIVE=numba`` (or
+``auto`` when Numba is importable) it runs through the row-parallel
+interpreter of :mod:`repro.native.jit` instead of the NumPy kernels.
 
 Plans are memoized: first by network identity (a weak map, so plans die
-with their networks), then by :meth:`Network.fingerprint` (a bounded LRU,
-so structurally identical networks — e.g. a serialization round-trip —
-share one plan).  A ``Network`` is immutable, so a cached plan can never
+with their networks), then by fingerprint in the runtime plan cache
+(:data:`repro.runtime.PLAN_CACHE`, a bounded LRU, so structurally
+identical networks — e.g. a serialization round-trip — share one plan).
+A ``Network`` and a ``Program`` are immutable, so a cached plan can never
 go stale; the fingerprint key invalidates exactly when the structure
 (kinds, sources, amounts, terminal names, outputs) differs.
+
+Tracing is *post-hoc*: the canonical spike trace is a pure function of
+fire times (:func:`repro.obs.trace.emit_events`), so it is emitted from
+the finished value matrix and is byte-identical to the incremental
+traces of the event-driven and interpreted backends.
 
 Entry points
 ------------
@@ -50,7 +69,7 @@ Entry points
   ``Time`` tuples (with :data:`~repro.core.value.INF`) and the sentinel
   ``int64`` encoding.
 * :func:`compile_plan` — the cached plan itself, for callers that want
-  every node's value (:meth:`CompiledPlan.run`) or instruction counts.
+  every node's value (:meth:`CompiledPlan.run`) or kernel counts.
 
 The scalar :func:`repro.network.simulator.evaluate` /
 :func:`~repro.network.simulator.evaluate_all` are thin B=1 wrappers over
@@ -59,17 +78,17 @@ this engine.
 
 from __future__ import annotations
 
-import warnings
+import threading
 import weakref
-from time import perf_counter as _perf_counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from time import perf_counter as _perf_counter
 from typing import Optional, Union
 
 import numpy as np
 
 from ..core.value import INF, Infinity, Time, check_time
-from .graph import Network, NetworkError
+from .graph import NetworkError
 
 #: Sentinel encoding of ``∞`` in the int64 engine: the largest int64.
 INF_I64: int = int(np.iinfo(np.int64).max)
@@ -77,19 +96,20 @@ INF_I64: int = int(np.iinfo(np.int64).max)
 #: Largest finite time the batched engine accepts on an input line.
 MAX_FINITE: int = INF_I64 - 1
 
-# Imported *after* the sentinel constants: ``repro.obs.trace`` imports
-# MAX_FINITE back from this module, so the constants must already be
-# bound when the observability layer initializes mid-import.
+# Imported *after* the sentinel constants: ``repro.obs.trace`` and
+# ``repro.native.jit`` import them back from this module, so they must
+# already be bound when those modules initialize mid-import.
 from ..obs import metrics as _obs_metrics  # noqa: E402
 from ..obs import profile as _obs_profile  # noqa: E402
 from ..obs import trace as _obs_trace  # noqa: E402
 from ..ir.program import (  # noqa: E402
     CONST_IDENTITY,
-    Program,
     ProgramLike,
     classify,
     ensure_program,
 )
+from ..native import jit as _jit  # noqa: E402
+from ..runtime.cache import PLAN_CACHE as _PLAN_CACHE  # noqa: E402
 
 VolleyLike = Union[np.ndarray, Sequence[Sequence[Time]]]
 
@@ -178,116 +198,340 @@ def _encode_params(
 
 
 # ---------------------------------------------------------------------------
-# Instruction groups
+# Kernels
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _ConstGroup:
-    """Zero-source ``min``/``max`` nodes: the lattice identity elements."""
+class _IncKernel:
+    """One level's delays: gather, clamp to ``INF - amount``, add."""
 
-    ids: np.ndarray
-    value: int  # INF_I64 for empty min, 0 for empty max
-
-
-@dataclass(frozen=True)
-class _IncGroup:
-    """A level's worth of delays: one saturating add."""
-
-    ids: np.ndarray
-    srcs: np.ndarray
-    amounts: np.ndarray
+    lo: int
+    hi: int
+    srcs: np.ndarray  # (g,) arena rows
+    amounts: np.ndarray  # (g, 1) broadcast against the batch dim
     caps: np.ndarray  # INF_I64 - amounts, precomputed
 
 
 @dataclass(frozen=True)
-class _ReduceGroup:
-    """A level's worth of same-kind ``min``/``max``: one reduction.
+class _ReduceKernel:
+    """One level's ``min`` or ``max`` nodes: gather + rectangular reduce.
 
-    ``srcs`` is rectangular ``(n_nodes, max_arity)``; shorter source
-    tuples are padded with the node's own first source (idempotence).
+    ``srcs`` is node-major ``(g * k,)``; nodes with fewer than ``k``
+    sources repeat their first source (idempotence keeps the result).
     """
 
-    ids: np.ndarray
+    lo: int
+    hi: int
     srcs: np.ndarray
+    k: int
     is_min: bool
 
 
 @dataclass(frozen=True)
-class _LtGroup:
-    """A level's worth of ``lt`` races: one compare + where."""
+class _LtKernel:
+    """One level's ``lt`` races: two gathers, compare, masked latch."""
 
-    ids: np.ndarray
+    lo: int
+    hi: int
     a: np.ndarray
     b: np.ndarray
 
 
-_Group = Union[_ConstGroup, _IncGroup, _ReduceGroup, _LtGroup]
+_Kernel = Union[_IncKernel, _ReduceKernel, _LtKernel]
 
-#: Batch-dimension block for :meth:`CompiledPlan.run`.  512 rows of a
-#: hundred-node net is a few-hundred-KiB working set — small enough to
-#: stay cache-resident across the whole instruction stream, large
-#: enough that per-group NumPy dispatch stays amortized.  Wide batches
-#: otherwise stream the full (B, n_nodes) slab through memory once per
-#: group, which is the B=64→B=1024 throughput cliff BENCH_batched_eval
-#: used to show.
-_RUN_BLOCK = 512
 
+@dataclass(frozen=True)
+class _ConstFill:
+    """A run of lattice-identity rows, filled once at arena allocation."""
+
+    lo: int
+    hi: int
+    value: int
+
+
+def _kernel_kind(kernel: _Kernel) -> str:
+    """Timer label for one kernel (``plan.group.<kind>``)."""
+    if isinstance(kernel, _IncKernel):
+        return "inc"
+    if isinstance(kernel, _ReduceKernel):
+        return "min" if kernel.is_min else "max"
+    return "lt"
+
+
+def _kernel_reads(kernel: _Kernel) -> set[int]:
+    """Arena rows a kernel gathers from (dependency analysis)."""
+    if isinstance(kernel, _LtKernel):
+        return set(kernel.a.tolist()) | set(kernel.b.tolist())
+    return set(kernel.srcs.tolist())
+
+
+def _execute_kernels(kernels, arena, s1, s2, mask, profiling=False) -> None:
+    """Run a kernel list over a node-major arena (the NumPy executor).
+
+    Shared by :class:`CompiledPlan` and the fault-injection oracle that
+    deliberately reorders a kernel list — both must execute kernels
+    identically for the reorder mutant to model only a scheduling bug.
+    With *profiling*, each kernel's wall time accrues to the
+    ``plan.group.<kind>`` timer.
+    """
+    for kernel in kernels:
+        if profiling:
+            start = _perf_counter()
+        # Bound methods and ufunc reductions directly: the np.take /
+        # np.min wrappers cost more than the work at small batches.
+        if isinstance(kernel, _IncKernel):
+            g = kernel.hi - kernel.lo
+            arena.take(kernel.srcs, axis=0, out=s1[:g])
+            np.minimum(s1[:g], kernel.caps, out=s1[:g])
+            np.add(s1[:g], kernel.amounts, out=arena[kernel.lo:kernel.hi])
+        elif isinstance(kernel, _ReduceKernel):
+            g = kernel.hi - kernel.lo
+            arena.take(kernel.srcs, axis=0, out=s1[: g * kernel.k])
+            gathered = s1[: g * kernel.k].reshape(g, kernel.k, arena.shape[1])
+            reduce = np.minimum.reduce if kernel.is_min else np.maximum.reduce
+            reduce(gathered, axis=1, out=arena[kernel.lo:kernel.hi])
+        else:  # _LtKernel
+            g = kernel.hi - kernel.lo
+            arena.take(kernel.a, axis=0, out=s1[:g])
+            arena.take(kernel.b, axis=0, out=s2[:g])
+            np.less(s1[:g], s2[:g], out=mask[:g])
+            out = arena[kernel.lo:kernel.hi]
+            out[...] = INF_I64
+            np.copyto(out, s1[:g], where=mask[:g])
+        if profiling:
+            _obs_metrics.METRICS.add_time(
+                f"plan.group.{_kernel_kind(kernel)}", _perf_counter() - start
+            )
+
+
+#: Recycled buffer sets kept per (layout, batch) key; beyond this the
+#: buffers are dropped rather than pooled (burst protection).
+_POOL_DEPTH = 4
+
+
+# ---------------------------------------------------------------------------
+# The plan
+# ---------------------------------------------------------------------------
 
 class CompiledPlan:
     """An executable, batch-oriented compilation of one program structure.
 
     Accepts a :class:`~repro.ir.program.Program` or a
-    :class:`~repro.network.graph.Network` (lowered on entry); the IR's
-    level schedule is what the instruction stream fuses over.
+    :class:`~repro.network.graph.Network` (lowered on entry).  The level
+    schedule and the zero-source constant classification come from the
+    IR — this backend only encodes what it is told.
     """
 
     def __init__(self, source: "ProgramLike"):
         program = ensure_program(source)
+        #: Kept for post-hoc spike tracing (cause derivation).
         self.program = program
         self.n_nodes = len(program.nodes)
-        # Kept for spike tracing (cause derivation) and describe();
-        # nodes are immutable and shared with the source program.
-        self.nodes = program.nodes
-        self.fingerprint = program.fingerprint()
-        self.input_ids = np.fromiter(
-            program.input_ids.values(), dtype=np.int64, count=len(program.input_ids)
-        )
-        self.param_ids = np.fromiter(
-            program.param_ids.values(), dtype=np.int64, count=len(program.param_ids)
-        )
-        self.output_names = list(program.outputs)
-        self.output_ids = np.fromiter(
-            program.outputs.values(), dtype=np.int64, count=len(program.outputs)
-        )
-        self.groups: list[_Group] = _build_groups(program)
+        self.n_inputs = len(program.input_ids)
+        self.n_params = len(program.param_ids)
+        #: Output node ids, indexing the node-order matrix :meth:`run`
+        #: returns.
+        self.output_ids = np.asarray(list(program.outputs.values()), dtype=np.int64)
 
-    # -- introspection -------------------------------------------------------
+        # -- arena row assignment ---------------------------------------------
+        # Inputs first (the scatter is then one transposed block copy),
+        # params next, then each (level, kind) group contiguously in
+        # schedule order.  ``perm[node_id]`` is the node's arena row.
+        order: list[int] = list(program.input_ids.values())
+        order += list(program.param_ids.values())
+        buckets: dict[tuple[int, str], list] = {}
+        for node in program.nodes:
+            if not node.is_terminal:
+                buckets.setdefault(
+                    (program.levels[node.id], classify(node)), []
+                ).append(node)
+        grouped = []
+        for (_, kind), nodes in sorted(buckets.items(), key=lambda kv: kv[0]):
+            lo = len(order)
+            order.extend(n.id for n in nodes)
+            grouped.append((kind, lo, len(order), nodes))
+        self.n_cols = len(order)
+        self.perm = np.empty(self.n_nodes, dtype=np.int64)
+        self.perm[order] = np.arange(self.n_cols, dtype=np.int64)
+
+        # -- kernel emission ---------------------------------------------------
+        perm = self.perm
+        kernels: list[_Kernel] = []
+        const_fills: list[_ConstFill] = []
+        max_gather = 1
+        for kind, lo, hi, nodes in grouped:
+            if kind == "inc":
+                amounts = np.array([[n.amount] for n in nodes], dtype=np.int64)
+                kernels.append(
+                    _IncKernel(
+                        lo=lo,
+                        hi=hi,
+                        srcs=perm[[n.sources[0] for n in nodes]],
+                        amounts=amounts,
+                        caps=INF_I64 - amounts,
+                    )
+                )
+                max_gather = max(max_gather, hi - lo)
+            elif kind in ("min", "max"):
+                k = max(len(n.sources) for n in nodes)
+                padded = [
+                    s
+                    for n in nodes
+                    for s in n.sources + (n.sources[0],) * (k - len(n.sources))
+                ]
+                kernels.append(
+                    _ReduceKernel(
+                        lo=lo, hi=hi, srcs=perm[padded], k=k, is_min=kind == "min"
+                    )
+                )
+                max_gather = max(max_gather, len(padded))
+            elif kind == "lt":
+                kernels.append(
+                    _LtKernel(
+                        lo=lo,
+                        hi=hi,
+                        a=perm[[n.sources[0] for n in nodes]],
+                        b=perm[[n.sources[1] for n in nodes]],
+                    )
+                )
+                max_gather = max(max_gather, hi - lo)
+            else:  # const-inf / const-zero: filled at arena allocation
+                identity = CONST_IDENTITY[kind]
+                value = INF_I64 if isinstance(identity, Infinity) else int(identity)
+                const_fills.append(_ConstFill(lo=lo, hi=hi, value=value))
+        self.kernels: tuple[_Kernel, ...] = tuple(kernels)
+        self.const_fills: tuple[_ConstFill, ...] = tuple(const_fills)
+        self.max_gather = max_gather
+        self.out_cols = perm[self.output_ids]
+
+        self._pool: dict[tuple[str, int], list] = {}
+        self._pool_lock = threading.Lock()
+        self._flat: Optional[tuple[np.ndarray, ...]] = None
+
+    # -- introspection ---------------------------------------------------------
     @property
     def n_instructions(self) -> int:
-        """Fused instruction count (plus one input scatter + one gather)."""
-        return len(self.groups)
+        """Fused kernel count plus constant fills."""
+        return len(self.kernels) + len(self.const_fills)
 
     def describe(self) -> str:
-        """One line per fused instruction, for reports and debugging."""
+        """One line per kernel, for reports and debugging."""
         lines = [
-            f"plan: {self.n_nodes} nodes -> {self.n_instructions} instructions"
+            f"plan: {self.n_nodes} nodes -> {self.n_cols} arena rows, "
+            f"{len(self.kernels)} kernel(s), {len(self.const_fills)} const fill(s)"
         ]
-        for group in self.groups:
-            if isinstance(group, _ConstGroup):
-                kind = "const(∞)" if group.value == INF_I64 else "const(0)"
-                lines.append(f"  {kind:<9} x{len(group.ids)}")
-            elif isinstance(group, _IncGroup):
-                lines.append(f"  inc       x{len(group.ids)}")
-            elif isinstance(group, _ReduceGroup):
-                op = "min" if group.is_min else "max"
-                lines.append(
-                    f"  {op:<9} x{len(group.ids)} (arity<={group.srcs.shape[1]})"
-                )
-            else:
-                lines.append(f"  lt        x{len(group.ids)}")
+        for fill in self.const_fills:
+            label = "∞" if fill.value == INF_I64 else fill.value
+            lines.append(f"  const({label}) rows {fill.lo}:{fill.hi}")
+        for kernel in self.kernels:
+            kind = _kernel_kind(kernel)
+            line = f"  {kind:<9} x{kernel.hi - kernel.lo}"
+            if isinstance(kernel, _ReduceKernel):
+                line += f" (arity={kernel.k})"
+            lines.append(line)
         return "\n".join(lines)
 
+    # -- buffer pool -----------------------------------------------------------
+    def _acquire(self, layout: str, batch: int):
+        """A buffer set for *layout* (``cols``/``rows``) and batch size.
+
+        Constant rows are filled at allocation and never overwritten by
+        any kernel, so recycled buffers need no refill; inputs, params,
+        and every kernel target slice are rewritten each run.
+        """
+        key = (layout, batch)
+        with self._pool_lock:
+            stack = self._pool.get(key)
+            if stack:
+                return stack.pop()
+        if layout == "cols":
+            arena = np.empty((self.n_cols, batch), dtype=np.int64)
+            for fill in self.const_fills:
+                arena[fill.lo:fill.hi] = fill.value
+            s1 = np.empty((self.max_gather, batch), dtype=np.int64)
+            s2 = np.empty((self.max_gather, batch), dtype=np.int64)
+            mask = np.empty((self.max_gather, batch), dtype=bool)
+            return (arena, s1, s2, mask)
+        arena = np.empty((batch, self.n_cols), dtype=np.int64)
+        for fill in self.const_fills:
+            arena[:, fill.lo:fill.hi] = fill.value
+        return (arena,)
+
+    def _release(self, layout: str, batch: int, buffers) -> None:
+        key = (layout, batch)
+        with self._pool_lock:
+            stack = self._pool.setdefault(key, [])
+            if len(stack) < _POOL_DEPTH:
+                stack.append(buffers)
+
     # -- execution -------------------------------------------------------------
+    def _flat_instructions(self) -> tuple[np.ndarray, ...]:
+        """The per-node instruction arrays the row interpreter consumes.
+
+        Built lazily (only the Numba executor needs them) in kernel
+        order, so every node still follows its sources.
+        """
+        if self._flat is None:
+            kinds: list[int] = []
+            targets: list[int] = []
+            offs: list[int] = []
+            lens: list[int] = []
+            amounts: list[int] = []
+            srcs: list[int] = []
+            for kernel in self.kernels:
+                g = kernel.hi - kernel.lo
+                if isinstance(kernel, _IncKernel):
+                    op, k, flat = _jit.OP_INC, 1, kernel.srcs
+                    amounts.extend(kernel.amounts[:, 0].tolist())
+                elif isinstance(kernel, _ReduceKernel):
+                    op = _jit.OP_MIN if kernel.is_min else _jit.OP_MAX
+                    k, flat = kernel.k, kernel.srcs
+                    amounts.extend([0] * g)
+                else:  # _LtKernel
+                    op, k = _jit.OP_LT, 2
+                    flat = np.column_stack((kernel.a, kernel.b)).ravel()
+                    amounts.extend([0] * g)
+                kinds.extend([op] * g)
+                targets.extend(range(kernel.lo, kernel.hi))
+                offs.extend(range(len(srcs), len(srcs) + g * k, k))
+                lens.extend([k] * g)
+                srcs.extend(flat.tolist())
+            self._flat = tuple(
+                np.asarray(column, dtype=np.int64)
+                for column in (kinds, targets, offs, lens, amounts, srcs)
+            )
+        return self._flat
+
+    def _execute(self, matrix, param_vector, gather_rows) -> np.ndarray:
+        """Run once and gather arena *gather_rows* as a ``(B, len)`` copy."""
+        if self.n_params and param_vector is None:
+            raise NetworkError(f"network has {self.n_params} params; none bound")
+        batch = matrix.shape[0]
+        n_in, n_par = self.n_inputs, self.n_params
+        if _jit.native_mode() == "numba":
+            buffers = self._acquire("rows", batch)
+            arena = buffers[0]
+            arena[:, :n_in] = matrix
+            if n_par:
+                arena[:, n_in:n_in + n_par] = param_vector
+            _jit.run_rows(arena, *self._flat_instructions())
+            out = arena[:, gather_rows]
+            self._release("rows", batch, buffers)
+        else:
+            buffers = self._acquire("cols", batch)
+            arena, s1, s2, mask = buffers
+            arena[:n_in] = matrix.T
+            if n_par:
+                arena[n_in:n_in + n_par] = param_vector[:, np.newaxis]
+            _execute_kernels(
+                self.kernels, arena, s1, s2, mask,
+                _obs_profile.profiling_enabled(),
+            )
+            out = np.ascontiguousarray(arena[gather_rows].T)
+            self._release("cols", batch, buffers)
+        _obs_metrics.METRICS.inc("plan.runs")
+        return out
+
     def run(
         self,
         matrix: np.ndarray,
@@ -301,226 +545,65 @@ class CompiledPlan:
         *matrix* is ``(B, n_inputs)`` int64 with the sentinel encoding,
         columns in input declaration order; *param_vector* is the encoded
         parameter binding (declaration order).  Returns the full
-        ``(B, n_nodes)`` value matrix.
+        ``(B, n_nodes)`` value matrix in node-id order.
 
         *sink* is an optional :class:`repro.obs.trace.TraceSink`; when
         enabled, the canonical spike trace of batch row *trace_row* is
-        emitted level by level as the instruction stream executes.  The
-        default (``None``) costs one identity check — the hot path stays
-        branch-free inside the level loop except for two cached bools.
+        emitted from the finished values.
         """
-        batch = matrix.shape[0]
-        values = np.empty((batch, self.n_nodes), dtype=np.int64)
-        if self.input_ids.size:
-            values[:, self.input_ids] = matrix
-        if self.param_ids.size:
-            if param_vector is None:
-                raise NetworkError(
-                    f"network has {self.param_ids.size} params; none bound"
-                )
-            values[:, self.param_ids] = param_vector
-        tracing = sink is not None and sink.enabled
-        profiling = _obs_profile.profiling_enabled()
-        if tracing:
-            # A view: the emission helper below always sees the freshest
-            # level's results without re-slicing.
-            row = values[trace_row]
-            for node in self.nodes:
-                if node.is_terminal and row[node.id] <= MAX_FINITE:
-                    sink.emit(
-                        int(row[node.id]), node.id, _obs_trace.cause_of(node, row)
-                    )
-        # Block the batch dimension so each chunk's working set — the
-        # (chunk, n_nodes) slab plus every per-group gather — stays
-        # cache-resident across the full instruction stream instead of
-        # streaming the whole batch through memory once per group.
-        # Tracing is per-level over one designated row, so it keeps the
-        # single-chunk schedule.
-        step = max(batch, 1) if tracing else _RUN_BLOCK
-        for chunk_start in range(0, batch, step):
-            chunk = values[chunk_start:chunk_start + step]
-            for group in self.groups:
-                if profiling:
-                    start = _perf_counter()
-                if isinstance(group, _IncGroup):
-                    gathered = chunk[:, group.srcs]
-                    np.minimum(gathered, group.caps, out=gathered)
-                    gathered += group.amounts
-                    chunk[:, group.ids] = gathered
-                elif isinstance(group, _ReduceGroup):
-                    gathered = chunk[:, group.srcs]
-                    reduced = (
-                        gathered.min(axis=2)
-                        if group.is_min
-                        else gathered.max(axis=2)
-                    )
-                    chunk[:, group.ids] = reduced
-                elif isinstance(group, _LtGroup):
-                    a = chunk[:, group.a]
-                    b = chunk[:, group.b]
-                    chunk[:, group.ids] = np.where(a < b, a, INF_I64)
-                else:  # _ConstGroup
-                    chunk[:, group.ids] = group.value
-                if profiling:
-                    _obs_metrics.METRICS.add_time(
-                        f"plan.group.{_group_kind(group)}",
-                        _perf_counter() - start,
-                    )
-                if tracing:
-                    for node_id in group.ids.tolist():
-                        value = int(row[node_id])
-                        if value <= MAX_FINITE:
-                            sink.emit(
-                                value,
-                                node_id,
-                                _obs_trace.cause_of(self.nodes[node_id], row),
-                            )
-        _obs_metrics.METRICS.inc("plan.runs")
+        values = self._execute(matrix, param_vector, self.perm)
+        if sink is not None and sink.enabled:
+            _obs_trace.emit_events(sink, self.program, values[trace_row])
         return values
 
     def outputs(
-        self, matrix: np.ndarray, param_vector: Optional[np.ndarray] = None
+        self,
+        matrix: np.ndarray,
+        param_vector: Optional[np.ndarray] = None,
+        *,
+        sink=None,
+        trace_row: int = 0,
     ) -> np.ndarray:
         """Like :meth:`run` but gather only the output columns."""
-        return self.run(matrix, param_vector)[:, self.output_ids]
+        if sink is not None and sink.enabled:
+            values = self.run(matrix, param_vector, sink=sink, trace_row=trace_row)
+            return np.ascontiguousarray(values[:, self.output_ids])
+        return self._execute(matrix, param_vector, self.out_cols)
 
     def warm(self) -> "CompiledPlan":
         """Run one synthetic volley so first real traffic pays no lazy cost.
 
-        Compilation builds the instruction stream eagerly, but the first
-        :meth:`run` still triggers one-time work (NumPy ufunc dispatch,
-        first-touch allocation).  Serving workers call this at startup so
-        request latency never includes it.  The synthetic volley is all
-        zeros with every parameter bound to ``∞`` — always valid, and the
-        result is discarded.  Returns ``self`` for chaining.
+        Compilation builds the kernels eagerly, but the first run still
+        triggers one-time work: NumPy ufunc dispatch, first-touch
+        allocation, and the once-per-process Numba compilation when the
+        Numba executor is selected.  Serving workers call this at
+        startup so request latency never includes it.  The synthetic
+        volley is all zeros with every parameter bound to ``∞`` — always
+        valid, and the result is discarded.  Returns ``self``.
         """
-        matrix = np.zeros((1, self.input_ids.size), dtype=np.int64)
-        param_vector = (
-            np.full(self.param_ids.size, INF_I64, dtype=np.int64)
-            if self.param_ids.size
-            else None
-        )
-        self.run(matrix, param_vector)
+        matrix = np.zeros((1, self.n_inputs), dtype=np.int64)
+        param_vector = np.full(self.n_params, INF_I64, dtype=np.int64)
+        self.outputs(matrix, param_vector)
         _obs_metrics.METRICS.inc("plan.warmups")
         return self
-
-
-def _group_kind(group: _Group) -> str:
-    """Timer label for one fused instruction group."""
-    if isinstance(group, _IncGroup):
-        return "inc"
-    if isinstance(group, _ReduceGroup):
-        return "min" if group.is_min else "max"
-    if isinstance(group, _LtGroup):
-        return "lt"
-    return "const"
-
-
-def _build_groups(program: Program) -> list[_Group]:
-    """Fuse the IR level schedule into vector instructions.
-
-    The levels come from the program (computed once at lowering); the
-    zero-source min/max constants are recognized through
-    :func:`repro.ir.classify` — the IR owns that identity rule, this
-    backend only encodes the identity value it is told.
-    """
-    levels = program.levels
-
-    buckets: dict[tuple[int, str], list] = {}
-    for node in program.nodes:
-        if node.is_terminal:
-            continue
-        buckets.setdefault((levels[node.id], classify(node)), []).append(node)
-
-    groups: list[_Group] = []
-    for (_, kind), nodes in sorted(buckets.items(), key=lambda item: item[0][0]):
-        ids = np.array([n.id for n in nodes], dtype=np.int64)
-        if kind == "inc":
-            amounts = np.array([n.amount for n in nodes], dtype=np.int64)
-            groups.append(
-                _IncGroup(
-                    ids=ids,
-                    srcs=np.array([n.sources[0] for n in nodes], dtype=np.int64),
-                    amounts=amounts,
-                    caps=INF_I64 - amounts,
-                )
-            )
-        elif kind in ("min", "max"):
-            width = max(len(n.sources) for n in nodes)
-            srcs = np.array(
-                [
-                    list(n.sources) + [n.sources[0]] * (width - len(n.sources))
-                    for n in nodes
-                ],
-                dtype=np.int64,
-            )
-            groups.append(_ReduceGroup(ids=ids, srcs=srcs, is_min=kind == "min"))
-        elif kind == "lt":
-            groups.append(
-                _LtGroup(
-                    ids=ids,
-                    a=np.array([n.sources[0] for n in nodes], dtype=np.int64),
-                    b=np.array([n.sources[1] for n in nodes], dtype=np.int64),
-                )
-            )
-        else:  # const-inf / const-zero: the lattice identity elements
-            identity = CONST_IDENTITY[kind]
-            groups.append(
-                _ConstGroup(
-                    ids=ids,
-                    value=INF_I64 if isinstance(identity, Infinity) else int(identity),
-                )
-            )
-    return groups
 
 
 # ---------------------------------------------------------------------------
 # Plan cache
 # ---------------------------------------------------------------------------
 
-# The structural store lives in the unified runtime tier (PR 9) under
-# the ``int64`` namespace — one LRU budget and byte accounting across
-# engines, reported by ``repro.runtime.cache_info()``.  This module
-# keeps only the weak identity memo, which bounds itself by object
-# lifetime, and deprecation shims over its historical cache API.
-from ..runtime.cache import PLAN_CACHE as _PLAN_CACHE  # noqa: E402
-
-_PLAN_NAMESPACE = "int64"
-_PLAN_CACHE.register_namespace(
-    _PLAN_NAMESPACE, metric_prefix="plan_cache", limit=128
-)
-
-#: Identity fast path: plans die with their networks/programs.
+#: Identity fast path in front of the fingerprint-keyed runtime cache:
+#: plans die with their networks/programs.
 _PLAN_MEMO: "weakref.WeakKeyDictionary[ProgramLike, CompiledPlan]" = (
     weakref.WeakKeyDictionary()
 )
-
-
-def set_plan_cache_limit(limit: int) -> int:
-    """Resize the structural LRU; returns the previous limit.
-
-    .. deprecated:: PR 9
-       Forwards to ``repro.runtime.PLAN_CACHE.set_namespace_limit``.
-
-    Shrinking below the current occupancy evicts the least recently
-    used plans immediately (counted in ``plan_cache.evict``).  The
-    identity memo is unaffected — it is weak and bounds itself by
-    object lifetime.
-    """
-    warnings.warn(
-        "repro.network.set_plan_cache_limit() is deprecated; use "
-        "repro.runtime.PLAN_CACHE.set_namespace_limit('int64', limit)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _PLAN_CACHE.set_namespace_limit(_PLAN_NAMESPACE, limit)
 
 
 def compile_plan(source: "ProgramLike") -> CompiledPlan:
     """The memoized executable plan for *source* (Network or Program).
 
     Cached first by object identity (weakly — no leak), then by the IR
-    fingerprint in the runtime plan-cache tier, which
+    fingerprint in :data:`repro.runtime.PLAN_CACHE`, which
     :meth:`Network.fingerprint` and :meth:`Program.fingerprint` compute
     identically — so a network, its unoptimized lowering, and any
     structural twin (e.g. a serialization round-trip) all share one
@@ -532,74 +615,13 @@ def compile_plan(source: "ProgramLike") -> CompiledPlan:
         _obs_metrics.METRICS.inc("plan_cache.hit.identity")
         return plan
     print_key = ensure_program(source).fingerprint()
-    plan = _PLAN_CACHE.get(_PLAN_NAMESPACE, print_key)
+    plan = _PLAN_CACHE.get(print_key)
     if plan is None:
         with _obs_metrics.METRICS.timeit("plan.compile"):
             plan = CompiledPlan(source)
-        _PLAN_CACHE.put(_PLAN_NAMESPACE, print_key, plan)
+        _PLAN_CACHE.put(print_key, plan)
     _PLAN_MEMO[source] = plan
     return plan
-
-
-def _plan_cache_record() -> dict:
-    """The historical ``plan_cache_info()`` payload, warning-free.
-
-    Kept as the internal feeder for the deprecation shim and for
-    endpoints that still publish the legacy ``plan_cache`` key
-    (``serve.server`` health/metrics, ``repro stats --json``).
-    """
-    from ..native.plan import _native_cache_record
-
-    ns = _PLAN_CACHE.namespace_info(_PLAN_NAMESPACE)
-    return {
-        "identity": len(_PLAN_MEMO),
-        "structural": ns["entries"],
-        "limit": ns["limit"],
-        "hits_identity": _obs_metrics.METRICS.counter("plan_cache.hit.identity"),
-        "hits_structural": ns["hits_structural"],
-        "misses": ns["misses"],
-        "evictions": ns["evictions"],
-        "native": _native_cache_record(),
-    }
-
-
-def plan_cache_info() -> dict:
-    """Cache occupancy and lifetime hit/miss/evict counts, for diagnostics.
-
-    .. deprecated:: PR 9
-       Read ``repro.runtime.cache_info()`` instead — the unified surface
-       covering the plan tier, the result cache, and engine probes.
-
-    Occupancy (``identity``, ``structural``) and ``limit`` reflect the
-    current cache state; the ``hits_*``/``misses``/``evictions`` counts
-    come from the runtime metrics registry and cover the life of the
-    process (reset with :func:`repro.obs.reset_metrics`).  The nested
-    ``native`` key reports the native backend's plan-cache namespace
-    with the same shape.
-    """
-    warnings.warn(
-        "repro.network.plan_cache_info() is deprecated; use "
-        "repro.runtime.cache_info()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _plan_cache_record()
-
-
-def clear_plan_cache() -> None:
-    """Drop every cached int64 plan (tests and memory-sensitive callers).
-
-    .. deprecated:: PR 9
-       Use ``repro.runtime.clear_caches()``.
-    """
-    warnings.warn(
-        "repro.network.clear_plan_cache() is deprecated; use "
-        "repro.runtime.clear_caches()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    _PLAN_MEMO.clear()
-    _PLAN_CACHE.clear(_PLAN_NAMESPACE)
 
 
 # ---------------------------------------------------------------------------
@@ -633,15 +655,15 @@ def evaluate_batch(
         with _obs_profile.phase("evaluate_batch.plan"):
             plan = compile_plan(network)
         with _obs_profile.phase("evaluate_batch.encode"):
-            matrix = encode_volleys(inputs, arity=len(network.input_ids))
+            matrix = encode_volleys(inputs, arity=plan.n_inputs)
             param_vector = _encode_params(network, params)
         with _obs_profile.phase("evaluate_batch.run"):
-            out = plan.run(matrix, param_vector, sink=sink)[:, plan.output_ids]
+            out = plan.outputs(matrix, param_vector, sink=sink)
     else:
         plan = compile_plan(network)
-        matrix = encode_volleys(inputs, arity=len(network.input_ids))
+        matrix = encode_volleys(inputs, arity=plan.n_inputs)
         param_vector = _encode_params(network, params)
-        out = plan.run(matrix, param_vector, sink=sink)[:, plan.output_ids]
+        out = plan.outputs(matrix, param_vector, sink=sink)
     metrics.inc("evaluate_batch.calls")
     metrics.inc("evaluate_batch.volleys", matrix.shape[0])
     return out
@@ -655,7 +677,7 @@ def evaluate_batch_all(
 ) -> np.ndarray:
     """Like :func:`evaluate_batch` but return every node's value column."""
     plan = compile_plan(network)
-    matrix = encode_volleys(inputs, arity=len(network.input_ids))
+    matrix = encode_volleys(inputs, arity=plan.n_inputs)
     param_vector = _encode_params(network, params)
     return plan.run(matrix, param_vector)
 

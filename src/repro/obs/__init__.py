@@ -5,8 +5,7 @@ designed so the *disabled* path costs (almost) nothing:
 
 * :mod:`repro.obs.trace` — the canonical per-node spike trace and the
   :class:`~repro.obs.trace.TraceSink` protocol every execution backend
-  (interpreted, compiled batch, event-driven, GRL circuit, native
-  arena) emits into;
+  (interpreted, compiled batch, event-driven, GRL circuit) emits into;
   exports JSONL and Chrome ``chrome://tracing`` formats, and diffs two
   traces down to the first divergent node.
 * :mod:`repro.obs.metrics` — the process-wide counter/timer/high-water

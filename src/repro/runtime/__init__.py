@@ -2,18 +2,16 @@
 
 One seam for every layer (DESIGN.md §14).  The pieces:
 
-* :data:`ENGINES` / :class:`EngineRegistry` — all five backends
+* :data:`ENGINES` / :class:`EngineRegistry` — all four backends
   registered as :class:`~repro.runtime.engines.BackendEngine`
-  implementations with capability descriptors and an ``auto`` selection
-  policy; serve pools, conformance, and the CLI dispatch through it.
-* :data:`PLAN_CACHE` — the fingerprint-keyed plan-cache tier with
-  per-engine namespaces, byte accounting, and one LRU budget (the old
-  per-engine LRUs in ``compile_plan`` and ``native.plan`` now live
-  here).
+  implementations with capability descriptors; ``auto`` names the one
+  batchable engine.  Serve pools, conformance, and the CLI dispatch
+  through it.
+* :data:`PLAN_CACHE` — the fingerprint-keyed LRU of compiled plans,
+  with per-entry byte accounting.
 * :data:`RESULT_CACHE` — the bounded ``(fingerprint, volley digest) →
   output row`` cache the serving stack consults ahead of admission.
-* :func:`cache_info` — the single cache-stats surface subsuming the
-  deprecated ``plan_cache_info()`` / ``native_plan_cache_info()`` pair.
+* :func:`cache_info` — the single cache-stats surface.
 
 Import-weight discipline: importing ``repro.runtime`` loads only the
 cache tiers (stdlib + numpy), so low-level compilers can store plans
@@ -42,7 +40,6 @@ __all__ = [
     "cache_info",
     "clear_caches",
     "evict_fingerprint",
-    "legacy_plan_cache_info",
     "plan_nbytes",
     "volley_digest",
 ]
@@ -72,13 +69,10 @@ def __getattr__(name: str) -> Any:
 def cache_info() -> dict:
     """One snapshot of every runtime cache.
 
-    The canonical replacement for the deprecated split
-    ``plan_cache_info()`` / ``native_plan_cache_info()`` surfaces:
-    the plan tier (totals, budget, per-engine namespaces), the result
-    cache, and the native execution mode probes.
+    The plan cache, the result cache, and the executor probes
+    (``REPRO_NATIVE`` mode, Numba presence).
     """
-    from ..native import NUMBA_AVAILABLE
-    from ..native.plan import native_mode
+    from ..native import NUMBA_AVAILABLE, native_mode
 
     return {
         "plan": PLAN_CACHE.info(),
@@ -88,23 +82,11 @@ def cache_info() -> dict:
     }
 
 
-def legacy_plan_cache_info() -> dict:
-    """The pre-runtime ``plan_cache_info()`` payload, warning-free.
-
-    Health/metrics/stats endpoints keep their historical ``plan_cache``
-    key populated with this shape for one deprecation cycle; new callers
-    should read :func:`cache_info` instead.
-    """
-    from ..network.compile_plan import _plan_cache_record
-
-    return _plan_cache_record()
-
-
 def evict_fingerprint(fingerprint: str) -> dict[str, int]:
     """Purge one retired model from every runtime cache.
 
     The registry calls this when a model is removed or superseded by a
-    hot-swap promotion: cached plans and result rows keyed on the
+    hot-swap promotion: a cached plan and result rows keyed on the
     retired fingerprint must never be served again.  Returns the purge
     counts (``{"plans": n, "results": n}``); the per-cache
     ``*.evict.retired`` counters record the same event for dashboards.
@@ -116,15 +98,13 @@ def evict_fingerprint(fingerprint: str) -> dict[str, int]:
 
 
 def clear_caches(*, plans: bool = True, results: bool = True) -> None:
-    """Empty the runtime caches (plan tier + identity memos, results)."""
+    """Empty the runtime caches (plan cache + identity memo, results)."""
     if plans:
-        # Module-path imports: ``repro.network`` re-exports a *function*
+        # Module-path import: ``repro.network`` re-exports a *function*
         # named ``compile_plan``, which would shadow the module.
-        from ..native.plan import _NATIVE_MEMO
         from ..network.compile_plan import _PLAN_MEMO
 
         _PLAN_MEMO.clear()
-        _NATIVE_MEMO.clear()
         PLAN_CACHE.clear()
     if results:
         RESULT_CACHE.clear()

@@ -1,39 +1,26 @@
-"""One plan-cache tier shared by every execution engine.
+"""The plan cache: one fingerprint-keyed LRU for the batch engine.
 
-Before PR 9 each batchable backend kept its own bounded LRU
-(``compile_plan._PLAN_LRU`` for the int64 engine,
-``native.plan._NATIVE_LRU`` for the native engine) with duplicated
-eviction logic and split stats surfaces.  :class:`PlanCacheTier` folds
-them into one fingerprint-keyed store:
+:class:`PlanCacheTier` stores compiled plans keyed by program
+fingerprint, evicts the least recently used plan beyond :attr:`limit`
+entries, and accounts each entry's resident bytes
+(:func:`plan_nbytes`).  Lookups count ``plan_cache.hit.structural`` /
+``plan_cache.miss``; capacity evictions count ``plan_cache.evict`` and
+retirements (:meth:`PlanCacheTier.evict_fingerprint`)
+``plan_cache.evict.retired``.  The compiler keeps a weak identity memo
+in front of the tier, so identity hits (``plan_cache.hit.identity``)
+never reach here.
 
-* Every engine registers a **namespace** carrying its legacy metric
-  prefix (``plan_cache`` / ``native_plan_cache`` — the counter names are
-  load-bearing for dashboards and tests) and a per-namespace entry cap
-  that behaves exactly like the old per-engine LRU limit.
-* The tier additionally enforces one **global budget** — max entries
-  and/or max resident bytes across *all* namespaces — with LRU eviction
-  in global recency order.  Byte sizes come from :func:`plan_nbytes`,
-  a conservative walker over the plan's ndarray payloads.
-* Engine modules keep their ``WeakKeyDictionary`` identity memos in
-  front of the tier: identity hits never reach here, so the
-  ``*.hit.identity`` counters stay owned by the engines.
-
-The module is deliberately light (stdlib + obs.metrics only) so
-low-level compilers can import it without touching the engine registry.
+The module is deliberately light (stdlib + obs.metrics only) so the
+compiler can import it without touching the engine registry.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..obs import metrics as _obs_metrics
-
-#: Sentinel for "leave this knob unchanged" in keyword setters, where
-#: ``None`` is a meaningful value (= unlimited).
-_UNSET = object()
 
 #: Flat per-entry overhead charged on top of the walked payload bytes
 #: (dict slots, key strings, bookkeeping).
@@ -46,7 +33,7 @@ def plan_nbytes(value: Any) -> int:
     Recursively sums ``ndarray.nbytes`` over the object graph (dicts,
     sequences, instance ``__dict__``s), deduplicating shared arrays by
     identity.  Scalars and strings are ignored — plans are array-heavy,
-    and the budget only needs to be honest about the big allocations.
+    and the accounting only needs to be honest about the big allocations.
     """
     seen: set[int] = set()
 
@@ -72,242 +59,90 @@ def plan_nbytes(value: Any) -> int:
     return _ENTRY_OVERHEAD + walk(value)
 
 
-@dataclass
-class _Namespace:
-    """Per-engine bookkeeping: metric prefix, entry cap, occupancy."""
-
-    name: str
-    metric_prefix: str
-    limit: int = 128
-    entries: int = 0
-    nbytes: int = 0
-
-
-@dataclass
-class _Entry:
-    value: Any
-    nbytes: int
-
-
 class PlanCacheTier:
-    """Fingerprint-keyed plan storage with namespaces and one budget.
+    """Fingerprint-keyed LRU of compiled plans with byte accounting.
 
-    Keys are ``(namespace, fingerprint)``; recency is **global** — a hit
-    in any namespace refreshes the entry against both its namespace cap
-    and the tier-wide budget.  All operations are thread-safe (serving
-    workers and the batcher thread compile concurrently).
+    All operations are thread-safe (serving workers and the batcher
+    thread compile concurrently).  :attr:`limit` is read on every
+    insert, so lowering it takes effect at the next :meth:`put`.
     """
 
-    def __init__(self) -> None:
-        self._lock = threading.RLock()
-        self._entries: "OrderedDict[tuple[str, str], _Entry]" = OrderedDict()
-        self._namespaces: dict[str, _Namespace] = {}
-        self._max_entries: Optional[int] = None
-        self._max_bytes: Optional[int] = None
-
-    # -- namespaces -----------------------------------------------------
-
-    def register_namespace(
-        self, name: str, *, metric_prefix: str, limit: int = 128
-    ) -> None:
-        """Declare an engine namespace (idempotent across reimports)."""
-        with self._lock:
-            if name in self._namespaces:
-                return
-            self._namespaces[name] = _Namespace(
-                name=name, metric_prefix=metric_prefix, limit=limit
-            )
-
-    def _ns(self, name: str) -> _Namespace:
-        ns = self._namespaces.get(name)
-        if ns is None:
-            raise KeyError(f"unregistered plan-cache namespace {name!r}")
-        return ns
-
-    def namespaces(self) -> list[str]:
-        with self._lock:
-            return list(self._namespaces)
-
-    # -- lookup / insert ------------------------------------------------
-
-    def get(self, namespace: str, fingerprint: str) -> Optional[Any]:
-        """The cached plan, counting ``<prefix>.hit.structural``/``.miss``."""
-        ns = self._ns(namespace)
-        with self._lock:
-            entry = self._entries.get((namespace, fingerprint))
-            if entry is None:
-                _obs_metrics.METRICS.inc(f"{ns.metric_prefix}.miss")
-                return None
-            self._entries.move_to_end((namespace, fingerprint))
-            _obs_metrics.METRICS.inc(f"{ns.metric_prefix}.hit.structural")
-            return entry.value
-
-    def put(
-        self,
-        namespace: str,
-        fingerprint: str,
-        value: Any,
-        *,
-        nbytes: Optional[int] = None,
-    ) -> Any:
-        """Insert (or refresh) a plan, then enforce caps and budgets."""
-        ns = self._ns(namespace)
-        size = plan_nbytes(value) if nbytes is None else int(nbytes)
-        with self._lock:
-            key = (namespace, fingerprint)
-            old = self._entries.pop(key, None)
-            if old is not None:
-                ns.entries -= 1
-                ns.nbytes -= old.nbytes
-            self._entries[key] = _Entry(value=value, nbytes=size)
-            ns.entries += 1
-            ns.nbytes += size
-            self._enforce(ns)
-        return value
-
-    # -- eviction -------------------------------------------------------
-
-    def _evict(self, key: tuple[str, str]) -> None:
-        # Lock held.  The evict counter uses the *evicted* entry's own
-        # namespace prefix, so global-budget pressure is attributed to
-        # whichever engine's plan actually left the cache.
-        entry = self._entries.pop(key)
-        ns = self._namespaces[key[0]]
-        ns.entries -= 1
-        ns.nbytes -= entry.nbytes
-        _obs_metrics.METRICS.inc(f"{ns.metric_prefix}.evict")
-
-    def _enforce(self, ns: Optional[_Namespace] = None) -> None:
-        # Lock held.  Namespace cap first (legacy LRU semantics), then
-        # the global entry/byte budgets in global recency order.
-        if ns is not None:
-            while ns.entries > ns.limit:
-                self._evict(next(k for k in self._entries if k[0] == ns.name))
-        while (
-            self._max_entries is not None
-            and len(self._entries) > self._max_entries
-        ):
-            self._evict(next(iter(self._entries)))
-        while (
-            self._max_bytes is not None
-            and self._entries
-            and sum(n.nbytes for n in self._namespaces.values()) > self._max_bytes
-        ):
-            self._evict(next(iter(self._entries)))
-
-    def evict_fingerprint(self, fingerprint: str) -> int:
-        """Drop one model's plan from every namespace; returns the count.
-
-        The retirement twin of capacity eviction: when a model leaves
-        the serving registry its compiled plans are dead weight in every
-        engine's namespace at once.  Counted per namespace as
-        ``<prefix>.evict.retired`` (distinct from ``.evict``, which
-        dashboards read as capacity pressure).
-        """
-        with self._lock:
-            keys = [key for key in self._entries if key[1] == fingerprint]
-            for key in keys:
-                entry = self._entries.pop(key)
-                ns = self._namespaces[key[0]]
-                ns.entries -= 1
-                ns.nbytes -= entry.nbytes
-                _obs_metrics.METRICS.inc(f"{ns.metric_prefix}.evict.retired")
-            return len(keys)
-
-    # -- knobs ----------------------------------------------------------
-
-    def set_namespace_limit(self, namespace: str, limit: int) -> int:
-        """Resize one namespace's entry cap, trimming immediately.
-
-        Returns the previous cap (the legacy ``set_plan_cache_limit``
-        contract, so shims can forward without translation).
-        """
+    def __init__(self, limit: int = 128) -> None:
         if limit < 1:
             raise ValueError(f"cache limit must be >= 1, got {limit}")
-        ns = self._ns(namespace)
+        self.limit = limit
+        self._lock = threading.Lock()
+        #: fingerprint -> (plan, nbytes), least recently used first.
+        self._entries: "OrderedDict[str, tuple[Any, int]]" = OrderedDict()
+        self._nbytes = 0
+
+    def get(self, fingerprint: str) -> Optional[Any]:
+        """The cached plan, counting a structural hit or a miss."""
         with self._lock:
-            previous = ns.limit
-            ns.limit = int(limit)
-            self._enforce(ns)
-            return previous
+            entry = self._entries.get(fingerprint)
+            if entry is None:
+                _obs_metrics.METRICS.inc("plan_cache.miss")
+                return None
+            self._entries.move_to_end(fingerprint)
+        _obs_metrics.METRICS.inc("plan_cache.hit.structural")
+        return entry[0]
 
-    def set_budget(
-        self, *, max_entries: Any = _UNSET, max_bytes: Any = _UNSET
-    ) -> tuple[Optional[int], Optional[int]]:
-        """Set the tier-wide budget; ``None`` lifts a bound.
+    def put(
+        self, fingerprint: str, value: Any, *, nbytes: Optional[int] = None
+    ) -> Any:
+        """Insert (or refresh) a plan, then evict down to :attr:`limit`."""
+        size = plan_nbytes(value) if nbytes is None else int(nbytes)
+        with self._lock:
+            old = self._entries.pop(fingerprint, None)
+            if old is not None:
+                self._nbytes -= old[1]
+            self._entries[fingerprint] = (value, size)
+            self._nbytes += size
+            while len(self._entries) > self.limit:
+                _key, (_plan, evicted) = self._entries.popitem(last=False)
+                self._nbytes -= evicted
+                _obs_metrics.METRICS.inc("plan_cache.evict")
+        return value
 
-        Returns the previous ``(max_entries, max_bytes)`` pair.  Passing
-        only one keyword leaves the other bound untouched.
+    def evict_fingerprint(self, fingerprint: str) -> int:
+        """Drop one retired model's plan; returns the count (0 or 1).
+
+        The retirement twin of capacity eviction, counted separately as
+        ``plan_cache.evict.retired`` (dashboards read ``.evict`` as
+        capacity pressure).
         """
         with self._lock:
-            previous = (self._max_entries, self._max_bytes)
-            if max_entries is not _UNSET:
-                if max_entries is not None and max_entries < 1:
-                    raise ValueError(
-                        f"cache limit must be >= 1, got {max_entries}"
-                    )
-                self._max_entries = max_entries
-            if max_bytes is not _UNSET:
-                if max_bytes is not None and max_bytes < 1:
-                    raise ValueError(f"cache limit must be >= 1, got {max_bytes}")
-                self._max_bytes = max_bytes
-            self._enforce()
-            return previous
+            entry = self._entries.pop(fingerprint, None)
+            if entry is None:
+                return 0
+            self._nbytes -= entry[1]
+        _obs_metrics.METRICS.inc("plan_cache.evict.retired")
+        return 1
 
-    def clear(self, namespace: Optional[str] = None) -> int:
-        """Drop every entry (or one namespace's); returns the count.
-
-        Clearing is not eviction: no ``.evict`` counters fire, matching
-        the legacy ``clear_plan_cache`` behaviour.
-        """
+    def clear(self) -> int:
+        """Drop every entry; returns the count.  Fires no evict counters."""
         with self._lock:
-            if namespace is None:
-                dropped = len(self._entries)
-                self._entries.clear()
-                for ns in self._namespaces.values():
-                    ns.entries = ns.nbytes = 0
-                return dropped
-            ns = self._ns(namespace)
-            keys = [k for k in self._entries if k[0] == namespace]
-            for key in keys:
-                entry = self._entries.pop(key)
-                ns.entries -= 1
-                ns.nbytes -= entry.nbytes
-            return len(keys)
-
-    # -- introspection --------------------------------------------------
-
-    def namespace_info(self, namespace: str) -> dict:
-        """Occupancy + counters for one namespace (legacy-shape feeder)."""
-        ns = self._ns(namespace)
-        counter = _obs_metrics.METRICS.counter
-        with self._lock:
-            return {
-                "entries": ns.entries,
-                "bytes": ns.nbytes,
-                "limit": ns.limit,
-                "hits_structural": counter(f"{ns.metric_prefix}.hit.structural"),
-                "misses": counter(f"{ns.metric_prefix}.miss"),
-                "evictions": counter(f"{ns.metric_prefix}.evict"),
-                "retired": counter(f"{ns.metric_prefix}.evict.retired"),
-            }
+            dropped = len(self._entries)
+            self._entries.clear()
+            self._nbytes = 0
+            return dropped
 
     def info(self) -> dict:
-        """The whole tier: totals, budget, and every namespace."""
+        """Occupancy, limit and lifetime lookup/eviction counts."""
+        counter = _obs_metrics.METRICS.counter
         with self._lock:
-            namespaces = {
-                name: self.namespace_info(name) for name in self._namespaces
-            }
-            return {
-                "entries": len(self._entries),
-                "bytes": sum(ns.nbytes for ns in self._namespaces.values()),
-                "budget": {
-                    "max_entries": self._max_entries,
-                    "max_bytes": self._max_bytes,
-                },
-                "namespaces": namespaces,
-            }
+            entries, nbytes = len(self._entries), self._nbytes
+        return {
+            "entries": entries,
+            "bytes": nbytes,
+            "limit": self.limit,
+            "hits_identity": counter("plan_cache.hit.identity"),
+            "hits_structural": counter("plan_cache.hit.structural"),
+            "misses": counter("plan_cache.miss"),
+            "evictions": counter("plan_cache.evict"),
+            "retired": counter("plan_cache.evict.retired"),
+        }
 
 
-#: The process-wide tier every engine compiles through.
+#: The process-wide plan cache the batch engine compiles through.
 PLAN_CACHE = PlanCacheTier()

@@ -1,23 +1,19 @@
-"""The Engine contract and the five stock backends behind it.
+"""The Engine contract and the four stock backends behind it.
 
 The paper's central claim is that one s-t algebra admits many
-interchangeable implementations; the repo carries five — the interpreted
-big-int walk, the compiled int64 batch engine, the event-driven
-simulator, the gate-level GRL circuit model, and the native arena
-backend.  Before PR 9 they lived in ``repro.testing.oracles`` as
-conformance fixtures while the serving stack re-selected them by string
-compare (``if engine == "native"``).  This module makes the backend the
-first-class object: every implementation is a :class:`BackendEngine`
-carrying
+interchangeable implementations; the repo carries four — the
+interpreted big-int walk, the compiled int64 batch engine, the
+event-driven simulator, and the gate-level GRL circuit model.  Every
+implementation is a :class:`BackendEngine` carrying
 
 * ``name`` — the registry/report label (``"compiled-batch"``, …),
-* ``key`` — the short serving key (``"int64"``, ``"native"``) that the
-  CLI ``--engine`` flags and worker warmup ledgers use,
+* ``key`` — the short serving key (``"int64"``) that the CLI
+  ``--engine`` flags and worker warmup ledgers use,
 * ``capabilities`` — a static :class:`EngineCapabilities` descriptor
-  (batchable? max batch? zero-source constants? trace replay?
-  cycle-accurate?) that replaces name-based special-casing, and
+  (batchable? zero-source constants? cycle-accurate?) that replaces
+  name-based special-casing, and
 * ``available()`` — a runtime probe (``None`` = usable here, else the
-  reason), which the ``auto`` selection policy consults.
+  reason), checked when a policy pins an engine.
 
 Batchable engines additionally expose the serving surface —
 ``evaluate(program, matrix)`` over sentinel-int64 batches and
@@ -35,13 +31,8 @@ from typing import Any, Optional, Protocol, runtime_checkable
 
 from ..core.value import Infinity, Time
 from ..ir.program import ProgramLike, ensure_program
-from ..native import (
-    NUMBA_AVAILABLE,
-    compile_native,
-    evaluate_batch_native,
-    native_mode,
-)
-from ..network.compile_plan import compile_plan, evaluate_batch
+from ..native import NUMBA_AVAILABLE, native_mode
+from ..network.compile_plan import compile_plan, decode_matrix, evaluate_batch
 from ..network.events import EventSimulator
 from ..network.simulator import evaluate_all_interpreted
 from ..obs.trace import RecordingSink, TraceEvent
@@ -94,19 +85,15 @@ class EngineCapabilities:
     """What one backend can do, declared statically.
 
     The registry and serving stack branch on these fields instead of on
-    engine names: ``auto`` selection wants ``batchable`` + availability,
-    conformance filters the slow gate-level model via ``cycle_accurate``,
-    and skip reporting leans on ``supports_zero_source_const``.
+    engine names: serving wants ``batchable``, conformance filters the
+    slow gate-level model via ``cycle_accurate``, and skip reporting
+    leans on ``supports_zero_source_const``.
     """
 
     #: Accepts whole sentinel-int64 volley matrices via ``evaluate``.
     batchable: bool = False
-    #: Largest batch ``evaluate`` accepts (``None`` = unbounded).
-    max_batch: Optional[int] = None
     #: Can realize zero-source min/max lattice constants.
     supports_zero_source_const: bool = True
-    #: Can replay a served request from its recorded trace row.
-    supports_trace_replay: bool = False
     #: Simulates gate-by-gate cycles (orders of magnitude slower).
     cycle_accurate: bool = False
 
@@ -197,7 +184,7 @@ class BackendEngine:
 
 
 # ---------------------------------------------------------------------------
-# The five stock backends
+# The four stock backends
 # ---------------------------------------------------------------------------
 
 class InterpretedEngine(BackendEngine):
@@ -229,15 +216,19 @@ class InterpretedEngine(BackendEngine):
 
 
 class CompiledBatchEngine(BackendEngine):
-    """The level-fused int64 batch engine, one compiled call per batch."""
+    """The compiled int64 batch engine, one plan call per batch.
+
+    Its executor (fused NumPy kernels or the Numba row interpreter)
+    follows ``REPRO_NATIVE`` at run time, so one conformance invocation
+    pins down whichever executor the environment selects — CI runs
+    both.  Traces are emitted post-hoc from the complete value vector.
+    """
 
     name = "compiled-batch"
     key = "int64"
     capabilities = EngineCapabilities(batchable=True)
 
     def run(self, network, volleys, params=None):
-        from ..network.compile_plan import decode_matrix
-
         matrix = evaluate_batch(network, list(volleys), params=params)
         return [tuple(row) for row in decode_matrix(matrix)]
 
@@ -251,6 +242,12 @@ class CompiledBatchEngine(BackendEngine):
 
     def warm(self, network):
         compile_plan(network).warm()
+
+    def describe(self) -> dict:
+        record = super().describe()
+        record["mode"] = native_mode()
+        record["numba_available"] = NUMBA_AVAILABLE
+        return record
 
 
 class EventDrivenEngine(BackendEngine):
@@ -346,44 +343,3 @@ class GRLCircuitEngine(BackendEngine):
             dict(zip(network.input_names, volley)), params=params, sink=sink
         )
         return sink.canonical()
-
-
-class NativeEngine(BackendEngine):
-    """The native arena backend: fused level-kernels, optional Numba JIT.
-
-    Execution strategy (fused NumPy vs the Numba row interpreter)
-    follows ``REPRO_NATIVE`` at run time, so one conformance invocation
-    pins down whichever mode the environment selects — CI runs both.
-    Traces are emitted post-hoc from the complete value vector, which is
-    byte-identical to the incremental backends because the canonical
-    trace is a pure function of fire times.
-    """
-
-    name = "native"
-    key = "native"
-    capabilities = EngineCapabilities(batchable=True, supports_trace_replay=True)
-
-    def run(self, network, volleys, params=None):
-        from ..network.compile_plan import decode_matrix
-
-        matrix = evaluate_batch_native(network, list(volleys), params=params)
-        return [tuple(row) for row in decode_matrix(matrix)]
-
-    def trace(self, network, volley, params=None):
-        sink = RecordingSink()
-        evaluate_batch_native(
-            network, [tuple(volley)], params=params, sink=sink
-        )
-        return sink.canonical()
-
-    def evaluate(self, network, inputs, *, params=None, sink=None):
-        return evaluate_batch_native(network, inputs, params=params, sink=sink)
-
-    def warm(self, network):
-        compile_native(network).warm()
-
-    def describe(self) -> dict:
-        record = super().describe()
-        record["mode"] = native_mode()
-        record["numba_available"] = NUMBA_AVAILABLE
-        return record

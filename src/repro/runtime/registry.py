@@ -1,11 +1,8 @@
 """EngineRegistry: one dispatch surface for every execution backend.
 
-Registration order is semantic — it is the conformance report column
-order and the preference order the ``auto`` serving policy walks (last
-registered and available wins, so the native backend shadows the int64
-fallback exactly when it can actually run).  Engines register by
-factory, so every :meth:`EngineRegistry.create` hands out a fresh
-instance and concurrent users never share mutable oracle state.
+Registration order is the conformance report column order.  Engines
+register by factory, so every :meth:`EngineRegistry.create` hands out a
+fresh instance and concurrent users never share mutable oracle state.
 
 Selection never string-compares engine names outside this module: serve
 pools, the conformance CLI, and ``python -m repro`` all resolve a policy
@@ -18,7 +15,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Callable
-from typing import Optional
 
 from .engines import (
     BackendEngine,
@@ -26,11 +22,9 @@ from .engines import (
     EventDrivenEngine,
     GRLCircuitEngine,
     InterpretedEngine,
-    NativeEngine,
 )
 
-#: The serving selection policy: pick the best available batchable
-#: engine (native when it can run here, compiled int64 otherwise).
+#: The serving selection policy: the registry's one batchable engine.
 AUTO = "auto"
 
 
@@ -52,8 +46,7 @@ class EngineRegistry:
 
         The factory's product must carry a unique ``name``; its ``key``
         (when distinct) becomes an alias.  Registration order is
-        preserved and becomes both the report column order and the
-        ``auto`` preference order (reversed).
+        preserved and becomes the report column order.
         """
         probe = factory()
         name = probe.name
@@ -125,30 +118,21 @@ class EngineRegistry:
         """Short keys of the batchable engines (CLI ``--engine`` choices)."""
         return [engine.key for engine in self.serving_engines()]
 
-    def resolve(
-        self, policy: str = AUTO, *, batch_size: Optional[int] = None
-    ) -> BackendEngine:
+    def resolve(self, policy: str = AUTO) -> BackendEngine:
         """The batchable engine *policy* selects in this process.
 
-        ``auto`` walks the batchable engines in reverse registration
-        order and returns the first that is available and admits
-        *batch_size* — i.e. native when it can run here, the compiled
-        int64 engine otherwise.  An explicit name or key pins one engine
-        and raises :class:`ValueError` when it is not batchable or not
-        available.
+        ``auto`` is the registry's one batchable engine.  An explicit
+        name or key pins one engine and raises :class:`ValueError` when
+        it is not batchable or not available.
         """
         if policy == AUTO:
-            candidates = self.serving_engines()
-            for engine in reversed(candidates):
-                if engine.available() is not None:
-                    continue
-                cap = engine.capabilities.max_batch
-                if batch_size is not None and cap is not None and batch_size > cap:
-                    continue
-                return engine
-            raise ValueError(
-                "no batchable engine is available for the 'auto' policy"
-            )
+            engines = self.serving_engines()
+            if len(engines) != 1:
+                raise ValueError(
+                    f"the {AUTO!r} policy needs exactly one batchable engine; "
+                    f"registered: {[engine.key for engine in engines]}"
+                )
+            return engines[0]
         engine = self.create(policy)
         if not engine.capabilities.batchable:
             raise ValueError(
@@ -165,14 +149,13 @@ class EngineRegistry:
         return [factory().describe() for factory in self._factories.values()]
 
 
-#: The process-wide registry, pre-loaded with the five stock backends.
+#: The process-wide registry, pre-loaded with the four stock backends.
 ENGINES = EngineRegistry()
 for _factory in (
     InterpretedEngine,
     CompiledBatchEngine,
     EventDrivenEngine,
     GRLCircuitEngine,
-    NativeEngine,
 ):
     ENGINES.register(_factory)
 del _factory

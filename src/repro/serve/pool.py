@@ -3,18 +3,17 @@
 Each worker is a separate OS process that, at startup, rebuilds every
 registered model from its serialized document (verifying the embedded
 fingerprint), lowers it to the IR, runs the optimizer pass pipeline, and
-**warms** every batchable engine in the runtime registry
+**warms** the serving engine
 (:meth:`~repro.runtime.engines.BackendEngine.warm`) — so the first real
 request never pays compilation, first-touch, or JIT cost.  The
 ``engine`` option is a policy resolved through
-:data:`repro.runtime.ENGINES` — ``"auto"`` (the default: best available
-batchable engine) or an explicit key like ``"native"`` / ``"int64"`` —
-and selects which engine answers eval messages; per-engine warmup
-counts are reported per
-worker through :meth:`ProcessWorkerPool.warmups`.  Work arrives as already-encoded ``(B, n_inputs)``
-int64 matrices (the micro-batcher's output) and leaves as the engine's
-raw ``(B, n_outputs)`` result, keeping the IPC payload two NumPy arrays
-per batch.
+:data:`repro.runtime.ENGINES` — ``"auto"`` (the default) or an explicit
+key like ``"int64"`` — and selects which engine answers eval messages;
+warmup counts, keyed by engine, are reported per worker through
+:meth:`ProcessWorkerPool.warmups`.  Work arrives as already-encoded
+``(B, n_inputs)`` int64 matrices (the micro-batcher's output) and leaves
+as the engine's raw ``(B, n_outputs)`` result, keeping the IPC payload
+two NumPy arrays per batch.
 
 Dispatch is **least-loaded**: :meth:`ProcessWorkerPool.submit` picks the
 alive worker with the fewest in-flight batches.  A dedicated collector
@@ -106,11 +105,10 @@ def _worker_main(
     Runs in a child process (or, for unit tests, a plain thread with the
     other pipe end held by the test).  *engine* selects the evaluation
     backend for ``eval`` messages, resolved through the runtime engine
-    registry — an engine key (``"native"``, ``"int64"``) or the
-    ``"auto"`` policy (best available batchable engine).  Every
-    batchable engine is compiled and warmed at load time regardless, so
-    switching engines never costs a request its latency budget; the
-    per-engine warmup counts ride back on the ready message.  Messages:
+    registry — an engine key (``"int64"``) or the ``"auto"`` policy.
+    The engine compiles and warms every model at load time, so no
+    request pays for it; the warmup count, keyed by engine, rides back
+    on the ready message.  Messages:
 
     * ``("eval", job_id, model_id, matrix, params_enc)`` →
       ``("ok", job_id, result)`` or ``("err", job_id, reason)``
@@ -136,9 +134,9 @@ def _worker_main(
     from ..obs.metrics import METRICS as _worker_metrics
     from ..runtime.registry import ENGINES
 
-    backends = ENGINES.serving_engines()
-    evaluate = ENGINES.resolve(engine).evaluate
-    warmups = {backend.key: 0 for backend in backends}
+    backend = ENGINES.resolve(engine)
+    evaluate = backend.evaluate
+    warmups = {backend.key: 0}
 
     def load(model_id: str, document: str):
         network = serialize.loads(document)
@@ -150,9 +148,8 @@ def _worker_main(
         program = lower(network)
         if optimize:
             program, _report = optimize_program(program)
-        for backend in backends:
-            backend.warm(program)
-            warmups[backend.key] += 1
+        backend.warm(program)
+        warmups[backend.key] += 1
         return program
     programs = {mid: load(mid, doc) for mid, doc in documents.items()}
     # The compiled programs and warmed plans are immortal from here on;
@@ -399,7 +396,7 @@ class ProcessWorkerPool:
         return self._engine
 
     def warmups(self) -> list[dict[str, int]]:
-        """Per-slot plan warmup counts, keyed by engine (``int64``/``native``)."""
+        """Per-slot plan warmup counts, keyed by engine (``int64``)."""
         with self._lock:
             return [dict(w.warmups) for w in self._workers]
 
@@ -607,11 +604,10 @@ class InlineWorkerPool:
         from ..runtime.registry import ENGINES
 
         self._optimize = optimize
-        self._backends = ENGINES.serving_engines()
         self._engine_impl = ENGINES.resolve(engine)
         self._engine = self._engine_impl.key
         self._programs = {}
-        self._warmups = {backend.key: 0 for backend in self._backends}
+        self._warmups = {self._engine: 0}
         for model_id, document in documents.items():
             self.add_model(model_id, document)
         self._stopping = False
@@ -679,9 +675,8 @@ class InlineWorkerPool:
         program = lower(network)
         if self._optimize:
             program, _report = optimize_program(program)
-        for backend in self._backends:
-            backend.warm(program)
-            self._warmups[backend.key] += 1
+        self._engine_impl.warm(program)
+        self._warmups[self._engine] += 1
         self._programs[model_id] = program
 
     def wait_warm(self, timeout: float = 30.0) -> bool:

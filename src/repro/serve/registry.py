@@ -37,8 +37,10 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from ..ir.passes import optimize_program
-from ..ir.program import Program, lower
+# Workers optimize each model from its document; the name stays
+# importable here for tooling that times the serving set-up by wrapping
+# ``repro.serve.registry.optimize_program``.
+from ..ir.passes import optimize_program  # noqa: F401
 from ..network import serialize
 from ..network.graph import Network, NetworkError
 from .protocol import E_NO_MODEL, ServeError
@@ -49,21 +51,18 @@ MIN_PREFIX = 8
 
 @dataclass(frozen=True)
 class ModelEntry:
-    """One registered model: the network, its program, and its document.
+    """One registered model: the network and its document.
 
-    ``program`` is what workers execute (IR-lowered, optionally
-    pass-pipeline optimized — fire-time equal to the network by the IR's
-    provenance contract); ``document`` is the serialized form shipped to
-    worker processes; ``network`` stays available in-process for the
-    direct conformance path.
+    ``document`` is the serialized form shipped to worker processes,
+    which lower and pass-pipeline optimize it before serving (fire-time
+    equal to the network by the IR's provenance contract); ``network``
+    stays available in-process for the direct conformance path.
     """
 
     model_id: str  # == network.fingerprint()
     name: str
     network: Network
-    program: Program
     document: str
-    optimized: bool
 
     @property
     def input_arity(self) -> int:
@@ -90,7 +89,8 @@ class ModelEntry:
             "params": self.param_names,
             "outputs": self.output_names,
             "nodes": len(self.network.nodes),
-            "optimized": self.optimized,
+            # Worker pools serve the pass-optimized program by default.
+            "optimized": True,
         }
 
 
@@ -128,7 +128,6 @@ class ModelRegistry:
         network: Network,
         *,
         name: Optional[str] = None,
-        optimize: bool = True,
     ) -> ModelEntry:
         """Register *network*; returns the (possibly pre-existing) entry.
 
@@ -140,9 +139,8 @@ class ModelRegistry:
         with self._lock:
             entry = self._by_id.get(fingerprint)
         if entry is None:
-            # Build outside the lock: serialization and the optimizer
-            # pipeline can take hundreds of milliseconds on a trained
-            # column, and admissions must keep resolving meanwhile.
+            # Build outside the lock: serializing a trained column takes
+            # a while, and admissions must keep resolving meanwhile.
             document = serialize.dumps(network, indent=None)
             rebuilt = serialize.loads(document)
             if rebuilt.fingerprint() != fingerprint:
@@ -151,16 +149,11 @@ class ModelRegistry:
                     f"{network.name!r}: {fingerprint[:12]} -> "
                     f"{rebuilt.fingerprint()[:12]}"
                 )
-            program = lower(network)
-            if optimize:
-                program, _report = optimize_program(program)
             entry = ModelEntry(
                 model_id=fingerprint,
                 name=name or network.name,
                 network=network,
-                program=program,
                 document=document,
-                optimized=optimize,
             )
         with self._lock:
             entry = self._by_id.setdefault(fingerprint, entry)

@@ -154,11 +154,8 @@ def _metrics_payload(service: TNNService) -> dict:
         "ok": True,
         "serve": service.stats(),
         "metrics": METRICS.snapshot(),
-        # The unified runtime surface (plan tier + result cache +
-        # engine probes); "plan_cache" keeps the pre-runtime shape for
-        # one deprecation cycle of external scrapers.
+        # The runtime caches (plan + result) and executor probes.
         "cache": runtime.cache_info(),
-        "plan_cache": runtime.legacy_plan_cache_info(),
         # The frontend cannot see child-process registries directly;
         # workers piggyback snapshots on eval replies (so these may lag
         # live state by a few batches).
@@ -185,11 +182,10 @@ def _metrics_text_payload(service: TNNService) -> dict:
         "cache.result.hits": info["result"]["hits"],
         "cache.result.misses": info["result"]["misses"],
         "cache.result.evictions": info["result"]["evictions"],
+        "cache.plan.hits": info["plan"]["hits_structural"],
+        "cache.plan.misses": info["plan"]["misses"],
+        "cache.plan.evictions": info["plan"]["evictions"],
     }
-    for name, ns in info["plan"]["namespaces"].items():
-        gauges[f"cache.plan.{name}.hits"] = ns["hits_structural"]
-        gauges[f"cache.plan.{name}.misses"] = ns["misses"]
-        gauges[f"cache.plan.{name}.evictions"] = ns["evictions"]
     if service.training is not None:
         training = service.training.stats()
         gauges["training.presented"] = training["presented"]
@@ -557,8 +553,8 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         choices=(AUTO, *ENGINES.serving_keys()),
         default=AUTO,
         help="evaluation backend policy resolved through the runtime "
-        "engine registry: 'auto' (default) picks the best available "
-        "batchable engine; an explicit key pins one",
+        "engine registry: 'auto' (default) and 'int64' both name the "
+        "compiled batch engine",
     )
     parser.add_argument(
         "--no-result-cache",

@@ -9,9 +9,9 @@ broken backend, so this module manufactures broken backends on purpose:
 * **network mutants** — structural edits (min↔max swap, ``inc`` amount
   drift, ``lt`` operand swap, source rewires) applied to the network one
   victim backend evaluates;
-* **plan faults** — a compiled plan whose level schedule is reordered so
-  an instruction group runs before its producer, modelling a broken
-  compiler pass.
+* **plan faults** — a compiled plan whose kernel schedule is reordered
+  so a kernel runs before its producer, modelling a broken compiler
+  pass.
 
 Each fault is packaged as a :class:`FaultedOracle` — a
 :class:`~repro.testing.oracles.BackendOracle` impersonating its victim —
@@ -35,16 +35,14 @@ from typing import Optional
 import numpy as np
 
 from ..core.value import INF, Infinity, Time
-from ..native.plan import NativePlan, _execute_kernels, _kernel_reads
 from ..network.blocks import Node
 from ..network.compile_plan import (
-    INF_I64,
     MAX_FINITE,
     CompiledPlan,
-    _ConstGroup,
-    _IncGroup,
-    _LtGroup,
-    _ReduceGroup,
+    _encode_params,
+    _execute_kernels,
+    _kernel_reads,
+    decode_matrix,
     encode_volleys,
 )
 from ..network.graph import Network
@@ -248,97 +246,20 @@ class FaultedOracle(BackendOracle):
 
 
 class PlanReorderOracle(BackendOracle):
-    """The compiled engine with a corrupted level schedule.
+    """The compiled batch engine with a corrupted kernel schedule.
 
-    Compiles a fresh (uncached) plan, finds an instruction group that
-    consumes another group's outputs, and swaps the two — the scheduling
-    bug a broken level-fusion pass would introduce.  The value buffer is
-    zero-initialized so the corruption is deterministic: the consumer
-    reads zeros instead of its producer's times.
+    Builds a fresh (uncached) :class:`~repro.network.compile_plan.
+    CompiledPlan`, finds a kernel that consumes another kernel's arena
+    rows, swaps the two, and executes the corrupted list through the
+    *same* kernel executor the real plan uses — so the only difference
+    the diff can attribute is the schedule.  The arena is
+    zero-initialized for determinism (the consumer reads zeros instead
+    of its producer's times); constant rows are still filled, as they
+    are at real arena allocation, since they are not part of the kernel
+    schedule being corrupted.
     """
 
     name = "compiled-batch!plan-reorder"
-
-    @staticmethod
-    def _group_reads(group) -> set[int]:
-        if isinstance(group, _IncGroup):
-            return set(group.srcs.tolist())
-        if isinstance(group, _ReduceGroup):
-            return set(group.srcs.ravel().tolist())
-        if isinstance(group, _LtGroup):
-            return set(group.a.tolist()) | set(group.b.tolist())
-        return set()
-
-    @classmethod
-    def _dependent_pair(cls, groups) -> Optional[tuple[int, int]]:
-        for i, producer in enumerate(groups):
-            made = set(producer.ids.tolist())
-            for j in range(i + 1, len(groups)):
-                if made & cls._group_reads(groups[j]):
-                    return i, j
-        return None
-
-    def supports_network(self, network: Network) -> Optional[str]:
-        plan = CompiledPlan(network)
-        if self._dependent_pair(plan.groups) is None:
-            return "plan has no dependent instruction pair to reorder"
-        return None
-
-    def run(self, network, volleys, params=None):
-        from ..network.compile_plan import _encode_params, decode_matrix
-
-        plan = CompiledPlan(network)  # fresh: never poison the real cache
-        pair = self._dependent_pair(plan.groups)
-        if pair is None:
-            raise RuntimeError("no dependent pair; supports_network lied")
-        i, j = pair
-        groups = list(plan.groups)
-        groups[i], groups[j] = groups[j], groups[i]
-
-        matrix = encode_volleys(
-            [tuple(v) for v in volleys], arity=len(network.input_ids)
-        )
-        values = np.zeros((matrix.shape[0], plan.n_nodes), dtype=np.int64)
-        if plan.input_ids.size:
-            values[:, plan.input_ids] = matrix
-        if plan.param_ids.size:
-            values[:, plan.param_ids] = _encode_params(network, params)
-        for group in groups:
-            if isinstance(group, _IncGroup):
-                gathered = values[:, group.srcs]
-                np.minimum(gathered, group.caps, out=gathered)
-                gathered += group.amounts
-                values[:, group.ids] = gathered
-            elif isinstance(group, _ReduceGroup):
-                gathered = values[:, group.srcs]
-                values[:, group.ids] = (
-                    gathered.min(axis=2) if group.is_min else gathered.max(axis=2)
-                )
-            elif isinstance(group, _LtGroup):
-                a = values[:, group.a]
-                b = values[:, group.b]
-                values[:, group.ids] = np.where(a < b, a, INF_I64)
-            else:
-                values[:, group.ids] = group.value
-        out = values[:, plan.output_ids]
-        return [tuple(row) for row in decode_matrix(out)]
-
-
-class NativeKernelReorderOracle(BackendOracle):
-    """The native engine with a corrupted kernel schedule.
-
-    The native analog of :class:`PlanReorderOracle`: builds a fresh
-    (uncached) :class:`~repro.native.NativePlan`, finds a kernel that
-    consumes another kernel's arena rows, swaps the two, and executes
-    the corrupted list through the *same* shared kernel interpreter the
-    real plan uses — so the only difference the diff can attribute is
-    the schedule.  The arena is zero-initialized for determinism (the
-    consumer reads zeros instead of its producer's times); constant
-    rows are still filled, as they are at real arena allocation, since
-    they are not part of the kernel schedule being corrupted.
-    """
-
-    name = "native!kernel-reorder"
 
     @staticmethod
     def _dependent_pair(kernels) -> Optional[tuple[int, int]]:
@@ -350,15 +271,12 @@ class NativeKernelReorderOracle(BackendOracle):
         return None
 
     def supports_network(self, network: Network) -> Optional[str]:
-        plan = NativePlan(network)
-        if self._dependent_pair(plan.kernels) is None:
-            return "native plan has no dependent kernel pair to reorder"
+        if self._dependent_pair(CompiledPlan(network).kernels) is None:
+            return "plan has no dependent kernel pair to reorder"
         return None
 
     def run(self, network, volleys, params=None):
-        from ..network.compile_plan import _encode_params, decode_matrix
-
-        plan = NativePlan(network)  # fresh: never poison the real cache
+        plan = CompiledPlan(network)  # fresh: never poison the real cache
         pair = self._dependent_pair(plan.kernels)
         if pair is None:
             raise RuntimeError("no dependent pair; supports_network lied")
@@ -382,8 +300,7 @@ class NativeKernelReorderOracle(BackendOracle):
         s2 = np.empty((plan.max_gather, batch), dtype=np.int64)
         mask = np.empty((plan.max_gather, batch), dtype=bool)
         _execute_kernels(kernels, arena, s1, s2, mask)
-        out = arena[plan.out_cols].T
-        return [tuple(row) for row in decode_matrix(out)]
+        return [tuple(row) for row in decode_matrix(arena[plan.out_cols].T)]
 
 
 # ---------------------------------------------------------------------------
@@ -404,22 +321,11 @@ class FaultClass:
     build: Callable[..., Optional[BackendOracle]]
 
 
-def fault_classes(
-    victim_factory: Callable[[], BackendOracle] = CompiledBatchOracle,
-    *,
-    plan_reorder: Callable[[], BackendOracle] = PlanReorderOracle,
-) -> tuple[FaultClass, ...]:
-    """The five-family self-check menu, parameterized by the victim.
+def fault_classes() -> tuple[FaultClass, ...]:
+    """The five-family self-check menu.
 
-    *victim_factory* builds the backend the volley/network faults are
-    spliced into; *plan_reorder* builds the schedule-corruption oracle
-    (each engine has its own: :class:`PlanReorderOracle` for the
-    compiled int64 plan, :class:`NativeKernelReorderOracle` for the
-    native kernel list).  The default menu — :data:`FAULT_CLASSES` —
-    victimizes the compiled batch engine; the native conformance tests
-    rebuild the menu around :class:`~repro.testing.oracles.NativeOracle`
-    to prove the harness keeps its teeth with the fifth backend
-    participating.
+    Volley and network faults are spliced into the compiled batch
+    engine; the schedule corruption is :class:`PlanReorderOracle`.
     """
 
     def build_network_mutation(case, rng: random.Random):
@@ -428,13 +334,13 @@ def fault_classes(
             return None
         mutant, description = outcome
         return FaultedOracle(
-            victim_factory(),
+            CompiledBatchOracle(),
             label=f"mutant({description})",
             network_transform=lambda _net: mutant,
         )
 
     def build_plan_reorder(case, rng: random.Random):
-        oracle = plan_reorder()
+        oracle = PlanReorderOracle()
         if oracle.supports_network(case.network) is not None:
             return None
         return oracle
@@ -443,7 +349,7 @@ def fault_classes(
         seed = rng.randrange(2**31)
         jitter = rng.randint(1, 3)
         return FaultedOracle(
-            victim_factory(),
+            CompiledBatchOracle(),
             label=f"jitter(±{jitter},seed={seed})",
             volley_transform=lambda v: jitter_volley(v, jitter=jitter, seed=seed),
         )
@@ -451,7 +357,7 @@ def fault_classes(
     def build_line_drop(case, rng: random.Random):
         line = rng.randrange(len(case.network.input_names))
         return FaultedOracle(
-            victim_factory(),
+            CompiledBatchOracle(),
             label=f"drop(line={line})",
             volley_transform=lambda v: drop_lines(v, [line]),
         )
@@ -459,7 +365,7 @@ def fault_classes(
     def build_stuck_at_zero(case, rng: random.Random):
         line = rng.randrange(len(case.network.input_names))
         return FaultedOracle(
-            victim_factory(),
+            CompiledBatchOracle(),
             label=f"stuck0(line={line})",
             volley_transform=lambda v: stuck_at_zero(v, [line]),
         )

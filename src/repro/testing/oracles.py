@@ -1,9 +1,9 @@
 """Backend-oracle adapter over the unified engine registry.
 
-The repository carries five executable semantics for the same network
+The repository carries four executable semantics for the same network
 language — the interpreted big-int walk, the compiled int64 batch
-engine, the operational event-driven simulator, the gate-level GRL
-circuit model, and the native arena backend.  Since PR 9 they live in
+engine, the operational event-driven simulator, and the gate-level GRL
+circuit model.  They live in
 :mod:`repro.runtime.engines` and register with
 :data:`repro.runtime.ENGINES` — the exact objects the serving stack
 dispatches through.  This module keeps the historical conformance
@@ -59,7 +59,6 @@ from ..runtime.engines import (
     EventDrivenEngine,
     GRLCircuitEngine,
     InterpretedEngine,
-    NativeEngine,
     Outputs,
     Volley,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "EventDrivenOracle",
     "GRLCircuitOracle",
     "InterpretedOracle",
-    "NativeOracle",
     "Outputs",
     "Volley",
     "default_oracles",
@@ -93,7 +91,6 @@ InterpretedOracle = InterpretedEngine
 CompiledBatchOracle = CompiledBatchEngine
 EventDrivenOracle = EventDrivenEngine
 GRLCircuitOracle = GRLCircuitEngine
-NativeOracle = NativeEngine
 
 
 def saturate(value: Time) -> Time:

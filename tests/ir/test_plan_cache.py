@@ -2,14 +2,14 @@
 
 import pytest
 
+from repro import runtime
 from repro.ir import lower, optimize_program
-from repro.network import (
-    NetworkBuilder,
-    clear_plan_cache,
-    compile_plan,
-    plan_cache_info,
-    set_plan_cache_limit,
-)
+from repro.network import NetworkBuilder, compile_plan
+from repro.runtime.cache import PLAN_CACHE, PlanCacheTier
+
+
+def plan_cache_info():
+    return runtime.cache_info()["plan"]
 
 
 def chain(tag: str, length: int):
@@ -22,28 +22,21 @@ def chain(tag: str, length: int):
 
 
 @pytest.fixture
-def bounded_cache():
-    previous = set_plan_cache_limit(2)
-    clear_plan_cache()
-    try:
-        yield
-    finally:
-        set_plan_cache_limit(previous)
-        clear_plan_cache()
+def bounded_cache(monkeypatch):
+    monkeypatch.setattr(PLAN_CACHE, "limit", 2)
+    runtime.clear_caches(results=False)
+    yield
+    runtime.clear_caches(results=False)
 
 
 class TestCacheLimit:
-    def test_limit_round_trips(self):
-        previous = set_plan_cache_limit(7)
-        try:
-            assert plan_cache_info()["limit"] == 7
-            assert set_plan_cache_limit(previous) == 7
-        finally:
-            set_plan_cache_limit(previous)
+    def test_limit_round_trips(self, monkeypatch):
+        monkeypatch.setattr(PLAN_CACHE, "limit", 7)
+        assert plan_cache_info()["limit"] == 7
 
     def test_limit_must_be_positive(self):
         with pytest.raises(ValueError):
-            set_plan_cache_limit(0)
+            PlanCacheTier(limit=0)
 
     def test_overflow_evicts_lru(self, bounded_cache):
         before = plan_cache_info()["evictions"]
@@ -51,18 +44,8 @@ class TestCacheLimit:
         for net in nets:
             compile_plan(net)
         info = plan_cache_info()
-        assert info["structural"] == 2
+        assert info["entries"] == 2
         assert info["evictions"] == before + 1
-
-    def test_shrinking_limit_trims_immediately(self, bounded_cache):
-        compile_plan(chain("a", 1))
-        compile_plan(chain("b", 2))
-        before = plan_cache_info()["evictions"]
-        set_plan_cache_limit(1)
-        info = plan_cache_info()
-        assert info["structural"] == 1
-        assert info["evictions"] == before + 1
-        set_plan_cache_limit(2)
 
     def test_evicted_plan_recompiles_as_miss(self, bounded_cache):
         first = chain("a", 1)

@@ -1,11 +1,11 @@
-"""Tests for the native backend: plan lowering, caches, both exec paths.
+"""Tests for the batch plan's arena lowering and its two executors.
 
-The native backend is specified by the compiled int64 engine: on every
+The compiled plan is specified by the interpreted evaluator: on every
 network and every encoded volley matrix the two must agree exactly —
 the cross-family property sweep lives in
 ``tests/testing/test_native_properties.py``; here the unit tests pin
-the kernel lowering, the mode switch, the buffer pool, the separate
-plan cache, and the trace semantics.
+the kernel lowering, the executor switch (``REPRO_NATIVE``), the buffer
+pool, the plan cache, and the trace semantics.
 """
 
 import numpy as np
@@ -13,27 +13,24 @@ import pytest
 
 from repro.core.value import INF
 from repro.ir import lower, optimize_program
-from repro.native import (
-    NativePlan,
-    clear_native_plan_cache,
-    compile_native,
-    evaluate_batch_native,
-    native_mode,
-    native_plan_cache_info,
-    set_native_plan_cache_limit,
-)
 from repro.native import jit as native_jit
-from repro.native import plan as native_plan_mod
+from repro.native import native_mode
 from repro.network.builder import NetworkBuilder
 from repro.network.compile_plan import (
     INF_I64,
+    CompiledPlan,
+    _ReduceKernel,
+    compile_plan,
+    decode_matrix,
     evaluate_batch,
-    plan_cache_info,
 )
 from repro.network.graph import NetworkError
 from repro.network.serialize import dumps, loads
+from repro.network.simulator import evaluate_all_interpreted
 from repro.obs import reset_metrics
 from repro.obs.metrics import METRICS
+from repro.runtime import cache_info, clear_caches
+from repro.runtime.cache import PLAN_CACHE, PlanCacheTier
 
 
 def diamond():
@@ -47,7 +44,7 @@ def diamond():
 
 
 def ragged_net():
-    """Same-level min group with mixed arity — the reduceat kernel."""
+    """Same-level min group with mixed arity — padded to one rectangle."""
     b = NetworkBuilder("ragged")
     x, y, z = b.inputs("x", "y", "z")
     b.output("pair", b.min(x, y))
@@ -58,11 +55,23 @@ def ragged_net():
     return b.build()
 
 
+def interpreted(network, volleys, params=None):
+    """Reference outputs, sentinel-encoded like the batch engine's."""
+    rows = []
+    for volley in volleys:
+        values = evaluate_all_interpreted(
+            network, dict(zip(network.input_names, volley)), params=params
+        )
+        rows.append(
+            [INF_I64 if values[i] is INF else values[i] for i in network.outputs.values()]
+        )
+    return np.asarray(rows, dtype=np.int64).reshape(len(rows), len(network.outputs))
+
+
 @pytest.fixture
 def numba_mode(monkeypatch):
     """Force the row-interpreter path (pure-Python when Numba is absent)."""
     monkeypatch.setattr(native_jit, "NUMBA_AVAILABLE", True)
-    monkeypatch.setattr(native_plan_mod._jit, "NUMBA_AVAILABLE", True)
     monkeypatch.setenv("REPRO_NATIVE", "numba")
 
 
@@ -77,7 +86,7 @@ class TestModeSelection:
         assert native_mode() == "numpy"
 
     def test_numba_without_numba_falls_back_counted(self, monkeypatch):
-        monkeypatch.setattr(native_plan_mod._jit, "NUMBA_AVAILABLE", False)
+        monkeypatch.setattr(native_jit, "NUMBA_AVAILABLE", False)
         monkeypatch.setenv("REPRO_NATIVE", "numba")
         before = METRICS.counter("native.fallbacks")
         assert native_mode() == "numpy"
@@ -94,42 +103,41 @@ class TestModeSelection:
 
 class TestLowering:
     def test_kernel_count_is_group_count_not_node_count(self):
-        plan = NativePlan(diamond())
+        plan = CompiledPlan(diamond())
         # 2 inputs + 6 compute nodes, but fused to one kernel per
         # (level, kind) bucket: min, max, 2×inc (one level), lt, min.
         assert plan.n_nodes == 8
         assert 1 <= len(plan.kernels) <= 6
 
     def test_describe_lists_kernels(self):
-        text = NativePlan(ragged_net()).describe()
+        text = CompiledPlan(ragged_net()).describe()
         assert "arena rows" in text
         assert "const" in text and "min" in text and "max" in text
 
     def test_const_fills_cover_identities(self):
-        plan = NativePlan(ragged_net())
+        plan = CompiledPlan(ragged_net())
         values = {f.value for f in plan.const_fills}
         assert values == {0, INF_I64}
 
-    def test_ragged_group_uses_reduceat_kernel(self):
-        plan = NativePlan(ragged_net())
-        assert any(
-            isinstance(k, native_plan_mod._RaggedReduceKernel)
-            for k in plan.kernels
-        )
+    def test_ragged_group_pads_to_uniform_kernel(self):
+        plan = CompiledPlan(ragged_net())
+        mins = [k for k in plan.kernels if isinstance(k, _ReduceKernel) and k.is_min]
+        assert len(mins) == 1 and mins[0].k == 3
+        # min(x, y) is padded with its own first source: min(x, y, x).
+        pair = mins[0].srcs.reshape(-1, 3)
+        assert any(row[0] == row[2] != row[1] for row in pair.tolist())
 
     def test_uniform_group_uses_rectangular_kernel(self):
-        plan = NativePlan(diamond())
-        assert any(
-            isinstance(k, native_plan_mod._UniformReduceKernel)
-            for k in plan.kernels
-        )
+        plan = CompiledPlan(diamond())
+        assert any(isinstance(k, _ReduceKernel) for k in plan.kernels)
 
     def test_accepts_optimized_program(self):
         program, _report = optimize_program(lower(ragged_net()))
-        plan = NativePlan(program)
+        plan = CompiledPlan(program)
         matrix = np.array([[0, 2, INF_I64]], dtype=np.int64)
-        expected = evaluate_batch(program, matrix)
-        np.testing.assert_array_equal(plan.outputs(matrix), expected)
+        np.testing.assert_array_equal(
+            plan.outputs(matrix), interpreted(program, [(0, 2, INF)])
+        )
 
 
 class TestExecution:
@@ -137,33 +145,32 @@ class TestExecution:
         [(0, 1), (2, 3), (INF, 0), (INF, INF), (5, 5)],
     ]
 
-    def test_outputs_match_compiled(self):
+    def test_outputs_match_interpreted(self):
         net = diamond()
         for volleys in self.CASES:
-            expected = evaluate_batch(net, volleys)
-            got = evaluate_batch_native(net, volleys)
-            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(
+                evaluate_batch(net, volleys), interpreted(net, volleys)
+            )
 
     def test_rows_interpreter_matches_compiled(self, numba_mode):
         net = ragged_net()
         volleys = [(0, 1, 2), (INF, INF, INF), (7, 7, 7), (0, INF, 3)]
-        expected = evaluate_batch(net, volleys)
         np.testing.assert_array_equal(
-            evaluate_batch_native(net, volleys), expected
+            evaluate_batch(net, volleys), interpreted(net, volleys)
         )
 
     def test_run_returns_node_order_values(self):
         net = diamond()
-        plan = compile_native(net)
-        matrix = np.array([[2, 5]], dtype=np.int64)
-        from repro.network.compile_plan import compile_plan
-
-        expected = compile_plan(net).run(matrix)
-        np.testing.assert_array_equal(plan.run(matrix), expected)
+        plan = compile_plan(net)
+        values = evaluate_all_interpreted(net, {"x": 2, "y": 5})
+        expected = [INF_I64 if v is INF else v for v in values]
+        np.testing.assert_array_equal(
+            plan.run(np.array([[2, 5]], dtype=np.int64))[0], expected
+        )
 
     def test_empty_batch(self):
         net = diamond()
-        out = evaluate_batch_native(net, np.zeros((0, 2), dtype=np.int64))
+        out = evaluate_batch(net, np.zeros((0, 2), dtype=np.int64))
         assert out.shape == (0, 2)
 
     def test_missing_params_rejected(self):
@@ -173,7 +180,7 @@ class TestExecution:
         b.output("y", b.min(x, w))
         net = b.build()
         with pytest.raises(NetworkError, match="params"):
-            compile_native(net).outputs(np.zeros((1, 1), dtype=np.int64))
+            compile_plan(net).outputs(np.zeros((1, 1), dtype=np.int64))
 
     def test_params_bound(self):
         b = NetworkBuilder()
@@ -181,13 +188,11 @@ class TestExecution:
         w = b.param("w")
         b.output("y", b.min(x, w))
         net = b.build()
-        expected = evaluate_batch(net, [(4,)], params={"w": INF})
-        np.testing.assert_array_equal(
-            evaluate_batch_native(net, [(4,)], params={"w": INF}), expected
-        )
+        assert decode_matrix(evaluate_batch(net, [(4,)], params={"w": INF})) == [(4,)]
+        assert decode_matrix(evaluate_batch(net, [(4,)], params={"w": 0})) == [(0,)]
 
     def test_buffer_pool_recycles(self):
-        plan = NativePlan(diamond())
+        plan = CompiledPlan(diamond())
         matrix = np.zeros((3, 2), dtype=np.int64)
         plan.outputs(matrix)
         assert len(plan._pool[("cols", 3)]) == 1
@@ -196,18 +201,17 @@ class TestExecution:
 
     def test_warm_counts(self):
         reset_metrics()
-        NativePlan(diamond()).warm()
-        assert METRICS.counter("plan.warmups.native") == 1
+        CompiledPlan(diamond()).warm()
+        assert METRICS.counter("plan.warmups") == 1
 
 
 class TestTrace:
     def test_sink_trace_matches_interpreted(self):
-        from repro.obs.trace import RecordingSink
-        from repro.testing.oracles import InterpretedOracle, NativeOracle
+        from repro.testing.oracles import CompiledBatchOracle, InterpretedOracle
 
         net = ragged_net()
         volley = (0, 3, INF)
-        assert NativeOracle().trace(net, volley) == InterpretedOracle().trace(
+        assert CompiledBatchOracle().trace(net, volley) == InterpretedOracle().trace(
             net, volley
         )
 
@@ -216,73 +220,53 @@ class TestTrace:
 
         sink = RecordingSink()
         sink.enabled = False
-        out = evaluate_batch_native(diamond(), [(0, 1)], sink=sink)
+        out = evaluate_batch(diamond(), [(0, 1)], sink=sink)
         assert sink.canonical() == []
         assert out.shape == (1, 2)
 
 
 class TestNativePlanCache:
     def setup_method(self):
-        clear_native_plan_cache()
+        clear_caches(results=False)
 
     def teardown_method(self):
-        clear_native_plan_cache()
-        set_native_plan_cache_limit(128)
+        clear_caches(results=False)
 
     def test_identity_memoized(self):
         net = diamond()
-        assert compile_native(net) is compile_native(net)
+        assert compile_plan(net) is compile_plan(net)
 
     def test_structural_twins_share_one_plan(self):
         net = diamond()
         twin = loads(dumps(net))
         assert twin is not net
-        assert compile_native(twin) is compile_native(net)
-
-    def test_separate_from_int64_cache(self):
-        from repro.network.compile_plan import compile_plan
-
-        net = diamond()
-        assert compile_native(net) is not compile_plan(net)
+        assert compile_plan(twin) is compile_plan(net)
 
     def test_hit_miss_counters(self):
         reset_metrics()
         net = diamond()
-        compile_native(net)  # miss
-        compile_native(net)  # identity hit
-        compile_native(loads(dumps(net)))  # structural hit
-        info = native_plan_cache_info()
+        compile_plan(net)  # miss
+        compile_plan(net)  # identity hit
+        compile_plan(loads(dumps(net)))  # structural hit
+        info = cache_info()["plan"]
         assert info["misses"] == 1
         assert info["hits_identity"] == 1
         assert info["hits_structural"] == 1
 
-    def test_lru_eviction(self):
+    def test_lru_eviction(self, monkeypatch):
         reset_metrics()
-        previous = set_native_plan_cache_limit(1)
-        try:
-            compile_native(diamond())
-            compile_native(ragged_net())
-            info = native_plan_cache_info()
-            assert info["structural"] == 1
-            assert info["evictions"] == 1
-        finally:
-            set_native_plan_cache_limit(previous)
+        monkeypatch.setattr(PLAN_CACHE, "limit", 1)
+        compile_plan(diamond())
+        compile_plan(ragged_net())
+        info = cache_info()["plan"]
+        assert info["entries"] == 1
+        assert info["evictions"] == 1
 
     def test_limit_must_be_positive(self):
         with pytest.raises(ValueError, match=">= 1"):
-            set_native_plan_cache_limit(0)
+            PlanCacheTier(limit=0)
 
     def test_clear(self):
-        compile_native(diamond())
-        clear_native_plan_cache()
-        info = native_plan_cache_info()
-        assert info["identity"] == 0 and info["structural"] == 0
-
-    def test_plan_cache_info_reports_native_key(self):
-        # Satellite regression: the int64 cache report carries the
-        # native cache record under a nested ``native`` key.
-        compile_native(diamond())
-        info = plan_cache_info()
-        assert info["native"]["structural"] == 1
-        assert info["native"]["mode"] in ("numpy", "numba")
-        assert isinstance(info["native"]["numba_available"], bool)
+        compile_plan(diamond())
+        clear_caches(results=False)
+        assert cache_info()["plan"]["entries"] == 0

@@ -9,7 +9,6 @@ structures; the unit tests pin the encoding, the plan cache, and the
 error-message parity of the thin scalar wrappers.
 """
 
-import importlib
 import random
 
 import numpy as np
@@ -23,7 +22,7 @@ from repro.network.compile_plan import (
     INF_I64,
     MAX_FINITE,
     CompiledPlan,
-    clear_plan_cache,
+    _ReduceKernel,
     compile_plan,
     decode_matrix,
     decode_time,
@@ -32,8 +31,8 @@ from repro.network.compile_plan import (
     evaluate_batch,
     evaluate_batch_all,
     evaluate_batch_dicts,
-    plan_cache_info,
 )
+from repro.runtime import cache_info, clear_caches
 from repro.network.generate import random_network, random_volley
 from repro.network.graph import NetworkError
 from repro.network.serialize import dumps, loads
@@ -299,12 +298,12 @@ class TestPlanStructure:
         b.output("m", top)
         plan = compile_plan(b.build())
         assert plan.describe() == (
-            "plan: 8 nodes -> 6 instructions\n"
-            "  const(0)  x1\n"
-            "  const(∞)  x1\n"
+            "plan: 8 nodes -> 8 arena rows, 4 kernel(s), 2 const fill(s)\n"
+            "  const(∞) rows 2:3\n"
+            "  const(0) rows 3:4\n"
             "  inc       x1\n"
-            "  min       x1 (arity<=2)\n"
-            "  max       x1 (arity<=2)\n"
+            "  min       x1 (arity=2)\n"
+            "  max       x1 (arity=2)\n"
             "  lt        x1"
         )
 
@@ -317,43 +316,56 @@ class TestPlanStructure:
 
 
 # ---------------------------------------------------------------------------
-# Batch blocking
+# Mixed-arity padding
 # ---------------------------------------------------------------------------
 
-class TestRunBlocking:
-    """`run` chunks the batch dimension; results must not depend on it."""
+def mixed_arity_net():
+    """One level of min/max nodes with arity 1, 2 and 5.
 
-    def test_wide_batch_matches_monolithic(self, monkeypatch):
-        cp = importlib.import_module("repro.network.compile_plan")
-        net = random_network(seed=5, n_inputs=4, n_blocks=30)
-        plan = compile_plan(net)
-        rng = np.random.default_rng(5)
-        matrix = rng.integers(0, 40, size=(1300, 4)).astype(np.int64)
-        matrix[rng.random(matrix.shape) < 0.2] = INF_I64
-        blocked = plan.run(matrix)
-        monkeypatch.setattr(cp, "_RUN_BLOCK", 10**9)
-        np.testing.assert_array_equal(blocked, plan.run(matrix))
+    Includes a repeated source (``min(x, x, y)`` after padding stays a
+    two-input min) and an all-∞ source: ``never`` is the constant ``∞``
+    of a zero-source min, so it feeds every reduction an infinite line.
+    """
+    b = NetworkBuilder("mixed-arity")
+    x, y, z, w = b.inputs("x", "y", "z", "w")
+    never = b.min()
+    b.output("one", b.min(x))
+    b.output("two", b.min(x, never))
+    b.output("five", b.min(y, x, y, z, never))
+    b.output("max_one", b.max(w))
+    b.output("max_two", b.max(z, z))
+    b.output("max_five", b.max(x, y, z, w, never))
+    return b.build()
 
-    def test_block_boundary_batches(self, monkeypatch):
-        cp = importlib.import_module("repro.network.compile_plan")
-        net = random_network(seed=6, n_inputs=3, n_blocks=20)
-        plan = compile_plan(net)
-        monkeypatch.setattr(cp, "_RUN_BLOCK", 8)
-        rng = np.random.default_rng(6)
-        for batch in (0, 1, 7, 8, 9, 16, 17):
-            matrix = rng.integers(0, 20, size=(batch, 3)).astype(np.int64)
-            blocked = plan.run(matrix)
-            monkeypatch.setattr(cp, "_RUN_BLOCK", 10**9)
-            np.testing.assert_array_equal(blocked, plan.run(matrix))
-            monkeypatch.setattr(cp, "_RUN_BLOCK", 8)
 
-    def test_tracing_still_single_chunk(self, monkeypatch):
+class TestMixedArityPadding:
+    """Padding a mixed-arity group by repeating a source is exact."""
+
+    def test_plan_has_only_uniform_reduce_kernels(self):
+        plan = compile_plan(mixed_arity_net())
+        reduces = [k for k in plan.kernels if isinstance(k, _ReduceKernel)]
+        # One kernel per (level, kind): the mins and the maxes.
+        assert sorted((k.is_min, k.k) for k in reduces) == [(False, 5), (True, 5)]
+        for kernel in reduces:
+            assert kernel.srcs.shape == ((kernel.hi - kernel.lo) * kernel.k,)
+
+    @pytest.mark.parametrize("batch", [1, 3, 1024])
+    def test_matches_interpreted_byte_for_byte(self, batch):
+        net = mixed_arity_net()
+        rng = random.Random(batch)
+        volleys = [
+            tuple(INF if rng.random() < 0.3 else rng.randint(0, 9) for _ in range(4))
+            for _ in range(batch)
+        ]
+        volleys[0] = (INF, INF, INF, INF)
+        got = decode_matrix(evaluate_batch(net, volleys))
+        assert got == [interpreted_outputs(net, v) for v in volleys]
+
+    def test_wide_batch_trace_row_matches_single_row(self):
         from repro.obs.trace import RecordingSink
 
-        cp = importlib.import_module("repro.network.compile_plan")
-        monkeypatch.setattr(cp, "_RUN_BLOCK", 2)
         net = diamond()
-        matrix = encode_volleys([(0, 1)] * 5, arity=2)
+        matrix = encode_volleys([(0, 1)] * 3 + [(4, 2)] * 2, arity=2)
         sink = RecordingSink()
         plan = compile_plan(net)
         plan.run(matrix, sink=sink, trace_row=3)
@@ -366,12 +378,16 @@ class TestRunBlocking:
 # Plan cache
 # ---------------------------------------------------------------------------
 
+def plan_cache_info():
+    return cache_info()["plan"]
+
+
 class TestPlanCache:
     def setup_method(self):
-        clear_plan_cache()
+        clear_caches(results=False)
 
     def teardown_method(self):
-        clear_plan_cache()
+        clear_caches(results=False)
 
     def test_identity_memoized(self):
         net = diamond()
@@ -386,12 +402,11 @@ class TestPlanCache:
         assert compile_plan(twin) is compile_plan(net)
 
     def test_cache_info_counts(self):
-        info = plan_cache_info()
-        assert info["identity"] == 0 and info["structural"] == 0
+        assert plan_cache_info()["entries"] == 0
         net = diamond()
         compile_plan(net)
-        info = plan_cache_info()
-        assert info["identity"] == 1 and info["structural"] == 1
+        compile_plan(net)
+        assert plan_cache_info()["entries"] == 1
 
     def test_cache_info_hit_miss_counters(self):
         from repro.obs import reset_metrics
@@ -408,10 +423,11 @@ class TestPlanCache:
         assert info["hits_structural"] == 1
 
     def test_clear_plan_cache(self):
-        compile_plan(diamond())
-        clear_plan_cache()
-        info = plan_cache_info()
-        assert info["identity"] == 0 and info["structural"] == 0
+        net = diamond()
+        plan = compile_plan(net)
+        clear_caches(results=False)
+        assert plan_cache_info()["entries"] == 0
+        assert compile_plan(net) is not plan  # the identity memo went too
 
     def test_different_structures_get_different_plans(self):
         b = NetworkBuilder("other")

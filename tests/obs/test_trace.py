@@ -97,7 +97,7 @@ class TestCrossBackendIdentity:
                 docs[oracle.name] = to_jsonl(trace, net)
         return docs
 
-    def test_fig7_network_all_five_backends(self):
+    def test_fig7_network_all_four_backends(self):
         net = synthesize(FIG7_TABLE)
         docs = self._documents(net, (0, 1, 2))
         assert set(docs) == {
@@ -105,7 +105,6 @@ class TestCrossBackendIdentity:
             "compiled-batch",
             "event-driven",
             "grl-circuit",
-            "native",
         }
         assert len(set(docs.values())) == 1
         assert docs["interpreted"]  # non-empty

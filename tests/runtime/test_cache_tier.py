@@ -1,168 +1,98 @@
-"""PlanCacheTier: namespaces, per-engine caps, and the global budget."""
+"""PlanCacheTier: one fingerprint-keyed LRU with byte accounting."""
 
 import numpy as np
 import pytest
 
+from repro import runtime
 from repro.obs.metrics import METRICS
 from repro.runtime.cache import PLAN_CACHE, PlanCacheTier, plan_nbytes
 
 
-def fresh_tier(prefix):
-    """A private tier with two namespaces carrying unique metric prefixes.
-
-    Metric counters are process-global, so every test namespace gets its
-    own prefix and assertions read absolute values of those counters.
-    """
-    tier = PlanCacheTier()
-    tier.register_namespace("alpha", metric_prefix=f"{prefix}.alpha", limit=3)
-    tier.register_namespace("beta", metric_prefix=f"{prefix}.beta", limit=3)
-    return tier
+def counters(*names):
+    return {name: METRICS.counter(f"plan_cache.{name}") for name in names}
 
 
-class TestNamespaces:
-    def test_register_is_idempotent(self):
-        tier = fresh_tier("tier_idem")
-        tier.set_namespace_limit("alpha", 7)
-        # Re-registering must not reset the resized limit.
-        tier.register_namespace(
-            "alpha", metric_prefix="tier_idem.other", limit=3
-        )
-        assert tier.namespace_info("alpha")["limit"] == 7
-
-    def test_unregistered_namespace_raises(self):
-        tier = fresh_tier("tier_unreg")
-        with pytest.raises(KeyError, match="unregistered"):
-            tier.get("gamma", "fp")
-        with pytest.raises(KeyError, match="unregistered"):
-            tier.put("gamma", "fp", object())
-
-    def test_namespaces_listing(self):
-        tier = fresh_tier("tier_list")
-        assert tier.namespaces() == ["alpha", "beta"]
+def grown(before):
+    return {name: METRICS.counter(f"plan_cache.{name}") - v for name, v in before.items()}
 
 
 class TestLookup:
     def test_hit_and_miss_counters(self):
-        tier = fresh_tier("tier_hits")
-        assert tier.get("alpha", "fp0") is None
+        tier = PlanCacheTier()
+        before = counters("miss", "hit.structural")
+        assert tier.get("fp0") is None
         plan = object()
-        assert tier.put("alpha", "fp0", plan, nbytes=10) is plan
-        assert tier.get("alpha", "fp0") is plan
-        assert METRICS.counter("tier_hits.alpha.miss") == 1
-        assert METRICS.counter("tier_hits.alpha.hit.structural") == 1
-
-    def test_same_fingerprint_different_namespace_is_distinct(self):
-        tier = fresh_tier("tier_split")
-        a, b = object(), object()
-        tier.put("alpha", "fp", a, nbytes=1)
-        tier.put("beta", "fp", b, nbytes=1)
-        assert tier.get("alpha", "fp") is a
-        assert tier.get("beta", "fp") is b
+        assert tier.put("fp0", plan, nbytes=10) is plan
+        assert tier.get("fp0") is plan
+        assert grown(before) == {"miss": 1, "hit.structural": 1}
 
 
-class TestNamespaceCap:
-    def test_lru_eviction_within_namespace(self):
-        tier = fresh_tier("tier_nscap")
+class TestLimit:
+    def test_lru_eviction(self):
+        tier = PlanCacheTier(limit=3)
+        before = counters("evict")
         for i in range(3):
-            tier.put("alpha", f"fp{i}", i, nbytes=1)
-        tier.get("alpha", "fp0")  # refresh fp0; fp1 is now LRU
-        tier.put("alpha", "fp3", 3, nbytes=1)
-        assert tier.namespace_info("alpha")["entries"] == 3
-        assert tier.get("alpha", "fp1") is None  # evicted
-        assert tier.get("alpha", "fp0") == 0  # survived the refresh
-        assert METRICS.counter("tier_nscap.alpha.evict") == 1
+            tier.put(f"fp{i}", i, nbytes=1)
+        tier.get("fp0")  # refresh fp0; fp1 is now LRU
+        tier.put("fp3", 3, nbytes=1)
+        assert tier.info()["entries"] == 3
+        assert tier.get("fp1") is None  # evicted
+        assert tier.get("fp0") == 0  # survived the refresh
+        assert grown(before) == {"evict": 1}
 
-    def test_cap_does_not_touch_other_namespace(self):
-        tier = fresh_tier("tier_nsiso")
-        tier.put("beta", "fpB", "plan", nbytes=1)
-        for i in range(5):
-            tier.put("alpha", f"fp{i}", i, nbytes=1)
-        assert tier.namespace_info("alpha")["entries"] == 3
-        assert tier.get("beta", "fpB") == "plan"
-        assert METRICS.counter("tier_nsiso.beta.evict") == 0
+    def test_lowered_limit_applies_at_next_put(self):
+        tier = PlanCacheTier(limit=4)
+        for i in range(4):
+            tier.put(f"fp{i}", i, nbytes=1)
+        tier.limit = 2
+        tier.put("fp4", 4, nbytes=1)
+        assert tier.info()["entries"] == 2
+        assert tier.get("fp3") == 3 and tier.get("fp4") == 4
 
-
-class TestGlobalBudget:
-    def test_max_entries_across_namespaces(self):
-        tier = fresh_tier("tier_gent")
-        tier.set_budget(max_entries=4)
-        tier.put("alpha", "a0", 0, nbytes=1)
-        tier.put("alpha", "a1", 1, nbytes=1)
-        tier.put("beta", "b0", 2, nbytes=1)
-        tier.put("beta", "b1", 3, nbytes=1)
-        tier.put("beta", "b2", 4, nbytes=1)  # pushes a0 (global LRU) out
-        assert tier.info()["entries"] == 4
-        assert tier.get("alpha", "a0") is None
-        # The eviction is attributed to the namespace that lost the plan.
-        assert METRICS.counter("tier_gent.alpha.evict") == 1
-        assert METRICS.counter("tier_gent.beta.evict") == 0
-
-    def test_max_bytes_evicts_until_under_budget(self):
-        tier = fresh_tier("tier_gbyte")
-        tier.set_budget(max_bytes=100)
-        tier.put("alpha", "big0", "x", nbytes=60)
-        tier.put("alpha", "big1", "y", nbytes=60)  # 120 > 100: big0 leaves
-        info = tier.info()
-        assert info["entries"] == 1
-        assert info["bytes"] == 60
-        assert tier.get("alpha", "big1") == "y"
-
-    def test_set_budget_returns_previous_and_lifts_with_none(self):
-        tier = fresh_tier("tier_knob")
-        assert tier.set_budget(max_entries=8, max_bytes=1000) == (None, None)
-        assert tier.set_budget(max_entries=None) == (8, 1000)
-        assert tier.info()["budget"] == {"max_entries": None, "max_bytes": 1000}
-
-    def test_budget_validation(self):
-        tier = fresh_tier("tier_val")
+    def test_limit_must_be_positive(self):
         with pytest.raises(ValueError, match=">= 1"):
-            tier.set_budget(max_entries=0)
-        with pytest.raises(ValueError, match=">= 1"):
-            tier.set_budget(max_bytes=-5)
+            PlanCacheTier(limit=0)
 
 
 class TestKnobs:
-    def test_set_namespace_limit_returns_previous_and_trims(self):
-        tier = fresh_tier("tier_limit")
-        for i in range(3):
-            tier.put("alpha", f"fp{i}", i, nbytes=1)
-        assert tier.set_namespace_limit("alpha", 1) == 3
-        assert tier.namespace_info("alpha")["entries"] == 1
-        assert tier.get("alpha", "fp2") == 2  # most recent survives
-        with pytest.raises(ValueError, match=">= 1"):
-            tier.set_namespace_limit("alpha", 0)
-
     def test_clear_fires_no_evict_counters(self):
-        tier = fresh_tier("tier_clear")
-        tier.put("alpha", "a", 1, nbytes=5)
-        tier.put("beta", "b", 2, nbytes=5)
-        assert tier.clear("alpha") == 1
-        assert tier.get("beta", "b") == 2
-        assert tier.clear() == 1
+        tier = PlanCacheTier()
+        before = counters("evict", "evict.retired")
+        tier.put("a", 1, nbytes=5)
+        tier.put("b", 2, nbytes=5)
+        assert tier.clear() == 2
         info = tier.info()
         assert info["entries"] == 0 and info["bytes"] == 0
-        assert METRICS.counter("tier_clear.alpha.evict") == 0
-        assert METRICS.counter("tier_clear.beta.evict") == 0
+        assert grown(before) == {"evict": 0, "evict.retired": 0}
+
+    def test_evict_fingerprint_counts_retired(self):
+        tier = PlanCacheTier()
+        before = counters("evict", "evict.retired")
+        tier.put("a", 1, nbytes=5)
+        tier.put("b", 2, nbytes=7)
+        assert tier.evict_fingerprint("a") == 1
+        assert tier.evict_fingerprint("a") == 0
+        assert tier.info()["bytes"] == 7
+        assert grown(before) == {"evict": 0, "evict.retired": 1}
 
 
 class TestInfoShape:
     def test_info_shape(self):
-        tier = fresh_tier("tier_shape")
-        tier.put("alpha", "fp", "plan", nbytes=12)
+        tier = PlanCacheTier(limit=9)
+        tier.put("fp", "plan", nbytes=12)
+        tier.put("fp", "plan", nbytes=20)  # a refresh replaces the bytes
         info = tier.info()
-        assert set(info) == {"entries", "bytes", "budget", "namespaces"}
-        assert set(info["budget"]) == {"max_entries", "max_bytes"}
-        assert set(info["namespaces"]) == {"alpha", "beta"}
-        assert set(info["namespaces"]["alpha"]) == {
+        assert set(info) == {
             "entries",
             "bytes",
             "limit",
+            "hits_identity",
             "hits_structural",
             "misses",
             "evictions",
             "retired",
         }
-        assert info["namespaces"]["alpha"]["bytes"] == 12
+        assert (info["entries"], info["bytes"], info["limit"]) == (1, 20, 9)
 
 
 class TestPlanNbytes:
@@ -183,6 +113,39 @@ class TestPlanNbytes:
         assert plan_nbytes({"a": 1, "b": "text"}) == 64
 
 
-class TestSharedSingleton:
-    def test_engine_namespaces_are_registered(self):
-        assert {"int64", "native"} <= set(PLAN_CACHE.namespaces())
+class TestRuntimeSurface:
+    def test_cache_info_is_the_unified_record(self):
+        info = runtime.cache_info()
+        assert set(info) == {"plan", "result", "native_mode", "numba_available"}
+        assert {"entries", "bytes", "limit", "misses"} <= set(info["plan"])
+        assert {"hits", "misses", "evictions"} <= set(info["result"])
+
+    def test_clear_caches_empties_both_tiers(self):
+        from repro.network.builder import NetworkBuilder
+        from repro.network.compile_plan import compile_plan
+        from repro.runtime.result_cache import RESULT_CACHE
+
+        b = NetworkBuilder("clear")
+        b.output("y", b.inc(b.input("x"), 1))
+        compile_plan(b.build())
+        RESULT_CACHE.put("fp-clear", "digest", (1, 2))
+        runtime.clear_caches()
+        assert RESULT_CACHE.get("fp-clear", "digest") is None
+        assert runtime.cache_info()["plan"]["entries"] == 0
+
+    def test_pool_and_library_share_one_plan(self):
+        from repro.ir import lower, optimize_program
+        from repro.network import evaluate_batch
+        from repro.serve.demo import demo_column
+        from repro.serve.pool import InlineWorkerPool
+        from repro.serve.registry import ModelRegistry
+
+        runtime.clear_caches(results=False)
+        registry = ModelRegistry()
+        entry = registry.register(demo_column(0, smoke=True)[0], name="demo")
+        InlineWorkerPool(registry.documents())
+        program, _report = optimize_program(lower(entry.network))
+        evaluate_batch(program, [(0,) * entry.input_arity])
+        assert program.fingerprint() != entry.model_id
+        assert runtime.cache_info()["plan"]["entries"] == 1
+        assert PLAN_CACHE.evict_fingerprint(program.fingerprint()) == 1

@@ -18,17 +18,17 @@ class TestStockRegistry:
             "compiled-batch",
             "event-driven",
             "grl-circuit",
-            "native",
         ]
 
     def test_serving_keys_are_the_batchable_engines(self):
-        assert ENGINES.serving_keys() == ["int64", "native"]
+        assert ENGINES.serving_keys() == ["int64"]
 
     def test_key_aliases_resolve_to_names(self):
         assert ENGINES.canonical("int64") == "compiled-batch"
         assert ENGINES.canonical("event") == "event-driven"
         assert ENGINES.canonical("grl") == "grl-circuit"
-        assert ENGINES.canonical("native") == "native"
+        with pytest.raises(ValueError, match="unknown engine 'native'"):
+            ENGINES.canonical("native")
 
     def test_unknown_engine_raises_with_known_list(self):
         with pytest.raises(ValueError, match="unknown engine 'tpu'"):
@@ -50,8 +50,6 @@ class TestStockRegistry:
     def test_capability_flags(self):
         by_name = {e.name: e for e in ENGINES.create_all()}
         assert by_name["compiled-batch"].capabilities.batchable
-        assert by_name["native"].capabilities.batchable
-        assert by_name["native"].capabilities.supports_trace_replay
         assert not by_name["interpreted"].capabilities.batchable
         grl = by_name["grl-circuit"].capabilities
         assert grl.cycle_accurate
@@ -59,23 +57,22 @@ class TestStockRegistry:
 
     def test_describe_shape(self):
         records = ENGINES.describe()
-        assert len(records) == 5
+        assert len(records) == 4
         for record in records:
             assert {"name", "key", "available", "capabilities"} <= set(record)
-        native = next(r for r in records if r["name"] == "native")
-        assert "mode" in native and "numba_available" in native
+        batch = next(r for r in records if r["name"] == "compiled-batch")
+        assert "mode" in batch and "numba_available" in batch
 
 
 class TestResolve:
-    def test_auto_prefers_the_last_available_batchable_engine(self):
+    def test_auto_resolves_to_the_one_batch_engine(self):
         engine = ENGINES.resolve(AUTO)
-        # Native runs in numpy mode everywhere, so auto lands on it.
-        assert engine.key == "native"
+        assert (engine.name, engine.key) == ("compiled-batch", "int64")
         assert engine.available() is None
 
     def test_explicit_key_pins_the_engine(self):
         assert ENGINES.resolve("int64").name == "compiled-batch"
-        assert ENGINES.resolve("native").name == "native"
+        assert ENGINES.resolve("compiled-batch").key == "int64"
 
     def test_non_batchable_engine_is_rejected(self):
         with pytest.raises(ValueError, match="not batchable"):
@@ -83,23 +80,25 @@ class TestResolve:
         with pytest.raises(ValueError, match="not batchable"):
             ENGINES.resolve("grl")
 
-    def test_auto_respects_max_batch_caps(self):
+    def test_auto_needs_exactly_one_batchable_engine(self):
         registry = EngineRegistry()
 
-        class TinyEngine(BackendEngine):
-            name = "tiny"
-            key = "tiny"
-            capabilities = EngineCapabilities(batchable=True, max_batch=4)
-
-        class WideEngine(BackendEngine):
-            name = "wide"
-            key = "wide"
+        class FirstEngine(BackendEngine):
+            name = "first"
+            key = "first"
             capabilities = EngineCapabilities(batchable=True)
 
-        registry.register(WideEngine)
-        registry.register(TinyEngine)  # last registered: auto's favourite
-        assert registry.resolve(AUTO, batch_size=2).name == "tiny"
-        assert registry.resolve(AUTO, batch_size=64).name == "wide"
+        class SecondEngine(FirstEngine):
+            name = "second"
+            key = "second"
+
+        with pytest.raises(ValueError, match="exactly one"):
+            registry.resolve(AUTO)
+        registry.register(FirstEngine)
+        assert registry.resolve(AUTO).name == "first"
+        registry.register(SecondEngine)
+        with pytest.raises(ValueError, match="exactly one"):
+            registry.resolve(AUTO)
 
 
 class TestRegistration:

@@ -106,7 +106,7 @@ class TestWorkerBody:
             parent.send(("load", network.fingerprint(), serialize.dumps(network)))
             op, model_id, warmups = parent.recv()
             assert (op, model_id) == ("loaded", network.fingerprint())
-            assert warmups["int64"] == warmups["native"] == 2
+            assert warmups == {"int64": 2}
             matrix = encoded_volleys(network, [(1, 2)])
             parent.send(("eval", 2, network.fingerprint(), matrix, {}))
             op, _job, result = parent.recv()
@@ -248,18 +248,18 @@ class TestEngines:
         try:
             ready = parent.recv()
             assert ready[0] == "ready"
-            assert ready[3] == {"int64": 1, "native": 1}
+            assert ready[3] == {"int64": 1}
         finally:
             parent.send(("stop",))
             thread.join(timeout=5)
 
-    def test_worker_int64_engine_matches_native(self, registry, model_id):
+    def test_worker_auto_and_int64_policies_agree(self, registry, model_id):
         from repro.core.value import INF
 
         network = registry.resolve("demo").network
         matrix = encoded_volleys(network, [(0, 1), (2, 3), (INF, 0)])
         results = {}
-        for engine in ("native", "int64"):
+        for engine in ("auto", "int64"):
             parent, child = mp.Pipe(duplex=True)
             thread = threading.Thread(
                 target=_worker_main,
@@ -276,9 +276,9 @@ class TestEngines:
             finally:
                 parent.send(("stop",))
                 thread.join(timeout=5)
-        np.testing.assert_array_equal(results["native"], results["int64"])
+        np.testing.assert_array_equal(results["auto"], results["int64"])
         np.testing.assert_array_equal(
-            results["native"], evaluate_batch(network, matrix)
+            results["auto"], evaluate_batch(network, matrix)
         )
 
     def test_bad_engine_rejected(self, registry):
@@ -289,8 +289,8 @@ class TestEngines:
 
     def test_inline_pool_warmups_and_engine(self, registry):
         pool = InlineWorkerPool(registry.documents())
-        assert pool.engine == "native"
-        assert pool.warmups() == [{"int64": 1, "native": 1}]
+        assert pool.engine == "int64"
+        assert pool.warmups() == [{"int64": 1}]
 
 
 class TestInlinePool:

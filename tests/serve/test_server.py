@@ -82,7 +82,8 @@ class TestOps:
         async def session(reader, writer, service):
             reply = await request(reader, writer, {"op": "metrics"})
             assert reply["ok"]
-            assert "serve" in reply and "plan_cache" in reply
+            assert "serve" in reply and "cache" in reply
+            assert "plan_cache" not in reply
             assert "batch_size" in reply["serve"]
 
         run_session(session)

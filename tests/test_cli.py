@@ -92,10 +92,11 @@ class TestCli:
     def test_stats_json(self, capsys):
         assert main(["stats", "--exercise", "--plan-cache", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert "metrics" in payload and "plan_cache" in payload
+        assert "metrics" in payload and "cache" in payload
+        assert "plan_cache" not in payload
         assert payload["metrics"]["counters"]["evaluate_batch.calls"] >= 1
         for key in ("hits_identity", "hits_structural", "misses"):
-            assert key in payload["plan_cache"]
+            assert key in payload["cache"]["plan"]
 
     def test_stats_json_includes_serve_section(self, capsys):
         assert main(["stats", "--json"]) == 0
@@ -190,13 +191,12 @@ class TestCli:
         assert main(["kernels", "--demo", "latch"]) == 0
         out = capsys.readouterr().out
         assert "kernel latch" in out
-        assert "byte-identical across 5 backend(s)" in out
+        assert "byte-identical across 4 backend(s)" in out
         for backend in (
             "interpreted",
             "compiled-batch",
             "event-driven",
             "grl-circuit",
-            "native",
         ):
             assert backend in out
         assert "function-table contract" in out
@@ -205,7 +205,7 @@ class TestCli:
     def test_kernels_demo_no_grl(self, capsys):
         assert main(["kernels", "--demo", "router", "--no-grl"]) == 0
         out = capsys.readouterr().out
-        assert "byte-identical across 4 backend(s)" in out
+        assert "byte-identical across 3 backend(s)" in out
 
     def test_kernels_demo_unknown_name(self, capsys):
         assert main(["kernels", "--demo", "bogus"]) == 2

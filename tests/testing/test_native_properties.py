@@ -1,13 +1,13 @@
-"""Property suite: the native backend equals the compiled batch engine.
+"""Property suite: both batch executors equal the interpreted reference.
 
 One Hypothesis property per seeded generator family (layered DAG, SRM0
 sorting-network neuron, τ-WTA inhibition, micro-weight programmable
 synapse), each evaluated over the adversarial volley batch — all-∞,
 all-ties, 0/∞ checkerboard, MAX_FINITE-pinned and near-sentinel rows —
-in both execution strategies (fused NumPy and the row-interpreter
-encoding the Numba path runs).  Plus the fault-injection self-check
-with the native oracle as the victim: adding a fifth backend must not
-cost the harness its teeth.
+in both executors of the compiled plan (fused NumPy kernels and the
+row-interpreter encoding the Numba path runs).  Plus the
+fault-injection self-check, whose plan-reorder mutant corrupts the
+kernel schedule both executors share.
 """
 
 import os
@@ -17,9 +17,9 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.native import evaluate_batch_native
 from repro.native import jit as native_jit
-from repro.network.compile_plan import evaluate_batch
+from repro.network.compile_plan import INF_I64, evaluate_batch
+from repro.network.simulator import evaluate_all_interpreted
 from repro.neuron.response import ResponseFunction
 from repro.neuron.srm0 import SRM0Neuron
 from repro.neuron.srm0_network import build_srm0_network
@@ -39,10 +39,23 @@ SETTINGS = settings(
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 
+def interpreted(network, volleys, params=None):
+    """Reference outputs, sentinel-saturated like the batch engine's."""
+    rows = []
+    for volley in volleys:
+        values = evaluate_all_interpreted(
+            network, dict(zip(network.input_names, volley)), params=params
+        )
+        rows.append(
+            [min(INF_I64, values[i]) for i in network.outputs.values()]
+        )
+    return np.asarray(rows, dtype=np.int64)
+
+
 def assert_native_matches(network, volleys, params=None):
-    """Both native strategies must equal the compiled engine exactly."""
-    expected = evaluate_batch(network, list(volleys), params=params)
-    got = evaluate_batch_native(network, list(volleys), params=params)
+    """Both executors must equal the interpreted reference exactly."""
+    expected = interpreted(network, volleys, params=params)
+    got = evaluate_batch(network, list(volleys), params=params)
     np.testing.assert_array_equal(got, expected)
     # The row-interpreter path (what Numba compiles); explicit
     # save/restore because Hypothesis forbids function-scoped fixtures.
@@ -51,7 +64,7 @@ def assert_native_matches(network, volleys, params=None):
     native_jit.NUMBA_AVAILABLE = True
     os.environ["REPRO_NATIVE"] = "numba"
     try:
-        rows = evaluate_batch_native(network, list(volleys), params=params)
+        rows = evaluate_batch(network, list(volleys), params=params)
     finally:
         native_jit.NUMBA_AVAILABLE = previous_flag
         if previous_env is None:
@@ -129,32 +142,23 @@ class TestFamilies:
 class TestFaultSelfCheckWithNativeOracle:
     def test_all_five_classes_detected(self):
         from repro.testing.conformance import run_fault_selfcheck
-        from repro.testing.faults import (
-            NativeKernelReorderOracle,
-            fault_classes,
-        )
-        from repro.testing.oracles import NativeOracle
+        from repro.testing.faults import fault_classes
 
         report = run_fault_selfcheck(
-            0,
-            classes=fault_classes(
-                NativeOracle, plan_reorder=NativeKernelReorderOracle
-            ),
-            smoke=True,
-            shrink=False,
+            0, classes=fault_classes(), smoke=True, shrink=False
         )
         assert report.ok
         assert len(report.detections) == 5
         assert all(d.detected for d in report.detections)
 
     def test_native_reorder_oracle_diverges(self):
-        from repro.testing.faults import NativeKernelReorderOracle
-        from repro.testing.oracles import NativeOracle
+        from repro.testing.faults import PlanReorderOracle
+        from repro.testing.oracles import CompiledBatchOracle
 
         network = random_layered_network(seed=11, n_layers=3, width=4)
-        assert NativeKernelReorderOracle().supports_network(network) is None
+        assert PlanReorderOracle().supports_network(network) is None
         rng = random.Random(11)
         volleys = adversarial_volleys(len(network.input_names), rng=rng)
-        healthy = NativeOracle().run(network, list(volleys))
-        corrupt = NativeKernelReorderOracle().run(network, list(volleys))
+        healthy = CompiledBatchOracle().run(network, list(volleys))
+        corrupt = PlanReorderOracle().run(network, list(volleys))
         assert healthy != corrupt

@@ -50,13 +50,12 @@ class TestSaturation:
 
 
 class TestRegistry:
-    def test_five_stock_backends(self):
+    def test_four_stock_backends(self):
         assert oracle_names() == [
             "interpreted",
             "compiled-batch",
             "event-driven",
             "grl-circuit",
-            "native",
         ]
 
     def test_default_oracles_fresh_instances(self):
@@ -67,7 +66,7 @@ class TestRegistry:
     def test_include_grl_toggle(self):
         names = [o.name for o in default_oracles(include_grl=False)]
         assert "grl-circuit" not in names
-        assert len(names) == 4
+        assert len(names) == 3
 
 
 class TestStockOracles:
