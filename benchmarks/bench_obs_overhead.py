@@ -86,13 +86,11 @@ def baseline_run(plan: CompiledPlan, matrix: np.ndarray) -> np.ndarray:
     but no sink check, no executor-mode read, no profiling flag and no
     counters, so the diff isolates the hook cost and nothing else.
     """
-    batch = matrix.shape[0]
-    buffers = plan._acquire("cols", batch)
-    arena, s1, s2, mask = buffers
+    scratch, arena, s1, s2, mask = plan._acquire("cols", matrix.shape[0])
     arena[: plan.n_inputs] = matrix.T
     _execute_kernels(plan.kernels, arena, s1, s2, mask)
     out = np.ascontiguousarray(arena[plan.out_cols].T)
-    plan._release("cols", batch, buffers)
+    plan._release(scratch)
     return out
 
 

@@ -32,7 +32,7 @@ Compilation
   occupy contiguous row ranges.  The input scatter is one transposed
   copy, every kernel writes one contiguous slice, and constant rows
   (the lattice identities ``∞`` and ``0`` of zero-source ``min``/``max``)
-  are filled once when the arena is allocated;
+  are filled only when the arena's shape changes;
 * **one kernel per (level, kind)** — nodes at equal level can never
   depend on each other, so each level's ``inc`` nodes become one
   gather + clamp + add, its ``lt`` nodes one compare + masked copy, and
@@ -40,9 +40,9 @@ Compilation
   Mixed-arity ``min``/``max`` groups are padded to a rectangle by
   repeating each node's first source: both operations are idempotent,
   so ``min(a, b, a) = min(a, b)``, and every reduction has one shape;
-* **recycled scratch** — arenas and gather buffers are kept per batch
-  size in a small thread-safe free-list, so steady-state runs allocate
-  only their output matrix.
+* **one grow-only scratch set** — every batch size runs on a contiguous
+  prefix of the same flat arena and gather buffers, kept in a small
+  thread-safe free-list, so steady-state runs allocate only their output.
 
 The same plan has a second executor: with ``REPRO_NATIVE=numba`` (or
 ``auto`` when Numba is importable) it runs through the row-parallel
@@ -242,7 +242,7 @@ _Kernel = Union[_IncKernel, _ReduceKernel, _LtKernel]
 
 @dataclass(frozen=True)
 class _ConstFill:
-    """A run of lattice-identity rows, filled once at arena allocation."""
+    """A run of lattice-identity rows, filled when the arena shape changes."""
 
     lo: int
     hi: int
@@ -304,8 +304,8 @@ def _execute_kernels(kernels, arena, s1, s2, mask, profiling=False) -> None:
             )
 
 
-#: Recycled buffer sets kept per (layout, batch) key; beyond this the
-#: buffers are dropped rather than pooled (burst protection).
+#: Scratch sets a plan's free-list keeps; beyond this, released sets are
+#: dropped rather than pooled (burst protection).
 _POOL_DEPTH = 4
 
 
@@ -395,7 +395,7 @@ class CompiledPlan:
                     )
                 )
                 max_gather = max(max_gather, hi - lo)
-            else:  # const-inf / const-zero: filled at arena allocation
+            else:  # const-inf / const-zero: filled by _acquire
                 identity = CONST_IDENTITY[kind]
                 value = INF_I64 if isinstance(identity, Infinity) else int(identity)
                 const_fills.append(_ConstFill(lo=lo, hi=hi, value=value))
@@ -404,7 +404,7 @@ class CompiledPlan:
         self.max_gather = max_gather
         self.out_cols = perm[self.output_ids]
 
-        self._pool: dict[tuple[str, int], list] = {}
+        self._pool: list[list] = []
         self._pool_lock = threading.Lock()
         self._flat: Optional[tuple[np.ndarray, ...]] = None
 
@@ -431,38 +431,41 @@ class CompiledPlan:
             lines.append(line)
         return "\n".join(lines)
 
-    # -- buffer pool -----------------------------------------------------------
+    # -- scratch pool ----------------------------------------------------------
     def _acquire(self, layout: str, batch: int):
-        """A buffer set for *layout* (``cols``/``rows``) and batch size.
+        """Borrow a scratch set; return it, its arena and ``s1``/``s2``/``mask``.
 
-        Constant rows are filled at allocation and never overwritten by
-        any kernel, so recycled buffers need no refill; inputs, params,
-        and every kernel target slice are rewritten each run.
+        A set is ``[arena, s1, s2, mask, shape]``: flat buffers, replaced
+        by exactly sized ones only when *batch* outgrows them, so every
+        batch size runs on a contiguous prefix.  No kernel writes const
+        rows, so they are refilled only when ``(layout, batch)`` changes.
         """
-        key = (layout, batch)
         with self._pool_lock:
-            stack = self._pool.get(key)
-            if stack:
-                return stack.pop()
-        if layout == "cols":
-            arena = np.empty((self.n_cols, batch), dtype=np.int64)
+            scratch = self._pool.pop() if self._pool else None
+        size, gather = self.n_cols * batch, self.max_gather * batch
+        if scratch is None or scratch[0].size < size or scratch[1].size < gather:
+            scratch = [np.empty(size, np.int64), np.empty(gather, np.int64),
+                       np.empty(gather, np.int64), np.empty(gather, bool), None]
+            _obs_metrics.METRICS.inc("plan.scratch.allocs")
+            _obs_metrics.METRICS.observe_max(
+                "plan.scratch_bytes", sum(buf.nbytes for buf in scratch[:4])
+            )
+        if layout == "rows":  # batch-major; const rows are filled through .T
+            arena = scratch[0][:size].reshape(batch, self.n_cols)
+            node_major = arena.T
+        else:
+            arena = node_major = scratch[0][:size].reshape(self.n_cols, batch)
+        if scratch[4] != (layout, batch):
             for fill in self.const_fills:
-                arena[fill.lo:fill.hi] = fill.value
-            s1 = np.empty((self.max_gather, batch), dtype=np.int64)
-            s2 = np.empty((self.max_gather, batch), dtype=np.int64)
-            mask = np.empty((self.max_gather, batch), dtype=bool)
-            return (arena, s1, s2, mask)
-        arena = np.empty((batch, self.n_cols), dtype=np.int64)
-        for fill in self.const_fills:
-            arena[:, fill.lo:fill.hi] = fill.value
-        return (arena,)
+                node_major[fill.lo:fill.hi] = fill.value
+            scratch[4] = (layout, batch)
+        gathers = [buf[:gather].reshape(self.max_gather, batch) for buf in scratch[1:4]]
+        return (scratch, arena, *gathers)
 
-    def _release(self, layout: str, batch: int, buffers) -> None:
-        key = (layout, batch)
+    def _release(self, scratch) -> None:
         with self._pool_lock:
-            stack = self._pool.setdefault(key, [])
-            if len(stack) < _POOL_DEPTH:
-                stack.append(buffers)
+            if len(self._pool) < _POOL_DEPTH:
+                self._pool.append(scratch)
 
     # -- execution -------------------------------------------------------------
     def _flat_instructions(self) -> tuple[np.ndarray, ...]:
@@ -509,17 +512,14 @@ class CompiledPlan:
         batch = matrix.shape[0]
         n_in, n_par = self.n_inputs, self.n_params
         if _jit.native_mode() == "numba":
-            buffers = self._acquire("rows", batch)
-            arena = buffers[0]
+            scratch, arena, *_ = self._acquire("rows", batch)
             arena[:, :n_in] = matrix
             if n_par:
                 arena[:, n_in:n_in + n_par] = param_vector
             _jit.run_rows(arena, *self._flat_instructions())
             out = arena[:, gather_rows]
-            self._release("rows", batch, buffers)
         else:
-            buffers = self._acquire("cols", batch)
-            arena, s1, s2, mask = buffers
+            scratch, arena, s1, s2, mask = self._acquire("cols", batch)
             arena[:n_in] = matrix.T
             if n_par:
                 arena[n_in:n_in + n_par] = param_vector[:, np.newaxis]
@@ -528,7 +528,7 @@ class CompiledPlan:
                 _obs_profile.profiling_enabled(),
             )
             out = np.ascontiguousarray(arena[gather_rows].T)
-            self._release("cols", batch, buffers)
+        self._release(scratch)
         _obs_metrics.METRICS.inc("plan.runs")
         return out
 

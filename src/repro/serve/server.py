@@ -46,6 +46,11 @@ from .protocol import (
 from .service import TNNService
 
 
+#: Longest request line the front end frames (asyncio's default limit);
+#: a longer one gets a ``bad-request`` reply and the connection closes.
+MAX_LINE_BYTES = 2**16
+
+
 async def _write_line(
     writer: asyncio.StreamWriter, lock: asyncio.Lock, data: bytes
 ) -> None:
@@ -284,7 +289,17 @@ async def _handle_connection(
     tasks: set[asyncio.Task] = set()
     try:
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:  # the line overran the stream limit: unframeable
+                await _write(
+                    writer,
+                    lock,
+                    error_response(
+                        None, E_BAD_REQUEST, f"line exceeds {MAX_LINE_BYTES} bytes"
+                    ),
+                )
+                break
             if not line:
                 break
             if not line.strip():
@@ -354,6 +369,8 @@ async def _handle_connection(
                     writer, lock, {"ok": True, "status": "shutting-down"}
                 )
                 shutdown.set()
+    except ConnectionResetError:
+        pass  # the client went away; nobody is left to answer
     finally:
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
@@ -415,7 +432,9 @@ async def run_server_async(
                 _dump_flight(f"trip:{reason}")
                 seen = sum(_rtrace.FLIGHT.stats()["trips"].values())
 
-    server = await asyncio.start_server(_on_connection, host=host, port=port)
+    server = await asyncio.start_server(
+        _on_connection, host=host, port=port, limit=MAX_LINE_BYTES
+    )
     bound_port = server.sockets[0].getsockname()[1]
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGINT, signal.SIGTERM):

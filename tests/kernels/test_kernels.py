@@ -59,7 +59,7 @@ def tlt(a, b):
     return a if (b is INF or a < b) else INF
 
 
-class TestFiveBackendByteIdentity:
+class TestFourBackendByteIdentity:
     """The acceptance criterion: every shipped kernel, every variant,
     every registered backend."""
 

@@ -4,9 +4,12 @@ The compiled plan is specified by the interpreted evaluator: on every
 network and every encoded volley matrix the two must agree exactly —
 the cross-family property sweep lives in
 ``tests/testing/test_native_properties.py``; here the unit tests pin
-the kernel lowering, the executor switch (``REPRO_NATIVE``), the buffer
+the kernel lowering, the executor switch (``REPRO_NATIVE``), the scratch
 pool, the plan cache, and the trace semantics.
 """
+
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -191,18 +194,81 @@ class TestExecution:
         assert decode_matrix(evaluate_batch(net, [(4,)], params={"w": INF})) == [(4,)]
         assert decode_matrix(evaluate_batch(net, [(4,)], params={"w": 0})) == [(0,)]
 
-    def test_buffer_pool_recycles(self):
-        plan = CompiledPlan(diamond())
-        matrix = np.zeros((3, 2), dtype=np.int64)
-        plan.outputs(matrix)
-        assert len(plan._pool[("cols", 3)]) == 1
-        plan.outputs(matrix)  # reuses the pooled set, returns it again
-        assert len(plan._pool[("cols", 3)]) == 1
-
     def test_warm_counts(self):
         reset_metrics()
         CompiledPlan(diamond()).warm()
         assert METRICS.counter("plan.warmups") == 1
+
+
+def random_matrix(batch, arity, seed):
+    """A seeded encoded volley matrix with some silent (``∞``) lines."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.integers(0, 9, size=(batch, arity), dtype=np.int64)
+    matrix[rng.random((batch, arity)) < 0.25] = INF_I64
+    return matrix
+
+
+class TestScratchPool:
+    """Every batch size runs on a prefix of one grow-only scratch set."""
+
+    def test_sweep_keeps_one_set_sized_for_the_largest_batch(self):
+        plan = CompiledPlan(ragged_net())
+        reset_metrics()
+        for batch in range(1, 65):
+            plan.outputs(random_matrix(batch, 3, batch))
+        [scratch] = plan._pool
+        assert scratch[0].size == plan.n_cols * 64
+        assert scratch[1].size == plan.max_gather * 64
+        assert METRICS.maximum("plan.scratch_bytes") == sum(
+            buf.nbytes for buf in scratch[:4]
+        )
+        allocs = METRICS.counter("plan.scratch.allocs")
+        for batch in range(1, 65):
+            plan.outputs(random_matrix(batch, 3, batch))
+        assert METRICS.counter("plan.scratch.allocs") == allocs
+        assert plan._pool == [scratch]
+
+    @pytest.mark.parametrize("mode", ["numpy", "numba"])
+    def test_interleaved_batch_sizes_match_interpreted(self, mode, monkeypatch):
+        # ragged_net has const-0 and const-∞ rows, which sit at different
+        # flat offsets for every batch size and layout.  "numba" selects
+        # the row layout (the pure-Python interpreter without Numba).
+        monkeypatch.setattr(native_jit, "native_mode", lambda: mode)
+        net = ragged_net()
+        plan = CompiledPlan(net)
+        for step, batch in enumerate((5, 3, 64, 1, 5)):
+            matrix = random_matrix(batch, 3, step)
+            np.testing.assert_array_equal(
+                plan.outputs(matrix), interpreted(net, decode_matrix(matrix))
+            )
+
+    def test_layouts_alternate_on_one_set(self, monkeypatch):
+        net = ragged_net()
+        plan = CompiledPlan(net)
+        matrix = random_matrix(5, 3, 0)
+        expected = interpreted(net, decode_matrix(matrix))
+        for mode in ("numpy", "numba", "numpy", "numba"):
+            monkeypatch.setattr(native_jit, "native_mode", lambda: mode)
+            np.testing.assert_array_equal(plan.outputs(matrix), expected)
+        assert len(plan._pool) == 1
+
+    def test_concurrent_batch_sizes_are_byte_identical(self):
+        program, _report = optimize_program(lower(ragged_net()))
+        plan = CompiledPlan(program)
+        sizes = (1, 7, 32, 64)
+        matrices = {batch: random_matrix(batch, 3, batch) for batch in sizes}
+        expected = {batch: plan.outputs(m).tobytes() for batch, m in matrices.items()}
+        barrier = threading.Barrier(len(sizes))
+
+        def hammer(batch):
+            barrier.wait()
+            return [plan.outputs(matrices[batch]).tobytes() for _ in range(200)]
+
+        with ThreadPoolExecutor(len(sizes)) as pool:
+            results = dict(zip(sizes, pool.map(hammer, sizes)))
+        for batch in sizes:
+            assert set(results[batch]) == {expected[batch]}
+        assert 1 <= len(plan._pool) <= 4
 
 
 class TestTrace:

@@ -296,6 +296,9 @@ class TestProcessPoolTracing:
             assert len(snapshots) == 1
             [snap] = snapshots
             assert snap["pid"] and snap["counters"]
+            # The worker's scratch memory is visible from the frontend.
+            assert snap["counters"]["plan.scratch.allocs"] >= 1
+            assert snap["maxima"]["plan.scratch_bytes"] > 0
         finally:
             service.close()
 

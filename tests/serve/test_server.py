@@ -11,7 +11,7 @@ from repro.serve.demo import demo_column
 from repro.serve.pool import InlineWorkerPool
 from repro.serve.protocol import PROTOCOL, canonical, encode_line, eval_request, ok_response
 from repro.serve.registry import ModelRegistry
-from repro.serve.server import run_server_async
+from repro.serve.server import MAX_LINE_BYTES, _handle_connection, run_server_async
 from repro.serve.service import TNNService
 
 
@@ -155,6 +155,59 @@ class TestEval:
             assert reply["ok"]
 
         run_session(session)
+
+
+class TestWireHardening:
+    def test_oversized_line_gets_typed_error_and_server_survives(self):
+        async def main():
+            service = make_service()
+            ready = asyncio.get_running_loop().create_future()
+            server_task = asyncio.ensure_future(
+                run_server_async(service, port=0, ready=ready)
+            )
+            port = await ready
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            for i in range(3):  # in flight when the long line arrives
+                writer.write(encode_line(eval_request(i, "demo", (i, 0))))
+            writer.write(b'{"op": "health", "pad": "' + b"x" * 70 * 1024 + b'"}\n')
+            await writer.drain()
+            # The server answers the evals and the long line, then closes.
+            replies = [json.loads(line) for line in (await reader.read()).splitlines()]
+            writer.close()
+            [error] = [reply for reply in replies if not reply["ok"]]
+            assert error["code"] == "bad-request" and error["id"] is None
+            assert error["error"] == f"line exceeds {MAX_LINE_BYTES} bytes"
+            assert sorted(reply["id"] for reply in replies if reply["ok"]) == [0, 1, 2]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            health = await request(reader, writer, {"op": "health"})
+            assert health["ok"] and health["pending"] == 0
+            assert service.pending() == 0
+            await request(reader, writer, {"op": "shutdown"})
+            writer.close()
+            await asyncio.wait_for(server_task, timeout=15)
+
+        asyncio.run(main())
+
+    def test_connection_reset_ends_quietly(self):
+        class ResetReader:
+            async def readline(self):
+                raise ConnectionResetError("peer reset")
+
+        class Writer:
+            closed = False
+
+            def close(self):
+                self.closed = True
+
+            async def wait_closed(self):
+                pass
+
+        async def main():
+            writer = Writer()
+            await _handle_connection(None, ResetReader(), writer, asyncio.Event())
+            return writer
+
+        assert asyncio.run(main()).closed
 
 
 class TestLifecycle:
