@@ -192,12 +192,12 @@ def measure_serve(*, smoke=False, sweeps=10):
     import gc
 
     from repro.obs import rtrace
+    from repro.obs.metrics import reset_metrics
     from repro.serve.batcher import BatchPolicy
     from repro.serve.demo import demo_column, demo_volleys
     from repro.serve.pool import InlineWorkerPool, ProcessWorkerPool
     from repro.serve.registry import ModelRegistry
     from repro.serve.service import TNNService
-    from repro.serve.stats import reset_serve_stats
 
     n_requests = 256 if smoke else 4096
     n_workers = 0 if smoke else 4  # 0 ⇒ inline pool
@@ -257,7 +257,7 @@ def measure_serve(*, smoke=False, sweeps=10):
         service.close()
         gc.unfreeze()
         rtrace.FLIGHT.clear()
-        reset_serve_stats()
+        reset_metrics()
 
     t_off = min(times["untraced"])
     t_on = min(times["traced"])

@@ -36,12 +36,12 @@ import threading
 import time
 from pathlib import Path
 
+from repro.obs.metrics import reset_metrics
 from repro.serve.batcher import BatchPolicy
 from repro.serve.demo import demo_column, demo_volleys
 from repro.serve.pool import ProcessWorkerPool
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import TNNService
-from repro.serve.stats import reset_serve_stats
 
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
 
@@ -90,8 +90,9 @@ def _run_config(
     concurrency: int,
 ) -> dict:
     """One grid cell: closed-loop clients against a fresh service."""
-    # SERVE_STATS is process-global; each cell reports only its own batches.
-    reset_serve_stats()
+    # The metrics registry is process-global; each cell reports only its
+    # own batches.
+    reset_metrics()
     registry = ModelRegistry()
     registry.register(network, name="bench")
     pool = ProcessWorkerPool(registry.documents(), n_workers=workers)

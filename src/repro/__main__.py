@@ -539,13 +539,25 @@ def _stats(argv: list[str]) -> int:
         run_backends(network, [volley])
 
     if args.json:
-        from .serve.stats import serve_stats_snapshot
-        from .train import training_stats_snapshot
+        from .serve.service import serve_snapshot
 
+        counter = METRICS.counter
         payload = {
             "metrics": METRICS.snapshot(),
-            "serve": serve_stats_snapshot(),
-            "training": training_stats_snapshot(),
+            "serve": serve_snapshot(),
+            # Counters outlive a training plane; the gauges read the
+            # plane live in this process, if there is one.
+            "training": {
+                "steps": counter("train.steps"),
+                "snapshots": counter("train.snapshots"),
+                "promotions": counter("train.promotions"),
+                "queue": {
+                    "accepted": counter("train.queue.accepted"),
+                    "dropped": counter("train.queue.dropped"),
+                    "depth": METRICS.gauge_value("training.queue.depth") or 0,
+                },
+                "last_accuracy": METRICS.gauge_value("training.last_accuracy"),
+            },
         }
         if args.plan_cache or args.clear_plan_cache:
             payload["cache"] = runtime.cache_info()

@@ -8,9 +8,12 @@ designed so the *disabled* path costs (almost) nothing:
   (interpreted, compiled batch, event-driven, GRL circuit) emits into;
   exports JSONL and Chrome ``chrome://tracing`` formats, and diffs two
   traces down to the first divergent node.
-* :mod:`repro.obs.metrics` — the process-wide counter/timer/high-water
-  registry (evaluations, volleys, plan-cache hits, spikes, queue depth)
-  behind ``python -m repro stats``.
+* :mod:`repro.obs.metrics` — the one process-wide metrics registry:
+  counters, timers, high-water marks, pulled gauges and labelled
+  histograms (evaluations, plan-cache hits, spikes, request latency,
+  batch sizes, queue depth), with one Prometheus text renderer and the
+  JSON snapshot behind ``python -m repro stats`` and the server's
+  ``metrics``/``metrics_text`` ops.
 * :mod:`repro.obs.profile` — opt-in wall-clock phase attribution for
   ``evaluate_batch`` and the conformance engine.
 * :mod:`repro.obs.rtrace` — request-scoped span tracing for the serving
@@ -18,12 +21,11 @@ designed so the *disabled* path costs (almost) nothing:
   bounded :class:`~repro.obs.rtrace.FlightRecorder` ring of recent
   request traces dumped on crashes, deadline misses, overload bursts,
   or ``SIGUSR2``.
-* :mod:`repro.obs.hist` — log-bucketed sliding-window latency
-  histograms (epoch rotation, outcome labels, Prometheus text
-  exposition) behind ``serve.stats`` and the ``metrics_text`` op.
+* :mod:`repro.obs.hist` — the histogram series type: lifetime bucket
+  counts for the exposition plus an epoch-rotated window for quantiles.
 """
 
-from .hist import BUCKET_BOUNDS_S, HistogramVault, LatencyHistogram
+from .hist import BUCKET_BOUNDS_S, LatencyHistogram
 from .metrics import METRICS, MetricsRegistry, reset_metrics, snapshot
 from .profile import phase, profiled, profiling_enabled
 from .rtrace import (
@@ -60,7 +62,6 @@ __all__ = [
     "BUCKET_BOUNDS_S",
     "FLIGHT",
     "FlightRecorder",
-    "HistogramVault",
     "LatencyHistogram",
     "METRICS",
     "MetricsRegistry",

@@ -1,125 +1,120 @@
-"""Log-bucketed sliding-window latency histograms.
+"""Bucketed histogram series with a sliding quantile window.
 
-The serving layer's original latency readout was a fixed-size reservoir
-of the most recent N samples — cheap, but biased two ways: a burst of
-fast requests evicts the slow tail (the window over-weights whatever
-happened last), and only *completed* requests were ever observed, so
-deadline misses and overload rejections vanished from the reported p99
-entirely.  This module replaces the reservoir with the standard fix:
+The series type behind every histogram family of the metrics registry
+(:meth:`repro.obs.metrics.MetricsRegistry.histogram`).  A series counts
+observations into fixed buckets and keeps two views of them:
 
-* **log-spaced buckets** — durations are counted into geometrically
-  spaced buckets (factor 2 from 100 µs to ~1.6 s plus an overflow
-  bucket), so one small int array covers five decades of latency and a
-  quantile is a cumulative walk with interpolation;
-* **sliding window by epoch rotation** — observations land in the
-  current epoch's array; every ``epoch_s`` seconds the oldest of
-  ``n_epochs`` arrays is recycled.  A snapshot merges all live epochs,
-  so the readout always covers between ``(n_epochs-1)·epoch_s`` and
-  ``n_epochs·epoch_s`` seconds of traffic regardless of request rate —
-  burst-proof where a sample reservoir is not;
-* **outcome labels** — every observation carries an outcome (``ok``,
-  ``deadline``, ``worker-failure``, …), so the tail of *failed* requests
-  is a first-class series instead of a blind spot.
+* **lifetime** — bucket counts, count, sum and max since the last reset;
+  monotone, so they are what the Prometheus exposition renders
+  (``le="+Inf"`` always equals ``_count``);
+* **window** — the same buckets over a sliding window by epoch rotation:
+  observations land in the current epoch's array, and every
+  :data:`EPOCH_S` seconds the oldest of :data:`N_EPOCHS` arrays is
+  recycled.  Quantiles read the window, so a readout always covers the
+  last 50–60 seconds of traffic regardless of request rate — a burst of
+  fast requests cannot evict the slow tail the way a sample reservoir's
+  would.
 
-:class:`LatencyHistogram` is one (stage, outcome) series;
-:class:`HistogramVault` is the keyed family the serving stats own, with
-a Prometheus text exposition renderer
-(:meth:`HistogramVault.prometheus_lines`) behind the server's
-``metrics_text`` op.
+Latency uses log-spaced bounds (:data:`BUCKET_BOUNDS_S`, factor 2 from
+100 µs to ~1.6 s plus an overflow bucket), so one small int array covers
+five decades and a quantile is a cumulative walk with interpolation.
 """
 
 from __future__ import annotations
 
-import threading
 from time import monotonic
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
 #: Bucket upper bounds in seconds: 100 µs · 2^k for k = 0..14, then +∞.
 #: Covers 0.1 ms .. ~1.6 s, which brackets every serving latency the
 #: benchmarks have ever recorded; slower requests land in the overflow.
 BUCKET_BOUNDS_S: tuple[float, ...] = tuple(1e-4 * (2.0 ** k) for k in range(15))
 
-#: Sliding-window defaults: 6 epochs of 10 s ⇒ the snapshot always
-#: reflects the last 50–60 seconds of traffic.
-DEFAULT_EPOCH_S = 10.0
-DEFAULT_N_EPOCHS = 6
+#: The quantile window: 6 epochs of 10 s ⇒ quantiles always reflect the
+#: last 50–60 seconds of traffic.
+EPOCH_S = 10.0
+N_EPOCHS = 6
 
 
 class LatencyHistogram:
-    """One log-bucketed latency series over a rotating epoch window.
+    """One bucketed series: lifetime counts plus a rotating epoch window.
 
-    Not thread-safe on its own — the owning :class:`HistogramVault`
-    serializes access.  ``observe`` is two comparisons, a bisect-free
-    bucket scan over 14 bounds, and one int increment; rotation is
-    amortized (a clock compare per observation, an array swap per
-    ``epoch_s``).
+    Not thread-safe on its own — the owning histogram family serializes
+    access.  ``observe`` is a clock compare, a bucket scan and a few
+    increments; rotation is amortized (an array swap per epoch).
     """
 
-    __slots__ = ("epoch_s", "_epochs", "_epoch_start", "_count", "_sum", "_max")
+    __slots__ = (
+        "bounds", "_epochs", "_epoch_start", "_lifetime", "_count", "_sum", "_max"
+    )
 
     def __init__(
-        self,
-        *,
-        epoch_s: float = DEFAULT_EPOCH_S,
-        n_epochs: int = DEFAULT_N_EPOCHS,
-        now: Optional[float] = None,
+        self, bounds: Sequence[float] = BUCKET_BOUNDS_S, *, now: Optional[float] = None
     ):
-        if epoch_s <= 0:
-            raise ValueError(f"epoch_s must be > 0, got {epoch_s}")
-        if n_epochs < 2:
-            raise ValueError(f"n_epochs must be >= 2, got {n_epochs}")
-        self.epoch_s = epoch_s
+        self.bounds = tuple(bounds)
         # _epochs[0] is current; rotation pushes a fresh array at the front.
         self._epochs: list[list[int]] = [
-            [0] * (len(BUCKET_BOUNDS_S) + 1) for _ in range(n_epochs)
+            [0] * (len(self.bounds) + 1) for _ in range(N_EPOCHS)
         ]
         self._epoch_start = monotonic() if now is None else now
-        self._count = 0  # lifetime observations (not windowed)
-        self._sum = 0.0  # lifetime seconds (not windowed)
-        self._max = 0.0  # lifetime maximum
+        self._lifetime = [0] * (len(self.bounds) + 1)
+        self._count = 0
+        self._sum = 0.0
+        self._max = 0.0
 
     def _rotate(self, now: float) -> None:
         lapsed = now - self._epoch_start
-        while lapsed >= self.epoch_s:
+        while lapsed >= EPOCH_S:
             self._epochs.pop()
-            self._epochs.insert(0, [0] * (len(BUCKET_BOUNDS_S) + 1))
-            self._epoch_start += self.epoch_s
-            lapsed -= self.epoch_s
+            self._epochs.insert(0, [0] * (len(self.bounds) + 1))
+            self._epoch_start += EPOCH_S
+            lapsed -= EPOCH_S
             if all(not any(epoch) for epoch in self._epochs):
                 # Fully idle: snap the epoch clock forward instead of
                 # spinning through every missed rotation.
                 self._epoch_start = now
                 break
 
-    def observe(self, seconds: float, *, now: Optional[float] = None) -> None:
+    def observe(self, value: float, *, now: Optional[float] = None) -> None:
         now = monotonic() if now is None else now
-        if now - self._epoch_start >= self.epoch_s:
+        if now - self._epoch_start >= EPOCH_S:
             self._rotate(now)
-        slot = len(BUCKET_BOUNDS_S)
-        for index, bound in enumerate(BUCKET_BOUNDS_S):
-            if seconds <= bound:
+        slot = len(self.bounds)
+        for index, bound in enumerate(self.bounds):
+            if value <= bound:
                 slot = index
                 break
         self._epochs[0][slot] += 1
+        self._lifetime[slot] += 1
         self._count += 1
-        self._sum += seconds
-        if seconds > self._max:
-            self._max = seconds
+        self._sum += value
+        if value > self._max:
+            self._max = value
+
+    def absorb(self, other: "LatencyHistogram", *, now: Optional[float] = None) -> None:
+        """Add *other*'s window and lifetime into this series (exact merge)."""
+        window = other.window_counts(now=now)
+        for index in range(len(self.bounds) + 1):
+            self._epochs[0][index] += window[index]
+            self._lifetime[index] += other._lifetime[index]
+        self._count += other._count
+        self._sum += other._sum
+        self._max = max(self._max, other._max)
 
     # -- readers -------------------------------------------------------------
     def window_counts(self, *, now: Optional[float] = None) -> list[int]:
         """Per-bucket counts merged across the live window."""
         now = monotonic() if now is None else now
-        if now - self._epoch_start >= self.epoch_s:
+        if now - self._epoch_start >= EPOCH_S:
             self._rotate(now)
-        merged = [0] * (len(BUCKET_BOUNDS_S) + 1)
-        for epoch in self._epochs:
-            for index, count in enumerate(epoch):
-                merged[index] += count
-        return merged
+        return [sum(column) for column in zip(*self._epochs)]
+
+    def lifetime_counts(self) -> list[int]:
+        """Per-bucket counts since the series was created (monotone)."""
+        return list(self._lifetime)
 
     def quantile(self, q: float, *, now: Optional[float] = None) -> float:
-        """Windowed *q*-quantile in seconds, interpolated within a bucket.
+        """Windowed *q*-quantile, interpolated within a bucket.
 
         Interpolation is linear from the bucket's lower bound; the
         overflow bucket reports its lower bound (the largest finite
@@ -135,21 +130,20 @@ class LatencyHistogram:
             if count == 0:
                 continue
             if cumulative + count >= rank:
-                low = 0.0 if index == 0 else BUCKET_BOUNDS_S[index - 1]
-                if index >= len(BUCKET_BOUNDS_S):
-                    return BUCKET_BOUNDS_S[-1]
-                high = BUCKET_BOUNDS_S[index]
+                if index >= len(self.bounds):
+                    return self.bounds[-1]
+                low = 0.0 if index == 0 else self.bounds[index - 1]
+                high = self.bounds[index]
                 fraction = (rank - cumulative) / count
                 return low + (high - low) * min(1.0, max(0.0, fraction))
             cumulative += count
-        return BUCKET_BOUNDS_S[-1]
+        return self.bounds[-1]
 
     def snapshot(self, *, now: Optional[float] = None) -> dict:
-        counts = self.window_counts(now=now)
-        window_total = sum(counts)
+        """Lifetime count/sum/max and windowed quantiles, in milliseconds."""
         return {
             "count": self._count,
-            "window": window_total,
+            "window": sum(self.window_counts(now=now)),
             "sum_s": round(self._sum, 6),
             "p50_ms": round(self.quantile(0.50, now=now) * 1e3, 3),
             "p90_ms": round(self.quantile(0.90, now=now) * 1e3, 3),
@@ -163,158 +157,6 @@ class LatencyHistogram:
         return self._count
 
     @property
-    def sum_s(self) -> float:
-        """Lifetime observed seconds (monotone; Prometheus ``_sum``)."""
+    def sum(self) -> float:
+        """Lifetime sum of observed values (monotone; Prometheus ``_sum``)."""
         return self._sum
-
-
-class HistogramVault:
-    """A thread-safe family of histograms keyed ``(model, stage, outcome)``.
-
-    The serving layer records one observation per finished request per
-    stage; the vault lazily creates series, so models and outcomes that
-    never occur cost nothing.  Keys are flattened into Prometheus label
-    sets by :meth:`prometheus_lines`.
-    """
-
-    def __init__(self, *, epoch_s: float = DEFAULT_EPOCH_S, n_epochs: int = DEFAULT_N_EPOCHS):
-        self._lock = threading.Lock()
-        self._series: dict[tuple[str, str, str], LatencyHistogram] = {}
-        self._epoch_s = epoch_s
-        self._n_epochs = n_epochs
-
-    def observe(
-        self,
-        seconds: float,
-        *,
-        model: str = "",
-        stage: str = "total",
-        outcome: str = "ok",
-        now: Optional[float] = None,
-    ) -> None:
-        key = (model, stage, outcome)
-        with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = LatencyHistogram(
-                    epoch_s=self._epoch_s, n_epochs=self._n_epochs, now=now
-                )
-                self._series[key] = series
-            series.observe(seconds, now=now)
-
-    def series(self) -> dict[tuple[str, str, str], LatencyHistogram]:
-        with self._lock:
-            return dict(self._series)
-
-    def get(
-        self, *, model: str = "", stage: str = "total", outcome: str = "ok"
-    ) -> Optional[LatencyHistogram]:
-        with self._lock:
-            return self._series.get((model, stage, outcome))
-
-    def merged(
-        self,
-        *,
-        stage: str = "total",
-        outcome: Optional[str] = "ok",
-        now: Optional[float] = None,
-    ) -> dict:
-        """A cross-model snapshot of one stage (optionally one outcome).
-
-        Quantiles are computed over the summed windowed buckets, which
-        is exact for histograms (unlike merging per-series quantiles).
-        """
-        now = monotonic() if now is None else now
-        counts = [0] * (len(BUCKET_BOUNDS_S) + 1)
-        count = 0
-        total_s = 0.0
-        max_ms = 0.0
-        with self._lock:
-            chosen = [
-                series
-                for (m, s, o), series in self._series.items()
-                if s == stage and (outcome is None or o == outcome)
-            ]
-        for series in chosen:
-            for index, value in enumerate(series.window_counts(now=now)):
-                counts[index] += value
-            snap = series.snapshot(now=now)
-            count += snap["count"]
-            total_s += snap["sum_s"]
-            max_ms = max(max_ms, snap["max_ms"])
-        merged = LatencyHistogram(epoch_s=self._epoch_s, n_epochs=2, now=now)
-        merged._epochs[0] = counts
-        return {
-            "count": count,
-            "window": sum(counts),
-            "p50_ms": round(merged.quantile(0.50, now=now) * 1e3, 3),
-            "p90_ms": round(merged.quantile(0.90, now=now) * 1e3, 3),
-            "p99_ms": round(merged.quantile(0.99, now=now) * 1e3, 3),
-            "max_ms": max_ms,
-        }
-
-    def snapshot(self, *, now: Optional[float] = None) -> dict:
-        """Nested ``{model: {stage: {outcome: series-snapshot}}}``."""
-        now = monotonic() if now is None else now
-        out: dict = {}
-        for (model, stage, outcome), series in sorted(self.series().items()):
-            out.setdefault(model or "_", {}).setdefault(stage, {})[outcome] = (
-                series.snapshot(now=now)
-            )
-        return out
-
-    def prometheus_lines(
-        self, *, name: str = "repro_serve_latency_seconds", now: Optional[float] = None
-    ) -> list[str]:
-        """Prometheus text-exposition lines for every series.
-
-        Emits a classic cumulative histogram per ``(model, stage,
-        outcome)`` label set: ``<name>_bucket{...,le="..."}`` lines over
-        the *windowed* counts plus lifetime ``_count`` and ``_sum``.
-        """
-        lines = [
-            f"# HELP {name} Served request latency by model, stage, and outcome.",
-            f"# TYPE {name} histogram",
-        ]
-        now = monotonic() if now is None else now
-        for (model, stage, outcome), series in sorted(self.series().items()):
-            labels = (
-                f'model="{_escape(model)}",stage="{_escape(stage)}",'
-                f'outcome="{_escape(outcome)}"'
-            )
-            cumulative = 0
-            counts = series.window_counts(now=now)
-            for bound, count in zip(BUCKET_BOUNDS_S, counts):
-                cumulative += count
-                lines.append(
-                    f'{name}_bucket{{{labels},le="{_format_float(bound)}"}} {cumulative}'
-                )
-            cumulative += counts[-1]
-            lines.append(f'{name}_bucket{{{labels},le="+Inf"}} {cumulative}')
-            lines.append(f"{name}_count{{{labels}}} {series.count}")
-            lines.append(f"{name}_sum{{{labels}}} {_format_float(series.sum_s)}")
-        return lines
-
-    def reset(self) -> None:
-        with self._lock:
-            self._series.clear()
-
-
-def _escape(value: str) -> str:
-    """Escape a Prometheus label value (backslash, quote, newline)."""
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _format_float(value: float) -> str:
-    """A compact, locale-free float rendering for exposition lines."""
-    text = repr(float(value))
-    return text[:-2] if text.endswith(".0") else text
-
-
-def merge_bucket_counts(counts: Iterable[list[int]]) -> list[int]:
-    """Element-wise sum of per-bucket count arrays (exact histogram merge)."""
-    merged = [0] * (len(BUCKET_BOUNDS_S) + 1)
-    for array in counts:
-        for index, value in enumerate(array):
-            merged[index] += value
-    return merged

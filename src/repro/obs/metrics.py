@@ -1,14 +1,14 @@
-"""Runtime metrics: a process-wide counter/timer/high-water registry.
+"""Runtime metrics: the one process-wide registry and its renderers.
 
-Every execution backend and the conformance engine report what they did
-here — evaluations run, volleys processed, plan-cache hits and misses,
-spikes fired, event-queue depth — so a long-running process (or a test)
-can ask "what has this library actually been doing?" without changing
-any call site.  The registry is deliberately tiny: plain dict updates on
-the hot path (a counter increment is one dict store), with snapshot and
-reset semantics so tests can assert deltas in isolation.
+Every execution backend, the serving stack, the runtime caches and the
+training plane report here — evaluations run, volleys processed,
+plan-cache hits, spikes fired, request latency, batch sizes — so a
+long-running process (or a test) can ask "what has this library
+actually been doing?" without changing any call site.  Writers stay
+cheap: a counter increment is one dict store, a histogram observation
+one lock plus a bucket scan.
 
-Three metric families:
+Five metric families:
 
 * **counters** — monotonically increasing event counts
   (:meth:`MetricsRegistry.inc`);
@@ -16,27 +16,131 @@ Three metric families:
   (:meth:`MetricsRegistry.add_time` / :meth:`MetricsRegistry.timeit`),
   fed by the opt-in profiler (:mod:`repro.obs.profile`);
 * **maxima** — high-water marks such as the event simulator's peak queue
-  depth (:meth:`MetricsRegistry.observe_max`).
+  depth (:meth:`MetricsRegistry.observe_max`);
+* **gauges** — live values *pulled* from callables their owner (a
+  service, a pool, a cache, a training plane) registers with
+  :meth:`MetricsRegistry.add_gauges` and removes on close;
+* **histograms** — labelled families with fixed bucket bounds
+  (:meth:`MetricsRegistry.histogram`), one
+  :class:`~repro.obs.hist.LatencyHistogram` series per label set:
+  lifetime buckets for the exposition, a sliding window for quantiles.
 
-The module-level :data:`METRICS` instance is what the library writes to;
-``python -m repro stats`` renders it.
+The module-level :data:`METRICS` instance is what the library writes to.
+:meth:`MetricsRegistry.snapshot` is the JSON shape of the scalar
+families (what ``python -m repro stats`` prints and serving workers
+piggyback), and :meth:`MetricsRegistry.prometheus` renders every family
+in Prometheus text exposition format for the server's ``metrics_text``
+op.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Callable, Iterator, Mapping, Optional, Sequence
+
+from .hist import LatencyHistogram
+
+#: The content type Prometheus scrapers expect for :meth:`MetricsRegistry.prometheus`.
+PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: A gauge reader: the live value, or ``None`` to leave the gauge out.
+GaugeReader = Callable[[], Optional[float]]
+
+
+class Histogram:
+    """A labelled histogram family: one series per label-value tuple.
+
+    Every series shares the family's bucket *bounds*; a family without
+    labels has exactly one series, rendered even before its first
+    observation.  The family lock serializes observations and reads.
+    """
+
+    def __init__(
+        self, name: str, bounds: Sequence[float], labels: Sequence[str], help: str
+    ):
+        self.name = name
+        self.bounds = tuple(bounds)
+        self.labels = tuple(labels)
+        self.help = help
+        self._lock = threading.Lock()
+        self._series: dict[tuple[str, ...], LatencyHistogram] = {}
+
+    def observe(self, value: float, *labels: str, now: Optional[float] = None) -> None:
+        """One observation into the series of *labels* (created on first use)."""
+        with self._lock:
+            series = self._series.get(labels)
+            if series is None:
+                series = self._series[labels] = LatencyHistogram(self.bounds, now=now)
+            series.observe(value, now=now)
+
+    def snapshot(self, *, now: Optional[float] = None) -> dict[tuple[str, ...], dict]:
+        """``{label values: series snapshot}`` for every series."""
+        now = time.monotonic() if now is None else now
+        with self._lock:
+            return {
+                labels: series.snapshot(now=now)
+                for labels, series in sorted(self._series.items())
+            }
+
+    def merged(self, *, now: Optional[float] = None, **match: str) -> LatencyHistogram:
+        """Every series whose labels equal *match*, summed into one.
+
+        Summing buckets is exact for histograms (unlike merging
+        per-series quantiles).
+        """
+        now = time.monotonic() if now is None else now
+        slots = [(self.labels.index(label), value) for label, value in match.items()]
+        merged = LatencyHistogram(self.bounds, now=now)
+        with self._lock:
+            for labels, series in self._series.items():
+                if all(labels[slot] == value for slot, value in slots):
+                    merged.absorb(series, now=now)
+        return merged
+
+    def reset(self) -> None:
+        with self._lock:
+            self._series.clear()
+
+    def _exposition(self) -> list[str]:
+        metric = _metric_name(self.name)
+        lines = [f"# HELP {metric} {self.help}"] if self.help else []
+        lines.append(f"# TYPE {metric} histogram")
+        with self._lock:
+            rows = [
+                (labels, series.lifetime_counts(), series.count, series.sum)
+                for labels, series in sorted(self._series.items())
+            ]
+        if not rows and not self.labels:
+            rows = [((), [0] * (len(self.bounds) + 1), 0, 0.0)]
+        les = [_format_float(bound) for bound in self.bounds] + ["+Inf"]
+        for values, counts, count, total in rows:
+            pairs = [
+                f'{label}="{_escape(value)}"'
+                for label, value in zip(self.labels, values)
+            ]
+            cumulative = 0
+            for le, bucket in zip(les, counts):
+                cumulative += bucket
+                labels = ",".join(pairs + [f'le="{le}"'])
+                lines.append(f"{metric}_bucket{{{labels}}} {cumulative}")
+            labels = "{" + ",".join(pairs) + "}" if pairs else ""
+            lines.append(f"{metric}_count{labels} {count}")
+            lines.append(f"{metric}_sum{labels} {_format_float(total)}")
+        return lines
 
 
 class MetricsRegistry:
-    """A named bag of counters, accumulated timers, and high-water marks."""
+    """Counters, timers, high-water marks, pulled gauges and histograms."""
 
     def __init__(self) -> None:
         self._counters: dict[str, int] = {}
         self._timer_totals: dict[str, float] = {}
         self._timer_counts: dict[str, int] = {}
         self._maxima: dict[str, int] = {}
+        self._gauges: dict[str, GaugeReader] = {}
+        self._histograms: dict[str, Histogram] = {}
 
     # -- writers (hot path: keep these to single dict operations) -----------
     def inc(self, name: str, amount: int = 1) -> None:
@@ -63,7 +167,39 @@ class MetricsRegistry:
         finally:
             self.add_time(name, time.perf_counter() - start)
 
+    # -- owned families ------------------------------------------------------
+    def add_gauges(self, readers: Mapping[str, GaugeReader]) -> None:
+        """Register ``{gauge name: reader}`` (replacing earlier readers)."""
+        self._gauges.update(readers)
+
+    def remove_gauges(self, readers: Mapping[str, GaugeReader]) -> None:
+        """Unregister each gauge whose reader is still the one in *readers*.
+
+        A newer owner that re-registered a name keeps its reader.
+        """
+        for name, read in readers.items():
+            if self._gauges.get(name) is read:
+                del self._gauges[name]
+
+    def histogram(
+        self,
+        name: str,
+        bounds: Sequence[float],
+        labels: Sequence[str] = (),
+        help: str = "",
+    ) -> Histogram:
+        """The histogram family *name*, created with *bounds* on first use."""
+        family = self._histograms.get(name)
+        if family is None:
+            family = self._histograms[name] = Histogram(name, bounds, labels, help)
+        return family
+
     # -- readers -------------------------------------------------------------
+    def gauge_value(self, name: str) -> Optional[float]:
+        """The live value of gauge *name* (``None`` if unregistered)."""
+        read = self._gauges.get(name)
+        return None if read is None else read()
+
     def counter(self, name: str) -> int:
         """Current value of counter *name* (0 if never incremented)."""
         return self._counters.get(name, 0)
@@ -77,7 +213,10 @@ class MetricsRegistry:
         return self._maxima.get(name, 0)
 
     def snapshot(self) -> dict:
-        """A deep, sorted copy of every metric — safe to mutate or diff.
+        """A deep, sorted copy of the scalar families — safe to mutate or diff.
+
+        Gauges and histograms are read through :meth:`gauge_value` and
+        their families; this shape is what serving workers piggyback.
 
         Shape::
 
@@ -98,11 +237,48 @@ class MetricsRegistry:
         }
 
     def reset(self) -> None:
-        """Zero every metric (tests; long-lived processes between windows)."""
+        """Zero every recorded metric (tests; between measurement windows).
+
+        Gauges are live state, not records: their readers stay registered.
+        """
         self._counters.clear()
         self._timer_totals.clear()
         self._timer_counts.clear()
         self._maxima.clear()
+        for family in list(self._histograms.values()):
+            family.reset()
+
+    def prometheus(self) -> str:
+        """Every family in Prometheus text exposition format.
+
+        Counters render as ``<name>_total``, timers as a
+        ``_seconds_total`` / ``_calls_total`` counter pair, maxima as
+        ``<name>_max`` gauges, gauges under their own name and
+        histograms as classic cumulative ``_bucket``/``_count``/``_sum``
+        series; every metric name is ``repro_`` plus the dotted name
+        with ``.`` and ``-`` turned into ``_``.
+        """
+        snap = self.snapshot()
+        samples: list[tuple[str, str, object]] = []
+        for name, value in snap["counters"].items():
+            samples.append((f"{_metric_name(name)}_total", "counter", value))
+        for name, entry in snap["timers"].items():
+            base = _metric_name(name)
+            samples.append((f"{base}_seconds_total", "counter", entry["total_s"]))
+            samples.append((f"{base}_calls_total", "counter", entry["calls"]))
+        for name, value in snap["maxima"].items():
+            samples.append((f"{_metric_name(name)}_max", "gauge", value))
+        for name, read in sorted(self._gauges.items()):
+            value = read()
+            if value is not None:
+                samples.append((_metric_name(name), "gauge", value))
+        lines: list[str] = []
+        for metric, kind, value in samples:
+            lines.append(f"# TYPE {metric} {kind}")
+            lines.append(f"{metric} {value}")
+        for name in sorted(self._histograms):
+            lines.extend(self._histograms[name]._exposition())
+        return "\n".join(lines) + "\n"
 
     def render(self) -> str:
         """Human-readable snapshot, one metric per line."""
@@ -127,6 +303,22 @@ class MetricsRegistry:
                 f"  {name:<40} {value}" for name, value in snap["maxima"].items()
             )
         return "\n".join(lines) if lines else "(no metrics recorded)"
+
+
+def _metric_name(raw: str) -> str:
+    """A ``serve.worker.failures``-style name as a Prometheus metric name."""
+    return "repro_" + raw.replace(".", "_").replace("-", "_")
+
+
+def _escape(value: str) -> str:
+    """Escape a Prometheus label value (backslash, quote, newline)."""
+    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
+def _format_float(value: float) -> str:
+    """A compact, locale-free float rendering for exposition lines."""
+    text = repr(float(value))
+    return text[:-2] if text.endswith(".0") else text
 
 
 #: The process-wide registry every instrumented call site writes to.

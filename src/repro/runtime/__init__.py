@@ -25,6 +25,30 @@ from typing import Any
 
 from .cache import PLAN_CACHE, PlanCacheTier, plan_nbytes
 from .result_cache import RESULT_CACHE, ResultCache, volley_digest
+from ..obs.metrics import METRICS as _METRICS
+
+
+def _register_cache_gauges() -> None:
+    """The caches' live ``cache.<tier>.<name>`` gauges (metrics registry).
+
+    The plan tier's ``hits`` are its own (structural) hits; identity
+    hits are answered by the compiler's memo in front of the tier.
+    """
+    for tier, cache, hits in (
+        ("plan", PLAN_CACHE, "hits_structural"),
+        ("result", RESULT_CACHE, "hits"),
+    ):
+        keys = {"entries": "entries", "bytes": "bytes", "hits": hits}
+        keys.update(misses="misses", evictions="evictions")
+        _METRICS.add_gauges(
+            {
+                f"cache.{tier}.{name}": lambda cache=cache, key=key: cache.info()[key]
+                for name, key in keys.items()
+            }
+        )
+
+
+_register_cache_gauges()
 
 __all__ = [
     "AUTO",

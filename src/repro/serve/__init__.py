@@ -14,16 +14,18 @@ batches where the compiled engine
 * :mod:`repro.serve.service` — the service core: fingerprint-keyed
   model registry, bounded-queue admission control with backpressure
   rejection, per-request deadlines, bounded retry on worker failure;
+  it records its latency and batch-size histograms and registers its
+  queue/worker gauges in :data:`repro.obs.metrics.METRICS`, and
+  :func:`~repro.serve.service.serve_snapshot` reads them back as the
+  ``serve`` section of ``python -m repro stats --json`` and the
+  server's ``metrics`` op (``metrics_text`` renders the same registry
+  in Prometheus text format);
 * :mod:`repro.serve.server` / :mod:`repro.serve.loadgen` — the asyncio
   newline-delimited-JSON front-end (``python -m repro serve``) and the
   conformance-checking load generator (``python -m repro loadgen``);
 * :mod:`repro.serve.protocol` — the wire format (``∞`` is ``null``) and
   the canonical response encoding the byte-identity contract is stated
   over;
-* :mod:`repro.serve.stats` — batch-size histogram, per-model/per-stage/
-  per-outcome sliding-window latency histograms, and queue gauges,
-  surfaced by ``python -m repro stats --json``, the server's ``metrics``
-  endpoint, and the Prometheus-format ``metrics_text`` op;
 * :mod:`repro.serve.top` — ``python -m repro top``, a live terminal
   dashboard polling a running server's ``metrics`` op.
 
@@ -55,14 +57,7 @@ from .protocol import (
     parse_request,
 )
 from .registry import ModelEntry, ModelRegistry
-from .service import TNNService
-from .stats import (
-    PROMETHEUS_CONTENT_TYPE,
-    SERVE_STATS,
-    prometheus_text,
-    reset_serve_stats,
-    serve_stats_snapshot,
-)
+from .service import TNNService, serve_snapshot
 
 __all__ = [
     "Batch",
@@ -73,12 +68,10 @@ __all__ = [
     "MicroBatcher",
     "ModelEntry",
     "ModelRegistry",
-    "PROMETHEUS_CONTENT_TYPE",
     "PROTOCOL",
     "PendingRequest",
     "ProcessWorkerPool",
     "ProtocolError",
-    "SERVE_STATS",
     "ServeError",
     "TNNService",
     "canonical",
@@ -87,7 +80,5 @@ __all__ = [
     "eval_request",
     "ok_response",
     "parse_request",
-    "prometheus_text",
-    "reset_serve_stats",
-    "serve_stats_snapshot",
+    "serve_snapshot",
 ]

@@ -57,6 +57,14 @@ from ..network.compile_plan import INF_I64
 _METRICS_PIGGYBACK_EVERY = 16
 
 
+def _pool_gauges(pool) -> dict:
+    """The live gauges a pool owns in the metrics registry."""
+    return {
+        "serve.workers_alive": pool.alive_count,
+        "serve.pool.inflight": pool.inflight,
+    }
+
+
 def _decode_params(params_enc: dict[str, int]) -> dict[str, Time]:
     """Sentinel-encoded parameter binding back to ``Time`` values."""
     return {
@@ -110,11 +118,9 @@ def _worker_main(
     request pays for it; the warmup count, keyed by engine, rides back
     on the ready message.  Messages:
 
-    * ``("eval", job_id, model_id, matrix, params_enc)`` →
-      ``("ok", job_id, result)`` or ``("err", job_id, reason)``
-    * ``("eval", job_id, model_id, matrix, params_enc, want_spans)`` —
-      the extended form the pool sends — additionally piggybacks an
-      *extras* dict on the reply (``("ok", job_id, result, extras)``):
+    * ``("eval", job_id, model_id, matrix, params_enc, want_spans)`` →
+      ``("ok", job_id, result, extras)`` or
+      ``("err", job_id, reason, extras)``.  The *extras* dict carries
       the worker's own metrics snapshot every
       :data:`_METRICS_PIGGYBACK_EVERY` replies (so the frontend can
       aggregate per-worker counters it otherwise cannot see), plus
@@ -162,6 +168,14 @@ def _worker_main(
     conn.send(("ready", os.getpid(), sorted(programs), dict(warmups)))
     replies = 0
 
+    def phase_totals() -> dict[str, float]:
+        timers = _worker_metrics.snapshot()["timers"]
+        return {
+            name[len("phase."):]: entry["total_s"]
+            for name, entry in timers.items()
+            if name.startswith("phase.")
+        }
+
     def build_extras(want_spans: int, eval_s: "float | None", phases: dict) -> dict:
         extras: dict = {}
         if want_spans and eval_s is not None:
@@ -181,11 +195,7 @@ def _worker_main(
             return
         op = message[0]
         if op == "eval":
-            job_id, model_id, matrix, params_enc = message[1:5]
-            # Legacy 5-tuple messages get the legacy 3-tuple reply;
-            # the pool always sends the extended 6-tuple form.
-            extended = len(message) > 5
-            want_spans = int(message[5]) if extended else 0
+            _op, job_id, model_id, matrix, params_enc, want_spans = message
             eval_s: "float | None" = None
             phases: dict[str, float] = {}
             try:
@@ -194,7 +204,7 @@ def _worker_main(
                     raise KeyError(f"model {model_id[:12]} not loaded")
                 if want_spans >= 2:
                     # Sampled: run under the profiler for phase deltas.
-                    before = dict(_worker_metrics._timer_totals)
+                    before = phase_totals()
                     started = _time.perf_counter()
                     with _profile.profiled():
                         result = evaluate(
@@ -202,10 +212,9 @@ def _worker_main(
                         )
                     eval_s = _time.perf_counter() - started
                     phases = {
-                        name[len("phase."):]: total - before.get(name, 0.0)
-                        for name, total in _worker_metrics._timer_totals.items()
-                        if name.startswith("phase.")
-                        and total - before.get(name, 0.0) > 0.0
+                        name: total - before.get(name, 0.0)
+                        for name, total in phase_totals().items()
+                        if total - before.get(name, 0.0) > 0.0
                     }
                 elif want_spans:
                     # Every traced batch: wall clock only (two reads).
@@ -218,15 +227,12 @@ def _worker_main(
                     result = evaluate(
                         program, matrix, params=_decode_params(params_enc)
                     )
-                reply: tuple = ("ok", job_id, result)
-                if extended:
-                    reply += (build_extras(want_spans, eval_s, phases),)
-                conn.send(reply)
+                conn.send(
+                    ("ok", job_id, result, build_extras(want_spans, eval_s, phases))
+                )
             except Exception as exc:  # noqa: BLE001 - reported to the parent
-                reply = ("err", job_id, f"{type(exc).__name__}: {exc}")
-                if extended:
-                    reply += (build_extras(False, None, {}),)
-                conn.send(reply)
+                reason = f"{type(exc).__name__}: {exc}"
+                conn.send(("err", job_id, reason, build_extras(0, None, {})))
             replies += 1
         elif op == "load":
             _op, model_id, document = message
@@ -240,7 +246,7 @@ def _worker_main(
             conn.close()
             return
         else:
-            conn.send(("err", None, f"unknown op {op!r}"))
+            conn.send(("err", None, f"unknown op {op!r}", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +312,8 @@ class ProcessWorkerPool:
         self._workers: list[_WorkerHandle] = [
             self._spawn(slot, generation=0) for slot in range(n_workers)
         ]
+        self._gauges = _pool_gauges(self)
+        _obs_metrics.METRICS.add_gauges(self._gauges)
         self._collector = threading.Thread(
             target=self._collect_loop, name="serve-pool-collector", daemon=True
         )
@@ -348,6 +356,7 @@ class ProcessWorkerPool:
                 return
             self._stopping = True
             workers = list(self._workers)
+        _obs_metrics.METRICS.remove_gauges(self._gauges)
         self._wake()
         self._collector.join(timeout=timeout)
         for worker in workers:
@@ -522,8 +531,7 @@ class ProcessWorkerPool:
     def _deliver(self, worker: _WorkerHandle, message: tuple) -> None:
         op = message[0]
         if op in ("ok", "err"):
-            job_id, payload = message[1], message[2]
-            extras = message[3] if len(message) > 3 else None
+            _op, job_id, payload, extras = message
             with self._lock:
                 job = worker.jobs.pop(job_id, None)
                 if extras and "metrics" in extras:
@@ -612,6 +620,8 @@ class InlineWorkerPool:
             self.add_model(model_id, document)
         self._stopping = False
         self._restarts = 0
+        self._gauges = _pool_gauges(self)
+        _obs_metrics.METRICS.add_gauges(self._gauges)
 
     @property
     def n_workers(self) -> int:
@@ -688,3 +698,4 @@ class InlineWorkerPool:
 
     def shutdown(self, timeout: float = 10.0) -> None:
         self._stopping = True
+        _obs_metrics.METRICS.remove_gauges(self._gauges)

@@ -172,37 +172,14 @@ def _metrics_payload(service: TNNService) -> dict:
     }
 
 
-def _metrics_text_payload(service: TNNService) -> dict:
-    from .. import runtime
-    from .stats import PROMETHEUS_CONTENT_TYPE, prometheus_text
+def _metrics_text_payload() -> dict:
+    from ..obs.metrics import METRICS, PROMETHEUS_CONTENT_TYPE
 
-    info = runtime.cache_info()
-    gauges = {
-        "serve.pool.inflight": service.pool.inflight(),
-        "serve.pending": service.pending(),
-        "cache.plan.entries": info["plan"]["entries"],
-        "cache.plan.bytes": info["plan"]["bytes"],
-        "cache.result.entries": info["result"]["entries"],
-        "cache.result.bytes": info["result"]["bytes"],
-        "cache.result.hits": info["result"]["hits"],
-        "cache.result.misses": info["result"]["misses"],
-        "cache.result.evictions": info["result"]["evictions"],
-        "cache.plan.hits": info["plan"]["hits_structural"],
-        "cache.plan.misses": info["plan"]["misses"],
-        "cache.plan.evictions": info["plan"]["evictions"],
+    return {
+        "ok": True,
+        "content_type": PROMETHEUS_CONTENT_TYPE,
+        "text": METRICS.prometheus(),
     }
-    if service.training is not None:
-        training = service.training.stats()
-        gauges["training.presented"] = training["presented"]
-        gauges["training.applied"] = training["applied"]
-        gauges["training.snapshots"] = training["snapshots"]
-        gauges["training.promotions"] = training["promotions"]
-        gauges["training.queue.depth"] = training["queue"]["depth"]
-        gauges["training.queue.dropped"] = training["queue"]["dropped"]
-        if training["last_accuracy"] is not None:
-            gauges["training.last_accuracy"] = training["last_accuracy"]
-    text = prometheus_text(extra_gauges=gauges)
-    return {"ok": True, "content_type": PROMETHEUS_CONTENT_TYPE, "text": text}
 
 
 def _handle_train(service: TNNService, message: dict) -> dict:
@@ -336,7 +313,7 @@ async def _handle_connection(
             elif op == "metrics":
                 await _write(writer, lock, _metrics_payload(service))
             elif op == "metrics_text":
-                await _write(writer, lock, _metrics_text_payload(service))
+                await _write(writer, lock, _metrics_text_payload())
             elif op == "models":
                 await _write(
                     writer,

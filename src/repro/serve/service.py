@@ -53,6 +53,7 @@ from ..network.graph import NetworkError
 from ..obs import metrics as _obs_metrics
 from ..obs import profile as _obs_profile
 from ..obs import rtrace as _rtrace
+from ..obs.hist import BUCKET_BOUNDS_S
 from .batcher import Batch, BatchPolicy, MicroBatcher, PendingRequest
 from .protocol import (
     E_BAD_REQUEST,
@@ -66,7 +67,6 @@ from .protocol import (
 from ..runtime.result_cache import RESULT_CACHE, volley_digest
 from .pool import Job
 from .registry import ModelEntry, ModelRegistry
-from .stats import SERVE_STATS
 
 
 #: Overload rejections within one second before the flight recorder is
@@ -80,6 +80,99 @@ OVERLOAD_BURST_TRIP = 16
 #: serving inside the overhead bound while still attributing engine time
 #: to phases on a steady trickle of requests.
 PHASE_SAMPLE_EVERY = 8
+
+#: Served request latency, one series per ``(model, stage, outcome)``.
+#: Stages: ``total`` (admission to completion), ``queue`` (admission to
+#: dispatch), ``service`` (dispatch to completion).  Outcomes: ``ok``
+#: plus the failure modes (``deadline``, ``overloaded``,
+#: ``worker-failure``), so rejected and deadline-missed requests appear
+#: in the reported tail instead of vanishing from it.
+LATENCY = _obs_metrics.METRICS.histogram(
+    "serve.latency_seconds",
+    BUCKET_BOUNDS_S,
+    ("model", "stage", "outcome"),
+    "Served request latency by model, stage, and outcome.",
+)
+
+#: Rows per formed micro-batch, in power-of-two buckets (last is open).
+BATCH_BUCKETS: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+BATCH_SIZE = _obs_metrics.METRICS.histogram(
+    "serve.batch_size", BATCH_BUCKETS, help="Rows per formed micro-batch."
+)
+
+STAGES = ("total", "queue", "service")
+
+
+def _observe_request(
+    model: str,
+    outcome: str,
+    enqueued: float,
+    dispatched: Optional[float],
+    completed: float,
+) -> None:
+    """Record every stage of one finished request.
+
+    *dispatched* is ``None`` (or the request's unset ``0.0``) for
+    requests that never reached a worker — overload rejections,
+    pre-dispatch deadline misses, result-cache hits; those observe
+    ``total`` only.
+    """
+    LATENCY.observe(completed - enqueued, model, "total", outcome)
+    if dispatched:
+        LATENCY.observe(dispatched - enqueued, model, "queue", outcome)
+        LATENCY.observe(completed - dispatched, model, "service", outcome)
+
+
+def serve_snapshot() -> dict:
+    """The ``serve`` section of ``stats``, read from the metrics registry.
+
+    Queue depth and alive workers come from the gauges the live service
+    and its pool register (0 without them); the headline ``latency`` is
+    the windowed ``total``/``ok`` readout merged across models; batch
+    sizes are lifetime counts.
+    """
+    metrics = _obs_metrics.METRICS
+    counter = metrics.counter
+    now = monotonic()
+    batch = BATCH_SIZE.merged(now=now)
+    counts = batch.lifetime_counts()
+    buckets = {
+        f"le_{bound}": count for bound, count in zip(BATCH_BUCKETS, counts) if count
+    }
+    if counts[-1]:
+        buckets[f"gt_{BATCH_BUCKETS[-1]}"] = counts[-1]
+    by_stage = {
+        stage: LATENCY.merged(stage=stage, outcome="ok", now=now).snapshot(now=now)
+        for stage in STAGES
+    }
+    by_outcome: dict = {}
+    for (model, stage, outcome), snap in LATENCY.snapshot(now=now).items():
+        by_outcome.setdefault(model or "_", {}).setdefault(stage, {})[outcome] = snap
+    return {
+        "queue_depth": metrics.gauge_value("serve.queue_depth") or 0,
+        "queue_peak": metrics.maximum("serve.queue.peak"),
+        "workers_alive": metrics.gauge_value("serve.workers_alive") or 0,
+        "batch_size": {
+            "batches": batch.count,
+            "rows": int(batch.sum),
+            "mean_size": round(batch.sum / batch.count, 3) if batch.count else 0.0,
+            "buckets": buckets,
+        },
+        "latency": by_stage["total"],
+        "latency_by_stage": by_stage,
+        "latency_by_outcome": by_outcome,
+        "requests": counter("serve.requests"),
+        "responses_ok": counter("serve.ok"),
+        "rejected": {
+            "overloaded": counter("serve.rejected.overloaded"),
+            "deadline": counter("serve.rejected.deadline"),
+            "bad_request": counter("serve.rejected.bad_request"),
+            "no_such_model": counter("serve.rejected.no_such_model"),
+        },
+        "worker_failures": counter("serve.worker.failures"),
+        "worker_restarts": counter("serve.worker.restarts"),
+        "retries": counter("serve.retries"),
+    }
 
 
 def _params_key(params: Mapping[str, Time]) -> str:
@@ -149,10 +242,12 @@ class TNNService:
         self._overload_marks = 0
         self._overload_window_start = 0.0
         self._span_batches = 0  # traced batches seen (phase sampling)
-        SERVE_STATS.bind_gauges(
-            queue_depth=lambda: self._pending,
-            workers_alive=self.pool.alive_count,
-        )
+        #: The live gauges this service owns in the metrics registry.
+        self._gauges = {
+            "serve.queue_depth": lambda: self._pending,
+            "serve.pending": self.pending,
+        }
+        _obs_metrics.METRICS.add_gauges(self._gauges)
         self._flusher = threading.Thread(
             target=self._flush_loop, name="serve-flusher", daemon=True
         )
@@ -233,13 +328,7 @@ class TNNService:
                 raise ServeError(E_SHUTDOWN, "service is shutting down")
             if self._pending >= self.max_pending:
                 _obs_metrics.METRICS.inc("serve.rejected.overloaded")
-                SERVE_STATS.observe_request(
-                    model=entry.name,
-                    outcome="overloaded",
-                    enqueued=now,
-                    dispatched=None,
-                    completed=now,
-                )
+                _observe_request(entry.name, "overloaded", now, None, now)
                 if now - self._overload_window_start > 1.0:
                     self._overload_window_start = now
                     self._overload_marks = 0
@@ -284,13 +373,7 @@ class TNNService:
         """
         _obs_metrics.METRICS.inc("serve.result_cache.served")
         _obs_metrics.METRICS.inc("serve.ok")
-        SERVE_STATS.observe_request(
-            model=entry.name,
-            outcome="ok",
-            enqueued=now,
-            dispatched=None,
-            completed=now,
-        )
+        _observe_request(entry.name, "ok", now, None, now)
         future: "Future[tuple[Time, ...]]" = Future()
         future.model_id = entry.model_id  # type: ignore[attr-defined]
         if _rtrace._ENABLED:
@@ -370,7 +453,9 @@ class TNNService:
             return
         batch.requests = live
         if batch.attempts == 0:
-            SERVE_STATS.observe_batch(len(live))
+            BATCH_SIZE.observe(len(live))
+            _obs_metrics.METRICS.inc("serve.batches")
+            _obs_metrics.METRICS.inc("serve.batched_rows", len(live))
         batch.attempts += 1
         want_spans = 0
         attempt_no, n_live = batch.attempts, len(live)
@@ -481,12 +566,8 @@ class TNNService:
                     self._close_attempt(request, batch, now)
                 self._reject_deadline(request)
                 continue
-            SERVE_STATS.observe_request(
-                model=request.model_name,
-                outcome="ok",
-                enqueued=request.enqueued,
-                dispatched=request.dispatched or None,
-                completed=now,
+            _observe_request(
+                request.model_name, "ok", request.enqueued, request.dispatched, now
             )
             if request.trace is not None:
                 self._close_attempt(request, batch, now)
@@ -526,12 +607,12 @@ class TNNService:
             return
         _rtrace.FLIGHT.trip("worker-failure")
         for request in batch.requests:
-            SERVE_STATS.observe_request(
-                model=request.model_name,
-                outcome="worker-failure",
-                enqueued=request.enqueued,
-                dispatched=request.dispatched or None,
-                completed=now,
+            _observe_request(
+                request.model_name,
+                "worker-failure",
+                request.enqueued,
+                request.dispatched,
+                now,
             )
             if request.trace is not None:
                 request.trace.pop("attempt", now, {"error": reason})
@@ -549,12 +630,8 @@ class TNNService:
     def _reject_deadline(self, request: PendingRequest) -> None:
         now = monotonic()
         _obs_metrics.METRICS.inc("serve.rejected.deadline")
-        SERVE_STATS.observe_request(
-            model=request.model_name,
-            outcome="deadline",
-            enqueued=request.enqueued,
-            dispatched=request.dispatched or None,
-            completed=now,
+        _observe_request(
+            request.model_name, "deadline", request.enqueued, request.dispatched, now
         )
         _rtrace.FLIGHT.trip("deadline-miss")
         self._finish_trace(request, "deadline", now)
@@ -597,8 +674,8 @@ class TNNService:
             return self._pending
 
     def stats(self) -> dict:
-        """Live serving snapshot (see :func:`repro.serve.stats.serve_stats_snapshot`)."""
-        snapshot = SERVE_STATS.snapshot()
+        """Live serving snapshot: :func:`serve_snapshot` plus this service's config."""
+        snapshot = serve_snapshot()
         snapshot["models"] = len(self.registry)
         snapshot["max_pending"] = self.max_pending
         snapshot["policy"] = {
@@ -738,4 +815,4 @@ class TNNService:
                     self._cond.wait(timeout=0.05)
         self._flusher.join(timeout=max(0.1, deadline - monotonic()))
         self.pool.shutdown(timeout=timeout)
-        SERVE_STATS.unbind_gauges()
+        _obs_metrics.METRICS.remove_gauges(self._gauges)

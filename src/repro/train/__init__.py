@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from .ingest import TrainingItem, TrainingQueue, file_source, save_items
 from .lineage import LineageRecord, ModelLineage
-from .plane import IncrementalTrainer, TrainingPlane, training_stats_snapshot
+from .plane import IncrementalTrainer, TrainingPlane
 from .scenario import TrainingScenario, classification_scenario
 
 __all__ = [
@@ -43,5 +43,4 @@ __all__ = [
     "classification_scenario",
     "file_source",
     "save_items",
-    "training_stats_snapshot",
 ]

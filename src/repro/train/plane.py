@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-import weakref
 from typing import Callable, Optional
 
 from ..learning.stdp import Homeostasis, STDPTrainer, TrainingStep
@@ -29,39 +28,6 @@ from ..neuron.column import Column, compile_column
 from ..obs import metrics as _obs_metrics
 from .ingest import TrainingItem, TrainingQueue
 from .lineage import LineageRecord, ModelLineage
-
-
-#: Live planes in this process, for :func:`training_stats_snapshot`.
-#: Weak so a dropped plane never pins its column/service alive.
-_ACTIVE_PLANES: "weakref.WeakSet[TrainingPlane]" = weakref.WeakSet()
-
-
-def training_stats_snapshot() -> dict:
-    """The process-wide ``training`` section of ``stats --json``.
-
-    Counter-shaped facts come from the metrics registry (they survive
-    plane teardown); the live gauges — queue depth, last accuracy probe
-    — are read off whatever planes currently exist in this process.
-    """
-    section = {
-        "steps": _obs_metrics.METRICS.counter("train.steps"),
-        "snapshots": _obs_metrics.METRICS.counter("train.snapshots"),
-        "promotions": _obs_metrics.METRICS.counter("train.promotions"),
-        "queue": {
-            "accepted": _obs_metrics.METRICS.counter("train.queue.accepted"),
-            "dropped": _obs_metrics.METRICS.counter("train.queue.dropped"),
-            "depth": 0,
-        },
-        "planes": 0,
-        "last_accuracy": None,
-    }
-    for plane in list(_ACTIVE_PLANES):
-        stats = plane.stats()
-        section["planes"] += 1
-        section["queue"]["depth"] += stats["queue"]["depth"]
-        if stats["last_accuracy"] is not None:
-            section["last_accuracy"] = stats["last_accuracy"]
-    return section
 
 
 def _rule_params(rule) -> dict:
@@ -177,7 +143,18 @@ class TrainingPlane:
         self._state_lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        _ACTIVE_PLANES.add(self)
+        #: The live gauges this plane owns in the metrics registry
+        #: (``last_accuracy`` stays out until a probe has run).
+        self._gauges = {
+            "training.presented": lambda: self.incremental.presented,
+            "training.applied": lambda: self.incremental.applied,
+            "training.snapshots": lambda: self.snapshots,
+            "training.promotions": lambda: self.promotions,
+            "training.queue.depth": lambda: self.queue.stats()["depth"],
+            "training.queue.dropped": lambda: self.queue.stats()["dropped"],
+            "training.last_accuracy": lambda: self.last_accuracy,
+        }
+        _obs_metrics.METRICS.add_gauges(self._gauges)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -222,6 +199,7 @@ class TrainingPlane:
             self._since_snapshot += 1
         if final_snapshot and self._since_snapshot > 0:
             self.snapshot()
+        _obs_metrics.METRICS.remove_gauges(self._gauges)
 
     # -- the training path ----------------------------------------------
 
@@ -284,7 +262,7 @@ class TrainingPlane:
     # -- introspection ---------------------------------------------------
 
     def stats(self) -> dict:
-        """The ``training`` section of ``stats``/``metrics_text``."""
+        """The ``training`` section of the service's ``stats``."""
         with self._state_lock:
             return {
                 "alias": self.alias,

@@ -77,9 +77,11 @@ class TestWorkerBody:
         matrix = encoded_volleys(network, [(0, 1), (2, 3)])
         parent, thread = self.run_worker(registry)
         try:
-            parent.send(("eval", 7, model_id, matrix, {}))
-            op, job_id, result = parent.recv()
+            parent.send(("eval", 7, model_id, matrix, {}, 0))
+            op, job_id, result, extras = parent.recv()
             assert (op, job_id) == ("ok", 7)
+            # The first reply piggybacks the worker's metrics snapshot.
+            assert set(extras) == {"metrics"}
             np.testing.assert_array_equal(
                 result, evaluate_batch(network, matrix)
             )
@@ -90,8 +92,8 @@ class TestWorkerBody:
     def test_unknown_model_is_an_error_reply(self, registry):
         parent, thread = self.run_worker(registry)
         try:
-            parent.send(("eval", 1, "f" * 64, np.zeros((1, 2), np.int64), {}))
-            op, job_id, reason = parent.recv()
+            parent.send(("eval", 1, "f" * 64, np.zeros((1, 2), np.int64), {}, 0))
+            op, job_id, reason, _extras = parent.recv()
             assert op == "err" and "not loaded" in reason
         finally:
             parent.send(("stop",))
@@ -108,8 +110,8 @@ class TestWorkerBody:
             assert (op, model_id) == ("loaded", network.fingerprint())
             assert warmups == {"int64": 2}
             matrix = encoded_volleys(network, [(1, 2)])
-            parent.send(("eval", 2, network.fingerprint(), matrix, {}))
-            op, _job, result = parent.recv()
+            parent.send(("eval", 2, network.fingerprint(), matrix, {}, 0))
+            op, _job, result, _extras = parent.recv()
             assert op == "ok"
             np.testing.assert_array_equal(result, evaluate_batch(network, matrix))
         finally:
@@ -120,7 +122,7 @@ class TestWorkerBody:
         parent, thread = self.run_worker(registry)
         try:
             parent.send(("mystery",))
-            op, _job, reason = parent.recv()
+            op, _job, reason, _extras = parent.recv()
             assert op == "err" and "mystery" in reason
         finally:
             parent.send(("stop",))
@@ -269,8 +271,8 @@ class TestEngines:
             thread.start()
             try:
                 assert parent.recv()[0] == "ready"
-                parent.send(("eval", 1, model_id, matrix, {}))
-                op, _job, result = parent.recv()
+                parent.send(("eval", 1, model_id, matrix, {}, 0))
+                op, _job, result, _extras = parent.recv()
                 assert op == "ok"
                 results[engine] = result
             finally:

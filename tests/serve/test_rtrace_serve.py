@@ -16,22 +16,24 @@ from repro.serve.pool import InlineWorkerPool, ProcessWorkerPool
 from repro.serve.protocol import ServeError, encode_line, eval_request
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import run_server_async
-from repro.serve.service import TNNService
-from repro.serve.stats import PROMETHEUS_CONTENT_TYPE, reset_serve_stats
+from repro.serve.service import BATCH_SIZE, LATENCY, TNNService
+from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.serve.top import render_frame, top_main
 from repro.testing import check_served
 
 
 @pytest.fixture(autouse=True)
 def clean_observability():
-    """Tracing off, flight ring and stats empty, before and after each test."""
+    """Tracing off, flight ring and serving histograms empty, around each test."""
     rtrace.enable_rtrace(False)
     rtrace.FLIGHT.clear()
-    reset_serve_stats()
+    LATENCY.reset()
+    BATCH_SIZE.reset()
     yield
     rtrace.enable_rtrace(False)
     rtrace.FLIGHT.clear()
-    reset_serve_stats()
+    LATENCY.reset()
+    BATCH_SIZE.reset()
 
 
 @pytest.fixture()
