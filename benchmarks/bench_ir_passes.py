@@ -9,8 +9,9 @@ This report prices that claim on two network families:
   (Theorem 1 minterm forms, SRM0 sorting-network columns): the pipeline
   must shrink them substantially, and ``evaluate_batch`` on the
   pass-optimized program must at least match the legacy
-  ``optimize()`` → ``Network`` → compile path (which now wraps the same
-  pipeline — the comparison pins the IR plumbing's overhead to zero);
+  ``Network`` → compile path (the same program raised back with
+  ``program.to_network()`` — the comparison pins the IR plumbing's
+  overhead to zero);
 * **minimal** — already-optimal networks the passes cannot improve:
   node counts must not change, and the optimized program must share the
   original's compiled plan (same fingerprint), so ``evaluate_batch``
@@ -36,7 +37,7 @@ from repro import runtime
 from repro.core.synthesis import synthesize
 from repro.core.table import NormalizedTable
 from repro.ir import lower, optimize_program
-from repro.network import NetworkBuilder, compile_plan, evaluate_batch, optimize
+from repro.network import NetworkBuilder, compile_plan, evaluate_batch
 from repro.network.generate import random_volley
 from repro.neuron.response import ResponseFunction
 from repro.neuron.srm0 import SRM0Neuron
@@ -45,7 +46,7 @@ from repro.neuron.srm0_network import build_srm0_network
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_ir_passes.json"
 
 #: Optimized-program batches may not run slower than the legacy
-#: optimize()->Network->compile path by more than this factor.
+#: program->Network->compile path by more than this factor.
 MAX_LEGACY_RATIO = 1.10
 #: On minimal networks the pipeline must be a no-op, so the optimized
 #: batch may not regress past timing noise.
@@ -102,7 +103,7 @@ def _volleys(network, batch, *, seed):
 def measure_redundant(network, *, batch, repeats, seed=0):
     """Reduction accounting plus optimized-vs-legacy batch timing."""
     program, report = optimize_program(network)
-    legacy, _ = optimize(network)  # the old path: pipeline -> Network
+    legacy = program.to_network()  # the old path: pipeline -> Network
     volleys = _volleys(network, batch, seed=seed)
 
     # Warm the plans out of the timed region.
@@ -209,7 +210,7 @@ def report(*, smoke=False, artifact_path=ARTIFACT) -> tuple[str, bool]:
             ok = False
             lines.append(
                 f"  FAIL: optimized batch is {row['ratio_vs_legacy']:.2f}x "
-                f"the legacy optimize() path (bound {MAX_LEGACY_RATIO:.2f}x)"
+                f"the legacy Network path (bound {MAX_LEGACY_RATIO:.2f}x)"
             )
     lines.append("\nminimal networks (pipeline must be a no-op):")
     for name, row in data["minimal"].items():

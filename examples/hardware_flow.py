@@ -18,11 +18,11 @@ from pathlib import Path
 
 from repro.core import INF, NormalizedTable, minimize, synthesize
 from repro.core.function import enumerate_domain
+from repro.ir import optimize_program
 from repro.network import (
     default_input_window,
     evaluate,
     makespan_bound,
-    optimize,
     save,
     structure,
 )
@@ -55,8 +55,9 @@ def main() -> None:
     print(f"synthesized: {structure(net)}")
 
     print("\n=== 3. Optimize ===")
-    net, report = optimize(net)
-    print(f"optimized: {report}")
+    before = net.size
+    net = optimize_program(net)[0].to_network()
+    print(f"optimized: {before} -> {net.size} blocks")
 
     print("\n=== 4. Static timing ===")
     bound = makespan_bound(net, default_input_window(net, 7))

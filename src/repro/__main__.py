@@ -22,9 +22,8 @@ Commands:
   hit/miss record, optionally after exercising every backend once; with
   ``--json`` the serving-layer section (queue depth, batch histogram,
   latency quantiles) rides along.
-* ``runtime`` — the unified execution runtime: every registered engine
-  with capabilities and availability, the policy-resolved serving
-  engine, and the cache tiers (``--json`` for the full record).
+* ``runtime`` — the execution runtime: the four engines in report
+  order and the cache tiers (``--json`` for the full record).
 * ``train`` — online STDP through the training plane, locally: stream
   the seeded classification scenario (or an NDJSON ``--source``) through
   ingestion → trainer → snapshot → promote and report the holdout
@@ -191,32 +190,10 @@ def _conformance(argv: list[str]) -> int:
             "kwta, microweight, kernels) instead of the weighted mix"
         ),
     )
-    parser.add_argument(
-        "--engines",
-        metavar="NAMES",
-        help=(
-            "comma-separated engine names or keys resolved through the "
-            "runtime registry (e.g. 'interpreted,event' or "
-            "'interpreted,auto'); default: every registered backend"
-        ),
-    )
     args = parser.parse_args(argv)
 
     from .testing import run_conformance
 
-    oracles = None
-    if args.engines:
-        from .runtime.registry import AUTO, ENGINES
-
-        try:
-            oracles = [
-                ENGINES.resolve(AUTO) if name == AUTO else ENGINES.create(name)
-                for name in (n.strip() for n in args.engines.split(","))
-                if name
-            ]
-        except ValueError as error:
-            print(f"error: {error}")
-            return 2
     try:
         report = run_conformance(
             args.seed,
@@ -227,7 +204,6 @@ def _conformance(argv: list[str]) -> int:
             shrink=not args.no_shrink,
             optimize=args.optimize,
             family=args.family,
-            oracles=oracles,
         )
     except ValueError as error:
         print(f"error: {error}")
@@ -292,20 +268,22 @@ def _trace(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     from .obs.trace import first_divergence, to_chrome_trace, to_jsonl
-    from .testing.oracles import default_oracles
+    from .runtime.engines import ENGINES
 
     network, volley = _demo_column(args.seed, smoke=args.smoke)
     print(f"tracing {network.name}: volley {volley} -> "
           f"{len(network.nodes)} nodes, outputs {network.output_names}")
 
     traces = {}
-    for oracle in default_oracles(include_grl=not args.no_grl):
-        trace = oracle.trace(network, volley)
-        if trace is None:
-            print(f"  {oracle.name:<15} skipped (cannot trace this case)")
+    for engine in ENGINES:
+        if args.no_grl and engine.cycle_accurate:
             continue
-        traces[oracle.name] = trace
-        print(f"  {oracle.name:<15} {len(trace)} spike(s)")
+        trace = engine().trace(network, volley)
+        if trace is None:
+            print(f"  {engine.name:<15} skipped (cannot trace this case)")
+            continue
+        traces[engine.name] = trace
+        print(f"  {engine.name:<15} {len(trace)} spike(s)")
     if not traces:
         print("no backend produced a trace")
         return 1
@@ -456,14 +434,19 @@ def _kernels(argv: list[str]) -> int:
     spec = KERNELS[args.demo]
     print(kernel.describe())
 
-    from .testing.oracles import default_oracles, run_backends
+    from .runtime.engines import ENGINES
+    from .testing.oracles import run_backends
 
     volley = spec.demo_volley
     print(f"\ndemo volley {volley}:")
     run = run_backends(
         kernel.network(),
         [volley],
-        oracles=default_oracles(include_grl=not args.no_grl),
+        oracles=[
+            engine()
+            for engine in ENGINES
+            if not (args.no_grl and engine.cycle_accurate)
+        ],
     )
     rows = {}
     for backend, results in sorted(run.results.items()):
@@ -788,17 +771,10 @@ def _runtime(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro runtime",
         description=(
-            "The unified execution runtime: every registered engine with "
-            "its capability descriptor and availability probe, the "
-            "policy-resolved serving engine, and the plan and result "
+            "The execution runtime: the four engines in report order "
+            "(the compiled-batch engine serves) and the plan and result "
             "caches."
         ),
-    )
-    parser.add_argument(
-        "--engine",
-        default="auto",
-        metavar="POLICY",
-        help="selection policy to resolve (default 'auto')",
     )
     parser.add_argument(
         "--json", action="store_true", help="machine-readable JSON output"
@@ -806,36 +782,22 @@ def _runtime(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     from . import runtime
-    from .runtime.registry import ENGINES
+    from .runtime.engines import ENGINES
 
-    try:
-        selected = ENGINES.resolve(args.engine)
-    except ValueError as error:
-        print(f"error: {error}")
-        return 2
     if args.json:
         payload = {
-            "engines": ENGINES.describe(),
-            "policy": args.engine,
-            "selected": selected.key,
+            "engines": [
+                {"name": e.name, "cycle_accurate": e.cycle_accurate}
+                for e in ENGINES
+            ],
             "cache": runtime.cache_info(),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    print(
-        f"execution runtime: {len(ENGINES.names())} engines; "
-        f"policy {args.engine!r} -> {selected.name} (key {selected.key!r})"
-    )
-    for record in ENGINES.describe():
-        caps = record["capabilities"]
-        flags = ", ".join(sorted(k for k, v in caps.items() if v is True))
-        status = (
-            "available"
-            if record["available"] is None
-            else f"unavailable: {record['available']}"
-        )
-        print(f"  {record['name']:<15} key={record['key']:<12} {status}")
-        print(f"  {'':<15} capabilities: {flags or '-'}")
+    print(f"execution runtime: {len(ENGINES)} engines; compiled-batch serves")
+    for engine in ENGINES:
+        note = " (cycle-accurate)" if engine.cycle_accurate else ""
+        print(f"  {engine.name}{note}")
     info = runtime.cache_info()
     plan, result = info["plan"], info["result"]
     print(

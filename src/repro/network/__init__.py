@@ -27,7 +27,6 @@ from .compile_plan import (
 from .events import EventSimulator, SimulationResult, SpikeEvent, simulate
 from .generate import input_batch, random_inputs, random_network, random_volley
 from .graph import Network, NetworkError
-from .optimize import OptimizationReport, optimize
 from .serialize import dumps, load, loads, network_from_dict, network_to_dict, save
 from .simulator import (
     evaluate,
@@ -63,7 +62,6 @@ __all__ = [
     "NetworkBuilder",
     "NetworkError",
     "Node",
-    "OptimizationReport",
     "Ref",
     "SimulationResult",
     "SpikeEvent",
@@ -94,7 +92,6 @@ __all__ = [
     "makespan_bound",
     "network_from_dict",
     "network_to_dict",
-    "optimize",
     "output_intervals",
     "random_inputs",
     "random_network",

@@ -1,12 +1,11 @@
-"""The unified execution runtime: engine registry plus cache tiers.
+"""The execution runtime: the engine list plus cache tiers.
 
 One seam for every layer (DESIGN.md §14).  The pieces:
 
-* :data:`ENGINES` / :class:`EngineRegistry` — all four backends
-  registered as :class:`~repro.runtime.engines.BackendEngine`
-  implementations with capability descriptors; ``auto`` names the one
-  batchable engine.  Serve pools, conformance, and the CLI dispatch
-  through it.
+* :data:`ENGINES` — the four backend classes
+  (:class:`~repro.runtime.engines.BackendEngine` subclasses) in the
+  pinned report order; conformance and the CLI instantiate fresh
+  engines from it.  Serving calls the batch engine directly.
 * :data:`PLAN_CACHE` — the fingerprint-keyed LRU of compiled plans,
   with per-entry byte accounting.
 * :data:`RESULT_CACHE` — the bounded ``(fingerprint, volley digest) →
@@ -15,7 +14,7 @@ One seam for every layer (DESIGN.md §14).  The pieces:
 
 Import-weight discipline: importing ``repro.runtime`` loads only the
 cache tiers (stdlib + numpy), so low-level compilers can store plans
-through the tier without cycles.  The registry — which imports every
+through the tier without cycles.  The engine list — which imports every
 backend — materializes lazily on first attribute access.
 """
 
@@ -51,12 +50,8 @@ def _register_cache_gauges() -> None:
 _register_cache_gauges()
 
 __all__ = [
-    "AUTO",
     "BackendEngine",
     "ENGINES",
-    "Engine",
-    "EngineCapabilities",
-    "EngineRegistry",
     "PLAN_CACHE",
     "PlanCacheTier",
     "RESULT_CACHE",
@@ -68,24 +63,13 @@ __all__ = [
     "volley_digest",
 ]
 
-#: Attributes resolved on demand to keep this package import-light.
-_LAZY = {
-    "AUTO": ("registry", "AUTO"),
-    "ENGINES": ("registry", "ENGINES"),
-    "EngineRegistry": ("registry", "EngineRegistry"),
-    "BackendEngine": ("engines", "BackendEngine"),
-    "Engine": ("engines", "Engine"),
-    "EngineCapabilities": ("engines", "EngineCapabilities"),
-}
-
-
 def __getattr__(name: str) -> Any:
-    target = _LAZY.get(name)
-    if target is None:
+    """Resolve the engine names on demand (keeps this package import-light)."""
+    if name not in ("BackendEngine", "ENGINES"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
+    from . import engines
 
-    value = getattr(import_module(f".{target[0]}", __name__), target[1])
+    value = getattr(engines, name)
     globals()[name] = value
     return value
 

@@ -11,7 +11,7 @@ in front of the tier, so identity hits (``plan_cache.hit.identity``)
 never reach here.
 
 The module is deliberately light (stdlib + obs.metrics only) so the
-compiler can import it without touching the engine registry.
+compiler can import it without touching the engines.
 """
 
 from __future__ import annotations

@@ -1,38 +1,26 @@
-"""The Engine contract and the four stock backends behind it.
+"""The four stock backends behind one contract, in one fixed order.
 
 The paper's central claim is that one s-t algebra admits many
 interchangeable implementations; the repo carries four — the
 interpreted big-int walk, the compiled int64 batch engine, the
-event-driven simulator, and the gate-level GRL circuit model.  Every
-implementation is a :class:`BackendEngine` carrying
-
-* ``name`` — the registry/report label (``"compiled-batch"``, …),
-* ``key`` — the short serving key (``"int64"``) that the CLI
-  ``--engine`` flags and worker warmup ledgers use,
-* ``capabilities`` — a static :class:`EngineCapabilities` descriptor
-  (batchable? zero-source constants? cycle-accurate?) that replaces
-  name-based special-casing, and
-* ``available()`` — a runtime probe (``None`` = usable here, else the
-  reason), checked when a policy pins an engine.
-
-Batchable engines additionally expose the serving surface —
-``evaluate(program, matrix)`` over sentinel-int64 batches and
-``warm(program)`` precompilation — so worker processes dispatch through
-the same objects the conformance harness diffs.
-:mod:`repro.testing.oracles` re-exports these classes under their
-historical ``*Oracle`` names.
+event-driven simulator, and the gate-level GRL circuit model.  Each is a
+:class:`BackendEngine` carrying a report ``name`` and a
+``cycle_accurate`` flag (the slow gate-level model sets it, so sweeps
+can leave it out).  :data:`ENGINES` lists the four classes in the pinned
+report order; differential testing instantiates fresh engines from it.
+Serving does not go through these objects: the serving stack calls the
+batch engine (:func:`~repro.network.compile_plan.evaluate_batch`)
+directly.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import asdict, dataclass
-from typing import Any, Optional, Protocol, runtime_checkable
+from typing import Optional
 
 from ..core.value import Infinity, Time
 from ..ir.program import ProgramLike, ensure_program
-from ..native import NUMBA_AVAILABLE, native_mode
-from ..network.compile_plan import compile_plan, decode_matrix, evaluate_batch
+from ..network.compile_plan import decode_matrix, evaluate_batch
 from ..network.events import EventSimulator
 from ..network.simulator import evaluate_all_interpreted
 from ..obs.trace import RecordingSink, TraceEvent
@@ -41,85 +29,19 @@ Volley = tuple[Time, ...]
 Outputs = tuple[Time, ...]
 
 
-@runtime_checkable
-class Engine(Protocol):
-    """The structural contract every backend engine satisfies.
-
-    One executable semantics of the s-t language, consuming a
-    :data:`~repro.ir.program.ProgramLike` (a ``Network`` or a lowered
-    ``Program``) — the dispatch surface the conformance harness and the
-    serving stack are written against.
-    """
-
-    name: str
-
-    def supports_network(self, network: ProgramLike) -> Optional[str]:
-        """``None`` if the engine can run *network*, else a skip reason."""
-        ...
-
-    def supports_volley(self, volley: Volley) -> bool:
-        """True if the engine can run this particular volley."""
-        ...
-
-    def run(
-        self,
-        network: ProgramLike,
-        volleys: Sequence[Volley],
-        params: Optional[Mapping[str, Time]] = None,
-    ) -> list[Outputs]:
-        """Raw output tuples (output-name order) per volley."""
-        ...
-
-    def trace(
-        self,
-        network: ProgramLike,
-        volley: Volley,
-        params: Optional[Mapping[str, Time]] = None,
-    ) -> Optional[list[TraceEvent]]:
-        """Canonical spike trace of one volley, or ``None`` if untraceable."""
-        ...
-
-
-@dataclass(frozen=True)
-class EngineCapabilities:
-    """What one backend can do, declared statically.
-
-    The registry and serving stack branch on these fields instead of on
-    engine names: serving wants ``batchable``, conformance filters the
-    slow gate-level model via ``cycle_accurate``, and skip reporting
-    leans on ``supports_zero_source_const``.
-    """
-
-    #: Accepts whole sentinel-int64 volley matrices via ``evaluate``.
-    batchable: bool = False
-    #: Can realize zero-source min/max lattice constants.
-    supports_zero_source_const: bool = True
-    #: Simulates gate-by-gate cycles (orders of magnitude slower).
-    cycle_accurate: bool = False
-
-
 class BackendEngine:
     """One executable semantics of the network language.
 
-    The stock implementation of the :class:`Engine` protocol (the class
-    conformance code historically imported as ``BackendOracle``).
     Subclasses implement :meth:`run`; partial backends override
-    :meth:`supports_network` / :meth:`supports_volley`; batchable
-    backends override :meth:`evaluate` / :meth:`warm`.  ``run`` returns
+    :meth:`supports_network` / :meth:`supports_volley`.  ``run`` returns
     *raw* outputs — canonicalization (sentinel saturation) is applied
     uniformly by the harness, never per backend.
     """
 
-    #: Registry key and report label; subclasses must override.
+    #: Report label; subclasses must override.
     name: str = "abstract"
-    #: Short serving key (CLI flags, warmup ledgers); defaults to name.
-    key: str = "abstract"
-    #: Static capability descriptor; subclasses override as needed.
-    capabilities: EngineCapabilities = EngineCapabilities()
-
-    def available(self) -> Optional[str]:
-        """``None`` when the engine can run in this process, else why not."""
-        return None
+    #: Simulates gate-by-gate cycles (orders of magnitude slower).
+    cycle_accurate: bool = False
 
     def supports_network(self, network: ProgramLike) -> Optional[str]:
         """``None`` if the backend can run *network*, else a skip reason."""
@@ -153,34 +75,8 @@ class BackendEngine:
         """
         return None
 
-    # -- batch serving surface ------------------------------------------
-
-    def evaluate(
-        self,
-        network: ProgramLike,
-        inputs: Any,
-        *,
-        params: Optional[Mapping[str, Time]] = None,
-        sink: Any = None,
-    ) -> Any:
-        """Evaluate a sentinel-int64 batch (batchable engines only)."""
-        raise NotImplementedError(f"engine {self.name!r} is not batchable")
-
-    def warm(self, network: ProgramLike) -> None:
-        """Precompile *network* so first real traffic pays nothing."""
-        return None
-
-    def describe(self) -> dict:
-        """A JSON-able capability record for CLI/registry listings."""
-        return {
-            "name": self.name,
-            "key": self.key,
-            "available": self.available(),
-            "capabilities": asdict(self.capabilities),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"<oracle {self.name}>"
+        return f"<engine {self.name}>"
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +87,6 @@ class InterpretedEngine(BackendEngine):
     """The pure-Python reference walk (arbitrary-precision ints)."""
 
     name = "interpreted"
-    key = "interpreted"
 
     def run(self, network, volleys, params=None):
         names = network.input_names
@@ -225,8 +120,6 @@ class CompiledBatchEngine(BackendEngine):
     """
 
     name = "compiled-batch"
-    key = "int64"
-    capabilities = EngineCapabilities(batchable=True)
 
     def run(self, network, volleys, params=None):
         matrix = evaluate_batch(network, list(volleys), params=params)
@@ -237,24 +130,11 @@ class CompiledBatchEngine(BackendEngine):
         evaluate_batch(network, [tuple(volley)], params=params, sink=sink)
         return sink.canonical()
 
-    def evaluate(self, network, inputs, *, params=None, sink=None):
-        return evaluate_batch(network, inputs, params=params, sink=sink)
-
-    def warm(self, network):
-        compile_plan(network).warm()
-
-    def describe(self) -> dict:
-        record = super().describe()
-        record["mode"] = native_mode()
-        record["numba_available"] = NUMBA_AVAILABLE
-        return record
-
 
 class EventDrivenEngine(BackendEngine):
     """The operational simulator: spikes as discrete scheduled events."""
 
     name = "event-driven"
-    key = "event"
 
     def run(self, network, volleys, params=None):
         simulator = EventSimulator(network)
@@ -284,10 +164,7 @@ class GRLCircuitEngine(BackendEngine):
     """
 
     name = "grl-circuit"
-    key = "grl"
-    capabilities = EngineCapabilities(
-        supports_zero_source_const=False, cycle_accurate=True
-    )
+    cycle_accurate = True
 
     def __init__(self, *, max_time: int = 32, max_gates: int = 400):
         self.max_time = max_time
@@ -343,3 +220,12 @@ class GRLCircuitEngine(BackendEngine):
             dict(zip(network.input_names, volley)), params=params, sink=sink
         )
         return sink.canonical()
+
+
+#: Every engine class, in the pinned conformance report order.
+ENGINES: tuple[type[BackendEngine], ...] = (
+    InterpretedEngine,
+    CompiledBatchEngine,
+    EventDrivenEngine,
+    GRLCircuitEngine,
+)

@@ -17,7 +17,7 @@ the served conformance harness checks, including against deliberate
 corruption via :meth:`ResultCache.poison`.
 
 Light by design (stdlib + numpy + obs.metrics) so the service layer can
-import it without pulling in the engine registry.
+import it without pulling in the engines.
 """
 
 from __future__ import annotations

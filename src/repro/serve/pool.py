@@ -1,19 +1,17 @@
-"""Sharded worker pool: one compiled-and-warmed engine per process.
+"""Sharded worker pool: one compiled-and-warmed batch engine per process.
 
 Each worker is a separate OS process that, at startup, rebuilds every
-registered model from its serialized document (verifying the embedded
-fingerprint), lowers it to the IR, runs the optimizer pass pipeline, and
-**warms** the serving engine
-(:meth:`~repro.runtime.engines.BackendEngine.warm`) — so the first real
-request never pays compilation, first-touch, or JIT cost.  The
-``engine`` option is a policy resolved through
-:data:`repro.runtime.ENGINES` — ``"auto"`` (the default) or an explicit
-key like ``"int64"`` — and selects which engine answers eval messages;
-warmup counts, keyed by engine, are reported per worker through
-:meth:`ProcessWorkerPool.warmups`.  Work arrives as already-encoded
-``(B, n_inputs)`` int64 matrices (the micro-batcher's output) and leaves
-as the engine's raw ``(B, n_outputs)`` result, keeping the IPC payload
-two NumPy arrays per batch.
+registered model from its serialized document through
+:func:`load_program` — verify the embedded fingerprint, lower to the
+IR, run the optimizer pass pipeline, and **warm** the compiled plan — so
+the first real request never pays compilation, first-touch, or JIT
+cost.  Eval messages are answered by the batch engine
+(:func:`~repro.network.compile_plan.evaluate_batch`); each worker's
+warm-up count is reported through :meth:`ProcessWorkerPool.warmups`.
+Work arrives as already-encoded ``(B, n_inputs)`` int64 matrices (the
+micro-batcher's output) and leaves as the engine's raw
+``(B, n_outputs)`` result, keeping the IPC payload two NumPy arrays per
+batch.
 
 Dispatch is **least-loaded**: :meth:`ProcessWorkerPool.submit` picks the
 alive worker with the fewest in-flight batches.  A dedicated collector
@@ -27,7 +25,8 @@ prove byte-identical responses survive crashes.
 
 :class:`InlineWorkerPool` is the same interface executed synchronously
 in-process — no IPC, no fork — used by unit tests and by benchmark
-configurations that isolate scheduling cost from process cost.
+configurations that isolate scheduling cost from process cost.  It
+loads through the same :func:`load_program`.
 """
 
 from __future__ import annotations
@@ -44,12 +43,13 @@ from typing import Callable
 import numpy as np
 
 from ..core.value import INF, Time
+from ..ir.passes import optimize_program
+from ..ir.program import Program, lower
+from ..network import serialize
+from ..network.compile_plan import INF_I64, compile_plan, evaluate_batch
 from ..obs import metrics as _obs_metrics
 from ..obs import rtrace as _rtrace
 from .protocol import E_WORKER, ServeError
-
-#: Sentinel import kept local to the worker body; see _worker_main.
-from ..network.compile_plan import INF_I64
 
 #: A worker piggybacks its own metrics snapshot on every Nth eval reply
 #: (the frontend cannot see child-process registries otherwise; every
@@ -63,6 +63,25 @@ def _pool_gauges(pool) -> dict:
         "serve.workers_alive": pool.alive_count,
         "serve.pool.inflight": pool.inflight,
     }
+
+
+def load_program(model_id: str, document: str) -> Program:
+    """Rebuild one served model from its document, ready to evaluate.
+
+    Deserialize, verify that the document's fingerprint is *model_id*
+    (:class:`ValueError` otherwise), lower to the IR, run the optimizer
+    pass pipeline, and warm the compiled plan.  Both pools load every
+    model through here.
+    """
+    network = serialize.loads(document)
+    if network.fingerprint() != model_id:
+        raise ValueError(
+            f"document fingerprint {network.fingerprint()[:12]} does not "
+            f"match model id {model_id[:12]}"
+        )
+    program, _report = optimize_program(lower(network))
+    compile_plan(program).warm()
+    return program
 
 
 def _decode_params(params_enc: dict[str, int]) -> dict[str, Time]:
@@ -105,18 +124,13 @@ class Job:
 # Worker process body
 # ---------------------------------------------------------------------------
 
-def _worker_main(
-    conn, documents: dict[str, str], optimize: bool, engine: str = "auto"
-) -> None:
+def _worker_main(conn, documents: dict[str, str]) -> None:
     """The worker loop: load + warm every model, then serve eval messages.
 
     Runs in a child process (or, for unit tests, a plain thread with the
-    other pipe end held by the test).  *engine* selects the evaluation
-    backend for ``eval`` messages, resolved through the runtime engine
-    registry — an engine key (``"int64"``) or the ``"auto"`` policy.
-    The engine compiles and warms every model at load time, so no
-    request pays for it; the warmup count, keyed by engine, rides back
-    on the ready message.  Messages:
+    other pipe end held by the test).  Every model is loaded through
+    :func:`load_program` at start-up, so no request pays for compiling
+    it; the warm-up count rides back on the ready message.  Messages:
 
     * ``("eval", job_id, model_id, matrix, params_enc, want_spans)`` →
       ``("ok", job_id, result, extras)`` or
@@ -126,38 +140,18 @@ def _worker_main(
       aggregate per-worker counters it otherwise cannot see), plus
       engine span timings when *want_spans* is non-zero — wall clock at
       level 1, wall clock + ``phase.*`` attribution deltas at level 2;
-    * ``("load", model_id, document)`` → ``("loaded", model_id)``
+    * ``("load", model_id, document)`` → ``("loaded", model_id, warmups)``
     * ``("ping", token)`` → ``("pong", token)``
     * ``("crash",)`` → hard ``os._exit`` (fault-injection hook)
     * ``("stop",)`` → clean return
     """
     import time as _time
 
-    from ..ir.passes import optimize_program
-    from ..ir.program import lower
-    from ..network import serialize
     from ..obs import profile as _profile
     from ..obs.metrics import METRICS as _worker_metrics
-    from ..runtime.registry import ENGINES
 
-    backend = ENGINES.resolve(engine)
-    evaluate = backend.evaluate
-    warmups = {backend.key: 0}
-
-    def load(model_id: str, document: str):
-        network = serialize.loads(document)
-        if network.fingerprint() != model_id:
-            raise ValueError(
-                f"document fingerprint {network.fingerprint()[:12]} does not "
-                f"match model id {model_id[:12]}"
-            )
-        program = lower(network)
-        if optimize:
-            program, _report = optimize_program(program)
-        backend.warm(program)
-        warmups[backend.key] += 1
-        return program
-    programs = {mid: load(mid, doc) for mid, doc in documents.items()}
+    programs = {mid: load_program(mid, doc) for mid, doc in documents.items()}
+    warmups = len(programs)
     # The compiled programs and warmed plans are immortal from here on;
     # freeze them out of the cyclic GC so steady-state eval batches never
     # pay a full collection that walks the model heap.
@@ -165,7 +159,7 @@ def _worker_main(
 
     _gc.collect()
     _gc.freeze()
-    conn.send(("ready", os.getpid(), sorted(programs), dict(warmups)))
+    conn.send(("ready", os.getpid(), sorted(programs), warmups))
     replies = 0
 
     def phase_totals() -> dict[str, float]:
@@ -207,7 +201,7 @@ def _worker_main(
                     before = phase_totals()
                     started = _time.perf_counter()
                     with _profile.profiled():
-                        result = evaluate(
+                        result = evaluate_batch(
                             program, matrix, params=_decode_params(params_enc)
                         )
                     eval_s = _time.perf_counter() - started
@@ -219,12 +213,12 @@ def _worker_main(
                 elif want_spans:
                     # Every traced batch: wall clock only (two reads).
                     started = _time.perf_counter()
-                    result = evaluate(
+                    result = evaluate_batch(
                         program, matrix, params=_decode_params(params_enc)
                     )
                     eval_s = _time.perf_counter() - started
                 else:
-                    result = evaluate(
+                    result = evaluate_batch(
                         program, matrix, params=_decode_params(params_enc)
                     )
                 conn.send(
@@ -236,8 +230,9 @@ def _worker_main(
             replies += 1
         elif op == "load":
             _op, model_id, document = message
-            programs[model_id] = load(model_id, document)
-            conn.send(("loaded", model_id, dict(warmups)))
+            programs[model_id] = load_program(model_id, document)
+            warmups += 1
+            conn.send(("loaded", model_id, warmups))
         elif op == "ping":
             conn.send(("pong", message[1]))
         elif op == "crash":
@@ -261,9 +256,9 @@ class _WorkerHandle:
     generation: int
     alive: bool = True
     jobs: dict[int, Job] = field(default_factory=dict)
-    #: Per-engine plan warmup counts the worker reported at ready (and
-    #: refreshes on every subsequent model load).
-    warmups: dict[str, int] = field(default_factory=dict)
+    #: Plan warm-ups the worker reported at ready (refreshed on every
+    #: subsequent model load).
+    warmups: int = 0
     #: The worker's most recent piggybacked metrics snapshot (may lag
     #: by up to :data:`_METRICS_PIGGYBACK_EVERY` replies).
     metrics: dict = field(default_factory=dict)
@@ -281,20 +276,12 @@ class ProcessWorkerPool:
         documents: dict[str, str],
         *,
         n_workers: int = 2,
-        optimize: bool = True,
-        engine: str = "auto",
         max_restarts: int = 8,
         start_timeout: float = 60.0,
     ):
         if n_workers < 1:
             raise ValueError(f"need at least one worker, got {n_workers}")
-        from ..runtime.registry import ENGINES
-
-        # Resolve the policy once, in the parent: workers inherit the
-        # pinned key so a restart can never flip engines mid-flight.
         self._documents = dict(documents)
-        self._optimize = optimize
-        self._engine = ENGINES.resolve(engine).key
         self._max_restarts = max_restarts
         self._start_timeout = start_timeout
         self._lock = threading.Lock()
@@ -324,7 +311,7 @@ class ProcessWorkerPool:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self._documents, self._optimize, self._engine),
+            args=(child_conn, self._documents),
             name=f"serve-worker-{slot}.{generation}",
             daemon=True,
         )
@@ -346,7 +333,7 @@ class ProcessWorkerPool:
             process=process,
             conn=parent_conn,
             generation=generation,
-            warmups=dict(message[3]) if len(message) > 3 else {},
+            warmups=message[3],
         )
 
     def shutdown(self, timeout: float = 10.0) -> None:
@@ -400,14 +387,10 @@ class ProcessWorkerPool:
         with self._lock:
             return [w.inflight if w.alive else -1 for w in self._workers]
 
-    @property
-    def engine(self) -> str:
-        return self._engine
-
-    def warmups(self) -> list[dict[str, int]]:
-        """Per-slot plan warmup counts, keyed by engine (``int64``)."""
+    def warmups(self) -> list[int]:
+        """Per-slot plan warm-up counts."""
         with self._lock:
-            return [dict(w.warmups) for w in self._workers]
+            return [w.warmups for w in self._workers]
 
     def worker_metrics(self) -> list[dict]:
         """Each worker's latest piggybacked metrics snapshot.
@@ -545,9 +528,9 @@ class ProcessWorkerPool:
             else:
                 _obs_metrics.METRICS.inc("serve.worker.failures")
                 job.on_fail(f"worker {worker.slot} error: {payload}")
-        elif op == "loaded" and len(message) > 2:
+        elif op == "loaded":
             with self._lock:
-                worker.warmups = dict(message[2])
+                worker.warmups = message[2]
         elif op == "pong":
             with self._lock:
                 pending = self._pongs.pop(message[1], None)
@@ -598,24 +581,14 @@ class InlineWorkerPool:
 
     Used by unit tests (determinism, no fork) and by benchmark
     configurations that measure scheduling without process overhead.
-    Loads from the same serialized documents as the process pool so the
-    rebuild-verify-warm path stays covered in-process.
+    Loads every model through :func:`load_program`, exactly as a
+    process worker does, so the rebuild-verify-warm path stays covered
+    in-process.
     """
 
-    def __init__(
-        self,
-        documents: dict[str, str],
-        *,
-        optimize: bool = True,
-        engine: str = "auto",
-    ):
-        from ..runtime.registry import ENGINES
-
-        self._optimize = optimize
-        self._engine_impl = ENGINES.resolve(engine)
-        self._engine = self._engine_impl.key
+    def __init__(self, documents: dict[str, str]):
         self._programs = {}
-        self._warmups = {self._engine: 0}
+        self._warmups = 0
         for model_id, document in documents.items():
             self.add_model(model_id, document)
         self._stopping = False
@@ -640,12 +613,8 @@ class InlineWorkerPool:
     def loads(self) -> list[int]:
         return [0]
 
-    @property
-    def engine(self) -> str:
-        return self._engine
-
-    def warmups(self) -> list[dict[str, int]]:
-        return [dict(self._warmups)]
+    def warmups(self) -> list[int]:
+        return [self._warmups]
 
     def worker_metrics(self) -> list[dict]:
         """Inline execution shares the frontend registry: nothing extra."""
@@ -662,10 +631,9 @@ class InlineWorkerPool:
             job.on_fail(f"model {job.model_id[:12]} not loaded")
             return
         _obs_metrics.METRICS.inc("serve.pool.submits")
-        evaluate = self._engine_impl.evaluate
         started = _time.perf_counter() if job.want_spans else 0.0
         try:
-            result = evaluate(
+            result = evaluate_batch(
                 program, job.matrix, params=_decode_params(job.params_enc)
             )
         except Exception as exc:  # noqa: BLE001 - mapped to job failure
@@ -677,17 +645,8 @@ class InlineWorkerPool:
         job.on_done(result)
 
     def add_model(self, model_id: str, document: str) -> None:
-        from ..ir.passes import optimize_program
-        from ..ir.program import lower
-        from ..network import serialize
-
-        network = serialize.loads(document)
-        program = lower(network)
-        if self._optimize:
-            program, _report = optimize_program(program)
-        self._engine_impl.warm(program)
-        self._warmups[self._engine] += 1
-        self._programs[model_id] = program
+        self._programs[model_id] = load_program(model_id, document)
+        self._warmups += 1
 
     def wait_warm(self, timeout: float = 30.0) -> bool:
         """Loads are synchronous in-process: always already warm."""

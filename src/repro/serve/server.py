@@ -488,11 +488,9 @@ def build_service(args: argparse.Namespace) -> TNNService:
         registry.register(serialize.load(path))
     documents = registry.documents()
     if args.inline:
-        pool = InlineWorkerPool(documents, engine=args.engine)
+        pool = InlineWorkerPool(documents)
     else:
-        pool = ProcessWorkerPool(
-            documents, n_workers=args.workers, engine=args.engine
-        )
+        pool = ProcessWorkerPool(documents, n_workers=args.workers)
     if getattr(args, "result_cache_entries", None):
         from ..runtime import RESULT_CACHE
 
@@ -541,16 +539,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         "--inline",
         action="store_true",
         help="evaluate in-process instead of in worker processes",
-    )
-    from ..runtime.registry import AUTO, ENGINES
-
-    parser.add_argument(
-        "--engine",
-        choices=(AUTO, *ENGINES.serving_keys()),
-        default=AUTO,
-        help="evaluation backend policy resolved through the runtime "
-        "engine registry: 'auto' (default) and 'int64' both name the "
-        "compiled batch engine",
     )
     parser.add_argument(
         "--no-result-cache",

@@ -682,15 +682,16 @@ class TNNService:
             "max_batch": self.policy.max_batch,
             "max_wait_ms": self.policy.max_wait_s * 1e3,
         }
-        snapshot["engine"] = getattr(self.pool, "engine", "int64")
+        # One engine serves: the compiled batch engine, under its
+        # long-standing label (dashboards and benchmark reports read it).
+        snapshot["engine"] = "int64"
         warmups = getattr(self.pool, "warmups", None)
         if warmups is not None:
             per_worker = warmups()
-            totals: dict[str, int] = {}
-            for worker in per_worker:
-                for key, count in worker.items():
-                    totals[key] = totals.get(key, 0) + count
-            snapshot["warmups"] = {"per_worker": per_worker, **totals}
+            snapshot["warmups"] = {
+                "per_worker": per_worker,
+                "total": sum(per_worker),
+            }
         snapshot["result_cache"] = {
             "enabled": self.result_cache_enabled,
             **RESULT_CACHE.info(),

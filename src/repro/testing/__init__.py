@@ -8,7 +8,8 @@ claim into a continuously exercised gate:
 
 * :mod:`repro.testing.generators` — seeded random networks (layered
   DAGs, SRM0/WTA/micro-weight constructions) and adversarial volleys;
-* :mod:`repro.testing.oracles` — the backend-oracle registry with a
+* :mod:`repro.testing.oracles` — runs any list of the
+  :data:`repro.runtime.engines.ENGINES` backends over one batch, with a
   uniform, sentinel-saturated comparison semantics;
 * :mod:`repro.testing.conformance` — the differential sweep and the
   fault-injection self-check;
@@ -57,21 +58,7 @@ from .served import (
     check_served,
     run_served_cache_selfcheck,
 )
-from .oracles import (
-    BackendOracle,
-    BackendRun,
-    CompiledBatchOracle,
-    Engine,
-    EventDrivenOracle,
-    GRLCircuitOracle,
-    InterpretedOracle,
-    default_oracles,
-    oracle_names,
-    register_oracle,
-    run_backends,
-    saturate,
-    saturate_outputs,
-)
+from .oracles import BackendRun, run_backends, saturate, saturate_outputs
 from .shrink import (
     emit_mutant_test,
     emit_regression_test,
@@ -82,28 +69,21 @@ from .shrink import (
 )
 
 __all__ = [
-    "BackendOracle",
     "BackendRun",
     "CachePoisonFault",
     "CacheSelfCheckReport",
-    "CompiledBatchOracle",
     "ConformanceCase",
     "ConformanceReport",
-    "Engine",
-    "EventDrivenOracle",
     "FAULT_CLASSES",
     "FaultClass",
     "FaultSelfCheckReport",
     "FaultedOracle",
-    "GRLCircuitOracle",
-    "InterpretedOracle",
     "Mismatch",
     "PlanReorderOracle",
     "ServedMismatch",
     "ServedReport",
     "adversarial_volleys",
     "check_served",
-    "default_oracles",
     "diff_backends",
     "drop_lines",
     "emit_mutant_test",
@@ -111,11 +91,9 @@ __all__ = [
     "generate_case",
     "jitter_volley",
     "minimize_case",
-    "oracle_names",
     "random_kernel_network",
     "random_layered_network",
     "random_mutant",
-    "register_oracle",
     "restrict_to_output",
     "run_backends",
     "run_case",

@@ -32,16 +32,14 @@ from ..network.graph import Network
 from ..obs.trace import Divergence, TraceEvent, first_divergence
 from .faults import FAULT_CLASSES, FaultClass
 from .generators import ConformanceCase, generate_case
-from .oracles import (
-    BackendOracle,
-    BackendRun,
-    InterpretedOracle,
+from ..runtime.engines import (
+    ENGINES,
+    BackendEngine,
+    InterpretedEngine,
     Outputs,
     Volley,
-    default_oracles,
-    run_backends,
-    saturate_outputs,
 )
+from .oracles import BackendRun, run_backends, saturate_outputs
 from .shrink import (
     emit_mutant_test,
     emit_regression_test,
@@ -191,7 +189,7 @@ def diff_backends(
     volleys: Sequence[Volley],
     *,
     params: Optional[Mapping[str, Time]] = None,
-    oracles: Optional[Sequence[BackendOracle]] = None,
+    oracles: Optional[Sequence[BackendEngine]] = None,
     optimize: bool = False,
 ) -> tuple[BackendRun, list[tuple[int, dict[str, Outputs]]]]:
     """Run the backends and return ``(raw run, disagreement list)``.
@@ -220,7 +218,7 @@ def _disagreeing_output(
 def attach_divergence(
     mismatch: Mismatch,
     network: Network,
-    oracles: Sequence[BackendOracle],
+    oracles: Sequence[BackendEngine],
     params: Optional[Mapping[str, Time]],
 ) -> None:
     """Trace the two disagreeing backends and record where they split.
@@ -259,7 +257,7 @@ def attach_divergence(
 
 
 def _still_disagrees(
-    oracles: Sequence[BackendOracle],
+    oracles: Sequence[BackendEngine],
     params: Optional[Mapping[str, Time]],
     *,
     optimize: bool = False,
@@ -283,7 +281,7 @@ def _still_disagrees(
 def run_case(
     case: ConformanceCase,
     *,
-    oracles: Optional[Sequence[BackendOracle]] = None,
+    oracles: Optional[Sequence[BackendEngine]] = None,
     shrink: bool = True,
     optimize: bool = False,
 ) -> tuple[BackendRun, list[Mismatch]]:
@@ -294,7 +292,9 @@ def run_case(
     that shared program and shrinking re-optimizes each candidate, so
     the minimized reproducer still splits the *optimized* backends.
     """
-    oracles = list(oracles) if oracles is not None else default_oracles()
+    oracles = (
+        list(oracles) if oracles is not None else [engine() for engine in ENGINES]
+    )
     params = case.params or None
     run, found = diff_backends(
         case.network, case.volleys, params=params, oracles=oracles,
@@ -343,7 +343,6 @@ def run_conformance(
     shrink: bool = True,
     optimize: bool = False,
     family: Optional[str] = None,
-    oracles: Optional[Sequence[BackendOracle]] = None,
 ) -> ConformanceReport:
     """Sweep *count* seeded cases and (optionally) the fault self-check.
 
@@ -357,14 +356,14 @@ def run_conformance(
     pins every case to one generator family (e.g. ``"kernels"``) so a
     sweep can target one construction surface; the fault self-check
     inherits the pin, proving the harness keeps its teeth on that
-    family's victims too.  *oracles* pins an explicit backend list (the
-    CLI ``--engines`` path resolves it through the runtime registry);
-    when given, ``include_grl`` is ignored.
+    family's victims too.  ``include_grl=False`` leaves out the
+    cycle-accurate engine.
     """
-    if oracles is None:
-        oracles = default_oracles(include_grl=include_grl)
-    else:
-        oracles = list(oracles)
+    oracles = [
+        engine()
+        for engine in ENGINES
+        if include_grl or not engine.cycle_accurate
+    ]
     report = ConformanceReport(seed=seed, count=count)
     for offset in range(count):
         case = generate_case(seed + offset, smoke=smoke, family=family)
@@ -411,7 +410,7 @@ def run_fault_selfcheck(
     """
     classes = list(classes) if classes is not None else list(FAULT_CLASSES)
     report = FaultSelfCheckReport()
-    reference = InterpretedOracle()
+    reference = InterpretedEngine()
     for fault in classes:
         detection = FaultDetection(fault=fault.name, detected=False, attempts=0)
         for attempt in range(attempts):
@@ -472,7 +471,7 @@ def run_fault_selfcheck(
 def _emit_fault_repro(
     fault: FaultClass,
     case: ConformanceCase,
-    faulted: BackendOracle,
+    faulted: BackendEngine,
     witness: Volley,
 ) -> str:
     """Render the strongest reproducer available for a detection."""
@@ -480,12 +479,12 @@ def _emit_fault_repro(
     if transform is not None:
         mutant = transform(case.network)
         healthy = saturate_outputs(
-            InterpretedOracle().run(
+            InterpretedEngine().run(
                 case.network, [witness], params=case.params or None
             )[0]
         )
         broken = saturate_outputs(
-            InterpretedOracle().run(mutant, [witness], params=case.params or None)[0]
+            InterpretedEngine().run(mutant, [witness], params=case.params or None)[0]
         )
         if healthy != broken:
             return emit_mutant_test(

@@ -14,7 +14,7 @@ broken backend, so this module manufactures broken backends on purpose:
   pass.
 
 Each fault is packaged as a :class:`FaultedOracle` — a
-:class:`~repro.testing.oracles.BackendOracle` impersonating its victim —
+:class:`~repro.runtime.engines.BackendEngine` impersonating its victim —
 so the ordinary conformance diff is the detector.  The self-check in
 :mod:`repro.testing.conformance` injects every :data:`FAULT_CLASSES`
 entry and requires the diff to flag it: a harness that cannot kill these
@@ -46,7 +46,7 @@ from ..network.compile_plan import (
     encode_volleys,
 )
 from ..network.graph import Network
-from .oracles import BackendOracle, CompiledBatchOracle, Outputs, Volley
+from ..runtime.engines import BackendEngine, CompiledBatchEngine, Outputs, Volley
 
 # ---------------------------------------------------------------------------
 # Volley faults
@@ -198,7 +198,7 @@ def random_mutant(
 # Faulted oracles
 # ---------------------------------------------------------------------------
 
-class FaultedOracle(BackendOracle):
+class FaultedOracle(BackendEngine):
     """A victim backend with a fault spliced into its inputs.
 
     Wraps any oracle and transforms the network and/or the volleys it
@@ -208,7 +208,7 @@ class FaultedOracle(BackendOracle):
 
     def __init__(
         self,
-        victim: BackendOracle,
+        victim: BackendEngine,
         *,
         label: str,
         network_transform: Optional[Callable[[Network], Network]] = None,
@@ -245,7 +245,7 @@ class FaultedOracle(BackendOracle):
         return self.victim.trace(network, volley, params=params)
 
 
-class PlanReorderOracle(BackendOracle):
+class PlanReorderOracle(BackendEngine):
     """The compiled batch engine with a corrupted kernel schedule.
 
     Builds a fresh (uncached) :class:`~repro.network.compile_plan.
@@ -318,7 +318,7 @@ class FaultClass:
 
     name: str
     description: str
-    build: Callable[..., Optional[BackendOracle]]
+    build: Callable[..., Optional[BackendEngine]]
 
 
 def fault_classes() -> tuple[FaultClass, ...]:
@@ -334,7 +334,7 @@ def fault_classes() -> tuple[FaultClass, ...]:
             return None
         mutant, description = outcome
         return FaultedOracle(
-            CompiledBatchOracle(),
+            CompiledBatchEngine(),
             label=f"mutant({description})",
             network_transform=lambda _net: mutant,
         )
@@ -349,7 +349,7 @@ def fault_classes() -> tuple[FaultClass, ...]:
         seed = rng.randrange(2**31)
         jitter = rng.randint(1, 3)
         return FaultedOracle(
-            CompiledBatchOracle(),
+            CompiledBatchEngine(),
             label=f"jitter(±{jitter},seed={seed})",
             volley_transform=lambda v: jitter_volley(v, jitter=jitter, seed=seed),
         )
@@ -357,7 +357,7 @@ def fault_classes() -> tuple[FaultClass, ...]:
     def build_line_drop(case, rng: random.Random):
         line = rng.randrange(len(case.network.input_names))
         return FaultedOracle(
-            CompiledBatchOracle(),
+            CompiledBatchEngine(),
             label=f"drop(line={line})",
             volley_transform=lambda v: drop_lines(v, [line]),
         )
@@ -365,7 +365,7 @@ def fault_classes() -> tuple[FaultClass, ...]:
     def build_stuck_at_zero(case, rng: random.Random):
         line = rng.randrange(len(case.network.input_names))
         return FaultedOracle(
-            CompiledBatchOracle(),
+            CompiledBatchEngine(),
             label=f"stuck0(line={line})",
             volley_transform=lambda v: stuck_at_zero(v, [line]),
         )

@@ -1,20 +1,16 @@
-"""Backend-oracle adapter over the unified engine registry.
+"""Run several backends over one batch and compare them canonically.
 
 The repository carries four executable semantics for the same network
 language — the interpreted big-int walk, the compiled int64 batch
 engine, the operational event-driven simulator, and the gate-level GRL
-circuit model.  They live in
-:mod:`repro.runtime.engines` and register with
-:data:`repro.runtime.ENGINES` — the exact objects the serving stack
-dispatches through.  This module keeps the historical conformance
-surface (``register_oracle`` / ``oracle_names`` / ``default_oracles`` /
-``run_backends`` and the ``*Oracle`` class names) as a thin adapter, so
-differential testing exercises the production dispatch path rather than
-a parallel registry.
+circuit model.  They live in :mod:`repro.runtime.engines`, listed in
+report order by :data:`repro.runtime.engines.ENGINES`.  This module runs
+any list of them over one volley batch (:func:`run_backends`) and owns
+the comparison semantics.
 
 Comparison semantics
 --------------------
-Oracles report *canonical* outputs: every finite time strictly above
+Backends report *canonical* outputs: every finite time strictly above
 :data:`~repro.network.compile_plan.MAX_FINITE` is saturated to ``∞``
 before any diff.  This is deliberate — the interpreted evaluator computes
 with arbitrary-precision integers while the compiled engine saturates
@@ -25,25 +21,24 @@ what :func:`run_backends` and the conformance harness check.
 
 Partiality
 ----------
-Not every backend can run every case.  The GRL oracle compiles to a CMOS
+Not every backend can run every case.  The GRL engine compiles to a CMOS
 netlist (zero-source min/max constants have no gate realization) and
 simulates cycle-by-cycle, so it declares structural limits via
-``supports_network`` and per-volley limits via ``supports_volley``.  The
-registry never silently drops a backend — skips carry a human-readable
-reason into the report.
+``supports_network`` and per-volley limits via ``supports_volley``.  A
+backend is never silently dropped — skips carry a human-readable reason
+into the report.
 
 Adding a backend
 ----------------
-Subclass :class:`BackendOracle` (=
-:class:`~repro.runtime.engines.BackendEngine`), implement ``run`` (and
-the ``supports_*`` hooks if partial), then decorate with
-:func:`register_oracle`.  ``default_oracles()`` instantiates every
-registered backend; the conformance CLI picks it up automatically.
+Subclass :class:`~repro.runtime.engines.BackendEngine`, implement
+``run`` (and the ``supports_*`` hooks if partial), then append the class
+to :data:`~repro.runtime.engines.ENGINES`; the conformance CLI picks it
+up from there.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -51,46 +46,16 @@ from ..core.value import INF, Infinity, Time
 from ..ir.passes import optimize_program
 from ..ir.program import Program, ProgramLike, ensure_program
 from ..network.compile_plan import MAX_FINITE
-from ..runtime.engines import (
-    BackendEngine,
-    CompiledBatchEngine,
-    Engine,
-    EngineCapabilities,
-    EventDrivenEngine,
-    GRLCircuitEngine,
-    InterpretedEngine,
-    Outputs,
-    Volley,
-)
-from ..runtime.registry import ENGINES
+from ..runtime.engines import ENGINES, BackendEngine, Outputs, Volley
 
 __all__ = [
-    "BackendOracle",
     "BackendRun",
-    "CompiledBatchOracle",
-    "Engine",
-    "EngineCapabilities",
-    "EventDrivenOracle",
-    "GRLCircuitOracle",
-    "InterpretedOracle",
     "Outputs",
     "Volley",
-    "default_oracles",
-    "oracle_names",
-    "register_oracle",
     "run_backends",
     "saturate",
     "saturate_outputs",
 ]
-
-#: Historical names — the oracle classes ARE the runtime engines, so a
-#: conformance-registered backend and a serving-dispatched backend are
-#: one object with one behaviour.
-BackendOracle = BackendEngine
-InterpretedOracle = InterpretedEngine
-CompiledBatchOracle = CompiledBatchEngine
-EventDrivenOracle = EventDrivenEngine
-GRLCircuitOracle = GRLCircuitEngine
 
 
 def saturate(value: Time) -> Time:
@@ -103,38 +68,6 @@ def saturate(value: Time) -> Time:
 def saturate_outputs(outputs: Sequence[Time]) -> Outputs:
     """Canonicalize a whole output tuple (the diffable form)."""
     return tuple(saturate(v) for v in outputs)
-
-
-# ---------------------------------------------------------------------------
-# Registry adapter
-# ---------------------------------------------------------------------------
-
-def register_oracle(
-    factory: Callable[[], BackendOracle]
-) -> Callable[[], BackendOracle]:
-    """Register a backend factory (usable as a class decorator).
-
-    Forwards to :meth:`repro.runtime.EngineRegistry.register` on the
-    process-wide :data:`~repro.runtime.ENGINES` registry: the factory's
-    product must carry a unique ``name``; registration order is
-    preserved and becomes the report column order.
-    """
-    return ENGINES.register(factory)
-
-
-def oracle_names() -> list[str]:
-    """Registered backend names, in registration order."""
-    return ENGINES.names()
-
-
-def default_oracles(*, include_grl: bool = True) -> list[BackendOracle]:
-    """Fresh instances of every registered backend.
-
-    ``include_grl=False`` drops cycle-accurate gate-level models — the
-    filter keys on the ``cycle_accurate`` capability, not the name —
-    useful when the sweep is dominated by cycle simulation time.
-    """
-    return ENGINES.create_all(include_cycle_accurate=include_grl)
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +103,17 @@ def run_backends(
     volleys: Sequence[Volley],
     *,
     params: Optional[Mapping[str, Time]] = None,
-    oracles: Optional[Sequence[Engine]] = None,
+    oracles: Optional[Sequence[BackendEngine]] = None,
     optimize: bool = False,
 ) -> BackendRun:
     """Run every backend over *volleys*, canonicalizing all outputs.
 
-    Backends that cannot run the network are recorded in ``skipped``;
-    backends that cannot run an individual volley leave ``None`` in that
-    row.  Raw outputs are saturated at the int64 sentinel so the caller
-    can compare tuples directly.
+    *oracles* defaults to one fresh instance of every class in
+    :data:`~repro.runtime.engines.ENGINES`.  Backends that cannot run
+    the network are recorded in ``skipped``; backends that cannot run
+    an individual volley leave ``None`` in that row.  Raw outputs are
+    saturated at the int64 sentinel so the caller can compare tuples
+    directly.
 
     With ``optimize=True`` the source is lowered and run through the
     default IR pass pipeline *once*, and the resulting
@@ -188,7 +123,8 @@ def run_backends(
     it ``False`` for fault injection: :class:`FaultedOracle` network
     transforms operate on the raw ``Network``.
     """
-    oracles = list(oracles) if oracles is not None else default_oracles()
+    if oracles is None:
+        oracles = [engine() for engine in ENGINES]
     shared_program: Optional[Program] = None
     if optimize:
         shared_program, _report = optimize_program(ensure_program(network))

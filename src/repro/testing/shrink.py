@@ -31,7 +31,7 @@ from ..network.blocks import Node
 from ..network.graph import Network
 from ..network.serialize import dumps
 from ..network.validate import strip_dead_nodes
-from .oracles import Volley
+from ..runtime.engines import Volley
 
 #: predicate(network, volley) -> True while the disagreement reproduces.
 Predicate = Callable[[Network, Volley], bool]
@@ -291,7 +291,8 @@ def emit_mutant_test(
     return f'''{header}
 from repro.core.value import INF
 from repro.network.serialize import loads
-from repro.testing.oracles import InterpretedOracle, saturate_outputs
+from repro.runtime.engines import InterpretedEngine
+from repro.testing.oracles import saturate_outputs
 
 ORIGINAL_JSON = r"""
 {dumps(original)}
@@ -306,12 +307,12 @@ PARAMS = {_format_params(params)}
 
 
 def test_{title}():
-    oracle = InterpretedOracle()
+    engine = InterpretedEngine()
     healthy = saturate_outputs(
-        oracle.run(loads(ORIGINAL_JSON), [VOLLEY], params=PARAMS or None)[0]
+        engine.run(loads(ORIGINAL_JSON), [VOLLEY], params=PARAMS or None)[0]
     )
     faulty = saturate_outputs(
-        oracle.run(loads(MUTANT_JSON), [VOLLEY], params=PARAMS or None)[0]
+        engine.run(loads(MUTANT_JSON), [VOLLEY], params=PARAMS or None)[0]
     )
     assert healthy != faulty, "mutant became equivalent; pick a new witness"
 '''

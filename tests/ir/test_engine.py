@@ -1,34 +1,34 @@
-"""The Engine protocol and the shared optimized-program backend run."""
+"""The engine contract and the shared optimized-program backend run."""
 
 import pytest
 
 from repro.ir import lower, optimize_program
 from repro.network import NetworkBuilder
 from repro.obs import project_events, to_jsonl
-from repro.testing import (
-    CompiledBatchOracle,
-    Engine,
-    EventDrivenOracle,
-    GRLCircuitOracle,
-    InterpretedOracle,
-    default_oracles,
-    generate_case,
-    run_backends,
+from repro.runtime.engines import (
+    ENGINES,
+    BackendEngine,
+    CompiledBatchEngine,
+    EventDrivenEngine,
+    GRLCircuitEngine,
+    InterpretedEngine,
 )
+from repro.testing import generate_case, run_backends
 from repro.testing.conformance import find_disagreements
 
 
 class TestEngineProtocol:
     def test_all_stock_oracles_satisfy_engine(self):
-        for oracle in default_oracles():
-            assert isinstance(oracle, Engine)
+        for engine in ENGINES:
+            assert issubclass(engine, BackendEngine)
+            assert engine.run is not BackendEngine.run
 
     def test_oracles_accept_lowered_programs(self):
         case = generate_case(3, smoke=True)
         program = lower(case.network)
         params = case.params or None
         volleys = list(case.volleys[:2])
-        for oracle in (InterpretedOracle(), CompiledBatchOracle(), EventDrivenOracle()):
+        for oracle in (InterpretedEngine(), CompiledBatchEngine(), EventDrivenEngine()):
             via_network = oracle.run(case.network, volleys, params=params)
             via_program = oracle.run(program, volleys, params=params)
             assert via_network == via_program
@@ -37,7 +37,7 @@ class TestEngineProtocol:
         b = NetworkBuilder("consts")
         x = b.input("x")
         b.output("y", b.max(x, b.min()))
-        reason = GRLCircuitOracle().supports_network(b.build())
+        reason = GRLCircuitEngine().supports_network(b.build())
         assert reason is not None and "zero-source" in reason
 
 
@@ -73,7 +73,7 @@ class TestOptimizedRun:
 class TestOptimizedTraces:
     def _traceable(self, program):
         return [
-            oracle for oracle in default_oracles()
+            oracle for oracle in (engine() for engine in ENGINES)
             if oracle.supports_network(program) is None
         ]
 
@@ -99,7 +99,7 @@ class TestOptimizedTraces:
         params = case.params or None
         volley = case.volleys[0]
         inputs = dict(zip(case.network.input_names, volley))
-        trace = InterpretedOracle().trace(program, volley, params=params)
+        trace = InterpretedEngine().trace(program, volley, params=params)
         projected = project_events(trace, program.provenance)
         original = evaluate_all_interpreted(case.network, inputs, params=params)
         for event in projected:

@@ -273,11 +273,11 @@ class TestScratchPool:
 
 class TestTrace:
     def test_sink_trace_matches_interpreted(self):
-        from repro.testing.oracles import CompiledBatchOracle, InterpretedOracle
+        from repro.runtime.engines import CompiledBatchEngine, InterpretedEngine
 
         net = ragged_net()
         volley = (0, 3, INF)
-        assert CompiledBatchOracle().trace(net, volley) == InterpretedOracle().trace(
+        assert CompiledBatchEngine().trace(net, volley) == InterpretedEngine().trace(
             net, volley
         )
 

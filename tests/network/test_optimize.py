@@ -1,4 +1,9 @@
-"""Tests for semantics-preserving network optimization."""
+"""Tests for semantics-preserving network optimization.
+
+The IR pass pipeline (:func:`repro.ir.optimize_program`) rewrites a
+network; these tests raise its output back to a ``Network`` and check
+the block counts (``.size``) and the exact semantics.
+"""
 
 import random
 
@@ -9,8 +14,13 @@ from repro.core.synthesis import max_from_min_lt, synthesize
 from repro.core.table import FIG7_TABLE, NormalizedTable
 from repro.core.value import INF
 from repro.network.builder import NetworkBuilder
-from repro.network.optimize import optimize
+from repro.ir import optimize_program
 from repro.network.simulator import evaluate
+
+
+def optimized_network(network):
+    """The pass pipeline's output, raised back to a ``Network``."""
+    return optimize_program(network)[0].to_network()
 
 
 def assert_equivalent(original, optimized, *, window=4, params=None):
@@ -31,9 +41,9 @@ class TestRewrites:
         b.output("a", b.min(x, y))
         b.output("b", b.min(x, y))
         net = b.build()
-        optimized, report = optimize(net)
+        optimized = optimized_network(net)
         assert optimized.size == 1
-        assert report.removed == 1
+        assert net.size - optimized.size == 1
         assert_equivalent(net, optimized)
 
     def test_min_max_source_order_normalized(self):
@@ -41,7 +51,7 @@ class TestRewrites:
         x, y = b.inputs("x", "y")
         b.output("a", b.min(x, y))
         b.output("b", b.min(y, x))
-        optimized, _ = optimize(b.build())
+        optimized = optimized_network(b.build())
         assert optimized.size == 1
 
     def test_lt_not_commutative(self):
@@ -50,7 +60,7 @@ class TestRewrites:
         b.output("a", b.lt(x, y))
         b.output("b", b.lt(y, x))
         net = b.build()
-        optimized, _ = optimize(net)
+        optimized = optimized_network(net)
         assert optimized.size == 2  # must NOT merge
         assert_equivalent(net, optimized)
 
@@ -59,7 +69,7 @@ class TestRewrites:
         x = b.input("x")
         b.output("y", b.inc(b.inc(b.inc(x, 1), 2), 3))
         net = b.build()
-        optimized, _ = optimize(net)
+        optimized = optimized_network(net)
         assert optimized.size == 1
         assert optimized.nodes[1].amount == 6
         assert_equivalent(net, optimized)
@@ -69,7 +79,7 @@ class TestRewrites:
         x, y = b.inputs("x", "y")
         b.output("o", b.min(x, x, y, y))
         net = b.build()
-        optimized, _ = optimize(net)
+        optimized = optimized_network(net)
         assert len(optimized.nodes[optimized.outputs["o"]].sources) == 2
         assert_equivalent(net, optimized)
 
@@ -79,7 +89,7 @@ class TestRewrites:
         never = b.lt(x, x)
         b.output("o", b.min(never, y))  # min absorbs never -> just y
         net = b.build()
-        optimized, _ = optimize(net)
+        optimized = optimized_network(net)
         assert_equivalent(net, optimized)
         # o should collapse to the input wire y (passthrough).
         assert optimized.nodes[optimized.outputs["o"]].kind == "input"
@@ -89,7 +99,7 @@ class TestRewrites:
         x, y = b.inputs("x", "y")
         b.output("o", b.max(b.lt(x, x), y))
         net = b.build()
-        optimized, _ = optimize(net)
+        optimized = optimized_network(net)
         assert_equivalent(net, optimized)
         bound = {"x": 0, "y": 0}
         assert evaluate(optimized, bound)["o"] is INF
@@ -99,7 +109,7 @@ class TestRewrites:
         x, y = b.inputs("x", "y")
         b.output("o", b.lt(y, b.lt(x, x)))
         net = b.build()
-        optimized, _ = optimize(net)
+        optimized = optimized_network(net)
         assert_equivalent(net, optimized)
 
     def test_never_output_materialized(self):
@@ -107,7 +117,7 @@ class TestRewrites:
         x = b.input("x")
         b.output("o", b.lt(x, x))
         net = b.build()
-        optimized, _ = optimize(net)
+        optimized = optimized_network(net)
         assert evaluate(optimized, {"x": 3})["o"] is INF
         assert evaluate(optimized, {"x": INF})["o"] is INF
 
@@ -115,8 +125,8 @@ class TestRewrites:
 class TestOnRealConstructions:
     def test_fig7_synthesis_shrinks_and_stays_exact(self):
         net = synthesize(FIG7_TABLE)
-        optimized, report = optimize(net)
-        assert report.after_blocks < report.before_blocks
+        optimized = optimized_network(net)
+        assert optimized.size < net.size
         assert_equivalent(net, optimized, window=4)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -125,13 +135,13 @@ class TestOnRealConstructions:
             3, window=3, n_rows=6, rng=random.Random(seed)
         )
         net = synthesize(table)
-        optimized, _ = optimize(net)
+        optimized = optimized_network(net)
         assert_equivalent(net, optimized, window=table.max_entry() + 1)
 
     def test_lemma2_already_minimal(self):
         net = max_from_min_lt()
-        optimized, report = optimize(net)
-        assert report.after_blocks == net.size
+        optimized = optimized_network(net)
+        assert optimized.size == net.size
         assert_equivalent(net, optimized, window=5)
 
     def test_srm0_network_optimizes(self):
@@ -140,8 +150,8 @@ class TestOnRealConstructions:
 
         base = ResponseFunction.piecewise_linear(amplitude=2, rise=1, fall=3)
         net = build_srm0_from_weights([2, 2], threshold=3, base_response=base)
-        optimized, report = optimize(net)
-        assert report.after_blocks <= report.before_blocks
+        optimized = optimized_network(net)
+        assert optimized.size <= net.size
         assert_equivalent(net, optimized, window=4)
 
     def test_params_preserved(self):
@@ -150,7 +160,7 @@ class TestOnRealConstructions:
         mu = b.param("mu")
         b.output("o", b.gate(b.inc(b.inc(x, 1), 1), mu))
         net = b.build()
-        optimized, _ = optimize(net)
+        optimized = optimized_network(net)
         assert optimized.param_names == ["mu"]
         for value in (0, INF):
             for t in (0, 3, INF):
@@ -160,6 +170,6 @@ class TestOnRealConstructions:
 
     def test_report_str(self):
         net = synthesize(FIG7_TABLE)
-        _, report = optimize(net)
-        assert "blocks" in str(report)
-        assert 0.0 <= report.reduction <= 1.0
+        _, report = optimize_program(net)
+        assert "nodes" in str(report)
+        assert 0 < report.removed <= report.before_nodes

@@ -18,7 +18,7 @@ from repro.obs.trace import (
     to_chrome_trace,
     to_jsonl,
 )
-from repro.testing.oracles import default_oracles
+from repro.runtime.engines import ENGINES
 
 
 def _tiny_net():
@@ -91,10 +91,10 @@ class TestCrossBackendIdentity:
 
     def _documents(self, net, volley, params=None):
         docs = {}
-        for oracle in default_oracles():
-            trace = oracle.trace(net, volley, params=params)
+        for engine in ENGINES:
+            trace = engine().trace(net, volley, params=params)
             if trace is not None:
-                docs[oracle.name] = to_jsonl(trace, net)
+                docs[engine.name] = to_jsonl(trace, net)
         return docs
 
     def test_fig7_network_all_four_backends(self):
@@ -215,7 +215,7 @@ class TestDivergence:
         from repro.testing.conformance import run_case
         from repro.testing.faults import FaultedOracle, drop_lines
         from repro.testing.generators import ConformanceCase
-        from repro.testing.oracles import InterpretedOracle
+        from repro.runtime.engines import InterpretedEngine
 
         # min(x, y) with a volley where line 0 wins: dropping it is visible.
         case = ConformanceCase(
@@ -225,12 +225,12 @@ class TestDivergence:
             volleys=((1, 4),),
         )
         faulted = FaultedOracle(
-            InterpretedOracle(),
+            InterpretedEngine(),
             label="drop0",
             volley_transform=lambda v: drop_lines(v, [0]),
         )
         _, mismatches = run_case(
-            case, oracles=[InterpretedOracle(), faulted], shrink=False
+            case, oracles=[InterpretedEngine(), faulted], shrink=False
         )
         assert mismatches, "fault must be caught"
         flagged = [m for m in mismatches if m.divergence is not None]

@@ -55,7 +55,7 @@ class TestWorkerBody:
         parent, child = mp.Pipe(duplex=True)
         thread = threading.Thread(
             target=_worker_main,
-            args=(child, registry.documents(), True),
+            args=(child, registry.documents()),
             daemon=True,
         )
         thread.start()
@@ -108,7 +108,7 @@ class TestWorkerBody:
             parent.send(("load", network.fingerprint(), serialize.dumps(network)))
             op, model_id, warmups = parent.recv()
             assert (op, model_id) == ("loaded", network.fingerprint())
-            assert warmups == {"int64": 2}
+            assert warmups == 2
             matrix = encoded_volleys(network, [(1, 2)])
             parent.send(("eval", 2, network.fingerprint(), matrix, {}, 0))
             op, _job, result, _extras = parent.recv()
@@ -134,7 +134,7 @@ class TestWorkerBody:
         network, _ = demo_column(6, smoke=True)
         parent, child = mp.Pipe(duplex=True)
         with pytest.raises(ValueError, match="does not match model id"):
-            _worker_main(child, {"0" * 64: serialize.dumps(network)}, True)
+            _worker_main(child, {"0" * 64: serialize.dumps(network)})
 
 
 def _completion_recorder():
@@ -243,56 +243,30 @@ class TestEngines:
         parent, child = mp.Pipe(duplex=True)
         thread = threading.Thread(
             target=_worker_main,
-            args=(child, registry.documents(), True),
+            args=(child, registry.documents()),
             daemon=True,
         )
         thread.start()
         try:
             ready = parent.recv()
             assert ready[0] == "ready"
-            assert ready[3] == {"int64": 1}
+            assert ready[3] == 1
         finally:
             parent.send(("stop",))
             thread.join(timeout=5)
 
-    def test_worker_auto_and_int64_policies_agree(self, registry, model_id):
-        from repro.core.value import INF
-
-        network = registry.resolve("demo").network
-        matrix = encoded_volleys(network, [(0, 1), (2, 3), (INF, 0)])
-        results = {}
-        for engine in ("auto", "int64"):
-            parent, child = mp.Pipe(duplex=True)
-            thread = threading.Thread(
-                target=_worker_main,
-                args=(child, registry.documents(), True, engine),
-                daemon=True,
-            )
-            thread.start()
-            try:
-                assert parent.recv()[0] == "ready"
-                parent.send(("eval", 1, model_id, matrix, {}, 0))
-                op, _job, result, _extras = parent.recv()
-                assert op == "ok"
-                results[engine] = result
-            finally:
-                parent.send(("stop",))
-                thread.join(timeout=5)
-        np.testing.assert_array_equal(results["auto"], results["int64"])
-        np.testing.assert_array_equal(
-            results["auto"], evaluate_batch(network, matrix)
-        )
-
-    def test_bad_engine_rejected(self, registry):
-        with pytest.raises(ValueError, match="engine"):
-            InlineWorkerPool(registry.documents(), engine="tpu")
-        with pytest.raises(ValueError, match="engine"):
-            ProcessWorkerPool(registry.documents(), engine="tpu")
-
     def test_inline_pool_warmups_and_engine(self, registry):
+        from repro.serve.service import TNNService
+
         pool = InlineWorkerPool(registry.documents())
-        assert pool.engine == "int64"
-        assert pool.warmups() == [{"int64": 1}]
+        assert pool.warmups() == [1]
+        service = TNNService(registry, pool)
+        try:
+            stats = service.stats()
+        finally:
+            service.close()
+        assert stats["engine"] == "int64"
+        assert stats["warmups"] == {"per_worker": [1], "total": 1}
 
 
 class TestInlinePool:
@@ -307,11 +281,24 @@ class TestInlinePool:
 
     def test_int64_engine_eval(self, registry, model_id):
         network = registry.resolve("demo").network
-        pool = InlineWorkerPool(registry.documents(), engine="int64")
+        pool = InlineWorkerPool(registry.documents())
         matrix = encoded_volleys(network, [(2, 5)])
         done, box, on_done, on_fail = _completion_recorder()
         pool.submit(Job(1, model_id, matrix, {}, on_done, on_fail))
         np.testing.assert_array_equal(box["result"], evaluate_batch(network, matrix))
+
+    def test_fingerprint_mismatch_rejected(self, registry):
+        """The inline pool verifies document fingerprints like a worker."""
+        from repro.network import serialize
+
+        network, _ = demo_column(6, smoke=True)
+        document = serialize.dumps(network)
+        with pytest.raises(ValueError, match="does not match model id"):
+            InlineWorkerPool({"f" * 64: document})
+        pool = InlineWorkerPool(registry.documents())
+        with pytest.raises(ValueError, match="does not match model id"):
+            pool.add_model("0" * 64, document)
+        assert pool.warmups() == [1]
 
     def test_unknown_model_fails_job(self, registry):
         pool = InlineWorkerPool(registry.documents())

@@ -16,9 +16,9 @@ from repro.core.minimize import minimize
 from repro.core.synthesis import synthesize
 from repro.core.table import NormalizedTable
 from repro.core.value import INF, Infinity
+from repro.ir import optimize_program
 from repro.network.events import EventSimulator
 from repro.network.generate import input_batch, random_network
-from repro.network.optimize import optimize
 from repro.network.serialize import dumps, loads
 from repro.network.simulator import evaluate
 from repro.network.timing import analyze, default_input_window
@@ -45,7 +45,7 @@ class TestTableToSiliconPipeline:
 
         minimal = minimize(table)
         synthesized = synthesize(minimal)
-        optimized, _ = optimize(synthesized)
+        optimized = optimize_program(synthesized)[0].to_network()
         reloaded = loads(dumps(optimized))
 
         stages = {
@@ -60,7 +60,7 @@ class TestTableToSiliconPipeline:
 
     def test_hardware_stages_agree(self, seed):
         table = self._table(seed)
-        net, _ = optimize(synthesize(minimize(table)))
+        net = optimize_program(synthesize(minimize(table)))[0].to_network()
         clocked = GRLExecutor(net)
         asynchronous = compile_async(net)
         sim = EventSimulator(net)
@@ -124,7 +124,7 @@ class TestOptimizedNetworksStayEquivalentEverywhere:
     @pytest.mark.parametrize("seed", range(3))
     def test_full_equivalence_harness_after_optimization(self, seed):
         net = random_network(n_inputs=3, n_blocks=25, seed=seed + 40)
-        optimized, _ = optimize(net)
+        optimized = optimize_program(net)[0].to_network()
         report = check_network(optimized, window=3, sample=40)
         assert report.ok, str(report)
 
@@ -141,8 +141,9 @@ class TestNeuronPipeline:
         neuron = SRM0Neuron.homogeneous(
             3, [2, 3, 1], base_response=base, threshold=6
         )
-        net, report = optimize(build_srm0_network(neuron))
-        assert report.after_blocks <= report.before_blocks
+        raw = build_srm0_network(neuron)
+        net = optimize_program(raw)[0].to_network()
+        assert net.size <= raw.size
         executor = GRLExecutor(net)
         rng = random.Random(0)
         for _ in range(25):

@@ -17,9 +17,9 @@ from repro.core.minimize import minimize
 from repro.core.synthesis import max_from_min_lt, synthesize
 from repro.core.table import NormalizedTable
 from repro.core.value import INF, Infinity, normalize, shift
+from repro.ir import optimize_program
 from repro.network.builder import NetworkBuilder
 from repro.network.events import EventSimulator
-from repro.network.optimize import optimize
 from repro.network.serialize import dumps, loads
 from repro.network.simulator import evaluate
 from repro.racelogic.compile import GRLExecutor
@@ -161,7 +161,7 @@ class TestNetworkProperties:
     )
     def test_optimize_preserves_semantics(self, seed, vec):
         net = build_random_network(seed)
-        optimized, _ = optimize(net)
+        optimized = optimize_program(net)[0].to_network()
         bound = dict(zip(net.input_names, vec))
         assert evaluate(optimized, bound) == evaluate(net, bound)
 

@@ -26,13 +26,12 @@ from repro.testing.generators import (
     generate_case,
     random_layered_network,
 )
-from repro.testing.oracles import (
-    BackendRun,
-    CompiledBatchOracle,
-    EventDrivenOracle,
-    InterpretedOracle,
-    saturate_outputs,
+from repro.runtime.engines import (
+    CompiledBatchEngine,
+    EventDrivenEngine,
+    InterpretedEngine,
 )
+from repro.testing.oracles import BackendRun, saturate_outputs
 
 times = st.one_of(st.integers(min_value=0, max_value=30), st.just(INF))
 
@@ -54,8 +53,8 @@ class TestEventDrivenMatchesCompiled:
         volleys = adversarial_volleys(
             4, rng=random.Random(volley_seed), n_random=4
         )
-        event = EventDrivenOracle().run(network, volleys)
-        batch = CompiledBatchOracle().run(network, volleys)
+        event = EventDrivenEngine().run(network, volleys)
+        batch = CompiledBatchEngine().run(network, volleys)
         assert [saturate_outputs(o) for o in event] == [
             saturate_outputs(o) for o in batch
         ]
@@ -67,8 +66,8 @@ class TestEventDrivenMatchesCompiled:
             seed=seed, n_inputs=3, n_layers=4, width=5, n_outputs=2
         )
         volley = tuple(data.draw(times) for _ in range(3))
-        event = EventDrivenOracle().run(network, [volley])[0]
-        batch = CompiledBatchOracle().run(network, [volley])[0]
+        event = EventDrivenEngine().run(network, [volley])[0]
+        batch = CompiledBatchEngine().run(network, [volley])[0]
         assert saturate_outputs(event) == saturate_outputs(batch)
 
 
@@ -105,7 +104,7 @@ class TestFindDisagreements:
     def test_diff_backends_flags_injected_fault(self):
         case = generate_case(0, smoke=True)
         faulted = FaultedOracle(
-            CompiledBatchOracle(),
+            CompiledBatchEngine(),
             label="all-zero",
             volley_transform=lambda v: (0,) * len(v),
         )
@@ -113,7 +112,7 @@ class TestFindDisagreements:
             case.network,
             case.volleys,
             params=case.params or None,
-            oracles=[InterpretedOracle(), faulted],
+            oracles=[InterpretedEngine(), faulted],
         )
         assert found, "an all-zero volley fault must be observable"
 
@@ -132,12 +131,12 @@ class TestRunCase:
     def test_forced_mismatch_is_shrunk_and_emitted(self):
         case = generate_case(2, smoke=True)
         faulted = FaultedOracle(
-            CompiledBatchOracle(),
+            CompiledBatchEngine(),
             label="drop-all",
             volley_transform=lambda v: (INF,) * len(v),
         )
         run, mismatches = run_case(
-            case, oracles=[InterpretedOracle(), faulted]
+            case, oracles=[InterpretedEngine(), faulted]
         )
         assert mismatches
         first = mismatches[0]

@@ -29,12 +29,8 @@ from repro.testing.faults import (
     stuck_at_zero,
 )
 from repro.testing.generators import generate_case
-from repro.testing.oracles import (
-    CompiledBatchOracle,
-    InterpretedOracle,
-    run_backends,
-    saturate_outputs,
-)
+from repro.runtime.engines import CompiledBatchEngine, InterpretedEngine
+from repro.testing.oracles import run_backends, saturate_outputs
 
 
 # ---------------------------------------------------------------------------
@@ -204,22 +200,22 @@ class TestNetworkMutants:
 
 class TestFaultedOracle:
     def test_impersonates_victim_with_labeled_name(self):
-        faulted = FaultedOracle(CompiledBatchOracle(), label="noop")
+        faulted = FaultedOracle(CompiledBatchEngine(), label="noop")
         assert faulted.name == "compiled-batch!noop"
         net = small_net()
-        healthy = CompiledBatchOracle().run(net, [(1, 4)])
+        healthy = CompiledBatchEngine().run(net, [(1, 4)])
         assert faulted.run(net, [(1, 4)]) == healthy
 
     def test_network_transform_feeds_support_checks(self):
         net = small_net()
         mutant, _ = mutate_min_max_swap(net, random.Random(0))
         faulted = FaultedOracle(
-            InterpretedOracle(),
+            InterpretedEngine(),
             label="mutant",
             network_transform=lambda _net: mutant,
         )
         observed = saturate_outputs(faulted.run(net, [(0, 3)])[0])
-        direct = saturate_outputs(InterpretedOracle().run(mutant, [(0, 3)])[0])
+        direct = saturate_outputs(InterpretedEngine().run(mutant, [(0, 3)])[0])
         assert observed == direct
 
 
@@ -240,13 +236,13 @@ class TestPlanReorder:
         oracle = PlanReorderOracle()
         assert oracle.supports_network(net) is None
         broken = oracle.run(net, [(5,)])[0]
-        healthy = CompiledBatchOracle().run(net, [(5,)])[0]
+        healthy = CompiledBatchEngine().run(net, [(5,)])[0]
         assert broken != healthy  # the consumer read zeros, not x+1
 
     def test_reorder_never_poisons_the_plan_cache(self):
         net = self.dependent_net()
         PlanReorderOracle().run(net, [(5,)])
-        assert CompiledBatchOracle().run(net, [(5,)])[0] == (7,)
+        assert CompiledBatchEngine().run(net, [(5,)])[0] == (7,)
 
 
 class TestFaultClasses:

@@ -153,12 +153,12 @@ class TestFaultSelfCheckWithNativeOracle:
 
     def test_native_reorder_oracle_diverges(self):
         from repro.testing.faults import PlanReorderOracle
-        from repro.testing.oracles import CompiledBatchOracle
+        from repro.runtime.engines import CompiledBatchEngine
 
         network = random_layered_network(seed=11, n_layers=3, width=4)
         assert PlanReorderOracle().supports_network(network) is None
         rng = random.Random(11)
         volleys = adversarial_volleys(len(network.input_names), rng=rng)
-        healthy = CompiledBatchOracle().run(network, list(volleys))
+        healthy = CompiledBatchEngine().run(network, list(volleys))
         corrupt = PlanReorderOracle().run(network, list(volleys))
         assert healthy != corrupt

@@ -1,22 +1,20 @@
-"""Tests for the backend-oracle registry and the comparison semantics."""
+"""Tests for the stock engines, run_backends and the comparison semantics."""
 
 import pytest
 
 from repro.core.value import INF
 from repro.network.builder import NetworkBuilder
 from repro.network.compile_plan import MAX_FINITE
-from repro.testing.oracles import (
-    BackendOracle,
-    CompiledBatchOracle,
-    EventDrivenOracle,
-    GRLCircuitOracle,
-    InterpretedOracle,
-    default_oracles,
-    oracle_names,
-    run_backends,
-    saturate,
-    saturate_outputs,
+from repro.runtime.engines import (
+    ENGINES,
+    BackendEngine,
+    CompiledBatchEngine,
+    EventDrivenEngine,
+    GRLCircuitEngine,
+    InterpretedEngine,
 )
+from repro.testing.conformance import run_conformance
+from repro.testing.oracles import run_backends, saturate, saturate_outputs
 
 
 def diamond():
@@ -51,22 +49,21 @@ class TestSaturation:
 
 class TestRegistry:
     def test_four_stock_backends(self):
-        assert oracle_names() == [
+        assert [engine.name for engine in ENGINES] == [
             "interpreted",
             "compiled-batch",
             "event-driven",
             "grl-circuit",
         ]
 
-    def test_default_oracles_fresh_instances(self):
-        a, b = default_oracles(), default_oracles()
-        assert [o.name for o in a] == [o.name for o in b]
-        assert all(x is not y for x, y in zip(a, b))
-
     def test_include_grl_toggle(self):
-        names = [o.name for o in default_oracles(include_grl=False)]
-        assert "grl-circuit" not in names
-        assert len(names) == 3
+        report = run_conformance(
+            0, 1, smoke=True, include_grl=False, with_faults=False
+        )
+        assert report.ok
+        assert "grl-circuit" not in report.skips
+        full = run_conformance(0, 1, smoke=True, with_faults=False)
+        assert report.comparisons < full.comparisons
 
 
 class TestStockOracles:
@@ -76,10 +73,10 @@ class TestStockOracles:
     @pytest.mark.parametrize(
         "oracle",
         [
-            InterpretedOracle(),
-            CompiledBatchOracle(),
-            EventDrivenOracle(),
-            GRLCircuitOracle(),
+            InterpretedEngine(),
+            CompiledBatchEngine(),
+            EventDrivenEngine(),
+            GRLCircuitEngine(),
         ],
         ids=lambda o: o.name,
     )
@@ -90,11 +87,11 @@ class TestStockOracles:
         assert [saturate_outputs(o) for o in outputs] == self.EXPECTED
 
     def test_grl_refuses_constants(self):
-        reason = GRLCircuitOracle().supports_network(with_constants())
+        reason = GRLCircuitEngine().supports_network(with_constants())
         assert reason is not None and "zero-source" in reason
 
     def test_grl_budgets_volley_times(self):
-        oracle = GRLCircuitOracle(max_time=32)
+        oracle = GRLCircuitEngine(max_time=32)
         assert oracle.supports_volley((31, INF))
         assert not oracle.supports_volley((33, 0))
 
@@ -102,14 +99,14 @@ class TestStockOracles:
         b = NetworkBuilder("wide-delay")
         x = b.input("x")
         b.output("y", b.inc(x, 10_000))
-        reason = GRLCircuitOracle(max_gates=400).supports_network(b.build())
+        reason = GRLCircuitEngine(max_gates=400).supports_network(b.build())
         assert reason is not None and "too large" in reason
 
 
 class TestRunBackends:
     def test_canonicalized_agreement_rows(self):
         run = run_backends(diamond(), [(2, 7), (INF, INF)])
-        assert set(run.results) == set(oracle_names())
+        assert list(run.results) == [engine.name for engine in ENGINES]
         for rows in run.results.values():
             assert rows == [(2,), (INF,)]
 
@@ -117,7 +114,7 @@ class TestRunBackends:
         run = run_backends(
             diamond(),
             [(2, 7), (MAX_FINITE, 0)],
-            oracles=[InterpretedOracle(), GRLCircuitOracle(max_time=32)],
+            oracles=[InterpretedEngine(), GRLCircuitEngine(max_time=32)],
         )
         assert run.results["grl-circuit"] == [(2,), None]
         assert run.results["interpreted"][1] == (0,)
@@ -133,7 +130,7 @@ class TestRunBackends:
             assert run.results[name] == [(INF, 0, 4)]
 
     def test_row_count_mismatch_detected(self):
-        class Broken(BackendOracle):
+        class Broken(BackendEngine):
             name = "broken"
 
             def run(self, network, volleys, params=None):

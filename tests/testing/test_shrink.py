@@ -8,7 +8,8 @@ from repro.core.value import INF, Infinity
 from repro.network.builder import NetworkBuilder
 from repro.network.simulator import evaluate
 from repro.testing.generators import random_layered_network
-from repro.testing.oracles import InterpretedOracle, saturate_outputs
+from repro.runtime.engines import InterpretedEngine
+from repro.testing.oracles import saturate_outputs
 from repro.testing.shrink import (
     emit_mutant_test,
     emit_regression_test,
@@ -152,9 +153,9 @@ class TestEmission:
 
         witness = (1, 4)
         healthy = saturate_outputs(
-            InterpretedOracle().run(original, [witness])[0]
+            InterpretedEngine().run(original, [witness])[0]
         )
-        broken = saturate_outputs(InterpretedOracle().run(mutant, [witness])[0])
+        broken = saturate_outputs(InterpretedEngine().run(mutant, [witness])[0])
         assert healthy != broken  # sanity: the witness separates them
 
         module = emit_mutant_test(
