@@ -56,6 +56,11 @@ class TestRegistry:
             "grl-circuit",
         ]
 
+    def test_default_oracles_fresh_instances(self):
+        a, b = ([engine() for engine in ENGINES] for _ in range(2))
+        assert [o.name for o in a] == [o.name for o in b]
+        assert all(x is not y for x, y in zip(a, b))
+
     def test_include_grl_toggle(self):
         report = run_conformance(
             0, 1, smoke=True, include_grl=False, with_faults=False
