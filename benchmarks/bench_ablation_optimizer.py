@@ -24,7 +24,7 @@ from repro.racelogic.energy import measure_energy
 
 
 def _optimized(network):
-    """The IR pass pipeline's output, raised back to a Network."""
+    """The IR optimizer's output, raised back to a Network."""
     return optimize_program(network)[0].to_network()
 
 

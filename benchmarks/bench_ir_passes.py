@@ -1,24 +1,25 @@
-"""IR pass pipeline: node reduction and compiled-engine payoff.
+"""IR optimizer: node reduction, optimize time, compiled-engine payoff.
 
-The optimizer now lives in :mod:`repro.ir.passes` — one pipeline
-(canonicalize, fold-consts, fuse-inc, cse, dce) run once per program and
-shared by all four backends through the fingerprint-keyed plan cache.
-This report prices that claim on two network families:
+The optimizer lives in :mod:`repro.ir.passes` — one value-numbering
+sweep followed by dce, run once per program and shared by all four
+backends through the fingerprint-keyed plan cache.  This report prices
+that claim on two network families:
 
 * **redundant** — synthesis output that carries deliberate redundancy
-  (Theorem 1 minterm forms, SRM0 sorting-network columns): the pipeline
-  must shrink them substantially, and ``evaluate_batch`` on the
-  pass-optimized program must at least match the legacy
-  ``Network`` → compile path (the same program raised back with
-  ``program.to_network()`` — the comparison pins the IR plumbing's
-  overhead to zero);
-* **minimal** — already-optimal networks the passes cannot improve:
+  (Theorem 1 minterm forms, SRM0 sorting-network columns up to a
+  40-input one whose bitonic sorter is deep): the optimizer must shrink
+  them substantially, and ``evaluate_batch`` on the optimized program
+  must at least match the legacy ``Network`` → compile path (the same
+  program raised back with ``program.to_network()`` — the comparison
+  pins the IR plumbing's overhead to zero);
+* **minimal** — already-optimal networks the optimizer cannot improve:
   node counts must not change, and the optimized program must share the
   original's compiled plan (same fingerprint), so ``evaluate_batch``
   cannot slow down.
 
-Per-pass node reductions, batch timings, and the plan-cache record land
-in ``BENCH_ir_passes.json`` at the repo root.
+Per-step node reductions, optimize and batch timings, and the
+plan-cache record land in ``BENCH_ir_passes.json`` at the repo root,
+under the shared ``env`` header.
 
 Run standalone::
 
@@ -43,18 +44,20 @@ from repro.neuron.response import ResponseFunction
 from repro.neuron.srm0 import SRM0Neuron
 from repro.neuron.srm0_network import build_srm0_network
 
+from artifact_env import env_header
+
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_ir_passes.json"
 
 #: Optimized-program batches may not run slower than the legacy
 #: program->Network->compile path by more than this factor.
 MAX_LEGACY_RATIO = 1.10
-#: On minimal networks the pipeline must be a no-op, so the optimized
+#: On minimal networks the optimizer must be a no-op, so the optimized
 #: batch may not regress past timing noise.
 MAX_MINIMAL_RATIO = 1.10
 
 
 def redundant_networks():
-    """Synthesis output with deliberate, pass-removable redundancy."""
+    """Synthesis output with deliberate, optimizer-removable redundancy."""
     table = NormalizedTable.random(3, window=3, n_rows=12, rng=random.Random(7))
     minterm = synthesize(table)
     neuron = SRM0Neuron.homogeneous(
@@ -66,11 +69,24 @@ def redundant_networks():
         threshold=4,
     )
     column = build_srm0_network(neuron)
-    return {"minterm(3x12)": minterm, "srm0-column(3in)": column}
+    rng = random.Random(0)
+    wide = SRM0Neuron.homogeneous(
+        40,
+        [rng.randint(1, 3) for _ in range(40)],
+        base_response=ResponseFunction.piecewise_linear(
+            amplitude=2, rise=1, fall=3
+        ),
+        threshold=3,
+    )
+    return {
+        "minterm(3x12)": minterm,
+        "srm0-column(3in)": column,
+        "srm0-column(40in)": build_srm0_network(wide),
+    }
 
 
 def minimal_networks():
-    """Already-optimal structures the pipeline must leave alone."""
+    """Already-optimal structures the optimizer must leave alone."""
     b = NetworkBuilder("diamond")
     x, y = b.input("x"), b.input("y")
     b.output("z", b.lt(b.min(x, y), b.max(x, y)))
@@ -100,10 +116,17 @@ def _volleys(network, batch, *, seed):
     ]
 
 
+def _optimize(network):
+    """The optimized program, its report, and the best-of-3 optimize ms."""
+    seconds = _best_of(3, lambda: optimize_program(network))
+    program, report = optimize_program(network)
+    return program, report, seconds * 1e3
+
+
 def measure_redundant(network, *, batch, repeats, seed=0):
     """Reduction accounting plus optimized-vs-legacy batch timing."""
-    program, report = optimize_program(network)
-    legacy = program.to_network()  # the old path: pipeline -> Network
+    program, report, optimize_ms = _optimize(network)
+    legacy = program.to_network()  # the old path: optimizer -> Network
     volleys = _volleys(network, batch, seed=seed)
 
     # Warm the plans out of the timed region.
@@ -118,7 +141,7 @@ def measure_redundant(network, *, batch, repeats, seed=0):
         "nodes_before": len(lower(network).nodes),
         "nodes_after": len(program.nodes),
         "removed_by_pass": report.by_pass(),
-        "pipeline_iterations": report.iterations,
+        "optimize_ms": optimize_ms,
         "batch": batch,
         "raw_ms": t_raw * 1e3,
         "optimized_ms": t_opt * 1e3,
@@ -130,7 +153,7 @@ def measure_redundant(network, *, batch, repeats, seed=0):
 
 def measure_minimal(network, *, batch, repeats, seed=1):
     """The no-op guarantee: same structure, shared plan, no slowdown."""
-    program, report = optimize_program(network)
+    program, report, optimize_ms = _optimize(network)
     volleys = _volleys(network, batch, seed=seed)
     shares_plan = compile_plan(network) is compile_plan(program)
 
@@ -142,6 +165,7 @@ def measure_minimal(network, *, batch, repeats, seed=1):
         "nodes_before": len(lower(network).nodes),
         "nodes_after": len(program.nodes),
         "removed": report.removed,
+        "optimize_ms": optimize_ms,
         "shares_compiled_plan": shares_plan,
         "batch": batch,
         "raw_ms": t_raw * 1e3,
@@ -166,6 +190,7 @@ def run(*, smoke=False, repeats=None):
     cache_after = runtime.cache_info()["plan"]
     return {
         "benchmark": "bench_ir_passes",
+        "env": env_header(),
         "smoke": smoke,
         "batch": batch,
         "max_legacy_ratio": MAX_LEGACY_RATIO,
@@ -191,28 +216,29 @@ def report(*, smoke=False, artifact_path=ARTIFACT) -> tuple[str, bool]:
     artifact_path.write_text(json.dumps(data, indent=2) + "\n")
 
     ok = True
-    lines = ["IR pass pipeline — node reduction and evaluate_batch payoff"]
-    lines.append("\nredundant networks (pipeline must shrink and pay off):")
+    lines = ["IR optimizer — node reduction and evaluate_batch payoff"]
+    lines.append("\nredundant networks (optimizer must shrink and pay off):")
     lines.append(
-        f"{'network':<20} {'nodes':>11} {'raw':>9} {'optimized':>10} "
-        f"{'speedup':>8} {'vs legacy':>9}"
+        f"{'network':<20} {'nodes':>13} {'optimize':>10} {'raw':>9} "
+        f"{'optimized':>10} {'speedup':>8} {'vs legacy':>9}"
     )
     for name, row in data["redundant"].items():
         lines.append(
-            f"{name:<20} {row['nodes_before']:>4} -> {row['nodes_after']:<4} "
+            f"{name:<20} {row['nodes_before']:>5} -> {row['nodes_after']:<5} "
+            f"{row['optimize_ms']:>8.1f}ms "
             f"{row['raw_ms']:>8.3f} {row['optimized_ms']:>9.3f}ms "
             f"{row['speedup_vs_raw']:>7.2f}x {row['ratio_vs_legacy']:>8.2f}x"
         )
         if row["nodes_after"] >= row["nodes_before"]:
             ok = False
-            lines.append(f"  FAIL: pipeline did not shrink {name}")
+            lines.append(f"  FAIL: optimizer did not shrink {name}")
         if not smoke and row["ratio_vs_legacy"] > MAX_LEGACY_RATIO:
             ok = False
             lines.append(
                 f"  FAIL: optimized batch is {row['ratio_vs_legacy']:.2f}x "
                 f"the legacy Network path (bound {MAX_LEGACY_RATIO:.2f}x)"
             )
-    lines.append("\nminimal networks (pipeline must be a no-op):")
+    lines.append("\nminimal networks (optimizer must be a no-op):")
     for name, row in data["minimal"].items():
         lines.append(
             f"{name:<20} {row['nodes_before']:>4} -> {row['nodes_after']:<4} "
@@ -221,7 +247,7 @@ def report(*, smoke=False, artifact_path=ARTIFACT) -> tuple[str, bool]:
         )
         if row["removed"] != 0 or not row["shares_compiled_plan"]:
             ok = False
-            lines.append(f"  FAIL: pipeline was not a no-op on {name}")
+            lines.append(f"  FAIL: optimizer was not a no-op on {name}")
         if not smoke and row["ratio_vs_raw"] > MAX_MINIMAL_RATIO:
             ok = False
             lines.append(

@@ -30,9 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import random
-import subprocess
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -55,6 +53,8 @@ from repro.neuron.response import ResponseFunction
 from repro.neuron.srm0 import SRM0Neuron
 from repro.neuron.srm0_network import build_srm0_network
 from repro.testing.generators import random_layered_network
+
+from artifact_env import env_header
 
 BATCHES = (1, 64, 1024)
 SMOKE_BATCHES = (1, 16)
@@ -118,29 +118,6 @@ def mixed_arity(program) -> bool:
             key = (program.levels[node.id], node.kind)
             widths.setdefault(key, set()).add(len(node.sources))
     return any(len(w) > 1 for w in widths.values())
-
-
-def env_header() -> dict:
-    """Where and how the artifact was measured."""
-    try:
-        commit = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            check=True,
-            cwd=Path(__file__).resolve().parent,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        commit = None
-    return {
-        "commit": commit,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "cpus": os.cpu_count(),
-        "machine": platform.machine(),
-        "repro_native": os.environ.get("REPRO_NATIVE", "auto"),
-        "numba": NUMBA_AVAILABLE,
-    }
 
 
 @contextmanager

@@ -13,7 +13,7 @@ Commands:
   backend, check the canonical spike traces are byte-identical, and
   print/export the trace (JSONL and Chrome ``chrome://tracing`` JSON).
 * ``ir`` — lower a seeded column to the s-t program IR and report the
-  optimizer pass pipeline's node counts, pass by pass.
+  optimizer's node counts, step by step.
 * ``kernels`` — the s-t kernel standard library: list the registry, or
   ``--demo <name>`` to run a kernel's demo volley through every backend
   (byte-identity checked) and print its inferred function-table
@@ -330,36 +330,23 @@ def _ir(argv: list[str]) -> int:
         prog="python -m repro ir",
         description=(
             "Lower a seeded SRM0 column to the s-t program IR and run "
-            "the optimizer pass pipeline, reporting node counts pass by "
-            "pass.  The same lowering and passes feed all four "
-            "execution backends."
+            "the optimizer (one simplifying sweep, then dce), reporting "
+            "node counts step by step.  The same lowering and optimizer "
+            "feed all four execution backends."
         ),
     )
     parser.add_argument(
         "--describe",
         action="store_true",
-        help="print the pass-by-pass node-count report and the program",
+        help="print the step-by-step node-count report and the program",
     )
     parser.add_argument("--seed", type=int, default=0, help="column seed")
     parser.add_argument(
         "--smoke", action="store_true", help="smaller column (CI smoke budget)"
     )
-    parser.add_argument(
-        "--passes",
-        nargs="+",
-        metavar="PASS",
-        help="run only these passes, in order (default: full pipeline)",
-    )
     args = parser.parse_args(argv)
 
-    from .ir import PassManager, lower, pass_names
-
-    try:
-        manager = PassManager(args.passes)
-    except ValueError as error:
-        print(f"error: {error}")
-        print(f"available passes: {', '.join(pass_names())}")
-        return 2
+    from .ir import lower, optimize_program
 
     network, _ = _demo_column(args.seed, smoke=args.smoke)
     program = lower(network)
@@ -367,7 +354,7 @@ def _ir(argv: list[str]) -> int:
         f"lowered {network.name}: {len(program.nodes)} node(s), "
         f"depth {program.depth}, fingerprint {program.fingerprint()[:12]}"
     )
-    optimized, report = manager.run(program)
+    optimized, report = optimize_program(program)
     if args.describe:
         print(report.describe())
         print()

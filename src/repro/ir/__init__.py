@@ -1,18 +1,10 @@
 """repro.ir — the canonical program IR and shared optimizer pipeline.
 
 One lowering (:func:`lower`), one schedule, one optimizer
-(:class:`PassManager`) feeding all four execution backends.
+(:func:`optimize_program`) feeding all four execution backends.
 """
 
-from .passes import (
-    DEFAULT_PIPELINE,
-    PASSES,
-    PassManager,
-    PassStats,
-    PipelineReport,
-    optimize_program,
-    pass_names,
-)
+from .passes import PipelineReport, optimize_program
 from .program import (
     CONST_IDENTITY,
     NODE_CLASSES,
@@ -26,11 +18,7 @@ from .program import (
 
 __all__ = [
     "CONST_IDENTITY",
-    "DEFAULT_PIPELINE",
     "NODE_CLASSES",
-    "PASSES",
-    "PassManager",
-    "PassStats",
     "PipelineReport",
     "Program",
     "ProgramLike",
@@ -38,6 +26,5 @@ __all__ = [
     "ensure_program",
     "lower",
     "optimize_program",
-    "pass_names",
     "same_structure",
 ]

@@ -1,59 +1,64 @@
-"""The shared optimizer: named, individually-toggleable passes over IR.
+"""The shared optimizer: one value-numbering sweep, then dead-node removal.
 
 Every backend consumes the same :class:`~repro.ir.program.Program`, so
 an optimization implemented here — once — speeds up the compiled batch
 engine, the interpreted walk, the event simulator, and the GRL netlist
-alike.  The :class:`PassManager` runs a configurable pipeline of named
-passes to a fingerprint fixpoint and reports pass-by-pass node counts.
+alike.  :func:`optimize_program` runs two steps and reports the node
+count after each:
 
-Passes (registry order is the default pipeline order):
+* ``simplify`` — one topological sweep (value numbering).  Each node's
+  sources are first mapped to ids that are already canonical; the node
+  is then rewritten by the rules below and hash-consed, so common
+  subexpressions merge in the same sweep that rewrites them:
 
-* ``canonicalize`` — zero-source ``min`` (the lattice top ``∞``) and
-  ``lt(x, x)`` fold to *never*, which consumers absorb by the lattice
-  identities (``min(x, never) = x``, ``max(x, never) = never``,
-  ``lt(never, y) = never``, ``lt(x, never) = x``, ``inc(never) =
-  never``); duplicate min/max sources deduplicate (idempotence) and
-  single-source min/max collapse to wires.  The single owner of the
-  zero-source identity rule — no backend re-derives it.
-* ``fold-consts`` — constant folding of cones rooted at ``const0``
-  (zero-source ``max``) and, when a parameter binding is supplied,
-  at pinned ``param`` lines: a node whose value is provably known
-  aliases to the node carrying that value (``min`` with a 0 source is
-  0; ``max`` drops 0 sources; ``lt`` against 0 never fires; fully
-  known ``min``/``max``/``lt`` fold outright).
-* ``fuse-inc`` — ``inc(inc(x, a), b)`` → ``inc(x, a + b)``; a fused
-  amount of 0 collapses to a wire.
-* ``cse`` — common-subexpression elimination: nodes with the same kind
-  and (order-normalized, for min/max) sources merge.
+  - the lattice identities: zero-source ``min`` (the lattice top ``∞``)
+    and ``lt(x, x)`` fold to *never*, which consumers absorb
+    (``min(x, never) = x``, ``max(x, never) = never``, ``lt(never, y)
+    = never``, ``lt(x, never) = x``, ``inc(never) = never``).  The
+    single owner of the zero-source identity rule — no backend
+    re-derives it;
+  - ``min``/``max`` deduplicate and sort their sources (both ops are
+    commutative and idempotent) and a single source collapses to a
+    wire; ``lt`` is neither, so its key stays positional;
+  - known-value folding of cones rooted at ``const0`` (zero-source
+    ``max``) and, when a parameter binding is supplied, at pinned
+    ``param`` lines: ``min`` with a 0 source is 0, ``max`` drops 0
+    sources, ``lt`` against 0 never fires, fully known ``min``/``max``/
+    ``lt`` fold outright — always by aliasing the node that already
+    carries the value;
+  - ``inc(inc(x, a), b)`` → ``inc(x, a + b)``; a total delay of 0
+    collapses to a wire.
+
+  Because every source is canonical before its consumer is visited,
+  one sweep is a fixpoint: re-optimizing the output changes nothing.
 * ``dce`` — dead-node elimination: compute nodes feeding no output are
   dropped (terminals always survive — the interface is frozen).
 
-Every pass preserves the program interface (input/param/output names)
-and the denotational semantics, and composes the **provenance map**:
-each output node of a pass represents a set of original-network nodes
-whose fire times it reproduces exactly.  That invariant is what keeps
-optimized and unoptimized spike traces comparable
+Both steps preserve the program interface (input/param/output names)
+and the denotational semantics, and compose the **provenance map**:
+each output node represents a set of original-network nodes whose fire
+times it reproduces exactly.  That invariant is what keeps optimized
+and unoptimized spike traces comparable
 (:func:`repro.obs.trace.project_events`) and is property-checked by the
 conformance suite.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from typing import Optional
 
-from ..core.value import Infinity, Time
+from ..core.value import INF, Time
 from ..network.blocks import Node
-from .program import Program, ProgramLike, ensure_program
+from .program import Program, ProgramLike, ensure_program, same_structure
 
 #: Sentinel for a wire that provably never spikes.
 _NEVER = -1
 
 
 # ---------------------------------------------------------------------------
-# The rewrite engine shared by every pass
+# The rewrite engine
 # ---------------------------------------------------------------------------
 
 class _Rewriter:
@@ -94,20 +99,6 @@ class _Rewriter:
         if key not in self.seen:
             self.seen[key] = self.emit(kind, sources, amount=amount, tags=tags)
         return self.seen[key]
-
-    def copy(self, node: Node) -> int:
-        """Re-emit *node* with its sources mapped through ``result``."""
-        if node.is_terminal:
-            new = self.emit(node.kind, name=node.name)
-        else:
-            new = self.emit(
-                node.kind,
-                tuple(self.result[s] for s in node.sources),
-                amount=node.amount,
-                tags=node.tags,
-            )
-        self.result[node.id] = new
-        return new
 
     def never_wire(self) -> int:
         """A (shared) wire that is identically ``∞``: ``lt(w, w)``.
@@ -150,7 +141,7 @@ def _strip_dead(program: Program) -> Program:
     """Drop unreferenced compute nodes (rewrites leave orphans behind).
 
     Terminals are kept even when dead — the program interface (input
-    and parameter declaration order) is frozen across passes.
+    and parameter declaration order) is frozen by the optimizer.
     """
     live: set[int] = set(program.outputs.values())
     stack = list(live)
@@ -186,357 +177,148 @@ def _strip_dead(program: Program) -> Program:
 
 
 # ---------------------------------------------------------------------------
-# The passes
+# The sweep
 # ---------------------------------------------------------------------------
 
-def pass_dce(program: Program, *, params=None) -> Program:
-    """Dead-node elimination (terminals always survive)."""
-    return _strip_dead(program)
-
-
-def pass_canonicalize(program: Program, *, params=None) -> Program:
-    """Zero-source/lattice-identity canonicalization (see module doc)."""
-    rw = _Rewriter(program)
-    for node in program.nodes:
-        if node.is_terminal:
-            rw.copy(node)
-            continue
-        sources = tuple(rw.result[s] for s in node.sources)
-        if node.kind == "inc":
-            if sources[0] == _NEVER:
-                rw.result[node.id] = _NEVER
-            else:
-                rw.result[node.id] = rw.emit(
-                    "inc", sources, amount=node.amount, tags=node.tags
-                )
-        elif node.kind in ("min", "max"):
-            if node.kind == "min" and not sources:
-                # The empty min is the lattice top: it never fires.
-                rw.result[node.id] = _NEVER
-                continue
-            if node.kind == "max" and _NEVER in sources:
-                rw.result[node.id] = _NEVER
-                continue
-            if node.kind == "max" and not sources:
-                # The empty max is the constant 0 — a real value; keep it.
-                rw.result[node.id] = rw.emit("max", (), tags=node.tags)
-                continue
-            kept = tuple(sorted({s for s in sources if s != _NEVER}))
-            if not kept:
-                rw.result[node.id] = _NEVER
-            elif len(kept) == 1:
-                rw.result[node.id] = kept[0]
-            else:
-                rw.result[node.id] = rw.emit(node.kind, kept, tags=node.tags)
-        else:  # lt
-            a, b = sources
-            if a == _NEVER or a == b:
-                rw.result[node.id] = _NEVER
-            elif b == _NEVER:
-                rw.result[node.id] = a
-            else:
-                rw.result[node.id] = rw.emit("lt", (a, b), tags=node.tags)
-    return rw.finish()
-
-
-def pass_fold_consts(
-    program: Program, *, params: Optional[Mapping[str, Time]] = None
-) -> Program:
-    """Constant folding of ``const0`` (and known-``param``) cones.
-
-    Tracks, per rewritten node, a *known* value: ``const0`` is 0, a
-    pinned param (when a binding is supplied) is 0 or ``∞``, ``inc``
-    propagates through addition, and min/max/lt fold when their
-    arguments are known.  Folds are expressed as aliases to the node
-    already carrying the value, so fire times are preserved exactly
-    (the provenance invariant).
-    """
-    rw = _Rewriter(program)
-    known: dict[int, Time] = {}  # new id -> provably constant value
-
-    def value_of(new_id: int) -> Optional[Time]:
-        return known.get(new_id)
-
-    for node in program.nodes:
-        if node.is_terminal:
-            new = rw.copy(node)
-            if (
-                node.kind == "param"
-                and params is not None
-                and node.name in params
-            ):
-                pinned = params[node.name]
-                if isinstance(pinned, Infinity):
-                    known[new] = pinned
-                elif pinned == 0:
-                    known[new] = 0
-            continue
-        sources = tuple(rw.result[s] for s in node.sources)
-        values = [value_of(s) for s in sources]
-
-        if node.kind == "inc":
-            new = rw.emit("inc", sources, amount=node.amount, tags=node.tags)
-            rw.result[node.id] = new
-            if values[0] is not None:
-                v = values[0]
-                known[new] = v if isinstance(v, Infinity) else v + node.amount
-            continue
-
-        if node.kind in ("min", "max"):
-            if not sources:
-                new = rw.emit(node.kind, (), tags=node.tags)
-                rw.result[node.id] = new
-                if node.kind == "max":
-                    known[new] = 0  # const0: the lattice bottom
-                continue
-            if node.kind == "min":
-                zeros = [s for s, v in zip(sources, values) if v == 0]
-                if zeros:
-                    # min(x, 0) = 0: alias the 0-valued source.
-                    rw.result[node.id] = zeros[0]
-                    continue
-                kept = [
-                    s for s, v in zip(sources, values)
-                    if not isinstance(v, Infinity)
-                ]
-                if not kept:
-                    rw.result[node.id] = _NEVER
-                    continue
-                if all(value_of(s) is not None for s in kept):
-                    winner = min(kept, key=lambda s: (value_of(s), s))
-                    rw.result[node.id] = winner
-                    known.setdefault(winner, value_of(winner))
-                    continue
-                if len(kept) == 1:
-                    rw.result[node.id] = kept[0]
-                    continue
-                rw.result[node.id] = rw.emit(
-                    "min", tuple(kept), tags=node.tags
-                )
-                continue
-            # max
-            if any(isinstance(v, Infinity) for v in values):
-                rw.result[node.id] = _NEVER
-                continue
-            kept = [s for s, v in zip(sources, values) if v != 0]
-            if not kept:
-                # max of all-0 sources is 0: alias any of them.
-                rw.result[node.id] = sources[0]
-                continue
-            if all(value_of(s) is not None for s in kept):
-                winner = max(kept, key=lambda s: (value_of(s), -s))
-                rw.result[node.id] = winner
-                continue
-            if len(kept) == 1:
-                rw.result[node.id] = kept[0]
-                continue
-            rw.result[node.id] = rw.emit("max", tuple(kept), tags=node.tags)
-            continue
-
-        # lt
-        a, b = sources
-        va, vb = values
-        if vb == 0 or isinstance(va, Infinity):
-            # Nothing strictly precedes 0; ∞ precedes nothing.
-            rw.result[node.id] = _NEVER
-        elif isinstance(vb, Infinity):
-            rw.result[node.id] = a
-        elif va is not None and vb is not None:
-            rw.result[node.id] = a if va < vb else _NEVER
-        else:
-            rw.result[node.id] = rw.emit("lt", (a, b), tags=node.tags)
-    return rw.finish()
-
-
-def pass_fuse_inc(program: Program, *, params=None) -> Program:
-    """Coalesce ``inc`` chains; a total delay of 0 collapses to a wire."""
-    rw = _Rewriter(program)
-    for node in program.nodes:
-        if node.kind != "inc":
-            rw.copy(node)
-            continue
-        src = rw.result[node.sources[0]]
-        amount = node.amount
-        if rw.nodes[src].kind == "inc":
-            amount += rw.nodes[src].amount
-            src = rw.nodes[src].sources[0]
+def _rewrite(rw: _Rewriter, known: dict[int, Time], node: Node) -> int:
+    """The canonical id of compute *node* (sources already canonical)."""
+    sources = [rw.result[s] for s in node.sources]
+    kind = node.kind
+    if kind == "inc":
+        src, amount = sources[0], node.amount
+        value = known.get(src)
+        if value is INF:
+            return _NEVER
+        feeder = rw.nodes[src]
+        if feeder.kind == "inc":
+            src, amount = feeder.sources[0], amount + feeder.amount
         if amount == 0:
-            rw.result[node.id] = src
-        else:
-            rw.result[node.id] = rw.emit(
-                "inc", (src,), amount=amount, tags=node.tags
-            )
-    return rw.finish()
-
-
-def pass_cse(program: Program, *, params=None) -> Program:
-    """Merge structurally identical compute nodes.
-
-    min/max keys normalize source order and multiplicity (both ops are
-    commutative and idempotent); ``lt`` is neither, so its key is
-    positional.  Terminals never merge — their names are binding keys.
-    """
-    rw = _Rewriter(program)
-    for node in program.nodes:
-        if node.is_terminal:
-            rw.copy(node)
-            continue
-        sources = tuple(rw.result[s] for s in node.sources)
-        if node.kind == "inc":
-            key = ("inc", sources[0], node.amount)
-        elif node.kind in ("min", "max"):
-            key = (node.kind, tuple(sorted(set(sources))))
-        else:
-            key = ("lt", sources)
-        rw.result[node.id] = rw.get_or_emit(
-            key, node.kind, sources, amount=node.amount, tags=node.tags
+            return src
+        new = rw.get_or_emit(
+            ("inc", src, amount), "inc", (src,), amount=amount, tags=node.tags
         )
-    return rw.finish()
+        if value is not None:
+            known[new] = value + node.amount
+        return new
 
+    if kind == "lt":
+        a, b = sources
+        va, vb = known.get(a), known.get(b)
+        if a == b or va is INF or vb == 0:
+            # Nothing strictly precedes itself or 0; ∞ precedes nothing.
+            return _NEVER
+        if vb is INF:
+            return a
+        if va is not None and vb is not None:
+            return a if va < vb else _NEVER
+        return rw.get_or_emit(("lt", a, b), "lt", (a, b), tags=node.tags)
 
-#: Registered passes, in default pipeline order.
-PASSES: "OrderedDict[str, Callable[..., Program]]" = OrderedDict(
-    (
-        ("canonicalize", pass_canonicalize),
-        ("fold-consts", pass_fold_consts),
-        ("fuse-inc", pass_fuse_inc),
-        ("cse", pass_cse),
-        ("dce", pass_dce),
+    if kind == "max" and not sources:
+        # The empty max is the constant 0 — a real value; keep one.
+        new = rw.get_or_emit(("max", ()), "max", (), tags=node.tags)
+        known[new] = 0
+        return new
+    kept = sorted(set(sources))
+    if kind == "min":
+        # ∞ sources drop out; with none left the min is the top, ∞.
+        kept = [s for s in kept if known.get(s) is not INF]
+        zeros = [s for s in kept if known.get(s) == 0]
+        if zeros:
+            return zeros[0]  # min(x, 0) = 0: alias the 0-valued source
+        if not kept:
+            return _NEVER
+    else:
+        if any(known.get(s) is INF for s in kept):
+            return _NEVER
+        nonzero = [s for s in kept if known.get(s) != 0]
+        if not nonzero:
+            return kept[0]  # max of all-0 sources is 0: alias one
+        kept = nonzero
+    if all(s in known for s in kept):
+        if kind == "min":
+            return min(kept, key=lambda s: (known[s], s))
+        return max(kept, key=lambda s: (known[s], -s))
+    if len(kept) == 1:
+        return kept[0]
+    return rw.get_or_emit(
+        (kind, tuple(kept)), kind, tuple(kept), tags=node.tags
     )
-)
-
-#: The default pipeline: every registered pass, registry order.
-DEFAULT_PIPELINE: tuple[str, ...] = tuple(PASSES)
 
 
-def pass_names() -> list[str]:
-    """Registered pass names, in default pipeline order."""
-    return list(PASSES)
+def _simplify(
+    program: Program, params: Optional[Mapping[str, Time]]
+) -> Program:
+    """The value-numbering sweep (see the module doc for its rules)."""
+    rw = _Rewriter(program)
+    known: dict[int, Time] = {_NEVER: INF}  # new id -> provably constant value
+    for node in program.nodes:
+        if not node.is_terminal:
+            rw.result[node.id] = _rewrite(rw, known, node)
+            continue
+        new = rw.result[node.id] = rw.emit(node.kind, name=node.name)
+        if node.kind == "param" and params and node.name in params:
+            pinned = params[node.name]
+            if pinned is INF or pinned == 0:
+                known[new] = pinned
+    return rw.finish()
 
 
 # ---------------------------------------------------------------------------
-# The pass manager
+# The optimizer
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PassStats:
-    """Node accounting for one pass application."""
+class PipelineReport:
+    """Node counts around the two steps of one :func:`optimize_program`."""
 
-    name: str
-    iteration: int
     before_nodes: int
+    simplified_nodes: int
     after_nodes: int
 
     @property
     def removed(self) -> int:
         return self.before_nodes - self.after_nodes
 
-
-@dataclass
-class PipelineReport:
-    """Pass-by-pass node counts for one :meth:`PassManager.run`."""
-
-    stats: list[PassStats] = field(default_factory=list)
-    iterations: int = 0
-
-    @property
-    def before_nodes(self) -> int:
-        return self.stats[0].before_nodes if self.stats else 0
-
-    @property
-    def after_nodes(self) -> int:
-        return self.stats[-1].after_nodes if self.stats else 0
-
-    @property
-    def removed(self) -> int:
-        return self.before_nodes - self.after_nodes
+    def _steps(self) -> tuple[tuple[str, int, int], ...]:
+        return (
+            ("simplify", self.before_nodes, self.simplified_nodes),
+            ("dce", self.simplified_nodes, self.after_nodes),
+        )
 
     def by_pass(self) -> dict[str, int]:
-        """Total nodes removed, per pass name, across all iterations."""
-        totals: dict[str, int] = {}
-        for entry in self.stats:
-            totals[entry.name] = totals.get(entry.name, 0) + entry.removed
-        return totals
+        """Nodes removed per step (``simplify``, ``dce``)."""
+        return {name: before - after for name, before, after in self._steps()}
 
     def describe(self) -> str:
-        """The pass-by-pass node-count report (CLI and bench surface)."""
-        lines = [
-            f"pipeline: {self.before_nodes} -> {self.after_nodes} nodes "
-            f"in {self.iterations} iteration(s)"
-        ]
-        for entry in self.stats:
-            marker = f"-{entry.removed}" if entry.removed else "·"
-            lines.append(
-                f"  [{entry.iteration}] {entry.name:<14} "
-                f"{entry.before_nodes:>5} -> {entry.after_nodes:<5} ({marker})"
-            )
+        """The step-by-step node-count report (CLI and bench surface)."""
+        lines = [f"pipeline: {self.before_nodes} -> {self.after_nodes} nodes"]
+        for name, before, after in self._steps():
+            removed = before - after
+            marker = f"-{removed}" if removed else "·"
+            lines.append(f"  {name:<9} {before:>5} -> {after:<5} ({marker})")
         return "\n".join(lines)
 
     def __str__(self) -> str:
         return self.describe()
 
 
-class PassManager:
-    """Runs a named pass pipeline over a Program to a fixpoint.
-
-    *passes* selects and orders the pipeline (default: every registered
-    pass); *params*, when given, additionally specializes ``param``
-    cones in ``fold-consts`` to that binding — only sound when the
-    resulting program is run under the same binding.  The pipeline
-    repeats until the program fingerprint stops changing (or
-    *max_iterations*), which is what makes optimization idempotent:
-    re-running the manager on its own output is a no-op.
-    """
-
-    def __init__(
-        self,
-        passes: Optional[Sequence[str]] = None,
-        *,
-        params: Optional[Mapping[str, Time]] = None,
-        max_iterations: int = 10,
-    ):
-        names = list(passes) if passes is not None else list(DEFAULT_PIPELINE)
-        unknown = [n for n in names if n not in PASSES]
-        if unknown:
-            raise ValueError(
-                f"unknown pass(es) {unknown}; registered: {pass_names()}"
-            )
-        if max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        self.passes = tuple(names)
-        self.params = dict(params) if params else None
-        self.max_iterations = max_iterations
-
-    def run(self, source: ProgramLike) -> tuple[Program, PipelineReport]:
-        """Optimize *source*, returning ``(program, report)``."""
-        program = ensure_program(source)
-        report = PipelineReport()
-        for iteration in range(1, self.max_iterations + 1):
-            fingerprint = program.fingerprint()
-            for name in self.passes:
-                before = len(program)
-                program = PASSES[name](program, params=self.params)
-                report.stats.append(
-                    PassStats(
-                        name=name,
-                        iteration=iteration,
-                        before_nodes=before,
-                        after_nodes=len(program),
-                    )
-                )
-            report.iterations = iteration
-            if program.fingerprint() == fingerprint:
-                break
-        return program, report
-
-
 def optimize_program(
     source: ProgramLike,
     *,
-    passes: Optional[Sequence[str]] = None,
     params: Optional[Mapping[str, Time]] = None,
-    max_iterations: int = 10,
 ) -> tuple[Program, PipelineReport]:
-    """One-shot :class:`PassManager` run with the default pipeline."""
-    manager = PassManager(passes, params=params, max_iterations=max_iterations)
-    return manager.run(source)
+    """Simplify *source* in one sweep, then strip dead nodes.
+
+    *params*, when given, additionally specializes ``param`` cones to
+    that binding — only sound when the resulting program is run under
+    the same binding.  Returns ``(program, report)``; the program is
+    *source*'s own Program object when neither step changes anything.
+    """
+    program = ensure_program(source)
+    simplified = _simplify(program, params)
+    optimized = _strip_dead(simplified)
+    if same_structure(optimized, program):
+        optimized = program
+    return optimized, PipelineReport(
+        len(program), len(simplified), len(optimized)
+    )

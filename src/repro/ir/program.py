@@ -19,7 +19,7 @@ the same node table:
   source network),
 * a **provenance map** — program node id → the original network node
   ids whose fire times the node represents.  The identity map for a
-  fresh lowering; optimization passes compose it, which is what keeps
+  fresh lowering; the optimizer composes it, which is what keeps
   optimized and unoptimized spike traces comparable
   (:func:`repro.obs.trace.project_events`).
 
@@ -27,7 +27,7 @@ The IR is also the single owner of the **zero-source identity** rule:
 a ``min`` with no sources is the lattice top (``∞`` — it never fires),
 a ``max`` with no sources is the lattice bottom (it fires at 0).
 Backends ask :func:`classify` / :data:`CONST_IDENTITY` instead of
-re-deriving the rule; the canonicalization pass
+re-deriving the rule; the optimizer's sweep
 (:mod:`repro.ir.passes`) folds the constants away entirely where the
 lattice laws allow.
 """
@@ -69,7 +69,7 @@ class Program:
     node table, same terminal/output maps, same fingerprint algorithm —
     plus the level schedule and provenance the backends and the pass
     pipeline need.  Build one with :func:`lower` (memoized) or receive
-    one from :class:`~repro.ir.passes.PassManager`.
+    one from :func:`~repro.ir.passes.optimize_program`.
     """
 
     __slots__ = (
@@ -132,7 +132,7 @@ class Program:
             n.id for n in self.nodes if classify(n).startswith("const-")
         )
         #: program node id -> original node ids it represents (fire-time
-        #: equal).  Identity unless passes rewrote the program.
+        #: equal).  Identity unless the optimizer rewrote the program.
         self.provenance: dict[int, tuple[int, ...]] = (
             dict(provenance)
             if provenance is not None
@@ -194,7 +194,7 @@ class Program:
         """Stable structural hash — bit-identical to
         :meth:`Network.fingerprint` on the same node table, so an
         unoptimized lowering and its source network share one compiled
-        plan; any pass that changes structure changes the key."""
+        plan; any rewrite that changes structure changes the key."""
         if self._fingerprint is None:
             digest = hashlib.sha256()
             for node in self.nodes:
@@ -273,7 +273,7 @@ def same_structure(left: Program, right: Program) -> bool:
     """True when two programs have identical node tables and outputs.
 
     Stronger than fingerprint equality in principle (no hash collisions)
-    and the relation the pass-pipeline idempotence property is stated
+    and the relation the optimizer's idempotence property is stated
     over; provenance and display names are deliberately ignored.
     """
     return (

@@ -3,7 +3,7 @@
 Reusable space-time kernels (STICK-style interval arithmetic, memory,
 synchronization, routing, accumulation) authored as IR subprograms with
 named ports, a composition operator wiring them into single programs
-that flow through the pass pipeline and all four backends, and the
+that flow through the optimizer and all four backends, and the
 per-kernel conformance contract (function tables, generator family,
 served demos).
 """

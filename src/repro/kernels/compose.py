@@ -10,16 +10,16 @@ Two composition surfaces over one inliner:
   and unbound terminals are emitted in place, the flattening of
   ``compose(compose(a, b), c)`` and ``compose(a, compose(b, c))`` is the
   *same node table* — associativity holds up to program fingerprint,
-  before and after the pass pipeline.
+  before and after optimization.
 * :class:`KernelGraph` — arbitrary explicit wiring between named kernel
   *instances* (fan-out, cross-links, port exposure under chosen names),
   for compositions the series operator cannot express.
 
 Both tag every inlined node with ``k:<instance>`` — the **per-kernel
-provenance** that survives the pass pipeline: optimization passes
-compose the IR provenance map, so :func:`kernel_attribution` can name
+provenance** that survives optimization: the optimizer composes
+the IR provenance map, so :func:`kernel_attribution` can name
 the kernel instance(s) an *optimized* node descends from even after
-canonicalize/fold/fuse/cse/dce rewrote the program.
+its sweep and dce rewrote the program.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ class Composition:
     def optimized(
         self, *, params: Optional[Mapping[str, Time]] = None
     ) -> tuple[Program, PipelineReport]:
-        """The composed program through the full pass pipeline."""
+        """The composed program through the optimizer."""
         return optimize_program(self.program, params=params)
 
     def attribution(
@@ -157,7 +157,7 @@ class Composition:
         """Kernel-instance provenance per node of *program*.
 
         *program* defaults to the raw composed program; pass the output
-        of :meth:`optimized` to attribute nodes the pass pipeline
+        of :meth:`optimized` to attribute nodes the optimizer
         rewrote — the IR provenance map relates them back to composed
         nodes, whose ``k:`` tags name their instances.
         """
@@ -207,7 +207,7 @@ def compose(*kernels: Kernel, name: Optional[str] = None) -> Kernel:
     Under those rules the flattened node table is independent of
     grouping: ``compose(compose(a, b), c)`` and
     ``compose(a, compose(b, c))`` produce fingerprint-identical
-    programs, before and after the pass pipeline (the property suite
+    programs, before and after optimization (the property suite
     pins this).
     """
     if len(kernels) < 1:

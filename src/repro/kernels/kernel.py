@@ -6,7 +6,7 @@ composable unit of space-time computation, in the spirit of STICK
 **input ports**, its named outputs are the **output ports**, and the
 composition operator (:mod:`repro.kernels.compose`) wires ports of
 several kernel *instances* together into one flat program that flows
-through the ordinary pass pipeline and every execution backend.
+through the ordinary optimizer and every execution backend.
 
 Kernels are immutable.  Port renaming (:meth:`Kernel.renamed`) returns a
 fresh kernel — renaming is how a library kernel is adapted to a

@@ -45,7 +45,7 @@ def compile_network(
     The IR declares which nodes are the lattice-identity constants
     (:attr:`~repro.ir.program.Program.const_ids`); those have no gate
     realization, so a program still carrying one is rejected here — run
-    the canonicalization pass (:mod:`repro.ir.passes`) to fold them away
+    the optimizer (:mod:`repro.ir.passes`) to fold them away
     where the lattice laws allow.
 
     *node_map*, if given, is filled with ``node id -> gate id`` — the

@@ -3,7 +3,7 @@
 Each worker is a separate OS process that, at startup, rebuilds every
 registered model from its serialized document through
 :func:`load_program` — verify the embedded fingerprint, lower to the
-IR, run the optimizer pass pipeline, and **warm** the compiled plan — so
+IR, run the optimizer, and **warm** the compiled plan — so
 the first real request never pays compilation, first-touch, or JIT
 cost.  Eval messages are answered by the batch engine
 (:func:`~repro.network.compile_plan.evaluate_batch`); each worker's
@@ -69,8 +69,8 @@ def load_program(model_id: str, document: str) -> Program:
     """Rebuild one served model from its document, ready to evaluate.
 
     Deserialize, verify that the document's fingerprint is *model_id*
-    (:class:`ValueError` otherwise), lower to the IR, run the optimizer
-    pass pipeline, and warm the compiled plan.  Both pools load every
+    (:class:`ValueError` otherwise), lower to the IR, run the optimizer,
+    and warm the compiled plan.  Both pools load every
     model through here.
     """
     network = serialize.loads(document)

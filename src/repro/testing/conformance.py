@@ -194,7 +194,7 @@ def diff_backends(
 ) -> tuple[BackendRun, list[tuple[int, dict[str, Outputs]]]]:
     """Run the backends and return ``(raw run, disagreement list)``.
 
-    ``optimize=True`` lowers the network through the IR pass pipeline
+    ``optimize=True`` lowers the network through the IR optimizer
     once and diffs the backends on the shared optimized
     :class:`~repro.ir.program.Program` instead of the raw network.
     """

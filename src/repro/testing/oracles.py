@@ -116,7 +116,7 @@ def run_backends(
     directly.
 
     With ``optimize=True`` the source is lowered and run through the
-    default IR pass pipeline *once*, and the resulting
+    IR optimizer *once*, and the resulting
     :class:`~repro.ir.program.Program` (recorded on the returned
     ``BackendRun``) is shared by every backend — so the compiled plan
     cache, keyed by IR fingerprint, compiles it exactly once too.  Leave

@@ -7,8 +7,7 @@ The two ISSUE-level properties, plus their supporting invariants:
   authored in one ``NetworkBuilder``), and byte-identical across all
   four execution backends on random compositions;
 * **Associativity** — ``compose`` is associative up to program
-  fingerprint, both on the raw composition and after the pass pipeline
-  runs to fingerprint fixpoint.
+  fingerprint, both on the raw composition and after optimization.
 """
 
 import random

@@ -1,15 +1,15 @@
 """Lattice identities and ∞-sentinel saturation inside compositions.
 
 Regression pins for the two classic cross-backend hazards, now embedded
-*inside* composed kernel subprograms and pushed through the full pass
-pipeline (canonicalize → fold-consts → fuse-inc → cse → dce):
+*inside* composed kernel subprograms and pushed through the optimizer
+(one simplifying sweep, then dce):
 
 * zero-source ``min`` is the constant ``∞`` and zero-source ``max`` the
   constant ``0`` (the lattice identities, §III.D) — composing them into
   kernel inputs must fold correctly and agree across backends;
 * ``inc`` saturates at the int64 sentinel: a composed delay chain fed
   the last finite time must yield ``∞`` on every backend, before and
-  after ``fuse-inc`` collapses the chain.
+  after ``inc`` fusion collapses the chain.
 """
 
 import random
@@ -66,8 +66,8 @@ class TestLatticeIdentitiesInsideCompositions:
         )
         composed = compose(consts, stage)
         optimized, report = optimize_program(composed.program)
-        # fold-consts + dce collapse the meet with ⊥ to the constant and
-        # the meet with ⊤ to a plain wire; no min node survives.
+        # Known-value folding + dce collapse the meet with ⊥ to the
+        # constant and the meet with ⊤ to a plain wire; no min survives.
         assert all(node.kind != "min" for node in optimized.nodes)
         # semantics preserved: optimized and raw agree across backends
         volleys = adversarial_volleys(3, rng=random.Random(11), n_random=4)
@@ -95,7 +95,7 @@ class TestLatticeIdentitiesInsideCompositions:
 
 class TestSentinelSaturationInsideCompositions:
     def chain(self):
-        """Three composed +2 shifts — six total delay, fused by fuse-inc."""
+        """Three composed +2 shifts — six total delay, fused by the sweep."""
         stages = [interval_shift(2)]
         stages.append(
             interval_shift(2).renamed(
@@ -125,7 +125,7 @@ class TestSentinelSaturationInsideCompositions:
     def test_fused_chain_still_saturates(self):
         composed = self.chain()
         optimized, _ = optimize_program(composed.program)
-        # fuse-inc collapses each 3-deep delay chain onto the input with
+        # inc fusion collapses each 3-deep delay chain onto the input with
         # the summed amount (intermediates stay live — compose exports
         # every stage's outputs — but no inc feeds another inc anymore).
         assert lower(composed.network()).depth == 3

@@ -1,6 +1,6 @@
 """Tests for semantics-preserving network optimization.
 
-The IR pass pipeline (:func:`repro.ir.optimize_program`) rewrites a
+The IR optimizer (:func:`repro.ir.optimize_program`) rewrites a
 network; these tests raise its output back to a ``Network`` and check
 the block counts (``.size``) and the exact semantics.
 """
@@ -19,7 +19,7 @@ from repro.network.simulator import evaluate
 
 
 def optimized_network(network):
-    """The pass pipeline's output, raised back to a ``Network``."""
+    """The optimizer's output, raised back to a ``Network``."""
     return optimize_program(network)[0].to_network()
 
 
