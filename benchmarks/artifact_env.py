@@ -2,8 +2,8 @@
 
 Benchmarks import :func:`env_header` from here so an artifact records
 where and how it was measured — commit, Python and NumPy versions, CPU
-count, machine, ``REPRO_NATIVE`` mode and whether Numba is importable —
-and two artifacts can be compared knowing what differed.
+count and machine — and two artifacts can be compared knowing what
+differed.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import subprocess
 from pathlib import Path
 
 import numpy as np
-
-from repro.native import NUMBA_AVAILABLE
 
 
 def env_header() -> dict:
@@ -36,6 +34,4 @@ def env_header() -> dict:
         "numpy": np.__version__,
         "cpus": os.cpu_count(),
         "machine": platform.machine(),
-        "repro_native": os.environ.get("REPRO_NATIVE", "auto"),
-        "numba": NUMBA_AVAILABLE,
     }

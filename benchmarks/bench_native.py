@@ -1,22 +1,20 @@
-"""The batch engine's per-family throughput table, both executors.
+"""The batch engine's per-family throughput table.
 
 One compiled plan (:mod:`repro.network.compile_plan`) serves every
-batch: one fused kernel per (level, op-kind) bucket over a node-major
-int64 arena, with mixed-arity ``min``/``max`` groups padded to a
-rectangle by repeating a source.  It has two executors: the fused NumPy
-kernels (always available) and the Numba row interpreter of
-:mod:`repro.native.jit` (timed only when Numba is importable).
+batch: one fused NumPy kernel per (level, op-kind) bucket over a
+node-major int64 arena, with mixed-arity ``min``/``max`` groups padded
+to a rectangle by repeating a source.
 
 The table covers five families at B ∈ {1, 64, 1024}: the Fig. 9
 synthesized minterm network, the Fig. 12 SRM0 construction, a wider
 7-input SRM0 neuron, a deep layered DAG, and the pass-optimized
 10-input SRM0 column the served benchmark's narrow workloads use.  The
 ``mixed`` column marks families whose plan pads a mixed-arity group.
-Every cell is the best of interleaved repetitions, in volleys per
-second; before timing, each executor's outputs are checked against the
-interpreted evaluator (first rows) and against each other (whole
-batch).  Results land in ``BENCH_native.json`` (repo root) with an
-``env`` header naming the machine and software they were measured on.
+Every cell is the best of repeated samples, in volleys per second;
+before timing, the first rows of each batch are checked against the
+interpreted evaluator.  Results land in ``BENCH_native.json`` (repo
+root) with an ``env`` header naming the machine and software they were
+measured on.
 
 Run standalone::
 
@@ -29,10 +27,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +36,6 @@ import numpy as np
 from repro.core.table import NormalizedTable
 from repro.core.synthesis import synthesize
 from repro.ir import ensure_program, lower, optimize_program
-from repro.native import NUMBA_AVAILABLE
 from repro.network.compile_plan import (
     INF_I64,
     compile_plan,
@@ -120,20 +115,6 @@ def mixed_arity(program) -> bool:
     return any(len(w) > 1 for w in widths.values())
 
 
-@contextmanager
-def _forced_mode(mode: str):
-    """Pin ``REPRO_NATIVE`` for a timed region, restoring the old value."""
-    previous = os.environ.get("REPRO_NATIVE")
-    os.environ["REPRO_NATIVE"] = mode
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_NATIVE", None)
-        else:
-            os.environ["REPRO_NATIVE"] = previous
-
-
 def _interpreted(program, matrix) -> np.ndarray:
     """Reference outputs of the interpreted evaluator, sentinel-encoded."""
     out_ids = list(program.outputs.values())
@@ -147,10 +128,9 @@ def _interpreted(program, matrix) -> np.ndarray:
 
 
 def measure(program, *, batches, samples, seed=0) -> dict:
-    """One family's row: volleys/s per batch size and executor."""
+    """One family's row: volleys/s per batch size."""
     plan = compile_plan(program).warm()
     arity = len(program.input_ids)
-    modes = ["numpy"] + (["numba"] if NUMBA_AVAILABLE else [])
     results = {}
     for batch in batches:
         rng = random.Random(seed + batch)
@@ -160,29 +140,19 @@ def measure(program, *, batches, samples, seed=0) -> dict:
                 for _ in range(batch)
             ]
         )
-        outputs = {}
-        for mode in modes:
-            with _forced_mode(mode):
-                outputs[mode] = plan.outputs(matrix)
         head = min(batch, CHECK_ROWS)
         np.testing.assert_array_equal(
-            outputs["numpy"][:head], _interpreted(program, matrix[:head])
+            plan.outputs(matrix)[:head], _interpreted(program, matrix[:head])
         )
-        for mode in modes[1:]:
-            np.testing.assert_array_equal(outputs[mode], outputs["numpy"])
         # Enough calls per sample that one sample lasts a few ms.
         number = max(1, 256 // batch)
-        best = {mode: float("inf") for mode in modes}
+        best = float("inf")
         for _ in range(samples):
-            for mode in modes:  # interleaved: drift hits every column
-                with _forced_mode(mode):
-                    start = time.perf_counter()
-                    for _ in range(number):
-                        plan.outputs(matrix)
-                    best[mode] = min(best[mode], (time.perf_counter() - start) / number)
-        results[str(batch)] = {
-            f"{mode}_vps": batch / best[mode] for mode in modes
-        }
+            start = time.perf_counter()
+            for _ in range(number):
+                plan.outputs(matrix)
+            best = min(best, (time.perf_counter() - start) / number)
+        results[str(batch)] = {"numpy_vps": batch / best}
     return results
 
 
@@ -214,16 +184,10 @@ def report(*, smoke=False, artifact_path=ARTIFACT) -> str:
     artifact_path = Path(artifact_path)
     artifact_path.write_text(json.dumps(data, indent=2) + "\n")
 
-    numba = data["env"]["numba"]
-    lines = [
-        "Batch engine throughput (volleys/s, best of interleaved samples); "
-        f"numba {'present' if numba else 'not importable'}"
-    ]
+    lines = ["Batch engine throughput (volleys/s, best of samples)"]
     header = f"{'family':<28} {'nodes':>6} {'kernels':>8} {'mixed':>6}"
     for batch in data["batches"]:
-        header += f" {'numpy B=' + str(batch):>13}"
-        if numba:
-            header += f" {'numba B=' + str(batch):>13}"
+        header += f" {'B=' + str(batch):>13}"
     lines.append(header)
     for name, entry in data["families"].items():
         line = (
@@ -233,8 +197,6 @@ def report(*, smoke=False, artifact_path=ARTIFACT) -> str:
         for batch in data["batches"]:
             cell = entry["results"][str(batch)]
             line += f" {cell['numpy_vps']:>13.0f}"
-            if numba:
-                line += f" {cell['numba_vps']:>13.0f}"
         lines.append(line)
     lines.append(f"\nartifact: {artifact_path}")
     return "\n".join(lines)

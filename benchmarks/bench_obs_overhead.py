@@ -8,10 +8,9 @@ executor.  Three configurations are timed on the acceptance networks:
 
 * ``baseline``  — the plan's kernels run through the NumPy executor
   (buffer acquire, scatter, kernels, gather, release) with no sink
-  check, no executor-mode read, no profiling flag and no counters;
+  check, no profiling flag and no counters;
 * ``null-sink`` — the shipped ``plan.outputs`` with its defaults (the
-  disabled path: one identity check, one mode read, one module flag,
-  one counter);
+  disabled path: one identity check, one module flag, one counter);
 * ``recording`` — ``plan.outputs`` with a live :class:`RecordingSink`
   (the priced, opt-in path; reported for scale, not bounded).
 
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import time
 from pathlib import Path
@@ -83,10 +81,10 @@ def baseline_run(plan: CompiledPlan, matrix: np.ndarray) -> np.ndarray:
     """The plan's NumPy executor with every observability hook removed.
 
     The same buffers, scatter, kernels and gather as the shipped path,
-    but no sink check, no executor-mode read, no profiling flag and no
-    counters, so the diff isolates the hook cost and nothing else.
+    but no sink check, no profiling flag and no counters, so the diff
+    isolates the hook cost and nothing else.
     """
-    scratch, arena, s1, s2, mask = plan._acquire("cols", matrix.shape[0])
+    scratch, arena, s1, s2, mask = plan._acquire(matrix.shape[0])
     arena[: plan.n_inputs] = matrix.T
     _execute_kernels(plan.kernels, arena, s1, s2, mask)
     out = np.ascontiguousarray(arena[plan.out_cols].T)
@@ -108,19 +106,6 @@ def measure(network, batch_sizes=BATCH_SIZES, *, repeats=30, seed=0):
     rng = random.Random(seed)
     arity = len(network.input_names)
     plan = compile_plan(network)
-    # The baseline is the NumPy executor; pin the shipped path to it too.
-    previous = os.environ.get("REPRO_NATIVE")
-    os.environ["REPRO_NATIVE"] = "numpy"
-    try:
-        return _measure_rows(plan, arity, batch_sizes, repeats, rng)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_NATIVE", None)
-        else:
-            os.environ["REPRO_NATIVE"] = previous
-
-
-def _measure_rows(plan, arity, batch_sizes, repeats, rng):
     rows = []
     for batch in batch_sizes:
         volleys = [
@@ -348,8 +333,8 @@ def report(*, smoke=False, artifact_path=ARTIFACT) -> tuple[str, bool]:
 
     lines.append(f"\nartifact: {artifact_path}")
     lines.append(
-        "\nshape: the disabled path adds one identity check, one executor-"
-        "mode read, one module flag read, and one counter per run — "
+        "\nshape: the disabled path adds one identity check, one module "
+        "flag read, and one counter per run — "
         "constant per batch, so its relative cost shrinks as B grows."
     )
     return "\n".join(lines), ok

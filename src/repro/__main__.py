@@ -540,10 +540,6 @@ def _stats(argv: list[str]) -> int:
                 print(f"{section} cache:")
                 for key in sorted(info[section]):
                     print(f"  {key:<20} {info[section][key]}")
-            print(
-                f"native mode: {info['native_mode']} "
-                f"(numba available: {info['numba_available']})"
-            )
     if args.reset:
         reset_metrics()
         print("metrics reset")
@@ -796,10 +792,6 @@ def _runtime(argv: list[str]) -> int:
         f"result cache: {result['entries']} entries / {result['bytes']} "
         f"bytes (hits {result['hits']}, misses {result['misses']}, "
         f"evictions {result['evictions']})"
-    )
-    print(
-        f"native mode: {info['native_mode']} "
-        f"(numba available: {info['numba_available']})"
     )
     return 0
 

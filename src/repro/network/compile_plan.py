@@ -44,10 +44,6 @@ Compilation
   prefix of the same flat arena and gather buffers, kept in a small
   thread-safe free-list, so steady-state runs allocate only their output.
 
-The same plan has a second executor: with ``REPRO_NATIVE=numba`` (or
-``auto`` when Numba is importable) it runs through the row-parallel
-interpreter of :mod:`repro.native.jit` instead of the NumPy kernels.
-
 Plans are memoized: first by network identity (a weak map, so plans die
 with their networks), then by fingerprint in the runtime plan cache
 (:data:`repro.runtime.PLAN_CACHE`, a bounded LRU, so structurally
@@ -96,9 +92,9 @@ INF_I64: int = int(np.iinfo(np.int64).max)
 #: Largest finite time the batched engine accepts on an input line.
 MAX_FINITE: int = INF_I64 - 1
 
-# Imported *after* the sentinel constants: ``repro.obs.trace`` and
-# ``repro.native.jit`` import them back from this module, so they must
-# already be bound when those modules initialize mid-import.
+# Imported *after* the sentinel constants: ``repro.obs.trace`` imports
+# them back from this module, so they must already be bound when it
+# initializes mid-import.
 from ..obs import metrics as _obs_metrics  # noqa: E402
 from ..obs import profile as _obs_profile  # noqa: E402
 from ..obs import trace as _obs_trace  # noqa: E402
@@ -108,7 +104,6 @@ from ..ir.program import (  # noqa: E402
     classify,
     ensure_program,
 )
-from ..native import jit as _jit  # noqa: E402
 from ..runtime.cache import PLAN_CACHE as _PLAN_CACHE  # noqa: E402
 
 VolleyLike = Union[np.ndarray, Sequence[Sequence[Time]]]
@@ -406,7 +401,6 @@ class CompiledPlan:
 
         self._pool: list[list] = []
         self._pool_lock = threading.Lock()
-        self._flat: Optional[tuple[np.ndarray, ...]] = None
 
     # -- introspection ---------------------------------------------------------
     @property
@@ -432,13 +426,13 @@ class CompiledPlan:
         return "\n".join(lines)
 
     # -- scratch pool ----------------------------------------------------------
-    def _acquire(self, layout: str, batch: int):
+    def _acquire(self, batch: int):
         """Borrow a scratch set; return it, its arena and ``s1``/``s2``/``mask``.
 
-        A set is ``[arena, s1, s2, mask, shape]``: flat buffers, replaced
+        A set is ``[arena, s1, s2, mask, batch]``: flat buffers, replaced
         by exactly sized ones only when *batch* outgrows them, so every
         batch size runs on a contiguous prefix.  No kernel writes const
-        rows, so they are refilled only when ``(layout, batch)`` changes.
+        rows, so they are refilled only when *batch* changes.
         """
         with self._pool_lock:
             scratch = self._pool.pop() if self._pool else None
@@ -450,15 +444,11 @@ class CompiledPlan:
             _obs_metrics.METRICS.observe_max(
                 "plan.scratch_bytes", sum(buf.nbytes for buf in scratch[:4])
             )
-        if layout == "rows":  # batch-major; const rows are filled through .T
-            arena = scratch[0][:size].reshape(batch, self.n_cols)
-            node_major = arena.T
-        else:
-            arena = node_major = scratch[0][:size].reshape(self.n_cols, batch)
-        if scratch[4] != (layout, batch):
+        arena = scratch[0][:size].reshape(self.n_cols, batch)
+        if scratch[4] != batch:
             for fill in self.const_fills:
-                node_major[fill.lo:fill.hi] = fill.value
-            scratch[4] = (layout, batch)
+                arena[fill.lo:fill.hi] = fill.value
+            scratch[4] = batch
         gathers = [buf[:gather].reshape(self.max_gather, batch) for buf in scratch[1:4]]
         return (scratch, arena, *gathers)
 
@@ -468,66 +458,19 @@ class CompiledPlan:
                 self._pool.append(scratch)
 
     # -- execution -------------------------------------------------------------
-    def _flat_instructions(self) -> tuple[np.ndarray, ...]:
-        """The per-node instruction arrays the row interpreter consumes.
-
-        Built lazily (only the Numba executor needs them) in kernel
-        order, so every node still follows its sources.
-        """
-        if self._flat is None:
-            kinds: list[int] = []
-            targets: list[int] = []
-            offs: list[int] = []
-            lens: list[int] = []
-            amounts: list[int] = []
-            srcs: list[int] = []
-            for kernel in self.kernels:
-                g = kernel.hi - kernel.lo
-                if isinstance(kernel, _IncKernel):
-                    op, k, flat = _jit.OP_INC, 1, kernel.srcs
-                    amounts.extend(kernel.amounts[:, 0].tolist())
-                elif isinstance(kernel, _ReduceKernel):
-                    op = _jit.OP_MIN if kernel.is_min else _jit.OP_MAX
-                    k, flat = kernel.k, kernel.srcs
-                    amounts.extend([0] * g)
-                else:  # _LtKernel
-                    op, k = _jit.OP_LT, 2
-                    flat = np.column_stack((kernel.a, kernel.b)).ravel()
-                    amounts.extend([0] * g)
-                kinds.extend([op] * g)
-                targets.extend(range(kernel.lo, kernel.hi))
-                offs.extend(range(len(srcs), len(srcs) + g * k, k))
-                lens.extend([k] * g)
-                srcs.extend(flat.tolist())
-            self._flat = tuple(
-                np.asarray(column, dtype=np.int64)
-                for column in (kinds, targets, offs, lens, amounts, srcs)
-            )
-        return self._flat
-
     def _execute(self, matrix, param_vector, gather_rows) -> np.ndarray:
         """Run once and gather arena *gather_rows* as a ``(B, len)`` copy."""
         if self.n_params and param_vector is None:
             raise NetworkError(f"network has {self.n_params} params; none bound")
-        batch = matrix.shape[0]
         n_in, n_par = self.n_inputs, self.n_params
-        if _jit.native_mode() == "numba":
-            scratch, arena, *_ = self._acquire("rows", batch)
-            arena[:, :n_in] = matrix
-            if n_par:
-                arena[:, n_in:n_in + n_par] = param_vector
-            _jit.run_rows(arena, *self._flat_instructions())
-            out = arena[:, gather_rows]
-        else:
-            scratch, arena, s1, s2, mask = self._acquire("cols", batch)
-            arena[:n_in] = matrix.T
-            if n_par:
-                arena[n_in:n_in + n_par] = param_vector[:, np.newaxis]
-            _execute_kernels(
-                self.kernels, arena, s1, s2, mask,
-                _obs_profile.profiling_enabled(),
-            )
-            out = np.ascontiguousarray(arena[gather_rows].T)
+        scratch, arena, s1, s2, mask = self._acquire(matrix.shape[0])
+        arena[:n_in] = matrix.T
+        if n_par:
+            arena[n_in:n_in + n_par] = param_vector[:, np.newaxis]
+        _execute_kernels(
+            self.kernels, arena, s1, s2, mask, _obs_profile.profiling_enabled()
+        )
+        out = np.ascontiguousarray(arena[gather_rows].T)
         self._release(scratch)
         _obs_metrics.METRICS.inc("plan.runs")
         return out
@@ -574,10 +517,9 @@ class CompiledPlan:
         """Run one synthetic volley so first real traffic pays no lazy cost.
 
         Compilation builds the kernels eagerly, but the first run still
-        triggers one-time work: NumPy ufunc dispatch, first-touch
-        allocation, and the once-per-process Numba compilation when the
-        Numba executor is selected.  Serving workers call this at
-        startup so request latency never includes it.  The synthetic
+        triggers one-time work: NumPy ufunc dispatch and first-touch
+        allocation.  Serving workers call this at startup so request
+        latency never includes it.  The synthetic
         volley is all zeros with every parameter bound to ``∞`` — always
         valid, and the result is discarded.  Returns ``self``.
         """

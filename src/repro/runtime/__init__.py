@@ -75,19 +75,8 @@ def __getattr__(name: str) -> Any:
 
 
 def cache_info() -> dict:
-    """One snapshot of every runtime cache.
-
-    The plan cache, the result cache, and the executor probes
-    (``REPRO_NATIVE`` mode, Numba presence).
-    """
-    from ..native import NUMBA_AVAILABLE, native_mode
-
-    return {
-        "plan": PLAN_CACHE.info(),
-        "result": RESULT_CACHE.info(),
-        "native_mode": native_mode(),
-        "numba_available": NUMBA_AVAILABLE,
-    }
+    """One snapshot of every runtime cache: the plan and result caches."""
+    return {"plan": PLAN_CACHE.info(), "result": RESULT_CACHE.info()}
 
 
 def evict_fingerprint(fingerprint: str) -> dict[str, int]:

@@ -113,10 +113,8 @@ class InterpretedEngine(BackendEngine):
 class CompiledBatchEngine(BackendEngine):
     """The compiled int64 batch engine, one plan call per batch.
 
-    Its executor (fused NumPy kernels or the Numba row interpreter)
-    follows ``REPRO_NATIVE`` at run time, so one conformance invocation
-    pins down whichever executor the environment selects — CI runs
-    both.  Traces are emitted post-hoc from the complete value vector.
+    The plan runs as fused NumPy kernels, one per (level, kind).
+    Traces are emitted post-hoc from the complete value vector.
     """
 
     name = "compiled-batch"

@@ -118,7 +118,7 @@ def render_frame(
         evals = {
             name: value
             for name, value in merged.items()
-            if name.startswith(("eval", "native", "plan"))
+            if name.startswith(("eval", "plan"))
         }
         lines.append(
             f"workers reporting: {workers['reporting']}  "

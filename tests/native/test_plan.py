@@ -1,11 +1,11 @@
-"""Tests for the batch plan's arena lowering and its two executors.
+"""Tests for the batch plan's arena lowering and its NumPy executor.
 
 The compiled plan is specified by the interpreted evaluator: on every
 network and every encoded volley matrix the two must agree exactly —
 the cross-family property sweep lives in
 ``tests/testing/test_native_properties.py``; here the unit tests pin
-the kernel lowering, the executor switch (``REPRO_NATIVE``), the scratch
-pool, the plan cache, and the trace semantics.
+the kernel lowering, the scratch pool, the plan cache, and the trace
+semantics.
 """
 
 import threading
@@ -16,8 +16,6 @@ import pytest
 
 from repro.core.value import INF
 from repro.ir import lower, optimize_program
-from repro.native import jit as native_jit
-from repro.native import native_mode
 from repro.network.builder import NetworkBuilder
 from repro.network.compile_plan import (
     INF_I64,
@@ -71,39 +69,6 @@ def interpreted(network, volleys, params=None):
     return np.asarray(rows, dtype=np.int64).reshape(len(rows), len(network.outputs))
 
 
-@pytest.fixture
-def numba_mode(monkeypatch):
-    """Force the row-interpreter path (pure-Python when Numba is absent)."""
-    monkeypatch.setattr(native_jit, "NUMBA_AVAILABLE", True)
-    monkeypatch.setenv("REPRO_NATIVE", "numba")
-
-
-class TestModeSelection:
-    def test_default_is_numpy_without_numba(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NATIVE", raising=False)
-        if not native_jit.NUMBA_AVAILABLE:
-            assert native_mode() == "numpy"
-
-    def test_numpy_forced(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE", "numpy")
-        assert native_mode() == "numpy"
-
-    def test_numba_without_numba_falls_back_counted(self, monkeypatch):
-        monkeypatch.setattr(native_jit, "NUMBA_AVAILABLE", False)
-        monkeypatch.setenv("REPRO_NATIVE", "numba")
-        before = METRICS.counter("native.fallbacks")
-        assert native_mode() == "numpy"
-        assert METRICS.counter("native.fallbacks") == before + 1
-
-    def test_numba_selected_when_available(self, numba_mode):
-        assert native_mode() == "numba"
-
-    def test_invalid_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE", "cuda")
-        with pytest.raises(NetworkError, match="REPRO_NATIVE"):
-            native_mode()
-
-
 class TestLowering:
     def test_kernel_count_is_group_count_not_node_count(self):
         plan = CompiledPlan(diamond())
@@ -154,13 +119,6 @@ class TestExecution:
             np.testing.assert_array_equal(
                 evaluate_batch(net, volleys), interpreted(net, volleys)
             )
-
-    def test_rows_interpreter_matches_compiled(self, numba_mode):
-        net = ragged_net()
-        volleys = [(0, 1, 2), (INF, INF, INF), (7, 7, 7), (0, INF, 3)]
-        np.testing.assert_array_equal(
-            evaluate_batch(net, volleys), interpreted(net, volleys)
-        )
 
     def test_run_returns_node_order_values(self):
         net = diamond()
@@ -228,12 +186,9 @@ class TestScratchPool:
         assert METRICS.counter("plan.scratch.allocs") == allocs
         assert plan._pool == [scratch]
 
-    @pytest.mark.parametrize("mode", ["numpy", "numba"])
-    def test_interleaved_batch_sizes_match_interpreted(self, mode, monkeypatch):
+    def test_interleaved_batch_sizes_match_interpreted(self):
         # ragged_net has const-0 and const-∞ rows, which sit at different
-        # flat offsets for every batch size and layout.  "numba" selects
-        # the row layout (the pure-Python interpreter without Numba).
-        monkeypatch.setattr(native_jit, "native_mode", lambda: mode)
+        # flat offsets for every batch size, so each size change refills them.
         net = ragged_net()
         plan = CompiledPlan(net)
         for step, batch in enumerate((5, 3, 64, 1, 5)):
@@ -241,16 +196,6 @@ class TestScratchPool:
             np.testing.assert_array_equal(
                 plan.outputs(matrix), interpreted(net, decode_matrix(matrix))
             )
-
-    def test_layouts_alternate_on_one_set(self, monkeypatch):
-        net = ragged_net()
-        plan = CompiledPlan(net)
-        matrix = random_matrix(5, 3, 0)
-        expected = interpreted(net, decode_matrix(matrix))
-        for mode in ("numpy", "numba", "numpy", "numba"):
-            monkeypatch.setattr(native_jit, "native_mode", lambda: mode)
-            np.testing.assert_array_equal(plan.outputs(matrix), expected)
-        assert len(plan._pool) == 1
 
     def test_concurrent_batch_sizes_are_byte_identical(self):
         program, _report = optimize_program(lower(ragged_net()))

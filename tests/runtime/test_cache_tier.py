@@ -116,7 +116,7 @@ class TestPlanNbytes:
 class TestRuntimeSurface:
     def test_cache_info_is_the_unified_record(self):
         info = runtime.cache_info()
-        assert set(info) == {"plan", "result", "native_mode", "numba_available"}
+        assert set(info) == {"plan", "result"}
         assert {"entries", "bytes", "limit", "misses"} <= set(info["plan"])
         assert {"hits", "misses", "evictions"} <= set(info["result"])
 

@@ -35,6 +35,4 @@ class TestStockRegistry:
             {"name": name, "cycle_accurate": name == "grl-circuit"}
             for name in ORDER
         ]
-        assert {"plan", "result", "native_mode", "numba_available"} <= set(
-            payload["cache"]
-        )
+        assert set(payload["cache"]) == {"plan", "result"}

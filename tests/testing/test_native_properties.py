@@ -1,23 +1,20 @@
-"""Property suite: both batch executors equal the interpreted reference.
+"""Property suite: the batch executor equals the interpreted reference.
 
 One Hypothesis property per seeded generator family (layered DAG, SRM0
 sorting-network neuron, τ-WTA inhibition, micro-weight programmable
 synapse), each evaluated over the adversarial volley batch — all-∞,
 all-ties, 0/∞ checkerboard, MAX_FINITE-pinned and near-sentinel rows —
-in both executors of the compiled plan (fused NumPy kernels and the
-row-interpreter encoding the Numba path runs).  Plus the
+through the compiled plan's fused NumPy kernels.  Plus the
 fault-injection self-check, whose plan-reorder mutant corrupts the
-kernel schedule both executors share.
+kernel schedule that executor runs.
 """
 
-import os
 import random
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.native import jit as native_jit
 from repro.network.compile_plan import INF_I64, evaluate_batch
 from repro.network.simulator import evaluate_all_interpreted
 from repro.neuron.response import ResponseFunction
@@ -53,25 +50,10 @@ def interpreted(network, volleys, params=None):
 
 
 def assert_native_matches(network, volleys, params=None):
-    """Both executors must equal the interpreted reference exactly."""
+    """The batch executor must equal the interpreted reference exactly."""
     expected = interpreted(network, volleys, params=params)
     got = evaluate_batch(network, list(volleys), params=params)
     np.testing.assert_array_equal(got, expected)
-    # The row-interpreter path (what Numba compiles); explicit
-    # save/restore because Hypothesis forbids function-scoped fixtures.
-    previous_flag = native_jit.NUMBA_AVAILABLE
-    previous_env = os.environ.get("REPRO_NATIVE")
-    native_jit.NUMBA_AVAILABLE = True
-    os.environ["REPRO_NATIVE"] = "numba"
-    try:
-        rows = evaluate_batch(network, list(volleys), params=params)
-    finally:
-        native_jit.NUMBA_AVAILABLE = previous_flag
-        if previous_env is None:
-            os.environ.pop("REPRO_NATIVE", None)
-        else:
-            os.environ["REPRO_NATIVE"] = previous_env
-    np.testing.assert_array_equal(rows, expected)
 
 
 class TestFamilies:
