@@ -166,8 +166,8 @@ def measure_serve(*, smoke=False, sweeps=10):
     estimate and medians would price random spikes instead of tracing.
     After warmup the stable heap (model,
     service, encoded volleys) is frozen out of the cyclic GC with
-    ``gc.freeze()``, mirroring what the serving CLI and worker
-    processes do at startup — without it the bench measures full-GC
+    ``gc.freeze()``, mirroring what the serving CLI does at startup and
+    worker processes do after each model load — without it the bench measures full-GC
     scans of the model heap, not tracing.  ``gc.collect()`` runs
     between sweeps, outside the timed region: a sweep's transient
     garbage (futures, results) otherwise gets collected inside the

@@ -8,6 +8,11 @@ micro-weight synapses, winner-take-all inhibition), STDP and tempotron
 learning, temporal coding, and generalized race logic with a gate-level
 digital simulator.
 
+Subpackages are imported lazily, on first attribute access (PEP 562):
+``import repro`` loads none of them, and ``python -m repro serve`` loads
+only the ones serving uses.  ``from repro import network`` and
+``repro.network`` work as before.
+
 Quickstart::
 
     from repro.core import INF, NormalizedTable, synthesize
@@ -18,22 +23,7 @@ Quickstart::
     evaluate_vector(net, (3, 4, 5))   # {'y': 6}
 """
 
-from . import (
-    analysis,
-    apps,
-    coding,
-    core,
-    ir,
-    kernels,
-    learning,
-    network,
-    neuron,
-    obs,
-    racelogic,
-    runtime,
-    serve,
-    testing,
-)
+import importlib
 
 __version__ = "1.0.0"
 
@@ -54,3 +44,13 @@ __all__ = [
     "testing",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -28,14 +28,15 @@ KINDS = ("input", "param", "inc", "min", "max", "lt")
 COMPUTE_KINDS = ("inc", "min", "max", "lt")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     """One block in a space-time network.
 
     ``sources`` are ids of upstream nodes; by construction every source id
     is smaller than the node's own id, so node order is a topological
     order.  ``amount`` is only meaningful for ``inc`` nodes; ``name`` only
-    for ``input``/``param`` nodes.
+    for ``input``/``param`` nodes.  Slotted, because a sorting-network
+    neuron body holds tens of thousands of nodes.
     """
 
     id: int

@@ -104,7 +104,6 @@ from ..ir.program import (  # noqa: E402
     classify,
     ensure_program,
 )
-from ..runtime.cache import PLAN_CACHE as _PLAN_CACHE  # noqa: E402
 
 VolleyLike = Union[np.ndarray, Sequence[Sequence[Time]]]
 
@@ -518,8 +517,8 @@ class CompiledPlan:
 
         Compilation builds the kernels eagerly, but the first run still
         triggers one-time work: NumPy ufunc dispatch and first-touch
-        allocation.  Serving workers call this at startup so request
-        latency never includes it.  The synthetic
+        allocation.  Serving workers call this as they load each model so
+        request latency never includes it.  The synthetic
         volley is all zeros with every parameter bound to ``∞`` — always
         valid, and the result is discarded.  Returns ``self``.
         """
@@ -556,12 +555,16 @@ def compile_plan(source: "ProgramLike") -> CompiledPlan:
     if plan is not None:
         _obs_metrics.METRICS.inc("plan_cache.hit.identity")
         return plan
+    # Imported at call time: importing repro.runtime first reaches this
+    # module while repro.runtime.cache is still initializing.
+    from ..runtime.cache import PLAN_CACHE
+
     print_key = ensure_program(source).fingerprint()
-    plan = _PLAN_CACHE.get(print_key)
+    plan = PLAN_CACHE.get(print_key)
     if plan is None:
         with _obs_metrics.METRICS.timeit("plan.compile"):
             plan = CompiledPlan(source)
-        _PLAN_CACHE.put(print_key, plan)
+        PLAN_CACHE.put(print_key, plan)
     _PLAN_MEMO[source] = plan
     return plan
 

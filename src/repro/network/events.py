@@ -33,13 +33,15 @@ from __future__ import annotations
 import heapq
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..core.value import INF, Infinity, Time, check_time
 from ..ir.program import CONST_IDENTITY, ProgramLike, classify, ensure_program
 from ..obs.metrics import METRICS
-from ..obs.trace import MAX_FINITE, NULL_SINK, TraceSink, cause_of
 from .graph import Network, NetworkError
+
+if TYPE_CHECKING:  # repro.obs.trace imports repro.core, which imports this package
+    from ..obs.trace import TraceSink
 
 
 @dataclass(frozen=True)
@@ -96,15 +98,17 @@ class EventSimulator:
         inputs: Mapping[str, Time],
         *,
         params: Optional[Mapping[str, Time]] = None,
-        sink: TraceSink = NULL_SINK,
+        sink: Optional[TraceSink] = None,
     ) -> SimulationResult:
         """Run one volley.  *sink*, when enabled, receives the canonical
         spike trace live — one emit per :func:`fire`, exactly when the
         block decides, with the cause derived from the arrivals observed
         so far (provably identical to the denotational cause)."""
+        from ..obs.trace import MAX_FINITE, cause_of
+
         net = self.network
         params = params or {}
-        tracing = sink.enabled
+        tracing = sink is not None and sink.enabled
         missing_in = set(net.input_ids) - set(inputs)
         if missing_in:
             raise NetworkError(f"unbound inputs: {sorted(missing_in)}")
@@ -209,7 +213,7 @@ def simulate(
     inputs: Mapping[str, Time],
     *,
     params: Optional[Mapping[str, Time]] = None,
-    sink: TraceSink = NULL_SINK,
+    sink: Optional[TraceSink] = None,
 ) -> SimulationResult:
     """One-shot event-driven simulation of *network*."""
     return EventSimulator(network).run(inputs, params=params, sink=sink)

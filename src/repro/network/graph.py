@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterable, Mapping
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..core.function import SpaceTimeFunction
-from ..core.value import Time
 from .blocks import Node
+
+if TYPE_CHECKING:  # repro.core imports the builder, which imports this module
+    from ..core.function import SpaceTimeFunction
+    from ..core.value import Time
 
 
 class NetworkError(ValueError):
@@ -164,7 +166,8 @@ class Network:
         parameter values are invariant-safe (``∞``) or the network is
         interpreted as configured hardware.
         """
-        from .simulator import evaluate  # local import to avoid a cycle
+        from ..core.function import SpaceTimeFunction
+        from .simulator import evaluate  # local imports to avoid a cycle
 
         if output is None:
             if len(self.outputs) != 1:

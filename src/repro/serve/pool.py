@@ -1,11 +1,13 @@
 """Sharded worker pool: one compiled-and-warmed batch engine per process.
 
-Each worker is a separate OS process that, at startup, rebuilds every
-registered model from its serialized document through
-:func:`load_program` — verify the embedded fingerprint, lower to the
-IR, run the optimizer, and **warm** the compiled plan — so
-the first real request never pays compilation, first-touch, or JIT
-cost.  Eval messages are answered by the batch engine
+Each worker is a separate OS process that starts with no models.  Every
+model reaches it as a ``load`` message carrying the serialized document
+— when the pool starts, when a model is registered, and when a
+replacement worker is brought up to date — and is rebuilt through
+:func:`load_program`: verify the embedded fingerprint, lower to the IR,
+run the optimizer, and **warm** the compiled plan, so the first real
+request never pays compilation or first-touch cost.  Eval messages are
+answered by the batch engine
 (:func:`~repro.network.compile_plan.evaluate_batch`); each worker's
 warm-up count is reported through :meth:`ProcessWorkerPool.warmups`.
 Work arrives as already-encoded ``(B, n_inputs)`` int64 matrices (the
@@ -31,6 +33,7 @@ loads through the same :func:`load_program`.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import multiprocessing as mp
 import multiprocessing.connection as mp_connection
@@ -124,13 +127,17 @@ class Job:
 # Worker process body
 # ---------------------------------------------------------------------------
 
-def _worker_main(conn, documents: dict[str, str]) -> None:
-    """The worker loop: load + warm every model, then serve eval messages.
+def _worker_main(conn) -> None:
+    """The worker loop: report ready with no models, then serve messages.
 
     Runs in a child process (or, for unit tests, a plain thread with the
-    other pipe end held by the test).  Every model is loaded through
-    :func:`load_program` at start-up, so no request pays for compiling
-    it; the warm-up count rides back on the ready message.  Messages:
+    other pipe end held by the test).  Every model arrives by ``load``
+    and is rebuilt through :func:`load_program` before any eval behind
+    it on the pipe runs, so no request pays for compiling it.  Each load
+    ends in a full collection and ``gc.freeze()``: the compiled programs
+    and warmed plans are immortal, and frozen objects keep steady-state
+    eval batches from paying collections that walk the model heap.
+    Messages:
 
     * ``("eval", job_id, model_id, matrix, params_enc, want_spans)`` →
       ``("ok", job_id, result, extras)`` or
@@ -140,7 +147,9 @@ def _worker_main(conn, documents: dict[str, str]) -> None:
       aggregate per-worker counters it otherwise cannot see), plus
       engine span timings when *want_spans* is non-zero — wall clock at
       level 1, wall clock + ``phase.*`` attribution deltas at level 2;
-    * ``("load", model_id, document)`` → ``("loaded", model_id, warmups)``
+    * ``("load", model_id, document)`` → ``("loaded", model_id, warmups)``,
+      or ``("load-failed", model_id, reason)`` when the document does
+      not rebuild (the worker keeps serving its other models);
     * ``("ping", token)`` → ``("pong", token)``
     * ``("crash",)`` → hard ``os._exit`` (fault-injection hook)
     * ``("stop",)`` → clean return
@@ -150,15 +159,8 @@ def _worker_main(conn, documents: dict[str, str]) -> None:
     from ..obs import profile as _profile
     from ..obs.metrics import METRICS as _worker_metrics
 
-    programs = {mid: load_program(mid, doc) for mid, doc in documents.items()}
-    warmups = len(programs)
-    # The compiled programs and warmed plans are immortal from here on;
-    # freeze them out of the cyclic GC so steady-state eval batches never
-    # pay a full collection that walks the model heap.
-    import gc as _gc
-
-    _gc.collect()
-    _gc.freeze()
+    programs: dict[str, Program] = {}
+    warmups = 0
     conn.send(("ready", os.getpid(), sorted(programs), warmups))
     replies = 0
 
@@ -230,9 +232,15 @@ def _worker_main(conn, documents: dict[str, str]) -> None:
             replies += 1
         elif op == "load":
             _op, model_id, document = message
-            programs[model_id] = load_program(model_id, document)
-            warmups += 1
-            conn.send(("loaded", model_id, warmups))
+            try:
+                programs[model_id] = load_program(model_id, document)
+            except Exception as exc:  # noqa: BLE001 - reported to the parent
+                conn.send(("load-failed", model_id, f"{type(exc).__name__}: {exc}"))
+            else:
+                warmups += 1
+                conn.send(("loaded", model_id, warmups))
+            gc.collect()
+            gc.freeze()
         elif op == "ping":
             conn.send(("pong", message[1]))
         elif op == "crash":
@@ -256,8 +264,7 @@ class _WorkerHandle:
     generation: int
     alive: bool = True
     jobs: dict[int, Job] = field(default_factory=dict)
-    #: Plan warm-ups the worker reported at ready (refreshed on every
-    #: subsequent model load).
+    #: Plan warm-ups the worker has reported (one per loaded model).
     warmups: int = 0
     #: The worker's most recent piggybacked metrics snapshot (may lag
     #: by up to :data:`_METRICS_PIGGYBACK_EVERY` replies).
@@ -269,7 +276,15 @@ class _WorkerHandle:
 
 
 class ProcessWorkerPool:
-    """Multiprocessing workers with least-loaded dispatch and restarts."""
+    """Multiprocessing workers with least-loaded dispatch and restarts.
+
+    The workers are forked empty; *documents* are then shipped to them
+    as ``load`` messages, and the constructor returns once every worker
+    has rebuilt and warmed them (:class:`ServeError` if that takes longer
+    than *start_timeout*).  A server passes no documents and registers
+    its models afterwards, so no worker starts with the parent's model
+    heap.
+    """
 
     def __init__(
         self,
@@ -281,9 +296,11 @@ class ProcessWorkerPool:
     ):
         if n_workers < 1:
             raise ValueError(f"need at least one worker, got {n_workers}")
-        self._documents = dict(documents)
+        #: ``model_id -> document`` of every model a replacement worker
+        #: must be sent (a document that fails to load is dropped).
+        self._documents: dict[str, str] = {}
         self._max_restarts = max_restarts
-        self._start_timeout = start_timeout
+        self.start_timeout = start_timeout
         self._lock = threading.Lock()
         self._stopping = False
         self._restarts = 0
@@ -305,35 +322,42 @@ class ProcessWorkerPool:
             target=self._collect_loop, name="serve-pool-collector", daemon=True
         )
         self._collector.start()
+        for model_id, document in documents.items():
+            self.add_model(model_id, document)
+        if documents and not self.wait_warm(timeout=start_timeout):
+            self.shutdown()
+            raise ServeError(
+                E_WORKER, f"workers did not load their models in {start_timeout:g}s"
+            )
 
     # -- lifecycle ------------------------------------------------------------
     def _spawn(self, slot: int, *, generation: int) -> _WorkerHandle:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self._documents),
+            args=(child_conn,),
             name=f"serve-worker-{slot}.{generation}",
             daemon=True,
         )
         process.start()
         child_conn.close()
-        if not parent_conn.poll(self._start_timeout):
+        if not parent_conn.poll(self.start_timeout):
             process.terminate()
             raise ServeError(
                 E_WORKER, f"worker {slot} did not become ready in time"
             )
-        message = parent_conn.recv()
+        try:
+            message = parent_conn.recv()
+        except (EOFError, OSError):
+            process.terminate()
+            raise ServeError(E_WORKER, f"worker {slot} exited before ready")
         if message[0] != "ready":
             process.terminate()
             raise ServeError(
                 E_WORKER, f"worker {slot} sent {message[0]!r} instead of ready"
             )
         return _WorkerHandle(
-            slot=slot,
-            process=process,
-            conn=parent_conn,
-            generation=generation,
-            warmups=message[3],
+            slot=slot, process=process, conn=parent_conn, generation=generation
         )
 
     def shutdown(self, timeout: float = 10.0) -> None:
@@ -452,9 +476,9 @@ class ProcessWorkerPool:
         promotion path calls this *before* flipping an alias, so the
         first admission routed to the new fingerprint never pays
         rebuild cost and can never race an unloaded model.  Returns
-        ``False`` on timeout (a worker that died mid-barrier does not
-        stall it: its replacement reloads every document before
-        reporting ready, which preserves the warm guarantee).
+        ``False`` on timeout.  A worker that dies mid-barrier releases
+        it: its replacement is sent every document before it can receive
+        an eval, so no request reaches it ahead of a model it serves.
         """
         events = []
         with self._lock:
@@ -494,7 +518,10 @@ class ProcessWorkerPool:
             with self._lock:
                 if self._stopping:
                     return
-                watched = {w.conn: w for w in self._workers if w.alive}
+                # Every pipe not yet reaped, dead-marked ones included: a
+                # send that failed on a crashed worker only marks it dead,
+                # and its in-flight jobs fail over when the EOF is reaped.
+                watched = {w.conn: w for w in self._workers if not w.conn.closed}
             conns = list(watched) + [self._wake_r]
             for conn in mp_connection.wait(conns, timeout=0.25):
                 if conn is self._wake_r:
@@ -531,6 +558,11 @@ class ProcessWorkerPool:
         elif op == "loaded":
             with self._lock:
                 worker.warmups = message[2]
+        elif op == "load-failed":
+            # Replacements are not sent a document that does not load.
+            with self._lock:
+                self._documents.pop(message[1], None)
+            _obs_metrics.METRICS.inc("serve.worker.failures")
         elif op == "pong":
             with self._lock:
                 pending = self._pongs.pop(message[1], None)
@@ -544,12 +576,12 @@ class ProcessWorkerPool:
             orphans = list(worker.jobs.values())
             worker.jobs.clear()
             # Release warm-barrier waiters pinned on the dead worker: its
-            # replacement reloads every document before reporting ready,
-            # so the barrier's guarantee holds without the pong.
+            # replacement is sent every document before any eval.
             for token in [
                 t for t, (w, _) in self._pongs.items() if w is worker
             ]:
                 self._pongs.pop(token)[1].set()
+            worker.conn.close()
             can_restart = not self._stopping and self._restarts < self._max_restarts
         _obs_metrics.METRICS.inc("serve.worker.failures", len(orphans))
         _rtrace.FLIGHT.trip("worker-crash")
@@ -557,19 +589,38 @@ class ProcessWorkerPool:
         for job in orphans:
             job.on_fail(f"worker {worker.slot} crashed")
         if can_restart:
-            try:
-                replacement = self._spawn(
-                    worker.slot, generation=worker.generation + 1
-                )
-            except ServeError:
-                return
+            self._replace(worker)
+
+    def _replace(self, dead: _WorkerHandle) -> None:
+        """Fork an empty replacement for *dead* and replay its models.
+
+        The replayed ``load`` messages are queued before the replacement
+        is installed, so every eval it is later sent runs behind them.
+        They are sent outside the lock (a large document blocks until the
+        worker reads it); models registered meanwhile are sent at install.
+        """
+        try:
+            replacement = self._spawn(dead.slot, generation=dead.generation + 1)
+        except ServeError:
+            return
+        with self._lock:
+            replay = dict(self._documents)
+        try:
+            for model_id, document in replay.items():
+                replacement.conn.send(("load", model_id, document))
             with self._lock:
                 if self._stopping:
                     replacement.conn.send(("stop",))
                     return
-                self._workers[worker.slot] = replacement
+                for model_id, document in self._documents.items():
+                    if model_id not in replay:
+                        replacement.conn.send(("load", model_id, document))
+                self._workers[dead.slot] = replacement
                 self._restarts += 1
-            _obs_metrics.METRICS.inc("serve.worker.restarts")
+        except OSError:
+            replacement.process.terminate()
+            return
+        _obs_metrics.METRICS.inc("serve.worker.restarts")
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from ..obs import rtrace as _rtrace
 from .protocol import (
     E_BAD_REQUEST,
     E_NO_MODEL,
+    E_WORKER,
     PROTOCOL,
     ProtocolError,
     ServeError,
@@ -465,7 +466,14 @@ async def run_server_async(
 
 
 def build_service(args: argparse.Namespace) -> TNNService:
-    """The service a ``python -m repro serve`` invocation runs."""
+    """The service a ``python -m repro serve`` invocation runs.
+
+    The pool is forked before any model is parsed, so workers start
+    without the server's model heap.  Every model is then registered
+    through :meth:`TNNService.register`, which ships it to the workers
+    as a ``load``; the call returns once they have all been loaded and
+    warmed (:class:`ServeError` after the pool's ``start_timeout``).
+    """
     from .batcher import BatchPolicy
     from .demo import demo_column
     from .pool import InlineWorkerPool, ProcessWorkerPool
@@ -473,30 +481,16 @@ def build_service(args: argparse.Namespace) -> TNNService:
 
     if getattr(args, "rtrace", False):
         _rtrace.enable_rtrace(True)
-    registry = ModelRegistry()
-    network, _volley = demo_column(args.model_seed, smoke=args.smoke)
-    registry.register(network, name="demo")
-    for kernel_name in args.kernel or []:
-        from ..kernels import demo_network
-
-        registry.register(
-            demo_network(kernel_name), name=f"kernel:{kernel_name}"
-        )
-    for path in args.model_file or []:
-        from ..network import serialize
-
-        registry.register(serialize.load(path))
-    documents = registry.documents()
     if args.inline:
-        pool = InlineWorkerPool(documents)
+        pool = InlineWorkerPool({})
     else:
-        pool = ProcessWorkerPool(documents, n_workers=args.workers)
+        pool = ProcessWorkerPool({}, n_workers=args.workers)
     if getattr(args, "result_cache_entries", None):
         from ..runtime import RESULT_CACHE
 
         RESULT_CACHE.configure(max_entries=args.result_cache_entries)
     service = TNNService(
-        registry,
+        ModelRegistry(),
         pool,
         policy=BatchPolicy(
             max_batch=args.max_batch, max_wait_s=args.max_wait_ms / 1e3
@@ -507,6 +501,18 @@ def build_service(args: argparse.Namespace) -> TNNService:
         ),
         result_cache=not getattr(args, "no_result_cache", False),
     )
+    network, _volley = demo_column(args.model_seed, smoke=args.smoke)
+    service.register(network, name="demo")
+    for kernel_name in args.kernel or []:
+        from ..kernels import demo_network
+
+        service.register(
+            demo_network(kernel_name), name=f"kernel:{kernel_name}"
+        )
+    for path in args.model_file or []:
+        from ..network import serialize
+
+        service.register(serialize.load(path))
     if getattr(args, "train", False):
         from ..train import TrainingPlane, classification_scenario
 
@@ -524,6 +530,11 @@ def build_service(args: argparse.Namespace) -> TNNService:
         )
         service.training = plane
         plane.start()  # bootstraps: registers + aliases the seed column
+    if not args.inline and not pool.wait_warm(timeout=pool.start_timeout):
+        raise ServeError(
+            E_WORKER,
+            f"workers did not load the models in {pool.start_timeout:g}s",
+        )
     return service
 
 

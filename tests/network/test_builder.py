@@ -1,5 +1,10 @@
 """Tests for NetworkBuilder and Node construction."""
 
+import copy
+import dataclasses
+import pickle
+import random
+
 import pytest
 
 from repro.network.blocks import Node
@@ -166,6 +171,14 @@ class TestNode:
         with pytest.raises(ValueError, match="one source"):
             Node(2, "inc", sources=(0, 1))
 
+    def test_negative_inc_amount_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Node(1, "inc", sources=(0,), amount=-1)
+
+    def test_negative_source_rejected(self):
+        with pytest.raises(ValueError, match="negative source id"):
+            Node(1, "max", sources=(-1,))
+
     def test_zero_source_min_max_allowed(self):
         # The lattice identity constants: empty min = ∞, empty max = 0.
         assert Node(1, "min", sources=()).sources == ()
@@ -174,6 +187,69 @@ class TestNode:
     def test_describe(self):
         assert "inc(+3)" in Node(1, "inc", sources=(0,), amount=3).describe()
         assert "input" in Node(0, "input", name="a").describe()
+
+
+class TestSlottedNode:
+    """``Node`` is a slotted frozen dataclass with unchanged semantics."""
+
+    node = Node(3, "min", sources=(0, 2), tags=("comparator",))
+
+    def test_no_instance_dict(self):
+        assert not hasattr(self.node, "__dict__")
+        # CPython may raise TypeError rather than AttributeError: the
+        # generated frozen __setattr__ names the class that slots replaced.
+        with pytest.raises((AttributeError, TypeError)):
+            self.node.extra = 1
+
+    def test_still_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.node.amount = 2
+
+    def test_pickle_round_trip(self):
+        clone = pickle.loads(pickle.dumps(self.node))
+        assert clone == self.node and clone.tags == self.node.tags
+
+    def test_deepcopy_round_trip(self):
+        clone = copy.deepcopy(self.node)
+        assert clone == self.node and clone.tags == self.node.tags
+
+    def test_replace_round_trip(self):
+        assert dataclasses.replace(self.node) == self.node
+        assert dataclasses.replace(self.node, sources=(0, 1)).sources == (0, 1)
+
+    def test_equality_and_hash_ignore_tags(self):
+        untagged = Node(3, "min", sources=(0, 2))
+        assert untagged == self.node
+        assert hash(untagged) == hash(self.node)
+        assert Node(3, "max", sources=(0, 2)) != self.node
+
+    def test_plan_bytes_unchanged_for_the_80_input_column(self):
+        from repro import runtime
+        from repro.ir.passes import optimize_program
+        from repro.ir.program import lower
+        from repro.network.compile_plan import compile_plan
+        from repro.neuron.response import ResponseFunction
+        from repro.neuron.srm0 import SRM0Neuron
+        from repro.neuron.srm0_network import build_srm0_network
+
+        rng = random.Random(0)
+        neuron = SRM0Neuron.homogeneous(
+            80,
+            [rng.randint(1, 3) for _ in range(80)],
+            base_response=ResponseFunction.piecewise_linear(
+                amplitude=2, rise=1, fall=3
+            ),
+            threshold=3,
+        )
+        network = build_srm0_network(neuron, name="col-80in")
+        assert len(network.nodes) == 29_351
+        runtime.clear_caches()
+        try:
+            plan = compile_plan(optimize_program(lower(network))[0])
+            assert runtime.plan_nbytes(plan) == 476_304
+            assert runtime.cache_info()["plan"]["bytes"] == 476_304
+        finally:
+            runtime.clear_caches()
 
 
 class TestNetworkContainer:

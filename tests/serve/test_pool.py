@@ -53,14 +53,15 @@ class TestWorkerBody:
 
     def run_worker(self, registry):
         parent, child = mp.Pipe(duplex=True)
-        thread = threading.Thread(
-            target=_worker_main,
-            args=(child, registry.documents()),
-            daemon=True,
-        )
+        thread = threading.Thread(target=_worker_main, args=(child,), daemon=True)
         thread.start()
         ready = parent.recv()
         assert ready[0] == "ready"
+        for warmups, (model_id, document) in enumerate(
+            registry.documents().items(), 1
+        ):
+            parent.send(("load", model_id, document))
+            assert parent.recv() == ("loaded", model_id, warmups)
         return parent, thread
 
     def test_ready_lists_models(self, registry, model_id):
@@ -128,13 +129,26 @@ class TestWorkerBody:
             parent.send(("stop",))
             thread.join(timeout=5)
 
-    def test_fingerprint_mismatch_rejected(self, registry):
+    def test_fingerprint_mismatch_rejected(self, registry, model_id):
+        """A failing load gets a typed reply; the worker keeps serving."""
         from repro.network import serialize
 
         network, _ = demo_column(6, smoke=True)
-        parent, child = mp.Pipe(duplex=True)
-        with pytest.raises(ValueError, match="does not match model id"):
-            _worker_main(child, {"0" * 64: serialize.dumps(network)})
+        parent, thread = self.run_worker(registry)
+        try:
+            parent.send(("load", "0" * 64, serialize.dumps(network)))
+            op, bad_id, reason = parent.recv()
+            assert (op, bad_id) == ("load-failed", "0" * 64)
+            assert "does not match model id" in reason
+            demo = registry.resolve("demo").network
+            matrix = encoded_volleys(demo, [(0, 1)])
+            parent.send(("eval", 3, model_id, matrix, {}, 0))
+            op, _job, result, _extras = parent.recv()
+            assert op == "ok"
+            np.testing.assert_array_equal(result, evaluate_batch(demo, matrix))
+        finally:
+            parent.send(("stop",))
+            thread.join(timeout=5)
 
 
 def _completion_recorder():
@@ -189,6 +203,32 @@ class TestProcessPool:
         finally:
             pool.shutdown()
 
+    def test_worker_marked_dead_by_a_failed_send_is_still_reaped(
+        self, registry, model_id
+    ):
+        """A failed send marks a worker dead; its in-flight jobs still fail over."""
+        pool = ProcessWorkerPool(registry.documents(), n_workers=1)
+        try:
+            done, box, on_done, on_fail = _completion_recorder()
+            matrix = np.zeros((1, 2), np.int64)
+            with pool._lock:
+                worker = pool._workers[0]
+                worker.alive = False  # what submit does on a broken pipe
+                worker.jobs[1] = Job(1, model_id, matrix, {}, on_done, on_fail)
+            # Let the collector re-read its worker list, then kill the worker.
+            done.wait(timeout=0.5)
+            worker.process.kill()
+            assert done.wait(timeout=20), "orphaned job never failed over"
+            assert "crashed" in box["reason"]
+            waited = threading.Event()
+            for _ in range(400):
+                if pool.restarts == 1 and pool.alive_count() == 1:
+                    break
+                waited.wait(timeout=0.05)
+            assert (pool.restarts, pool.alive_count()) == (1, 1)
+        finally:
+            pool.shutdown()
+
     def test_submit_after_shutdown_rejected(self, registry, model_id):
         pool = ProcessWorkerPool(registry.documents(), n_workers=1)
         pool.shutdown()
@@ -201,6 +241,51 @@ class TestProcessPool:
     def test_needs_at_least_one_worker(self, registry):
         with pytest.raises(ValueError, match="at least one"):
             ProcessWorkerPool(registry.documents(), n_workers=0)
+
+
+class TestLoadFailure:
+    def test_failing_load_keeps_the_worker_serving(self, registry, model_id):
+        """A document that does not load is refused, not fatal."""
+        from repro.network import serialize
+        from repro.obs.metrics import METRICS
+
+        network = registry.resolve("demo").network
+        bad_document = serialize.dumps(demo_column(6, smoke=True)[0])
+        failures = METRICS.counter("serve.worker.failures")
+        pool = ProcessWorkerPool(registry.documents(), n_workers=1)
+        try:
+            pool.add_model("0" * 64, bad_document)
+            assert pool.wait_warm(timeout=20.0)
+            assert pool.restarts == 0
+            assert pool.warmups() == [1]
+            assert METRICS.counter("serve.worker.failures") == failures + 1
+            matrix = encoded_volleys(network, [(0, 1), (3, 2)])
+            done, box, on_done, on_fail = _completion_recorder()
+            pool.submit(Job(1, model_id, matrix, {}, on_done, on_fail))
+            assert done.wait(timeout=20)
+            np.testing.assert_array_equal(box["result"], evaluate_batch(network, matrix))
+
+            # The refused document left the replay set: a replacement
+            # loads only the good model.
+            pool.inject_crash(0)
+            waited = threading.Event()
+            for _ in range(400):
+                if pool.restarts == 1 and pool.alive_count() == 1:
+                    break
+                waited.wait(timeout=0.05)
+            assert pool.wait_warm(timeout=20.0)
+            assert (pool.restarts, pool.warmups()) == (1, [1])
+        finally:
+            pool.shutdown()
+
+    def test_worker_exit_before_ready_is_a_serve_error(self, monkeypatch):
+        import os
+
+        import repro.serve.pool as pool_module
+
+        monkeypatch.setattr(pool_module, "_worker_main", lambda conn: os._exit(1))
+        with pytest.raises(ServeError, match="exited before ready"):
+            ProcessWorkerPool({}, n_workers=1)
 
 
 class TestWarmBarrier:
@@ -240,17 +325,16 @@ class TestWarmBarrier:
 
 class TestEngines:
     def test_ready_reports_warmups(self, registry):
+        """A worker starts empty; each ``load`` reports the running count."""
         parent, child = mp.Pipe(duplex=True)
-        thread = threading.Thread(
-            target=_worker_main,
-            args=(child, registry.documents()),
-            daemon=True,
-        )
+        thread = threading.Thread(target=_worker_main, args=(child,), daemon=True)
         thread.start()
         try:
-            ready = parent.recv()
-            assert ready[0] == "ready"
-            assert ready[3] == 1
+            op, _pid, models, warmups = parent.recv()
+            assert (op, models, warmups) == ("ready", [], 0)
+            (model_id, document), = registry.documents().items()
+            parent.send(("load", model_id, document))
+            assert parent.recv() == ("loaded", model_id, 1)
         finally:
             parent.send(("stop",))
             thread.join(timeout=5)
