@@ -280,10 +280,9 @@ class ProcessWorkerPool:
 
     The workers are forked empty; *documents* are then shipped to them
     as ``load`` messages, and the constructor returns once every worker
-    has rebuilt and warmed them (:class:`ServeError` if that takes longer
-    than *start_timeout*).  A server passes no documents and registers
-    its models afterwards, so no worker starts with the parent's model
-    heap.
+    holds them (:meth:`wait_loaded`).  A server passes no documents,
+    registers its models afterwards and then calls :meth:`wait_loaded`
+    itself, so no worker starts with the parent's model heap.
     """
 
     def __init__(
@@ -299,6 +298,8 @@ class ProcessWorkerPool:
         #: ``model_id -> document`` of every model a replacement worker
         #: must be sent (a document that fails to load is dropped).
         self._documents: dict[str, str] = {}
+        #: ``model_id -> reason`` of every model a worker failed to load.
+        self._failed: dict[str, str] = {}
         self._max_restarts = max_restarts
         self.start_timeout = start_timeout
         self._lock = threading.Lock()
@@ -324,11 +325,11 @@ class ProcessWorkerPool:
         self._collector.start()
         for model_id, document in documents.items():
             self.add_model(model_id, document)
-        if documents and not self.wait_warm(timeout=start_timeout):
+        try:
+            self.wait_loaded(documents)
+        except ServeError:
             self.shutdown()
-            raise ServeError(
-                E_WORKER, f"workers did not load their models in {start_timeout:g}s"
-            )
+            raise
 
     # -- lifecycle ------------------------------------------------------------
     def _spawn(self, slot: int, *, generation: int) -> _WorkerHandle:
@@ -416,6 +417,11 @@ class ProcessWorkerPool:
         with self._lock:
             return [w.warmups for w in self._workers]
 
+    def failed_models(self) -> dict[str, str]:
+        """``model_id -> reason`` of every model a worker failed to load."""
+        with self._lock:
+            return dict(self._failed)
+
     def worker_metrics(self) -> list[dict]:
         """Each worker's latest piggybacked metrics snapshot.
 
@@ -460,6 +466,7 @@ class ProcessWorkerPool:
         """Ship a newly registered model to every alive worker."""
         with self._lock:
             self._documents[model_id] = document
+            self._failed.pop(model_id, None)
             for worker in self._workers:
                 if worker.alive:
                     try:
@@ -501,6 +508,25 @@ class ProcessWorkerPool:
             if not event.wait(timeout=max(0.0, deadline - monotonic())):
                 warm = False
         return warm
+
+    def wait_loaded(self, model_ids) -> None:
+        """Block until every worker holds *model_ids*, or raise.
+
+        :class:`ServeError` when the workers are not warm within
+        ``start_timeout`` or when a worker failed to load one of the
+        models.  The constructor and a server's start-up both end here.
+        """
+        if not self.wait_warm(timeout=self.start_timeout):
+            raise ServeError(
+                E_WORKER,
+                f"workers did not load their models in {self.start_timeout:g}s",
+            )
+        failed = self.failed_models()
+        for model_id in model_ids:
+            if model_id in failed:
+                raise ServeError(
+                    E_WORKER, f"model {model_id[:12]} did not load: {failed[model_id]}"
+                )
 
     def inject_crash(self, slot: int) -> None:
         """Make worker *slot* die abruptly (fault-injection hook)."""
@@ -560,8 +586,10 @@ class ProcessWorkerPool:
                 worker.warmups = message[2]
         elif op == "load-failed":
             # Replacements are not sent a document that does not load.
+            _op, model_id, reason = message
             with self._lock:
-                self._documents.pop(message[1], None)
+                self._documents.pop(model_id, None)
+                self._failed[model_id] = reason
             _obs_metrics.METRICS.inc("serve.worker.failures")
         elif op == "pong":
             with self._lock:
@@ -702,6 +730,13 @@ class InlineWorkerPool:
     def wait_warm(self, timeout: float = 30.0) -> bool:
         """Loads are synchronous in-process: always already warm."""
         return True
+
+    def failed_models(self) -> dict[str, str]:
+        """Always empty: :meth:`add_model` raises when a load fails."""
+        return {}
+
+    def wait_loaded(self, model_ids) -> None:
+        """Nothing to wait for: :meth:`add_model` loads synchronously."""
 
     def inject_crash(self, slot: int) -> None:
         raise RuntimeError("inline pool has no crashable workers")

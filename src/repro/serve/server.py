@@ -35,7 +35,6 @@ from ..obs import rtrace as _rtrace
 from .protocol import (
     E_BAD_REQUEST,
     E_NO_MODEL,
-    E_WORKER,
     PROTOCOL,
     ProtocolError,
     ServeError,
@@ -472,7 +471,9 @@ def build_service(args: argparse.Namespace) -> TNNService:
     without the server's model heap.  Every model is then registered
     through :meth:`TNNService.register`, which ships it to the workers
     as a ``load``; the call returns once they have all been loaded and
-    warmed (:class:`ServeError` after the pool's ``start_timeout``).
+    warmed.  If a model does not load, or the workers are not warm
+    within the pool's ``start_timeout``, the service is closed and
+    :class:`ServeError` raised.
     """
     from .batcher import BatchPolicy
     from .demo import demo_column
@@ -481,14 +482,14 @@ def build_service(args: argparse.Namespace) -> TNNService:
 
     if getattr(args, "rtrace", False):
         _rtrace.enable_rtrace(True)
-    if args.inline:
-        pool = InlineWorkerPool({})
-    else:
-        pool = ProcessWorkerPool({}, n_workers=args.workers)
     if getattr(args, "result_cache_entries", None):
         from ..runtime import RESULT_CACHE
 
         RESULT_CACHE.configure(max_entries=args.result_cache_entries)
+    if args.inline:
+        pool = InlineWorkerPool({})
+    else:
+        pool = ProcessWorkerPool({}, n_workers=args.workers)
     service = TNNService(
         ModelRegistry(),
         pool,
@@ -501,40 +502,42 @@ def build_service(args: argparse.Namespace) -> TNNService:
         ),
         result_cache=not getattr(args, "no_result_cache", False),
     )
-    network, _volley = demo_column(args.model_seed, smoke=args.smoke)
-    service.register(network, name="demo")
-    for kernel_name in args.kernel or []:
-        from ..kernels import demo_network
+    try:
+        network, _volley = demo_column(args.model_seed, smoke=args.smoke)
+        service.register(network, name="demo")
+        for kernel_name in args.kernel or []:
+            from ..kernels import demo_network
 
-        service.register(
-            demo_network(kernel_name), name=f"kernel:{kernel_name}"
-        )
-    for path in args.model_file or []:
-        from ..network import serialize
+            service.register(
+                demo_network(kernel_name), name=f"kernel:{kernel_name}"
+            )
+        for path in args.model_file or []:
+            from ..network import serialize
 
-        service.register(serialize.load(path))
-    if getattr(args, "train", False):
-        from ..train import TrainingPlane, classification_scenario
+            service.register(serialize.load(path))
+        if getattr(args, "train", False):
+            from ..train import TrainingPlane, classification_scenario
 
-        scenario = classification_scenario(
-            smoke=args.smoke, seed=getattr(args, "train_seed", 0)
-        )
-        plane = TrainingPlane(
-            service,
-            scenario.column,
-            alias=getattr(args, "train_alias", "digits@live"),
-            trainer=scenario.make_trainer(),
-            probe=scenario.probe,
-            snapshot_every=getattr(args, "snapshot_every", 50),
-            model_name=scenario.name,
-        )
-        service.training = plane
-        plane.start()  # bootstraps: registers + aliases the seed column
-    if not args.inline and not pool.wait_warm(timeout=pool.start_timeout):
-        raise ServeError(
-            E_WORKER,
-            f"workers did not load the models in {pool.start_timeout:g}s",
-        )
+            scenario = classification_scenario(
+                smoke=args.smoke, seed=getattr(args, "train_seed", 0)
+            )
+            plane = TrainingPlane(
+                service,
+                scenario.column,
+                alias=getattr(args, "train_alias", "digits@live"),
+                trainer=scenario.make_trainer(),
+                probe=scenario.probe,
+                snapshot_every=getattr(args, "snapshot_every", 50),
+                model_name=scenario.name,
+            )
+            service.training = plane
+            plane.start()  # bootstraps: registers + aliases the seed column
+        pool.wait_loaded(service.registry.ids())
+    except BaseException:
+        if service.training is not None:
+            service.training.stop(final_snapshot=False)
+        service.close(drain=False)
+        raise
     return service
 
 

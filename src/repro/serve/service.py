@@ -758,7 +758,9 @@ class TNNService:
         2. **warm barrier** — wait until every alive worker has drained
            its load backlog (:meth:`~repro.serve.pool.ProcessWorkerPool.
            wait_warm`), so the first admission routed to the new
-           fingerprint never pays rebuild or JIT cost;
+           fingerprint never pays rebuild or JIT cost.  A target a
+           worker failed to load is refused (:class:`ServeError`,
+           ``worker-failure``) and the alias is left where it was;
         3. **atomic flip** — :meth:`ModelRegistry.promote` repoints the
            alias under the registry lock: admissions before the flip
            resolved the old entry and complete on it (they hold the
@@ -775,6 +777,12 @@ class TNNService:
         entry = self.registry.resolve(key)
         wait_warm = getattr(self.pool, "wait_warm", None)
         warmed = bool(wait_warm()) if wait_warm is not None else True
+        failed = getattr(self.pool, "failed_models", dict)()
+        if entry.model_id in failed:
+            raise ServeError(
+                E_WORKER,
+                f"model {entry.model_id[:12]} did not load: {failed[entry.model_id]}",
+            )
         previous, current = self.registry.promote(alias, entry.model_id)
         _obs_metrics.METRICS.inc("serve.promotions")
         retired = None

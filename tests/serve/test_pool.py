@@ -259,6 +259,11 @@ class TestLoadFailure:
             assert pool.restarts == 0
             assert pool.warmups() == [1]
             assert METRICS.counter("serve.worker.failures") == failures + 1
+            assert list(pool.failed_models()) == ["0" * 64]
+            assert "does not match model id" in pool.failed_models()["0" * 64]
+            pool.wait_loaded([model_id])
+            with pytest.raises(ServeError, match="did not load: ValueError"):
+                pool.wait_loaded([model_id, "0" * 64])
             matrix = encoded_volleys(network, [(0, 1), (3, 2)])
             done, box, on_done, on_fail = _completion_recorder()
             pool.submit(Job(1, model_id, matrix, {}, on_done, on_fail))
@@ -277,6 +282,15 @@ class TestLoadFailure:
             assert (pool.restarts, pool.warmups()) == (1, [1])
         finally:
             pool.shutdown()
+
+    def test_constructor_raises_when_a_document_does_not_load(self):
+        from repro.network import serialize
+
+        bad_document = serialize.dumps(demo_column(6, smoke=True)[0])
+        before = set(mp.active_children())
+        with pytest.raises(ServeError, match="did not load: ValueError"):
+            ProcessWorkerPool({"0" * 64: bad_document}, n_workers=1)
+        assert set(mp.active_children()) <= before
 
     def test_worker_exit_before_ready_is_a_serve_error(self, monkeypatch):
         import os

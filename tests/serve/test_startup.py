@@ -8,15 +8,20 @@ worker's ready message lists no models (pinned by
 """
 
 import argparse
+import functools
+import multiprocessing as mp
 import threading
+import time
 
 import pytest
 
 from repro.network import serialize
 from repro.serve import pool as pool_module
 from repro.serve.demo import demo_column, demo_volleys
+from repro.serve.protocol import ServeError
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import add_serve_arguments, build_service
+from repro.serve.service import TNNService
 from repro.testing import check_served
 
 
@@ -111,3 +116,69 @@ class TestLeanStartup:
         ]
         assert pool.warmups() == [2]
         assert_serves_byte_identically(service, seed=2)
+
+
+def load_program_failing_for(monkeypatch, bad_id, *, delay_s=0.0):
+    """Patch the worker's model load; forked workers inherit the patch.
+
+    Loading *bad_id* raises, as an optimizer crash on a valid network
+    would; with *delay_s* every load first sleeps that long instead.
+    """
+    load_program = pool_module.load_program
+
+    def patched(model_id, document):
+        time.sleep(delay_s)
+        if model_id == bad_id:
+            raise RuntimeError("optimizer crashed")
+        return load_program(model_id, document)
+
+    monkeypatch.setattr(pool_module, "load_program", patched)
+
+
+def serve_workers():
+    return {p for p in mp.active_children() if p.name.startswith("serve-worker")}
+
+
+class TestFailedStartup:
+    def test_model_that_does_not_load_fails_start_up(self, monkeypatch, model_file):
+        """The server refuses to start without every registered model."""
+        bad_id = serialize.load(model_file).fingerprint()
+        load_program_failing_for(monkeypatch, bad_id)
+        before = serve_workers()
+        with pytest.raises(ServeError, match="did not load: RuntimeError"):
+            build_service(
+                serve_args("--smoke", "--workers", "1", "--model-file", str(model_file))
+            )
+        assert serve_workers() <= before
+
+    def test_start_up_timeout_closes_the_service(self, monkeypatch, model_file):
+        load_program_failing_for(monkeypatch, None, delay_s=3.0)
+        monkeypatch.setattr(
+            pool_module,
+            "ProcessWorkerPool",
+            functools.partial(pool_module.ProcessWorkerPool, start_timeout=1.0),
+        )
+        before = serve_workers()
+        with pytest.raises(ServeError, match="did not load their models in 1s"):
+            build_service(serve_args("--smoke", "--workers", "1"))
+        assert serve_workers() <= before
+
+    def test_promote_refuses_a_model_that_did_not_load(self, monkeypatch):
+        good = demo_column(4, smoke=True)[0]
+        bad = demo_column(5, smoke=True)[0]
+        load_program_failing_for(monkeypatch, bad.fingerprint())
+        service = TNNService(
+            ModelRegistry(), pool_module.ProcessWorkerPool({}, n_workers=1)
+        )
+        try:
+            service.register(good)
+            assert service.promote("col@live", good.fingerprint())["warmed"]
+            service.register(bad)
+            with pytest.raises(ServeError, match="did not load: RuntimeError"):
+                service.promote("col@live", bad.fingerprint())
+            assert service.registry.aliases() == {"col@live": good.fingerprint()}
+            volleys = demo_volleys(len(good.input_ids), 24, seed=3)
+            report = check_served(service, "col@live", volleys)
+            assert report.byte_identical and report.ok == 24, report.summary()
+        finally:
+            service.close()
