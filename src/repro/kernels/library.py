@@ -339,8 +339,8 @@ def demo_network(name: str) -> Network:
     """The kernel's served demo model: its default build, as a Network.
 
     Pure function of *name* — server and load generator both call this
-    so the loadgen's local byte-check oracle is bit-identical (same
-    fingerprint) to what the server registered.
+    so the loadgen's local model is bit-identical (same fingerprint) to
+    what the server registered, which its handshake checks.
     """
     kernel = build_kernel(name)
     return kernel.network(name=f"kernel-{name}")

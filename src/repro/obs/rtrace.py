@@ -130,8 +130,11 @@ class RequestTrace:
     on the serving hot path to a few container appends — the
     :class:`Span` view is materialized lazily by :attr:`spans` when
     something actually reads the trace (exports, dumps, tests).
-    ``begin``/``end``/``add`` therefore return span *ids*, and the
-    ``attrs`` dicts on materialized spans are live views of the log.
+    The producer calls are positional (``push``/``pop``/``graft``/
+    ``seal``), so the hot path builds no kwargs dict; ``push`` and
+    ``graft`` return span *ids*, an ``attrs`` dict passed in becomes
+    the event's own, and the ``attrs`` dicts on materialized spans are
+    live views of the log.
     """
 
     __slots__ = ("trace_id", "_events", "_open", "_cache", "_dirty")
@@ -189,52 +192,8 @@ class RequestTrace:
     def root(self) -> Span:
         return self.spans[0]
 
-    def begin(
-        self,
-        name: str,
-        *,
-        parent: Optional[int] = 0,
-        now: Optional[float] = None,
-        **attrs: Any,
-    ) -> int:
-        """Open a child span *name* (parented to the root by default)."""
-        events = self._events
-        index = len(events)
-        events.append(
-            [name, parent, monotonic() if now is None else now, None, attrs or None]
-        )
-        self._open[name] = index
-        self._dirty = True
-        return index
-
-    def end(
-        self, name: str, *, now: Optional[float] = None, **attrs: Any
-    ) -> Optional[int]:
-        """Close the most recent open span called *name* (no-op if absent)."""
-        index = self._open.pop(name, None)
-        if index is None:
-            return None
-        event = self._events[index]
-        event[3] = monotonic() if now is None else now
-        if attrs:
-            if event[4] is None:
-                event[4] = attrs
-            else:
-                event[4].update(attrs)
-        self._dirty = True
-        return index
-
-    # -- positional hot-path aliases ------------------------------------
-    #
-    # ``begin``/``end`` take keyword arguments for readability, which
-    # makes CPython build a kwargs dict on every call.  The serving
-    # threads sit on the saturated path and open/close several spans per
-    # request, so they use these positional twins instead: same event
-    # log, same semantics, no per-call dict.  *attrs*, when given, is a
-    # caller-built dict the event takes ownership of.
-
     def push(self, name: str, now: float, attrs: Optional[dict] = None) -> int:
-        """Positional :meth:`begin` (root-parented) for the serving path."""
+        """Open a child span *name* under the root; returns its id."""
         events = self._events
         index = len(events)
         events.append([name, 0, now, None, attrs])
@@ -245,7 +204,7 @@ class RequestTrace:
     def pop(
         self, name: str, now: float, attrs: Optional[dict] = None
     ) -> Optional[int]:
-        """Positional :meth:`end` for the serving path (no-op if absent)."""
+        """Close the most recent open span *name* (no-op if absent)."""
         index = self._open.pop(name, None)
         if index is None:
             return None
@@ -260,15 +219,20 @@ class RequestTrace:
         return index
 
     def graft(self, name: str, start: float, end: float, parent: int) -> int:
-        """Positional :meth:`add` for the serving path."""
+        """Append an already-timed span (worker-reported engine phases)."""
         events = self._events
         index = len(events)
         events.append([name, parent, start, end, None])
         self._dirty = True
         return index
 
-    def seal(self, outcome: str, now: float) -> None:
-        """Positional :meth:`finish` (no extra attrs) for the serving path."""
+    def seal(
+        self, outcome: str, now: float, attrs: Optional[dict] = None
+    ) -> None:
+        """Close the root span (and any stragglers) with an *outcome*.
+
+        *attrs*, when given, are merged into the root span's attributes.
+        """
         events = self._events
         if self._open:
             for index in self._open.values():
@@ -282,23 +246,9 @@ class RequestTrace:
             root[4] = {"outcome": outcome}
         else:
             root[4]["outcome"] = outcome
+        if attrs:
+            root[4].update(attrs)
         self._dirty = True
-
-    def add(
-        self,
-        name: str,
-        start: float,
-        end: float,
-        *,
-        parent: Optional[int] = 0,
-        **attrs: Any,
-    ) -> int:
-        """Append an already-timed span (worker-reported engine phases)."""
-        events = self._events
-        index = len(events)
-        events.append([name, parent, start, end, attrs or None])
-        self._dirty = True
-        return index
 
     def span_start(self, span_id: int) -> float:
         """The start time of span *span_id* (an anchor for derived spans)."""
@@ -310,26 +260,6 @@ class RequestTrace:
         if root[3] is not None and root[3] < end:
             root[3] = end
             self._dirty = True
-
-    def finish(self, outcome: str, *, now: Optional[float] = None, **attrs: Any) -> None:
-        """Close the root span (and any stragglers) with an *outcome*."""
-        end = monotonic() if now is None else now
-        events = self._events
-        if self._open:
-            for index in self._open.values():
-                if events[index][3] is None:
-                    events[index][3] = end
-            self._open.clear()
-        root = events[0]
-        if root[3] is None:
-            root[3] = end
-        if root[4] is None:
-            root[4] = {"outcome": outcome}
-        else:
-            root[4]["outcome"] = outcome
-        if attrs:
-            root[4].update(attrs)
-        self._dirty = True
 
     @property
     def outcome(self) -> Optional[str]:

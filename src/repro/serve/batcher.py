@@ -64,15 +64,14 @@ class PendingRequest:
 
     req_id: int
     model_id: str
-    volley: tuple
+    #: The volley encoded to int64 at admission (validation already
+    #: pays for the conversion, so dispatch stacks these rows as is).
+    encoded: tuple
     params_key: str
     params: dict
     enqueued: float
     deadline: Optional[float]  # absolute monotonic time, or None
     future: Future = field(default_factory=Future)
-    #: Volley pre-encoded to int64 at admission (validation already pays
-    #: for the conversion, so dispatch reuses it instead of re-encoding).
-    encoded: Optional[tuple] = None
     #: Display name of the target model (latency-histogram label).
     model_name: str = ""
     #: When the request was last handed to a worker (0.0 = never

@@ -1,13 +1,13 @@
 """The seeded demo model shared by server, load generator, and CLI.
 
 ``python -m repro serve`` needs a model to serve and ``python -m repro
-loadgen`` needs to rebuild the *same* model client-side so it can check
-served responses against a direct local evaluation — so both sides
-construct it from one deterministic recipe: a seeded SRM0 column, the
-same family the ``trace``/``ir``/``stats`` CLI commands demo on.  The
-loadgen additionally verifies the server really serves this model by
-comparing :meth:`~repro.network.graph.Network.fingerprint` values over
-the wire before trusting its local oracle.
+loadgen`` needs to rebuild the *same* model client-side so it can
+confirm the server serves what the run was asked to drive — so both
+sides construct it from one deterministic recipe: a seeded SRM0 column,
+the same family the ``trace``/``ir``/``stats`` CLI commands demo on.
+The loadgen compares its
+:meth:`~repro.network.graph.Network.fingerprint` with the one the server
+resolves the target to before it sends any load.
 """
 
 from __future__ import annotations

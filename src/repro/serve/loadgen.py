@@ -1,13 +1,26 @@
 """Load generator and client-side conformance checker.
 
 ``python -m repro loadgen`` opens ``--concurrency`` connections, streams
-``--requests`` deterministic seeded volleys at the server, and — unless
-``--no-check`` — verifies **every** response byte-for-byte: the client
-rebuilds the demo model from the same seed, confirms its fingerprint
-matches the server's (the ``models`` op), evaluates the whole volley
-stream locally with one direct ``evaluate_batch``, and compares each
-served response line against the canonically-encoded local result.  A
-single differing byte is a conformance failure and a non-zero exit.
+``--requests`` deterministic seeded volleys at the server, and verifies
+**every** response byte-for-byte against a direct ``evaluate_batch``.
+The server resolves the target itself: ``--model`` (an alias, a full
+fingerprint, or an unambiguous prefix) goes through its ``model_doc``
+op, the same lookup an ``eval`` uses, and the network rebuilt from the
+returned document is the oracle — its fingerprint must be the one the
+reply names.  A single differing byte is a conformance failure and a
+non-zero exit.
+
+A run that neither trains nor promotes also rebuilds its model locally
+(the demo column from ``--model-seed``/``--smoke``, or the ``--kernel``
+demo) and refuses to start unless that fingerprint is the resolved one,
+so mismatched seeds or flags fail the handshake instead of reporting
+bogus mismatches.  With ``--train-every N`` every Nth request is a
+``train`` op against the server's training plane (``serve --train``);
+``--promote-at I`` promotes the training alias to the lineage head at
+request I.  The served model then evolves mid-run, so every eval asks
+for ``want_model_id`` and each response is checked against the
+document of the fingerprint that served it (retired versions included:
+the server archives them).
 
 Rejections (``overloaded``/``deadline``) are counted separately — they
 are the backpressure contract working, not mismatches — but any
@@ -69,6 +82,22 @@ async def _open(host: str, port: int, *, attempts: int = 40, delay: float = 0.25
             await asyncio.sleep(delay)
 
 
+async def _model_doc(reader, writer, key: str):
+    """``(fingerprint, network)`` the server resolves *key* to."""
+    from ..network import serialize
+
+    reply = await _request(reader, writer, {"op": "model_doc", "model": key})
+    if not reply.get("ok"):
+        raise LoadgenError(f"model_doc for {key!r} failed: {canonical(reply)}")
+    network = serialize.loads(reply["document"])
+    if network.fingerprint() != reply["model"]:
+        raise LoadgenError(
+            f"document for {reply['model'][:12]} rebuilds to "
+            f"{network.fingerprint()[:12]}"
+        )
+    return reply["model"], network
+
+
 async def run_loadgen(
     *,
     host: str = "127.0.0.1",
@@ -80,8 +109,6 @@ async def run_loadgen(
     model_seed: int = 0,
     smoke: bool = False,
     kernel: Optional[str] = None,
-    check: bool = True,
-    deadline_ms: Optional[int] = None,
     shutdown: bool = False,
     metrics_out: Optional[str] = None,
     trace: bool = False,
@@ -91,341 +118,159 @@ async def run_loadgen(
 ) -> dict:
     """Drive the server; returns the run report (also printed by the CLI).
 
-    With *kernel* set, the local oracle model is the stdlib kernel demo
+    With *kernel* set, the local model is the stdlib kernel demo
     (:func:`repro.kernels.demo_network` — a pure function of the name,
     so client and server fingerprints agree by construction) and the
-    targeted served model defaults to ``kernel:<name>``.
+    target defaults to ``kernel:<name>``.  With *train_every* or
+    *promote_at* set the server must run a training plane, and the
+    target defaults to its alias.
 
-    With *trace* on, every request carries a deterministic trace id
+    With *trace* on, every eval carries a deterministic trace id
     (``lg<i>``) and the byte-check expects the echoed ``trace`` field in
     each response — so the traced serving path is held to the exact same
     byte-identity contract as the untraced one.  *report_out* writes the
     run report as JSON (the CI overhead comparison reads two of these).
     """
-    if train_every:
-        return await run_loadgen_live(
-            host=host,
-            port=port,
-            requests=requests,
-            concurrency=concurrency,
-            seed=seed,
-            model=model,
-            check=check,
-            deadline_ms=deadline_ms,
-            shutdown=shutdown,
-            metrics_out=metrics_out,
-            report_out=report_out,
-            train_every=train_every,
-            promote_at=promote_at,
-        )
-    if kernel is not None:
-        from ..kernels import demo_network
+    live = bool(train_every) or promote_at is not None
+    if kernel is not None and model == "demo":
+        model = f"kernel:{kernel}"
+    local = None
+    if not live:
+        if kernel is not None:
+            from ..kernels import demo_network
 
-        network = demo_network(kernel)
-        if model == "demo":
-            model = f"kernel:{kernel}"
-    else:
-        network, _volley = demo_column(model_seed, smoke=smoke)
-    arity = len(network.input_ids)
-    volleys = demo_volleys(arity, requests, seed=seed)
-
-    trace_ids: list[Optional[str]] = [
-        f"lg{i}" if trace else None for i in range(requests)
-    ]
-    expected_lines: list[Optional[str]] = [None] * requests
-    if check:
-        from ..network.compile_plan import decode_matrix, evaluate_batch
-
-        direct = decode_matrix(evaluate_batch(network, volleys))
-        expected_lines = [
-            canonical(ok_response(i, tuple(row), trace=trace_ids[i]))
-            for i, row in enumerate(direct)
-        ]
-
-    # Fingerprint handshake: the byte-check below is only meaningful if
-    # the server's model really is our local network.
-    reader, writer = await _open(host, port)
-    if check:
-        reply = await _request(reader, writer, {"op": "models"})
-        served = {m["name"]: m["id"] for m in reply.get("models", [])}
-        served_id = served.get(model, model if model in reply else None)
-        local_id = network.fingerprint()
-        if served_id != local_id:
-            raise LoadgenError(
-                f"server model {model!r} has fingerprint "
-                f"{(served_id or '?')[:12]}, local demo is {local_id[:12]} — "
-                "did the seeds/--smoke flags match?"
-            )
-
-    results: list[Optional[dict]] = [None] * requests
-    latencies: list[float] = [0.0] * requests
-    index_iter = iter(range(requests))
-    index_lock = asyncio.Lock()
-
-    async def worker(conn) -> None:
-        r, w = conn
-        while True:
-            async with index_lock:
-                i = next(index_iter, None)
-            if i is None:
-                return
-            message = eval_request(
-                i, model, volleys[i], deadline_ms=deadline_ms, trace=trace_ids[i]
-            )
-            start = time.perf_counter()
-            reply = await _request(r, w, message)
-            latencies[i] = time.perf_counter() - start
-            if reply.get("id") != i:
-                raise LoadgenError(
-                    f"response id {reply.get('id')!r} for request {i}"
-                )
-            results[i] = reply
-
-    connections = [(reader, writer)]
-    for _ in range(max(0, concurrency - 1)):
-        connections.append(await _open(host, port))
-    started = time.perf_counter()
-    await asyncio.gather(*(worker(conn) for conn in connections))
-    elapsed = time.perf_counter() - started
-
-    ok = rejected_overload = rejected_deadline = failed = mismatches = 0
-    first_mismatch: Optional[str] = None
-    for i, reply in enumerate(results):
-        if reply is None:
-            raise LoadgenError(f"request {i} never completed")
-        if reply.get("ok"):
-            ok += 1
-            if check:
-                got = canonical(reply)
-                if got != expected_lines[i]:
-                    mismatches += 1
-                    if first_mismatch is None:
-                        first_mismatch = (
-                            f"request {i} volley {volley_to_wire(volleys[i])}: "
-                            f"served {got} != direct {expected_lines[i]}"
-                        )
-        elif reply.get("code") == "overloaded":
-            rejected_overload += 1
-        elif reply.get("code") == "deadline":
-            rejected_deadline += 1
+            local = demo_network(kernel)
         else:
-            failed += 1
-            if first_mismatch is None:
-                first_mismatch = f"request {i} failed: {canonical(reply)}"
+            local = demo_column(model_seed, smoke=smoke)[0]
 
-    # Always fetch the metrics snapshot: the summary reports the serving
-    # engine and per-worker plan warmups even without --metrics-out.
-    metrics_reply = await _request(reader, writer, {"op": "metrics"})
-    serve_info = metrics_reply.get("serve", {})
-    if metrics_out:
-        Path(metrics_out).write_text(
-            json.dumps(metrics_reply, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    if shutdown:
-        await _request(reader, writer, {"op": "shutdown"})
-
-    for r, w in connections:
-        w.close()
-    done = sorted(latencies[:requests])
-    report = {
-        "requests": requests,
-        "concurrency": concurrency,
-        "ok": ok,
-        "rejected_overloaded": rejected_overload,
-        "rejected_deadline": rejected_deadline,
-        "failed": failed,
-        "checked": check,
-        "mismatches": mismatches,
-        "first_mismatch": first_mismatch,
-        "elapsed_s": round(elapsed, 4),
-        "qps": round(requests / elapsed, 1) if elapsed > 0 else 0.0,
-        "p50_ms": round(done[len(done) // 2] * 1e3, 3) if done else 0.0,
-        "p99_ms": round(done[min(len(done) - 1, int(len(done) * 0.99))] * 1e3, 3)
-        if done
-        else 0.0,
-        "engine": serve_info.get("engine"),
-        "warmups": serve_info.get("warmups"),
-        "traced": trace,
-    }
-    if report_out:
-        Path(report_out).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    return report
-
-
-async def run_loadgen_live(
-    *,
-    host: str = "127.0.0.1",
-    port: int,
-    requests: int = 500,
-    concurrency: int = 32,
-    seed: int = 0,
-    model: str = "demo",
-    check: bool = True,
-    deadline_ms: Optional[int] = None,
-    shutdown: bool = False,
-    metrics_out: Optional[str] = None,
-    report_out: Optional[str] = None,
-    train_every: int = 4,
-    promote_at: Optional[int] = None,
-) -> dict:
-    """Mixed eval/train load against a server running a training plane.
-
-    Every ``train_every``-th request is a ``train`` op feeding the
-    plane's queue; the rest are evals against the training alias.  The
-    served model *evolves mid-run* (snapshots hot-swap the alias), so
-    the byte-check cannot pre-compute one oracle: every eval carries
-    ``want_model_id``, responses are grouped by the fingerprint that
-    actually served them, and each group is checked byte-for-byte
-    against a direct evaluation of the network rebuilt from that
-    fingerprint's ``model_doc`` — retired versions included (the server
-    archives their documents).  With *promote_at*, one client-driven
-    ``promote`` of the alias to the current lineage head is issued
-    mid-run, exercising the wire promotion path under load.
-    """
-    reader, writer = await _open(host, port)
-    metrics_reply = await _request(reader, writer, {"op": "metrics"})
-    training = metrics_reply.get("serve", {}).get("training")
-    if training is None:
-        raise LoadgenError(
-            "server is not running a training plane (start it with --train)"
-        )
-    if model == "demo":
-        model = training["alias"]
-    models_reply = await _request(reader, writer, {"op": "models"})
-    live = models_reply.get("aliases", {}).get(model)
-    by_id = {m["id"]: m for m in models_reply.get("models", [])}
-    if live is None or live not in by_id:
-        raise LoadgenError(f"alias {model!r} is not serving a model")
-    arity = len(by_id[live]["inputs"])
-
-    volleys = demo_volleys(arity, requests, seed=seed)
-    train_volleys = demo_volleys(
-        arity, requests, seed=seed + 1, silence_probability=0.05
-    )
-    is_train = [
-        train_every > 0 and i % train_every == train_every - 1
-        for i in range(requests)
-    ]
-
-    results: list[Optional[dict]] = [None] * requests
-    latencies: list[float] = [0.0] * requests
-    index_iter = iter(range(requests))
-    index_lock = asyncio.Lock()
-    promotion: dict = {}
-
-    async def promote_now(r, w) -> None:
-        lineage = await _request(r, w, {"op": "lineage", "id": "lg-lineage"})
-        head = lineage.get("lineage", {}).get("head")
-        if not head:
-            return
-        reply = await _request(
-            r, w,
-            {"op": "promote", "id": "lg-promote", "alias": model, "model": head},
-        )
-        promotion.update(reply)
-
-    async def worker(conn) -> None:
-        r, w = conn
-        while True:
-            async with index_lock:
-                i = next(index_iter, None)
-            if i is None:
-                return
-            if promote_at is not None and i == promote_at:
-                await promote_now(r, w)
-            if is_train[i]:
-                message = {
-                    "op": "train",
-                    "id": i,
-                    "volley": volley_to_wire(train_volleys[i]),
-                }
-            else:
-                message = eval_request(
-                    i, model, volleys[i], deadline_ms=deadline_ms
-                )
-                if check:
-                    message["want_model_id"] = True
-            start = time.perf_counter()
-            reply = await _request(r, w, message)
-            latencies[i] = time.perf_counter() - start
-            if reply.get("id") != i:
+    connections = [await _open(host, port)]
+    reader, writer = connections[0]
+    try:
+        if live:
+            metrics_reply = await _request(reader, writer, {"op": "metrics"})
+            training = metrics_reply.get("serve", {}).get("training")
+            if training is None:
                 raise LoadgenError(
-                    f"response id {reply.get('id')!r} for request {i}"
+                    "server is not running a training plane (start it with --train)"
                 )
-            results[i] = reply
+            if model == "demo":
+                model = training["alias"]
+        target, network = await _model_doc(reader, writer, model)
+        oracles = {target: network}
+        # Fingerprint handshake: the byte-check is only meaningful if the
+        # server's model really is the one this run was asked to drive.
+        if local is not None and local.fingerprint() != target:
+            raise LoadgenError(
+                f"server model {model!r} has fingerprint {target[:12]}, local "
+                f"demo is {local.fingerprint()[:12]} — did the seeds/--smoke/"
+                "--kernel flags match?"
+            )
 
-    connections = [(reader, writer)]
-    for _ in range(max(0, concurrency - 1)):
-        connections.append(await _open(host, port))
-    started = time.perf_counter()
-    await asyncio.gather(*(worker(conn) for conn in connections))
-    elapsed = time.perf_counter() - started
+        arity = len(network.input_ids)
+        volleys = demo_volleys(arity, requests, seed=seed)
+        train_volleys = (
+            demo_volleys(arity, requests, seed=seed + 1, silence_probability=0.05)
+            if train_every
+            else []
+        )
+        is_train = [
+            train_every > 0 and i % train_every == train_every - 1
+            for i in range(requests)
+        ]
+        trace_ids = [f"lg{i}" if trace else None for i in range(requests)]
 
-    ok = rejected_overload = rejected_deadline = failed = mismatches = 0
-    train_ops = train_accepted = train_dropped = 0
-    first_mismatch: Optional[str] = None
-    by_fingerprint: dict[str, list[int]] = {}
-    for i, reply in enumerate(results):
-        if reply is None:
-            raise LoadgenError(f"request {i} never completed")
-        if is_train[i]:
-            train_ops += 1
-            if not reply.get("ok"):
+        results: list[Optional[dict]] = [None] * requests
+        latencies: list[float] = [0.0] * requests
+        index_iter = iter(range(requests))
+        index_lock = asyncio.Lock()
+        promotion: dict = {}
+
+        async def worker(r, w) -> None:
+            while True:
+                async with index_lock:
+                    i = next(index_iter, None)
+                if i is None:
+                    return
+                if i == promote_at:
+                    lineage = await _request(
+                        r, w, {"op": "lineage", "id": "lg-lineage"}
+                    )
+                    head = lineage.get("lineage", {}).get("head")
+                    if head:
+                        message = {
+                            "op": "promote",
+                            "id": "lg-promote",
+                            "alias": model,
+                            "model": head,
+                        }
+                        promotion.update(await _request(r, w, message))
+                if is_train[i]:
+                    message = {
+                        "op": "train",
+                        "id": i,
+                        "volley": volley_to_wire(train_volleys[i]),
+                    }
+                else:
+                    message = eval_request(i, model, volleys[i], trace=trace_ids[i])
+                    if live:
+                        message["want_model_id"] = True
+                start = time.perf_counter()
+                reply = await _request(r, w, message)
+                latencies[i] = time.perf_counter() - start
+                if reply.get("id") != i:
+                    raise LoadgenError(
+                        f"response id {reply.get('id')!r} for request {i}"
+                    )
+                results[i] = reply
+
+        for _ in range(max(0, concurrency - 1)):
+            connections.append(await _open(host, port))
+        started = time.perf_counter()
+        await asyncio.gather(*(worker(r, w) for r, w in connections))
+        elapsed = time.perf_counter() - started
+
+        ok = rejected_overload = rejected_deadline = failed = mismatches = 0
+        train_accepted = train_dropped = 0
+        first_mismatch: Optional[str] = None
+        by_fingerprint: dict[str, list[int]] = {}
+        for i, reply in enumerate(results):
+            if reply is None:
+                raise LoadgenError(f"request {i} never completed")
+            if reply.get("ok") and is_train[i]:
+                train_accepted += bool(reply.get("accepted"))
+                train_dropped += not reply.get("accepted")
+            elif reply.get("ok"):
+                ok += 1
+                fingerprint = reply.get("model") if live else target
+                if not fingerprint:
+                    raise LoadgenError(f"response {i} carries no model fingerprint")
+                by_fingerprint.setdefault(fingerprint, []).append(i)
+            elif not is_train[i] and reply.get("code") == "overloaded":
+                rejected_overload += 1
+            elif not is_train[i] and reply.get("code") == "deadline":
+                rejected_deadline += 1
+            else:
                 failed += 1
                 if first_mismatch is None:
-                    first_mismatch = f"train op {i} failed: {canonical(reply)}"
-            elif reply.get("accepted"):
-                train_accepted += 1
-            else:
-                train_dropped += 1
-            continue
-        if reply.get("ok"):
-            ok += 1
-            if check:
-                fingerprint = reply.get("model")
-                if not fingerprint:
-                    raise LoadgenError(
-                        f"response {i} carries no model fingerprint"
-                    )
-                by_fingerprint.setdefault(fingerprint, []).append(i)
-        elif reply.get("code") == "overloaded":
-            rejected_overload += 1
-        elif reply.get("code") == "deadline":
-            rejected_deadline += 1
-        else:
-            failed += 1
-            if first_mismatch is None:
-                first_mismatch = f"request {i} failed: {canonical(reply)}"
+                    kind = "train op" if is_train[i] else "request"
+                    first_mismatch = f"{kind} {i} failed: {canonical(reply)}"
 
-    if check and by_fingerprint:
-        from ..network import serialize
         from ..network.compile_plan import decode_matrix, evaluate_batch
 
         for fingerprint, indices in sorted(by_fingerprint.items()):
-            doc_reply = await _request(
-                reader, writer, {"op": "model_doc", "model": fingerprint}
-            )
-            if not doc_reply.get("ok"):
-                raise LoadgenError(
-                    f"model_doc for served fingerprint "
-                    f"{fingerprint[:12]} failed: {canonical(doc_reply)}"
-                )
-            version = serialize.loads(doc_reply["document"])
-            if version.fingerprint() != fingerprint:
-                raise LoadgenError(
-                    f"document for {fingerprint[:12]} rebuilds to "
-                    f"{version.fingerprint()[:12]}"
-                )
+            if fingerprint not in oracles:
+                _, oracles[fingerprint] = await _model_doc(reader, writer, fingerprint)
             direct = decode_matrix(
-                evaluate_batch(version, [volleys[i] for i in indices])
+                evaluate_batch(oracles[fingerprint], [volleys[i] for i in indices])
             )
             for i, row in zip(indices, direct):
                 expected = canonical(
-                    ok_response(i, tuple(row), model=fingerprint)
+                    ok_response(
+                        i,
+                        tuple(row),
+                        trace=trace_ids[i],
+                        model=fingerprint if live else None,
+                    )
                 )
                 got = canonical(results[i])
                 if got != expected:
@@ -437,19 +282,22 @@ async def run_loadgen_live(
                             f"{expected}"
                         )
 
-    metrics_reply = await _request(reader, writer, {"op": "metrics"})
-    serve_info = metrics_reply.get("serve", {})
-    if metrics_out:
-        Path(metrics_out).write_text(
-            json.dumps(metrics_reply, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    if shutdown:
-        await _request(reader, writer, {"op": "shutdown"})
-    for r, w in connections:
-        w.close()
+        # Always fetch the metrics snapshot: the summary reports the serving
+        # engine and per-worker plan warmups even without --metrics-out.
+        metrics_reply = await _request(reader, writer, {"op": "metrics"})
+        serve_info = metrics_reply.get("serve", {})
+        if metrics_out:
+            Path(metrics_out).write_text(
+                json.dumps(metrics_reply, indent=2, sort_keys=True) + "\n",
+                encoding="utf-8",
+            )
+        if shutdown:
+            await _request(reader, writer, {"op": "shutdown"})
+    finally:
+        for _, w in connections:
+            w.close()
 
-    done = sorted(latencies[:requests])
+    done = sorted(latencies)
     report = {
         "requests": requests,
         "concurrency": concurrency,
@@ -457,7 +305,7 @@ async def run_loadgen_live(
         "rejected_overloaded": rejected_overload,
         "rejected_deadline": rejected_deadline,
         "failed": failed,
-        "checked": check,
+        "checked": True,
         "mismatches": mismatches,
         "first_mismatch": first_mismatch,
         "elapsed_s": round(elapsed, 4),
@@ -468,9 +316,9 @@ async def run_loadgen_live(
         else 0.0,
         "engine": serve_info.get("engine"),
         "warmups": serve_info.get("warmups"),
-        "traced": False,
+        "traced": trace,
         "alias": model,
-        "train_ops": train_ops,
+        "train_ops": sum(is_train),
         "train_accepted": train_accepted,
         "train_dropped": train_dropped,
         "models_served": len(by_fingerprint),
@@ -499,7 +347,11 @@ def loadgen_main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--requests", type=int, default=500)
     parser.add_argument("--concurrency", type=int, default=32)
     parser.add_argument("--seed", type=int, default=0, help="volley stream seed")
-    parser.add_argument("--model", default="demo", help="served model to target")
+    parser.add_argument(
+        "--model",
+        default="demo",
+        help="served model to target: alias, fingerprint or unambiguous prefix",
+    )
     parser.add_argument(
         "--model-seed",
         type=int,
@@ -516,15 +368,9 @@ def loadgen_main(argv: Optional[list[str]] = None) -> int:
         metavar="NAME",
         help=(
             "target a stdlib kernel demo served via `serve --kernel NAME` "
-            "(rebuilds the same model locally for the byte-check)"
+            "(rebuilds the same model locally for the handshake)"
         ),
     )
-    parser.add_argument(
-        "--no-check",
-        action="store_true",
-        help="skip the byte-identity conformance check",
-    )
-    parser.add_argument("--deadline-ms", type=int, default=None)
     parser.add_argument(
         "--shutdown",
         action="store_true",
@@ -554,8 +400,8 @@ def loadgen_main(argv: Optional[list[str]] = None) -> int:
         default=0,
         metavar="N",
         help=(
-            "live mode: make every Nth request a train op against the "
-            "server's training plane (requires serve --train); evals are "
+            "make every Nth request a train op against the server's "
+            "training plane (requires serve --train); evals are then "
             "byte-checked per served fingerprint via model_doc"
         ),
     )
@@ -565,8 +411,8 @@ def loadgen_main(argv: Optional[list[str]] = None) -> int:
         default=None,
         metavar="I",
         help=(
-            "live mode: at request index I, promote the training alias "
-            "to the current lineage head mid-run"
+            "at request index I, promote the training alias to the "
+            "current lineage head (requires serve --train)"
         ),
     )
     args = parser.parse_args(argv)
@@ -582,8 +428,6 @@ def loadgen_main(argv: Optional[list[str]] = None) -> int:
                 model_seed=args.model_seed,
                 smoke=args.smoke,
                 kernel=args.kernel,
-                check=not args.no_check,
-                deadline_ms=args.deadline_ms,
                 shutdown=args.shutdown,
                 metrics_out=args.metrics_out,
                 trace=args.trace,
@@ -602,7 +446,7 @@ def loadgen_main(argv: Optional[list[str]] = None) -> int:
         f"in {report['elapsed_s']}s — {report['qps']} req/s, "
         f"p50 {report['p50_ms']}ms, p99 {report['p99_ms']}ms"
     )
-    if report.get("train_ops"):
+    if report["train_ops"]:
         print(
             f"training: {report['train_accepted']}/{report['train_ops']} "
             f"train ops accepted ({report['train_dropped']} dropped), "
@@ -613,17 +457,16 @@ def loadgen_main(argv: Optional[list[str]] = None) -> int:
                 else ""
             )
         )
-    if report["checked"]:
-        if report["mismatches"]:
-            print(
-                f"CONFORMANCE FAILURE: {report['mismatches']} response(s) "
-                f"differ from direct evaluate_batch"
-            )
-            print(f"first: {report['first_mismatch']}")
-        else:
-            print(
-                f"conformance: all {report['ok']} responses byte-identical "
-                "to direct evaluate_batch"
-            )
+    if report["mismatches"]:
+        print(
+            f"CONFORMANCE FAILURE: {report['mismatches']} response(s) "
+            f"differ from direct evaluate_batch"
+        )
+        print(f"first: {report['first_mismatch']}")
+    else:
+        print(
+            f"conformance: all {report['ok']} responses byte-identical "
+            "to direct evaluate_batch"
+        )
     bad = report["mismatches"] + report["failed"]
     return 1 if bad else 0

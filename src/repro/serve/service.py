@@ -298,12 +298,11 @@ class TNNService:
         request = PendingRequest(
             req_id=next(self._req_ids),
             model_id=entry.model_id,
-            volley=tuple(volley),
+            encoded=encoded,
             params_key=params_key,
             params=params,
             enqueued=now,
             deadline=deadline,
-            encoded=encoded,
             model_name=entry.name,
             digest=digest,
         )
@@ -475,13 +474,7 @@ class TNNService:
             if self._span_batches % PHASE_SAMPLE_EVERY == 1:
                 want_spans = 2
         matrix = np.array(
-            [
-                request.encoded
-                if request.encoded is not None
-                else [encode_time(v) for v in request.volley]
-                for request in live
-            ],
-            dtype=np.int64,
+            [request.encoded for request in live], dtype=np.int64
         )
         params_enc = {
             name: encode_time(value) for name, value in live[0].params.items()
@@ -550,10 +543,7 @@ class TNNService:
         trace = request.trace
         if trace is None:
             return
-        if attrs:
-            trace.finish(outcome, now=now, **attrs)
-        else:
-            trace.seal(outcome, now)
+        trace.seal(outcome, now, attrs)
         _rtrace.FLIGHT.record(trace)
 
     def _on_done(self, batch: Batch, result: np.ndarray) -> None:

@@ -24,17 +24,17 @@ def make_trace(trace_id="t1", *, retries=0):
     t = 0.0
     trace = RequestTrace(trace_id, model="demo", now=t)
     for attempt in range(1, retries + 2):
-        trace.begin("queue", now=t)
+        trace.push("queue", t)
         t += 0.001
-        trace.end("queue", now=t)
-        attempt_id = trace.begin("attempt", now=t, attempt=attempt)
+        trace.pop("queue", t)
+        attempt_id = trace.push("attempt", t, {"attempt": attempt})
         t += 0.002
         if attempt <= retries:
-            trace.end("attempt", now=t, error="synthetic crash")
+            trace.pop("attempt", t, {"error": "synthetic crash"})
         else:
-            trace.add("engine", t - 0.0015, t, parent=attempt_id)
-            trace.end("attempt", now=t)
-    trace.finish("ok", now=t)
+            trace.graft("engine", t - 0.0015, t, attempt_id)
+            trace.pop("attempt", t)
+    trace.seal("ok", t)
     return trace
 
 
@@ -74,14 +74,14 @@ class TestRequestTrace:
 
     def test_finish_closes_stragglers(self):
         trace = RequestTrace("t", now=0.0)
-        trace.begin("queue", now=0.0)
-        trace.finish("deadline", now=1.0)
+        trace.push("queue", 0.0)
+        trace.seal("deadline", 1.0)
         assert all(s.end is not None for s in trace.spans)
         assert trace.outcome == "deadline"
 
     def test_end_unknown_span_is_noop(self):
         trace = RequestTrace("t", now=0.0)
-        trace.end("never-opened", now=1.0)  # must not raise
+        trace.pop("never-opened", 1.0)  # must not raise
 
     def test_retry_attempts_share_the_trace_id(self):
         trace = make_trace(retries=1)
@@ -95,21 +95,21 @@ class TestRequestTrace:
 class TestWellFormed:
     def test_negative_duration_flagged(self):
         trace = RequestTrace("t", now=5.0)
-        trace.begin("queue", now=5.0)
-        trace.end("queue", now=4.0)
-        trace.finish("ok", now=6.0)
+        trace.push("queue", 5.0)
+        trace.pop("queue", 4.0)
+        trace.seal("ok", 6.0)
         assert any("negative duration" in p for p in well_formed(trace))
 
     def test_bad_parent_flagged(self):
         trace = RequestTrace("t", now=0.0)
-        trace.add("orphan", 0.1, 0.2, parent=99)
-        trace.finish("ok", now=1.0)
+        trace.graft("orphan", 0.1, 0.2, 99)
+        trace.seal("ok", 1.0)
         assert any("bad parent" in p for p in well_formed(trace))
 
     def test_child_outside_parent_flagged(self):
         trace = RequestTrace("t", now=0.0)
-        trace.finish("ok", now=1.0)
-        trace.add("late", 0.5, 2.0)  # ends after the root closed
+        trace.seal("ok", 1.0)
+        trace.graft("late", 0.5, 2.0, 0)  # ends after the root closed
         assert any("ends after parent" in p for p in well_formed(trace))
 
 

@@ -9,7 +9,7 @@ def request(i, model="m", params_key="{}", enqueued=0.0, deadline=None):
     return PendingRequest(
         req_id=i,
         model_id=model,
-        volley=(i,),
+        encoded=(i,),
         params_key=params_key,
         params={},
         enqueued=enqueued,

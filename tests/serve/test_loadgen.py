@@ -3,6 +3,7 @@
 import asyncio
 import json
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ import pytest
 from repro.learning.stdp import STDPRule
 from repro.neuron.column import Column
 from repro.neuron.response import ResponseFunction
+from repro.runtime.result_cache import RESULT_CACHE
 from repro.serve.batcher import BatchPolicy
 from repro.serve.demo import demo_column
-from repro.serve.loadgen import LoadgenError, run_loadgen
+from repro.serve.loadgen import LoadgenError, loadgen_main, run_loadgen
 from repro.serve.pool import InlineWorkerPool
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import run_server_async
@@ -20,13 +22,14 @@ from repro.serve.service import TNNService
 from repro.train import TrainingPlane
 
 
-def make_service(model_seed=0):
+def make_service(model_seed=0, result_cache=False):
     registry = ModelRegistry()
     registry.register(demo_column(model_seed, smoke=True)[0], name="demo")
     return TNNService(
         registry,
         InlineWorkerPool(registry.documents()),
         policy=BatchPolicy(max_batch=16, max_wait_s=0.001),
+        result_cache=result_cache,
     )
 
 
@@ -76,11 +79,6 @@ class TestConformanceRun:
         assert a["ok"] == b["ok"] == 30
         assert a["mismatches"] == b["mismatches"] == 0
 
-    def test_no_check_mode(self):
-        report = drive(requests=20, concurrency=2, check=False)
-        assert report["checked"] is False
-        assert report["ok"] == 20
-
     def test_metrics_out_artifact(self, tmp_path):
         out = tmp_path / "metrics.json"
         report = drive(requests=20, concurrency=2, metrics_out=str(out))
@@ -89,7 +87,7 @@ class TestConformanceRun:
         assert payload["ok"] and "serve" in payload
 
 
-def make_trained_service():
+def make_trained_service(snapshot_every=5, result_cache=False):
     rng = random.Random(0)
     column = Column(
         np.array([[rng.randint(1, 3) for _ in range(8)] for _ in range(3)]),
@@ -101,6 +99,7 @@ def make_trained_service():
         registry,
         InlineWorkerPool(registry.documents()),
         policy=BatchPolicy(max_batch=8, max_wait_s=0.001),
+        result_cache=result_cache,
     )
     plane = TrainingPlane(
         service,
@@ -108,7 +107,7 @@ def make_trained_service():
         alias="tiny@live",
         rule=STDPRule(a_plus=1, a_minus=1),
         seed=3,
-        snapshot_every=5,
+        snapshot_every=snapshot_every,
         model_name="tiny",
     )
     service.training = plane
@@ -180,3 +179,118 @@ class TestFingerprintHandshake:
         # handshake must refuse rather than report bogus mismatches.
         with pytest.raises(LoadgenError, match="fingerprint"):
             drive(server_seed=0, requests=5, concurrency=1, model_seed=3)
+
+
+class TestTargeting:
+    """The server resolves the target: any key an ``eval`` accepts works."""
+
+    def test_full_fingerprint_target(self):
+        fingerprint = demo_column(0, smoke=True)[0].fingerprint()
+        report = drive(requests=20, concurrency=2, model=fingerprint)
+        assert report["ok"] == 20
+        assert report["mismatches"] == 0
+        assert report["failed"] == 0
+
+    def test_prefix_target(self):
+        prefix = demo_column(0, smoke=True)[0].fingerprint()[:12]
+        report = drive(requests=20, concurrency=2, model=prefix)
+        assert report["ok"] == 20
+        assert report["mismatches"] == 0
+        assert report["failed"] == 0
+
+
+def serve_in_thread(service):
+    """Serve *service* on its own loop in a daemon thread.
+
+    Returns ``(port, stop)``; ``stop()`` cancels the server if it is
+    still running and joins the thread.  ``loadgen_main`` runs its own
+    event loop, so it cannot share one with the server.
+    """
+    holder = {}
+    started = threading.Event()
+
+    def serve():
+        async def main():
+            ready = asyncio.get_running_loop().create_future()
+            holder["loop"] = asyncio.get_running_loop()
+            holder["task"] = asyncio.ensure_future(
+                run_server_async(service, port=0, ready=ready)
+            )
+            holder["port"] = await ready
+            started.set()
+            try:
+                await holder["task"]
+            except asyncio.CancelledError:
+                if service.training is not None:
+                    service.training.stop()
+                service.close(drain=False)
+
+        asyncio.run(main())
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    assert started.wait(timeout=15)
+
+    def stop():
+        if thread.is_alive():
+            holder["loop"].call_soon_threadsafe(holder["task"].cancel)
+        thread.join(timeout=20)
+        assert not thread.is_alive(), "server thread did not stop"
+
+    return holder["port"], stop
+
+
+@pytest.fixture
+def clean_result_cache():
+    """The result cache is process-global; start and end the test cold."""
+    RESULT_CACHE.clear()
+    yield
+    RESULT_CACHE.clear()
+
+
+@pytest.mark.usefixtures("clean_result_cache")
+class TestPoisonedCacheIsCaught:
+    """A corrupted result-cache row must surface as a mismatch and exit 1."""
+
+    def poisoned_run(self, service, argv, tmp_path, capsys):
+        port, stop = serve_in_thread(service)
+        try:
+            argv = ["--port", str(port), *argv]
+            assert loadgen_main(argv) == 0  # warms the result cache
+            assert RESULT_CACHE.poison() is not None
+            out = tmp_path / "report.json"
+            code = loadgen_main(argv + ["--report-out", str(out), "--shutdown"])
+        finally:
+            stop()
+        assert "CONFORMANCE FAILURE" in capsys.readouterr().out
+        return code, json.loads(out.read_text())
+
+    def test_static_run(self, tmp_path, capsys):
+        code, report = self.poisoned_run(
+            make_service(result_cache=True),
+            ["--requests", "40", "--concurrency", "4", "--seed", "5", "--smoke"],
+            tmp_path,
+            capsys,
+        )
+        assert code == 1
+        assert report["mismatches"] >= 1
+        assert report["first_mismatch"]
+        assert report["failed"] == 0
+
+    def test_run_with_train_ops(self, tmp_path, capsys):
+        # A snapshot interval the run never reaches keeps the alias on
+        # one fingerprint, so the second run replays through the cache.
+        service = make_trained_service(snapshot_every=10_000, result_cache=True)
+        code, report = self.poisoned_run(
+            service,
+            ["--requests", "40", "--concurrency", "4", "--seed", "5",
+             "--train-every", "4"],
+            tmp_path,
+            capsys,
+        )
+        assert code == 1
+        assert report["train_ops"] == 10
+        assert report["models_served"] == 1
+        assert report["mismatches"] >= 1
+        assert report["first_mismatch"]
+        assert report["failed"] == 0
