@@ -32,7 +32,8 @@ count after each:
   Because every source is canonical before its consumer is visited,
   one sweep is a fixpoint: re-optimizing the output changes nothing.
 * ``dce`` — dead-node elimination: compute nodes feeding no output are
-  dropped (terminals always survive — the interface is frozen).
+  dropped (terminals always survive — the interface is frozen).  The
+  sweep emits plain rows, so each surviving node is built once, here.
 
 Both steps preserve the program interface (input/param/output names)
 and the denotational semantics, and compose the **provenance map**:
@@ -62,11 +63,16 @@ _NEVER = -1
 # ---------------------------------------------------------------------------
 
 class _Rewriter:
-    """Accumulates a rewritten node table plus the old→new mapping."""
+    """Accumulates a rewritten row table plus the old→new mapping.
+
+    Rows are plain ``(kind, sources, amount, name, tags)`` tuples;
+    :meth:`finish` drops the dead ones and builds each surviving
+    :class:`Node` once.
+    """
 
     def __init__(self, program: Program):
         self.program = program
-        self.nodes: list[Node] = []
+        self.rows: list[tuple] = []
         self.result: dict[int, int] = {}  # old id -> new id, or _NEVER
         self.seen: dict[tuple, int] = {}
         self._never_wire: Optional[int] = None
@@ -75,43 +81,45 @@ class _Rewriter:
         self,
         kind: str,
         sources: tuple[int, ...] = (),
-        *,
         amount: int = 1,
         name: Optional[str] = None,
         tags: tuple[str, ...] = (),
     ) -> int:
-        node = Node(
-            len(self.nodes), kind, sources=sources, amount=amount,
-            name=name, tags=tags,
-        )
-        self.nodes.append(node)
-        return node.id
+        self.rows.append((kind, sources, amount, name, tags))
+        return len(self.rows) - 1
 
     def get_or_emit(
         self,
         key: tuple,
         kind: str,
         sources: tuple[int, ...],
-        *,
         amount: int = 1,
         tags: tuple[str, ...] = (),
     ) -> int:
-        if key not in self.seen:
-            self.seen[key] = self.emit(kind, sources, amount=amount, tags=tags)
-        return self.seen[key]
+        new = self.seen.get(key)
+        if new is None:
+            new = self.seen[key] = self.emit(kind, sources, amount, None, tags)
+        return new
 
     def never_wire(self) -> int:
         """A (shared) wire that is identically ``∞``: ``lt(w, w)``.
 
-        Anchored on the first emitted node — every program has at least
+        Anchored on the first emitted row — every program has at least
         one terminal, and terminals are always re-emitted.
         """
         if self._never_wire is None:
             self._never_wire = self.emit("lt", (0, 0), tags=("never",))
         return self._never_wire
 
-    def finish(self) -> Program:
-        """Close the rewrite: outputs, provenance composition, Program."""
+    def finish(self) -> tuple[Program, int]:
+        """Close the rewrite: outputs, dead-row removal, provenance, Program.
+
+        Compute rows feeding no output are dropped (terminals are kept
+        even when dead — the program interface, input and parameter
+        declaration order, is frozen by the optimizer).  Returns the
+        program and the row count before the drop.
+        """
+        rows = self.rows
         outputs: dict[str, int] = {}
         never_roots: set[int] = set()
         for out_name, old in self.program.outputs.items():
@@ -120,60 +128,37 @@ class _Rewriter:
                 new = self.never_wire()
                 never_roots.update(self.program.provenance[old])
             outputs[out_name] = new
-        prov_sets: dict[int, set[int]] = {n.id: set() for n in self.nodes}
+        # Sources precede consumers, so one reverse scan marks the live set.
+        live = [row[0] == "input" or row[0] == "param" for row in rows]
+        for new in outputs.values():
+            live[new] = True
+        for row_id in range(len(rows) - 1, -1, -1):
+            if live[row_id]:
+                for src in rows[row_id][1]:
+                    live[src] = True
+        prov_sets: dict[int, set[int]] = {}
         for old, new in self.result.items():
             if new != _NEVER:
-                prov_sets[new].update(self.program.provenance[old])
+                prov_sets.setdefault(new, set()).update(
+                    self.program.provenance[old]
+                )
         if self._never_wire is not None:
-            prov_sets[self._never_wire].update(never_roots)
-        provenance = {
-            nid: tuple(sorted(roots)) for nid, roots in prov_sets.items()
-        }
+            prov_sets[self._never_wire] = never_roots
+        remap: list[int] = [-1] * len(rows)
+        nodes: list[Node] = []
+        provenance: dict[int, tuple[int, ...]] = {}
+        for row_id, (kind, sources, amount, name, tags) in enumerate(rows):
+            if live[row_id]:
+                remap[row_id] = new = len(nodes)
+                sources = tuple([remap[s] for s in sources])
+                nodes.append(Node(new, kind, sources, amount, name, tags))
+                provenance[new] = tuple(sorted(prov_sets.get(row_id, ())))
         return Program(
-            tuple(self.nodes),
-            outputs,
+            tuple(nodes),
+            {out_name: remap[new] for out_name, new in outputs.items()},
             name=self.program.name,
             provenance=provenance,
-        )
-
-
-def _strip_dead(program: Program) -> Program:
-    """Drop unreferenced compute nodes (rewrites leave orphans behind).
-
-    Terminals are kept even when dead — the program interface (input
-    and parameter declaration order) is frozen by the optimizer.
-    """
-    live: set[int] = set(program.outputs.values())
-    stack = list(live)
-    while stack:
-        nid = stack.pop()
-        for src in program.nodes[nid].sources:
-            if src not in live:
-                live.add(src)
-                stack.append(src)
-    keep = [n for n in program.nodes if n.is_terminal or n.id in live]
-    if len(keep) == len(program.nodes):
-        return program
-    remap = {node.id: i for i, node in enumerate(keep)}
-    moved = tuple(
-        Node(
-            remap[n.id],
-            n.kind,
-            sources=tuple(remap[s] for s in n.sources),
-            amount=n.amount,
-            name=n.name,
-            tags=n.tags,
-        )
-        for n in keep
-    )
-    outputs = {name: remap[nid] for name, nid in program.outputs.items()}
-    provenance = {
-        remap[nid]: program.provenance[nid]
-        for nid in remap
-    }
-    return Program(
-        moved, outputs, name=program.name, provenance=provenance
-    )
+        ), len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +174,13 @@ def _rewrite(rw: _Rewriter, known: dict[int, Time], node: Node) -> int:
         value = known.get(src)
         if value is INF:
             return _NEVER
-        feeder = rw.nodes[src]
-        if feeder.kind == "inc":
-            src, amount = feeder.sources[0], amount + feeder.amount
+        feeder_kind, feeder_sources, feeder_amount, _, _ = rw.rows[src]
+        if feeder_kind == "inc":
+            src, amount = feeder_sources[0], amount + feeder_amount
         if amount == 0:
             return src
         new = rw.get_or_emit(
-            ("inc", src, amount), "inc", (src,), amount=amount, tags=node.tags
+            ("inc", src, amount), "inc", (src,), amount, node.tags
         )
         if value is not None:
             known[new] = value + node.amount
@@ -247,7 +232,7 @@ def _rewrite(rw: _Rewriter, known: dict[int, Time], node: Node) -> int:
 
 def _simplify(
     program: Program, params: Optional[Mapping[str, Time]]
-) -> Program:
+) -> _Rewriter:
     """The value-numbering sweep (see the module doc for its rules)."""
     rw = _Rewriter(program)
     known: dict[int, Time] = {_NEVER: INF}  # new id -> provably constant value
@@ -260,7 +245,7 @@ def _simplify(
             pinned = params[node.name]
             if pinned is INF or pinned == 0:
                 known[new] = pinned
-    return rw.finish()
+    return rw
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +300,7 @@ def optimize_program(
     *source*'s own Program object when neither step changes anything.
     """
     program = ensure_program(source)
-    simplified = _simplify(program, params)
-    optimized = _strip_dead(simplified)
+    optimized, simplified = _simplify(program, params).finish()
     if same_structure(optimized, program):
         optimized = program
-    return optimized, PipelineReport(
-        len(program), len(simplified), len(optimized)
-    )
+    return optimized, PipelineReport(len(program), simplified, len(optimized))

@@ -28,15 +28,16 @@ KINDS = ("input", "param", "inc", "min", "max", "lt")
 COMPUTE_KINDS = ("inc", "min", "max", "lt")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Node:
     """One block in a space-time network.
 
     ``sources`` are ids of upstream nodes; by construction every source id
     is smaller than the node's own id, so node order is a topological
     order.  ``amount`` is only meaningful for ``inc`` nodes; ``name`` only
-    for ``input``/``param`` nodes.  Slotted, because a sorting-network
-    neuron body holds tens of thousands of nodes.
+    for ``input``/``param`` nodes.  Slotted, and validated in one pass
+    over its arguments before the slots are set, because a
+    sorting-network neuron body holds tens of thousands of nodes.
     """
 
     id: int
@@ -46,29 +47,38 @@ class Node:
     name: Optional[str] = None
     tags: tuple[str, ...] = field(default=(), compare=False)
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown node kind {self.kind!r}")
-        if self.kind in ("input", "param"):
-            if self.sources:
-                raise ValueError(f"{self.kind} node cannot have sources")
-            if not self.name:
-                raise ValueError(f"{self.kind} node needs a name")
-        else:
-            if any(s >= self.id for s in self.sources):
+    def __init__(
+        self,
+        id: int,
+        kind: str,
+        sources: tuple[int, ...] = (),
+        amount: int = 1,
+        name: Optional[str] = None,
+        tags: tuple[str, ...] = (),
+    ) -> None:
+        if kind not in KINDS:
+            raise ValueError(f"unknown node kind {kind!r}")
+        if kind == "input" or kind == "param":
+            if sources:
+                raise ValueError(f"{kind} node cannot have sources")
+            if not name:
+                raise ValueError(f"{kind} node needs a name")
+        elif sources:
+            highest = max(sources)
+            if highest >= id:
                 raise ValueError(
-                    f"node {self.id} has a source {max(self.sources)} that is "
+                    f"node {id} has a source {highest} that is "
                     "not upstream (network must be feedforward)"
                 )
-            if any(s < 0 for s in self.sources):
+            if min(sources) < 0:
                 raise ValueError("negative source id")
-        if self.kind == "inc":
-            if len(self.sources) != 1:
+        if kind == "inc":
+            if len(sources) != 1:
                 raise ValueError("inc takes exactly one source")
-            if self.amount < 0:
+            if amount < 0:
                 raise ValueError("inc amount must be non-negative")
-        elif self.kind == "lt":
-            if len(self.sources) != 2:
+        elif kind == "lt":
+            if len(sources) != 2:
                 raise ValueError("lt takes exactly two sources (a, b)")
         # min/max may have zero sources: they are then the lattice
         # identity constants — an empty min is ∞ (no first arrival ever
@@ -76,6 +86,12 @@ class Node:
         # happened at time 0).  Every evaluator implements exactly this;
         # only the GRL hardware compiler rejects them (a CMOS gate needs
         # physical input wires).
+        _set_id(self, id)
+        _set_kind(self, kind)
+        _set_sources(self, sources)
+        _set_amount(self, amount)
+        _set_name(self, name)
+        _set_tags(self, tags)
 
     @property
     def is_terminal(self) -> bool:
@@ -89,3 +105,13 @@ class Node:
         if self.kind == "inc":
             return f"inc(+{self.amount}) <- {self.sources[0]}"
         return f"{self.kind}{self.sources}"
+
+
+# The frozen class blocks ``setattr``; ``__init__`` fills the slots
+# through their descriptors, the cheapest way to write a slot.
+_set_id = Node.id.__set__
+_set_kind = Node.kind.__set__
+_set_sources = Node.sources.__set__
+_set_amount = Node.amount.__set__
+_set_name = Node.name.__set__
+_set_tags = Node.tags.__set__

@@ -18,7 +18,9 @@ The format is a plain JSON document:
     }
 
 Node ids are implicit (list position), which makes hand-editing and
-diffing practical.  Loading re-validates everything through the normal
+diffing practical.  Loading checks that source ids, ``amount`` and
+output ids are integers and names strings (exactly: ``1.0`` and
+``true`` are refused), then re-validates everything through the normal
 :class:`~repro.network.blocks.Node` and
 :class:`~repro.network.graph.Network` constructors, so a corrupted file
 cannot produce a cyclic or ill-formed network.
@@ -42,6 +44,8 @@ from .blocks import Node
 from .graph import Network, NetworkError
 
 FORMAT = "repro.network/1"
+
+_INT = frozenset((int,))
 
 
 def network_to_dict(network: Network) -> dict[str, Any]:
@@ -81,14 +85,26 @@ def network_from_dict(data: dict[str, Any]) -> Network:
         if not isinstance(entry, dict) or "kind" not in entry:
             raise NetworkError(f"node #{i} is malformed")
         try:
+            sources = tuple(entry.get("sources", ()))
+            amount = entry.get("amount", 1)
+            name = entry.get("name")
+            # Exact types: a float or bool that compares equal to an int
+            # would build a node that evaluates or fingerprints apart
+            # from the one the document means.
+            if not _INT.issuperset(map(type, sources)):
+                raise TypeError(f"source ids must be integers, got {sources!r}")
+            if type(amount) is not int:
+                raise TypeError(f"amount must be an integer, got {amount!r}")
+            if name is not None and type(name) is not str:
+                raise TypeError(f"name must be a string, got {name!r}")
             nodes.append(
                 Node(
                     i,
                     entry["kind"],
-                    sources=tuple(entry.get("sources", ())),
-                    amount=entry.get("amount", 1),
-                    name=entry.get("name"),
-                    tags=tuple(entry.get("tags", ())),
+                    sources,
+                    amount,
+                    name,
+                    tuple(entry.get("tags", ())),
                 )
             )
         except (TypeError, ValueError) as exc:
@@ -96,6 +112,11 @@ def network_from_dict(data: dict[str, Any]) -> Network:
     outputs = data.get("outputs")
     if not isinstance(outputs, dict):
         raise NetworkError("'outputs' must be a mapping")
+    for out_name, node_id in outputs.items():
+        if type(node_id) is not int:
+            raise NetworkError(
+                f"output {out_name!r} must be a node id, got {node_id!r}"
+            )
     network = Network(nodes, outputs, name=data.get("name"))
     claimed = data.get("fingerprint")
     if claimed is not None and claimed != network.fingerprint():

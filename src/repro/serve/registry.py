@@ -7,7 +7,7 @@ it).  That one choice buys three properties:
 
 * **shippability** — workers receive the serialized document, rebuild
   the network, and can *prove* they loaded the right model by comparing
-  fingerprints (the document carries the expected hash);
+  fingerprints against the model id;
 * **deduplication** — registering a structural twin (same algebra, any
   display name) resolves to the existing entry and shares its compiled
   plan;
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 # Workers optimize each model from its document; the name stays
 # importable here for tooling that times the serving set-up by wrapping
@@ -54,7 +54,7 @@ class ModelEntry:
     """One registered model: the network and its document.
 
     ``document`` is the serialized form shipped to worker processes,
-    which lower and pass-pipeline optimize it before serving (fire-time
+    which rebuild, lower and optimize it before serving (fire-time
     equal to the network by the IR's provenance contract); ``network``
     stays available in-process for the direct conformance path.
     """
@@ -89,7 +89,7 @@ class ModelEntry:
             "params": self.param_names,
             "outputs": self.output_names,
             "nodes": len(self.network.nodes),
-            # Worker pools serve the pass-optimized program by default.
+            # Workers always serve the optimized program.
             "optimized": True,
         }
 
@@ -125,30 +125,45 @@ class ModelRegistry:
 
     def register(
         self,
-        network: Network,
+        model: Union[Network, str],
         *,
         name: Optional[str] = None,
     ) -> ModelEntry:
-        """Register *network*; returns the (possibly pre-existing) entry.
+        """Register *model*; returns the (possibly pre-existing) entry.
 
-        The serialized document is round-tripped on the spot and its
-        fingerprint compared bit-for-bit — a registration fails loudly
-        here rather than shipping a document workers would reject.
+        *model* is a :class:`Network` or a serialized document.  Either
+        way, a registration fails loudly here rather than shipping a
+        document workers would reject:
+
+        * a **document** (a ``--model-file``'s text) is parsed once, which
+          also verifies any fingerprint it embeds.  The model id is the
+          fingerprint of the rebuilt network, and the entry ships the
+          text exactly as given — that one parse is the round trip;
+        * a **network** is serialized, the document parsed back, and the
+          two fingerprints compared bit-for-bit.
+
+        Both happen outside the lock: a large column takes a while, and
+        admissions must keep resolving meanwhile.
         """
+        document = None
+        if isinstance(model, str):
+            document = model
+            network = serialize.loads(document)
+        else:
+            network = model
         fingerprint = network.fingerprint()
         with self._lock:
             entry = self._by_id.get(fingerprint)
         if entry is None:
-            # Build outside the lock: serializing a trained column takes
-            # a while, and admissions must keep resolving meanwhile.
-            document = serialize.dumps(network, indent=None)
-            rebuilt = serialize.loads(document)
-            if rebuilt.fingerprint() != fingerprint:
-                raise NetworkError(
-                    f"serialization round-trip changed the fingerprint of "
-                    f"{network.name!r}: {fingerprint[:12]} -> "
-                    f"{rebuilt.fingerprint()[:12]}"
-                )
+            if document is None:
+                document = serialize.dumps(network, indent=None)
+                rebuilt = serialize.loads(document)
+                if rebuilt.fingerprint() != fingerprint:
+                    raise NetworkError(
+                        f"serialization round-trip changed the fingerprint "
+                        f"of {network.name!r}: {fingerprint[:12]} -> "
+                        f"{rebuilt.fingerprint()[:12]}"
+                    )
             entry = ModelEntry(
                 model_id=fingerprint,
                 name=name or network.name,

@@ -701,10 +701,14 @@ class TNNService:
         return getter() if getter is not None else []
 
     # -- lifecycle ------------------------------------------------------------
-    def register(self, network, *, name: Optional[str] = None) -> ModelEntry:
-        """Register a model and ship it to the worker pool."""
+    def register(self, model, *, name: Optional[str] = None) -> ModelEntry:
+        """Register a model and ship it to the worker pool.
+
+        *model* is a :class:`~repro.network.graph.Network` or a
+        serialized document (see :meth:`ModelRegistry.register`).
+        """
         before = set(self.registry.ids())
-        entry = self.registry.register(network, name=name)
+        entry = self.registry.register(model, name=name)
         with self._cond:
             self._document_archive[entry.model_id] = entry.document
             while len(self._document_archive) > self._archive_limit:

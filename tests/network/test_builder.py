@@ -189,6 +189,62 @@ class TestNode:
         assert "input" in Node(0, "input", name="a").describe()
 
 
+#: Every check ``Node.__init__`` makes, with its exact message.
+NODE_REJECTIONS = [
+    (dict(id=0, kind="xor"), "unknown node kind 'xor'"),
+    (dict(id=1, kind="input", sources=(0,), name="a"), "input node cannot have sources"),
+    (dict(id=1, kind="param", sources=(0,), name="m"), "param node cannot have sources"),
+    (dict(id=0, kind="input"), "input node needs a name"),
+    (dict(id=0, kind="param", name=""), "param node needs a name"),
+    (
+        dict(id=2, kind="min", sources=(0, 3, 1)),
+        "node 2 has a source 3 that is not upstream (network must be feedforward)",
+    ),
+    (
+        dict(id=1, kind="inc", sources=(1,)),
+        "node 1 has a source 1 that is not upstream (network must be feedforward)",
+    ),
+    # The feedforward check comes first, and names the largest source.
+    (
+        dict(id=2, kind="max", sources=(-1, 5)),
+        "node 2 has a source 5 that is not upstream (network must be feedforward)",
+    ),
+    (dict(id=2, kind="max", sources=(0, -1)), "negative source id"),
+    (dict(id=1, kind="inc"), "inc takes exactly one source"),
+    (dict(id=2, kind="inc", sources=(0, 1)), "inc takes exactly one source"),
+    (dict(id=1, kind="inc", sources=(0,), amount=-1), "inc amount must be non-negative"),
+    (dict(id=2, kind="lt", sources=(0,)), "lt takes exactly two sources (a, b)"),
+    (dict(id=3, kind="lt", sources=(0, 1, 2)), "lt takes exactly two sources (a, b)"),
+]
+
+
+@pytest.mark.parametrize(
+    "kwargs, message", NODE_REJECTIONS, ids=[m for _, m in NODE_REJECTIONS]
+)
+def test_node_rejection_message(kwargs, message):
+    with pytest.raises(ValueError) as info:
+        Node(**kwargs)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "left, right, equal",
+    [
+        (Node(2, "min", (0, 1), tags=("a",)), Node(2, "min", (0, 1), tags=("b",)), True),
+        (Node(0, "input", name="x", tags=("t",)), Node(0, "input", name="x"), True),
+        (Node(1, "inc", (0,), 2), Node(1, "inc", (0,), 3), False),
+        (Node(2, "min", (0, 1)), Node(2, "max", (0, 1)), False),
+        (Node(2, "min", (0, 1)), Node(2, "min", (1, 0)), False),
+        (Node(2, "min", (0, 1)), Node(3, "min", (0, 1)), False),
+        (Node(0, "input", name="x"), Node(0, "input", name="y"), False),
+    ],
+)
+def test_node_equality_and_hash_ignore_only_tags(left, right, equal):
+    assert (left == right) is equal
+    if equal:
+        assert hash(left) == hash(right)
+
+
 class TestSlottedNode:
     """``Node`` is a slotted frozen dataclass with unchanged semantics."""
 

@@ -110,6 +110,48 @@ class TestValidationOnLoad:
         with pytest.raises(NetworkError, match="malformed"):
             network_from_dict(data)
 
+    @staticmethod
+    def _with_node(node, outputs=None):
+        return {
+            "format": "repro.network/1",
+            "nodes": [{"kind": "input", "name": "x"}, node],
+            "outputs": {"y": 1} if outputs is None else outputs,
+        }
+
+    def test_float_source_rejected(self):
+        data = self._with_node({"kind": "inc", "sources": [0.0]})
+        with pytest.raises(NetworkError, match=r"node #1 invalid: source ids"):
+            network_from_dict(data)
+
+    def test_float_amount_rejected(self):
+        data = self._with_node({"kind": "inc", "sources": [0], "amount": 1.5})
+        with pytest.raises(NetworkError, match=r"node #1 invalid: amount"):
+            network_from_dict(data)
+
+    def test_bool_amount_rejected(self):
+        # ``true == 1``, but it would fingerprint as another model.
+        data = self._with_node({"kind": "inc", "sources": [0], "amount": True})
+        with pytest.raises(NetworkError, match=r"node #1 invalid: amount"):
+            network_from_dict(data)
+
+    def test_non_string_name_rejected(self):
+        data = {
+            "format": "repro.network/1",
+            "nodes": [{"kind": "input", "name": 5}],
+            "outputs": {},
+        }
+        with pytest.raises(NetworkError, match=r"node #0 invalid: name"):
+            network_from_dict(data)
+
+    def test_non_integer_output_rejected(self):
+        data = self._with_node({"kind": "inc", "sources": [0]}, {"y": 1.0})
+        with pytest.raises(NetworkError, match=r"output 'y' must be a node id"):
+            network_from_dict(data)
+
+    def test_integer_fields_still_load(self):
+        data = self._with_node({"kind": "inc", "sources": [0], "amount": 1})
+        assert network_from_dict(data).nodes[1].amount == 1
+
     def test_nodes_must_be_list(self):
         with pytest.raises(NetworkError, match="list"):
             network_from_dict(

@@ -6,7 +6,9 @@ import time
 import pytest
 
 from repro.core.value import INF
+from repro.network import serialize
 from repro.network.compile_plan import evaluate_batch
+from repro.network.graph import NetworkError
 from repro.serve.batcher import BatchPolicy
 from repro.serve.demo import demo_column, demo_volleys
 from repro.serve.pool import InlineWorkerPool
@@ -300,6 +302,44 @@ class TestLifecycle:
             )
         finally:
             service.close()
+
+
+class TestRegisterDocument:
+    """``register`` takes a Network or a document; both are round-tripped."""
+
+    def test_document_is_kept_as_given(self):
+        network = demo_column(2, smoke=True)[0]
+        text = serialize.dumps(network, indent=2)
+        entry = ModelRegistry().register(text, name="two")
+        assert entry.document is text
+        assert entry.model_id == network.fingerprint()
+        assert entry.network.fingerprint() == entry.model_id
+        assert entry.name == "two"
+
+    def test_document_and_network_share_one_entry(self):
+        network = demo_column(2, smoke=True)[0]
+        reg = ModelRegistry()
+        first = reg.register(network)
+        again = reg.register(serialize.dumps(network), name="alias")
+        assert again is first and len(reg) == 1
+        assert reg.resolve("alias") is first
+
+    def test_tampered_document_is_refused(self):
+        text = serialize.dumps(demo_column(2, smoke=True)[0])
+        reg = ModelRegistry()
+        bad = text.replace('"fingerprint": "', '"fingerprint": "0', 1)
+        with pytest.raises(NetworkError, match="fingerprint mismatch"):
+            reg.register(bad)
+        assert len(reg) == 0
+
+    def test_network_round_trip_failure_is_loud(self, monkeypatch):
+        network = demo_column(2, smoke=True)[0]
+        other = demo_column(3, smoke=True)[0]
+        monkeypatch.setattr(serialize, "loads", lambda _text: other)
+        reg = ModelRegistry()
+        with pytest.raises(NetworkError, match="round-trip changed"):
+            reg.register(network)
+        assert len(reg) == 0
 
 
 class TestStats:
