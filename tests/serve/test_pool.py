@@ -1,5 +1,6 @@
 """Tests for the sharded worker pool (worker body, process pool, inline)."""
 
+import gc
 import multiprocessing as mp
 import threading
 
@@ -146,6 +147,8 @@ class TestWorkerBody:
             op, _job, result, _extras = parent.recv()
             assert op == "ok"
             np.testing.assert_array_equal(result, evaluate_batch(demo, matrix))
+            # Collections, paused during the load, are back on after it.
+            assert gc.isenabled()
         finally:
             parent.send(("stop",))
             thread.join(timeout=5)
