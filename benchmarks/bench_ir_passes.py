@@ -2,8 +2,8 @@
 
 The optimizer lives in :mod:`repro.ir.passes` — one value-numbering
 sweep followed by dce, run once per program and shared by all four
-backends through the fingerprint-keyed plan cache.  This report prices
-that claim on two network families:
+backends through the compiled plan each program owns.  This report
+prices that claim on two network families:
 
 * **redundant** — synthesis output that carries deliberate redundancy
   (Theorem 1 minterm forms, SRM0 sorting-network columns up to a
@@ -13,13 +13,13 @@ that claim on two network families:
   program raised back with ``program.to_network()`` — the comparison
   pins the IR plumbing's overhead to zero);
 * **minimal** — already-optimal networks the optimizer cannot improve:
-  node counts must not change, and the optimized program must share the
-  original's compiled plan (same fingerprint), so ``evaluate_batch``
-  cannot slow down.
+  node counts must not change, and the optimizer must hand back the
+original's lowering itself, so the two share one compiled plan and
+``evaluate_batch`` cannot slow down.
 
-Per-step node reductions, optimize and batch timings, and the
-plan-cache record land in ``BENCH_ir_passes.json`` at the repo root,
-under the shared ``env`` header.
+Per-step node reductions and optimize and batch timings land in
+``BENCH_ir_passes.json`` at the repo root, under the shared ``env``
+header.
 
 Run standalone::
 
@@ -34,7 +34,6 @@ import random
 import time
 from pathlib import Path
 
-from repro import runtime
 from repro.core.synthesis import synthesize
 from repro.core.table import NormalizedTable
 from repro.ir import lower, optimize_program
@@ -177,8 +176,6 @@ def measure_minimal(network, *, batch, repeats, seed=1):
 def run(*, smoke=False, repeats=None):
     batch = 64 if smoke else 256
     repeats = repeats or (5 if smoke else 30)
-    runtime.clear_caches(results=False)
-    cache_before = runtime.cache_info()["plan"]
     redundant = {
         name: measure_redundant(net, batch=batch, repeats=repeats)
         for name, net in redundant_networks().items()
@@ -187,7 +184,6 @@ def run(*, smoke=False, repeats=None):
         name: measure_minimal(net, batch=batch, repeats=repeats)
         for name, net in minimal_networks().items()
     }
-    cache_after = runtime.cache_info()["plan"]
     return {
         "benchmark": "bench_ir_passes",
         "env": env_header(),
@@ -197,16 +193,6 @@ def run(*, smoke=False, repeats=None):
         "max_minimal_ratio": MAX_MINIMAL_RATIO,
         "redundant": redundant,
         "minimal": minimal,
-        "plan_cache": {
-            "misses": cache_after["misses"] - cache_before["misses"],
-            "hits_identity": (
-                cache_after["hits_identity"] - cache_before["hits_identity"]
-            ),
-            "hits_structural": (
-                cache_after["hits_structural"] - cache_before["hits_structural"]
-            ),
-            "evictions": cache_after["evictions"] - cache_before["evictions"],
-        },
     }
 
 
@@ -254,14 +240,7 @@ def report(*, smoke=False, artifact_path=ARTIFACT) -> tuple[str, bool]:
                 f"  FAIL: optimized batch regressed {row['ratio_vs_raw']:.2f}x "
                 f"on {name} (bound {MAX_MINIMAL_RATIO:.2f}x)"
             )
-    cache = data["plan_cache"]
-    lines.append(
-        f"\nplan cache: {cache['misses']} miss(es), "
-        f"{cache['hits_identity']} identity / "
-        f"{cache['hits_structural']} structural hit(s), "
-        f"{cache['evictions']} eviction(s)"
-    )
-    lines.append(f"artifact: {artifact_path}")
+    lines.append(f"\nartifact: {artifact_path}")
     return "\n".join(lines), ok
 
 

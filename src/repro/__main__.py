@@ -18,12 +18,12 @@ Commands:
   ``--demo <name>`` to run a kernel's demo volley through every backend
   (byte-identity checked) and print its inferred function-table
   contract.
-* ``stats`` — runtime metrics: counters, timers and the plan-cache
-  hit/miss record, optionally after exercising every backend once; with
+* ``stats`` — runtime metrics: counters, timers and the result-cache
+  record, optionally after exercising every backend once; with
   ``--json`` the serving-layer section (queue depth, batch histogram,
   latency quantiles) rides along.
 * ``runtime`` — the execution runtime: the four engines in report
-  order and the cache tiers (``--json`` for the full record).
+  order and the result cache (``--json`` for the full record).
 * ``train`` — online STDP through the training plane, locally: stream
   the seeded classification scenario (or an NDJSON ``--source``) through
   ingestion → trainer → snapshot → promote and report the holdout
@@ -469,8 +469,8 @@ def _stats(argv: list[str]) -> int:
         prog="python -m repro stats",
         description=(
             "Runtime metrics: counters, timers, and high-water marks "
-            "from the observability registry, plus the compiled-plan "
-            "cache record.  Metrics are per-process; use --exercise to "
+            "from the observability registry, plus the result-cache "
+            "record.  Metrics are per-process; use --exercise to "
             "run a small workload through every backend first."
         ),
     )
@@ -478,16 +478,6 @@ def _stats(argv: list[str]) -> int:
         "--exercise",
         action="store_true",
         help="run a demo volley through all backends before reporting",
-    )
-    parser.add_argument(
-        "--plan-cache",
-        action="store_true",
-        help="include the plan-cache size and hit/miss record",
-    )
-    parser.add_argument(
-        "--clear-plan-cache",
-        action="store_true",
-        help="clear the compiled-plan cache before reporting",
     )
     parser.add_argument(
         "--json", action="store_true", help="machine-readable JSON output"
@@ -500,8 +490,6 @@ def _stats(argv: list[str]) -> int:
     from . import runtime
     from .obs.metrics import METRICS, reset_metrics
 
-    if args.clear_plan_cache:
-        runtime.clear_caches(results=False)
     if args.exercise:
         from .testing.oracles import run_backends
 
@@ -528,18 +516,15 @@ def _stats(argv: list[str]) -> int:
                 },
                 "last_accuracy": METRICS.gauge_value("training.last_accuracy"),
             },
+            "cache": runtime.cache_info(),
         }
-        if args.plan_cache or args.clear_plan_cache:
-            payload["cache"] = runtime.cache_info()
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(METRICS.render())
-        if args.plan_cache or args.clear_plan_cache:
-            info = runtime.cache_info()
-            for section in ("plan", "result"):
-                print(f"{section} cache:")
-                for key in sorted(info[section]):
-                    print(f"  {key:<20} {info[section][key]}")
+        result = runtime.cache_info()["result"]
+        print("result cache:")
+        for key in sorted(result):
+            print(f"  {key:<20} {result[key]}")
     if args.reset:
         reset_metrics()
         print("metrics reset")
@@ -755,8 +740,7 @@ def _runtime(argv: list[str]) -> int:
         prog="python -m repro runtime",
         description=(
             "The execution runtime: the four engines in report order "
-            "(the compiled-batch engine serves) and the plan and result "
-            "caches."
+            "(the compiled-batch engine serves) and the result cache."
         ),
     )
     parser.add_argument(
@@ -781,13 +765,7 @@ def _runtime(argv: list[str]) -> int:
     for engine in ENGINES:
         note = " (cycle-accurate)" if engine.cycle_accurate else ""
         print(f"  {engine.name}{note}")
-    info = runtime.cache_info()
-    plan, result = info["plan"], info["result"]
-    print(
-        f"plan cache: {plan['entries']} entries / {plan['bytes']} bytes "
-        f"(limit {plan['limit']}; hits {plan['hits_structural']}, misses "
-        f"{plan['misses']}, evictions {plan['evictions']})"
-    )
+    result = runtime.cache_info()["result"]
     print(
         f"result cache: {result['entries']} entries / {result['bytes']} "
         f"bytes (hits {result['hits']}, misses {result['misses']}, "

@@ -14,9 +14,11 @@ the same node table:
   compiled engine fuses whole levels, the event simulator seeds its
   queues from level 0, the interpreted walk visits level by level),
 * input/param/output maps identical to the network's,
-* a stable **fingerprint** (same hash the network carries, so an
-  unoptimized lowering shares the compiled-plan cache entry with its
-  source network),
+* a stable **fingerprint** (same hash the network carries — the
+  served model id),
+* the program's **compiled plan**, built on first use by
+  :func:`~repro.network.compile_plan.compile_plan` and kept here, so a
+  plan lives exactly as long as its program,
 * a **provenance map** — program node id → the original network node
   ids whose fire times the node represents.  The identity map for a
   fresh lowering; the optimizer composes it, which is what keeps
@@ -84,6 +86,7 @@ class Program:
         "const_ids",
         "_fingerprint",
         "_consumers",
+        "_plan",
         "__weakref__",
     )
 
@@ -140,6 +143,8 @@ class Program:
         )
         self._fingerprint: Optional[str] = None
         self._consumers: Optional[list[list[int]]] = None
+        #: The compiled plan (:func:`~repro.network.compile_plan.compile_plan`).
+        self._plan = None
 
     # -- introspection ----------------------------------------------------------
     @property
@@ -248,7 +253,7 @@ def lower(network: Network) -> Program:
     (immutable) node tuple, copies the output map, and computes the
     level schedule once.  Memoized weakly per network object, so every
     backend that lowers the same network shares one Program — and,
-    through the fingerprint-keyed plan cache, one compiled plan.
+    through the plan the Program owns, one compiled plan.
     """
     program = _LOWER_MEMO.get(network)
     if program is None:

@@ -44,13 +44,12 @@ Compilation
   prefix of the same flat arena and gather buffers, kept in a small
   thread-safe free-list, so steady-state runs allocate only their output.
 
-Plans are memoized: first by network identity (a weak map, so plans die
-with their networks), then by fingerprint in the runtime plan cache
-(:data:`repro.runtime.PLAN_CACHE`, a bounded LRU, so structurally
-identical networks — e.g. a serialization round-trip — share one plan).
-A ``Network`` and a ``Program`` are immutable, so a cached plan can never
-go stale; the fingerprint key invalidates exactly when the structure
-(kinds, sources, amounts, terminal names, outputs) differs.
+A plan is a pure function of its program, and a ``Program`` is frozen,
+so the program owns its plan: :func:`compile_plan` builds it once and
+stores it on the program, and the plan lives exactly as long as the
+program does.  A ``Network`` shares its lowering's plan through the
+lowering memo; structural twins (e.g. a serialization round-trip) each
+compile their own.
 
 Tracing is *post-hoc*: the canonical spike trace is a pure function of
 fire times (:func:`repro.obs.trace.emit_events`), so it is emitted from
@@ -64,7 +63,7 @@ Entry points
 * :func:`encode_volleys` / :func:`decode_matrix` — convert between
   ``Time`` tuples (with :data:`~repro.core.value.INF`) and the sentinel
   ``int64`` encoding.
-* :func:`compile_plan` — the cached plan itself, for callers that want
+* :func:`compile_plan` — the program's plan itself, for callers that want
   every node's value (:meth:`CompiledPlan.run`) or kernel counts.
 
 The scalar :func:`repro.network.simulator.evaluate` /
@@ -75,7 +74,6 @@ this engine.
 from __future__ import annotations
 
 import threading
-import weakref
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from time import perf_counter as _perf_counter
@@ -529,43 +527,21 @@ class CompiledPlan:
         return self
 
 
-# ---------------------------------------------------------------------------
-# Plan cache
-# ---------------------------------------------------------------------------
-
-#: Identity fast path in front of the fingerprint-keyed runtime cache:
-#: plans die with their networks/programs.
-_PLAN_MEMO: "weakref.WeakKeyDictionary[ProgramLike, CompiledPlan]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def compile_plan(source: "ProgramLike") -> CompiledPlan:
-    """The memoized executable plan for *source* (Network or Program).
+    """The executable plan for *source* (Network or Program).
 
-    Cached first by object identity (weakly — no leak), then by the IR
-    fingerprint in :data:`repro.runtime.PLAN_CACHE`, which
-    :meth:`Network.fingerprint` and :meth:`Program.fingerprint` compute
-    identically — so a network, its unoptimized lowering, and any
-    structural twin (e.g. a serialization round-trip) all share one
-    plan, while an optimized program keys its own entry.  Immutability
-    of both types means a hit is always valid.
+    Built once per program, under the ``plan.compile`` timer, and kept
+    on that program; a network resolves to its (memoized) lowering, so
+    a network and its unoptimized lowering share one plan.  Immutability
+    of both types means a stored plan can never go stale.
     """
-    plan = _PLAN_MEMO.get(source)
-    if plan is not None:
-        _obs_metrics.METRICS.inc("plan_cache.hit.identity")
-        return plan
-    # Imported at call time: importing repro.runtime first reaches this
-    # module while repro.runtime.cache is still initializing.
-    from ..runtime.cache import PLAN_CACHE
-
-    print_key = ensure_program(source).fingerprint()
-    plan = PLAN_CACHE.get(print_key)
+    program = ensure_program(source)
+    plan = program._plan
+    # Unlocked: two threads racing here each build an equal plan and the
+    # last store wins, so the race costs one compile and never a result.
     if plan is None:
         with _obs_metrics.METRICS.timeit("plan.compile"):
-            plan = CompiledPlan(source)
-        PLAN_CACHE.put(print_key, plan)
-    _PLAN_MEMO[source] = plan
+            plan = program._plan = CompiledPlan(program)
     return plan
 
 

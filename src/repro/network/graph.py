@@ -122,8 +122,8 @@ class Network:
         node ``tags`` — like :class:`~repro.network.blocks.Node`
         equality, the fingerprint is blind to annotations that carry no
         semantics.  Serialization round-trips preserve it, which is what
-        makes it a safe plan-cache key for the batched evaluator
-        (:mod:`repro.network.compile_plan`).
+        makes it a safe served-model id and result-cache key
+        (:mod:`repro.serve.registry`).
         """
         if self._fingerprint is None:
             digest = hashlib.sha256()

@@ -10,7 +10,7 @@ designed so the *disabled* path costs (almost) nothing:
   traces down to the first divergent node.
 * :mod:`repro.obs.metrics` — the one process-wide metrics registry:
   counters, timers, high-water marks, pulled gauges and labelled
-  histograms (evaluations, plan-cache hits, spikes, request latency,
+  histograms (evaluations, plan compiles, spikes, request latency,
   batch sizes, queue depth), with one Prometheus text renderer and the
   JSON snapshot behind ``python -m repro stats`` and the server's
   ``metrics``/``metrics_text`` ops.

@@ -2,7 +2,7 @@
 
 Every execution backend, the serving stack, the runtime caches and the
 training plane report here — evaluations run, volleys processed,
-plan-cache hits, spikes fired, request latency, batch sizes — so a
+plan compiles, spikes fired, request latency, batch sizes — so a
 long-running process (or a test) can ask "what has this library
 actually been doing?" without changing any call site.  Writers stay
 cheap: a counter increment is one dict store, a histogram observation

@@ -1,16 +1,15 @@
 """The served-model registry, keyed by ``Network.fingerprint()``.
 
 A model's identity in the service is its structural fingerprint — the
-same SHA-256 the compiled-plan cache keys on, preserved bit-for-bit by
-JSON serialization (:mod:`repro.network.serialize` embeds and verifies
-it).  That one choice buys three properties:
+SHA-256 of its node table and terminal/output maps, preserved
+bit-for-bit by JSON serialization (:mod:`repro.network.serialize`
+embeds and verifies it).  That one choice buys three properties:
 
 * **shippability** — workers receive the serialized document, rebuild
   the network, and can *prove* they loaded the right model by comparing
   fingerprints against the model id;
 * **deduplication** — registering a structural twin (same algebra, any
-  display name) resolves to the existing entry and shares its compiled
-  plan;
+  display name) resolves to the existing entry, so workers load it once;
 * **conformance** — "served response equals direct ``evaluate_batch``"
   is well-defined because both sides name the model by the same key.
 
@@ -23,12 +22,11 @@ plane's hot-swap mechanism): :meth:`ModelRegistry.promote` atomically
 repoints an alias at an already-registered fingerprint, so admissions
 before the flip resolve the old model and admissions after it resolve
 the new one — there is no in-between state.  :meth:`ModelRegistry.
-remove` retires a model outright and purges its compiled plans and
-cached result rows from the runtime caches
-(:func:`repro.runtime.evict_fingerprint`), so a retired fingerprint can
-never be served from stale cache state.  All registry operations are
-thread-safe: the training plane registers snapshots and promotes while
-the service admits requests.
+remove` retires a model outright and purges its cached result rows
+(:meth:`repro.runtime.ResultCache.evict_fingerprint`), so a retired
+fingerprint can never be served from stale cache state.  All registry
+operations are thread-safe: the training plane registers snapshots and
+promotes while the service admits requests.
 """
 
 from __future__ import annotations
@@ -43,6 +41,7 @@ from typing import Optional, Union
 from ..ir.passes import optimize_program  # noqa: F401
 from ..network import serialize
 from ..network.graph import Network, NetworkError
+from ..runtime.result_cache import RESULT_CACHE
 from .protocol import E_NO_MODEL, ServeError
 
 #: Shortest fingerprint prefix accepted as a model reference.
@@ -214,13 +213,10 @@ class ModelRegistry:
     def remove(self, key: str) -> ModelEntry:
         """Retire a model: drop its entry, aliases, and cached state.
 
-        Every runtime-cache entry keyed on the retired fingerprint
-        (compiled plans in each engine namespace, memoized result rows)
-        is purged — a retired model must never be served, not even from
+        Every result-cache row keyed on the retired fingerprint is
+        purged — a retired model must never be served, not even from
         cache.  Returns the removed entry.
         """
-        from .. import runtime
-
         entry = self.resolve(key)
         with self._lock:
             self._by_id.pop(entry.model_id, None)
@@ -228,7 +224,7 @@ class ModelRegistry:
                 a for a, fp in self._aliases.items() if fp == entry.model_id
             ]:
                 del self._aliases[alias]
-        runtime.evict_fingerprint(entry.model_id)
+        RESULT_CACHE.evict_fingerprint(entry.model_id)
         return entry
 
     def documents(self) -> dict[str, str]:

@@ -159,7 +159,7 @@ def _metrics_payload(service: TNNService) -> dict:
         "ok": True,
         "serve": service.stats(),
         "metrics": METRICS.snapshot(),
-        # The runtime caches (plan + result) and executor probes.
+        # The runtime result cache.
         "cache": runtime.cache_info(),
         # The frontend cannot see child-process registries directly;
         # workers piggyback snapshots on eval replies (so these may lag

@@ -762,8 +762,8 @@ class TNNService:
            admissions after resolve the new one;
         4. **retire** — unless ``retire=False`` or another alias still
            references it, the superseded fingerprint is removed and its
-           compiled plans and memoized result rows purged from the
-           runtime caches, so a retired model can never be served stale.
+           memoized result rows purged from the result cache, so a
+           retired model can never be served stale.
 
         Returns a summary dict (``alias``, ``model``, ``previous``,
         ``warmed``, ``retired``).

@@ -248,7 +248,7 @@ class FaultedOracle(BackendEngine):
 class PlanReorderOracle(BackendEngine):
     """The compiled batch engine with a corrupted kernel schedule.
 
-    Builds a fresh (uncached) :class:`~repro.network.compile_plan.
+    Builds a fresh (unshared) :class:`~repro.network.compile_plan.
     CompiledPlan`, finds a kernel that consumes another kernel's arena
     rows, swaps the two, and executes the corrupted list through the
     *same* kernel executor the real plan uses — so the only difference
@@ -276,7 +276,7 @@ class PlanReorderOracle(BackendEngine):
         return None
 
     def run(self, network, volleys, params=None):
-        plan = CompiledPlan(network)  # fresh: never poison the real cache
+        plan = CompiledPlan(network)  # fresh: never poison the program's plan
         pair = self._dependent_pair(plan.kernels)
         if pair is None:
             raise RuntimeError("no dependent pair; supports_network lied")

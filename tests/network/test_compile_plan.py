@@ -5,11 +5,13 @@ The batched engine is specified by the interpreted evaluator
 network and every volley matrix the two must agree exactly, including
 ∞-heavy inputs and ``inc`` chains that saturate against the int64
 sentinel.  The property tests here state that agreement over random
-structures; the unit tests pin the encoding, the plan cache, and the
+structures; the unit tests pin the encoding, plan ownership, and the
 error-message parity of the thin scalar wrappers.
 """
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.value import INF, Infinity
+from repro.ir import lower, optimize_program
 from repro.network.builder import NetworkBuilder
 from repro.network.compile_plan import (
     INF_I64,
@@ -32,7 +35,6 @@ from repro.network.compile_plan import (
     evaluate_batch_all,
     evaluate_batch_dicts,
 )
-from repro.runtime import cache_info, clear_caches
 from repro.network.generate import random_network, random_volley
 from repro.network.graph import NetworkError
 from repro.network.serialize import dumps, loads
@@ -375,59 +377,42 @@ class TestMixedArityPadding:
 
 
 # ---------------------------------------------------------------------------
-# Plan cache
+# Plan ownership: a program holds its plan, and nothing else does
 # ---------------------------------------------------------------------------
 
-def plan_cache_info():
-    return cache_info()["plan"]
+def redundant():
+    """A network the optimizer shrinks (``min(y, x)`` repeats ``min(x, y)``)."""
+    b = NetworkBuilder("redundant")
+    x, y = b.inputs("x", "y")
+    b.output("z", b.lt(b.min(x, y), b.max(b.min(y, x), y)))
+    return b.build()
 
 
 class TestPlanCache:
-    def setup_method(self):
-        clear_caches(results=False)
-
-    def teardown_method(self):
-        clear_caches(results=False)
-
     def test_identity_memoized(self):
         net = diamond()
         assert compile_plan(net) is compile_plan(net)
 
-    def test_structural_twins_share_one_plan(self):
-        # A serialization round-trip is a different object with the same
-        # structure: the fingerprint layer must hand back the same plan.
+    def test_network_shares_its_lowerings_plan(self):
         net = diamond()
-        twin = loads(dumps(net))
-        assert twin is not net
-        assert compile_plan(twin) is compile_plan(net)
+        assert compile_plan(net) is compile_plan(lower(net))
 
-    def test_cache_info_counts(self):
-        assert plan_cache_info()["entries"] == 0
+    def test_noop_optimization_shares_the_plan(self):
         net = diamond()
-        compile_plan(net)
-        compile_plan(net)
-        assert plan_cache_info()["entries"] == 1
+        program, report = optimize_program(net)
+        assert report.removed == 0
+        assert compile_plan(program) is compile_plan(net)
 
-    def test_cache_info_hit_miss_counters(self):
-        from repro.obs import reset_metrics
-
-        reset_metrics()
-        net = diamond()
-        compile_plan(net)          # miss
-        compile_plan(net)          # identity hit
-        twin = loads(dumps(net))
-        compile_plan(twin)         # structural hit (fingerprint twin)
-        info = plan_cache_info()
-        assert info["misses"] == 1
-        assert info["hits_identity"] == 1
-        assert info["hits_structural"] == 1
-
-    def test_clear_plan_cache(self):
-        net = diamond()
-        plan = compile_plan(net)
-        clear_caches(results=False)
-        assert plan_cache_info()["entries"] == 0
-        assert compile_plan(net) is not plan  # the identity memo went too
+    def test_plan_dies_with_its_optimized_program(self):
+        net = redundant()
+        program, report = optimize_program(net)
+        assert report.removed > 0
+        plan = compile_plan(program)
+        assert plan.program is program
+        refs = weakref.ref(program), weakref.ref(plan)
+        del net, program, plan
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
     def test_different_structures_get_different_plans(self):
         b = NetworkBuilder("other")
@@ -437,7 +422,7 @@ class TestPlanCache:
 
 
 # ---------------------------------------------------------------------------
-# Fingerprint (the plan-cache key)
+# Fingerprint (the served-model id)
 # ---------------------------------------------------------------------------
 
 class TestFingerprint:

@@ -35,4 +35,4 @@ class TestStockRegistry:
             {"name": name, "cycle_accurate": name == "grl-circuit"}
             for name in ORDER
         ]
-        assert set(payload["cache"]) == {"plan", "result"}
+        assert set(payload["cache"]) == {"result"}

@@ -33,11 +33,6 @@ from repro.train import TrainingPlane
 #: Every series name ``metrics_text`` emits for the session below.
 PROMETHEUS_SERIES = sorted(
     [
-        "repro_cache_plan_bytes",
-        "repro_cache_plan_entries",
-        "repro_cache_plan_evictions",
-        "repro_cache_plan_hits",
-        "repro_cache_plan_misses",
         "repro_cache_result_bytes",
         "repro_cache_result_entries",
         "repro_cache_result_evictions",
@@ -45,8 +40,6 @@ PROMETHEUS_SERIES = sorted(
         "repro_cache_result_misses",
         "repro_evaluate_batch_calls_total",
         "repro_evaluate_batch_volleys_total",
-        "repro_plan_cache_hit_identity_total",
-        "repro_plan_cache_miss_total",
         "repro_plan_compile_calls_total",
         "repro_plan_compile_seconds_total",
         "repro_plan_runs_total",

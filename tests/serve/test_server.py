@@ -83,7 +83,7 @@ class TestOps:
             reply = await request(reader, writer, {"op": "metrics"})
             assert reply["ok"]
             assert "serve" in reply and "cache" in reply
-            assert "plan_cache" not in reply
+            assert set(reply["cache"]) == {"result"}
             assert "batch_size" in reply["serve"]
 
         run_session(session)

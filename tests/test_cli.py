@@ -81,22 +81,20 @@ class TestCli:
         assert a.read_bytes() == b.read_bytes()
 
     def test_stats_exercise(self, capsys):
-        assert main(["stats", "--exercise", "--plan-cache", "--reset"]) == 0
+        assert main(["stats", "--exercise", "--reset"]) == 0
         out = capsys.readouterr().out
         assert "counters:" in out
         assert "evaluate_batch.calls" in out
         assert "events.runs" in out
-        assert "plan cache:" in out
+        assert "result cache:" in out
         assert "metrics reset" in out
 
     def test_stats_json(self, capsys):
-        assert main(["stats", "--exercise", "--plan-cache", "--json"]) == 0
+        assert main(["stats", "--exercise", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert "metrics" in payload and "cache" in payload
-        assert "plan_cache" not in payload
+        assert "metrics" in payload
         assert payload["metrics"]["counters"]["evaluate_batch.calls"] >= 1
-        for key in ("hits_identity", "hits_structural", "misses"):
-            assert key in payload["cache"]["plan"]
+        assert set(payload["cache"]) == {"result"}
 
     def test_stats_json_includes_serve_section(self, capsys):
         assert main(["stats", "--json"]) == 0

@@ -239,7 +239,7 @@ class TestPlanReorder:
         healthy = CompiledBatchEngine().run(net, [(5,)])[0]
         assert broken != healthy  # the consumer read zeros, not x+1
 
-    def test_reorder_never_poisons_the_plan_cache(self):
+    def test_reorder_never_poisons_the_programs_plan(self):
         net = self.dependent_net()
         PlanReorderOracle().run(net, [(5,)])
         assert CompiledBatchEngine().run(net, [(5,)])[0] == (7,)
