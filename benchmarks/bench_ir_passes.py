@@ -28,10 +28,7 @@ Run standalone::
 
 from __future__ import annotations
 
-import argparse
-import json
 import random
-import time
 from pathlib import Path
 
 from repro.core.synthesis import synthesize
@@ -43,7 +40,7 @@ from repro.neuron.response import ResponseFunction
 from repro.neuron.srm0 import SRM0Neuron
 from repro.neuron.srm0_network import build_srm0_network
 
-from artifact_env import env_header
+from artifact_env import best_of, main, write_artifact
 
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_ir_passes.json"
 
@@ -97,15 +94,6 @@ def minimal_networks():
     return {"diamond": diamond, "delay-line": c.build()}
 
 
-def _best_of(repeats, fn):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def _volleys(network, batch, *, seed):
     rng = random.Random(seed)
     arity = len(network.input_names)
@@ -117,7 +105,7 @@ def _volleys(network, batch, *, seed):
 
 def _optimize(network):
     """The optimized program, its report, and the best-of-3 optimize ms."""
-    seconds = _best_of(3, lambda: optimize_program(network))
+    (seconds,) = best_of(3, lambda: optimize_program(network))
     program, report = optimize_program(network)
     return program, report, seconds * 1e3
 
@@ -133,9 +121,12 @@ def measure_redundant(network, *, batch, repeats, seed=0):
     evaluate_batch(program, volleys)
     evaluate_batch(legacy, volleys)
 
-    t_raw = _best_of(repeats, lambda: evaluate_batch(network, volleys))
-    t_opt = _best_of(repeats, lambda: evaluate_batch(program, volleys))
-    t_leg = _best_of(repeats, lambda: evaluate_batch(legacy, volleys))
+    t_raw, t_opt, t_leg = best_of(
+        repeats,
+        lambda: evaluate_batch(network, volleys),
+        lambda: evaluate_batch(program, volleys),
+        lambda: evaluate_batch(legacy, volleys),
+    )
     return {
         "nodes_before": len(lower(network).nodes),
         "nodes_after": len(program.nodes),
@@ -158,8 +149,11 @@ def measure_minimal(network, *, batch, repeats, seed=1):
 
     evaluate_batch(network, volleys)
     evaluate_batch(program, volleys)
-    t_raw = _best_of(repeats, lambda: evaluate_batch(network, volleys))
-    t_opt = _best_of(repeats, lambda: evaluate_batch(program, volleys))
+    t_raw, t_opt = best_of(
+        repeats,
+        lambda: evaluate_batch(network, volleys),
+        lambda: evaluate_batch(program, volleys),
+    )
     return {
         "nodes_before": len(lower(network).nodes),
         "nodes_after": len(program.nodes),
@@ -186,7 +180,6 @@ def run(*, smoke=False, repeats=None):
     }
     return {
         "benchmark": "bench_ir_passes",
-        "env": env_header(),
         "smoke": smoke,
         "batch": batch,
         "max_legacy_ratio": MAX_LEGACY_RATIO,
@@ -198,8 +191,7 @@ def run(*, smoke=False, repeats=None):
 
 def report(*, smoke=False, artifact_path=ARTIFACT) -> tuple[str, bool]:
     data = run(smoke=smoke)
-    artifact_path = Path(artifact_path)
-    artifact_path.write_text(json.dumps(data, indent=2) + "\n")
+    artifact_path = write_artifact(artifact_path, data)
 
     ok = True
     lines = ["IR optimizer — node reduction and evaluate_batch payoff"]
@@ -244,24 +236,5 @@ def report(*, smoke=False, artifact_path=ARTIFACT) -> tuple[str, bool]:
     return "\n".join(lines), ok
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small batch, fewer repeats (CI quick mode; timing bounds off)",
-    )
-    parser.add_argument(
-        "--json",
-        type=Path,
-        default=ARTIFACT,
-        help=f"artifact path (default {ARTIFACT.name} at repo root)",
-    )
-    args = parser.parse_args(argv)
-    text, ok = report(smoke=args.smoke, artifact_path=args.json)
-    print(text)
-    return 0 if ok else 1
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(report, ARTIFACT, __doc__))

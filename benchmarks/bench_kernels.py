@@ -5,11 +5,11 @@ three-stage chain is timed through the compiled batch engine
 (:mod:`repro.network.compile_plan`) across a batch-size ladder.  Outputs
 are checked against the interpreted evaluator before any timing.
 
-The acceptance property (asserted in full mode) is **monotone-or-flat
+The acceptance property (gated in full mode) is **monotone-or-flat
 throughput**: for every kernel, volleys/sec at the largest batch must
 stay within 25% of the best batch size on the ladder — i.e. batching
-never collapses (the B=1024 cliff class of regression the batched-eval
-benchmark pinned, held for the whole kernel library).
+never collapses (the B=1024 cliff class of regression the engine bench
+pins, held for the whole kernel library).
 
 Results land in ``BENCH_kernels.json`` (repo root).
 
@@ -18,13 +18,11 @@ Run standalone::
     python benchmarks/bench_kernels.py [--smoke] [--json PATH]
 
 ``--smoke`` shrinks the ladder and repeats for CI and skips the
-acceptance assertion (timing noise on shared runners).
+acceptance gate (timing noise on shared runners).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import random
 import statistics
 import time
@@ -34,6 +32,8 @@ from repro.kernels import KERNELS, build_kernel, compose, interval_shift
 from repro.network.compile_plan import compile_plan, decode_matrix, encode_volleys
 from repro.network.generate import random_volley
 from repro.network.simulator import evaluate_all_interpreted
+
+from artifact_env import main, write_artifact
 
 BATCHES = (64, 256, 1024)
 SMOKE_BATCHES = (16, 64)
@@ -132,10 +132,9 @@ def flatness_violations(data):
     return violations
 
 
-def report(*, smoke=False, artifact_path=ARTIFACT) -> str:
+def report(*, smoke=False, artifact_path=ARTIFACT) -> tuple[str, bool]:
     data = run(smoke=smoke)
-    artifact_path = Path(artifact_path)
-    artifact_path.write_text(json.dumps(data, indent=2) + "\n")
+    artifact_path = write_artifact(artifact_path, data)
 
     largest = data["batches"][-1]
     lines = [
@@ -152,22 +151,18 @@ def report(*, smoke=False, artifact_path=ARTIFACT) -> str:
             f"{vps[-1] / max(vps):>6.2f}"
         )
 
-    if not smoke:
-        violations = flatness_violations(data)
-        if violations:
-            detail = "; ".join(
-                f"{name} {ratio:.2f}" for name, ratio in violations
-            )
-            lines.append(
-                f"\nMONOTONE-OR-FLAT VIOLATION(S) (< {FLATNESS}): {detail}"
-            )
-        else:
-            lines.append(
-                f"\nmonotone-or-flat holds: every kernel keeps "
-                f">= {FLATNESS:.0%} of its best ladder throughput at "
-                f"B={largest}"
-            )
-        assert not violations, f"throughput collapsed with batch: {violations}"
+    violations = [] if smoke else flatness_violations(data)
+    if violations:
+        detail = "; ".join(f"{name} {ratio:.2f}" for name, ratio in violations)
+        lines.append(
+            f"\nFAIL: monotone-or-flat violated (< {FLATNESS}): {detail}"
+        )
+    elif not smoke:
+        lines.append(
+            f"\nmonotone-or-flat holds: every kernel keeps "
+            f">= {FLATNESS:.0%} of its best ladder throughput at "
+            f"B={largest}"
+        )
     lines.append(f"\nartifact: {artifact_path}")
     lines.append(
         "\nshape: stdlib kernels are tiny (2-13 blocks), so per-call "
@@ -176,7 +171,7 @@ def report(*, smoke=False, artifact_path=ARTIFACT) -> str:
         "the accumulator's k-subset min/max lattice is the largest and "
         "benefits most from fused reductions."
     )
-    return "\n".join(lines)
+    return "\n".join(lines), not violations
 
 
 # -- pytest-benchmark hooks ---------------------------------------------------
@@ -203,23 +198,5 @@ def bench_kernels_acceptance(benchmark, show):
     assert not violations, f"throughput collapsed with batch: {violations}"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small ladder, fewer repeats, no acceptance assertion (CI)",
-    )
-    parser.add_argument(
-        "--json",
-        type=Path,
-        default=ARTIFACT,
-        help=f"artifact path (default {ARTIFACT.name} at repo root)",
-    )
-    args = parser.parse_args(argv)
-    print(report(smoke=args.smoke, artifact_path=args.json))
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(report, ARTIFACT, __doc__))

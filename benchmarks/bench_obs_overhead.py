@@ -4,7 +4,8 @@ The tracing/metrics/profiling hooks added by ``repro.obs`` sit directly
 on the hottest loop in the repository — ``CompiledPlan.outputs`` — so
 this report proves the acceptance bound: with no sink attached and
 profiling off, the plan at B=1024 runs within 5% of the bare kernel
-executor.  Three configurations are timed on the acceptance networks:
+executor.  Three configurations are timed, interleaved round by round,
+on the engine bench's Fig. 9 and Fig. 12 families:
 
 * ``baseline``  — the plan's kernels run through the NumPy executor
   (buffer acquire, scatter, kernels, gather, release) with no sink
@@ -32,16 +33,12 @@ Run standalone::
 
 from __future__ import annotations
 
-import argparse
-import json
 import random
 import time
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.synthesis import synthesize
-from repro.core.table import NormalizedTable
 from repro.network.compile_plan import (
     CompiledPlan,
     _execute_kernels,
@@ -49,10 +46,10 @@ from repro.network.compile_plan import (
     encode_volleys,
 )
 from repro.network.generate import random_volley
-from repro.neuron.response import ResponseFunction
-from repro.neuron.srm0 import SRM0Neuron
-from repro.neuron.srm0_network import build_srm0_network
 from repro.obs.trace import RecordingSink
+
+from artifact_env import best_of, main, write_artifact
+from bench_engine import bench_networks
 
 BATCH_SIZES = (64, 1024)
 SMOKE_BATCH_SIZES = (64,)
@@ -64,17 +61,12 @@ MAX_NULL_OVERHEAD_PCT = 5.0
 
 
 def acceptance_networks():
-    """Same networks the batched-eval speedup claim is stated over."""
-    table = NormalizedTable.random(3, window=3, n_rows=16, rng=random.Random(4))
-    fig09 = synthesize(table)
-    neuron = SRM0Neuron.homogeneous(
-        4,
-        [2, 1, 3, 2],
-        base_response=ResponseFunction.biexponential(amplitude=3, t_max=8),
-        threshold=6,
-    )
-    fig12 = build_srm0_network(neuron)
-    return {"fig09-minterm(3x16)": fig09, "fig12-srm0(4in)": fig12}
+    """The engine bench's Fig. 9 and Fig. 12 families."""
+    families = bench_networks()
+    return {
+        name: families[name]
+        for name in ("fig09-minterm(3x16)", "fig12-srm0(4in)")
+    }
 
 
 def baseline_run(plan: CompiledPlan, matrix: np.ndarray) -> np.ndarray:
@@ -90,15 +82,6 @@ def baseline_run(plan: CompiledPlan, matrix: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arena[plan.out_cols].T)
     plan._release(scratch)
     return out
-
-
-def _best_of(repeats, fn):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def measure(network, batch_sizes=BATCH_SIZES, *, repeats=30, seed=0):
@@ -118,10 +101,11 @@ def measure(network, batch_sizes=BATCH_SIZES, *, repeats=30, seed=0):
         got = plan.outputs(matrix)
         assert (want == got).all(), f"hooked run != baseline at B={batch}"
 
-        t_base = _best_of(repeats, lambda: baseline_run(plan, matrix))
-        t_null = _best_of(repeats, lambda: plan.outputs(matrix))
-        t_rec = _best_of(
-            repeats, lambda: plan.outputs(matrix, sink=RecordingSink())
+        t_base, t_null, t_rec = best_of(
+            repeats,
+            lambda: baseline_run(plan, matrix),
+            lambda: plan.outputs(matrix),
+            lambda: plan.outputs(matrix, sink=RecordingSink()),
         )
         rows.append(
             {
@@ -285,8 +269,7 @@ def run(*, smoke=False, repeats=None):
 
 def report(*, smoke=False, artifact_path=ARTIFACT) -> tuple[str, bool]:
     data = run(smoke=smoke)
-    artifact_path = Path(artifact_path)
-    artifact_path.write_text(json.dumps(data, indent=2) + "\n")
+    artifact_path = write_artifact(artifact_path, data)
 
     ok = True
     lines = ["Observability overhead — CompiledPlan.outputs per batch (ms, best-of)"]
@@ -340,24 +323,5 @@ def report(*, smoke=False, artifact_path=ARTIFACT) -> tuple[str, bool]:
     return "\n".join(lines), ok
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small batches, fewer repeats (CI quick mode; no pass/fail)",
-    )
-    parser.add_argument(
-        "--json",
-        type=Path,
-        default=ARTIFACT,
-        help=f"artifact path (default {ARTIFACT.name} at repo root)",
-    )
-    args = parser.parse_args(argv)
-    text, ok = report(smoke=args.smoke, artifact_path=args.json)
-    print(text)
-    return 0 if ok else 1
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(report, ARTIFACT, __doc__))

@@ -19,8 +19,6 @@ Run standalone::
 
 from __future__ import annotations
 
-import argparse
-import json
 import time
 from pathlib import Path
 
@@ -30,6 +28,8 @@ from repro.serve.demo import demo_column, demo_volleys
 from repro.serve.pool import InlineWorkerPool
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import TNNService
+
+from artifact_env import main, write_artifact
 
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
 
@@ -101,8 +101,7 @@ def run(*, smoke: bool = False) -> dict:
 
 def report(*, smoke: bool = False, artifact_path=ARTIFACT) -> tuple[str, bool]:
     data = run(smoke=smoke)
-    artifact_path = Path(artifact_path)
-    artifact_path.write_text(json.dumps(data, indent=2) + "\n")
+    artifact_path = write_artifact(artifact_path, data)
 
     ok = True
     lines = [f"Result-cache hot path — {data['model']} ({data['nodes']} nodes)"]
@@ -128,24 +127,5 @@ def report(*, smoke: bool = False, artifact_path=ARTIFACT) -> tuple[str, bool]:
     return "\n".join(lines), ok
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small batch and request count (CI quick mode; no pass/fail)",
-    )
-    parser.add_argument(
-        "--json",
-        type=Path,
-        default=ARTIFACT,
-        help=f"artifact path (default {ARTIFACT.name} at repo root)",
-    )
-    args = parser.parse_args(argv)
-    text, ok = report(smoke=args.smoke, artifact_path=args.json)
-    print(text)
-    return 0 if ok else 1
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(report, ARTIFACT, __doc__))

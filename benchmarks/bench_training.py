@@ -25,8 +25,6 @@ Run standalone::
 
 from __future__ import annotations
 
-import argparse
-import json
 import threading
 import time
 from pathlib import Path
@@ -36,6 +34,8 @@ from repro.serve.pool import InlineWorkerPool
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import TNNService
 from repro.train import TrainingPlane, classification_scenario
+
+from artifact_env import main, write_artifact
 
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_training.json"
 
@@ -178,8 +178,7 @@ def run(*, smoke: bool = False, seed: int = 0) -> dict:
 
 def report(*, smoke: bool = False, artifact_path=ARTIFACT) -> tuple[str, bool]:
     data = run(smoke=smoke)
-    artifact_path = Path(artifact_path)
-    artifact_path.write_text(json.dumps(data, indent=2) + "\n")
+    artifact_path = write_artifact(artifact_path, data)
 
     ok = True
     lines = [
@@ -246,24 +245,5 @@ def bench_training_smoke(benchmark=None):
     assert data["serve"]["errors"] == 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized scenario (still gated on beating the seed)",
-    )
-    parser.add_argument(
-        "--json",
-        type=Path,
-        default=ARTIFACT,
-        help=f"artifact path (default {ARTIFACT.name} at repo root)",
-    )
-    args = parser.parse_args(argv)
-    text, ok = report(smoke=args.smoke, artifact_path=args.json)
-    print(text)
-    return 0 if ok else 1
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(report, ARTIFACT, __doc__))

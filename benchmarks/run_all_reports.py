@@ -7,7 +7,8 @@ Usage::
 Imports each ``bench_*.py`` module in this directory and prints its
 ``report()`` — the textual regeneration of the corresponding paper
 figure or claim (the source of the numbers recorded in EXPERIMENTS.md).
-An optional substring *pattern* filters which reports run.
+A report that raises, or an artifact bench whose gates fail, counts as
+a failure.  An optional substring *pattern* filters which reports run.
 """
 
 from __future__ import annotations
@@ -44,10 +45,17 @@ def main(argv: list[str] | None = None) -> int:
         print("=" * 72)
         try:
             module = load_module(path)
-            print(module.report())
+            result = module.report()
         except Exception as exc:  # noqa: BLE001 - survey must continue
             failures += 1
             print(f"[FAILED] {path.name}: {exc!r}")
+        else:
+            # Artifact benches return (text, ok); figure reports, text.
+            text, ok = result if isinstance(result, tuple) else (result, True)
+            print(text)
+            if not ok:
+                failures += 1
+                print(f"[FAILED] {path.name}: a gate failed")
         print(f"\n({path.name}, {time.time() - started:.1f}s)")
     print("=" * 72)
     print(f"{count} report(s), {failures} failure(s)")
