@@ -1,7 +1,8 @@
 """Micro-batching scheduler: coalesce single-volley requests into batches.
 
 The compiled engine (:func:`repro.network.compile_plan.evaluate_batch`)
-earns its 36–44× speedup only when it is handed *batches* — but service
+earns its 85–366× speedup over per-volley evaluation (B=1024,
+``BENCH_engine.json``) only when it is handed *batches* — but service
 clients send independent single-volley requests.  The micro-batcher sits
 between the two: concurrent requests for the same ``(model, params)``
 accumulate in an **open batch**, which closes (becomes dispatchable) as

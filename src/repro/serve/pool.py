@@ -8,8 +8,9 @@ replacement worker is brought up to date — and is rebuilt through
 run the optimizer, and **warm** the compiled plan, so the first real
 request never pays compilation or first-touch cost.  Eval messages are
 answered by the batch engine
-(:func:`~repro.network.compile_plan.evaluate_batch`); each worker's
-warm-up count is reported through :meth:`ProcessWorkerPool.warmups`.
+(:func:`~repro.network.compile_plan.evaluate_batch`).  Both loading and
+evaluating live in one worker body, :class:`_Worker`, which both pools
+run; :func:`_worker_main` is only its pipe transport.
 Work arrives as already-encoded ``(B, n_inputs)`` int64 matrices (the
 micro-batcher's output) and leaves as the engine's raw
 ``(B, n_outputs)`` result, keeping the IPC payload two NumPy arrays per
@@ -28,7 +29,8 @@ prove byte-identical responses survive crashes.
 :class:`InlineWorkerPool` is the same interface executed synchronously
 in-process — no IPC, no fork — used by unit tests and by benchmark
 configurations that isolate scheduling cost from process cost.  It
-loads through the same :func:`load_program`.
+calls the same :class:`_Worker` directly, so a sampled batch there sets
+the process-wide profiling flag in the serving process itself.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ import multiprocessing as mp
 import multiprocessing.connection as mp_connection
 import os
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from time import monotonic
+from time import monotonic, perf_counter
 from typing import Callable
 
 import numpy as np
@@ -51,6 +54,7 @@ from ..ir.program import Program, lower
 from ..network import serialize
 from ..network.compile_plan import INF_I64, compile_plan, evaluate_batch
 from ..obs import metrics as _obs_metrics
+from ..obs import profile as _profile
 from ..obs import rtrace as _rtrace
 from .protocol import E_WORKER, ServeError
 
@@ -73,8 +77,7 @@ def load_program(model_id: str, document: str) -> Program:
 
     Deserialize, verify that the document's fingerprint is *model_id*
     (:class:`ValueError` otherwise), lower to the IR, run the optimizer,
-    and warm the compiled plan.  Both pools load every
-    model through here.
+    and warm the compiled plan.  :meth:`_Worker.load` is its one caller.
     """
     network = serialize.loads(document)
     if network.fingerprint() != model_id:
@@ -101,8 +104,9 @@ class Job:
 
     ``on_done`` receives the raw ``(B, n_outputs)`` int64 result;
     ``on_fail`` receives a human-readable reason.  Exactly one of the
-    two is invoked, from the pool's collector thread (process pool) or
-    the submitting thread (inline pool) — callbacks must be thread-safe.
+    two is invoked, by :func:`_complete`, from the pool's collector
+    thread (process pool) or the submitting thread (inline pool) —
+    callbacks must be thread-safe.
 
     ``want_spans`` asks the executing worker to time the engine run and
     report it back: level 1 is wall clock only (two clock reads), level
@@ -110,7 +114,7 @@ class Job:
     per-phase attribution (the priced path — the service samples it).
     ``on_extras``, when set, receives that timing payload —
     ``{"eval_s": float, "phases": {name: seconds}}`` — immediately
-    before ``on_done``/``on_fail``.
+    before ``on_done``.
     """
 
     job_id: int
@@ -124,16 +128,92 @@ class Job:
 
 
 # ---------------------------------------------------------------------------
-# Worker process body
+# Worker body (shared by both pools) and its process transport
 # ---------------------------------------------------------------------------
 
+def _phase_totals() -> dict[str, float]:
+    """Accumulated ``phase.*`` timer seconds, keyed without the prefix."""
+    timers = _obs_metrics.METRICS.snapshot()["timers"]
+    return {
+        name[len("phase."):]: entry["total_s"]
+        for name, entry in timers.items()
+        if name.startswith("phase.")
+    }
+
+
+class _Worker:
+    """One worker's models and the two things it does with them.
+
+    A process worker (:func:`_worker_main`) and :class:`InlineWorkerPool`
+    each hold one and call it the same way, so where a batch runs cannot
+    change its answer, its counters or its trace.
+    """
+
+    def __init__(self) -> None:
+        self.programs: dict[str, Program] = {}
+        #: Plan warm-ups so far (one per loaded model).
+        self.warmups = 0
+
+    def load(self, model_id: str, document: str) -> int:
+        """Rebuild *model_id* through :func:`load_program`; the new warm-up count."""
+        self.programs[model_id] = load_program(model_id, document)
+        self.warmups += 1
+        return self.warmups
+
+    def eval(
+        self, model_id: str, matrix: np.ndarray, params_enc: dict, want_spans: int
+    ) -> tuple[np.ndarray, dict]:
+        """Evaluate one batch: ``(result, timing extras)``.
+
+        The extras are empty at *want_spans* 0, ``{"eval_s": …}`` at
+        level 1 (two clock reads), and add ``"phases"`` at level 2, when
+        the engine runs under :func:`~repro.obs.profile.profiled`.  That
+        flag is process-wide: in-process, another thread's profiled
+        phases that overlap the batch land in its deltas too.
+        """
+        program = self.programs.get(model_id)
+        if program is None:
+            raise KeyError(f"model {model_id[:12]} not loaded")
+        before = _phase_totals() if want_spans >= 2 else None
+        started = perf_counter()
+        with _profile.profiled() if before is not None else nullcontext():
+            result = evaluate_batch(program, matrix, params=_decode_params(params_enc))
+        if not want_spans:
+            return result, {}
+        extras: dict = {"eval_s": perf_counter() - started}
+        if before is not None:
+            phases = {
+                name: total - before.get(name, 0.0)
+                for name, total in _phase_totals().items()
+                if total - before.get(name, 0.0) > 0.0
+            }
+            if phases:
+                extras["phases"] = phases
+        return result, extras
+
+
+def _complete(job: Job, result, extras: dict, failure: "str | None" = None) -> None:
+    """Finish *job* the one way both pools do.
+
+    On success: ``on_extras`` (when there are extras), then ``on_done``.
+    On *failure*: count ``serve.worker.failures``, then ``on_fail``.
+    """
+    if failure is not None:
+        _obs_metrics.METRICS.inc("serve.worker.failures")
+        job.on_fail(failure)
+        return
+    if extras and job.on_extras is not None:
+        job.on_extras(extras)
+    job.on_done(result)
+
+
 def _worker_main(conn) -> None:
-    """The worker loop: report ready with no models, then serve messages.
+    """The worker process: a :class:`_Worker` behind a pipe.
 
     Runs in a child process (or, for unit tests, a plain thread with the
-    other pipe end held by the test).  Every model arrives by ``load``
-    and is rebuilt through :func:`load_program` before any eval behind
-    it on the pipe runs, so no request pays for compiling it.  Automatic
+    other pipe end held by the test).  It reports ready with no models,
+    then serves messages in order, so every model a ``load`` brings is
+    rebuilt before any eval behind it on the pipe runs.  Automatic
     collections are off during a load, which allocates a whole model
     heap at once and would otherwise be walked by collection after
     collection; the load ends in one full collection and
@@ -145,11 +225,10 @@ def _worker_main(conn) -> None:
     * ``("eval", job_id, model_id, matrix, params_enc, want_spans)`` →
       ``("ok", job_id, result, extras)`` or
       ``("err", job_id, reason, extras)``.  The *extras* dict carries
-      the worker's own metrics snapshot every
-      :data:`_METRICS_PIGGYBACK_EVERY` replies (so the frontend can
-      aggregate per-worker counters it otherwise cannot see), plus
-      engine span timings when *want_spans* is non-zero — wall clock at
-      level 1, wall clock + ``phase.*`` attribution deltas at level 2;
+      :meth:`_Worker.eval`'s engine timings and, every
+      :data:`_METRICS_PIGGYBACK_EVERY` replies, the worker's own metrics
+      snapshot (so the frontend can aggregate per-worker counters it
+      otherwise cannot see);
     * ``("load", model_id, document)`` → ``("loaded", model_id, warmups)``,
       or ``("load-failed", model_id, reason)`` when the document does
       not rebuild (the worker keeps serving its other models);
@@ -157,36 +236,9 @@ def _worker_main(conn) -> None:
     * ``("crash",)`` → hard ``os._exit`` (fault-injection hook)
     * ``("stop",)`` → clean return
     """
-    import time as _time
-
-    from ..obs import profile as _profile
-    from ..obs.metrics import METRICS as _worker_metrics
-
-    programs: dict[str, Program] = {}
-    warmups = 0
-    conn.send(("ready", os.getpid(), sorted(programs), warmups))
+    worker = _Worker()
+    conn.send(("ready", os.getpid(), sorted(worker.programs), worker.warmups))
     replies = 0
-
-    def phase_totals() -> dict[str, float]:
-        timers = _worker_metrics.snapshot()["timers"]
-        return {
-            name[len("phase."):]: entry["total_s"]
-            for name, entry in timers.items()
-            if name.startswith("phase.")
-        }
-
-    def build_extras(want_spans: int, eval_s: "float | None", phases: dict) -> dict:
-        extras: dict = {}
-        if want_spans and eval_s is not None:
-            extras["eval_s"] = eval_s
-            if phases:
-                extras["phases"] = phases
-        if replies % _METRICS_PIGGYBACK_EVERY == 0:
-            snapshot = _worker_metrics.snapshot()
-            snapshot["pid"] = os.getpid()
-            extras["metrics"] = snapshot
-        return extras
-
     while True:
         try:
             message = conn.recv()
@@ -195,53 +247,25 @@ def _worker_main(conn) -> None:
         op = message[0]
         if op == "eval":
             _op, job_id, model_id, matrix, params_enc, want_spans = message
-            eval_s: "float | None" = None
-            phases: dict[str, float] = {}
             try:
-                program = programs.get(model_id)
-                if program is None:
-                    raise KeyError(f"model {model_id[:12]} not loaded")
-                if want_spans >= 2:
-                    # Sampled: run under the profiler for phase deltas.
-                    before = phase_totals()
-                    started = _time.perf_counter()
-                    with _profile.profiled():
-                        result = evaluate_batch(
-                            program, matrix, params=_decode_params(params_enc)
-                        )
-                    eval_s = _time.perf_counter() - started
-                    phases = {
-                        name: total - before.get(name, 0.0)
-                        for name, total in phase_totals().items()
-                        if total - before.get(name, 0.0) > 0.0
-                    }
-                elif want_spans:
-                    # Every traced batch: wall clock only (two reads).
-                    started = _time.perf_counter()
-                    result = evaluate_batch(
-                        program, matrix, params=_decode_params(params_enc)
-                    )
-                    eval_s = _time.perf_counter() - started
-                else:
-                    result = evaluate_batch(
-                        program, matrix, params=_decode_params(params_enc)
-                    )
-                conn.send(
-                    ("ok", job_id, result, build_extras(want_spans, eval_s, phases))
-                )
+                result, extras = worker.eval(model_id, matrix, params_enc, want_spans)
+                reply = ("ok", job_id, result, extras)
             except Exception as exc:  # noqa: BLE001 - reported to the parent
-                reason = f"{type(exc).__name__}: {exc}"
-                conn.send(("err", job_id, reason, build_extras(0, None, {})))
+                reply = ("err", job_id, f"{type(exc).__name__}: {exc}", {})
+            if replies % _METRICS_PIGGYBACK_EVERY == 0:
+                snapshot = _obs_metrics.METRICS.snapshot()
+                snapshot["pid"] = os.getpid()
+                reply[3]["metrics"] = snapshot
+            conn.send(reply)
             replies += 1
         elif op == "load":
             model_id = message[1]
             gc.disable()
             try:
-                programs[model_id] = load_program(model_id, message[2])
+                warmups = worker.load(model_id, message[2])
             except Exception as exc:  # noqa: BLE001 - reported to the parent
                 conn.send(("load-failed", model_id, f"{type(exc).__name__}: {exc}"))
             else:
-                warmups += 1
                 conn.send(("loaded", model_id, warmups))
             # The document is parsed: do not hold it until the next message.
             del message
@@ -399,10 +423,6 @@ class ProcessWorkerPool:
 
     # -- introspection --------------------------------------------------------
     @property
-    def n_workers(self) -> int:
-        return len(self._workers)
-
-    @property
     def restarts(self) -> int:
         return self._restarts
 
@@ -413,11 +433,6 @@ class ProcessWorkerPool:
     def inflight(self) -> int:
         with self._lock:
             return sum(w.inflight for w in self._workers)
-
-    def loads(self) -> list[int]:
-        """Per-slot in-flight batch counts (dispatch visibility)."""
-        with self._lock:
-            return [w.inflight if w.alive else -1 for w in self._workers]
 
     def warmups(self) -> list[int]:
         """Per-slot plan warm-up counts."""
@@ -577,17 +592,12 @@ class ProcessWorkerPool:
             _op, job_id, payload, extras = message
             with self._lock:
                 job = worker.jobs.pop(job_id, None)
-                if extras and "metrics" in extras:
+                if "metrics" in extras:
                     worker.metrics = extras["metrics"]
             if job is None:
                 return  # job already failed over after a crash race
-            if extras and job.on_extras is not None:
-                job.on_extras(extras)
-            if op == "ok":
-                job.on_done(payload)
-            else:
-                _obs_metrics.METRICS.inc("serve.worker.failures")
-                job.on_fail(f"worker {worker.slot} error: {payload}")
+            failure = None if op == "ok" else f"worker {worker.slot} error: {payload}"
+            _complete(job, payload, extras, failure)
         elif op == "loaded":
             with self._lock:
                 worker.warmups = message[2]
@@ -667,28 +677,20 @@ class InlineWorkerPool:
 
     Used by unit tests (determinism, no fork) and by benchmark
     configurations that measure scheduling without process overhead.
-    Loads every model through :func:`load_program`, exactly as a
-    process worker does, so the rebuild-verify-warm path stays covered
-    in-process.
+    It holds one :class:`_Worker`, the body a process worker runs, and
+    completes jobs through the same :func:`_complete`, so a batch gets
+    the same answer, counters and engine spans in either pool.  A
+    sampled (level-2) batch turns on the process-wide profiling flag
+    for its evaluation, here in the serving process itself.
     """
 
     def __init__(self, documents: dict[str, str]):
-        self._programs = {}
-        self._warmups = 0
+        self._worker = _Worker()
         for model_id, document in documents.items():
             self.add_model(model_id, document)
         self._stopping = False
-        self._restarts = 0
         self._gauges = _pool_gauges(self)
         _obs_metrics.METRICS.add_gauges(self._gauges)
-
-    @property
-    def n_workers(self) -> int:
-        return 1
-
-    @property
-    def restarts(self) -> int:
-        return self._restarts
 
     def alive_count(self) -> int:
         return 0 if self._stopping else 1
@@ -696,43 +698,28 @@ class InlineWorkerPool:
     def inflight(self) -> int:
         return 0
 
-    def loads(self) -> list[int]:
-        return [0]
-
     def warmups(self) -> list[int]:
-        return [self._warmups]
+        return [self._worker.warmups]
 
     def worker_metrics(self) -> list[dict]:
         """Inline execution shares the frontend registry: nothing extra."""
         return []
 
     def submit(self, job: Job) -> None:
-        import time as _time
-
         if self._stopping:
             raise ServeError(E_WORKER, "pool is shutting down")
-        program = self._programs.get(job.model_id)
-        if program is None:
-            _obs_metrics.METRICS.inc("serve.worker.failures")
-            job.on_fail(f"model {job.model_id[:12]} not loaded")
-            return
         _obs_metrics.METRICS.inc("serve.pool.submits")
-        started = _time.perf_counter() if job.want_spans else 0.0
         try:
-            result = evaluate_batch(
-                program, job.matrix, params=_decode_params(job.params_enc)
+            result, extras = self._worker.eval(
+                job.model_id, job.matrix, job.params_enc, job.want_spans
             )
         except Exception as exc:  # noqa: BLE001 - mapped to job failure
-            _obs_metrics.METRICS.inc("serve.worker.failures")
-            job.on_fail(f"{type(exc).__name__}: {exc}")
+            _complete(job, None, {}, f"worker 0 error: {type(exc).__name__}: {exc}")
             return
-        if job.want_spans and job.on_extras is not None:
-            job.on_extras({"eval_s": _time.perf_counter() - started})
-        job.on_done(result)
+        _complete(job, result, extras)
 
     def add_model(self, model_id: str, document: str) -> None:
-        self._programs[model_id] = load_program(model_id, document)
-        self._warmups += 1
+        self._worker.load(model_id, document)
 
     def wait_warm(self, timeout: float = 30.0) -> bool:
         """Loads are synchronous in-process: always already warm."""

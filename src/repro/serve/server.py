@@ -151,16 +151,14 @@ def _merge_worker_metrics(snapshots: list[dict]) -> dict:
 
 
 def _metrics_payload(service: TNNService) -> dict:
-    from .. import runtime
     from ..obs.metrics import METRICS
 
     per_worker = service.worker_metrics()
     return {
         "ok": True,
+        # The result cache's record is ``serve.result_cache``.
         "serve": service.stats(),
         "metrics": METRICS.snapshot(),
-        # The runtime result cache.
-        "cache": runtime.cache_info(),
         # The frontend cannot see child-process registries directly;
         # workers piggyback snapshots on eval replies (so these may lag
         # live state by a few batches).

@@ -66,7 +66,7 @@ from .protocol import (
 )
 from ..runtime.result_cache import RESULT_CACHE, volley_digest
 from .pool import Job
-from .registry import ModelEntry, ModelRegistry
+from .registry import MIN_PREFIX, ModelEntry, ModelRegistry
 
 
 #: Overload rejections within one second before the flight recorder is
@@ -732,7 +732,7 @@ class TNNService:
             with self._cond:
                 if key in self._document_archive:
                     return key, self._document_archive[key]
-                if len(key) >= 8:
+                if len(key) >= MIN_PREFIX:
                     hits = [
                         fp
                         for fp in self._document_archive

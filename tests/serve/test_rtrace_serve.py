@@ -5,6 +5,7 @@ import json
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.value import INF
@@ -12,12 +13,12 @@ from repro.obs import rtrace
 from repro.obs.rtrace import canonical_jsonl, well_formed
 from repro.serve.batcher import BatchPolicy
 from repro.serve.demo import demo_column, demo_volleys
-from repro.serve.pool import InlineWorkerPool, ProcessWorkerPool
+from repro.serve.pool import InlineWorkerPool, Job, ProcessWorkerPool
 from repro.serve.protocol import ServeError, encode_line, eval_request
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import run_server_async
-from repro.serve.service import BATCH_SIZE, LATENCY, TNNService
-from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
+from repro.serve.service import BATCH_SIZE, LATENCY, PHASE_SAMPLE_EVERY, TNNService
+from repro.obs.metrics import METRICS, PROMETHEUS_CONTENT_TYPE
 from repro.serve.top import render_frame, top_main
 from repro.testing import check_served
 
@@ -303,6 +304,69 @@ class TestProcessPoolTracing:
             assert snap["maxima"]["plan.scratch_bytes"] > 0
         finally:
             service.close()
+
+
+#: Every span a sampled traced request carries through the service.
+SAMPLED_SPAN_NAMES = {
+    "request",
+    "queue",
+    "attempt",
+    "engine",
+    "engine.evaluate_batch.plan",
+    "engine.evaluate_batch.encode",
+    "engine.evaluate_batch.run",
+}
+
+
+def make_pool(pool_kind, registry):
+    if pool_kind == "inline":
+        return InlineWorkerPool(registry.documents())
+    return ProcessWorkerPool(registry.documents(), n_workers=1)
+
+
+@pytest.mark.parametrize("pool_kind", ["inline", "process"])
+def test_both_pools_run_one_worker_body(registry, pool_kind):
+    """Same sampled engine-phase spans and same failure counters per pool."""
+    service = make_service(registry, pool=make_pool(pool_kind, registry))
+    try:
+        with rtrace.rtracing():
+            # One request at a time: each is its own traced batch.
+            for volley in demo_volleys(2, PHASE_SAMPLE_EVERY, seed=3):
+                service.submit("demo", volley).result(timeout=30)
+    finally:
+        service.close()
+    traces = rtrace.FLIGHT.traces()
+    assert len(traces) == PHASE_SAMPLE_EVERY
+    assert {s.name for t in traces for s in t.spans} == SAMPLED_SPAN_NAMES
+    sampled = [t for t in traces if spans_named(t, "engine.evaluate_batch.run")]
+    assert sampled
+    for trace in sampled:
+        assert not well_formed(trace), well_formed(trace)
+        [run] = spans_named(trace, "engine.evaluate_batch.run")
+        [engine] = spans_named(trace, "engine")
+        assert run.parent_id == engine.span_id
+
+    # A job for a model the worker does not hold: one submit, one failure.
+    pool = make_pool(pool_kind, registry)
+    submits = METRICS.counter("serve.pool.submits")
+    failures = METRICS.counter("serve.worker.failures")
+    done = threading.Event()
+    outcomes = []
+
+    def record(outcome):
+        outcomes.append(outcome)
+        done.set()
+
+    try:
+        matrix = np.zeros((1, 2), np.int64)
+        pool.submit(Job(1, "f" * 64, matrix, {}, record, record))
+        assert done.wait(timeout=30)
+    finally:
+        pool.shutdown()
+    [reason] = outcomes
+    assert "not loaded" in reason
+    assert METRICS.counter("serve.pool.submits") == submits + 1
+    assert METRICS.counter("serve.worker.failures") == failures + 1
 
 
 class TestCheckServedFlightDump:

@@ -82,8 +82,9 @@ class TestOps:
         async def session(reader, writer, service):
             reply = await request(reader, writer, {"op": "metrics"})
             assert reply["ok"]
-            assert "serve" in reply and "cache" in reply
-            assert set(reply["cache"]) == {"result"}
+            assert "serve" in reply and "cache" not in reply
+            # The result cache's one JSON view is the serve section's.
+            assert {"enabled", "hits", "misses"} <= set(reply["serve"]["result_cache"])
             assert "batch_size" in reply["serve"]
 
         run_session(session)
