@@ -487,8 +487,8 @@ def _stats(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    from . import runtime
     from .obs.metrics import METRICS, reset_metrics
+    from .runtime import RESULT_CACHE
 
     if args.exercise:
         from .testing.oracles import run_backends
@@ -516,12 +516,12 @@ def _stats(argv: list[str]) -> int:
                 },
                 "last_accuracy": METRICS.gauge_value("training.last_accuracy"),
             },
-            "cache": runtime.cache_info(),
+            "cache": {"result": RESULT_CACHE.info()},
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(METRICS.render())
-        result = runtime.cache_info()["result"]
+        result = RESULT_CACHE.info()
         print("result cache:")
         for key in sorted(result):
             print(f"  {key:<20} {result[key]}")
@@ -748,7 +748,7 @@ def _runtime(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    from . import runtime
+    from .runtime import RESULT_CACHE
     from .runtime.engines import ENGINES
 
     if args.json:
@@ -757,7 +757,7 @@ def _runtime(argv: list[str]) -> int:
                 {"name": e.name, "cycle_accurate": e.cycle_accurate}
                 for e in ENGINES
             ],
-            "cache": runtime.cache_info(),
+            "cache": {"result": RESULT_CACHE.info()},
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
@@ -765,7 +765,7 @@ def _runtime(argv: list[str]) -> int:
     for engine in ENGINES:
         note = " (cycle-accurate)" if engine.cycle_accurate else ""
         print(f"  {engine.name}{note}")
-    result = runtime.cache_info()["result"]
+    result = RESULT_CACHE.info()
     print(
         f"result cache: {result['entries']} entries / {result['bytes']} "
         f"bytes (hits {result['hits']}, misses {result['misses']}, "

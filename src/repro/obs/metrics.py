@@ -27,14 +27,16 @@ Five metric families:
 
 The module-level :data:`METRICS` instance is what the library writes to.
 :meth:`MetricsRegistry.snapshot` is the JSON shape of the scalar
-families (what ``python -m repro stats`` prints and serving workers
-piggyback), and :meth:`MetricsRegistry.prometheus` renders every family
-in Prometheus text exposition format for the server's ``metrics_text``
-op.
+families (what ``python -m repro stats`` prints, and the shape of the
+:func:`snapshot_delta` a serving worker process reports for the frontend
+to :meth:`~MetricsRegistry.absorb`), and :meth:`MetricsRegistry.prometheus`
+renders every family in Prometheus text exposition format for the
+server's ``metrics_text`` op.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from contextlib import contextmanager
@@ -236,17 +238,32 @@ class MetricsRegistry:
             "maxima": dict(sorted(self._maxima.items())),
         }
 
+    def absorb(self, report: Mapping) -> None:
+        """Add a :func:`snapshot_delta` *report* in; maxima take the max."""
+        for name, value in report["counters"].items():
+            self.inc(name, value)
+        totals, counts = self._timer_totals, self._timer_counts
+        for name, entry in report["timers"].items():
+            totals[name] = totals.get(name, 0.0) + entry["total_s"]
+            counts[name] = counts.get(name, 0) + entry["calls"]
+        for name, value in report["maxima"].items():
+            self.observe_max(name, value)
+
     def reset(self) -> None:
         """Zero every recorded metric (tests; between measurement windows).
 
         Gauges are live state, not records: their readers stay registered.
         """
+        self._clear_scalars()
+        for family in list(self._histograms.values()):
+            family.reset()
+
+    def _clear_scalars(self) -> None:
+        """Zero the counters, timers and maxima (plain dicts: no lock)."""
         self._counters.clear()
         self._timer_totals.clear()
         self._timer_counts.clear()
         self._maxima.clear()
-        for family in list(self._histograms.values()):
-            family.reset()
 
     def prometheus(self) -> str:
         """Every family in Prometheus text exposition format.
@@ -324,10 +341,43 @@ def _format_float(value: float) -> str:
 #: The process-wide registry every instrumented call site writes to.
 METRICS = MetricsRegistry()
 
+# A forked child (a serving worker) starts its scalar record empty, so an
+# inherited high-water mark cannot hide its own lower marks.  Histograms
+# are left alone: a lock may have been held when the process forked.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=METRICS._clear_scalars)
+
 
 def snapshot() -> dict:
     """Snapshot of the global registry (see :meth:`MetricsRegistry.snapshot`)."""
     return METRICS.snapshot()
+
+
+def snapshot_delta(current: Mapping, baseline: Mapping) -> dict:
+    """What was recorded from *baseline* to *current*, in the snapshot shape.
+
+    Counters and timers carry their growth, maxima that rose their new
+    value; chained reports add up to the whole run.
+    """
+    counters = {
+        name: value - baseline["counters"].get(name, 0)
+        for name, value in current["counters"].items()
+        if value > baseline["counters"].get(name, 0)
+    }
+    timers = {}
+    for name, entry in current["timers"].items():
+        old = baseline["timers"].get(name, {"calls": 0, "total_s": 0.0})
+        if entry["calls"] > old["calls"]:
+            timers[name] = {
+                "calls": entry["calls"] - old["calls"],
+                "total_s": entry["total_s"] - old["total_s"],
+            }
+    maxima = {
+        name: value
+        for name, value in current["maxima"].items()
+        if value > baseline["maxima"].get(name, 0)
+    }
+    return {"counters": counters, "timers": timers, "maxima": maxima}
 
 
 def reset_metrics() -> None:

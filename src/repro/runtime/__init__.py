@@ -7,8 +7,8 @@ One seam for every layer (DESIGN.md §14).  The pieces:
   pinned report order; conformance and the CLI instantiate fresh
   engines from it.  Serving calls the batch engine directly.
 * :data:`RESULT_CACHE` — the bounded ``(fingerprint, volley digest) →
-  output row`` cache the serving stack consults ahead of admission.
-* :func:`cache_info` — the single cache-stats surface.
+  output row`` cache the serving stack consults ahead of admission;
+  :meth:`~repro.runtime.result_cache.ResultCache.info` is its record.
 
 Compiled plans are not cached here: each
 :class:`~repro.ir.program.Program` owns its plan
@@ -39,8 +39,6 @@ __all__ = [
     "ENGINES",
     "RESULT_CACHE",
     "ResultCache",
-    "cache_info",
-    "clear_caches",
     "volley_digest",
 ]
 
@@ -53,13 +51,3 @@ def __getattr__(name: str) -> Any:
     value = getattr(engines, name)
     globals()[name] = value
     return value
-
-
-def cache_info() -> dict:
-    """One snapshot of the runtime cache: ``{"result": …}``."""
-    return {"result": RESULT_CACHE.info()}
-
-
-def clear_caches() -> None:
-    """Empty the runtime result cache."""
-    RESULT_CACHE.clear()

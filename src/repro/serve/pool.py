@@ -31,6 +31,10 @@ in-process — no IPC, no fork — used by unit tests and by benchmark
 configurations that isolate scheduling cost from process cost.  It
 calls the same :class:`_Worker` directly, so a sampled batch there sets
 the process-wide profiling flag in the serving process itself.
+
+Both pools count into the frontend's one metrics registry: a process
+worker's counts arrive every :data:`_METRICS_PIGGYBACK_EVERY`-th reply,
+so they may lag by up to 15 batches per worker (and a crash loses them).
 """
 
 from __future__ import annotations
@@ -58,9 +62,9 @@ from ..obs import profile as _profile
 from ..obs import rtrace as _rtrace
 from .protocol import E_WORKER, ServeError
 
-#: A worker piggybacks its own metrics snapshot on every Nth eval reply
-#: (the frontend cannot see child-process registries otherwise; every
-#: reply would double the IPC payload for slow-moving counters).
+#: A worker piggybacks what it counted since its last report on every
+#: Nth eval reply (every reply would double the IPC payload for
+#: slow-moving counters).
 _METRICS_PIGGYBACK_EVERY = 16
 
 
@@ -226,9 +230,9 @@ def _worker_main(conn) -> None:
       ``("ok", job_id, result, extras)`` or
       ``("err", job_id, reason, extras)``.  The *extras* dict carries
       :meth:`_Worker.eval`'s engine timings and, every
-      :data:`_METRICS_PIGGYBACK_EVERY` replies, the worker's own metrics
-      snapshot (so the frontend can aggregate per-worker counters it
-      otherwise cannot see);
+      :data:`_METRICS_PIGGYBACK_EVERY` replies, what the worker counted
+      since its last report (:func:`~repro.obs.metrics.snapshot_delta`,
+      first against its start; a snapshot takes no inherited lock);
     * ``("load", model_id, document)`` → ``("loaded", model_id, warmups)``,
       or ``("load-failed", model_id, reason)`` when the document does
       not rebuild (the worker keeps serving its other models);
@@ -237,6 +241,7 @@ def _worker_main(conn) -> None:
     * ``("stop",)`` → clean return
     """
     worker = _Worker()
+    reported = _obs_metrics.METRICS.snapshot()
     conn.send(("ready", os.getpid(), sorted(worker.programs), worker.warmups))
     replies = 0
     while True:
@@ -253,9 +258,9 @@ def _worker_main(conn) -> None:
             except Exception as exc:  # noqa: BLE001 - reported to the parent
                 reply = ("err", job_id, f"{type(exc).__name__}: {exc}", {})
             if replies % _METRICS_PIGGYBACK_EVERY == 0:
-                snapshot = _obs_metrics.METRICS.snapshot()
-                snapshot["pid"] = os.getpid()
-                reply[3]["metrics"] = snapshot
+                current = _obs_metrics.METRICS.snapshot()
+                reply[3]["metrics"] = _obs_metrics.snapshot_delta(current, reported)
+                reported = current
             conn.send(reply)
             replies += 1
         elif op == "load":
@@ -297,9 +302,6 @@ class _WorkerHandle:
     jobs: dict[int, Job] = field(default_factory=dict)
     #: Plan warm-ups the worker has reported (one per loaded model).
     warmups: int = 0
-    #: The worker's most recent piggybacked metrics snapshot (may lag
-    #: by up to :data:`_METRICS_PIGGYBACK_EVERY` replies).
-    metrics: dict = field(default_factory=dict)
 
     @property
     def inflight(self) -> int:
@@ -444,16 +446,6 @@ class ProcessWorkerPool:
         with self._lock:
             return dict(self._failed)
 
-    def worker_metrics(self) -> list[dict]:
-        """Each worker's latest piggybacked metrics snapshot.
-
-        One entry per slot that has reported at least once; snapshots
-        may lag live state by up to :data:`_METRICS_PIGGYBACK_EVERY`
-        eval replies.
-        """
-        with self._lock:
-            return [dict(w.metrics) for w in self._workers if w.metrics]
-
     # -- dispatch -------------------------------------------------------------
     def submit(self, job: Job) -> None:
         """Send *job* to the least-loaded alive worker."""
@@ -592,8 +584,8 @@ class ProcessWorkerPool:
             _op, job_id, payload, extras = message
             with self._lock:
                 job = worker.jobs.pop(job_id, None)
-                if "metrics" in extras:
-                    worker.metrics = extras["metrics"]
+            if "metrics" in extras:
+                _obs_metrics.METRICS.absorb(extras.pop("metrics"))
             if job is None:
                 return  # job already failed over after a crash race
             failure = None if op == "ok" else f"worker {worker.slot} error: {payload}"
@@ -700,10 +692,6 @@ class InlineWorkerPool:
 
     def warmups(self) -> list[int]:
         return [self._worker.warmups]
-
-    def worker_metrics(self) -> list[dict]:
-        """Inline execution shares the frontend registry: nothing extra."""
-        return []
 
     def submit(self, job: Job) -> None:
         if self._stopping:

@@ -129,44 +129,15 @@ async def _finish_eval(
     await _write_line(writer, lock, data)
 
 
-def _merge_worker_metrics(snapshots: list[dict]) -> dict:
-    """Aggregate per-worker registry snapshots into one registry shape."""
-    counters: dict[str, int] = {}
-    timers: dict[str, dict] = {}
-    maxima: dict[str, int] = {}
-    for snapshot in snapshots:
-        for name, value in snapshot.get("counters", {}).items():
-            counters[name] = counters.get(name, 0) + value
-        for name, entry in snapshot.get("timers", {}).items():
-            slot = timers.setdefault(name, {"calls": 0, "total_s": 0.0})
-            slot["calls"] += entry.get("calls", 0)
-            slot["total_s"] += entry.get("total_s", 0.0)
-        for name, value in snapshot.get("maxima", {}).items():
-            maxima[name] = max(maxima.get(name, 0), value)
-    return {
-        "counters": dict(sorted(counters.items())),
-        "timers": {name: timers[name] for name in sorted(timers)},
-        "maxima": dict(sorted(maxima.items())),
-    }
-
-
 def _metrics_payload(service: TNNService) -> dict:
     from ..obs.metrics import METRICS
 
-    per_worker = service.worker_metrics()
     return {
         "ok": True,
         # The result cache's record is ``serve.result_cache``.
         "serve": service.stats(),
+        # Worker processes report into this registry every few batches.
         "metrics": METRICS.snapshot(),
-        # The frontend cannot see child-process registries directly;
-        # workers piggyback snapshots on eval replies (so these may lag
-        # live state by a few batches).
-        "workers": {
-            "reporting": len(per_worker),
-            "per_worker": per_worker,
-            "merged": _merge_worker_metrics(per_worker),
-        },
     }
 
 
@@ -465,24 +436,25 @@ async def run_server_async(
 def build_service(args: argparse.Namespace) -> TNNService:
     """The service a ``python -m repro serve`` invocation runs.
 
-    The pool is forked before any model is parsed, so workers start
-    without the server's model heap.  Every model is then registered
-    through :meth:`TNNService.register`, which ships it to the workers
-    as a ``load``; a ``--model-file`` is registered from its own text,
-    which the registry parses once and ships as read.  The call returns
-    once every model has been loaded and warmed.  If a model does not
-    load, or the workers are not warm within the pool's
-    ``start_timeout``, the service is closed and :class:`ServeError`
-    raised.
+    *args* comes from a parser set up by :func:`add_serve_arguments`,
+    which gives every option its default.  The pool is forked before
+    any model is parsed, so workers start without the server's model
+    heap.  Every model is then registered through
+    :meth:`TNNService.register`, which ships it to the workers as a
+    ``load``; a ``--model-file`` is registered from its own text, which
+    the registry parses once and ships as read.  The call returns once
+    every model has been loaded and warmed.  If a model does not load,
+    or the workers are not warm within the pool's ``start_timeout``,
+    the service is closed and :class:`ServeError` raised.
     """
     from .batcher import BatchPolicy
     from .demo import demo_column
     from .pool import InlineWorkerPool, ProcessWorkerPool
     from .registry import ModelRegistry
 
-    if getattr(args, "rtrace", False):
+    if args.rtrace:
         _rtrace.enable_rtrace(True)
-    if getattr(args, "result_cache_entries", None):
+    if args.result_cache_entries:
         from ..runtime import RESULT_CACHE
 
         RESULT_CACHE.configure(max_entries=args.result_cache_entries)
@@ -500,7 +472,7 @@ def build_service(args: argparse.Namespace) -> TNNService:
         default_deadline_s=(
             None if args.deadline_ms is None else args.deadline_ms / 1e3
         ),
-        result_cache=not getattr(args, "no_result_cache", False),
+        result_cache=not args.no_result_cache,
     )
     # Parsing a model allocates its whole heap at once, and automatic
     # collections would walk it again and again; serve_main collects
@@ -517,19 +489,19 @@ def build_service(args: argparse.Namespace) -> TNNService:
             )
         for path in args.model_file or []:
             service.register(Path(path).read_text(encoding="utf-8"))
-        if getattr(args, "train", False):
+        if args.train:
             from ..train import TrainingPlane, classification_scenario
 
             scenario = classification_scenario(
-                smoke=args.smoke, seed=getattr(args, "train_seed", 0)
+                smoke=args.smoke, seed=args.train_seed
             )
             plane = TrainingPlane(
                 service,
                 scenario.column,
-                alias=getattr(args, "train_alias", "digits@live"),
+                alias=args.train_alias,
                 trainer=scenario.make_trainer(),
                 probe=scenario.probe,
-                snapshot_every=getattr(args, "snapshot_every", 50),
+                snapshot_every=args.snapshot_every,
                 model_name=scenario.name,
             )
             service.training = plane
@@ -698,7 +670,7 @@ def serve_main(argv: Optional[list[str]] = None) -> int:
                 metrics_out=args.metrics_out,
                 port_file=args.port_file,
                 flight_out=args.flight_out,
-                lineage_out=getattr(args, "lineage_out", None),
+                lineage_out=args.lineage_out,
             )
         )
     except KeyboardInterrupt:

@@ -695,11 +695,6 @@ class TNNService:
         }
         return snapshot
 
-    def worker_metrics(self) -> list[dict]:
-        """Per-worker metrics snapshots piggybacked on eval replies."""
-        getter = getattr(self.pool, "worker_metrics", None)
-        return getter() if getter is not None else []
-
     # -- lifecycle ------------------------------------------------------------
     def register(self, model, *, name: Optional[str] = None) -> ModelEntry:
         """Register a model and ship it to the worker pool.

@@ -5,7 +5,7 @@ protocol — the ``metrics`` op for the structured snapshot and ``health``
 for liveness — and renders a compact top-style view: request/queue
 gauges, throughput computed from successive counter deltas, per-stage
 latency quantiles from the sliding-window histograms, outcome counters,
-worker pool state, and flight-recorder trips.
+engine counters, worker pool state, and flight-recorder trips.
 
 ``--once`` prints a single frame and exits (scriptable, and what the
 tests drive); otherwise the screen refreshes every ``--interval``
@@ -112,17 +112,15 @@ def render_frame(
     if failure_rows:
         lines.append("latency (failures, total stage):")
         lines.extend(failure_rows)
-    workers = payload.get("workers", {})
-    if workers.get("reporting"):
-        merged = workers.get("merged", {}).get("counters", {})
-        evals = {
-            name: value
-            for name, value in merged.items()
-            if name.startswith(("eval", "plan"))
-        }
+    counters = payload.get("metrics", {}).get("counters", {})
+    engine = sorted(
+        (name, value)
+        for name, value in counters.items()
+        if name.startswith(("evaluate_batch.", "plan."))
+    )
+    if engine:
         lines.append(
-            f"workers reporting: {workers['reporting']}  "
-            + "  ".join(f"{k}={v:,}" for k, v in sorted(evals.items())[:4])
+            "engine: " + "  ".join(f"{k}={v:,}" for k, v in engine[:4])
         )
     rtrace = serve.get("rtrace", {})
     flight = rtrace.get("flight", {})

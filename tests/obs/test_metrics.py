@@ -2,7 +2,7 @@
 
 import time
 
-from repro.obs.metrics import METRICS, MetricsRegistry, reset_metrics
+from repro.obs.metrics import METRICS, MetricsRegistry, reset_metrics, snapshot_delta
 from repro.obs.profile import phase, profiled, profiling_enabled
 
 
@@ -65,6 +65,32 @@ class TestRegistry:
         reg.observe_max("m", 4)
         reg.reset()
         assert reg.snapshot() == {"counters": {}, "timers": {}, "maxima": {}}
+
+    def test_absorbed_deltas_add_up_to_the_whole_run(self):
+        worker, frontend = MetricsRegistry(), MetricsRegistry()
+        worker.inc("inherited", 9)
+        worker.observe_max("m", 6)
+        frontend.inc("c", 1)
+        reported = worker.snapshot()
+        for amount, seconds, peak in [(2, 0.5, 4), (3, 0.25, 8), (0, 0.0, 7)]:
+            if amount:
+                worker.inc("c", amount)
+                worker.add_time("t", seconds)
+            worker.observe_max("m", peak)
+            current = worker.snapshot()
+            frontend.absorb(snapshot_delta(current, reported))
+            reported = current
+        assert frontend.snapshot() == {
+            "counters": {"c": 6},
+            "timers": {"t": {"calls": 2, "total_s": 0.75}},
+            "maxima": {"m": 8},
+        }
+        # Nothing recorded since the last report: an empty report.
+        assert snapshot_delta(reported, reported) == {
+            "counters": {},
+            "timers": {},
+            "maxima": {},
+        }
 
     def test_render_mentions_everything(self):
         reg = MetricsRegistry()

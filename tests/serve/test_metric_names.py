@@ -15,12 +15,12 @@ import re
 
 import numpy as np
 
-from repro import runtime
 from repro.core.value import INF
 from repro.learning.stdp import STDPRule
 from repro.neuron.column import Column
 from repro.neuron.response import ResponseFunction
 from repro.obs.metrics import reset_metrics
+from repro.runtime import RESULT_CACHE
 from repro.serve.batcher import BatchPolicy
 from repro.serve.demo import demo_column
 from repro.serve.pool import InlineWorkerPool
@@ -82,6 +82,7 @@ PROMETHEUS_SERIES = sorted(
 
 #: JSON key paths of the ``metrics`` reply that consumers read.
 JSON_PATHS = [
+    "metrics.counters.evaluate_batch.calls",
     "metrics.counters.serve.result_cache.served",
     "serve.batch_size.batches",
     "serve.batch_size.buckets",
@@ -110,7 +111,6 @@ JSON_PATHS = [
     "serve.worker_failures",
     "serve.worker_restarts",
     "serve.workers_alive",
-    "workers.merged.counters",
 ]
 
 N_INPUTS = 8
@@ -127,7 +127,7 @@ def _column():
 
 def _make_service():
     reset_metrics()
-    runtime.clear_caches()
+    RESULT_CACHE.clear()
     registry = ModelRegistry()
     registry.register(demo_column(0, smoke=True)[0], name="demo")
     service = TNNService(

@@ -294,16 +294,51 @@ class TestProcessPoolTracing:
         pool = ProcessWorkerPool(registry.documents(), n_workers=1)
         service = make_service(registry, pool=pool)
         try:
+            METRICS.reset()
             service.submit("demo", (2, INF)).result(timeout=30)
-            snapshots = service.worker_metrics()
-            assert len(snapshots) == 1
-            [snap] = snapshots
-            assert snap["pid"] and snap["counters"]
-            # The worker's scratch memory is visible from the frontend.
-            assert snap["counters"]["plan.scratch.allocs"] >= 1
-            assert snap["maxima"]["plan.scratch_bytes"] > 0
+            # The worker's scratch memory is counted in the frontend registry.
+            assert METRICS.counter("plan.scratch.allocs") >= 1
+            assert METRICS.maximum("plan.scratch_bytes") > 0
+            lines = METRICS.prometheus().splitlines()
         finally:
             service.close()
+        series = {line.split(" ", 1)[0] for line in lines if not line.startswith("#")}
+        assert {
+            "repro_evaluate_batch_calls_total",
+            "repro_plan_runs_total",
+            "repro_plan_scratch_bytes_max",
+        } <= series
+
+    def test_worker_counts_never_go_backwards_across_a_restart(self, registry):
+        pool = ProcessWorkerPool(registry.documents(), n_workers=1)
+        service = make_service(registry, pool=pool)
+        calls = []
+        submits = 0
+
+        def serve(n):
+            nonlocal submits
+            for _ in range(n):
+                service.submit("demo", (submits, INF)).result(timeout=30)
+                submits += 1
+                calls.append(METRICS.counter("evaluate_batch.calls"))
+
+        try:
+            METRICS.reset()
+            serve(40)
+            pool.inject_crash(0)
+            deadline = time.monotonic() + 30
+            while pool.restarts < 1 or pool.alive_count() < 1:
+                assert time.monotonic() < deadline, "worker was not replaced"
+                time.sleep(0.01)
+            serve(3)
+        finally:
+            service.close()
+        assert calls[0] >= 1
+        assert calls == sorted(calls)
+        # The replacement's first reply reports; it adds what it ran,
+        # not the registry it was forked with.
+        assert calls[-1] > calls[39]
+        assert METRICS.counter("serve.requests") == submits
 
 
 #: Every span a sampled traced request carries through the service.
@@ -486,14 +521,9 @@ class TestServerTelemetry:
             await _request(reader, writer, eval_request(1, "demo", (2, INF)))
             reply = await _request(reader, writer, {"op": "metrics"})
             assert reply["ok"]
-            workers = reply["workers"]
-            # The inline pool has no worker processes to report.
-            assert workers["reporting"] == 0
-            assert workers["merged"] == {
-                "counters": {},
-                "timers": {},
-                "maxima": {},
-            }
+            # Worker counts live in the one registry, not a section of their own.
+            assert "workers" not in reply
+            assert reply["metrics"]["counters"]["evaluate_batch.calls"] >= 1
             assert reply["serve"]["rtrace"]["enabled"] is False
 
         run_session(session)
@@ -552,10 +582,7 @@ class TestTopDashboard:
                 "worker_failures": 1,
                 "worker_restarts": 1,
             },
-            "workers": {
-                "reporting": 2,
-                "merged": {"counters": {"eval.calls": 120}},
-            },
+            "metrics": {"counters": {"evaluate_batch.calls": 16, "serve.ok": 118}},
         }
 
     def test_render_frame_shows_the_story(self):
@@ -563,7 +590,7 @@ class TestTopDashboard:
         assert "engine=native" in frame
         assert "rejected: overloaded=2" in frame
         assert "demo/deadline" in frame
-        assert "workers reporting: 2" in frame
+        assert "\nengine: evaluate_batch.calls=16\n" in frame
         assert "rtrace: on" in frame and "deadline-miss" in frame
         assert "worker failures: 1" in frame
 
