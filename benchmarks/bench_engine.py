@@ -20,11 +20,20 @@ mixed-arity group.  Every cell is the best of interleaved samples, in volleys pe
 second; before timing, the first rows of each batch are checked against
 the interpreted evaluator.
 
+A sixth family, ``srm0-column(80in)`` — the served wide column — is
+timed as the serving workers run it: each of its two 328-wire bitonic
+sorters lowered to rank rows (:func:`repro.ir.sorters.group_sorters`)
+and run as one sort kernel, against the comparator-level plan of the
+same column (both pass-optimized).  Every batch's outputs of the two
+plans must be equal, and its first rows must match the interpreted
+evaluator.
+
 Acceptance (full mode, every family): at B=1024 the plan is **≥ 10×**
 per-volley evaluation, and B=1024 keeps **≥ 0.75** of the family's peak
 throughput (scaling is monotone-or-flat: growing the batch may stop
-paying but must never fall off a cliff).  Results land in
-``BENCH_engine.json`` at the repo root.
+paying but must never fall off a cliff); on the wide column the sort
+kernels are **≥ 2×** the comparator plan at every batch.  Results land
+in ``BENCH_engine.json`` at the repo root.
 
 Run standalone::
 
@@ -41,6 +50,7 @@ import numpy as np
 from repro.core.table import NormalizedTable
 from repro.core.synthesis import synthesize
 from repro.ir import ensure_program, lower, optimize_program
+from repro.ir.sorters import group_sorters
 from repro.network.compile_plan import (
     INF_I64,
     compile_plan,
@@ -65,6 +75,11 @@ CHECK_ROWS = 16
 MIN_SPEEDUP_VS_PER_VOLLEY = 10.0
 #: 0.75 absorbs scheduler noise on shared runners.
 MIN_FRACTION_OF_PEAK = 0.75
+
+#: The served wide column, sort kernels vs comparators.
+SORTER_FAMILY = "srm0-column(80in)"
+#: Full-mode bound on the wide column, held at every batch.
+MIN_SORT_KERNEL_SPEEDUP = 2.0
 
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
@@ -112,6 +127,59 @@ def bench_networks():
         "layered(8x6x16)": layered,
         "srm0-column(10in,optimized)": column_optimized,
     }
+
+
+def wide_column():
+    """The served 80-input column as ``(sort-kernel, comparator)`` programs."""
+    rng = random.Random(0)
+    column = build_srm0_network(
+        SRM0Neuron.homogeneous(
+            80,
+            [rng.randint(1, 3) for _ in range(80)],
+            base_response=ResponseFunction.piecewise_linear(
+                amplitude=2, rise=1, fall=3
+            ),
+            threshold=3,
+        )
+    )
+    program = lower(column)
+    kernel, _report = optimize_program(group_sorters(program))
+    comparators, _report = optimize_program(program)
+    return kernel, comparators
+
+
+def measure_sort_kernel(kernel, comparators, *, batches, samples, seed=0) -> list:
+    """The wide column's rows: sort-kernel and comparator-level volleys/s."""
+    plans = compile_plan(kernel).warm(), compile_plan(comparators).warm()
+    arity = len(kernel.input_ids)
+    rows = []
+    for batch in batches:
+        rng = random.Random(seed + batch)
+        volleys = [
+            random_volley(arity, max_time=1000, rng=rng, silence_probability=0.2)
+            for _ in range(batch)
+        ]
+        matrix = encode_volleys(volleys)
+        got = plans[0].outputs(matrix)
+        np.testing.assert_array_equal(got, plans[1].outputs(matrix))
+        np.testing.assert_array_equal(
+            got[:2], _interpreted_outputs(comparators, volleys[:2])
+        )
+        number = max(1, 64 // batch)
+        t_kernel, t_comparators = best_of(
+            samples,
+            *(lambda plan=plan: [plan.outputs(matrix) for _ in range(number)]
+              for plan in plans),
+        )
+        rows.append(
+            {
+                "batch": batch,
+                "kernel_vps": batch * number / t_kernel,
+                "comparator_vps": batch * number / t_comparators,
+                "speedup": t_comparators / t_kernel,
+            }
+        )
+    return rows
 
 
 def mixed_arity(program) -> bool:
@@ -207,13 +275,28 @@ def run(*, smoke=False) -> dict:
                 slow_samples=1 if smoke else 3,
             ),
         }
+    kernel, comparators = wide_column()
+    kernel_plan, comparator_plan = compile_plan(kernel), compile_plan(comparators)
+    sorters = {
+        SORTER_FAMILY: {
+            "kernel_nodes": kernel_plan.n_nodes,
+            "kernel_kernels": len(kernel_plan.kernels),
+            "comparator_nodes": comparator_plan.n_nodes,
+            "comparator_kernels": len(comparator_plan.kernels),
+            "results": measure_sort_kernel(
+                kernel, comparators, batches=batches, samples=3 if smoke else 15
+            ),
+        }
+    }
     return {
         "benchmark": "bench_engine",
         "smoke": smoke,
         "batches": list(batches),
         "min_speedup_vs_per_volley": MIN_SPEEDUP_VS_PER_VOLLEY,
         "min_fraction_of_peak": MIN_FRACTION_OF_PEAK,
+        "min_sort_kernel_speedup": MIN_SORT_KERNEL_SPEEDUP,
         "families": families,
+        "sort_kernel": sorters,
     }
 
 
@@ -264,6 +347,26 @@ def report(*, smoke=False, artifact_path=ARTIFACT) -> tuple[str, bool]:
             for failure in gate_failures(entry):
                 ok = False
                 lines.append(f"  FAIL: {failure}")
+    for name, entry in data["sort_kernel"].items():
+        lines.append(
+            f"\n{name}: sort kernels {entry['kernel_nodes']} nodes, "
+            f"{entry['kernel_kernels']} kernels; comparators "
+            f"{entry['comparator_nodes']} nodes, "
+            f"{entry['comparator_kernels']} kernels"
+        )
+        lines.append(f"{'B':>6} {'sort kernel':>12} {'comparators':>12} {'speedup':>8}")
+        for row in entry["results"]:
+            lines.append(
+                f"{row['batch']:>6} {row['kernel_vps']:>12.0f} "
+                f"{row['comparator_vps']:>12.0f} {row['speedup']:>7.1f}x"
+            )
+            if not smoke and row["speedup"] < MIN_SORT_KERNEL_SPEEDUP:
+                ok = False
+                lines.append(
+                    f"  FAIL: sort kernels {row['speedup']:.1f}x the comparator "
+                    f"plan at B={row['batch']}, below the "
+                    f"{MIN_SORT_KERNEL_SPEEDUP:.0f}x bound"
+                )
     lines.append(f"\nartifact: {artifact_path}")
     lines.append(
         "\nshape: one fused kernel per (level, kind) amortized over the "

@@ -17,6 +17,13 @@ prices that claim on two network families:
 original's lowering itself, so the two share one compiled plan and
 ``evaluate_batch`` cannot slow down.
 
+For the redundant networks it also prices the serving workers' load
+path, ``optimize_program(group_sorters(lower(network)))``
+(:mod:`repro.ir.sorters`): each recognized sorting network becomes rank
+rows before the sweep, so the sweep sees a fraction of the nodes.  Both
+load paths are timed from a fresh lowering, as a worker lowers each
+document it loads.
+
 Per-step node reductions and optimize and batch timings land in
 ``BENCH_ir_passes.json`` at the repo root, under the shared ``env``
 header.
@@ -33,7 +40,8 @@ from pathlib import Path
 
 from repro.core.synthesis import synthesize
 from repro.core.table import NormalizedTable
-from repro.ir import lower, optimize_program
+from repro.ir import Program, lower, optimize_program
+from repro.ir.sorters import group_sorters
 from repro.network import NetworkBuilder, compile_plan, evaluate_batch
 from repro.network.generate import random_volley
 from repro.neuron.response import ResponseFunction
@@ -110,6 +118,27 @@ def _optimize(network):
     return program, report, seconds * 1e3
 
 
+def _load_paths(network):
+    """Best-of-3 ms of both load paths from a fresh lowering, and the
+    grouped path's node count."""
+
+    def fresh():
+        return Program(network.nodes, network.outputs, name=network.name)
+
+    comparators_s, grouped_s = best_of(
+        3,
+        lambda: optimize_program(fresh()),
+        lambda: optimize_program(group_sorters(fresh())),
+    )
+    grouped, _report = optimize_program(group_sorters(fresh()))
+    return {
+        "comparators_ms": comparators_s * 1e3,
+        "grouped_ms": grouped_s * 1e3,
+        "grouped_nodes": len(grouped.nodes),
+        "rank_rows": len(grouped.rank_ids),
+    }
+
+
 def measure_redundant(network, *, batch, repeats, seed=0):
     """Reduction accounting plus optimized-vs-legacy batch timing."""
     program, report, optimize_ms = _optimize(network)
@@ -138,6 +167,7 @@ def measure_redundant(network, *, batch, repeats, seed=0):
         "legacy_optimize_ms": t_leg * 1e3,
         "speedup_vs_raw": t_raw / t_opt if t_opt else float("inf"),
         "ratio_vs_legacy": t_opt / t_leg if t_leg else float("inf"),
+        "load_path": _load_paths(network),
     }
 
 
@@ -216,6 +246,18 @@ def report(*, smoke=False, artifact_path=ARTIFACT) -> tuple[str, bool]:
                 f"  FAIL: optimized batch is {row['ratio_vs_legacy']:.2f}x "
                 f"the legacy Network path (bound {MAX_LEGACY_RATIO:.2f}x)"
             )
+    lines.append("\nload path from a fresh lowering (sorters grouped first):")
+    lines.append(
+        f"{'network':<20} {'comparators':>12} {'grouped':>10} {'nodes':>7} "
+        f"{'rank rows':>9}"
+    )
+    for name, row in data["redundant"].items():
+        load = row["load_path"]
+        lines.append(
+            f"{name:<20} {load['comparators_ms']:>10.1f}ms "
+            f"{load['grouped_ms']:>8.1f}ms {load['grouped_nodes']:>7} "
+            f"{load['rank_rows']:>9}"
+        )
     lines.append("\nminimal networks (optimizer must be a no-op):")
     for name, row in data["minimal"].items():
         lines.append(

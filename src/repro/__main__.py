@@ -187,7 +187,8 @@ def _conformance(argv: list[str]) -> int:
         metavar="NAME",
         help=(
             "pin every case to one generator family (layered, srm0, wta, "
-            "kwta, microweight, kernels) instead of the weighted mix"
+            "kwta, microweight, kernels, sorters) instead of the weighted "
+            "mix; sorters is only drawn this way"
         ),
     )
     args = parser.parse_args(argv)

@@ -27,7 +27,11 @@ count after each:
     ``lt`` fold outright — always by aliasing the node that already
     carries the value;
   - ``inc(inc(x, a), b)`` → ``inc(x, a + b)``; a total delay of 0
-    collapses to a wire.
+    collapses to a wire;
+  - ``rank`` rows (:mod:`repro.ir.sorters`) are opaque: their sources
+    are canonicalized but keep their order and duplicates (a never wire
+    becomes a real ∞ row, so the width stays), nothing folds through
+    them, and they hash-cons on ``(rank, k, sources)``.
 
   Because every source is canonical before its consumer is visited,
   one sweep is a fixpoint: re-optimizing the output changes nothing.
@@ -76,6 +80,9 @@ class _Rewriter:
         self.result: dict[int, int] = {}  # old id -> new id, or _NEVER
         self.seen: dict[tuple, int] = {}
         self._never_wire: Optional[int] = None
+        #: Rank rows of one sorter share one source tuple: canonicalize
+        #: it (and, in :meth:`finish`, renumber it) once per sorter.
+        self.lanes: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def emit(
         self,
@@ -132,9 +139,11 @@ class _Rewriter:
         live = [row[0] == "input" or row[0] == "param" for row in rows]
         for new in outputs.values():
             live[new] = True
+        marked: tuple[int, ...] = ()
         for row_id in range(len(rows) - 1, -1, -1):
-            if live[row_id]:
-                for src in rows[row_id][1]:
+            if live[row_id] and rows[row_id][1] is not marked:
+                marked = rows[row_id][1]  # rank rows share their sources
+                for src in marked:
                     live[src] = True
         prov_sets: dict[int, set[int]] = {}
         for old, new in self.result.items():
@@ -147,11 +156,18 @@ class _Rewriter:
         remap: list[int] = [-1] * len(rows)
         nodes: list[Node] = []
         provenance: dict[int, tuple[int, ...]] = {}
+        renumbered: dict[tuple[int, ...], tuple[int, ...]] = {}
         for row_id, (kind, sources, amount, name, tags) in enumerate(rows):
             if live[row_id]:
                 remap[row_id] = new = len(nodes)
-                sources = tuple([remap[s] for s in sources])
-                nodes.append(Node(new, kind, sources, amount, name, tags))
+                if kind == "rank":
+                    lanes = renumbered.get(sources)
+                    if lanes is None:
+                        lanes = renumbered[sources] = tuple([remap[s] for s in sources])
+                    nodes.append(Node.rank(new, lanes, amount, tags))
+                else:
+                    sources = tuple([remap[s] for s in sources])
+                    nodes.append(Node(new, kind, sources, amount, name, tags))
                 provenance[new] = tuple(sorted(prov_sets.get(row_id, ())))
         return Program(
             tuple(nodes),
@@ -167,8 +183,19 @@ class _Rewriter:
 
 def _rewrite(rw: _Rewriter, known: dict[int, Time], node: Node) -> int:
     """The canonical id of compute *node* (sources already canonical)."""
-    sources = [rw.result[s] for s in node.sources]
     kind = node.kind
+    if kind == "rank":
+        sources = rw.lanes.get(node.sources)
+        if sources is None:
+            sources = [rw.result[s] for s in node.sources]
+            if _NEVER in sources:
+                never = rw.never_wire()
+                sources = [never if s == _NEVER else s for s in sources]
+            sources = rw.lanes[node.sources] = tuple(sources)
+        return rw.get_or_emit(
+            ("rank", node.amount, sources), "rank", sources, node.amount, node.tags
+        )
+    sources = [rw.result[s] for s in node.sources]
     if kind == "inc":
         src, amount = sources[0], node.amount
         value = known.get(src)

@@ -25,6 +25,15 @@ the same node table:
   optimized and unoptimized spike traces comparable
   (:func:`repro.obs.trace.project_events`).
 
+A program may also carry IR-only ``rank`` rows — the ``k``-th smallest
+of their sources — which :func:`repro.ir.sorters.group_sorters` puts in
+place of each recognized sorting network.  Only the compiled plan runs
+them (one sort kernel per sorter); the interpreted, event-driven and
+GRL backends evaluate comparator-level programs and refuse ranked ones
+(:attr:`Program.rank_ids`), and :meth:`Program.to_network` does too, so
+a ``rank`` row never reaches a :class:`~repro.network.graph.Network` or
+a model document.
+
 The IR is also the single owner of the **zero-source identity** rule:
 a ``min`` with no sources is the lattice top (``∞`` — it never fires),
 a ``max`` with no sources is the lattice bottom (it fires at 0).
@@ -50,7 +59,7 @@ from ..network.graph import Network, NetworkError
 #: identity values below) is the single source of truth all four
 #: backends consult.
 NODE_CLASSES = (
-    "input", "param", "inc", "min", "max", "lt", "const-inf", "const-zero",
+    "input", "param", "inc", "min", "max", "lt", "rank", "const-inf", "const-zero",
 )
 
 #: The lattice identity each zero-source constant evaluates to.
@@ -84,6 +93,7 @@ class Program:
         "schedule",
         "provenance",
         "const_ids",
+        "rank_ids",
         "_fingerprint",
         "_consumers",
         "_plan",
@@ -120,9 +130,15 @@ class Program:
         }
         # -- the level schedule ------------------------------------------------
         levels = [0] * len(self.nodes)
+        previous: tuple[int, ...] = ()
+        level = 0
         for node in self.nodes:
             if node.sources:
-                levels[node.id] = 1 + max(levels[s] for s in node.sources)
+                # Rank rows of one sorter share one source tuple.
+                if node.sources is not previous:
+                    previous = node.sources
+                    level = 1 + max(map(levels.__getitem__, previous))
+                levels[node.id] = level
         self.levels: tuple[int, ...] = tuple(levels)
         by_level: list[list[int]] = [[] for _ in range(max(levels, default=0) + 1)]
         for node in self.nodes:
@@ -133,6 +149,10 @@ class Program:
         #: Zero-source min/max nodes — the lattice identity constants.
         self.const_ids: tuple[int, ...] = tuple(
             n.id for n in self.nodes if classify(n).startswith("const-")
+        )
+        #: IR-only ``rank`` rows (:mod:`repro.ir.sorters`).
+        self.rank_ids: tuple[int, ...] = tuple(
+            n.id for n in self.nodes if n.kind == "rank"
         )
         #: program node id -> original node ids it represents (fire-time
         #: equal).  Identity unless the optimizer rewrote the program.
@@ -208,7 +228,7 @@ class Program:
                         (
                             node.kind,
                             node.sources,
-                            node.amount if node.kind == "inc" else 0,
+                            node.amount if node.kind in ("inc", "rank") else 0,
                             node.name or "",
                         )
                     ).encode()
@@ -217,9 +237,22 @@ class Program:
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
+    def require_comparators(self, consumer: str) -> None:
+        """Raise :class:`NetworkError` if this program has ``rank`` rows.
+
+        *consumer* names what refused them, for the message.
+        """
+        if self.rank_ids:
+            raise NetworkError(
+                f"{consumer} cannot run rank row {self.rank_ids[0]}: rank "
+                "rows are IR-only and run on the compiled plan; use the "
+                "program before group_sorters"
+            )
+
     # -- conversion ----------------------------------------------------------
     def to_network(self, *, name: Optional[str] = None) -> Network:
         """Materialize back into a :class:`Network` (same node table)."""
+        self.require_comparators("a Network")
         return Network(self.nodes, dict(self.outputs), name=name or self.name)
 
     def pretty(self) -> str:

@@ -14,6 +14,12 @@ nodes:
 
 Multi-output components (e.g. the min/max comparator of a sorting network)
 are built from several single-output nodes sharing sources.
+
+One further kind exists only inside the IR (:mod:`repro.ir.sorters`):
+``rank`` — the ``k``-th smallest of its sources, the row a recognized
+sorting network lowers to.  :meth:`Node.rank` builds it; the public
+constructor, and with it the builder and the model document, never
+accept it.
 """
 
 from __future__ import annotations
@@ -93,6 +99,36 @@ class Node:
         _set_name(self, name)
         _set_tags(self, tags)
 
+    @classmethod
+    def rank(
+        cls, id: int, sources: tuple[int, ...], k: int, tags: tuple[str, ...] = ()
+    ) -> "Node":
+        """An IR-only ``rank`` row: the *k*-th smallest of *sources*.
+
+        *sources* keep their order and duplicates (a rank is over a
+        multiset); ``∞`` sorts last, as in ``N0∞``.  *k* is stored as
+        the node's ``amount``.
+        """
+        global _rank_lanes
+        # One sorter's rows share their lane tuple: bound-check it once.
+        checked = _rank_lanes
+        if checked[0] is not sources:
+            if not sources or min(sources) < 0:
+                raise ValueError(f"rank node {id} needs sources")
+            checked = _rank_lanes = (sources, max(sources))
+        if checked[1] >= id:
+            raise ValueError(f"rank node {id} has a source that is not upstream")
+        if not 0 <= k < len(sources):
+            raise ValueError(f"rank {k} out of range for {len(sources)} sources")
+        node = object.__new__(cls)
+        _set_id(node, id)
+        _set_kind(node, "rank")
+        _set_sources(node, tuple(sources))
+        _set_amount(node, k)
+        _set_name(node, None)
+        _set_tags(node, tags)
+        return node
+
     @property
     def is_terminal(self) -> bool:
         return self.kind in ("input", "param")
@@ -104,8 +140,13 @@ class Node:
             return f"param {self.name!r}"
         if self.kind == "inc":
             return f"inc(+{self.amount}) <- {self.sources[0]}"
+        if self.kind == "rank":
+            return f"rank[{self.amount}]{self.sources}"
         return f"{self.kind}{self.sources}"
 
+
+#: The lane tuple :meth:`Node.rank` last bound-checked, and its largest id.
+_rank_lanes: tuple = ((), -1)
 
 # The frozen class blocks ``setattr``; ``__init__`` fills the slots
 # through their descriptors, the cheapest way to write a slot.

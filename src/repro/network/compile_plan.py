@@ -40,6 +40,13 @@ Compilation
   Mixed-arity ``min``/``max`` groups are padded to a rectangle by
   repeating each node's first source: both operations are idempotent,
   so ``min(a, b, a) = min(a, b)``, and every reduction has one shape;
+* **one sort kernel per sorter** — the IR-only ``rank`` rows that
+  :func:`repro.ir.sorters.group_sorters` puts in place of a recognized
+  sorting network (all of one sorter's rows share their sources) run as
+  one gather, one ``np.sort`` along the wire axis and one write of the
+  live ranks.  ``∞`` is the largest int64, so it sorts last, as in
+  ``N0∞``.  Only this backend runs rank rows; a program that has them
+  has no comparator values to trace, so tracing one is refused;
 * **one grow-only scratch set** — every batch size runs on a contiguous
   prefix of the same flat arena and gather buffers, kept in a small
   thread-safe free-list, so steady-state runs allocate only their output.
@@ -229,7 +236,21 @@ class _LtKernel:
     b: np.ndarray
 
 
-_Kernel = Union[_IncKernel, _ReduceKernel, _LtKernel]
+@dataclass(frozen=True)
+class _SortKernel:
+    """One sorter's ``rank`` rows: gather, sort along the wires, write.
+
+    ``ranks`` picks the live sorted positions (rows ``lo..hi``): a slice
+    when they are consecutive, else an index array.
+    """
+
+    lo: int
+    hi: int
+    srcs: np.ndarray  # (n,) arena rows, the sorter's input lanes
+    ranks: Union[slice, np.ndarray]
+
+
+_Kernel = Union[_IncKernel, _ReduceKernel, _LtKernel, _SortKernel]
 
 
 @dataclass(frozen=True)
@@ -247,6 +268,8 @@ def _kernel_kind(kernel: _Kernel) -> str:
         return "inc"
     if isinstance(kernel, _ReduceKernel):
         return "min" if kernel.is_min else "max"
+    if isinstance(kernel, _SortKernel):
+        return "sort"
     return "lt"
 
 
@@ -282,6 +305,14 @@ def _execute_kernels(kernels, arena, s1, s2, mask, profiling=False) -> None:
             gathered = s1[: g * kernel.k].reshape(g, kernel.k, arena.shape[1])
             reduce = np.minimum.reduce if kernel.is_min else np.maximum.reduce
             reduce(gathered, axis=1, out=arena[kernel.lo:kernel.hi])
+        elif isinstance(kernel, _SortKernel):
+            # Sort wire-major rows: one contiguous sort per volley.
+            n, batch = kernel.srcs.size, arena.shape[1]
+            arena.take(kernel.srcs, axis=0, out=s1[:n])
+            lanes = s2.reshape(-1)[: n * batch].reshape(batch, n)
+            np.copyto(lanes, s1[:n].T)
+            lanes.sort(axis=1)
+            np.copyto(arena[kernel.lo:kernel.hi], lanes[:, kernel.ranks].T)
         else:  # _LtKernel
             g = kernel.hi - kernel.lo
             arena.take(kernel.a, axis=0, out=s1[:g])
@@ -339,9 +370,20 @@ class CompiledPlan:
                 ).append(node)
         grouped = []
         for (_, kind), nodes in sorted(buckets.items(), key=lambda kv: kv[0]):
-            lo = len(order)
-            order.extend(n.id for n in nodes)
-            grouped.append((kind, lo, len(order), nodes))
+            if kind == "rank":
+                # One sort kernel per sorter, its rows in rank order.
+                sorters: dict[tuple[int, ...], list] = {}
+                for node in nodes:
+                    sorters.setdefault(node.sources, []).append(node)
+                runs = [
+                    sorted(rows, key=lambda n: n.amount) for rows in sorters.values()
+                ]
+            else:
+                runs = [nodes]
+            for nodes in runs:
+                lo = len(order)
+                order.extend(n.id for n in nodes)
+                grouped.append((kind, lo, len(order), nodes))
         self.n_cols = len(order)
         self.perm = np.empty(self.n_nodes, dtype=np.int64)
         self.perm[order] = np.arange(self.n_cols, dtype=np.int64)
@@ -387,6 +429,22 @@ class CompiledPlan:
                     )
                 )
                 max_gather = max(max_gather, hi - lo)
+            elif kind == "rank":
+                ranks = [n.amount for n in nodes]
+                consecutive = ranks == list(range(ranks[0], ranks[0] + len(ranks)))
+                kernels.append(
+                    _SortKernel(
+                        lo=lo,
+                        hi=hi,
+                        srcs=perm[list(nodes[0].sources)],
+                        ranks=(
+                            slice(ranks[0], ranks[-1] + 1)
+                            if consecutive
+                            else np.array(ranks, dtype=np.int64)
+                        ),
+                    )
+                )
+                max_gather = max(max_gather, len(nodes[0].sources))
             else:  # const-inf / const-zero: filled by _acquire
                 identity = CONST_IDENTITY[kind]
                 value = INF_I64 if isinstance(identity, Infinity) else int(identity)
@@ -419,6 +477,8 @@ class CompiledPlan:
             line = f"  {kind:<9} x{kernel.hi - kernel.lo}"
             if isinstance(kernel, _ReduceKernel):
                 line += f" (arity={kernel.k})"
+            elif isinstance(kernel, _SortKernel):
+                line += f" (width={kernel.srcs.size})"
             lines.append(line)
         return "\n".join(lines)
 
@@ -491,8 +551,11 @@ class CompiledPlan:
         enabled, the canonical spike trace of batch row *trace_row* is
         emitted from the finished values.
         """
+        tracing = sink is not None and sink.enabled
+        if tracing:
+            self.program.require_comparators("spike tracing")
         values = self._execute(matrix, param_vector, self.perm)
-        if sink is not None and sink.enabled:
+        if tracing:
             _obs_trace.emit_events(sink, self.program, values[trace_row])
         return values
 

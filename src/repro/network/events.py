@@ -91,6 +91,7 @@ class EventSimulator:
 
     def __init__(self, network: ProgramLike):
         self.network = ensure_program(network)
+        self.network.require_comparators("the event simulator")
         self._consumers = self.network.consumers()
 
     def run(

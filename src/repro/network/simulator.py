@@ -59,6 +59,7 @@ def evaluate_all_interpreted(
     the walk (one event per node that fires).
     """
     program = ensure_program(network)
+    program.require_comparators("the interpreted evaluator")
     params = params or {}
     missing_in = set(program.input_ids) - set(inputs)
     if missing_in:

@@ -26,7 +26,7 @@ from ..network.builder import NetworkBuilder, Ref
 from ..network.compile_plan import decode_time, evaluate_batch
 from ..network.graph import Network
 from .response import ResponseFunction, fanout_network
-from .sorting import bitonic_sort, odd_even_merge_sort
+from ..network.sorting import bitonic_sort, odd_even_merge_sort
 from .srm0 import SRM0Neuron
 
 

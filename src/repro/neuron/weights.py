@@ -111,7 +111,7 @@ def build_programmable_neuron(
     The network computes, for the selected weight vector ``w``, exactly
     the fire time of ``SRM0Neuron.homogeneous(n, w, threshold=θ)``.
     """
-    from .sorting import bitonic_sort
+    from ..network.sorting import bitonic_sort
 
     base = base_response or ResponseFunction.biexponential()
     responses = response_family(base, max_weight)

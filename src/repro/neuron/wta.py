@@ -25,7 +25,7 @@ from ..core.value import INF, Infinity, Time, check_vector, t_min
 from ..network.builder import NetworkBuilder
 from ..network.compile_plan import INF_I64, decode_matrix, encode_volleys, evaluate_batch
 from ..network.graph import Network
-from .sorting import bitonic_sort
+from ..network.sorting import bitonic_sort
 
 
 def build_wta_network(n_lines: int, *, window: int = 1, name: Optional[str] = None) -> Network:

@@ -53,6 +53,7 @@ def compile_network(
     chain, the final flip-flop).  The spike-trace read-back uses it.
     """
     program = ensure_program(network)
+    program.require_comparators("the GRL compiler")
     if program.const_ids:
         node = program.nodes[program.const_ids[0]]
         constant = "∞" if node.kind == "min" else "0"

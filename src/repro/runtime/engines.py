@@ -20,6 +20,7 @@ from typing import Optional
 
 from ..core.value import Infinity, Time
 from ..ir.program import ProgramLike, ensure_program
+from ..ir.sorters import group_sorters
 from ..network.compile_plan import decode_matrix, evaluate_batch
 from ..network.events import EventSimulator
 from ..network.simulator import evaluate_all_interpreted
@@ -113,14 +114,20 @@ class InterpretedEngine(BackendEngine):
 class CompiledBatchEngine(BackendEngine):
     """The compiled int64 batch engine, one plan call per batch.
 
-    The plan runs as fused NumPy kernels, one per (level, kind).
-    Traces are emitted post-hoc from the complete value vector.
+    The plan runs as fused NumPy kernels, one per (level, kind), and it
+    runs the program the serving workers run: every recognized sorting
+    network lowered to rank rows (:func:`repro.ir.sorters.group_sorters`)
+    and executed as one sort kernel, while the other three backends
+    evaluate its comparators.  Traces come from the comparator-level
+    plan, post-hoc from the complete value vector.
     """
 
     name = "compiled-batch"
 
     def run(self, network, volleys, params=None):
-        matrix = evaluate_batch(network, list(volleys), params=params)
+        matrix = evaluate_batch(
+            group_sorters(network), list(volleys), params=params
+        )
         return [tuple(row) for row in decode_matrix(matrix)]
 
     def trace(self, network, volley, params=None):

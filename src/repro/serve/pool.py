@@ -80,16 +80,22 @@ def load_program(model_id: str, document: str) -> Program:
     """Rebuild one served model from its document, ready to evaluate.
 
     Deserialize, verify that the document's fingerprint is *model_id*
-    (:class:`ValueError` otherwise), lower to the IR, run the optimizer,
-    and warm the compiled plan.  :meth:`_Worker.load` is its one caller.
+    (:class:`ValueError` otherwise), lower to the IR, lower each
+    recognized sorting network to rank rows, run the optimizer, and warm
+    the compiled plan.  Grouping comes before the optimizer, whose
+    rewrites would hide a sorter's shape; it also leaves the sweep a
+    fraction of the nodes.  :meth:`_Worker.load` is its one caller.
     """
+    # Imported here: only a worker's load groups sorters, never the frontend.
+    from ..ir.sorters import group_sorters
+
     network = serialize.loads(document)
     if network.fingerprint() != model_id:
         raise ValueError(
             f"document fingerprint {network.fingerprint()[:12]} does not "
             f"match model id {model_id[:12]}"
         )
-    program, _report = optimize_program(lower(network))
+    program, _report = optimize_program(group_sorters(lower(network)))
     compile_plan(program).warm()
     return program
 
@@ -236,12 +242,23 @@ def _worker_main(conn) -> None:
     * ``("load", model_id, document)`` → ``("loaded", model_id, warmups)``,
       or ``("load-failed", model_id, reason)`` when the document does
       not rebuild (the worker keeps serving its other models);
-    * ``("ping", token)`` → ``("pong", token)``
+    * ``("ping", token)`` → ``("pong", token, delta)``: every pong
+      reports what the worker counted since its last report, so after a
+      warm barrier the parent registry holds every count of every batch
+      sent before it
     * ``("crash",)`` → hard ``os._exit`` (fault-injection hook)
     * ``("stop",)`` → clean return
     """
     worker = _Worker()
     reported = _obs_metrics.METRICS.snapshot()
+
+    def unreported() -> dict:
+        nonlocal reported
+        current = _obs_metrics.METRICS.snapshot()
+        delta = _obs_metrics.snapshot_delta(current, reported)
+        reported = current
+        return delta
+
     conn.send(("ready", os.getpid(), sorted(worker.programs), worker.warmups))
     replies = 0
     while True:
@@ -258,9 +275,7 @@ def _worker_main(conn) -> None:
             except Exception as exc:  # noqa: BLE001 - reported to the parent
                 reply = ("err", job_id, f"{type(exc).__name__}: {exc}", {})
             if replies % _METRICS_PIGGYBACK_EVERY == 0:
-                current = _obs_metrics.METRICS.snapshot()
-                reply[3]["metrics"] = _obs_metrics.snapshot_delta(current, reported)
-                reported = current
+                reply[3]["metrics"] = unreported()
             conn.send(reply)
             replies += 1
         elif op == "load":
@@ -278,7 +293,7 @@ def _worker_main(conn) -> None:
             gc.freeze()
             gc.enable()
         elif op == "ping":
-            conn.send(("pong", message[1]))
+            conn.send(("pong", message[1], unreported()))
         elif op == "crash":
             os._exit(3)
         elif op == "stop":
@@ -493,7 +508,9 @@ class ProcessWorkerPool:
 
         Worker pipes are FIFO, so a ``pong`` proves the worker already
         processed every ``load`` sent before the ping — newly shipped
-        models are rebuilt, verified, and engine-warmed.  The hot-swap
+        models are rebuilt, verified, and engine-warmed — and every eval:
+        the pong carries the worker's unreported counts, which the
+        collector absorbs before it releases the barrier.  The hot-swap
         promotion path calls this *before* flipping an alias, so the
         first admission routed to the new fingerprint never pays
         rebuild cost and can never race an unloaded model.  Returns
@@ -601,6 +618,9 @@ class ProcessWorkerPool:
                 self._failed[model_id] = reason
             _obs_metrics.METRICS.inc("serve.worker.failures")
         elif op == "pong":
+            # Absorbed before the barrier releases: its waiter then sees
+            # every count of the batches the worker ran before the ping.
+            _obs_metrics.METRICS.absorb(message[2])
             with self._lock:
                 pending = self._pongs.pop(message[1], None)
             if pending is not None:

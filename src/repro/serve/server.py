@@ -423,6 +423,9 @@ async def run_server_async(
             service.training.lineage.save(lineage_out)
             print(f"wrote training lineage to {lineage_out}", flush=True)
     if metrics_out:
+        # A warm barrier: each worker's pong carries the counts it has
+        # not yet piggybacked, so the snapshot misses no batch.
+        service.pool.wait_warm()
         Path(metrics_out).write_text(
             json.dumps(_metrics_payload(service), indent=2, sort_keys=True) + "\n",
             encoding="utf-8",

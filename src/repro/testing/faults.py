@@ -35,6 +35,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.value import INF, Infinity, Time
+from ..ir.sorters import group_sorters
 from ..network.blocks import Node
 from ..network.compile_plan import (
     MAX_FINITE,
@@ -249,7 +250,9 @@ class PlanReorderOracle(BackendEngine):
     """The compiled batch engine with a corrupted kernel schedule.
 
     Builds a fresh (unshared) :class:`~repro.network.compile_plan.
-    CompiledPlan`, finds a kernel that consumes another kernel's arena
+    CompiledPlan` of the program the compiled engine runs (sorters
+    grouped, so sort kernels are in the schedule), finds a kernel that
+    consumes another kernel's arena
     rows, swaps the two, and executes the corrupted list through the
     *same* kernel executor the real plan uses — so the only difference
     the diff can attribute is the schedule.  The arena is
@@ -271,12 +274,14 @@ class PlanReorderOracle(BackendEngine):
         return None
 
     def supports_network(self, network: Network) -> Optional[str]:
-        if self._dependent_pair(CompiledPlan(network).kernels) is None:
+        plan = CompiledPlan(group_sorters(network))
+        if self._dependent_pair(plan.kernels) is None:
             return "plan has no dependent kernel pair to reorder"
         return None
 
     def run(self, network, volleys, params=None):
-        plan = CompiledPlan(network)  # fresh: never poison the program's plan
+        # Fresh: never poison the program's plan.
+        plan = CompiledPlan(group_sorters(network))
         pair = self._dependent_pair(plan.kernels)
         if pair is None:
             raise RuntimeError("no dependent pair; supports_network lied")

@@ -16,6 +16,9 @@ Two generator layers:
   latches, barriers, routers, accumulators), stages chained by port
   renaming so composed kernel networks are fuzzed as first-class
   citizens;
+* :func:`random_sorter_network` — random DAGs with bitonic and odd-even
+  sorters of random width embedded in them, the shape the compiled
+  engine lowers to one sort kernel per sorter;
 * :func:`generate_case` — draws a whole case from one integer seed,
   mixing layered DAGs with the paper's composite constructions (SRM0
   sorting-network neurons, τ-WTA / k-WTA inhibition, micro-weight
@@ -36,6 +39,7 @@ from ..core.value import INF, Time
 from ..network.builder import NetworkBuilder
 from ..network.compile_plan import MAX_FINITE
 from ..network.graph import Network
+from ..network.sorting import bitonic_sort, odd_even_merge_sort
 from ..neuron.response import ResponseFunction
 from ..neuron.srm0 import SRM0Neuron
 from ..neuron.srm0_network import build_srm0_network
@@ -43,7 +47,9 @@ from ..neuron.weights import build_programmable_neuron, weight_settings
 from ..neuron.wta import build_k_wta_network, build_wta_network
 from .oracles import Volley
 
-#: Case families drawn by :func:`generate_case`, with draw weights.
+#: Case families drawn by :func:`generate_case`, with draw weights.  A
+#: weight of 0 keeps a family out of the mixed draw (so adding one never
+#: reshuffles the seeds of the others); ``--family`` still selects it.
 FAMILIES: tuple[tuple[str, int], ...] = (
     ("layered", 5),
     ("srm0", 2),
@@ -51,6 +57,7 @@ FAMILIES: tuple[tuple[str, int], ...] = (
     ("kwta", 1),
     ("microweight", 1),
     ("kernels", 2),
+    ("sorters", 0),
 )
 
 
@@ -180,6 +187,52 @@ def random_kernel_network(
 
 
 # ---------------------------------------------------------------------------
+# Embedded sorting networks
+# ---------------------------------------------------------------------------
+
+def random_sorter_network(
+    *, seed: int, smoke: bool = False, name: Optional[str] = None
+) -> Network:
+    """A random DAG with sorting networks of random width embedded in it.
+
+    Each sorter is :func:`~repro.network.sorting.bitonic_sort` or
+    :func:`~repro.network.sorting.odd_even_merge_sort` over 1..12 lanes
+    (1..6 in *smoke*; powers of two or not) drawn from earlier wires,
+    sometimes with one wire on two lanes.  A few of its outputs feed
+    delays, ``lt`` races and ``min``/``max`` nodes that later sorters
+    read; now and then a later sorter reads an earlier one's outputs
+    directly, which joins the two into one region that is no sorter.
+    Unread sorter outputs are left dead on purpose.
+    """
+    rng = random.Random(seed)
+    builder = NetworkBuilder(name or f"sorters(seed={seed})")
+    n_inputs = rng.randint(2, 4 if smoke else 6)
+    wires = [builder.input(f"x{i}") for i in range(n_inputs)]
+    wires.append(builder.inc(rng.choice(wires), rng.randint(1, 3)))
+    sorted_outputs = []
+    taps = []
+    for _ in range(rng.randint(1, 2 if smoke else 3)):
+        width = rng.randint(1, 6 if smoke else 12)
+        pool = sorted_outputs if sorted_outputs and rng.random() < 0.15 else wires
+        lanes = [rng.choice(pool) for _ in range(width)]
+        if width > 2 and rng.random() < 0.3:
+            lanes[rng.randrange(width)] = lanes[0]
+        sort = bitonic_sort if rng.random() < 0.6 else odd_even_merge_sort
+        sorted_outputs = [w for w in sort(builder, lanes) if w is not None]
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.choice(sorted_outputs), rng.choice(sorted_outputs + wires)
+            op = rng.choice(("inc", "lt", "min", "max"))
+            if op == "inc":
+                wires.append(builder.inc(a, rng.randint(1, 3)))
+            else:
+                wires.append(getattr(builder, op)(a, b))
+        taps.append(rng.choice(sorted_outputs))
+    for index, wire in enumerate(taps + wires[-rng.randint(1, 2):]):
+        builder.output(f"y{index}", wire)
+    return builder.build()
+
+
+# ---------------------------------------------------------------------------
 # Adversarial volleys
 # ---------------------------------------------------------------------------
 
@@ -291,6 +344,10 @@ def generate_case(
         network = build_k_wta_network(n_lines, rng.randint(1, n_lines - 1))
     elif family == "kernels":
         network = random_kernel_network(
+            seed=rng.randrange(2**31), smoke=smoke
+        )
+    elif family == "sorters":
+        network = random_sorter_network(
             seed=rng.randrange(2**31), smoke=smoke
         )
     else:  # microweight

@@ -45,8 +45,15 @@ from typing import Optional
 from ..core.value import INF, Infinity, Time
 from ..ir.passes import optimize_program
 from ..ir.program import Program, ProgramLike, ensure_program
+from ..ir.sorters import group_sorters
 from ..network.compile_plan import MAX_FINITE
-from ..runtime.engines import ENGINES, BackendEngine, Outputs, Volley
+from ..runtime.engines import (
+    ENGINES,
+    BackendEngine,
+    CompiledBatchEngine,
+    Outputs,
+    Volley,
+)
 
 __all__ = [
     "BackendRun",
@@ -118,27 +125,34 @@ def run_backends(
     With ``optimize=True`` the source is lowered and run through the
     IR optimizer *once*, and the resulting
     :class:`~repro.ir.program.Program` (recorded on the returned
-    ``BackendRun``) is shared by every backend — so the compiled plan
-    cache, keyed by IR fingerprint, compiles it exactly once too.  Leave
-    it ``False`` for fault injection: :class:`FaultedOracle` network
-    transforms operate on the raw ``Network``.
+    ``BackendRun``) is shared by every comparator-level backend.  The
+    compiled engine instead runs what a serving worker loads: the same
+    lowering with its sorters grouped *before* the sweep
+    (:func:`~repro.ir.sorters.group_sorters`), whose rewrites would hide
+    them.  Leave it ``False`` for fault injection: :class:`FaultedOracle`
+    network transforms operate on the raw ``Network``.
     """
     if oracles is None:
         oracles = [engine() for engine in ENGINES]
     shared_program: Optional[Program] = None
+    served: Optional[Program] = None
     if optimize:
-        shared_program, _report = optimize_program(ensure_program(network))
+        program = ensure_program(network)
+        shared_program, _report = optimize_program(program)
+        served, _report = optimize_program(group_sorters(program))
         network = shared_program
     volleys = [tuple(v) for v in volleys]
     run = BackendRun(volleys=volleys, program=shared_program)
     for oracle in oracles:
-        reason = oracle.supports_network(network)
+        compiled = served is not None and type(oracle) is CompiledBatchEngine
+        source = served if compiled else network
+        reason = oracle.supports_network(source)
         if reason is not None:
             run.skipped[oracle.name] = reason
             continue
         mask = [oracle.supports_volley(v) for v in volleys]
         subset = [v for v, ok in zip(volleys, mask) if ok]
-        outputs = oracle.run(network, subset, params=params) if subset else []
+        outputs = oracle.run(source, subset, params=params) if subset else []
         if len(outputs) != len(subset):
             raise RuntimeError(
                 f"oracle {oracle.name!r} returned {len(outputs)} rows for "

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.core.value import INF
 from repro.learning.stdp import STDPRule
+from repro.network.compile_plan import evaluate_batch
 from repro.neuron.column import Column
 from repro.neuron.response import ResponseFunction
 from repro.obs.metrics import reset_metrics
@@ -235,6 +236,25 @@ def test_metric_names_are_pinned():
     assert _series_names(text_reply["text"]) == PROMETHEUS_SERIES
     missing = [p for p in JSON_PATHS if not _has_path(metrics_reply, p)]
     assert not missing, missing
+
+
+def test_sort_kernel_timer_is_pinned():
+    """A served column's sorters run as sort kernels timed as ``plan.group.sort``."""
+    from repro.network.serialize import dumps
+    from repro.obs.metrics import METRICS
+    from repro.obs.profile import profiled
+    from repro.serve.pool import load_program
+
+    network = demo_column(0, smoke=True)[0]
+    program = load_program(network.fingerprint(), dumps(network))
+    assert program.rank_ids
+    reset_metrics()
+    with profiled():
+        evaluate_batch(program, [(1,) * len(program.input_ids)])
+    calls, _ = METRICS.timer("plan.group.sort")
+    assert calls >= 1
+    assert "repro_plan_group_sort_seconds_total" in _series_names(METRICS.prometheus())
+    reset_metrics()
 
 
 _INF_BUCKET = re.compile(r'^(\w+)_bucket\{(.*?),?le="\+Inf"\} (\S+)$', re.M)

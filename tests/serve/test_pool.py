@@ -69,7 +69,9 @@ class TestWorkerBody:
         parent, thread = self.run_worker(registry)
         try:
             parent.send(("ping", 42))
-            assert parent.recv() == ("pong", 42)
+            op, token, delta = parent.recv()
+            assert (op, token) == ("pong", 42)
+            assert set(delta) >= {"counters", "timers"}
         finally:
             parent.send(("stop",))
             thread.join(timeout=5)

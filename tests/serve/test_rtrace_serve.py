@@ -291,10 +291,12 @@ class TestProcessPoolTracing:
         )
 
     def test_worker_metrics_piggyback_reaches_the_frontend(self, registry):
+        # Reset first: the load barrier's pong already reports the
+        # worker's warm-up scratch.
+        METRICS.reset()
         pool = ProcessWorkerPool(registry.documents(), n_workers=1)
         service = make_service(registry, pool=pool)
         try:
-            METRICS.reset()
             service.submit("demo", (2, INF)).result(timeout=30)
             # The worker's scratch memory is counted in the frontend registry.
             assert METRICS.counter("plan.scratch.allocs") >= 1
@@ -308,6 +310,29 @@ class TestProcessPoolTracing:
             "repro_plan_runs_total",
             "repro_plan_scratch_bytes_max",
         } <= series
+
+    def test_a_warm_barrier_folds_every_unreported_count(self, registry):
+        """21 batches (not a multiple of the piggyback period) count exactly."""
+        network = registry.resolve("demo").network
+        model_id = registry.resolve("demo").model_id
+        pool = ProcessWorkerPool(registry.documents(), n_workers=2)
+        try:
+            METRICS.reset()
+            rows = 0
+            for job_id in range(21):
+                done = threading.Event()
+                matrix = np.full((1 + job_id % 3, len(network.input_ids)), job_id)
+                rows += matrix.shape[0]
+                pool.submit(
+                    Job(job_id, model_id, matrix, {}, lambda _r: done.set(), print)
+                )
+                assert done.wait(timeout=30)
+            assert METRICS.counter("evaluate_batch.calls") < 21  # piggybacks only
+            assert pool.wait_warm(timeout=30)
+            assert METRICS.counter("evaluate_batch.calls") == 21
+            assert METRICS.counter("evaluate_batch.volleys") == rows
+        finally:
+            pool.shutdown()
 
     def test_worker_counts_never_go_backwards_across_a_restart(self, registry):
         pool = ProcessWorkerPool(registry.documents(), n_workers=1)

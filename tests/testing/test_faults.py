@@ -8,13 +8,18 @@ zero-source min/max identities must survive dropped lines.
 """
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.value import INF, Infinity
+from repro.ir.sorters import group_sorters
 from repro.network.builder import NetworkBuilder
-from repro.network.compile_plan import INF_I64, MAX_FINITE
+from repro.network.compile_plan import INF_I64, MAX_FINITE, CompiledPlan, _SortKernel
+from repro.network.graph import Network
+from repro.network.sorting import bitonic_sort
+from repro.testing.conformance import run_fault_selfcheck
 from repro.testing.faults import (
     FAULT_CLASSES,
     NETWORK_MUTATIONS,
@@ -257,3 +262,65 @@ class TestFaultClasses:
         for fault in FAULT_CLASSES:
             built = fault.build(case, random.Random(1))
             assert built is None or hasattr(built, "run")
+
+
+# ---------------------------------------------------------------------------
+# Faults through the sort kernel
+# ---------------------------------------------------------------------------
+
+class TestFaultsThroughTheSortKernel:
+    """The compiled engine runs grouped sorters; every fault still shows."""
+
+    def sorter_chain(self):
+        b = NetworkBuilder("sorted-race")
+        xs = [b.input(f"x{i}") for i in range(5)]
+        lanes = [b.inc(x, 1) for x in xs]
+        out = bitonic_sort(b, lanes)
+        b.output("y", b.lt(out[1], out[3]))
+        return b.build()
+
+    def test_every_class_is_killed_and_shrunk_on_sorter_cases(self):
+        report = run_fault_selfcheck(seed=0, smoke=True, family="sorters")
+        assert report.ok, str(report)
+        assert {d.fault for d in report.detections} == {
+            f.name for f in FAULT_CLASSES
+        }
+        for detection in report.detections:
+            assert detection.case_name.startswith("sorters[")
+            assert detection.witness is not None
+            namespace = {}
+            exec(compile(detection.regression_test, "<emitted>", "exec"), namespace)
+            for name, fn in namespace.items():
+                if name.startswith("test_"):
+                    fn()  # the reproducer passes against the healthy tree
+
+    def test_reorder_swaps_a_sort_kernel_out_of_order(self):
+        net = self.sorter_chain()
+        plan = CompiledPlan(group_sorters(net))
+        pair = PlanReorderOracle._dependent_pair(plan.kernels)
+        assert pair is not None
+        assert any(isinstance(plan.kernels[i], _SortKernel) for i in pair)
+        oracle = PlanReorderOracle()
+        assert oracle.supports_network(net) is None
+        volley = (4, 0, 3, 1, 2)
+        broken = oracle.run(net, [volley])[0]
+        healthy = CompiledBatchEngine().run(net, [volley])[0]
+        assert healthy == InterpretedEngine().run(net, [volley])[0]
+        assert broken != healthy
+
+    def test_mutant_inside_a_sorter_stays_comparators(self):
+        net = self.sorter_chain()
+        victim = next(n for n in net.nodes if "sort" in n.tags and n.kind == "min")
+        mutant = Network(
+            [
+                replace(n, kind="max") if n.id == victim.id else n
+                for n in net.nodes
+            ],
+            dict(net.outputs),
+        )
+        assert group_sorters(net).rank_ids
+        assert not group_sorters(mutant).rank_ids
+        volleys = [(4, 0, 3, 1, 2), (0, 1, 2, 3, 4), (INF, 0, INF, 1, 2)]
+        assert CompiledBatchEngine().run(mutant, volleys) == (
+            InterpretedEngine().run(mutant, volleys)
+        )
