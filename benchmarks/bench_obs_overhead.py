@@ -188,9 +188,9 @@ def measure_serve(*, smoke=False, sweeps=10):
     volleys = demo_volleys(arity, n_requests, seed=11)
 
     pool = (
-        InlineWorkerPool(registry.documents())
+        InlineWorkerPool(registry.programs())
         if n_workers == 0
-        else ProcessWorkerPool(registry.documents(), n_workers=n_workers)
+        else ProcessWorkerPool(registry.programs(), n_workers=n_workers)
     )
     service = TNNService(
         registry,

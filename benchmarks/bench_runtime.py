@@ -51,7 +51,7 @@ def _bench_hot_hit(network, *, requests: int) -> dict:
         registry.register(network, name="bench")
         service = TNNService(
             registry,
-            InlineWorkerPool(registry.documents()),
+            InlineWorkerPool(registry.programs()),
             policy=BatchPolicy(max_batch=64, max_wait_s=0.0),
             result_cache=result_cache,
         )

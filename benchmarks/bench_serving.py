@@ -96,7 +96,7 @@ def _run_config(
     reset_metrics()
     registry = ModelRegistry()
     registry.register(network, name="bench")
-    pool = ProcessWorkerPool(registry.documents(), n_workers=workers)
+    pool = ProcessWorkerPool(registry.programs(), n_workers=workers)
     service = TNNService(
         registry,
         pool,

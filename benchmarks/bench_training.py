@@ -84,7 +84,7 @@ def run(*, smoke: bool = False, seed: int = 0) -> dict:
     registry = ModelRegistry()
     service = TNNService(
         registry,
-        InlineWorkerPool(registry.documents()),
+        InlineWorkerPool(registry.programs()),
         policy=BatchPolicy(max_batch=16, max_wait_s=0.001),
     )
     alias = f"{scenario.name}@live"

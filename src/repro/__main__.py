@@ -645,7 +645,7 @@ def _train(argv: list[str]) -> int:
     registry = ModelRegistry()
     service = TNNService(
         registry,
-        InlineWorkerPool(registry.documents()),
+        InlineWorkerPool(registry.programs()),
         policy=BatchPolicy(max_batch=8, max_wait_s=0.001),
     )
     alias = f"{scenario.name}@live"

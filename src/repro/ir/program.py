@@ -192,6 +192,17 @@ class Program:
     def __len__(self) -> int:
         return len(self.nodes)
 
+    def __reduce__(self):
+        """Pickle as the constructor's arguments, nothing derived.
+
+        The receiving side re-validates the node table and re-derives the
+        schedule; the cached fingerprint, consumers and compiled plan
+        never travel, so a compiled program pickles to the same bytes as
+        an uncompiled one.  Pickle's memo keeps the rank rows of one
+        sorter on one shared source tuple.
+        """
+        return (_restore, (self.nodes, self.outputs, self.name, self.provenance))
+
     def __repr__(self) -> str:
         return (
             f"Program({self.name!r}: {len(self.input_ids)} in, "
@@ -269,6 +280,11 @@ class Program:
                 )
                 lines.append(f"    [{node_id:>4}] {node.describe()}{marker}")
         return "\n".join(lines)
+
+
+def _restore(nodes, outputs, name, provenance) -> Program:
+    """Unpickle a :class:`Program` (:meth:`Program.__reduce__`)."""
+    return Program(nodes, outputs, name=name, provenance=provenance)
 
 
 ProgramLike = Union[Network, Program]

@@ -1,16 +1,17 @@
 """Sharded worker pool: one compiled-and-warmed batch engine per process.
 
 Each worker is a separate OS process that starts with no models.  Every
-model reaches it as a ``load`` message carrying the serialized document
-— when the pool starts, when a model is registered, and when a
-replacement worker is brought up to date — and is rebuilt through
-:func:`load_program`: verify the embedded fingerprint, lower to the IR,
-run the optimizer, and **warm** the compiled plan, so the first real
-request never pays compilation or first-touch cost.  Eval messages are
-answered by the batch engine
-(:func:`~repro.network.compile_plan.evaluate_batch`).  Both loading and
-evaluating live in one worker body, :class:`_Worker`, which both pools
-run; :func:`_worker_main` is only its pipe transport.
+model reaches it as a ``load`` message carrying the model's served
+program — built once, by the frontend's registry, from the network it
+parsed — pickled once per model, and sent when the pool starts, when a
+model is registered, and when a replacement worker is brought up to
+date.  :func:`load_program` unpickles it, verifies the program
+fingerprint the message names, and **warms** the compiled plan, so the
+first real request never pays compilation or first-touch cost; a worker
+never parses, lowers or optimizes.  Eval messages are answered by the
+batch engine (:func:`~repro.network.compile_plan.evaluate_batch`).  Both
+loading and evaluating live in one worker body, :class:`_Worker`, which
+both pools run; :func:`_worker_main` is only its pipe transport.
 Work arrives as already-encoded ``(B, n_inputs)`` int64 matrices (the
 micro-batcher's output) and leaves as the engine's raw
 ``(B, n_outputs)`` result, keeping the IPC payload two NumPy arrays per
@@ -29,8 +30,9 @@ prove byte-identical responses survive crashes.
 :class:`InlineWorkerPool` is the same interface executed synchronously
 in-process — no IPC, no fork — used by unit tests and by benchmark
 configurations that isolate scheduling cost from process cost.  It
-calls the same :class:`_Worker` directly, so a sampled batch there sets
-the process-wide profiling flag in the serving process itself.
+calls the same :class:`_Worker` directly, with the registry's own
+:class:`~repro.ir.program.Program` objects, so a sampled batch there
+sets the process-wide profiling flag in the serving process itself.
 
 Both pools count into the frontend's one metrics registry: a process
 worker's counts arrive every :data:`_METRICS_PIGGYBACK_EVERY`-th reply,
@@ -44,6 +46,7 @@ import itertools
 import multiprocessing as mp
 import multiprocessing.connection as mp_connection
 import os
+import pickle
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -53,9 +56,7 @@ from typing import Callable
 import numpy as np
 
 from ..core.value import INF, Time
-from ..ir.passes import optimize_program
-from ..ir.program import Program, lower
-from ..network import serialize
+from ..ir.program import Program
 from ..network.compile_plan import INF_I64, compile_plan, evaluate_batch
 from ..obs import metrics as _obs_metrics
 from ..obs import profile as _profile
@@ -76,26 +77,24 @@ def _pool_gauges(pool) -> dict:
     }
 
 
-def load_program(model_id: str, document: str) -> Program:
-    """Rebuild one served model from its document, ready to evaluate.
+def load_program(model_id: str, fingerprint: str, program: "Program | bytes") -> Program:
+    """Make one served program ready to evaluate.
 
-    Deserialize, verify that the document's fingerprint is *model_id*
-    (:class:`ValueError` otherwise), lower to the IR, lower each
-    recognized sorting network to rank rows, run the optimizer, and warm
-    the compiled plan.  Grouping comes before the optimizer, whose
-    rewrites would hide a sorter's shape; it also leaves the sweep a
-    fraction of the nodes.  :meth:`_Worker.load` is its one caller.
+    *program* is the registry's served program
+    (:attr:`~repro.serve.registry.ModelEntry.program`), pickled by a
+    process pool or the object itself in-process.  Unpickle it, verify
+    that its fingerprint is *fingerprint* (:class:`ValueError`
+    otherwise; unpickling re-derives the fingerprint from the node
+    table), and warm the compiled plan.  :meth:`_Worker.load` is its
+    one caller.
     """
-    # Imported here: only a worker's load groups sorters, never the frontend.
-    from ..ir.sorters import group_sorters
-
-    network = serialize.loads(document)
-    if network.fingerprint() != model_id:
+    if isinstance(program, bytes):
+        program = pickle.loads(program)
+    if program.fingerprint() != fingerprint:
         raise ValueError(
-            f"document fingerprint {network.fingerprint()[:12]} does not "
-            f"match model id {model_id[:12]}"
+            f"program fingerprint {program.fingerprint()[:12]} of model "
+            f"{model_id[:12]} does not match {fingerprint[:12]}"
         )
-    program, _report = optimize_program(group_sorters(lower(network)))
     compile_plan(program).warm()
     return program
 
@@ -164,9 +163,9 @@ class _Worker:
         #: Plan warm-ups so far (one per loaded model).
         self.warmups = 0
 
-    def load(self, model_id: str, document: str) -> int:
-        """Rebuild *model_id* through :func:`load_program`; the new warm-up count."""
-        self.programs[model_id] = load_program(model_id, document)
+    def load(self, model_id: str, fingerprint: str, program) -> int:
+        """Load *model_id* through :func:`load_program`; the new warm-up count."""
+        self.programs[model_id] = load_program(model_id, fingerprint, program)
         self.warmups += 1
         return self.warmups
 
@@ -223,10 +222,10 @@ def _worker_main(conn) -> None:
     Runs in a child process (or, for unit tests, a plain thread with the
     other pipe end held by the test).  It reports ready with no models,
     then serves messages in order, so every model a ``load`` brings is
-    rebuilt before any eval behind it on the pipe runs.  Automatic
-    collections are off during a load, which allocates a whole model
-    heap at once and would otherwise be walked by collection after
-    collection; the load ends in one full collection and
+    warmed before any eval behind it on the pipe runs.  Automatic
+    collections are off during a load, which allocates a whole program
+    and its plan at once and would otherwise be walked by collection
+    after collection; the load ends in one full collection and
     ``gc.freeze()``: the compiled programs and warmed plans are
     immortal, and frozen objects keep steady-state eval batches from
     paying collections that walk the model heap.
@@ -239,9 +238,11 @@ def _worker_main(conn) -> None:
       :data:`_METRICS_PIGGYBACK_EVERY` replies, what the worker counted
       since its last report (:func:`~repro.obs.metrics.snapshot_delta`,
       first against its start; a snapshot takes no inherited lock);
-    * ``("load", model_id, document)`` → ``("loaded", model_id, warmups)``,
-      or ``("load-failed", model_id, reason)`` when the document does
-      not rebuild (the worker keeps serving its other models);
+    * ``("load", model_id, program_fingerprint, program)`` →
+      ``("loaded", model_id, warmups)``, or ``("load-failed", model_id,
+      reason)`` when the pickled program does not unpickle or its
+      fingerprint is not *program_fingerprint* (the worker keeps serving
+      its other models);
     * ``("ping", token)`` → ``("pong", token, delta)``: every pong
       reports what the worker counted since its last report, so after a
       warm barrier the parent registry holds every count of every batch
@@ -282,12 +283,13 @@ def _worker_main(conn) -> None:
             model_id = message[1]
             gc.disable()
             try:
-                warmups = worker.load(model_id, message[2])
+                warmups = worker.load(model_id, message[2], message[3])
             except Exception as exc:  # noqa: BLE001 - reported to the parent
                 conn.send(("load-failed", model_id, f"{type(exc).__name__}: {exc}"))
             else:
                 conn.send(("loaded", model_id, warmups))
-            # The document is parsed: do not hold it until the next message.
+            # The program is unpickled: do not hold its bytes until the
+            # next message.
             del message
             gc.collect()
             gc.freeze()
@@ -326,16 +328,18 @@ class _WorkerHandle:
 class ProcessWorkerPool:
     """Multiprocessing workers with least-loaded dispatch and restarts.
 
-    The workers are forked empty; *documents* are then shipped to them
-    as ``load`` messages, and the constructor returns once every worker
-    holds them (:meth:`wait_loaded`).  A server passes no documents,
-    registers its models afterwards and then calls :meth:`wait_loaded`
-    itself, so no worker starts with the parent's model heap.
+    The workers are forked empty; *programs* (``model_id -> served
+    program``, :meth:`~repro.serve.registry.ModelRegistry.programs`) are
+    then shipped to them as ``load`` messages, and the constructor
+    returns once every worker holds them (:meth:`wait_loaded`).  A
+    server passes no programs, registers its models afterwards and then
+    calls :meth:`wait_loaded` itself, so no worker starts with the
+    parent's model heap.
     """
 
     def __init__(
         self,
-        documents: dict[str, str],
+        programs: dict[str, Program],
         *,
         n_workers: int = 2,
         max_restarts: int = 8,
@@ -343,9 +347,10 @@ class ProcessWorkerPool:
     ):
         if n_workers < 1:
             raise ValueError(f"need at least one worker, got {n_workers}")
-        #: ``model_id -> document`` of every model a replacement worker
-        #: must be sent (a document that fails to load is dropped).
-        self._documents: dict[str, str] = {}
+        #: ``model_id -> (program fingerprint, pickled program)`` of every
+        #: model a replacement worker must be sent (a program that fails
+        #: to load is dropped).
+        self._programs: dict[str, tuple[str, bytes]] = {}
         #: ``model_id -> reason`` of every model a worker failed to load.
         self._failed: dict[str, str] = {}
         self._max_restarts = max_restarts
@@ -371,10 +376,10 @@ class ProcessWorkerPool:
             target=self._collect_loop, name="serve-pool-collector", daemon=True
         )
         self._collector.start()
-        for model_id, document in documents.items():
-            self.add_model(model_id, document)
+        for model_id, program in programs.items():
+            self.add_model(model_id, program)
         try:
-            self.wait_loaded(documents)
+            self.wait_loaded(programs)
         except ServeError:
             self.shutdown()
             raise
@@ -491,15 +496,20 @@ class ProcessWorkerPool:
                 raise ServeError(E_WORKER, "worker pipe broken on submit")
         _obs_metrics.METRICS.inc("serve.pool.submits")
 
-    def add_model(self, model_id: str, document: str) -> None:
-        """Ship a newly registered model to every alive worker."""
+    def add_model(self, model_id: str, program: Program) -> None:
+        """Ship a newly registered model's program to every alive worker.
+
+        The program is pickled once, here; every worker, and every
+        replacement later, is sent the same bytes.
+        """
+        load = (program.fingerprint(), pickle.dumps(program, pickle.HIGHEST_PROTOCOL))
         with self._lock:
-            self._documents[model_id] = document
+            self._programs[model_id] = load
             self._failed.pop(model_id, None)
             for worker in self._workers:
                 if worker.alive:
                     try:
-                        worker.conn.send(("load", model_id, document))
+                        worker.conn.send(("load", model_id, *load))
                     except (OSError, BrokenPipeError):
                         worker.alive = False
 
@@ -508,14 +518,14 @@ class ProcessWorkerPool:
 
         Worker pipes are FIFO, so a ``pong`` proves the worker already
         processed every ``load`` sent before the ping — newly shipped
-        models are rebuilt, verified, and engine-warmed — and every eval:
+        programs are verified and engine-warmed — and every eval:
         the pong carries the worker's unreported counts, which the
         collector absorbs before it releases the barrier.  The hot-swap
         promotion path calls this *before* flipping an alias, so the
         first admission routed to the new fingerprint never pays
-        rebuild cost and can never race an unloaded model.  Returns
+        load cost and can never race an unloaded model.  Returns
         ``False`` on timeout.  A worker that dies mid-barrier releases
-        it: its replacement is sent every document before it can receive
+        it: its replacement is sent every program before it can receive
         an eval, so no request reaches it ahead of a model it serves.
         """
         events = []
@@ -611,10 +621,10 @@ class ProcessWorkerPool:
             with self._lock:
                 worker.warmups = message[2]
         elif op == "load-failed":
-            # Replacements are not sent a document that does not load.
+            # Replacements are not sent a program that does not load.
             _op, model_id, reason = message
             with self._lock:
-                self._documents.pop(model_id, None)
+                self._programs.pop(model_id, None)
                 self._failed[model_id] = reason
             _obs_metrics.METRICS.inc("serve.worker.failures")
         elif op == "pong":
@@ -633,7 +643,7 @@ class ProcessWorkerPool:
             orphans = list(worker.jobs.values())
             worker.jobs.clear()
             # Release warm-barrier waiters pinned on the dead worker: its
-            # replacement is sent every document before any eval.
+            # replacement is sent every program before any eval.
             for token in [
                 t for t, (w, _) in self._pongs.items() if w is worker
             ]:
@@ -653,7 +663,7 @@ class ProcessWorkerPool:
 
         The replayed ``load`` messages are queued before the replacement
         is installed, so every eval it is later sent runs behind them.
-        They are sent outside the lock (a large document blocks until the
+        They are sent outside the lock (a large program blocks until the
         worker reads it); models registered meanwhile are sent at install.
         """
         try:
@@ -661,17 +671,17 @@ class ProcessWorkerPool:
         except ServeError:
             return
         with self._lock:
-            replay = dict(self._documents)
+            replay = dict(self._programs)
         try:
-            for model_id, document in replay.items():
-                replacement.conn.send(("load", model_id, document))
+            for model_id, load in replay.items():
+                replacement.conn.send(("load", model_id, *load))
             with self._lock:
                 if self._stopping:
                     replacement.conn.send(("stop",))
                     return
-                for model_id, document in self._documents.items():
+                for model_id, load in self._programs.items():
                     if model_id not in replay:
-                        replacement.conn.send(("load", model_id, document))
+                        replacement.conn.send(("load", model_id, *load))
                 self._workers[dead.slot] = replacement
                 self._restarts += 1
         except OSError:
@@ -696,10 +706,10 @@ class InlineWorkerPool:
     for its evaluation, here in the serving process itself.
     """
 
-    def __init__(self, documents: dict[str, str]):
+    def __init__(self, programs: dict[str, Program]):
         self._worker = _Worker()
-        for model_id, document in documents.items():
-            self.add_model(model_id, document)
+        for model_id, program in programs.items():
+            self.add_model(model_id, program)
         self._stopping = False
         self._gauges = _pool_gauges(self)
         _obs_metrics.METRICS.add_gauges(self._gauges)
@@ -726,8 +736,8 @@ class InlineWorkerPool:
             return
         _complete(job, result, extras)
 
-    def add_model(self, model_id: str, document: str) -> None:
-        self._worker.load(model_id, document)
+    def add_model(self, model_id: str, program: Program) -> None:
+        self._worker.load(model_id, program.fingerprint(), program)
 
     def wait_warm(self, timeout: float = 30.0) -> bool:
         """Loads are synchronous in-process: always already warm."""

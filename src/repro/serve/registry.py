@@ -5,9 +5,10 @@ SHA-256 of its node table and terminal/output maps, preserved
 bit-for-bit by JSON serialization (:mod:`repro.network.serialize`
 embeds and verifies it).  That one choice buys three properties:
 
-* **shippability** — workers receive the serialized document, rebuild
-  the network, and can *prove* they loaded the right model by comparing
-  fingerprints against the model id;
+* **shippability** — the frontend parses and verifies each document
+  once, builds the optimized program a worker serves, and ships that
+  program; a worker *proves* it received it intact by recomputing the
+  program's fingerprint;
 * **deduplication** — registering a structural twin (same algebra, any
   display name) resolves to the existing entry, so workers load it once;
 * **conformance** — "served response equals direct ``evaluate_batch``"
@@ -35,10 +36,11 @@ import threading
 from dataclasses import dataclass
 from typing import Optional, Union
 
-# Workers optimize each model from its document; the name stays
-# importable here for tooling that times the serving set-up by wrapping
-# ``repro.serve.registry.optimize_program``.
-from ..ir.passes import optimize_program  # noqa: F401
+# Called through this module's name, so tooling that times the serving
+# set-up can wrap ``repro.serve.registry.optimize_program``.
+from ..ir.passes import optimize_program
+from ..ir.program import Program, lower
+from ..ir.sorters import group_sorters
 from ..network import serialize
 from ..network.graph import Network, NetworkError
 from ..runtime.result_cache import RESULT_CACHE
@@ -50,18 +52,23 @@ MIN_PREFIX = 8
 
 @dataclass(frozen=True)
 class ModelEntry:
-    """One registered model: the network and its document.
+    """One registered model: its network, document and served program.
 
-    ``document`` is the serialized form shipped to worker processes,
-    which rebuild, lower and optimize it before serving (fire-time
-    equal to the network by the IR's provenance contract); ``network``
-    stays available in-process for the direct conformance path.
+    ``program`` is what the worker pool serves: the network lowered, its
+    sorters grouped into rank rows and the result optimized, built once
+    here (fire-time equal to the network by the IR's provenance
+    contract).  Workers receive it, not the document, and only compile
+    and warm it.  ``document`` is the serialized form the ``model_doc``
+    op hands out, so a client can rebuild and byte-check the model;
+    ``network`` stays available in-process for the direct conformance
+    path.
     """
 
     model_id: str  # == network.fingerprint()
     name: str
     network: Network
     document: str
+    program: Program
 
     @property
     def input_arity(self) -> int:
@@ -141,8 +148,12 @@ class ModelRegistry:
         * a **network** is serialized, the document parsed back, and the
           two fingerprints compared bit-for-bit.
 
-        Both happen outside the lock: a large column takes a while, and
-        admissions must keep resolving meanwhile.
+        A new model's served program is then built from the network:
+        lowered, its sorters grouped (before the optimizer, whose
+        rewrites would hide a sorter's shape; it also leaves the sweep a
+        fraction of the nodes) and optimized.  All of it happens outside
+        the lock: a large column takes a while, and admissions must keep
+        resolving meanwhile.
         """
         document = None
         if isinstance(model, str):
@@ -163,11 +174,13 @@ class ModelRegistry:
                         f"of {network.name!r}: {fingerprint[:12]} -> "
                         f"{rebuilt.fingerprint()[:12]}"
                     )
+            program, _report = optimize_program(group_sorters(lower(network)))
             entry = ModelEntry(
                 model_id=fingerprint,
                 name=name or network.name,
                 network=network,
                 document=document,
+                program=program,
             )
         with self._lock:
             entry = self._by_id.setdefault(fingerprint, entry)
@@ -228,6 +241,11 @@ class ModelRegistry:
         return entry
 
     def documents(self) -> dict[str, str]:
-        """``model_id -> serialized document`` — the worker-pool payload."""
+        """``model_id -> serialized document`` of every registered model."""
         with self._lock:
             return {fp: entry.document for fp, entry in self._by_id.items()}
+
+    def programs(self) -> dict[str, Program]:
+        """``model_id -> served program`` — the worker-pool payload."""
+        with self._lock:
+            return {fp: entry.program for fp, entry in self._by_id.items()}

@@ -443,10 +443,11 @@ def build_service(args: argparse.Namespace) -> TNNService:
     which gives every option its default.  The pool is forked before
     any model is parsed, so workers start without the server's model
     heap.  Every model is then registered through
-    :meth:`TNNService.register`, which ships it to the workers as a
-    ``load``; a ``--model-file`` is registered from its own text, which
-    the registry parses once and ships as read.  The call returns once
-    every model has been loaded and warmed.  If a model does not load,
+    :meth:`TNNService.register`: the registry parses it once (a
+    ``--model-file`` from its own text), builds its served program, and
+    the service ships that program to the workers as a ``load``, which
+    they only compile and warm.  The call returns once every model has
+    been loaded and warmed.  If a model does not load,
     or the workers are not warm within the pool's ``start_timeout``,
     the service is closed and :class:`ServeError` raised.
     """

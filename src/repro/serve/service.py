@@ -709,7 +709,7 @@ class TNNService:
             while len(self._document_archive) > self._archive_limit:
                 self._document_archive.popitem(last=False)
         if entry.model_id not in before:
-            self.pool.add_model(entry.model_id, entry.document)
+            self.pool.add_model(entry.model_id, entry.program)
         return entry
 
     def document(self, key: str) -> tuple[str, str]:
@@ -747,7 +747,7 @@ class TNNService:
         2. **warm barrier** — wait until every alive worker has drained
            its load backlog (:meth:`~repro.serve.pool.ProcessWorkerPool.
            wait_warm`), so the first admission routed to the new
-           fingerprint never pays rebuild or JIT cost.  A target a
+           fingerprint never pays load or JIT cost.  A target a
            worker failed to load is refused (:class:`ServeError`,
            ``worker-failure``) and the alias is left where it was;
         3. **atomic flip** — :meth:`ModelRegistry.promote` repoints the

@@ -1,6 +1,10 @@
 """The Program lowering: schedule, fingerprint, memoization, round trip."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.value import INF
 from repro.ir import (
@@ -9,9 +13,13 @@ from repro.ir import (
     classify,
     ensure_program,
     lower,
+    optimize_program,
     same_structure,
 )
+from repro.ir.sorters import group_sorters
 from repro.network import Network, NetworkBuilder, NetworkError, Node
+from repro.network.compile_plan import compile_plan, evaluate_batch
+from repro.testing.generators import FAMILIES, generate_case, random_sorter_network
 
 
 def diamond() -> Network:
@@ -108,3 +116,62 @@ class TestConstants:
         kinds = {classify(program.nodes[i]) for i in program.const_ids}
         assert kinds == {"const-inf", "const-zero"}
         assert len(program.const_ids) == 2
+
+
+def served(network: Network) -> Program:
+    """The program a served model runs: grouped sorters, then the sweep."""
+    program, _report = optimize_program(group_sorters(lower(network)))
+    return program
+
+
+class TestPickle:
+    """A Program pickles as its constructor arguments, nothing derived."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        family=st.sampled_from([name for name, _weight in FAMILIES]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_is_the_same_program(self, seed, family):
+        case = generate_case(seed, smoke=True, family=family)
+        program = served(case.network)
+        copy = pickle.loads(pickle.dumps(program, pickle.HIGHEST_PROTOCOL))
+        assert copy.fingerprint() == program.fingerprint()
+        assert same_structure(copy, program)
+        assert (copy.levels, copy.schedule) == (program.levels, program.schedule)
+        assert (copy.const_ids, copy.rank_ids) == (program.const_ids, program.rank_ids)
+        assert (copy.name, copy.provenance) == (program.name, program.provenance)
+        # The adversarial volleys include near-sentinel ones.
+        params = case.params or None
+        want = evaluate_batch(program, case.volleys, params=params)
+        got = evaluate_batch(copy, case.volleys, params=params)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_compiled_program_pickles_to_the_same_bytes(self):
+        program = served(random_sorter_network(seed=3, smoke=True))
+        assert program.rank_ids
+        before = pickle.dumps(program, pickle.HIGHEST_PROTOCOL)
+        compile_plan(program).warm()
+        program.fingerprint()
+        program.consumers()
+        assert pickle.dumps(program, pickle.HIGHEST_PROTOCOL) == before
+        copy = pickle.loads(before)
+        assert (copy._plan, copy._fingerprint, copy._consumers) == (None, None, None)
+
+    def test_rank_rows_of_one_sorter_keep_one_source_tuple(self):
+        program = served(random_sorter_network(seed=3, smoke=True))
+        copy = pickle.loads(pickle.dumps(program, pickle.HIGHEST_PROTOCOL))
+
+        def lanes(p):
+            rows = [p.nodes[i] for i in p.rank_ids]
+            return len({r.sources for r in rows}), len({id(r.sources) for r in rows})
+
+        assert lanes(copy) == lanes(program)
+        assert lanes(copy)[0] == lanes(copy)[1]
+
+    def test_unpickling_revalidates_the_node_table(self):
+        program = served(diamond())
+        restore, (nodes, _outputs, name, provenance) = program.__reduce__()
+        with pytest.raises(NetworkError, match="missing node"):
+            restore(nodes, {"z": len(nodes)}, name, provenance)

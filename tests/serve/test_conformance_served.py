@@ -28,7 +28,7 @@ class TestGeneratorFamilies:
         entry = registry.register(case.network, name=f"case-{seed}")
         service = TNNService(
             registry,
-            InlineWorkerPool(registry.documents()),
+            InlineWorkerPool(registry.programs()),
             policy=BatchPolicy(max_batch=16, max_wait_s=0.001),
         )
         try:
@@ -50,7 +50,7 @@ class TestProcessPoolConformance:
         network, _ = demo_column(0, smoke=True)
         registry = ModelRegistry()
         registry.register(network, name="demo")
-        pool = ProcessWorkerPool(registry.documents(), n_workers=2)
+        pool = ProcessWorkerPool(registry.programs(), n_workers=2)
         service = TNNService(
             registry,
             pool,
@@ -84,7 +84,7 @@ class TestDeadlineFaults:
         registry.register(network, name="demo")
         service = TNNService(
             registry,
-            InlineWorkerPool(registry.documents()),
+            InlineWorkerPool(registry.programs()),
             # Long wait forces every request to outlive its deadline.
             policy=BatchPolicy(max_batch=256, max_wait_s=0.05),
         )
@@ -108,7 +108,7 @@ class TestDeadlineFaults:
         registry.register(network, name="demo")
         service = TNNService(
             registry,
-            InlineWorkerPool(registry.documents()),
+            InlineWorkerPool(registry.programs()),
             policy=BatchPolicy(max_batch=8, max_wait_s=0.001),
         )
         try:

@@ -38,7 +38,7 @@ def build_service(**kwargs):
     kwargs.setdefault("policy", BatchPolicy(max_batch=16, max_wait_s=0.001))
     kwargs.setdefault("result_cache", True)
     service = TNNService(
-        registry, InlineWorkerPool(registry.documents()), **kwargs
+        registry, InlineWorkerPool(registry.programs()), **kwargs
     )
     return service, old_net
 

@@ -17,7 +17,7 @@ def make_kernel_service(*names):
         registry.register(demo_network(name), name=f"kernel:{name}")
     return TNNService(
         registry,
-        InlineWorkerPool(registry.documents()),
+        InlineWorkerPool(registry.programs()),
         policy=BatchPolicy(max_batch=16, max_wait_s=0.001),
     )
 
@@ -73,7 +73,7 @@ class TestKernelServing:
                 registry.register(demo_network("router"), name="kernel:latch")
                 service = TNNService(
                     registry,
-                    InlineWorkerPool(registry.documents()),
+                    InlineWorkerPool(registry.programs()),
                     policy=BatchPolicy(max_batch=16, max_wait_s=0.001),
                 )
                 ready = asyncio.get_running_loop().create_future()

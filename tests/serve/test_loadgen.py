@@ -27,7 +27,7 @@ def make_service(model_seed=0, result_cache=False):
     registry.register(demo_column(model_seed, smoke=True)[0], name="demo")
     return TNNService(
         registry,
-        InlineWorkerPool(registry.documents()),
+        InlineWorkerPool(registry.programs()),
         policy=BatchPolicy(max_batch=16, max_wait_s=0.001),
         result_cache=result_cache,
     )
@@ -97,7 +97,7 @@ def make_trained_service(snapshot_every=5, result_cache=False):
     registry = ModelRegistry()
     service = TNNService(
         registry,
-        InlineWorkerPool(registry.documents()),
+        InlineWorkerPool(registry.programs()),
         policy=BatchPolicy(max_batch=8, max_wait_s=0.001),
         result_cache=result_cache,
     )

@@ -133,7 +133,7 @@ def _make_service():
     registry.register(demo_column(0, smoke=True)[0], name="demo")
     service = TNNService(
         registry,
-        InlineWorkerPool(registry.documents()),
+        InlineWorkerPool(registry.programs()),
         policy=BatchPolicy(max_batch=8, max_wait_s=0.001),
         result_cache=True,
     )
@@ -240,13 +240,12 @@ def test_metric_names_are_pinned():
 
 def test_sort_kernel_timer_is_pinned():
     """A served column's sorters run as sort kernels timed as ``plan.group.sort``."""
-    from repro.network.serialize import dumps
     from repro.obs.metrics import METRICS
     from repro.obs.profile import profiled
     from repro.serve.pool import load_program
 
-    network = demo_column(0, smoke=True)[0]
-    program = load_program(network.fingerprint(), dumps(network))
+    entry = ModelRegistry().register(demo_column(0, smoke=True)[0])
+    program = load_program(entry.model_id, entry.program.fingerprint(), entry.program)
     assert program.rank_ids
     reset_metrics()
     with profiled():
@@ -285,7 +284,7 @@ def test_prometheus_inf_bucket_equals_count_after_the_window_rolls(monkeypatch):
     registry.register(demo_column(0, smoke=True)[0], name="invariant")
     service = TNNService(
         registry,
-        InlineWorkerPool(registry.documents()),
+        InlineWorkerPool(registry.programs()),
         policy=BatchPolicy(max_batch=8, max_wait_s=0.001),
     )
 

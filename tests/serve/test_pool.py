@@ -2,11 +2,13 @@
 
 import gc
 import multiprocessing as mp
+import pickle
 import threading
 
 import numpy as np
 import pytest
 
+from repro.ir.program import Program
 from repro.network.compile_plan import INF_I64, evaluate_batch
 from repro.serve.demo import demo_column
 from repro.serve.pool import (
@@ -32,6 +34,31 @@ def model_id(registry):
     return registry.resolve("demo").model_id
 
 
+def served(network):
+    """*network*'s served program, built as the registry builds it."""
+    return ModelRegistry().register(network).program
+
+
+def load_message(model_id, program, fingerprint=None):
+    """A ``load`` message as a process pool sends it."""
+    named = program.fingerprint() if fingerprint is None else fingerprint
+    return ("load", model_id, named, pickle.dumps(program, pickle.HIGHEST_PROTOCOL))
+
+
+def mislabeled(program):
+    """A copy of *program* whose cached fingerprint is wrong.
+
+    A pool names the fingerprint it reads off the program, and the
+    cache does not travel: the worker recomputes the real one, as it
+    would for a program corrupted after it was fingerprinted.
+    """
+    copy = Program(
+        program.nodes, program.outputs, name=program.name, provenance=program.provenance
+    )
+    copy._fingerprint = "0" * 64
+    return copy
+
+
 def encoded_volleys(network, volleys):
     from repro.network.compile_plan import encode_volleys
 
@@ -48,8 +75,9 @@ class TestDecodeParams:
 class TestWorkerBody:
     """Run ``_worker_main`` in a thread over a real duplex pipe.
 
-    This covers the exact code a child process executes — load, verify
-    fingerprint, warm, serve — inside this process where coverage sees it.
+    This covers the exact code a child process executes — unpickle,
+    verify fingerprint, warm, serve — inside this process where coverage
+    sees it.
     """
 
     def run_worker(self, registry):
@@ -58,10 +86,10 @@ class TestWorkerBody:
         thread.start()
         ready = parent.recv()
         assert ready[0] == "ready"
-        for warmups, (model_id, document) in enumerate(
-            registry.documents().items(), 1
+        for warmups, (model_id, program) in enumerate(
+            registry.programs().items(), 1
         ):
-            parent.send(("load", model_id, document))
+            parent.send(load_message(model_id, program))
             assert parent.recv() == ("loaded", model_id, warmups)
         return parent, thread
 
@@ -105,11 +133,9 @@ class TestWorkerBody:
 
     def test_load_op_adds_model(self, registry):
         network, _ = demo_column(5, smoke=True)
-        from repro.network import serialize
-
         parent, thread = self.run_worker(registry)
         try:
-            parent.send(("load", network.fingerprint(), serialize.dumps(network)))
+            parent.send(load_message(network.fingerprint(), served(network)))
             op, model_id, warmups = parent.recv()
             assert (op, model_id) == ("loaded", network.fingerprint())
             assert warmups == 2
@@ -134,15 +160,18 @@ class TestWorkerBody:
 
     def test_fingerprint_mismatch_rejected(self, registry, model_id):
         """A failing load gets a typed reply; the worker keeps serving."""
-        from repro.network import serialize
-
         network, _ = demo_column(6, smoke=True)
+        program = served(network)
         parent, thread = self.run_worker(registry)
         try:
-            parent.send(("load", "0" * 64, serialize.dumps(network)))
+            parent.send(load_message(network.fingerprint(), program, "0" * 64))
             op, bad_id, reason = parent.recv()
-            assert (op, bad_id) == ("load-failed", "0" * 64)
-            assert "does not match model id" in reason
+            assert (op, bad_id) == ("load-failed", network.fingerprint())
+            assert "does not match 000000000000" in reason
+            # Bytes that do not unpickle are refused the same way.
+            parent.send(("load", "f" * 64, program.fingerprint(), b"\x80\x05junk"))
+            op, bad_id, reason = parent.recv()
+            assert (op, bad_id) == ("load-failed", "f" * 64)
             demo = registry.resolve("demo").network
             matrix = encoded_volleys(demo, [(0, 1)])
             parent.send(("eval", 3, model_id, matrix, {}, 0))
@@ -174,9 +203,10 @@ def _completion_recorder():
 class TestProcessPool:
     def test_eval_and_crash_restart(self, registry, model_id):
         network = registry.resolve("demo").network
-        pool = ProcessWorkerPool(registry.documents(), n_workers=2)
+        pool = ProcessWorkerPool(registry.programs(), n_workers=2)
         try:
             assert pool.alive_count() == 2
+            assert list(pool._programs) == [model_id]
             from repro.core.value import INF
 
             matrix = encoded_volleys(network, [(0, 1), (2, INF)])
@@ -212,7 +242,7 @@ class TestProcessPool:
         self, registry, model_id
     ):
         """A failed send marks a worker dead; its in-flight jobs still fail over."""
-        pool = ProcessWorkerPool(registry.documents(), n_workers=1)
+        pool = ProcessWorkerPool(registry.programs(), n_workers=1)
         try:
             done, box, on_done, on_fail = _completion_recorder()
             matrix = np.zeros((1, 2), np.int64)
@@ -235,7 +265,7 @@ class TestProcessPool:
             pool.shutdown()
 
     def test_submit_after_shutdown_rejected(self, registry, model_id):
-        pool = ProcessWorkerPool(registry.documents(), n_workers=1)
+        pool = ProcessWorkerPool(registry.programs(), n_workers=1)
         pool.shutdown()
         done, _box, on_done, on_fail = _completion_recorder()
         with pytest.raises(ServeError, match="shutting down"):
@@ -245,27 +275,28 @@ class TestProcessPool:
 
     def test_needs_at_least_one_worker(self, registry):
         with pytest.raises(ValueError, match="at least one"):
-            ProcessWorkerPool(registry.documents(), n_workers=0)
+            ProcessWorkerPool(registry.programs(), n_workers=0)
 
 
 class TestLoadFailure:
     def test_failing_load_keeps_the_worker_serving(self, registry, model_id):
-        """A document that does not load is refused, not fatal."""
-        from repro.network import serialize
+        """A program that does not load is refused, not fatal."""
         from repro.obs.metrics import METRICS
 
         network = registry.resolve("demo").network
-        bad_document = serialize.dumps(demo_column(6, smoke=True)[0])
+        bad_program = mislabeled(served(demo_column(6, smoke=True)[0]))
         failures = METRICS.counter("serve.worker.failures")
-        pool = ProcessWorkerPool(registry.documents(), n_workers=1)
+        pool = ProcessWorkerPool(registry.programs(), n_workers=1)
         try:
-            pool.add_model("0" * 64, bad_document)
+            pool.add_model("0" * 64, bad_program)
             assert pool.wait_warm(timeout=20.0)
             assert pool.restarts == 0
             assert pool.warmups() == [1]
             assert METRICS.counter("serve.worker.failures") == failures + 1
             assert list(pool.failed_models()) == ["0" * 64]
-            assert "does not match model id" in pool.failed_models()["0" * 64]
+            assert "does not match 000000000000" in pool.failed_models()["0" * 64]
+            # The refused program left the replay set.
+            assert list(pool._programs) == [model_id]
             pool.wait_loaded([model_id])
             with pytest.raises(ServeError, match="did not load: ValueError"):
                 pool.wait_loaded([model_id, "0" * 64])
@@ -275,8 +306,7 @@ class TestLoadFailure:
             assert done.wait(timeout=20)
             np.testing.assert_array_equal(box["result"], evaluate_batch(network, matrix))
 
-            # The refused document left the replay set: a replacement
-            # loads only the good model.
+            # A replacement loads only the good model.
             pool.inject_crash(0)
             waited = threading.Event()
             for _ in range(400):
@@ -288,13 +318,11 @@ class TestLoadFailure:
         finally:
             pool.shutdown()
 
-    def test_constructor_raises_when_a_document_does_not_load(self):
-        from repro.network import serialize
-
-        bad_document = serialize.dumps(demo_column(6, smoke=True)[0])
+    def test_constructor_raises_when_a_program_does_not_load(self):
+        bad_program = mislabeled(served(demo_column(6, smoke=True)[0]))
         before = set(mp.active_children())
         with pytest.raises(ServeError, match="did not load: ValueError"):
-            ProcessWorkerPool({"0" * 64: bad_document}, n_workers=1)
+            ProcessWorkerPool({"0" * 64: bad_program}, n_workers=1)
         assert set(mp.active_children()) <= before
 
     def test_worker_exit_before_ready_is_a_serve_error(self, monkeypatch):
@@ -309,19 +337,17 @@ class TestLoadFailure:
 
 class TestWarmBarrier:
     def test_wait_warm_idle_pool(self, registry):
-        pool = ProcessWorkerPool(registry.documents(), n_workers=2)
+        pool = ProcessWorkerPool(registry.programs(), n_workers=2)
         try:
             assert pool.wait_warm(timeout=20.0)
         finally:
             pool.shutdown()
 
     def test_wait_warm_after_load_serves_immediately(self, registry):
-        from repro.network import serialize
-
         network, _ = demo_column(8, smoke=True)
-        pool = ProcessWorkerPool(registry.documents(), n_workers=2)
+        pool = ProcessWorkerPool(registry.programs(), n_workers=2)
         try:
-            pool.add_model(network.fingerprint(), serialize.dumps(network))
+            pool.add_model(network.fingerprint(), served(network))
             # The barrier orders behind the pipelined load on every
             # worker (FIFO pipes), so a post-barrier eval cannot race it.
             assert pool.wait_warm(timeout=20.0)
@@ -338,7 +364,7 @@ class TestWarmBarrier:
             pool.shutdown()
 
     def test_inline_pool_is_always_warm(self, registry):
-        pool = InlineWorkerPool(registry.documents())
+        pool = InlineWorkerPool(registry.programs())
         assert pool.wait_warm() is True
 
 
@@ -351,8 +377,8 @@ class TestEngines:
         try:
             op, _pid, models, warmups = parent.recv()
             assert (op, models, warmups) == ("ready", [], 0)
-            (model_id, document), = registry.documents().items()
-            parent.send(("load", model_id, document))
+            (model_id, program), = registry.programs().items()
+            parent.send(load_message(model_id, program))
             assert parent.recv() == ("loaded", model_id, 1)
         finally:
             parent.send(("stop",))
@@ -361,7 +387,7 @@ class TestEngines:
     def test_inline_pool_warmups_and_engine(self, registry):
         from repro.serve.service import TNNService
 
-        pool = InlineWorkerPool(registry.documents())
+        pool = InlineWorkerPool(registry.programs())
         assert pool.warmups() == [1]
         service = TNNService(registry, pool)
         try:
@@ -375,7 +401,7 @@ class TestEngines:
 class TestInlinePool:
     def test_eval_matches_direct(self, registry, model_id):
         network = registry.resolve("demo").network
-        pool = InlineWorkerPool(registry.documents())
+        pool = InlineWorkerPool(registry.programs())
         matrix = encoded_volleys(network, [(3, 0)])
         done, box, on_done, on_fail = _completion_recorder()
         pool.submit(Job(1, model_id, matrix, {}, on_done, on_fail))
@@ -384,49 +410,59 @@ class TestInlinePool:
 
     def test_int64_engine_eval(self, registry, model_id):
         network = registry.resolve("demo").network
-        pool = InlineWorkerPool(registry.documents())
+        pool = InlineWorkerPool(registry.programs())
         matrix = encoded_volleys(network, [(2, 5)])
         done, box, on_done, on_fail = _completion_recorder()
         pool.submit(Job(1, model_id, matrix, {}, on_done, on_fail))
         np.testing.assert_array_equal(box["result"], evaluate_batch(network, matrix))
 
     def test_fingerprint_mismatch_rejected(self, registry):
-        """The inline pool verifies document fingerprints like a worker."""
-        from repro.network import serialize
+        """A mismatched document is refused by the registry, before any pool.
 
-        network, _ = demo_column(6, smoke=True)
-        document = serialize.dumps(network)
-        with pytest.raises(ValueError, match="does not match model id"):
-            InlineWorkerPool({"f" * 64: document})
-        pool = InlineWorkerPool(registry.documents())
-        with pytest.raises(ValueError, match="does not match model id"):
-            pool.add_model("0" * 64, document)
-        assert pool.warmups() == [1]
+        The inline pool is handed the registry's own program objects, so
+        nothing travels that could be corrupted on the way.
+        """
+        from repro.network import serialize
+        from repro.network.graph import NetworkError
+        from repro.serve.service import TNNService
+
+        text = serialize.dumps(demo_column(6, smoke=True)[0])
+        bad = text.replace('"fingerprint": "', '"fingerprint": "0', 1)
+        pool = InlineWorkerPool(registry.programs())
+        service = TNNService(ModelRegistry(), pool)
+        try:
+            with pytest.raises(NetworkError, match="fingerprint mismatch"):
+                service.register(bad)
+            assert len(service.registry) == 0
+            assert pool.warmups() == [1]
+        finally:
+            service.close()
 
     def test_unknown_model_fails_job(self, registry):
-        pool = InlineWorkerPool(registry.documents())
+        pool = InlineWorkerPool(registry.programs())
         done, box, on_done, on_fail = _completion_recorder()
         pool.submit(Job(1, "f" * 64, np.zeros((1, 2), np.int64), {}, on_done, on_fail))
         assert "not loaded" in box["reason"]
 
     def test_add_model(self, registry):
-        from repro.network import serialize
-
         network, _ = demo_column(7, smoke=True)
-        pool = InlineWorkerPool(registry.documents())
-        pool.add_model(network.fingerprint(), serialize.dumps(network))
+        program = served(network)
+        pool = InlineWorkerPool(registry.programs())
+        pool.add_model(network.fingerprint(), program)
+        # The inline pool serves the registry's own program object.
+        assert pool._worker.programs[network.fingerprint()] is program
         matrix = encoded_volleys(network, [(1, 1)])
         done, box, on_done, on_fail = _completion_recorder()
         pool.submit(Job(1, network.fingerprint(), matrix, {}, on_done, on_fail))
         np.testing.assert_array_equal(box["result"], evaluate_batch(network, matrix))
 
     def test_no_crashable_workers(self, registry):
-        pool = InlineWorkerPool(registry.documents())
+        pool = InlineWorkerPool(registry.programs())
         with pytest.raises(RuntimeError, match="no crashable"):
             pool.inject_crash(0)
 
     def test_shutdown_stops_admission(self, registry, model_id):
-        pool = InlineWorkerPool(registry.documents())
+        pool = InlineWorkerPool(registry.programs())
         pool.shutdown()
         assert pool.alive_count() == 0
         done, _box, on_done, on_fail = _completion_recorder()

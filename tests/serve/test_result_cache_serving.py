@@ -36,9 +36,9 @@ def demo_service(*, result_cache=True, pool=None, **kwargs):
     registry = ModelRegistry()
     registry.register(network, name="demo")
     if pool is None:
-        pool = InlineWorkerPool(registry.documents())
+        pool = InlineWorkerPool(registry.programs())
     else:
-        pool = pool(registry.documents())
+        pool = pool(registry.programs())
     service = TNNService(
         registry,
         pool,
@@ -132,7 +132,7 @@ class TestByteIdentity:
 
     def test_byte_identity_through_worker_crashes_with_cache_armed(self):
         service, network, pool = demo_service(
-            pool=lambda docs: ProcessWorkerPool(docs, n_workers=2),
+            pool=lambda programs: ProcessWorkerPool(programs, n_workers=2),
             max_attempts=4,
         )
         try:

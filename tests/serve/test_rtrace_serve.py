@@ -47,15 +47,15 @@ def registry():
 def make_service(registry, pool=None, **kwargs):
     kwargs.setdefault("policy", BatchPolicy(max_batch=8, max_wait_s=0.002))
     if pool is None:
-        pool = InlineWorkerPool(registry.documents())
+        pool = InlineWorkerPool(registry.programs())
     return TNNService(registry, pool, **kwargs)
 
 
 class FlakyPool(InlineWorkerPool):
     """Fails the first *n* submits (as a dead worker would), then recovers."""
 
-    def __init__(self, documents, fail_first=1):
-        super().__init__(documents)
+    def __init__(self, programs, fail_first=1):
+        super().__init__(programs)
         self.failures_left = fail_first
 
     def submit(self, job):
@@ -123,7 +123,7 @@ class TestServiceTracing:
 
     def test_retry_keeps_one_trace_with_two_attempts(self, registry):
         """The acceptance shape: crash → retry → both attempts, one trace."""
-        pool = FlakyPool(registry.documents(), fail_first=1)
+        pool = FlakyPool(registry.programs(), fail_first=1)
         service = make_service(registry, pool=pool, max_attempts=3)
         try:
             with rtrace.rtracing():
@@ -146,7 +146,7 @@ class TestServiceTracing:
         assert rtrace.FLIGHT.stats()["trips"].get("worker-failure") is None
 
     def test_exhausted_retries_trip_the_flight_recorder(self, registry):
-        pool = FlakyPool(registry.documents(), fail_first=10)
+        pool = FlakyPool(registry.programs(), fail_first=10)
         service = make_service(registry, pool=pool, max_attempts=2)
         try:
             with rtrace.rtracing():
@@ -185,7 +185,7 @@ class TestServiceTracing:
                     entry = reg.resolve(job.model_id)
                     job.on_done(evaluate_batch(entry.network, job.matrix))
 
-            def add_model(self, model_id, document):
+            def add_model(self, model_id, program):
                 pass
 
             def shutdown(self, timeout=10.0):
@@ -248,7 +248,7 @@ class TestServiceTracing:
 class TestProcessPoolTracing:
     def test_crash_retry_lands_both_attempts_under_one_trace(self, registry):
         """Kill a worker mid-stream; the flight dump shows the retry."""
-        pool = ProcessWorkerPool(registry.documents(), n_workers=2)
+        pool = ProcessWorkerPool(registry.programs(), n_workers=2)
         service = make_service(
             registry,
             pool=pool,
@@ -294,7 +294,7 @@ class TestProcessPoolTracing:
         # Reset first: the load barrier's pong already reports the
         # worker's warm-up scratch.
         METRICS.reset()
-        pool = ProcessWorkerPool(registry.documents(), n_workers=1)
+        pool = ProcessWorkerPool(registry.programs(), n_workers=1)
         service = make_service(registry, pool=pool)
         try:
             service.submit("demo", (2, INF)).result(timeout=30)
@@ -315,7 +315,7 @@ class TestProcessPoolTracing:
         """21 batches (not a multiple of the piggyback period) count exactly."""
         network = registry.resolve("demo").network
         model_id = registry.resolve("demo").model_id
-        pool = ProcessWorkerPool(registry.documents(), n_workers=2)
+        pool = ProcessWorkerPool(registry.programs(), n_workers=2)
         try:
             METRICS.reset()
             rows = 0
@@ -335,7 +335,7 @@ class TestProcessPoolTracing:
             pool.shutdown()
 
     def test_worker_counts_never_go_backwards_across_a_restart(self, registry):
-        pool = ProcessWorkerPool(registry.documents(), n_workers=1)
+        pool = ProcessWorkerPool(registry.programs(), n_workers=1)
         service = make_service(registry, pool=pool)
         calls = []
         submits = 0
@@ -380,8 +380,8 @@ SAMPLED_SPAN_NAMES = {
 
 def make_pool(pool_kind, registry):
     if pool_kind == "inline":
-        return InlineWorkerPool(registry.documents())
-    return ProcessWorkerPool(registry.documents(), n_workers=1)
+        return InlineWorkerPool(registry.programs())
+    return ProcessWorkerPool(registry.programs(), n_workers=1)
 
 
 @pytest.mark.parametrize("pool_kind", ["inline", "process"])
@@ -431,7 +431,7 @@ def test_both_pools_run_one_worker_body(registry, pool_kind):
 
 class TestCheckServedFlightDump:
     def test_mismatch_attaches_flight_dump(self, registry, tmp_path):
-        service = make_service(registry, pool=LyingPool(registry.documents()))
+        service = make_service(registry, pool=LyingPool(registry.programs()))
         prefix = tmp_path / "flight"
         try:
             with rtrace.rtracing():
@@ -488,7 +488,7 @@ def run_session(session, **server_kwargs):
         reg.register(demo_column(0, smoke=True)[0], name="demo")
         service = TNNService(
             reg,
-            InlineWorkerPool(reg.documents()),
+            InlineWorkerPool(reg.programs()),
             policy=BatchPolicy(max_batch=8, max_wait_s=0.001),
         )
         ready = asyncio.get_running_loop().create_future()
@@ -632,7 +632,7 @@ class TestTopDashboard:
         reg.register(demo_column(0, smoke=True)[0], name="demo")
         service = TNNService(
             reg,
-            InlineWorkerPool(reg.documents()),
+            InlineWorkerPool(reg.programs()),
             policy=BatchPolicy(max_batch=8, max_wait_s=0.001),
         )
         loop_holder = {}

@@ -26,7 +26,7 @@ def registry():
 
 def make_service(registry, **kwargs):
     kwargs.setdefault("policy", BatchPolicy(max_batch=8, max_wait_s=0.002))
-    return TNNService(registry, InlineWorkerPool(registry.documents()), **kwargs)
+    return TNNService(registry, InlineWorkerPool(registry.programs()), **kwargs)
 
 
 class HoldingPool:
@@ -59,7 +59,7 @@ class HoldingPool:
             entry = registry.resolve(job.model_id)
             job.on_done(evaluate_batch(entry.network, job.matrix))
 
-    def add_model(self, model_id, document):
+    def add_model(self, model_id, program):
         pass
 
     def shutdown(self, timeout=10.0):
@@ -69,8 +69,8 @@ class HoldingPool:
 class FlakyPool(InlineWorkerPool):
     """Fails the first *n* submits (as a dead worker would), then recovers."""
 
-    def __init__(self, documents, fail_first=1):
-        super().__init__(documents)
+    def __init__(self, programs, fail_first=1):
+        super().__init__(programs)
         self.failures_left = fail_first
         self.attempts = 0
 
@@ -197,7 +197,7 @@ class TestDeadlines:
     def test_expired_at_dispatch_is_rejected(self, registry):
         service = TNNService(
             registry,
-            InlineWorkerPool(registry.documents()),
+            InlineWorkerPool(registry.programs()),
             policy=BatchPolicy(max_batch=64, max_wait_s=0.1),
         )
         try:
@@ -224,7 +224,7 @@ class TestDeadlines:
 
 class TestRetry:
     def test_worker_failure_is_retried_transparently(self, registry):
-        pool = FlakyPool(registry.documents(), fail_first=1)
+        pool = FlakyPool(registry.programs(), fail_first=1)
         service = TNNService(
             registry,
             pool,
@@ -241,7 +241,7 @@ class TestRetry:
             service.close()
 
     def test_retry_budget_is_bounded(self, registry):
-        pool = FlakyPool(registry.documents(), fail_first=100)
+        pool = FlakyPool(registry.programs(), fail_first=100)
         service = TNNService(
             registry,
             pool,

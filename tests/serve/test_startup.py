@@ -2,9 +2,9 @@
 
 ``build_service`` builds an empty worker pool first, then registers the
 demo and ``--model-file`` models through the service, which ships each
-one to the workers as a ``load``; it returns once they are warm.  A
-model file is registered from its own text: the server parses it once
-and ships it as written.  A
+one's served program to the workers as a ``load``; it returns once they
+are warm.  A model file is registered from its own text: the server
+parses it once and keeps it as written.  Workers never parse.  A
 worker's ready message lists no models (pinned by
 ``tests/serve/test_pool.py::TestEngines::test_ready_reports_warmups``).
 """
@@ -14,11 +14,14 @@ import functools
 import gc
 import json
 import multiprocessing as mp
+import os
+import pickle
 import threading
 import time
 
 import pytest
 
+from repro.ir.program import same_structure
 from repro.network import serialize
 from repro.network.graph import NetworkError
 from repro.serve import pool as pool_module
@@ -204,16 +207,17 @@ class TestModelFileText:
 def load_program_failing_for(monkeypatch, bad_id, *, delay_s=0.0):
     """Patch the worker's model load; forked workers inherit the patch.
 
-    Loading *bad_id* raises, as an optimizer crash on a valid network
-    would; with *delay_s* every load first sleeps that long instead.
+    Loading *bad_id* raises, as a plan compile that fails on a valid
+    program would; with *delay_s* every load first sleeps that long
+    instead.
     """
     load_program = pool_module.load_program
 
-    def patched(model_id, document):
+    def patched(model_id, *load):
         time.sleep(delay_s)
         if model_id == bad_id:
-            raise RuntimeError("optimizer crashed")
-        return load_program(model_id, document)
+            raise RuntimeError("plan compile crashed")
+        return load_program(model_id, *load)
 
     monkeypatch.setattr(pool_module, "load_program", patched)
 
@@ -263,5 +267,75 @@ class TestFailedStartup:
             volleys = demo_volleys(len(good.input_ids), 24, seed=3)
             report = check_served(service, "col@live", volleys)
             assert report.byte_identical and report.ok == 24, report.summary()
+        finally:
+            service.close()
+
+
+class TestParseOnce:
+    """A model is parsed once, in the frontend; workers get its program."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """Every ``serialize.loads`` call the frontend makes.
+
+        Forked workers inherit the patch; a call there fails its load,
+        which surfaces as ``load-failed``.
+        """
+        frontend = os.getpid()
+        calls = []
+        loads = serialize.loads
+
+        def counting_loads(document):
+            if os.getpid() != frontend:
+                raise RuntimeError("a worker parsed a document")
+            calls.append(document)
+            return loads(document)
+
+        monkeypatch.setattr(serialize, "loads", counting_loads)
+        return calls
+
+    @pytest.fixture(params=["inline", "process"])
+    def service(self, request, parses):
+        # After ``parses``: the workers must inherit the patch.
+        if request.param == "inline":
+            pool = pool_module.InlineWorkerPool({})
+        else:
+            pool = pool_module.ProcessWorkerPool({}, n_workers=1)
+        service = TNNService(ModelRegistry(), pool)
+        yield service
+        service.close()
+
+    @pytest.mark.parametrize("form", ["document", "network"])
+    def test_one_parse_per_registration(self, service, parses, form):
+        """A document costs its one parse; a network, its round-trip check."""
+        network = demo_column(3, smoke=True)[0]
+        model = serialize.dumps(network) if form == "document" else network
+        entry = service.register(model)
+        service.pool.wait_loaded([entry.model_id])
+        assert len(parses) == 1
+        assert_serves_byte_identically(service, seed=6)
+
+    def test_replacement_worker_is_sent_programs(self, parses):
+        service = TNNService(
+            ModelRegistry(), pool_module.ProcessWorkerPool({}, n_workers=1)
+        )
+        try:
+            entry = service.register(demo_column(3, smoke=True)[0])
+            service.pool.wait_loaded([entry.model_id])
+            pool = service.pool
+            ((model_id, (fingerprint, payload)),) = pool._programs.items()
+            assert (model_id, fingerprint) == (entry.model_id, entry.program.fingerprint())
+            assert same_structure(pickle.loads(payload), entry.program)
+            pool.inject_crash(0)
+            waited = threading.Event()
+            for _ in range(400):
+                if pool.restarts == 1 and pool.alive_count() == 1:
+                    break
+                waited.wait(timeout=0.05)
+            assert pool.restarts == 1
+            pool.wait_loaded([entry.model_id])
+            assert pool.warmups() == [1]
+            assert_serves_byte_identically(service, seed=7)
+            assert len(parses) == 1
         finally:
             service.close()

@@ -37,7 +37,7 @@ def make_trained_service():
     registry = ModelRegistry()
     service = TNNService(
         registry,
-        InlineWorkerPool(registry.documents()),
+        InlineWorkerPool(registry.programs()),
         policy=BatchPolicy(max_batch=8, max_wait_s=0.001),
     )
     plane = TrainingPlane(
@@ -61,7 +61,7 @@ def make_plain_service():
     registry.register(demo_column(0, smoke=True)[0], name="demo")
     return TNNService(
         registry,
-        InlineWorkerPool(registry.documents()),
+        InlineWorkerPool(registry.programs()),
         policy=BatchPolicy(max_batch=8, max_wait_s=0.001),
     )
 

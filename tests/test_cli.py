@@ -118,7 +118,7 @@ class TestCli:
         registry.register(demo_column(0, smoke=True)[0], name="demo")
         service = TNNService(
             registry,
-            InlineWorkerPool(registry.documents()),
+            InlineWorkerPool(registry.programs()),
             policy=BatchPolicy(max_batch=4, max_wait_s=0.001),
         )
         try:

@@ -50,7 +50,7 @@ def service():
     registry = ModelRegistry()
     svc = TNNService(
         registry,
-        InlineWorkerPool(registry.documents()),
+        InlineWorkerPool(registry.programs()),
         policy=BatchPolicy(max_batch=8, max_wait_s=0.002),
     )
     yield svc
