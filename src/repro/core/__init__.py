@@ -8,126 +8,42 @@ normalized function tables (:mod:`~repro.core.table`), and the
 constructive completeness results (:mod:`~repro.core.synthesis`).
 """
 
-from .algebra import PRIMITIVES, add, delay, eq, first_n, inc, le, lt, maximum, minimum
-from .function import (
-    SpaceTimeFunction,
-    enumerate_domain,
-    enumerate_normalized_domain,
-    st_function,
-)
-from .completeness import (
-    NON_IMPLEMENTABLE,
-    Classification,
-    classify_function,
-    implementable_fraction,
-)
-from .minimize import minimize, minimize_with_generalization
-from .lattice import (
-    BOTTOM,
-    TOP,
-    LawViolation,
-    check_lattice_laws,
-    has_complement,
-    join,
-    leq,
-    meet,
-    standard_domain,
-)
-from .properties import (
-    Counterexample,
-    VerificationReport,
-    check_bounded_history,
-    check_causality,
-    check_invariance,
-    check_totality,
-    sample_vectors,
-    verify,
-)
-from .synthesis import (
-    max_from_min_lt,
-    max_into,
-    max_tree,
-    synthesis_cost,
-    synthesize,
-)
-from .table import FIG7_TABLE, NormalizedTable, TableError
-from .value import (
-    INF,
-    Infinity,
-    Time,
-    TimeVector,
-    as_time,
-    check_time,
-    check_vector,
-    finite_values,
-    is_finite,
-    is_normalized,
-    is_time,
-    normalize,
-    shift,
-    t_max,
-    t_min,
-)
+from .. import _lazy
 
-__all__ = [
-    "BOTTOM",
-    "FIG7_TABLE",
-    "INF",
-    "NON_IMPLEMENTABLE",
-    "PRIMITIVES",
-    "TOP",
-    "Classification",
-    "Counterexample",
-    "Infinity",
-    "LawViolation",
-    "NormalizedTable",
-    "SpaceTimeFunction",
-    "TableError",
-    "Time",
-    "TimeVector",
-    "VerificationReport",
-    "add",
-    "as_time",
-    "check_bounded_history",
-    "check_causality",
-    "check_invariance",
-    "check_lattice_laws",
-    "check_time",
-    "classify_function",
-    "check_totality",
-    "check_vector",
-    "delay",
-    "enumerate_domain",
-    "enumerate_normalized_domain",
-    "eq",
-    "finite_values",
-    "first_n",
-    "has_complement",
-    "implementable_fraction",
-    "inc",
-    "is_finite",
-    "is_normalized",
-    "is_time",
-    "join",
-    "le",
-    "leq",
-    "lt",
-    "max_from_min_lt",
-    "max_into",
-    "max_tree",
-    "maximum",
-    "meet",
-    "minimize",
-    "minimize_with_generalization",
-    "minimum",
-    "normalize",
-    "sample_vectors",
-    "shift",
-    "st_function",
-    "standard_domain",
-    "synthesis_cost",
-    "synthesize",
-    "t_max",
-    "t_min",
-    "verify",
-]
+__all__, __getattr__, __dir__ = _lazy(
+    __name__,
+    {
+        "algebra": (
+            "PRIMITIVES", "add", "delay", "eq", "first_n", "inc", "le", "lt",
+            "maximum", "minimum",
+        ),
+        "function": (
+            "SpaceTimeFunction", "enumerate_domain",
+            "enumerate_normalized_domain", "st_function",
+        ),
+        "completeness": (
+            "NON_IMPLEMENTABLE", "Classification", "classify_function",
+            "implementable_fraction",
+        ),
+        "minimize": ("minimize", "minimize_with_generalization"),
+        "lattice": (
+            "BOTTOM", "TOP", "LawViolation", "check_lattice_laws",
+            "has_complement", "join", "leq", "meet", "standard_domain",
+        ),
+        "properties": (
+            "Counterexample", "VerificationReport", "check_bounded_history",
+            "check_causality", "check_invariance", "check_totality",
+            "sample_vectors", "verify",
+        ),
+        "synthesis": (
+            "max_from_min_lt", "max_into", "max_tree", "synthesis_cost",
+            "synthesize",
+        ),
+        "table": ("FIG7_TABLE", "NormalizedTable", "TableError"),
+        "value": (
+            "INF", "Infinity", "Time", "TimeVector", "as_time", "check_time",
+            "check_vector", "finite_values", "is_finite", "is_normalized",
+            "is_time", "normalize", "shift", "t_max", "t_min",
+        ),
+    },
+)

@@ -4,27 +4,15 @@ One lowering (:func:`lower`), one schedule, one optimizer
 (:func:`optimize_program`) feeding all four execution backends.
 """
 
-from .passes import PipelineReport, optimize_program
-from .program import (
-    CONST_IDENTITY,
-    NODE_CLASSES,
-    Program,
-    ProgramLike,
-    classify,
-    ensure_program,
-    lower,
-    same_structure,
-)
+from .. import _lazy
 
-__all__ = [
-    "CONST_IDENTITY",
-    "NODE_CLASSES",
-    "PipelineReport",
-    "Program",
-    "ProgramLike",
-    "classify",
-    "ensure_program",
-    "lower",
-    "optimize_program",
-    "same_structure",
-]
+__all__, __getattr__, __dir__ = _lazy(
+    __name__,
+    {
+        "passes": ("PipelineReport", "optimize_program"),
+        "program": (
+            "CONST_IDENTITY", "NODE_CLASSES", "Program", "ProgramLike",
+            "classify", "ensure_program", "lower", "same_structure",
+        ),
+    },
+)

@@ -9,96 +9,37 @@ events (:mod:`~repro.network.events`), with structural validation
 (:mod:`~repro.network.stats`).
 """
 
-from .blocks import COMPUTE_KINDS, KINDS, Node
-from .builder import NetworkBuilder, Ref
-from .compile_plan import (
-    INF_I64,
-    MAX_FINITE,
-    CompiledPlan,
-    compile_plan,
-    decode_matrix,
-    decode_time,
-    encode_time,
-    encode_volleys,
-    evaluate_batch,
-    evaluate_batch_all,
-    evaluate_batch_dicts,
-)
-from .events import EventSimulator, SimulationResult, SpikeEvent, simulate
-from .generate import input_batch, random_inputs, random_network, random_volley
-from .graph import Network, NetworkError
-from .serialize import dumps, load, loads, network_from_dict, network_to_dict, save
-from .simulator import (
-    evaluate,
-    evaluate_all,
-    evaluate_all_interpreted,
-    evaluate_vector,
-)
-from .timing import (
-    TimeInterval,
-    analyze,
-    default_input_window,
-    makespan_bound,
-    output_intervals,
-)
-from .stats import ActivityStats, StructureStats, activity, structure
-from .validate import (
-    ValidationReport,
-    check_feedforward,
-    live_node_ids,
-    strip_dead_nodes,
-    validate,
-)
+from .. import _lazy
 
-__all__ = [
-    "COMPUTE_KINDS",
-    "INF_I64",
-    "KINDS",
-    "MAX_FINITE",
-    "ActivityStats",
-    "CompiledPlan",
-    "EventSimulator",
-    "Network",
-    "NetworkBuilder",
-    "NetworkError",
-    "Node",
-    "Ref",
-    "SimulationResult",
-    "SpikeEvent",
-    "StructureStats",
-    "TimeInterval",
-    "ValidationReport",
-    "activity",
-    "analyze",
-    "compile_plan",
-    "default_input_window",
-    "check_feedforward",
-    "decode_matrix",
-    "decode_time",
-    "dumps",
-    "encode_time",
-    "encode_volleys",
-    "evaluate",
-    "evaluate_all",
-    "evaluate_all_interpreted",
-    "evaluate_batch",
-    "evaluate_batch_all",
-    "evaluate_batch_dicts",
-    "evaluate_vector",
-    "input_batch",
-    "live_node_ids",
-    "load",
-    "loads",
-    "makespan_bound",
-    "network_from_dict",
-    "network_to_dict",
-    "output_intervals",
-    "random_inputs",
-    "random_network",
-    "random_volley",
-    "save",
-    "simulate",
-    "strip_dead_nodes",
-    "structure",
-    "validate",
-]
+__all__, __getattr__, __dir__ = _lazy(
+    __name__,
+    {
+        "blocks": ("COMPUTE_KINDS", "KINDS", "Node"),
+        "builder": ("NetworkBuilder", "Ref"),
+        "compile_plan": (
+            "INF_I64", "MAX_FINITE", "CompiledPlan", "compile_plan",
+            "decode_matrix", "decode_time", "encode_time", "encode_volleys",
+            "evaluate_batch", "evaluate_batch_all", "evaluate_batch_dicts",
+        ),
+        "events": ("EventSimulator", "SimulationResult", "SpikeEvent", "simulate"),
+        "generate": ("input_batch", "random_inputs", "random_network", "random_volley"),
+        "graph": ("Network", "NetworkError"),
+        "serialize": (
+            "dumps", "load", "loads", "network_from_dict", "network_to_dict",
+            "save",
+        ),
+        "simulator": (
+            "evaluate", "evaluate_all", "evaluate_all_interpreted",
+            "evaluate_vector",
+        ),
+        "timing": (
+            "TimeInterval", "analyze", "default_input_window", "makespan_bound",
+            "output_intervals",
+        ),
+        "stats": ("ActivityStats", "StructureStats", "activity", "structure"),
+        "validate": (
+            "ValidationReport", "check_feedforward", "live_node_ids",
+            "strip_dead_nodes", "validate",
+        ),
+    },
+)

@@ -129,6 +129,20 @@ class Node:
         _set_tags(node, tags)
         return node
 
+    def __reduce__(self):
+        """Pickle as constructor arguments, so unpickling re-runs the checks.
+
+        A ``rank`` row comes back through :meth:`rank`, every other node
+        through the public constructor.  Either is much cheaper than the
+        dataclass ``__setstate__``, which looks up ``fields()`` per node.
+        """
+        if self.kind == "rank":
+            return (_rank, (self.id, self.sources, self.amount, self.tags))
+        return (
+            Node,
+            (self.id, self.kind, self.sources, self.amount, self.name, self.tags),
+        )
+
     @property
     def is_terminal(self) -> bool:
         return self.kind in ("input", "param")
@@ -147,6 +161,9 @@ class Node:
 
 #: The lane tuple :meth:`Node.rank` last bound-checked, and its largest id.
 _rank_lanes: tuple = ((), -1)
+
+#: One object, so pickle's memo stores the rank constructor once per dump.
+_rank = Node.rank
 
 # The frozen class blocks ``setattr``; ``__init__`` fills the slots
 # through their descriptors, the cheapest way to write a slot.

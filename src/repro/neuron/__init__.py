@@ -7,61 +7,29 @@ pure-primitive compilation (Fig. 12), micro-weight programmable synapses
 columns of neurons (the Fig. 4 building block).
 """
 
-from .column import Column, compile_column
-from .layers import LayeredTNN, compile_layered, train_layerwise
-from .response import FIG11_RESPONSE, ResponseFunction, StepTrain, fanout_network
-from .sorting import (
-    bitonic_sort,
-    comparator_count,
-    odd_even_merge_sort,
-    sort_network,
-    theoretical_bitonic_comparators,
-)
-from .srm0 import SRM0Neuron
-from .srm0_network import build_srm0_from_weights, build_srm0_network
-from .weights import (
-    SynapseWires,
-    build_programmable_neuron,
-    microweight_synapse,
-    response_family,
-    weight_settings,
-)
-from .wta import (
-    build_k_wta_network,
-    build_wta_network,
-    first_winner,
-    k_wta,
-    winners,
-    wta,
-)
+from .. import _lazy
 
-__all__ = [
-    "FIG11_RESPONSE",
-    "Column",
-    "LayeredTNN",
-    "ResponseFunction",
-    "SRM0Neuron",
-    "StepTrain",
-    "SynapseWires",
-    "bitonic_sort",
-    "build_k_wta_network",
-    "build_programmable_neuron",
-    "build_srm0_from_weights",
-    "build_srm0_network",
-    "build_wta_network",
-    "comparator_count",
-    "compile_column",
-    "compile_layered",
-    "fanout_network",
-    "first_winner",
-    "k_wta",
-    "microweight_synapse",
-    "odd_even_merge_sort",
-    "response_family",
-    "sort_network",
-    "theoretical_bitonic_comparators",
-    "weight_settings",
-    "train_layerwise",
-    "winners",
-    "wta",
-]
+__all__, __getattr__, __dir__ = _lazy(
+    __name__,
+    {
+        "column": ("Column", "compile_column"),
+        "layers": ("LayeredTNN", "compile_layered", "train_layerwise"),
+        "response": (
+            "FIG11_RESPONSE", "ResponseFunction", "StepTrain", "fanout_network",
+        ),
+        "sorting": (
+            "bitonic_sort", "comparator_count", "odd_even_merge_sort",
+            "sort_network", "theoretical_bitonic_comparators",
+        ),
+        "srm0": ("SRM0Neuron",),
+        "srm0_network": ("build_srm0_from_weights", "build_srm0_network"),
+        "weights": (
+            "SynapseWires", "build_programmable_neuron", "microweight_synapse",
+            "response_family", "weight_settings",
+        ),
+        "wta": (
+            "build_k_wta_network", "build_wta_network", "first_winner",
+            "k_wta", "winners", "wta",
+        ),
+    },
+)

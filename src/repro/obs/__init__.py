@@ -25,72 +25,26 @@ designed so the *disabled* path costs (almost) nothing:
   counts for the exposition plus an epoch-rotated window for quantiles.
 """
 
-from .hist import BUCKET_BOUNDS_S, LatencyHistogram
-from .metrics import METRICS, MetricsRegistry, reset_metrics, snapshot
-from .profile import phase, profiled, profiling_enabled
-from .rtrace import (
-    FLIGHT,
-    FlightRecorder,
-    RequestTrace,
-    Span,
-    canonical_jsonl,
-    enable_rtrace,
-    rtrace_enabled,
-    rtracing,
-    well_formed,
-)
-from .rtrace import from_jsonl as spans_from_jsonl
-from .rtrace import to_chrome_trace as spans_to_chrome_trace
-from .rtrace import to_jsonl as spans_to_jsonl
-from .trace import (
-    NULL_SINK,
-    Divergence,
-    NullSink,
-    RecordingSink,
-    TraceEvent,
-    TraceSink,
-    cause_of,
-    emit_events,
-    first_divergence,
-    from_jsonl,
-    project_events,
-    to_chrome_trace,
-    to_jsonl,
-)
+from .. import _lazy
 
-__all__ = [
-    "BUCKET_BOUNDS_S",
-    "FLIGHT",
-    "FlightRecorder",
-    "LatencyHistogram",
-    "METRICS",
-    "MetricsRegistry",
-    "NULL_SINK",
-    "Divergence",
-    "NullSink",
-    "RecordingSink",
-    "RequestTrace",
-    "Span",
-    "TraceEvent",
-    "TraceSink",
-    "canonical_jsonl",
-    "cause_of",
-    "emit_events",
-    "enable_rtrace",
-    "first_divergence",
-    "from_jsonl",
-    "phase",
-    "profiled",
-    "profiling_enabled",
-    "project_events",
-    "reset_metrics",
-    "rtrace_enabled",
-    "rtracing",
-    "snapshot",
-    "spans_from_jsonl",
-    "spans_to_chrome_trace",
-    "spans_to_jsonl",
-    "to_chrome_trace",
-    "to_jsonl",
-    "well_formed",
-]
+__all__, __getattr__, __dir__ = _lazy(
+    __name__,
+    {
+        "hist": ("BUCKET_BOUNDS_S", "LatencyHistogram"),
+        "metrics": ("METRICS", "MetricsRegistry", "reset_metrics", "snapshot"),
+        "profile": ("phase", "profiled", "profiling_enabled"),
+        "rtrace": (
+            "FLIGHT", "FlightRecorder", "RequestTrace", "Span",
+            "canonical_jsonl", "enable_rtrace", "rtrace_enabled", "rtracing",
+            "well_formed", "from_jsonl as spans_from_jsonl",
+            "to_chrome_trace as spans_to_chrome_trace",
+            "to_jsonl as spans_to_jsonl",
+        ),
+        "trace": (
+            "NULL_SINK", "Divergence", "NullSink", "RecordingSink",
+            "TraceEvent", "TraceSink", "cause_of", "emit_events",
+            "first_divergence", "from_jsonl", "project_events",
+            "to_chrome_trace", "to_jsonl",
+        ),
+    },
+)

@@ -8,9 +8,9 @@ batches where the compiled engine
   open batches closed by a size trigger (``max_batch``) or a latency
   trigger (``max_wait_s``), results split back per request;
 * :mod:`repro.serve.pool` — the sharded worker pool: one process per
-  worker, forked empty and sent each model as a ``load`` that builds
-  the IR-optimized program and warms its compiled plan; least-loaded
-  dispatch, crash detection and restart;
+  worker, forked empty and sent each model's served program (built
+  once by the registry) as a ``load`` that compiles and warms it;
+  least-loaded dispatch, crash detection and restart;
 * :mod:`repro.serve.service` — the service core: fingerprint-keyed
   model registry, bounded-queue admission control with backpressure
   rejection, per-request deadlines, bounded retry on worker failure;

@@ -8,7 +8,8 @@ embeds and verifies it).  That one choice buys three properties:
 * **shippability** — the frontend parses and verifies each document
   once, builds the optimized program a worker serves, and ships that
   program; a worker *proves* it received it intact by recomputing the
-  program's fingerprint;
+  program's fingerprint.  The frontend keeps each model's document and
+  program, not its network, which is dropped once the program is built;
 * **deduplication** — registering a structural twin (same algebra, any
   display name) resolves to the existing entry, so workers load it once;
 * **conformance** — "served response equals direct ``evaluate_batch``"
@@ -52,39 +53,41 @@ MIN_PREFIX = 8
 
 @dataclass(frozen=True)
 class ModelEntry:
-    """One registered model: its network, document and served program.
+    """One registered model: its document, served program and node count.
 
     ``program`` is what the worker pool serves: the network lowered, its
     sorters grouped into rank rows and the result optimized, built once
     here (fire-time equal to the network by the IR's provenance
     contract).  Workers receive it, not the document, and only compile
     and warm it.  ``document`` is the serialized form the ``model_doc``
-    op hands out, so a client can rebuild and byte-check the model;
-    ``network`` stays available in-process for the direct conformance
-    path.
+    op hands out, so a client can rebuild and byte-check the model; the
+    direct conformance path rebuilds the network from it too.  The
+    network itself is not kept: ``nodes`` is its node count, which the
+    ``models`` op reports, and the interface maps come from the program,
+    which has the network's.
     """
 
     model_id: str  # == network.fingerprint()
     name: str
-    network: Network
     document: str
     program: Program
+    nodes: int
 
     @property
     def input_arity(self) -> int:
-        return len(self.network.input_ids)
+        return len(self.program.input_ids)
 
     @property
     def input_names(self) -> list[str]:
-        return self.network.input_names
+        return self.program.input_names
 
     @property
     def param_names(self) -> list[str]:
-        return self.network.param_names
+        return self.program.param_names
 
     @property
     def output_names(self) -> list[str]:
-        return self.network.output_names
+        return self.program.output_names
 
     def describe(self) -> dict:
         """The JSON shape the server's ``models`` op reports."""
@@ -94,7 +97,7 @@ class ModelEntry:
             "inputs": self.input_names,
             "params": self.param_names,
             "outputs": self.output_names,
-            "nodes": len(self.network.nodes),
+            "nodes": self.nodes,
             # Workers always serve the optimized program.
             "optimized": True,
         }
@@ -153,7 +156,8 @@ class ModelRegistry:
         rewrites would hide a sorter's shape; it also leaves the sweep a
         fraction of the nodes) and optimized.  All of it happens outside
         the lock: a large column takes a while, and admissions must keep
-        resolving meanwhile.
+        resolving meanwhile.  The network is not kept: once its program
+        is built it is dropped, and the lowering memoized on it with it.
         """
         document = None
         if isinstance(model, str):
@@ -178,9 +182,9 @@ class ModelRegistry:
             entry = ModelEntry(
                 model_id=fingerprint,
                 name=name or network.name,
-                network=network,
                 document=document,
                 program=program,
+                nodes=len(network.nodes),
             )
         with self._lock:
             entry = self._by_id.setdefault(fingerprint, entry)

@@ -49,6 +49,7 @@ from ..network.compile_plan import (
     encode_time,
     evaluate_batch,
 )
+from ..network import serialize
 from ..network.graph import NetworkError
 from ..obs import metrics as _obs_metrics
 from ..obs import profile as _obs_profile
@@ -650,12 +651,12 @@ class TNNService:
 
         This is the conformance oracle: a served response is correct
         exactly when its canonical encoding is byte-identical to this
-        result's.
+        result's.  The network is rebuilt from the model's document on
+        every call and not kept, so the oracle shares nothing with the
+        served program and the registry holds no network.
         """
-        entry = self.registry.resolve(model)
-        matrix = evaluate_batch(
-            entry.network, [tuple(v) for v in volleys], params=params
-        )
+        network = serialize.loads(self.registry.resolve(model).document)
+        matrix = evaluate_batch(network, [tuple(v) for v in volleys], params=params)
         return [tuple(row) for row in decode_matrix(matrix)]
 
     def pending(self) -> int:

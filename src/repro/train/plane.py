@@ -238,18 +238,20 @@ class TrainingPlane:
         self.service.register(network)
         accuracy = self.probe() if self.probe is not None else None
         summary = self.service.promote(self.alias, fingerprint)
-        self.lineage.append(
-            LineageRecord(
-                parent=parent,
-                child=fingerprint,
-                steps=since,
-                total_steps=self.incremental.applied,
-                rule=_rule_params(self.incremental.trainer.rule),
-                accuracy=accuracy,
-                promoted=True,
-            )
+        record = LineageRecord(
+            parent=parent,
+            child=fingerprint,
+            steps=since,
+            total_steps=self.incremental.applied,
+            rule=_rule_params(self.incremental.trainer.rule),
+            accuracy=accuracy,
+            promoted=True,
         )
+        # The new lineage head and the live version are published in one
+        # step: a reader holding the state lock never sees one without
+        # the other.
         with self._state_lock:
+            self.lineage.append(record)
             self.live_fingerprint = fingerprint
             self.last_accuracy = accuracy
             self.snapshots += 1

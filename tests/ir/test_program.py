@@ -170,6 +170,22 @@ class TestPickle:
         assert lanes(copy) == lanes(program)
         assert lanes(copy)[0] == lanes(copy)[1]
 
+    def test_nodes_unpickle_through_their_checked_constructors(self):
+        """A rank row comes back through ``Node.rank``, others through ``Node``."""
+        program = served(random_sorter_network(seed=3, smoke=True))
+        for node in program.nodes:
+            copy = pickle.loads(pickle.dumps(node, pickle.HIGHEST_PROTOCOL))
+            assert copy == node and copy.tags == node.tags
+        rank = program.nodes[program.rank_ids[0]]
+        restore, (node_id, sources, _k, tags) = rank.__reduce__()
+        assert restore == Node.rank
+        with pytest.raises(ValueError, match="out of range"):
+            restore(node_id, sources, len(sources), tags)
+        restore, (_id, kind, sources, amount, name, tags) = Node(3, "inc", (1,)).__reduce__()
+        assert restore is Node
+        with pytest.raises(ValueError, match="not upstream"):
+            restore(1, kind, sources, amount, name, tags)
+
     def test_unpickling_revalidates_the_node_table(self):
         program = served(diamond())
         restore, (nodes, _outputs, name, provenance) = program.__reduce__()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.ir.program import Program
+from repro.network import serialize
 from repro.network.compile_plan import INF_I64, evaluate_batch
 from repro.serve.demo import demo_column
 from repro.serve.pool import (
@@ -27,6 +28,11 @@ def registry():
     reg = ModelRegistry()
     reg.register(demo_column(0, smoke=True)[0], name="demo")
     return reg
+
+
+def demo_network(registry):
+    """The demo model's network, rebuilt from its document."""
+    return serialize.loads(registry.resolve("demo").document)
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +111,7 @@ class TestWorkerBody:
             thread.join(timeout=5)
 
     def test_eval_matches_direct(self, registry, model_id):
-        network = registry.resolve("demo").network
+        network = demo_network(registry)
         matrix = encoded_volleys(network, [(0, 1), (2, 3)])
         parent, thread = self.run_worker(registry)
         try:
@@ -172,7 +178,7 @@ class TestWorkerBody:
             parent.send(("load", "f" * 64, program.fingerprint(), b"\x80\x05junk"))
             op, bad_id, reason = parent.recv()
             assert (op, bad_id) == ("load-failed", "f" * 64)
-            demo = registry.resolve("demo").network
+            demo = demo_network(registry)
             matrix = encoded_volleys(demo, [(0, 1)])
             parent.send(("eval", 3, model_id, matrix, {}, 0))
             op, _job, result, _extras = parent.recv()
@@ -202,7 +208,7 @@ def _completion_recorder():
 
 class TestProcessPool:
     def test_eval_and_crash_restart(self, registry, model_id):
-        network = registry.resolve("demo").network
+        network = demo_network(registry)
         pool = ProcessWorkerPool(registry.programs(), n_workers=2)
         try:
             assert pool.alive_count() == 2
@@ -283,7 +289,7 @@ class TestLoadFailure:
         """A program that does not load is refused, not fatal."""
         from repro.obs.metrics import METRICS
 
-        network = registry.resolve("demo").network
+        network = demo_network(registry)
         bad_program = mislabeled(served(demo_column(6, smoke=True)[0]))
         failures = METRICS.counter("serve.worker.failures")
         pool = ProcessWorkerPool(registry.programs(), n_workers=1)
@@ -400,7 +406,7 @@ class TestEngines:
 
 class TestInlinePool:
     def test_eval_matches_direct(self, registry, model_id):
-        network = registry.resolve("demo").network
+        network = demo_network(registry)
         pool = InlineWorkerPool(registry.programs())
         matrix = encoded_volleys(network, [(3, 0)])
         done, box, on_done, on_fail = _completion_recorder()
@@ -409,7 +415,7 @@ class TestInlinePool:
         np.testing.assert_array_equal(box["result"], evaluate_batch(network, matrix))
 
     def test_int64_engine_eval(self, registry, model_id):
-        network = registry.resolve("demo").network
+        network = demo_network(registry)
         pool = InlineWorkerPool(registry.programs())
         matrix = encoded_volleys(network, [(2, 5)])
         done, box, on_done, on_fail = _completion_recorder()
@@ -422,7 +428,6 @@ class TestInlinePool:
         The inline pool is handed the registry's own program objects, so
         nothing travels that could be corrupted on the way.
         """
-        from repro.network import serialize
         from repro.network.graph import NetworkError
         from repro.serve.service import TNNService
 

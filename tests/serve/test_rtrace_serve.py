@@ -183,7 +183,7 @@ class TestServiceTracing:
                 jobs, self.jobs = self.jobs, []
                 for job in jobs:
                     entry = reg.resolve(job.model_id)
-                    job.on_done(evaluate_batch(entry.network, job.matrix))
+                    job.on_done(evaluate_batch(entry.program, job.matrix))
 
             def add_model(self, model_id, program):
                 pass
@@ -313,15 +313,15 @@ class TestProcessPoolTracing:
 
     def test_a_warm_barrier_folds_every_unreported_count(self, registry):
         """21 batches (not a multiple of the piggyback period) count exactly."""
-        network = registry.resolve("demo").network
-        model_id = registry.resolve("demo").model_id
+        entry = registry.resolve("demo")
+        model_id = entry.model_id
         pool = ProcessWorkerPool(registry.programs(), n_workers=2)
         try:
             METRICS.reset()
             rows = 0
             for job_id in range(21):
                 done = threading.Event()
-                matrix = np.full((1 + job_id % 3, len(network.input_ids)), job_id)
+                matrix = np.full((1 + job_id % 3, entry.input_arity), job_id)
                 rows += matrix.shape[0]
                 pool.submit(
                     Job(job_id, model_id, matrix, {}, lambda _r: done.set(), print)

@@ -57,7 +57,7 @@ class HoldingPool:
             jobs, self.jobs = self.jobs, []
         for job in jobs:
             entry = registry.resolve(job.model_id)
-            job.on_done(evaluate_batch(entry.network, job.matrix))
+            job.on_done(evaluate_batch(entry.program, job.matrix))
 
     def add_model(self, model_id, program):
         pass
@@ -86,8 +86,7 @@ class TestHappyPath:
     def test_served_equals_direct(self, registry):
         service = make_service(registry)
         try:
-            network = registry.resolve("demo").network
-            volleys = demo_volleys(len(network.input_ids), 24, seed=1)
+            volleys = demo_volleys(registry.resolve("demo").input_arity, 24, seed=1)
             futures = [service.submit("demo", v) for v in volleys]
             results = [f.result(timeout=10) for f in futures]
             assert results == service.direct("demo", volleys)
@@ -313,7 +312,7 @@ class TestRegisterDocument:
         entry = ModelRegistry().register(text, name="two")
         assert entry.document is text
         assert entry.model_id == network.fingerprint()
-        assert entry.network.fingerprint() == entry.model_id
+        assert entry.describe()["nodes"] == entry.nodes == len(network.nodes)
         assert entry.name == "two"
 
     def test_document_and_network_share_one_entry(self):

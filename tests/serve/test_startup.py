@@ -16,8 +16,10 @@ import json
 import multiprocessing as mp
 import os
 import pickle
+import sys
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -276,19 +278,22 @@ class TestParseOnce:
 
     @pytest.fixture
     def parses(self, monkeypatch):
-        """Every ``serialize.loads`` call the frontend makes.
+        """Every ``serialize.loads`` call the frontend makes, by caller.
 
+        ``"direct"`` holds the parses :meth:`TNNService.direct` makes to
+        rebuild its oracle network, ``"register"`` every other one.
         Forked workers inherit the patch; a call there fails its load,
         which surfaces as ``load-failed``.
         """
         frontend = os.getpid()
-        calls = []
+        calls = {"register": [], "direct": []}
         loads = serialize.loads
 
         def counting_loads(document):
             if os.getpid() != frontend:
                 raise RuntimeError("a worker parsed a document")
-            calls.append(document)
+            direct = sys._getframe(1).f_code is TNNService.direct.__code__
+            calls["direct" if direct else "register"].append(document)
             return loads(document)
 
         monkeypatch.setattr(serialize, "loads", counting_loads)
@@ -312,8 +317,9 @@ class TestParseOnce:
         model = serialize.dumps(network) if form == "document" else network
         entry = service.register(model)
         service.pool.wait_loaded([entry.model_id])
-        assert len(parses) == 1
+        assert len(parses["register"]) == 1
         assert_serves_byte_identically(service, seed=6)
+        assert (len(parses["register"]), len(parses["direct"])) == (1, 1)
 
     def test_replacement_worker_is_sent_programs(self, parses):
         service = TNNService(
@@ -336,6 +342,58 @@ class TestParseOnce:
             pool.wait_loaded([entry.model_id])
             assert pool.warmups() == [1]
             assert_serves_byte_identically(service, seed=7)
-            assert len(parses) == 1
+            assert (len(parses["register"]), len(parses["direct"])) == (1, 1)
         finally:
             service.close()
+
+
+class TestNoNetworkKept:
+    """The frontend keeps a model's document and program, not its network."""
+
+    @pytest.fixture(params=["inline", "process"])
+    def service(self, request):
+        if request.param == "inline":
+            pool = pool_module.InlineWorkerPool({})
+        else:
+            pool = pool_module.ProcessWorkerPool({}, n_workers=1)
+        service = TNNService(ModelRegistry(), pool)
+        yield service
+        service.close()
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """A weakref to every network ``serialize.loads`` builds."""
+        refs = []
+        loads = serialize.loads
+
+        def recording_loads(document):
+            network = loads(document)
+            refs.append(weakref.ref(network))
+            return network
+
+        monkeypatch.setattr(serialize, "loads", recording_loads)
+        return refs
+
+    def test_network_parsed_from_a_document_is_freed(self, service, parsed):
+        network = demo_column(4, smoke=True)[0]
+        text, nodes = serialize.dumps(network), len(network.nodes)
+        del network
+        entry = service.register(text)
+        gc.collect()
+        assert len(parsed) == 1 and parsed[0]() is None
+        service.pool.wait_loaded([entry.model_id])
+        assert entry.document is text
+        assert entry.describe()["nodes"] == nodes
+        assert_serves_byte_identically(service, seed=8)
+
+    def test_network_the_caller_dropped_is_freed(self, service, parsed):
+        network = demo_column(4, smoke=True)[0]
+        ref, nodes = weakref.ref(network), len(network.nodes)
+        entry = service.register(network)
+        del network
+        gc.collect()
+        assert ref() is None
+        assert len(parsed) == 1 and parsed[0]() is None  # the round trip's
+        service.pool.wait_loaded([entry.model_id])
+        assert entry.describe()["nodes"] == nodes
+        assert_serves_byte_identically(service, seed=8)

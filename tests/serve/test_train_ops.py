@@ -114,6 +114,23 @@ async def wait_presented(service, count, timeout=10.0):
         await asyncio.sleep(0.02)
 
 
+async def wait_no_snapshot_in_flight(service, timeout=10.0):
+    """Until the snapshot the last presented volley may have started is done.
+
+    A due snapshot runs on the plane's thread until it resets the cadence
+    count below ``snapshot_every``.
+    """
+    plane = service.training
+    deadline = asyncio.get_running_loop().time() + timeout
+    while True:
+        with plane._state_lock:
+            if plane._since_snapshot < plane.snapshot_every:
+                return
+        if asyncio.get_running_loop().time() > deadline:
+            raise AssertionError("a snapshot is still running")
+        await asyncio.sleep(0.02)
+
+
 class TestTrainOp:
     def test_train_accepted_and_consumed(self):
         async def session(reader, writer, service):
@@ -157,6 +174,7 @@ class TestLineageOp:
                     reader, writer, {"op": "train", "id": i, "volley": volley}
                 )
             await wait_presented(service, 10)
+            await wait_no_snapshot_in_flight(service)
             reply = await request(reader, writer, {"op": "lineage", "id": 90})
             assert reply["ok"] and reply["id"] == 90
             lineage = reply["lineage"]

@@ -19,6 +19,67 @@ SUBPACKAGES = [name for name in repro.__all__ if name != "__version__"]
 #: Subpackages the serving front end must not load.
 NOT_SERVED = ("analysis", "apps", "learning", "racelogic", "testing", "kernels", "train")
 
+#: Modules of the loaded subpackages that serving never uses.
+NOT_SERVED_MODULES = (
+    "repro.core.synthesis",
+    "repro.core.completeness",
+    "repro.core.minimize",
+    "repro.core.properties",
+    "repro.network.events",
+    "repro.network.simulator",
+    "repro.network.timing",
+    "repro.network.stats",
+    "repro.network.generate",
+    "repro.network.validate",
+    "repro.neuron.column",
+    "repro.neuron.layers",
+    "repro.neuron.weights",
+    "repro.neuron.wta",
+)
+
+#: Every ``repro`` module a started ``--model-file`` server loads: the
+#: serving stack, the demo model's recipe and the IR passes that build
+#: each served program.
+SERVED_MODULES = {
+    "repro",
+    "repro.core",
+    "repro.core.value",
+    "repro.ir",
+    "repro.ir.passes",
+    "repro.ir.program",
+    "repro.ir.sorters",
+    "repro.network",
+    "repro.network.blocks",
+    "repro.network.builder",
+    "repro.network.compile_plan",
+    "repro.network.graph",
+    "repro.network.serialize",
+    "repro.network.sorting",
+    "repro.neuron",
+    "repro.neuron.response",
+    "repro.neuron.srm0",
+    "repro.neuron.srm0_network",
+    "repro.obs",
+    "repro.obs.hist",
+    "repro.obs.metrics",
+    "repro.obs.profile",
+    "repro.obs.rtrace",
+    "repro.obs.trace",
+    "repro.runtime",
+    "repro.runtime.result_cache",
+    "repro.serve",
+    "repro.serve.batcher",
+    "repro.serve.demo",
+    "repro.serve.pool",
+    "repro.serve.protocol",
+    "repro.serve.registry",
+    "repro.serve.server",
+    "repro.serve.service",
+}
+
+#: Subpackages whose public names load on first access.
+LAZY = ("core", "ir", "network", "neuron", "obs")
+
 
 def run_fresh(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
@@ -63,3 +124,50 @@ def test_serving_front_end_loads_only_what_serving_uses():
     loaded = result.stdout.split()
     assert "repro.serve.server" in loaded
     assert [name for name in loaded if name.split(".")[1] in NOT_SERVED] == []
+
+
+def test_started_server_loads_the_served_modules(tmp_path):
+    from repro.network import serialize
+    from repro.serve.demo import demo_column
+
+    model = tmp_path / "column.json"
+    serialize.save(demo_column(3, smoke=True)[0], model)
+    result = run_fresh(
+        "import argparse, sys\n"
+        "from repro.serve.server import add_serve_arguments, build_service\n"
+        "parser = argparse.ArgumentParser()\n"
+        "add_serve_arguments(parser)\n"
+        f"args = parser.parse_args(['--smoke', '--inline', '--model-file', {str(model)!r}])\n"
+        "build_service(args).close()\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('repro'))))"
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert loaded.isdisjoint(NOT_SERVED_MODULES), sorted(loaded & set(NOT_SERVED_MODULES))
+    assert loaded == SERVED_MODULES
+
+
+@pytest.mark.parametrize("package", LAZY)
+def test_every_public_name_resolves_in_a_fresh_interpreter(package):
+    result = run_fresh(
+        f"import types, repro.{package} as package\n"
+        "for name in package.__all__:\n"
+        "    value = getattr(package, name)\n"
+        "    assert not isinstance(value, types.ModuleType), name\n"
+        "assert set(package.__all__) <= set(dir(package))"
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_a_loaded_submodule_does_not_shadow_its_namesake_export():
+    """``network.compile_plan`` etc. stay the functions, whatever loaded first."""
+    result = run_fresh(
+        "import repro.core.minimize, repro.network.compile_plan\n"
+        "import repro.network.validate, repro.neuron.wta\n"
+        "from repro.core import minimize\n"
+        "from repro.network import compile_plan, validate\n"
+        "from repro.neuron import wta\n"
+        "for value in (minimize, compile_plan, validate, wta):\n"
+        "    assert callable(value) and value.__name__ in value.__module__, value"
+    )
+    assert result.returncode == 0, result.stderr
