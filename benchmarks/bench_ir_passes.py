@@ -37,6 +37,7 @@ Run standalone::
 from __future__ import annotations
 
 import random
+import statistics
 from pathlib import Path
 from time import perf_counter
 
@@ -61,12 +62,17 @@ MAX_LEGACY_RATIO = 1.10
 #: batch may not regress past timing noise.
 MAX_MINIMAL_RATIO = 1.10
 #: Full-mode ratio gates run as many interleaved best-of rounds as fit
-#: in about this many seconds of timed calls, at least ``repeats`` and at
-#: most :data:`MAX_GATE_ROUNDS`.  On a shared two-core box the machine
-#: has slow and fast spells; a best-of-30 over sub-millisecond batches
-#: can miss the fast spell on one side only, and read 1.28 to 1.36 on a
-#: ratio whose two sides run the same plan.
+#: in about this many seconds of timed calls, at least
+#: :data:`MIN_GATE_ROUNDS` and at most :data:`MAX_GATE_ROUNDS`.  On a
+#: shared two-core box the machine has slow and fast spells; a
+#: best-of-30 over sub-millisecond batches can miss the fast spell on
+#: one side only, and read 1.28 to 1.36 on a ratio whose two sides run
+#: the same plan.  The round cost is the median of three warm rounds,
+#: so one slow spell cannot cut the count; the floor is the ~75 rounds
+#: at which the 40-input column's gate held over 12 full runs (it failed
+#: once, at 1.105, in a run sized to 30).
 GATE_BUDGET_S = 4.0
+MIN_GATE_ROUNDS = 75
 MAX_GATE_ROUNDS = 600
 #: Full-mode batch of the minimal gate (both sides share one plan, so
 #: a larger batch only steadies the ratio).
@@ -133,11 +139,14 @@ def _gate_rounds(repeats, budget_s, *fns):
         fn()
     if not budget_s:
         return repeats
-    start = perf_counter()
-    for fn in fns:
-        fn()
-    per_round = perf_counter() - start
-    return max(repeats, min(MAX_GATE_ROUNDS, int(budget_s / per_round)))
+    per_round = []
+    for _ in range(3):
+        start = perf_counter()
+        for fn in fns:
+            fn()
+        per_round.append(perf_counter() - start)
+    rounds = int(budget_s / statistics.median(per_round))
+    return max(repeats, MIN_GATE_ROUNDS, min(MAX_GATE_ROUNDS, rounds))
 
 
 def _optimize(network):

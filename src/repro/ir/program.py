@@ -20,8 +20,9 @@ the same node table:
   :func:`~repro.network.compile_plan.compile_plan` and kept here, so a
   plan lives exactly as long as its program,
 * a **provenance map** — program node id → the original network node
-  ids whose fire times the node represents.  The identity map for a
-  fresh lowering; the optimizer composes it, which is what keeps
+  ids whose fire times the node represents.  A fresh lowering carries
+  :class:`IdentityProvenance`, a read-only mapping that stores only its
+  length; the optimizer composes a real dict, which is what keeps
   optimized and unoptimized spike traces comparable
   (:func:`repro.obs.trace.project_events`).
 
@@ -45,14 +46,13 @@ lattice laws allow.
 
 from __future__ import annotations
 
-import hashlib
 import weakref
 from collections.abc import Mapping
 from typing import Optional, Union
 
 from ..core.value import INF, Time
 from ..network.blocks import Node
-from ..network.graph import Network, NetworkError
+from ..network.graph import Network, NetworkError, structural_digest
 
 #: Schedule classes a node can lower to.  Zero-source ``min``/``max``
 #: are *constants*, not reductions — this classification (and the
@@ -106,7 +106,7 @@ class Program:
         outputs: Mapping[str, int],
         *,
         name: str = "program",
-        provenance: Optional[dict[int, tuple[int, ...]]] = None,
+        provenance: Optional[Mapping[int, tuple[int, ...]]] = None,
     ):
         self.nodes: tuple[Node, ...] = tuple(nodes)
         self.name = name
@@ -155,12 +155,13 @@ class Program:
             n.id for n in self.nodes if n.kind == "rank"
         )
         #: program node id -> original node ids it represents (fire-time
-        #: equal).  Identity unless the optimizer rewrote the program.
-        self.provenance: dict[int, tuple[int, ...]] = (
-            dict(provenance)
-            if provenance is not None
-            else {n.id: (n.id,) for n in self.nodes}
-        )
+        #: equal).  Identity unless a pass rewrote the program; an
+        #: identity is immutable, so a given one is kept, not copied.
+        if provenance is None:
+            provenance = IdentityProvenance(len(self.nodes))
+        elif not isinstance(provenance, IdentityProvenance):
+            provenance = dict(provenance)
+        self.provenance: Mapping[int, tuple[int, ...]] = provenance
         self._fingerprint: Optional[str] = None
         self._consumers: Optional[list[list[int]]] = None
         #: The compiled plan (:func:`~repro.network.compile_plan.compile_plan`).
@@ -232,20 +233,7 @@ class Program:
         unoptimized lowering and its source network share one compiled
         plan; any rewrite that changes structure changes the key."""
         if self._fingerprint is None:
-            digest = hashlib.sha256()
-            for node in self.nodes:
-                digest.update(
-                    repr(
-                        (
-                            node.kind,
-                            node.sources,
-                            node.amount if node.kind in ("inc", "rank") else 0,
-                            node.name or "",
-                        )
-                    ).encode()
-                )
-            digest.update(repr(list(self.outputs.items())).encode())
-            self._fingerprint = digest.hexdigest()
+            self._fingerprint = structural_digest(self.nodes, self.outputs)
         return self._fingerprint
 
     def require_comparators(self, consumer: str) -> None:
@@ -288,6 +276,41 @@ def _restore(nodes, outputs, name, provenance) -> Program:
 
 
 ProgramLike = Union[Network, Program]
+
+
+class IdentityProvenance(Mapping):
+    """The provenance of an unrewritten program: ``{i: (i,)}`` for each row.
+
+    Reads (``get``, ``[]``, iteration, ``len``, ``==``) behave as that
+    dict does, but only the row count is stored: a lowering of a
+    29,000-node sorting column would otherwise build a 29,000-entry dict
+    on every load.
+    """
+
+    __slots__ = ("_size",)
+
+    def __init__(self, size: int) -> None:
+        self._size = size
+
+    def __getitem__(self, node_id: int) -> tuple[int, ...]:
+        if isinstance(node_id, int) and 0 <= node_id < self._size:
+            return (int(node_id),)
+        raise KeyError(node_id)
+
+    def __iter__(self):
+        return iter(range(self._size))
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, IdentityProvenance):
+            return self._size == other._size
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return f"IdentityProvenance({self._size})"
+
 
 #: Lowering memo: one Program per live Network (dies with the network).
 _LOWER_MEMO: "weakref.WeakKeyDictionary[Network, Program]" = (

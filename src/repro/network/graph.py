@@ -28,6 +28,36 @@ class NetworkError(ValueError):
     """Raised for structurally invalid networks or bad port references."""
 
 
+def structural_digest(nodes: Iterable[Node], outputs: Mapping[str, int]) -> str:
+    """SHA-256 hex digest of a node table and its output map.
+
+    The fingerprint of both :class:`Network` and
+    :class:`~repro.ir.program.Program`.  Each node is hashed as the
+    ``repr`` of ``(kind, sources, amount, name or "")``, the amount
+    counting only for ``inc`` and ``rank`` rows (a network never holds
+    a ``rank`` row), then the output list in declaration order.  The
+    digest is fed node by node, and ``repr`` runs once per run of rows
+    sharing one ``sources`` tuple object: a sorter's rank rows share
+    theirs, and a wide sorter's lane tuple is long.
+    """
+    digest = hashlib.sha256()
+    update = digest.update
+    previous: object = None
+    shown = ""
+    for node in nodes:
+        sources = node.sources
+        if sources is not previous:
+            previous = sources
+            shown = repr(sources)
+        kind = node.kind
+        amount = node.amount if kind == "inc" or kind == "rank" else 0
+        update(f"({kind!r}, {shown}, {amount!r}, {node.name or ''!r})".encode())
+    # Declaration order matters: batched plans gather output columns in
+    # it, so it must be part of the key.
+    update(repr(list(outputs.items())).encode())
+    return digest.hexdigest()
+
+
 class Network:
     """An immutable feedforward space-time computing network."""
 
@@ -126,22 +156,7 @@ class Network:
         (:mod:`repro.serve.registry`).
         """
         if self._fingerprint is None:
-            digest = hashlib.sha256()
-            for node in self.nodes:
-                digest.update(
-                    repr(
-                        (
-                            node.kind,
-                            node.sources,
-                            node.amount if node.kind == "inc" else 0,
-                            node.name or "",
-                        )
-                    ).encode()
-                )
-            # Declaration order matters: batched plans gather output
-            # columns in it, so it must be part of the key.
-            digest.update(repr(list(self.outputs.items())).encode())
-            self._fingerprint = digest.hexdigest()
+            self._fingerprint = structural_digest(self.nodes, self.outputs)
         return self._fingerprint
 
     def counts_by_kind(self) -> dict[str, int]:

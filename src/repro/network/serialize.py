@@ -32,15 +32,25 @@ the fingerprint of the rebuilt network and refuses a document whose
 embedded fingerprint disagrees: a round-trip is guaranteed to preserve
 the fingerprint bit-for-bit, so a fingerprint travelling with a file is
 trustworthy.  Hand-written documents may simply omit the field.
+
+:func:`loads` builds each node as its JSON object closes, so a large
+document never exists as a tree of per-node dicts: decoding the
+80-input SRM0 column (29,351 nodes, 3.8 MB) peaks near the size of the
+network it returns instead of twice it.  A document that does not
+decode to one node per list entry is decoded again as plain JSON and
+checked by :func:`network_from_dict`, so every document loads, or is
+refused with the same message, as through that function.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections.abc import Callable, Iterator
 from pathlib import Path
 from typing import Any
 
-from .blocks import Node
+from .blocks import KINDS, Node
 from .graph import Network, NetworkError
 
 FORMAT = "repro.network/1"
@@ -73,10 +83,7 @@ def network_to_dict(network: Network) -> dict[str, Any]:
 
 def network_from_dict(data: dict[str, Any]) -> Network:
     """Rebuild a network, re-validating structure along the way."""
-    if data.get("format") != FORMAT:
-        raise NetworkError(
-            f"unsupported format {data.get('format')!r}; expected {FORMAT!r}"
-        )
+    _check_format(data)
     raw_nodes = data.get("nodes")
     if not isinstance(raw_nodes, list):
         raise NetworkError("'nodes' must be a list")
@@ -85,30 +92,55 @@ def network_from_dict(data: dict[str, Any]) -> Network:
         if not isinstance(entry, dict) or "kind" not in entry:
             raise NetworkError(f"node #{i} is malformed")
         try:
-            sources = tuple(entry.get("sources", ()))
-            amount = entry.get("amount", 1)
-            name = entry.get("name")
-            # Exact types: a float or bool that compares equal to an int
-            # would build a node that evaluates or fingerprints apart
-            # from the one the document means.
-            if not _INT.issuperset(map(type, sources)):
-                raise TypeError(f"source ids must be integers, got {sources!r}")
-            if type(amount) is not int:
-                raise TypeError(f"amount must be an integer, got {amount!r}")
-            if name is not None and type(name) is not str:
-                raise TypeError(f"name must be a string, got {name!r}")
             nodes.append(
-                Node(
+                _node(
                     i,
                     entry["kind"],
-                    sources,
-                    amount,
-                    name,
+                    tuple(entry.get("sources", ())),
+                    entry.get("amount", 1),
+                    entry.get("name"),
                     tuple(entry.get("tags", ())),
                 )
             )
         except (TypeError, ValueError) as exc:
             raise NetworkError(f"node #{i} invalid: {exc}") from exc
+    return _assemble(data, nodes)
+
+
+def _check_format(data: Any) -> None:
+    if not isinstance(data, dict):
+        raise NetworkError(
+            f"a network document is a JSON object, got {type(data).__name__}"
+        )
+    if data.get("format") != FORMAT:
+        raise NetworkError(
+            f"unsupported format {data.get('format')!r}; expected {FORMAT!r}"
+        )
+
+
+def _node(
+    i: int,
+    kind: Any,
+    sources: tuple,
+    amount: Any,
+    name: Any,
+    tags: tuple,
+) -> Node:
+    """Node *i* from its document fields: the one per-node validator."""
+    # Exact types: a float or bool that compares equal to an int would
+    # build a node that evaluates or fingerprints apart from the one
+    # the document means.
+    if not _INT.issuperset(map(type, sources)):
+        raise TypeError(f"source ids must be integers, got {sources!r}")
+    if type(amount) is not int:
+        raise TypeError(f"amount must be an integer, got {amount!r}")
+    if name is not None and type(name) is not str:
+        raise TypeError(f"name must be a string, got {name!r}")
+    return Node(i, kind, sources, amount, name, tags)
+
+
+def _assemble(data: dict[str, Any], nodes: list[Node]) -> Network:
+    """The network of validated *nodes* and the document's other fields."""
     outputs = data.get("outputs")
     if not isinstance(outputs, dict):
         raise NetworkError("'outputs' must be a mapping")
@@ -128,18 +160,88 @@ def network_from_dict(data: dict[str, Any]) -> Network:
     return network
 
 
+#: Canonical kind strings: a decoded node keeps these, not the parser's.
+_KINDS = {kind: kind for kind in KINDS}
+_FIELDS = frozenset(("kind", "sources", "amount", "name", "tags"))
+
+
+class _Unstreamed(Exception):
+    """A node-shaped object failed validation: decode the plain way."""
+
+
+def _node_decoder() -> tuple[Callable[[dict], Any], Iterator[int]]:
+    """A ``json`` ``object_hook`` that builds each node as its object closes.
+
+    An object is a node when every key is a node field and ``kind`` is
+    one of :data:`~repro.network.blocks.KINDS`.  It becomes
+    ``Node(count, ...)``, *count* being the number of nodes built so
+    far — its list position in a well-formed document — with the
+    canonical kind string and one shared tuple per distinct ``tags``.
+    Any other object stays a dict.  A node-shaped object that fails
+    validation raises :class:`_Unstreamed`.  Returns the hook and the
+    id counter, whose next value is the number of nodes built.
+    """
+    ids = itertools.count()
+    shared_tags: dict[tuple, tuple] = {}
+
+    def hook(entry: dict) -> Any:
+        kind = entry.get("kind")
+        if type(kind) is not str or kind not in _KINDS or not _FIELDS.issuperset(entry):
+            return entry
+        try:
+            tags = tuple(entry.get("tags", ()))
+            return _node(
+                next(ids),
+                _KINDS[kind],
+                tuple(entry.get("sources", ())),
+                entry.get("amount", 1),
+                entry.get("name"),
+                shared_tags.setdefault(tags, tags),
+            )
+        except (TypeError, ValueError):
+            raise _Unstreamed from None
+
+    return hook, ids
+
+
 def dumps(network: Network, *, indent: int | None = 2) -> str:
     """Serialize to a JSON string."""
     return json.dumps(network_to_dict(network), indent=indent)
 
 
 def loads(text: str) -> Network:
-    """Deserialize from a JSON string."""
+    """Deserialize from a JSON string.
+
+    Nodes are built as their JSON objects close (:func:`_node_decoder`),
+    so no per-node dict outlives its node.  When the result is not
+    exactly one node per ``nodes`` entry, each at its own position —
+    a node failed validation, a list entry is not node-shaped, or a
+    node-shaped object sits elsewhere in the document — the text is
+    decoded again as plain JSON and validated by
+    :func:`network_from_dict`, so such a document loads, or is refused
+    with the message, exactly as the plain path gives.
+    """
+    hook, ids = _node_decoder()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = _decode(text, object_hook=hook)
+    except _Unstreamed:
+        data = None
+    nodes = data.get("nodes") if type(data) is dict else None
+    if (
+        type(nodes) is not list
+        or len(nodes) != next(ids)
+        or not all(type(n) is Node and n.id == i for i, n in enumerate(nodes))
+    ):
+        return network_from_dict(_decode(text))
+    _check_format(data)
+    return _assemble(data, nodes)
+
+
+def _decode(text: str, **hooks: Any) -> Any:
+    try:
+        return json.loads(text, **hooks)
+    except (ValueError, RecursionError) as exc:
         raise NetworkError(f"invalid JSON: {exc}") from exc
-    return network_from_dict(data)
 
 
 def save(network: Network, path: str | Path) -> None:

@@ -43,6 +43,7 @@ from typing import Optional
 
 from .demo import demo_column, demo_volleys
 from .protocol import (
+    E_NO_MODEL,
     canonical,
     encode_line,
     eval_request,
@@ -63,6 +64,36 @@ async def _request(reader, writer, message: dict) -> dict:
     if not line:
         raise LoadgenError("connection closed mid-request")
     return json.loads(line)
+
+
+#: Tries of the mid-run promotion (see :func:`_promote_head`).
+PROMOTE_ATTEMPTS = 5
+
+
+async def _promote_head(reader, writer, alias: str) -> dict:
+    """Promote the training plane's lineage head onto *alias*.
+
+    A snapshot that lands between reading the head and promoting it
+    retires that head, and the promotion is refused ``no-such-model``;
+    the head is then read again, up to :data:`PROMOTE_ATTEMPTS` times.
+    Returns the last promote reply, or ``{}`` when the lineage is empty.
+    """
+    reply: dict = {}
+    for attempt in range(PROMOTE_ATTEMPTS):
+        if attempt:
+            await asyncio.sleep(0.01)
+        lineage = await _request(reader, writer, {"op": "lineage", "id": "lg-lineage"})
+        head = lineage.get("lineage", {}).get("head")
+        if not head:
+            break
+        reply = await _request(
+            reader,
+            writer,
+            {"op": "promote", "id": "lg-promote", "alias": alias, "model": head},
+        )
+        if reply.get("code") != E_NO_MODEL:
+            break
+    return reply
 
 
 #: Stream read limit: ``model_doc`` responses carry whole serialized
@@ -192,18 +223,7 @@ async def run_loadgen(
                 if i is None:
                     return
                 if i == promote_at:
-                    lineage = await _request(
-                        r, w, {"op": "lineage", "id": "lg-lineage"}
-                    )
-                    head = lineage.get("lineage", {}).get("head")
-                    if head:
-                        message = {
-                            "op": "promote",
-                            "id": "lg-promote",
-                            "alias": model,
-                            "model": head,
-                        }
-                        promotion.update(await _request(r, w, message))
+                    promotion.update(await _promote_head(r, w, model))
                 if is_train[i]:
                     message = {
                         "op": "train",

@@ -8,8 +8,9 @@ embeds and verifies it).  That one choice buys three properties:
 * **shippability** — the frontend parses and verifies each document
   once, builds the optimized program a worker serves, and ships that
   program; a worker *proves* it received it intact by recomputing the
-  program's fingerprint.  The frontend keeps each model's document and
-  program, not its network, which is dropped once the program is built;
+  program's fingerprint.  The frontend keeps each model's program and
+  its document, zlib-compressed, not its network, which is dropped
+  once the program is built;
 * **deduplication** — registering a structural twin (same algebra, any
   display name) resolves to the existing entry, so workers load it once;
 * **conformance** — "served response equals direct ``evaluate_batch``"
@@ -34,6 +35,7 @@ promotes while the service admits requests.
 from __future__ import annotations
 
 import threading
+import zlib
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -51,27 +53,45 @@ from .protocol import E_NO_MODEL, ServeError
 MIN_PREFIX = 8
 
 
+def pack_document(text: str) -> bytes:
+    """*text* as the registry keeps it at rest: UTF-8, zlib level 1."""
+    # ``surrogatepass``: any str round-trips, exactly as it was given.
+    return zlib.compress(text.encode("utf-8", "surrogatepass"), 1)
+
+
+def unpack_document(packed: bytes) -> str:
+    """The exact text :func:`pack_document` was given."""
+    return zlib.decompress(packed).decode("utf-8", "surrogatepass")
+
+
 @dataclass(frozen=True)
 class ModelEntry:
-    """One registered model: its document, served program and node count.
+    """One registered model: its packed document, served program and node count.
 
     ``program`` is what the worker pool serves: the network lowered, its
     sorters grouped into rank rows and the result optimized, built once
     here (fire-time equal to the network by the IR's provenance
     contract).  Workers receive it, not the document, and only compile
-    and warm it.  ``document`` is the serialized form the ``model_doc``
-    op hands out, so a client can rebuild and byte-check the model; the
-    direct conformance path rebuilds the network from it too.  The
-    network itself is not kept: ``nodes`` is its node count, which the
-    ``models`` op reports, and the interface maps come from the program,
-    which has the network's.
+    and warm it.  ``packed`` is the serialized document, compressed by
+    :func:`pack_document` (the 80-input column's 3.8 MB of JSON keeps as
+    about 180 kB); :attr:`document` returns the exact text registered,
+    which the ``model_doc`` op hands out so a client can rebuild and
+    byte-check the model, and from which the direct conformance path
+    rebuilds the network.  The network itself is not kept: ``nodes`` is
+    its node count, which the ``models`` op reports, and the interface
+    maps come from the program, which has the network's.
     """
 
     model_id: str  # == network.fingerprint()
     name: str
-    document: str
+    packed: bytes
     program: Program
     nodes: int
+
+    @property
+    def document(self) -> str:
+        """The serialized document, exactly as registered."""
+        return unpack_document(self.packed)
 
     @property
     def input_arity(self) -> int:
@@ -146,8 +166,9 @@ class ModelRegistry:
 
         * a **document** (a ``--model-file``'s text) is parsed once, which
           also verifies any fingerprint it embeds.  The model id is the
-          fingerprint of the rebuilt network, and the entry ships the
-          text exactly as given — that one parse is the round trip;
+          fingerprint of the rebuilt network, and the entry keeps the
+          text exactly as given, packed — that one parse is the round
+          trip;
         * a **network** is serialized, the document parsed back, and the
           two fingerprints compared bit-for-bit.
 
@@ -157,7 +178,8 @@ class ModelRegistry:
         fraction of the nodes) and optimized.  All of it happens outside
         the lock: a large column takes a while, and admissions must keep
         resolving meanwhile.  The network is not kept: once its program
-        is built it is dropped, and the lowering memoized on it with it.
+        is built it is dropped, and the lowering memoized on it with it;
+        the document is kept packed (:func:`pack_document`).
         """
         document = None
         if isinstance(model, str):
@@ -171,18 +193,18 @@ class ModelRegistry:
         if entry is None:
             if document is None:
                 document = serialize.dumps(network, indent=None)
-                rebuilt = serialize.loads(document)
-                if rebuilt.fingerprint() != fingerprint:
+                rebuilt = serialize.loads(document).fingerprint()
+                if rebuilt != fingerprint:
                     raise NetworkError(
                         f"serialization round-trip changed the fingerprint "
                         f"of {network.name!r}: {fingerprint[:12]} -> "
-                        f"{rebuilt.fingerprint()[:12]}"
+                        f"{rebuilt[:12]}"
                     )
             program, _report = optimize_program(group_sorters(lower(network)))
             entry = ModelEntry(
                 model_id=fingerprint,
                 name=name or network.name,
-                document=document,
+                packed=pack_document(document),
                 program=program,
                 nodes=len(network.nodes),
             )
@@ -243,11 +265,6 @@ class ModelRegistry:
                 del self._aliases[alias]
         RESULT_CACHE.evict_fingerprint(entry.model_id)
         return entry
-
-    def documents(self) -> dict[str, str]:
-        """``model_id -> serialized document`` of every registered model."""
-        with self._lock:
-            return {fp: entry.document for fp, entry in self._by_id.items()}
 
     def programs(self) -> dict[str, Program]:
         """``model_id -> served program`` — the worker-pool payload."""

@@ -33,6 +33,7 @@ are compared against byte-for-byte.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import threading
@@ -67,7 +68,7 @@ from .protocol import (
 )
 from ..runtime.result_cache import RESULT_CACHE, volley_digest
 from .pool import Job
-from .registry import MIN_PREFIX, ModelEntry, ModelRegistry
+from .registry import MIN_PREFIX, ModelEntry, ModelRegistry, unpack_document
 
 
 #: Overload rejections within one second before the flight recorder is
@@ -176,6 +177,32 @@ def serve_snapshot() -> dict:
     }
 
 
+@functools.cache
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or ``None`` where the C library lacks it."""
+    try:
+        import ctypes  # NumPy has loaded it already
+
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes = (ctypes.c_size_t,)
+    trim.restype = ctypes.c_int
+    return trim
+
+
+def _trim_heap() -> None:
+    """Return the C heap's free pages to the OS (a no-op without glibc).
+
+    CPython frees a parsed model's objects but keeps the pages they
+    lived on; ``malloc_trim(0)`` releases the free ones, so the
+    process's resident size drops back to what it still holds.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
 def _params_key(params: Mapping[str, Time]) -> str:
     """Canonical string of a parameter binding (the batch-key component)."""
     if not params:
@@ -221,17 +248,20 @@ class TNNService:
         #: server wires one in when launched with ``--train``; its
         #: snapshot rides the ``stats()`` payload under ``"training"``.
         self.training = None
-        #: Serialized documents of every model ever registered through
+        #: Packed documents (:func:`~repro.serve.registry.pack_document`,
+        #: the entry's own bytes) of every model ever registered through
         #: this service, surviving retirement — the ``model_doc`` op
         #: serves from here so a client can still rebuild (and
         #: byte-check against) a version that was hot-swapped away
         #: while its responses were in flight.  Bounded FIFO.
-        self._document_archive: "OrderedDict[str, str]" = OrderedDict()
+        self._document_archive: "OrderedDict[str, bytes]" = OrderedDict()
         self._archive_limit = 512
         # Models registered before the service existed (the usual CLI
         # bootstrap order) are archived too, so retiring them later
         # still leaves their documents fetchable.
-        self._document_archive.update(registry.documents())
+        self._document_archive.update(
+            (entry.model_id, entry.packed) for entry in registry.entries()
+        )
 
         self._cond = threading.Condition()
         self._batcher = MicroBatcher(self.policy)
@@ -701,16 +731,21 @@ class TNNService:
         """Register a model and ship it to the worker pool.
 
         *model* is a :class:`~repro.network.graph.Network` or a
-        serialized document (see :meth:`ModelRegistry.register`).
+        serialized document (see :meth:`ModelRegistry.register`).  The
+        archive keeps the entry's packed document.  Once a new model's
+        program is shipped, the C heap's free pages go back to the OS
+        (:func:`_trim_heap`): building the program freed a heap of the
+        document's size, which the process would otherwise keep.
         """
         before = set(self.registry.ids())
         entry = self.registry.register(model, name=name)
         with self._cond:
-            self._document_archive[entry.model_id] = entry.document
+            self._document_archive[entry.model_id] = entry.packed
             while len(self._document_archive) > self._archive_limit:
                 self._document_archive.popitem(last=False)
         if entry.model_id not in before:
             self.pool.add_model(entry.model_id, entry.program)
+            _trim_heap()
         return entry
 
     def document(self, key: str) -> tuple[str, str]:
@@ -726,17 +761,19 @@ class TNNService:
             return entry.model_id, entry.document
         except ServeError:
             with self._cond:
-                if key in self._document_archive:
-                    return key, self._document_archive[key]
-                if len(key) >= MIN_PREFIX:
+                archive = self._document_archive
+                if key in archive:
+                    hits = [key]
+                else:
                     hits = [
                         fp
-                        for fp in self._document_archive
-                        if fp.startswith(key)
+                        for fp in archive
+                        if len(key) >= MIN_PREFIX and fp.startswith(key)
                     ]
-                    if len(hits) == 1:
-                        return hits[0], self._document_archive[hits[0]]
-            raise
+                if len(hits) != 1:
+                    raise
+                packed = archive[hits[0]]
+            return hits[0], unpack_document(packed)
 
     def promote(self, alias: str, key: str, *, retire: bool = True) -> dict:
         """Hot-swap *alias* to the model *key* resolves to — zero downtime.

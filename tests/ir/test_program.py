@@ -1,6 +1,8 @@
 """The Program lowering: schedule, fingerprint, memoization, round trip."""
 
+import hashlib
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +18,26 @@ from repro.ir import (
     optimize_program,
     same_structure,
 )
+from repro.ir.program import IdentityProvenance
 from repro.ir.sorters import group_sorters
 from repro.network import Network, NetworkBuilder, NetworkError, Node
 from repro.network.compile_plan import compile_plan, evaluate_batch
+from repro.neuron.response import ResponseFunction
+from repro.neuron.srm0 import SRM0Neuron
+from repro.neuron.srm0_network import build_srm0_network
 from repro.testing.generators import FAMILIES, generate_case, random_sorter_network
+
+
+def _e2e_column(n_inputs):
+    """The served SRM0 column of the end-to-end benchmark (same recipe)."""
+    rng = random.Random(0)
+    neuron = SRM0Neuron.homogeneous(
+        n_inputs,
+        [rng.randint(1, 3) for _ in range(n_inputs)],
+        base_response=ResponseFunction.piecewise_linear(amplitude=2, rise=1, fall=3),
+        threshold=3,
+    )
+    return build_srm0_network(neuron, name=f"e2e-col-{n_inputs}in")
 
 
 def diamond() -> Network:
@@ -84,6 +102,27 @@ class TestLowering:
     def test_provenance_defaults_to_identity(self):
         program = lower(diamond())
         assert program.provenance == {i: (i,) for i in range(5)}
+
+    def test_identity_provenance_reads_as_the_dict_and_stores_no_entries(self):
+        program = lower(diamond())
+        identity = {i: (i,) for i in range(5)}
+        prov = program.provenance
+        assert isinstance(prov, IdentityProvenance) and not isinstance(prov, dict)
+        assert identity == prov and prov == identity and prov != {0: (0,)}
+        assert (len(prov), list(prov), dict(prov.items())) == (5, list(range(5)), identity)
+        assert (prov[4], prov.get(2), prov.get(5), prov.get(-1), prov.get("x")) == (
+            (4,), (2,), None, None, None
+        )
+        with pytest.raises(KeyError):
+            prov[5]
+        copy = pickle.loads(pickle.dumps(program, pickle.HIGHEST_PROTOCOL))
+        assert isinstance(copy.provenance, IdentityProvenance)
+        assert copy.provenance == prov
+
+    def test_a_rewrite_composes_a_real_provenance_dict(self):
+        program = served(random_sorter_network(seed=3, smoke=True))
+        assert type(program.provenance) is dict
+        assert set(program.provenance) == set(range(len(program.nodes)))
 
     def test_consumers(self):
         program = lower(diamond())
@@ -191,3 +230,47 @@ class TestPickle:
         restore, (nodes, _outputs, name, provenance) = program.__reduce__()
         with pytest.raises(NetworkError, match="missing node"):
             restore(nodes, {"z": len(nodes)}, name, provenance)
+
+
+def _frozen_fingerprint(nodes, outputs, amount_kinds):
+    """The fingerprint loops as first written, kept to pin the digest."""
+    digest = hashlib.sha256()
+    for node in nodes:
+        digest.update(
+            repr(
+                (
+                    node.kind,
+                    node.sources,
+                    node.amount if node.kind in amount_kinds else 0,
+                    node.name or "",
+                )
+            ).encode()
+        )
+    digest.update(repr(list(outputs.items())).encode())
+    return digest.hexdigest()
+
+
+def _assert_digests_unchanged(network):
+    assert network.fingerprint() == _frozen_fingerprint(
+        network.nodes, network.outputs, ("inc",)
+    )
+    for program in (lower(network), group_sorters(network), served(network)):
+        program._fingerprint = None
+        assert program.fingerprint() == _frozen_fingerprint(
+            program.nodes, program.outputs, ("inc", "rank")
+        )
+
+
+class TestStructuralDigest:
+    """One digest for Network and Program, bit-identical to the old loops."""
+
+    @pytest.mark.parametrize("family", [name for name, _weight in FAMILIES])
+    def test_every_family(self, family):
+        for seed in range(8):
+            _assert_digests_unchanged(generate_case(seed, smoke=True, family=family).network)
+
+    def test_the_wide_served_column_and_its_program(self):
+        net = _e2e_column(80)
+        program = served(net)
+        assert program.rank_ids  # the rank rows share one long lane tuple
+        _assert_digests_unchanged(net)

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.function import enumerate_domain
 from repro.core.synthesis import synthesize
@@ -236,3 +238,188 @@ class TestDictForm:
         for entry in data["nodes"]:
             if entry["kind"] != "inc":
                 assert "amount" not in entry
+
+
+def _plain_load(text):
+    """The reference path: the whole JSON tree first, then validation."""
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise NetworkError(f"invalid JSON: {exc}") from exc
+    return network_from_dict(data)
+
+
+def _outcome(load, text):
+    """What loading *text* gives: the network's full state, or the error."""
+    try:
+        net = load(text)
+    except NetworkError as exc:
+        return ("error", str(exc))
+    return (
+        "network",
+        net.name,
+        net.nodes,
+        [node.tags for node in net.nodes],
+        net.outputs,
+        net.fingerprint(),
+    )
+
+
+def _document(nodes, outputs, **extra):
+    return json.dumps(
+        {"format": "repro.network/1", "nodes": nodes, "outputs": outputs, **extra}
+    )
+
+
+X = {"kind": "input", "name": "x"}
+
+
+class TestStreamedDecode:
+    """``loads`` builds nodes as the document streams, and means the same.
+
+    Each case pins that ``loads`` loads exactly what the plain path
+    (``network_from_dict(json.loads(text))``) loads, or refuses the
+    document with the same message.
+    """
+
+    def assert_as_plain(self, text):
+        got = _outcome(loads, text)
+        assert got == _outcome(_plain_load, text)
+        return got
+
+    def test_nodes_carry_canonical_kinds_and_shared_tags(self):
+        from repro.network.blocks import KINDS
+        from repro.testing.generators import random_sorter_network
+
+        net = loads(dumps(random_sorter_network(seed=3, smoke=True)))
+        canonical = {kind: kind for kind in KINDS}
+        assert all(node.kind is canonical[node.kind] for node in net.nodes)
+        tags = {}
+        for node in net.nodes:
+            assert tags.setdefault(node.tags, node.tags) is node.tags
+
+    def test_non_dict_node_entries(self):
+        for entry in (5, "x", None, [X], True):
+            got = self.assert_as_plain(_document([X, entry], {"y": 0}))
+            assert got == ("error", "node #1 is malformed")
+
+    def test_objects_nested_in_tags(self):
+        inner = {"kind": "input", "name": "z"}
+        text = _document(
+            [X, {"kind": "inc", "sources": [0], "amount": 2, "tags": [inner]}],
+            {"y": 1},
+        )
+        got = self.assert_as_plain(text)
+        assert got[0] == "network" and got[3][1] == (inner,)
+
+    def test_an_output_named_kind_stays_a_mapping(self):
+        got = self.assert_as_plain(_document([X], {"kind": 0}))
+        assert got[0] == "network" and got[4] == {"kind": 0}
+        # Node-shaped: a zero-source min by its keys, an output map by position.
+        got = self.assert_as_plain(_document([X], {"kind": "min"}))
+        assert got == ("error", "output 'kind' must be a node id, got 'min'")
+
+    @pytest.mark.parametrize("bad", [True, False, 0.0, 1.0])
+    def test_bool_and_float_ids(self, bad):
+        source = self.assert_as_plain(
+            _document([X, {"kind": "inc", "sources": [bad]}], {"y": 1})
+        )
+        assert source[0] == "error" and "node #1 invalid: source ids" in source[1]
+        output = self.assert_as_plain(_document([X], {"y": bad}))
+        assert output == ("error", f"output 'y' must be a node id, got {bad!r}")
+
+    def test_bad_format_after_valid_nodes(self):
+        text = json.dumps({"nodes": [X], "outputs": {"y": 0}, "format": "other/2"})
+        got = self.assert_as_plain(text)
+        assert got[0] == "error" and "unsupported format 'other/2'" in got[1]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",
+            '"repro.network/1"',
+            json.dumps(X),
+            _document([X], {"y": 0}, fingerprint=X),
+            _document([X], {"y": 0}, name=[X]),
+            _document([{"kind": "input", "name": "x", "comment": "hand-written"}], {"y": 0}),
+            _document([{"name": "x", "kind": "input"}, X], {"y": 0}),
+            # Duplicate keys: the last "nodes" list is the document's.
+            '{"format": "repro.network/1", "nodes": [{"kind": "input", "name": "a"}], '
+            '"nodes": [{"kind": "input", "name": "b"}], "outputs": {"y": 0}}',
+        ],
+    )
+    def test_node_shaped_objects_out_of_place(self, text):
+        self.assert_as_plain(text)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_documents_load_as_the_plain_path_does(self, data):
+        """Truncated, type-swapped and edited documents: only NetworkError."""
+        from repro.testing.generators import FAMILIES, generate_case
+
+        family = data.draw(st.sampled_from([name for name, _ in FAMILIES]))
+        seed = data.draw(st.integers(0, 10_000))
+        doc = network_to_dict(generate_case(seed, smoke=True, family=family).network)
+        mutation = data.draw(st.sampled_from(["none", "swap", "truncate", "edit"]))
+        if mutation == "swap":
+            _swap_one_value(doc, data)
+        text = json.dumps(doc, indent=data.draw(st.sampled_from([None, 2])))
+        if mutation == "truncate":
+            text = text[: data.draw(st.integers(0, len(text) - 1))]
+        elif mutation == "edit":
+            at = data.draw(st.integers(0, len(text) - 1))
+            text = text[:at] + data.draw(st.sampled_from(list('{}[]:,"0 -.etn'))) + text[at + 1 :]
+        got = self.assert_as_plain(text)
+        if mutation == "none":
+            assert got[0] == "network"
+
+    def test_loads_peak_stays_close_to_what_it_returns(self):
+        """Decoding as the document streams keeps no per-node dict tree."""
+        import random
+        import tracemalloc
+
+        from repro.neuron.response import ResponseFunction
+        from repro.neuron.srm0 import SRM0Neuron
+        from repro.neuron.srm0_network import build_srm0_network
+
+        # The end-to-end benchmark's 10-input column (same recipe).
+        rng = random.Random(0)
+        neuron = SRM0Neuron.homogeneous(
+            10,
+            [rng.randint(1, 3) for _ in range(10)],
+            base_response=ResponseFunction.piecewise_linear(amplitude=2, rise=1, fall=3),
+            threshold=3,
+        )
+        text = dumps(build_srm0_network(neuron, name="e2e-col-10in"))
+        loads(text)  # warm
+        tracemalloc.start()
+        try:
+            net = loads(text)
+            returned, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(net.nodes) > 1000
+        assert peak <= 1.25 * returned, (peak, returned)
+
+
+#: JSON values of every type, node-shaped objects included.
+_VALUES = st.sampled_from(
+    [None, True, False, 0, 1, -1, 2.5, 1.0, "", "kind", "min", [], [0], [True], {}, X,
+     {"kind": "min"}, {"kind": "inc", "sources": [0]}, {"kind": "bogus"}]
+)
+
+
+def _swap_one_value(doc, data):
+    """Replace one value anywhere in *doc* with a value of any JSON type."""
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            return
+        key = data.draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+            continue
+        node[key] = data.draw(_VALUES)
+        return

@@ -1,5 +1,6 @@
 """Tests for the service core: admission, batching, deadlines, retry."""
 
+import json
 import threading
 import time
 
@@ -12,8 +13,10 @@ from repro.network.graph import NetworkError
 from repro.serve.batcher import BatchPolicy
 from repro.serve.demo import demo_column, demo_volleys
 from repro.serve.pool import InlineWorkerPool
-from repro.serve.protocol import ServeError
+from repro.serve import service as service_module
+from repro.serve.protocol import ServeError, encode_line
 from repro.serve.registry import ModelRegistry
+from repro.serve.server import _handle_model_doc
 from repro.serve.service import TNNService, _params_key
 
 
@@ -310,7 +313,8 @@ class TestRegisterDocument:
         network = demo_column(2, smoke=True)[0]
         text = serialize.dumps(network, indent=2)
         entry = ModelRegistry().register(text, name="two")
-        assert entry.document is text
+        # Kept compressed; handed back as the exact text registered.
+        assert entry.document == text and len(entry.packed) < len(text)
         assert entry.model_id == network.fingerprint()
         assert entry.describe()["nodes"] == entry.nodes == len(network.nodes)
         assert entry.name == "two"
@@ -363,3 +367,55 @@ class TestParamsKey:
         assert _params_key({"b": INF, "a": 0}) == _params_key({"a": 0, "b": INF})
         assert _params_key({"mu": INF}) == '{"mu":null}'
         assert _params_key({}) == "{}"
+
+
+class TestPackedDocuments:
+    """Documents are kept compressed; ``model_doc`` hands back the exact text."""
+
+    @staticmethod
+    def model_doc(service, key):
+        reply = _handle_model_doc(service, {"op": "model_doc", "model": key})
+        assert reply["ok"], reply
+        # Through the wire encoding and back, as a client reads it.
+        return json.loads(encode_line(reply))["document"]
+
+    def test_model_doc_returns_the_registered_text_byte_for_byte(self):
+        network = demo_column(5, smoke=True)[0]
+        # Indented, non-ASCII and with a trailing newline: kept as written.
+        text = serialize.dumps(network, indent=3).replace(
+            '"srm0-col-seed5"', '"colonne \\u00e9 ∞"', 1
+        ) + "\n"
+        other = demo_column(6, smoke=True)[0]
+        registry = ModelRegistry()
+        service = make_service(registry)
+        try:
+            by_text = service.register(text, name="text")
+            by_network = service.register(other, name="network")
+            assert self.model_doc(service, "text").encode() == text.encode()
+            assert self.model_doc(service, "network") == serialize.dumps(other, indent=None)
+            assert service._document_archive[by_text.model_id] is by_text.packed
+            registry.remove(by_text.model_id)
+            with pytest.raises(ServeError):
+                registry.resolve(by_text.model_id)
+            for key in (by_text.model_id, by_text.model_id[:12]):
+                assert self.model_doc(service, key).encode() == text.encode()
+            assert len(by_text.packed) < len(text) / 2
+        finally:
+            service.close()
+
+    def test_register_trims_the_heap_once_per_shipped_program(self, monkeypatch):
+        trims = []
+        monkeypatch.setattr(service_module, "_trim_heap", lambda: trims.append(1))
+        service = make_service(ModelRegistry())
+        try:
+            network = demo_column(7, smoke=True)[0]
+            service.register(network)
+            service.register(serialize.dumps(network), name="again")
+            assert len(trims) == 1
+        finally:
+            service.close()
+
+    def test_trim_is_a_callable_or_none(self):
+        trim = service_module._malloc_trim()
+        assert trim is None or callable(trim)
+        service_module._trim_heap()

@@ -382,7 +382,7 @@ class TestNoNetworkKept:
         gc.collect()
         assert len(parsed) == 1 and parsed[0]() is None
         service.pool.wait_loaded([entry.model_id])
-        assert entry.document is text
+        assert entry.document == text
         assert entry.describe()["nodes"] == nodes
         assert_serves_byte_identically(service, seed=8)
 
