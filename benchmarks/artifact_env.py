@@ -57,7 +57,7 @@ def best_of(rounds: int, *fns: Callable[[], object]) -> list[float]:
     inherits the cache and allocator state its predecessor leaves, and
     in a fixed order the first one would always run after the last: a
     heavy ``C`` then slows every ``A`` sample (30% on a plan timed after
-    a recording-sink run of the same plan).
+    a spike-traced run of the same plan).
     """
     best = [float("inf")] * len(fns)
     order = list(range(len(fns)))

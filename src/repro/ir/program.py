@@ -148,7 +148,7 @@ class Program:
         )
         #: Zero-source min/max nodes — the lattice identity constants.
         self.const_ids: tuple[int, ...] = tuple(
-            n.id for n in self.nodes if classify(n).startswith("const-")
+            n.id for n in self.nodes if not n.sources and n.kind in ("min", "max")
         )
         #: IR-only ``rank`` rows (:mod:`repro.ir.sorters`).
         self.rank_ids: tuple[int, ...] = tuple(

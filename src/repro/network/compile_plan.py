@@ -46,7 +46,8 @@ Compilation
   one gather, one ``np.sort`` along the wire axis and one write of the
   live ranks.  ``∞`` is the largest int64, so it sorts last, as in
   ``N0∞``.  Only this backend runs rank rows; a program that has them
-  has no comparator values to trace, so tracing one is refused;
+  has no comparator values to trace, so
+  :func:`repro.obs.trace.spike_trace` refuses it;
 * **one grow-only scratch set** — every batch size runs on a contiguous
   prefix of the same flat arena and gather buffers, kept in a small
   thread-safe free-list, so steady-state runs allocate only their output.
@@ -58,10 +59,10 @@ program does.  A ``Network`` shares its lowering's plan through the
 lowering memo; structural twins (e.g. a serialization round-trip) each
 compile their own.
 
-Tracing is *post-hoc*: the canonical spike trace is a pure function of
-fire times (:func:`repro.obs.trace.emit_events`), so it is emitted from
-the finished value matrix and is byte-identical to the incremental
-traces of the event-driven and interpreted backends.
+The plan knows nothing of tracing: the canonical spike trace is a pure
+function of fire times (:func:`repro.obs.trace.spike_trace`), so a
+trace is taken from one row of :meth:`CompiledPlan.run`'s value matrix
+and is byte-identical to the other backends' traces.
 
 Entry points
 ------------
@@ -89,6 +90,9 @@ from typing import Optional, Union
 import numpy as np
 
 from ..core.value import INF, Infinity, Time, check_time
+from ..ir.program import CONST_IDENTITY, ProgramLike, classify, ensure_program
+from ..obs import metrics as _obs_metrics
+from ..obs import profile as _obs_profile
 from .graph import NetworkError
 
 #: Sentinel encoding of ``∞`` in the int64 engine: the largest int64.
@@ -96,19 +100,6 @@ INF_I64: int = int(np.iinfo(np.int64).max)
 
 #: Largest finite time the batched engine accepts on an input line.
 MAX_FINITE: int = INF_I64 - 1
-
-# Imported *after* the sentinel constants: ``repro.obs.trace`` imports
-# them back from this module, so they must already be bound when it
-# initializes mid-import.
-from ..obs import metrics as _obs_metrics  # noqa: E402
-from ..obs import profile as _obs_profile  # noqa: E402
-from ..obs import trace as _obs_trace  # noqa: E402
-from ..ir.program import (  # noqa: E402
-    CONST_IDENTITY,
-    ProgramLike,
-    classify,
-    ensure_program,
-)
 
 VolleyLike = Union[np.ndarray, Sequence[Sequence[Time]]]
 
@@ -347,14 +338,11 @@ class CompiledPlan:
 
     def __init__(self, source: "ProgramLike"):
         program = ensure_program(source)
-        #: Kept for post-hoc spike tracing (cause derivation).
+        #: The program this plan executes.
         self.program = program
         self.n_nodes = len(program.nodes)
         self.n_inputs = len(program.input_ids)
         self.n_params = len(program.param_ids)
-        #: Output node ids, indexing the node-order matrix :meth:`run`
-        #: returns.
-        self.output_ids = np.asarray(list(program.outputs.values()), dtype=np.int64)
 
         # -- arena row assignment ---------------------------------------------
         # Inputs first (the scatter is then one transposed block copy),
@@ -452,7 +440,7 @@ class CompiledPlan:
         self.kernels: tuple[_Kernel, ...] = tuple(kernels)
         self.const_fills: tuple[_ConstFill, ...] = tuple(const_fills)
         self.max_gather = max_gather
-        self.out_cols = perm[self.output_ids]
+        self.out_cols = perm[list(program.outputs.values())]
 
         self._pool: list[list] = []
         self._pool_lock = threading.Lock()
@@ -533,12 +521,7 @@ class CompiledPlan:
         return out
 
     def run(
-        self,
-        matrix: np.ndarray,
-        param_vector: Optional[np.ndarray] = None,
-        *,
-        sink=None,
-        trace_row: int = 0,
+        self, matrix: np.ndarray, param_vector: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Evaluate every node on an encoded batch.
 
@@ -546,31 +529,13 @@ class CompiledPlan:
         columns in input declaration order; *param_vector* is the encoded
         parameter binding (declaration order).  Returns the full
         ``(B, n_nodes)`` value matrix in node-id order.
-
-        *sink* is an optional :class:`repro.obs.trace.TraceSink`; when
-        enabled, the canonical spike trace of batch row *trace_row* is
-        emitted from the finished values.
         """
-        tracing = sink is not None and sink.enabled
-        if tracing:
-            self.program.require_comparators("spike tracing")
-        values = self._execute(matrix, param_vector, self.perm)
-        if tracing:
-            _obs_trace.emit_events(sink, self.program, values[trace_row])
-        return values
+        return self._execute(matrix, param_vector, self.perm)
 
     def outputs(
-        self,
-        matrix: np.ndarray,
-        param_vector: Optional[np.ndarray] = None,
-        *,
-        sink=None,
-        trace_row: int = 0,
+        self, matrix: np.ndarray, param_vector: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Like :meth:`run` but gather only the output columns."""
-        if sink is not None and sink.enabled:
-            values = self.run(matrix, param_vector, sink=sink, trace_row=trace_row)
-            return np.ascontiguousarray(values[:, self.output_ids])
         return self._execute(matrix, param_vector, self.out_cols)
 
     def warm(self) -> "CompiledPlan":
@@ -617,7 +582,6 @@ def evaluate_batch(
     inputs: VolleyLike,
     *,
     params: Optional[Mapping[str, Time]] = None,
-    sink=None,
 ) -> np.ndarray:
     """Evaluate a batch of volleys in one compiled call.
 
@@ -628,11 +592,9 @@ def evaluate_batch(
     :data:`INF_I64` marking "no spike".  Decode with
     :func:`decode_matrix` when ``Time`` values are wanted.
 
-    *sink* (a :class:`repro.obs.trace.TraceSink`) records the canonical
-    spike trace of batch row 0 when enabled.  Under
-    :func:`repro.obs.profiled`, the call's wall-clock is attributed to
-    the ``phase.evaluate_batch.{plan,encode,run}`` timers; disabled, the
-    overhead is two flag checks plus two counter increments.
+    Under :func:`repro.obs.profiled`, the call's wall-clock is attributed
+    to the ``phase.evaluate_batch.{plan,encode,run}`` timers; disabled,
+    the overhead is one flag check plus two counter increments.
     """
     metrics = _obs_metrics.METRICS
     if _obs_profile.profiling_enabled():
@@ -642,12 +604,12 @@ def evaluate_batch(
             matrix = encode_volleys(inputs, arity=plan.n_inputs)
             param_vector = _encode_params(network, params)
         with _obs_profile.phase("evaluate_batch.run"):
-            out = plan.outputs(matrix, param_vector, sink=sink)
+            out = plan.outputs(matrix, param_vector)
     else:
         plan = compile_plan(network)
         matrix = encode_volleys(inputs, arity=plan.n_inputs)
         param_vector = _encode_params(network, params)
-        out = plan.outputs(matrix, param_vector, sink=sink)
+        out = plan.outputs(matrix, param_vector)
     metrics.inc("evaluate_batch.calls")
     metrics.inc("evaluate_batch.volleys", matrix.shape[0])
     return out

@@ -33,15 +33,12 @@ from __future__ import annotations
 import heapq
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..core.value import INF, Infinity, Time, check_time
 from ..ir.program import CONST_IDENTITY, ProgramLike, classify, ensure_program
 from ..obs.metrics import METRICS
 from .graph import Network, NetworkError
-
-if TYPE_CHECKING:  # repro.obs.trace imports repro.core, which imports this package
-    from ..obs.trace import TraceSink
 
 
 @dataclass(frozen=True)
@@ -99,17 +96,11 @@ class EventSimulator:
         inputs: Mapping[str, Time],
         *,
         params: Optional[Mapping[str, Time]] = None,
-        sink: Optional[TraceSink] = None,
     ) -> SimulationResult:
-        """Run one volley.  *sink*, when enabled, receives the canonical
-        spike trace live — one emit per :func:`fire`, exactly when the
-        block decides, with the cause derived from the arrivals observed
-        so far (provably identical to the denotational cause)."""
-        from ..obs.trace import MAX_FINITE, cause_of
-
+        """Run one volley; its ``fire_times`` are the vector
+        :func:`repro.obs.trace.spike_trace` takes."""
         net = self.network
         params = params or {}
-        tracing = sink is not None and sink.enabled
         missing_in = set(net.input_ids) - set(inputs)
         if missing_in:
             raise NetworkError(f"unbound inputs: {sorted(missing_in)}")
@@ -136,11 +127,6 @@ class EventSimulator:
                 return
             fired[node_id] = t
             trace.append(SpikeEvent(t, node_id))
-            if tracing and t <= MAX_FINITE:
-                # Sources that fire later than t still read as INF here,
-                # which cannot change a min/max/lt winner at time t — the
-                # emitted cause matches the denotational derivation.
-                sink.emit(t, node_id, cause_of(net.nodes[node_id], fired))
             for consumer in self._consumers[node_id]:
                 for port, src in enumerate(net.nodes[consumer].sources):
                     if src == node_id:
@@ -214,7 +200,6 @@ def simulate(
     inputs: Mapping[str, Time],
     *,
     params: Optional[Mapping[str, Time]] = None,
-    sink: Optional[TraceSink] = None,
 ) -> SimulationResult:
     """One-shot event-driven simulation of *network*."""
-    return EventSimulator(network).run(inputs, params=params, sink=sink)
+    return EventSimulator(network).run(inputs, params=params)

@@ -40,7 +40,6 @@ def evaluate_all_interpreted(
     inputs: Mapping[str, Time],
     *,
     params: Optional[Mapping[str, Time]] = None,
-    sink=None,
 ) -> list[Time]:
     """The pure-Python reference loop: every node's spike time, by id.
 
@@ -54,9 +53,8 @@ def evaluate_all_interpreted(
     the IR declares (:data:`repro.ir.CONST_IDENTITY`) — this backend no
     longer derives that rule itself.
 
-    *sink* is an optional :class:`repro.obs.trace.TraceSink`; when
-    enabled, the canonical spike trace of this volley is emitted after
-    the walk (one event per node that fires).
+    The returned list is the fire-time vector
+    :func:`repro.obs.trace.spike_trace` takes.
     """
     program = ensure_program(network)
     program.require_comparators("the interpreted evaluator")
@@ -108,10 +106,6 @@ def evaluate_all_interpreted(
                 values[node.id] = a if a < b else INF
             else:  # const-inf / const-zero: the IR-declared identities
                 values[node.id] = CONST_IDENTITY[kind]
-    if sink is not None and sink.enabled:
-        from ..obs.trace import emit_events
-
-        emit_events(sink, program, values)
     return values
 
 

@@ -3,11 +3,12 @@
 The instrumentation layer of the reproduction.  Three pillars, each
 designed so the *disabled* path costs (almost) nothing:
 
-* :mod:`repro.obs.trace` — the canonical per-node spike trace and the
-  :class:`~repro.obs.trace.TraceSink` protocol every execution backend
-  (interpreted, compiled batch, event-driven, GRL circuit) emits into;
-  exports JSONL and Chrome ``chrome://tracing`` formats, and diffs two
-  traces down to the first divergent node.
+* :mod:`repro.obs.trace` — the canonical per-node spike trace,
+  :func:`~repro.obs.trace.spike_trace`, one pure function of a program
+  and the fire times any execution backend (interpreted, compiled
+  batch, event-driven, GRL circuit) computes; exports JSONL and Chrome
+  ``chrome://tracing`` formats, and diffs two traces down to the first
+  divergent node.
 * :mod:`repro.obs.metrics` — the one process-wide metrics registry:
   counters, timers, high-water marks, pulled gauges and labelled
   histograms (evaluations, plan compiles, spikes, request latency,
@@ -41,9 +42,8 @@ __all__, __getattr__, __dir__ = _lazy(
             "to_jsonl as spans_to_jsonl",
         ),
         "trace": (
-            "NULL_SINK", "Divergence", "NullSink", "RecordingSink",
-            "TraceEvent", "TraceSink", "cause_of", "emit_events",
-            "first_divergence", "from_jsonl", "project_events",
+            "Divergence", "TraceEvent", "cause_of", "first_divergence",
+            "from_jsonl", "project_events", "spike_trace",
             "to_chrome_trace", "to_jsonl",
         ),
     },

@@ -4,19 +4,13 @@ The paper's values are *event times* — a network's entire behaviour is
 the set of ``(node, fire_time)`` pairs one volley produces — yet the
 evaluation entry points only return output volleys.  This module defines
 the **canonical spike trace**, a backend-independent record of every
-node firing, and the :class:`TraceSink` protocol through which all four
-execution backends emit it:
-
-* the interpreted reference walk
-  (:func:`repro.network.simulator.evaluate_all_interpreted`),
-* the compiled int64 batch engine
-  (:meth:`repro.network.compile_plan.CompiledPlan.run`, per level),
-* the operational event simulator
-  (:meth:`repro.network.events.EventSimulator.run`, per ``fire``),
-* the GRL circuit executor
-  (:meth:`repro.racelogic.compile.GRLExecutor.run`, from wire fall
-  times; :meth:`repro.racelogic.digital.DigitalSimulator.run`
-  additionally exposes raw gate-level 1→0 edge transitions).
+node firing, as one pure function of a program and its per-node fire
+times: :func:`spike_trace`.  Every backend already produces that vector
+— the interpreted walk's value list, a row of the compiled plan's value
+matrix, the event simulator's ``fire_times``, the GRL circuit's wire
+fall times read back per node — so every backend's trace is
+``spike_trace(program, values)`` over its own values
+(:meth:`repro.runtime.engines.BackendEngine.trace`).
 
 Canonical form
 --------------
@@ -59,6 +53,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from ..core.value import Infinity
+from ..ir.program import ProgramLike, ensure_program
 from ..network.compile_plan import MAX_FINITE
 from .metrics import METRICS
 
@@ -70,55 +65,6 @@ class TraceEvent:
     time: int
     node_id: int
     cause: str
-
-
-class TraceSink:
-    """Where backends report spike events.
-
-    The protocol is two members: :attr:`enabled` (backends skip all
-    tracing work when false — the null sink must cost nothing on hot
-    paths) and :meth:`emit`.  Implementations must accept events in
-    *any* order; canonical ordering is applied at export time.
-    """
-
-    #: Hot paths test this flag before doing any tracing work.
-    enabled: bool = False
-
-    def emit(self, time: int, node_id: int, cause: str) -> None:
-        """Record one node firing at *time* for reason *cause*."""
-
-
-class NullSink(TraceSink):
-    """The disabled sink: every backend's default, cost of one flag read."""
-
-    enabled = False
-
-    def emit(self, time: int, node_id: int, cause: str) -> None:  # pragma: no cover
-        pass
-
-
-#: Shared do-nothing sink instance (stateless, safe to share).
-NULL_SINK = NullSink()
-
-
-class RecordingSink(TraceSink):
-    """A sink that keeps every event in memory for export and diffing."""
-
-    enabled = True
-
-    def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
-
-    def emit(self, time: int, node_id: int, cause: str) -> None:
-        self.events.append(TraceEvent(time, node_id, cause))
-        METRICS.inc("trace.events")
-
-    def canonical(self) -> list[TraceEvent]:
-        """Events in canonical ``(time, node_id)`` order."""
-        return sorted(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +82,7 @@ def cause_of(node, values) -> str:
     *values* maps node id → fire time and may hold either ``Time``
     values (``INF`` objects for silence) or sentinel-encoded ints — the
     derivation only compares values, and ``∞`` compares greater than
-    every finite time in both encodings.  For a ``min`` whose winning
-    source has not been resolved yet (the event simulator calls this
-    mid-run), unresolved sources read as ``∞``, which cannot win a
-    ``min`` that is firing — the derivation is exact either way.
+    every finite time in both encodings.
     """
     kind = node.kind
     if kind == "input":
@@ -165,17 +108,24 @@ def _as_int(value) -> int:
     return (MAX_FINITE + 1) if isinstance(value, Infinity) else int(value)
 
 
-def emit_events(sink: TraceSink, network, values) -> None:
-    """Emit every finite firing in *values* (node id → time) to *sink*.
+def spike_trace(program: ProgramLike, values: Sequence) -> list[TraceEvent]:
+    """The canonical spike trace of one volley, from its fire times.
 
-    The shared emission helper for backends that hold a complete
-    fire-time vector (interpreted walk, GRL read-back); per-level and
-    per-event backends emit incrementally with :func:`cause_of` instead.
+    *values* holds every node's fire time by node id, in either encoding
+    :func:`cause_of` accepts.  One event per finite firing (a time above
+    :data:`~repro.network.compile_plan.MAX_FINITE` means ``∞``), sorted
+    by ``(time, node_id)``.  A program with IR-only ``rank`` rows has no
+    comparator values to name causes by, so it is refused.
     """
-    for node in network.nodes:
-        value = values[node.id]
-        if _is_finite(value):
-            sink.emit(int(value), node.id, cause_of(node, values))
+    program = ensure_program(program)
+    program.require_comparators("spike tracing")
+    events = sorted(
+        TraceEvent(int(value), node.id, cause_of(node, values))
+        for node, value in zip(program.nodes, values)
+        if _is_finite(value)
+    )
+    METRICS.inc("trace.events", len(events))
+    return events
 
 
 # ---------------------------------------------------------------------------

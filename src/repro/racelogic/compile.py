@@ -25,7 +25,6 @@ from typing import Optional
 
 from ..core.value import Time
 from ..ir.program import ProgramLike, ensure_program
-from ..obs.trace import NULL_SINK, TraceSink, emit_events
 from .circuit import Circuit, CircuitBuilder
 from .digital import DigitalResult, DigitalSimulator
 
@@ -96,25 +95,16 @@ class GRLExecutor:
         *,
         params: Optional[Mapping[str, Time]] = None,
         horizon: int | None = None,
-        sink: TraceSink = NULL_SINK,
     ) -> DigitalResult:
-        """Run one volley.  *sink*, when enabled, receives the canonical
-        *node-level* spike trace, read back from gate fall times through
-        the node→wire map — directly comparable (byte-identical on
-        agreement) to the other three backends' traces."""
+        """Run one volley.  A node's spike time is the fall time of its
+        gate, ``result.fall_times[self.node_wires[node_id]]`` — the
+        read-back the canonical spike trace is taken from."""
         bound = dict(inputs)
         for pname in self.network.param_ids:
             if params is None or pname not in params:
                 raise ValueError(f"unbound parameter {pname!r}")
             bound[pname] = params[pname]
-        result = self._simulator.run(bound, horizon=horizon)
-        if sink.enabled:
-            values = [
-                result.fall_times[self.node_wires[node.id]]
-                for node in self.network.nodes
-            ]
-            emit_events(sink, self.network, values)
-        return result
+        return self._simulator.run(bound, horizon=horizon)
 
     def outputs(
         self,

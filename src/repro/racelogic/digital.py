@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from ..core.value import INF, Infinity, Time, check_time
 from ..obs.metrics import METRICS
-from ..obs.trace import NULL_SINK, TraceSink
 from .circuit import Circuit, CircuitError
 
 
@@ -48,7 +47,6 @@ class DigitalSimulator:
         inputs: Mapping[str, Time],
         *,
         horizon: int | None = None,
-        sink: TraceSink = NULL_SINK,
     ) -> DigitalResult:
         """Simulate until *horizon* cycles (auto-sized if omitted).
 
@@ -56,10 +54,9 @@ class DigitalSimulator:
         DFF stage plus one settling cycle — enough for any fall to
         propagate through a feedforward netlist.
 
-        *sink*, when enabled, receives raw gate-level events: the first
-        1→0 fall of each gate, with cause ``fall:<gate-kind>``.  This is
-        the circuit-level view; the canonical node-level trace comes from
-        :class:`~repro.racelogic.compile.GRLExecutor` read-back.
+        ``fall_times`` holds each gate's first 1→0 fall; the canonical
+        node-level spike trace is read back from it through
+        :attr:`~repro.racelogic.compile.GRLExecutor.node_wires`.
         """
         circuit = self.circuit
         missing = set(circuit.input_ids) - set(inputs)
@@ -94,7 +91,6 @@ class DigitalSimulator:
                 level[gate.id] = 1 - level[gate.sources[0]]
             # inputs, dffs, and reset lt latches all idle high.
 
-        tracing = sink.enabled
         for cycle in range(horizon + 1):
             # DFF outputs present their state sampled at the last edge.
             new_level = list(level)
@@ -126,10 +122,6 @@ class DigitalSimulator:
                     transitions += 1
                     if new_level[gid] == 0 and isinstance(fall_times[gid], Infinity):
                         fall_times[gid] = cycle
-                        if tracing:
-                            sink.emit(
-                                cycle, gid, f"fall:{circuit.gates[gid].kind}"
-                            )
             level = new_level
             # Clock edge: DFFs capture their inputs for the next cycle.
             for gate in circuit.gates:

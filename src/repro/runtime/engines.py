@@ -21,10 +21,14 @@ from typing import Optional
 from ..core.value import Infinity, Time
 from ..ir.program import ProgramLike, ensure_program
 from ..ir.sorters import group_sorters
-from ..network.compile_plan import decode_matrix, evaluate_batch
+from ..network.compile_plan import (
+    decode_matrix,
+    evaluate_batch,
+    evaluate_batch_all,
+)
 from ..network.events import EventSimulator
 from ..network.simulator import evaluate_all_interpreted
-from ..obs.trace import RecordingSink, TraceEvent
+from ..obs.trace import TraceEvent, spike_trace
 
 Volley = tuple[Time, ...]
 Outputs = tuple[Time, ...]
@@ -71,8 +75,9 @@ class BackendEngine:
 
         ``None`` means the backend cannot trace this case (unsupported
         network/volley, or no tracing support at all — the base).  A
-        returned trace is already canonical (sorted, sentinel-saturated),
-        so two backends that agree on fire times return *equal* lists.
+        backend traces by running the volley to its per-node fire times
+        and returning :func:`~repro.obs.trace.spike_trace` over them, so
+        two backends that agree on fire times return *equal* lists.
         """
         return None
 
@@ -101,14 +106,10 @@ class InterpretedEngine(BackendEngine):
         return results
 
     def trace(self, network, volley, params=None):
-        sink = RecordingSink()
-        evaluate_all_interpreted(
-            network,
-            dict(zip(network.input_names, volley)),
-            params=params,
-            sink=sink,
+        values = evaluate_all_interpreted(
+            network, dict(zip(network.input_names, volley)), params=params
         )
-        return sink.canonical()
+        return spike_trace(network, values)
 
 
 class CompiledBatchEngine(BackendEngine):
@@ -119,7 +120,7 @@ class CompiledBatchEngine(BackendEngine):
     network lowered to rank rows (:func:`repro.ir.sorters.group_sorters`)
     and executed as one sort kernel, while the other three backends
     evaluate its comparators.  Traces come from the comparator-level
-    plan, post-hoc from the complete value vector.
+    plan's value matrix.
     """
 
     name = "compiled-batch"
@@ -131,9 +132,8 @@ class CompiledBatchEngine(BackendEngine):
         return [tuple(row) for row in decode_matrix(matrix)]
 
     def trace(self, network, volley, params=None):
-        sink = RecordingSink()
-        evaluate_batch(network, [tuple(volley)], params=params, sink=sink)
-        return sink.canonical()
+        values = evaluate_batch_all(network, [tuple(volley)], params=params)
+        return spike_trace(network, values[0].tolist())
 
 
 class EventDrivenEngine(BackendEngine):
@@ -152,11 +152,10 @@ class EventDrivenEngine(BackendEngine):
         return results
 
     def trace(self, network, volley, params=None):
-        sink = RecordingSink()
-        EventSimulator(network).run(
-            dict(zip(network.input_names, volley)), params=params, sink=sink
+        outcome = EventSimulator(network).run(
+            dict(zip(network.input_names, volley)), params=params
         )
-        return sink.canonical()
+        return spike_trace(network, outcome.fire_times)
 
 
 class GRLCircuitEngine(BackendEngine):
@@ -220,11 +219,13 @@ class GRLCircuitEngine(BackendEngine):
             return None
         if not self.supports_volley(volley):
             return None
-        sink = RecordingSink()
-        GRLExecutor(network).run(
-            dict(zip(network.input_names, volley)), params=params, sink=sink
+        executor = GRLExecutor(network)
+        result = executor.run(
+            dict(zip(network.input_names, volley)), params=params
         )
-        return sink.canonical()
+        program, wires = executor.network, executor.node_wires
+        values = [result.fall_times[wires[node.id]] for node in program.nodes]
+        return spike_trace(program, values)
 
 
 #: Every engine class, in the pinned conformance report order.

@@ -793,10 +793,11 @@ class TNNService:
            resolved the old entry and complete on it (they hold the
            entry reference and workers keep its program loaded);
            admissions after resolve the new one;
-        4. **retire** — unless ``retire=False`` or another alias still
-           references it, the superseded fingerprint is removed and its
-           memoized result rows purged from the result cache, so a
-           retired model can never be served stale.
+        4. **retire** — unless ``retire=False``, the superseded
+           fingerprint goes through :meth:`retire`.  A caller that must
+           publish something naming the new model first (the training
+           plane's lineage head) passes ``retire=False`` and calls
+           :meth:`retire` itself once it has.
 
         Returns a summary dict (``alias``, ``model``, ``previous``,
         ``warmed``, ``retired``).
@@ -812,15 +813,7 @@ class TNNService:
             )
         previous, current = self.registry.promote(alias, entry.model_id)
         _obs_metrics.METRICS.inc("serve.promotions")
-        retired = None
-        if (
-            retire
-            and previous is not None
-            and previous != current
-            and previous not in self.registry.aliases().values()
-        ):
-            self.registry.remove(previous)
-            retired = previous
+        retired = self.retire(previous) if retire else None
         return {
             "alias": alias,
             "model": current,
@@ -828,6 +821,18 @@ class TNNService:
             "warmed": warmed,
             "retired": retired,
         }
+
+    def retire(self, model_id: Optional[str]) -> Optional[str]:
+        """Remove *model_id* unless an alias still references it.
+
+        Its memoized result rows are purged from the result cache with
+        it, so a retired model can never be served stale.  Returns
+        *model_id* when it was removed, else ``None``.
+        """
+        if model_id is None or model_id in self.registry.aliases().values():
+            return None
+        self.registry.remove(model_id)
+        return model_id
 
     def close(self, *, drain: bool = True, timeout: float = 10.0) -> None:
         """Stop admission, optionally drain in-flight work, stop the pool."""

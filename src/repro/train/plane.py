@@ -237,7 +237,9 @@ class TrainingPlane:
             parent = self.live_fingerprint
         self.service.register(network)
         accuracy = self.probe() if self.probe is not None else None
-        summary = self.service.promote(self.alias, fingerprint)
+        # The parent is retired only once the new head is published, so
+        # the lineage never names a model the registry has dropped.
+        summary = self.service.promote(self.alias, fingerprint, retire=False)
         record = LineageRecord(
             parent=parent,
             child=fingerprint,
@@ -257,6 +259,7 @@ class TrainingPlane:
             self.snapshots += 1
             self.promotions += 1
             self._since_snapshot = 0
+        summary["retired"] = self.service.retire(summary["previous"])
         _obs_metrics.METRICS.inc("train.snapshots")
         _obs_metrics.METRICS.inc("train.promotions")
         return summary

@@ -23,6 +23,7 @@ from repro.network.compile_plan import (
     compile_plan,
     decode_matrix,
     evaluate_batch,
+    evaluate_batch_all,
 )
 from repro.network.events import EventSimulator
 from repro.network.graph import NetworkError
@@ -31,7 +32,7 @@ from repro.network.sorting import bitonic_sort, odd_even_merge_sort
 from repro.neuron.response import ResponseFunction
 from repro.neuron.srm0 import SRM0Neuron
 from repro.neuron.srm0_network import build_srm0_network
-from repro.obs.trace import RecordingSink
+from repro.obs.trace import spike_trace
 from repro.racelogic.compile import compile_network
 from repro.testing import generate_case
 from repro.runtime.engines import CompiledBatchEngine
@@ -442,5 +443,6 @@ class TestRankRowsStayInTheIR:
 
     def test_tracing_a_grouped_plan_is_refused(self):
         grouped = group_sorters(_sorter_net(4))
-        with pytest.raises(NetworkError, match="rank"):
-            evaluate_batch(grouped, [(0, 1, 2, 3)], sink=RecordingSink())
+        values = evaluate_batch_all(grouped, [(0, 1, 2, 3)])
+        with pytest.raises(NetworkError, match="spike tracing cannot run rank"):
+            spike_trace(grouped, values[0])

@@ -326,7 +326,7 @@ class TestSlottedNode:
         network = build_srm0_network(neuron, name="col-80in")
         assert len(network.nodes) == 29_351
         plan = compile_plan(optimize_program(lower(network))[0])
-        assert ndarray_nbytes(plan) == 476_304
+        assert ndarray_nbytes(plan) == 476_296
 
 
 class TestNetworkContainer:

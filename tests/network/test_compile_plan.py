@@ -364,16 +364,14 @@ class TestMixedArityPadding:
         assert got == [interpreted_outputs(net, v) for v in volleys]
 
     def test_wide_batch_trace_row_matches_single_row(self):
-        from repro.obs.trace import RecordingSink
+        from repro.obs.trace import spike_trace
 
         net = diamond()
-        matrix = encode_volleys([(0, 1)] * 3 + [(4, 2)] * 2, arity=2)
-        sink = RecordingSink()
+        matrix = encode_volleys([(0, 1)] * 3 + [(4, 2)] * 5, arity=2)
         plan = compile_plan(net)
-        plan.run(matrix, sink=sink, trace_row=3)
-        reference = RecordingSink()
-        plan.run(matrix[3:4], sink=reference, trace_row=0)
-        assert sink.canonical() == reference.canonical()
+        wide = spike_trace(net, plan.run(matrix)[3])
+        assert wide == spike_trace(net, plan.run(matrix[3:4])[0])
+        assert wide != spike_trace(net, plan.run(matrix[2:3])[0])
 
 
 # ---------------------------------------------------------------------------

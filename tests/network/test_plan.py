@@ -213,7 +213,7 @@ class TestScratchPool:
 
 
 class TestTrace:
-    def test_sink_trace_matches_interpreted(self):
+    def test_compiled_trace_matches_interpreted(self):
         from repro.runtime.engines import CompiledBatchEngine, InterpretedEngine
 
         net = ragged_net()
@@ -221,12 +221,3 @@ class TestTrace:
         assert CompiledBatchEngine().trace(net, volley) == InterpretedEngine().trace(
             net, volley
         )
-
-    def test_disabled_sink_skips_trace_path(self):
-        from repro.obs.trace import RecordingSink
-
-        sink = RecordingSink()
-        sink.enabled = False
-        out = evaluate_batch(diamond(), [(0, 1)], sink=sink)
-        assert sink.canonical() == []
-        assert out.shape == (1, 2)

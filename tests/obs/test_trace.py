@@ -2,23 +2,41 @@
 
 import json
 import random
+from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.__main__ import main
 from repro.core.synthesis import synthesize
 from repro.core.table import FIG7_TABLE
-from repro.core.value import INF
+from repro.core.value import INF, Infinity
 from repro.network.builder import NetworkBuilder
-from repro.network.compile_plan import evaluate_batch
-from repro.network.events import simulate
+from repro.network.compile_plan import (
+    INF_I64,
+    MAX_FINITE,
+    compile_plan,
+    encode_volleys,
+)
 from repro.network.simulator import evaluate_all_interpreted
 from repro.obs.trace import (
-    RecordingSink,
     TraceEvent,
     first_divergence,
     from_jsonl,
+    spike_trace,
     to_chrome_trace,
     to_jsonl,
 )
 from repro.runtime.engines import ENGINES
+from repro.testing.generators import FAMILIES, generate_case
+
+#: ``python -m repro trace --seed 0 --smoke --jsonl``, all four backends
+#: agreeing; any change to a fire time or a cause shows up as a diff.
+GOLDEN_SMOKE_TRACE = Path(__file__).parent / "data" / "trace_seed0_smoke.jsonl"
+
+
+def _interpreted_trace(net, inputs):
+    return spike_trace(net, evaluate_all_interpreted(net, inputs))
 
 
 def _tiny_net():
@@ -31,9 +49,7 @@ def _tiny_net():
 
 class TestCauses:
     def _events(self, net, inputs):
-        sink = RecordingSink()
-        evaluate_all_interpreted(net, inputs, sink=sink)
-        return {e.node_id: e for e in sink.canonical()}
+        return {e.node_id: e for e in _interpreted_trace(net, inputs)}
 
     def test_min_names_earliest_source(self):
         net = _tiny_net()
@@ -86,6 +102,64 @@ class TestCauses:
         assert events[1].time == 0
 
 
+class TestSpikeTrace:
+    def test_events_sort_by_time_then_node(self):
+        net = _tiny_net()
+        trace = _interpreted_trace(net, {"x": 4, "y": 0})
+        assert [(e.time, e.node_id) for e in trace] == [
+            (0, 1), (0, 2), (2, 3), (4, 0),
+        ]
+
+    def test_times_above_max_finite_are_silence(self):
+        net = _tiny_net()
+        trace = spike_trace(net, [MAX_FINITE, INF_I64, MAX_FINITE, INF_I64])
+        assert trace == [
+            TraceEvent(MAX_FINITE, 0, "input"),
+            TraceEvent(MAX_FINITE, 2, "min<-0"),
+        ]
+        # The interpreted walk keeps arbitrary-precision ints past it.
+        assert spike_trace(net, [MAX_FINITE, INF, MAX_FINITE, MAX_FINITE + 2]) == trace
+
+    def test_golden_smoke_trace_bytes(self, tmp_path, capsys):
+        out = tmp_path / "trace.jsonl"
+        assert main(["trace", "--seed", "0", "--smoke", "--jsonl", str(out)]) == 0
+        assert "byte-identical across 4 backend(s)" in capsys.readouterr().out
+        assert out.read_bytes() == GOLDEN_SMOKE_TRACE.read_bytes()
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        family=st.sampled_from([name for name, _weight in FAMILIES]),
+        pick=st.integers(min_value=0, max_value=63),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_engine_traces_the_interpreted_fire_times(self, seed, family, pick):
+        """Each engine's trace is ``spike_trace`` over the reference fire
+        times, on the near-sentinel volleys and one drawn volley, for
+        every generator family (``sorters`` on its comparator-level
+        program, which the compiled engine traces)."""
+        case = generate_case(seed, smoke=True, family=family)
+        net, params = case.network, case.params or None
+        near_sentinel = [
+            v for v in case.volleys
+            if any(not isinstance(t, Infinity) and t > MAX_FINITE - 4 for t in v)
+        ]
+        assert near_sentinel
+        for volley in [*near_sentinel, case.volleys[pick % len(case.volleys)]]:
+            values = evaluate_all_interpreted(
+                net, dict(zip(net.input_names, volley)), params=params
+            )
+            want = spike_trace(net, values)
+            documents = set()
+            for engine in ENGINES:
+                trace = engine().trace(net, volley, params=params)
+                if trace is None:
+                    assert engine.cycle_accurate  # only GRL is partial
+                    continue
+                assert trace == want, (engine.name, volley)
+                documents.add(to_jsonl(trace, net))
+            assert documents == {to_jsonl(want, net)}
+
+
 class TestCrossBackendIdentity:
     """The tentpole guarantee: byte-identical JSONL on agreement."""
 
@@ -133,14 +207,9 @@ class TestCrossBackendIdentity:
 
     def test_batched_trace_row_selects_volley(self):
         net = _tiny_net()
-        sink = RecordingSink()
-        plan_input = [(9, 4), (1, 7)]
-        from repro.network.compile_plan import compile_plan, encode_volleys
-
         plan = compile_plan(net)
-        matrix = encode_volleys(plan_input, arity=2)
-        plan.run(matrix, sink=sink, trace_row=1)
-        events = {e.node_id: e for e in sink.canonical()}
+        values = plan.run(encode_volleys([(9, 4), (1, 7)], arity=2))
+        events = {e.node_id: e for e in spike_trace(net, values[1])}
         assert events[0].time == 1  # row 1, not row 0
         assert events[2].cause == "min<-0"
 
@@ -148,40 +217,27 @@ class TestCrossBackendIdentity:
 class TestExports:
     def test_jsonl_roundtrip(self):
         net = synthesize(FIG7_TABLE)
-        sink = RecordingSink()
-        evaluate_all_interpreted(
-            net, dict(zip(net.input_names, (0, 1, 2))), sink=sink
-        )
-        text = to_jsonl(sink.canonical(), net)
-        assert from_jsonl(text) == sink.canonical()
+        trace = _interpreted_trace(net, dict(zip(net.input_names, (0, 1, 2))))
+        assert from_jsonl(to_jsonl(trace, net)) == trace
 
     def test_jsonl_lines_are_valid_json(self):
         net = _tiny_net()
-        sink = RecordingSink()
-        evaluate_all_interpreted(net, {"x": 1, "y": 2}, sink=sink)
-        for line in to_jsonl(sink.canonical(), net).splitlines():
+        trace = _interpreted_trace(net, {"x": 1, "y": 2})
+        for line in to_jsonl(trace, net).splitlines():
             record = json.loads(line)
             assert set(record) == {"t", "node", "kind", "name", "cause"}
 
     def test_chrome_trace_shape(self):
         net = _tiny_net()
-        sink = RecordingSink()
-        evaluate_all_interpreted(net, {"x": 1, "y": 2}, sink=sink)
-        doc = to_chrome_trace(sink.canonical(), net)
+        trace = _interpreted_trace(net, {"x": 1, "y": 2})
+        doc = to_chrome_trace(trace, net)
         events = doc["traceEvents"]
         metadata = [e for e in events if e["ph"] == "M"]
         instants = [e for e in events if e["ph"] == "i"]
-        assert len(instants) == len(sink.canonical())
+        assert len(instants) == len(trace)
         # one process_name plus one thread_name per firing node
-        assert len(metadata) == 1 + len({e.node_id for e in sink.canonical()})
+        assert len(metadata) == 1 + len({e.node_id for e in trace})
         json.dumps(doc)  # serializable
-
-    def test_sink_param_defaults_to_off(self):
-        # The plain entry points must not require (or build) a sink.
-        net = _tiny_net()
-        evaluate_all_interpreted(net, {"x": 1, "y": 2})
-        evaluate_batch(net, [(1, 2)])
-        simulate(net, {"x": 1, "y": 2})
 
 
 class TestDivergence:

@@ -35,6 +35,7 @@ NOT_SERVED_MODULES = (
     "repro.neuron.layers",
     "repro.neuron.weights",
     "repro.neuron.wta",
+    "repro.obs.trace",
 )
 
 #: Every ``repro`` module a started ``--model-file`` server loads: the
@@ -64,7 +65,6 @@ SERVED_MODULES = {
     "repro.obs.metrics",
     "repro.obs.profile",
     "repro.obs.rtrace",
-    "repro.obs.trace",
     "repro.runtime",
     "repro.runtime.result_cache",
     "repro.serve",

@@ -138,6 +138,27 @@ class TestPlaneLifecycle:
         with pytest.raises(ServeError):
             service.registry.resolve(seed_fp)
 
+    def test_lineage_head_resolves_while_a_snapshot_promotes(self, service):
+        plane = make_plane(service, snapshot_every=5)
+        seed_fp = plane.bootstrap()
+        promote = service.promote
+        heads = []
+
+        def promote_then_read_head(*args, **kwargs):
+            summary = promote(*args, **kwargs)
+            head = plane.lineage.describe()["head"]
+            heads.append(head)
+            service.registry.resolve(head)  # raises no-such-model if retired
+            return summary
+
+        service.promote = promote_then_read_head
+        for item in learning_items(5):
+            plane.train_step(item)
+        assert heads == [seed_fp]
+        assert plane.live_fingerprint != seed_fp
+        with pytest.raises(ServeError):
+            service.registry.resolve(seed_fp)  # retired once the head moved
+
     def test_alias_serves_the_live_model(self, service):
         plane = make_plane(service)
         plane.bootstrap()
