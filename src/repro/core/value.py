@@ -16,6 +16,10 @@ This module provides:
 * Vector utilities used by normalized function tables and network
   evaluation (:func:`t_min`, :func:`t_max`, :func:`normalize`,
   :func:`shift`).
+* The sentinel int64 encoding every engine and the serving wire share
+  (:data:`INF_I64`, :data:`MAX_FINITE`, :func:`encode_time`,
+  :func:`decode_time`, :func:`decode_matrix`): plain Python, so a
+  process that only moves encoded times never imports NumPy.
 
 Design note: finite times are plain Python ``int``s rather than a wrapper
 class.  Simulations touch millions of time values; keeping them unboxed
@@ -229,3 +233,40 @@ def normalize(values: TimeVector) -> tuple[tuple[Time, ...], Time]:
 def is_normalized(values: TimeVector) -> bool:
     """True if at least one element is 0 (the paper's normal-form rule 1)."""
     return any(v == 0 for v in values)
+
+
+# ---------------------------------------------------------------------------
+# Sentinel int64 encoding
+# ---------------------------------------------------------------------------
+
+#: Sentinel encoding of ``∞`` as an int64: the largest int64.
+INF_I64: int = (1 << 63) - 1
+
+#: Largest finite time the int64 encoding carries.
+MAX_FINITE: int = INF_I64 - 1
+
+
+def encode_time(value: Time) -> int:
+    """Encode one ``Time`` as a sentinel int64 value."""
+    if isinstance(value, Infinity):
+        return INF_I64
+    value = check_time(value)
+    if value > MAX_FINITE:
+        # The batched engine's error type; its module imports no NumPy.
+        from ..network.graph import NetworkError
+
+        raise NetworkError(
+            f"finite time {value} exceeds the batched engine's limit "
+            f"({MAX_FINITE}); use the interpreted evaluator"
+        )
+    return value
+
+
+def decode_time(value: int) -> Time:
+    """Decode one sentinel int64 value back into ``Time``."""
+    return INF if value == INF_I64 else int(value)
+
+
+def decode_matrix(matrix) -> list[tuple[Time, ...]]:
+    """Decode encoded ``(B, n)`` rows (lists or an ndarray) into ``Time`` tuples."""
+    return [tuple(decode_time(int(v)) for v in row) for row in matrix]

@@ -11,11 +11,16 @@ a whole **batch** of input volleys in a handful of NumPy calls.
 Encoding
 --------
 Times are ``int64``; ``∞`` is the sentinel ``iinfo(int64).max``
-(:data:`INF_I64`).  Because the sentinel is the largest representable
-value, comparisons against it are automatically correct (``∞`` loses
-every ``min``, wins every ``max``, never precedes anything) and ``inc``
-becomes the saturating add ``min(x, INF_I64 - c) + c``, which both keeps
-``∞`` absorbing and can never overflow.  Finite input times must be
+(:data:`INF_I64`).  The codec itself — :data:`INF_I64`,
+:data:`MAX_FINITE`, :func:`encode_time`, :func:`decode_time` and
+:func:`decode_matrix` — is plain Python in :mod:`repro.core.value`,
+re-exported here, so the serving frontend encodes and decodes times
+without importing NumPy.  Because the sentinel is the largest
+representable value, comparisons against it are automatically correct
+(``∞`` loses every ``min``, wins every ``max``, never precedes
+anything) and ``inc`` becomes the saturating add
+``min(x, INF_I64 - c) + c``, which both keeps ``∞`` absorbing and can
+never overflow.  Finite input times must be
 strictly below the sentinel; times that would *reach* it through
 increments saturate to ``∞`` (the scalar evaluator's arbitrary-precision
 ints diverge from this only beyond ``2^63 - 1``, far outside any
@@ -89,17 +94,20 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..core.value import INF, Infinity, Time, check_time
+from ..core.value import (  # the sentinel codec, re-exported here
+    INF_I64,
+    MAX_FINITE,
+    Infinity,
+    Time,
+    check_time,
+    decode_matrix,
+    decode_time,
+    encode_time,
+)
 from ..ir.program import CONST_IDENTITY, ProgramLike, classify, ensure_program
 from ..obs import metrics as _obs_metrics
 from ..obs import profile as _obs_profile
 from .graph import NetworkError
-
-#: Sentinel encoding of ``∞`` in the int64 engine: the largest int64.
-INF_I64: int = int(np.iinfo(np.int64).max)
-
-#: Largest finite time the batched engine accepts on an input line.
-MAX_FINITE: int = INF_I64 - 1
 
 VolleyLike = Union[np.ndarray, Sequence[Sequence[Time]]]
 
@@ -107,24 +115,6 @@ VolleyLike = Union[np.ndarray, Sequence[Sequence[Time]]]
 # ---------------------------------------------------------------------------
 # Encoding helpers
 # ---------------------------------------------------------------------------
-
-def encode_time(value: Time) -> int:
-    """Encode one ``Time`` as a sentinel int64 value."""
-    if isinstance(value, Infinity):
-        return INF_I64
-    value = check_time(value)
-    if value > MAX_FINITE:
-        raise NetworkError(
-            f"finite time {value} exceeds the batched engine's limit "
-            f"({MAX_FINITE}); use the interpreted evaluator"
-        )
-    return value
-
-
-def decode_time(value: int) -> Time:
-    """Decode one sentinel int64 value back into ``Time``."""
-    return INF if value == INF_I64 else int(value)
-
 
 def encode_volleys(
     volleys: VolleyLike, *, arity: Optional[int] = None
@@ -160,11 +150,6 @@ def encode_volleys(
             f"expected volleys of {arity} lines, got {matrix.shape[1]}"
         )
     return matrix
-
-
-def decode_matrix(matrix: np.ndarray) -> list[tuple[Time, ...]]:
-    """Decode an encoded ``(B, n)`` matrix into ``Time`` tuples."""
-    return [tuple(decode_time(int(v)) for v in row) for row in matrix]
 
 
 def _encode_params(

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Optional
 
-from ..core.value import INF, Infinity, Time, check_time
+from ..core.value import INF, INF_I64, MAX_FINITE, Infinity, Time, check_time
 from ..ir.program import CONST_IDENTITY, ProgramLike, classify, ensure_program
 from .graph import Network, NetworkError
 
@@ -126,12 +126,7 @@ def evaluate_all(
     messages match the interpreted reference exactly.
     """
     # Deferred import: keeps numpy off cold paths and avoids a cycle.
-    from .compile_plan import (
-        INF_I64,
-        MAX_FINITE,
-        _encode_params,
-        compile_plan,
-    )
+    from .compile_plan import _encode_params, compile_plan
 
     params = params or {}
     missing_in = set(network.input_ids) - set(inputs)

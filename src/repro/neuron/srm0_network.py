@@ -21,9 +21,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import Optional
 
-from ..core.value import Time
+from ..core.value import Time, decode_time
 from ..network.builder import NetworkBuilder, Ref
-from ..network.compile_plan import decode_time, evaluate_batch
 from ..network.graph import Network
 from .response import ResponseFunction, fanout_network
 from ..network.sorting import bitonic_sort, odd_even_merge_sort
@@ -92,6 +91,9 @@ def batched_fire_times(
     equivalence sweeps and any workload that probes a fixed neuron on
     many volleys.
     """
+    # The engine brings NumPy; building a network needs neither.
+    from ..network.compile_plan import evaluate_batch
+
     column = list(network.outputs).index(output)
     matrix = evaluate_batch(network, volleys)
     return [decode_time(v) for v in matrix[:, column].tolist()]

@@ -16,7 +16,7 @@ Canonical form
 --------------
 One event per node that fires: ``(fire_time, node_id, cause)``, sorted
 by ``(fire_time, node_id)``, with times in sentinel-saturated semantics
-(a finite time above :data:`~repro.network.compile_plan.MAX_FINITE`
+(a finite time above :data:`~repro.core.value.MAX_FINITE`
 means ``∞`` and emits no event — the same contract the conformance
 oracles compare under).  The *cause* names the structural reason the
 node fired and is a pure function of the network and the per-node fire
@@ -52,9 +52,8 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from ..core.value import Infinity
+from ..core.value import MAX_FINITE, Infinity
 from ..ir.program import ProgramLike, ensure_program
-from ..network.compile_plan import MAX_FINITE
 from .metrics import METRICS
 
 
@@ -113,7 +112,7 @@ def spike_trace(program: ProgramLike, values: Sequence) -> list[TraceEvent]:
 
     *values* holds every node's fire time by node id, in either encoding
     :func:`cause_of` accepts.  One event per finite firing (a time above
-    :data:`~repro.network.compile_plan.MAX_FINITE` means ``∞``), sorted
+    :data:`~repro.core.value.MAX_FINITE` means ``∞``), sorted
     by ``(time, node_id)``.  A program with IR-only ``rank`` rows has no
     comparator values to name causes by, so it is refused.
     """

@@ -15,7 +15,7 @@ Compiled plans are not cached here: each
 (:func:`~repro.network.compile_plan.compile_plan`).
 
 Import-weight discipline: importing ``repro.runtime`` loads only the
-result cache (stdlib + numpy).  The engine list — which imports every
+result cache (stdlib only, no NumPy).  The engine list — which imports every
 backend — materializes lazily on first attribute access.
 """
 

@@ -16,18 +16,17 @@ row, so cached answers are byte-identical to recomputation — a property
 the served conformance harness checks, including against deliberate
 corruption via :meth:`ResultCache.poison`.
 
-Light by design (stdlib + numpy + obs.metrics) so the service layer can
-import it without pulling in the engines.
+Light by design (stdlib + obs.metrics) so the serving frontend can
+import it without pulling in NumPy or the engines.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
+from array import array
 from collections import OrderedDict
 from typing import Any, Optional
-
-import numpy as np
 
 from ..core.value import INF, Infinity
 from ..obs import metrics as _obs_metrics
@@ -41,16 +40,24 @@ _ENTRY_OVERHEAD = 96
 def volley_digest(encoded: Any, params_key: str = "") -> str:
     """Canonical digest of one encoded volley + parameter binding.
 
-    *encoded* is sentinel-int64 data — one request row or a ``(B, n)``
-    matrix — canonicalized to C-contiguous int64 bytes.  The shape is
-    folded in so an empty row and an empty matrix cannot collide, and
-    *params_key* (the service's canonical params JSON) rides behind a
-    separator byte.
+    *encoded* is sentinel-int64 data — one request row (a sequence of
+    ints) or an ndarray of any shape — canonicalized to C-contiguous
+    int64 bytes.  The shape is folded in so an empty row and an empty
+    matrix cannot collide, and *params_key* (the service's canonical
+    params JSON) rides behind a separator byte.  A row is packed with
+    :mod:`array`; NumPy is imported only for an ndarray, which means
+    it is loaded already.
     """
-    matrix = np.ascontiguousarray(np.asarray(encoded, dtype=np.int64))
+    if hasattr(encoded, "__array__"):
+        import numpy as np
+
+        matrix = np.ascontiguousarray(np.asarray(encoded, dtype=np.int64))
+        shape, data = matrix.shape, matrix.tobytes()
+    else:
+        shape, data = (len(encoded),), array("q", encoded).tobytes()
     digest = hashlib.blake2b(digest_size=16)
-    digest.update(repr(matrix.shape).encode("ascii"))
-    digest.update(matrix.tobytes())
+    digest.update(repr(shape).encode("ascii"))
+    digest.update(data)
     digest.update(b"|")
     digest.update(params_key.encode("utf-8"))
     return digest.hexdigest()

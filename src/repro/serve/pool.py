@@ -12,10 +12,16 @@ never parses, lowers or optimizes.  Eval messages are answered by the
 batch engine (:func:`~repro.network.compile_plan.evaluate_batch`).  Both
 loading and evaluating live in one worker body, :class:`_Worker`, which
 both pools run; :func:`_worker_main` is only its pipe transport.
-Work arrives as already-encoded ``(B, n_inputs)`` int64 matrices (the
-micro-batcher's output) and leaves as the engine's raw
-``(B, n_outputs)`` result, keeping the IPC payload two NumPy arrays per
-batch.
+
+Only the evaluating side imports NumPy and the engine: this module
+does not, a process worker imports them right after it reports ready
+(overlapping the frontend's model registration), and :class:`_Worker`
+imports them on first use.  A batch crosses the pipe as raw int64
+bytes: the micro-batcher's encoded rows, packed row after row by
+:func:`pack_rows`, plus the row count; the worker views them as a
+``(B, n_inputs)`` array, and its reply is the engine's
+``(B, n_outputs)`` result as bytes, which :func:`unpack_rows` turns
+back into rows of encoded ints in the frontend.
 
 Dispatch is **least-loaded**: :meth:`ProcessWorkerPool.submit` picks the
 alive worker with the fewest in-flight batches.  A dedicated collector
@@ -48,16 +54,16 @@ import multiprocessing.connection as mp_connection
 import os
 import pickle
 import threading
+from array import array
+from collections.abc import Iterable, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import chain
 from time import monotonic, perf_counter
 from typing import Callable
 
-import numpy as np
-
-from ..core.value import INF, Time
+from ..core.value import Time, decode_time
 from ..ir.program import Program
-from ..network.compile_plan import INF_I64, compile_plan, evaluate_batch
 from ..obs import metrics as _obs_metrics
 from ..obs import profile as _profile
 from ..obs import rtrace as _rtrace
@@ -88,6 +94,8 @@ def load_program(model_id: str, fingerprint: str, program: "Program | bytes") ->
     table), and warm the compiled plan.  :meth:`_Worker.load` is its
     one caller.
     """
+    from ..network.compile_plan import compile_plan
+
     if isinstance(program, bytes):
         program = pickle.loads(program)
     if program.fingerprint() != fingerprint:
@@ -101,18 +109,34 @@ def load_program(model_id: str, fingerprint: str, program: "Program | bytes") ->
 
 def _decode_params(params_enc: dict[str, int]) -> dict[str, Time]:
     """Sentinel-encoded parameter binding back to ``Time`` values."""
-    return {
-        name: (INF if value == INF_I64 else int(value))
-        for name, value in params_enc.items()
-    }
+    return {name: decode_time(value) for name, value in params_enc.items()}
+
+
+def pack_rows(rows: Iterable[Sequence[int]]) -> bytes:
+    """Encoded volley rows as one eval payload: their int64 cells, row after row."""
+    return array("q", chain.from_iterable(rows)).tobytes()
+
+
+def unpack_rows(data: bytes, rows: int) -> list[list[int]]:
+    """An eval reply (``rows`` rows of int64 bytes) as lists of encoded ints.
+
+    ``memoryview.cast`` refuses a zero in its shape, so a program with
+    no outputs, whose reply is empty, gets its empty rows here.
+    """
+    if not data:
+        return [[] for _ in range(rows)]
+    return memoryview(data).cast("q", [rows, len(data) // (8 * rows)]).tolist()
 
 
 @dataclass
 class Job:
     """One dispatched batch: encoded inputs plus completion callbacks.
 
-    ``on_done`` receives the raw ``(B, n_outputs)`` int64 result;
-    ``on_fail`` receives a human-readable reason.  Exactly one of the
+    ``volleys`` is the batch's :func:`pack_rows` payload and ``rows``
+    its row count (a program with no inputs sends no bytes).
+    ``on_done`` receives the ``(B, n_outputs)`` result as rows of
+    encoded ints (:func:`unpack_rows`); ``on_fail`` receives a
+    human-readable reason.  Exactly one of the
     two is invoked, by :func:`_complete`, from the pool's collector
     thread (process pool) or the submitting thread (inline pool) —
     callbacks must be thread-safe.
@@ -128,9 +152,10 @@ class Job:
 
     job_id: int
     model_id: str
-    matrix: np.ndarray
+    volleys: bytes
+    rows: int
     params_enc: dict[str, int]
-    on_done: Callable[[np.ndarray], None]
+    on_done: Callable[[list[list[int]]], None]
     on_fail: Callable[[str], None]
     want_spans: int = 0
     on_extras: "Callable[[dict], None] | None" = None
@@ -170,23 +195,39 @@ class _Worker:
         return self.warmups
 
     def eval(
-        self, model_id: str, matrix: np.ndarray, params_enc: dict, want_spans: int
-    ) -> tuple[np.ndarray, dict]:
-        """Evaluate one batch: ``(result, timing extras)``.
+        self,
+        model_id: str,
+        volleys: bytes,
+        rows: int,
+        params_enc: dict,
+        want_spans: int,
+    ) -> tuple[bytes, dict]:
+        """Evaluate one batch: ``(result bytes, timing extras)``.
 
-        The extras are empty at *want_spans* 0, ``{"eval_s": …}`` at
-        level 1 (two clock reads), and add ``"phases"`` at level 2, when
+        *volleys* holds *rows* encoded volleys (:func:`pack_rows`); the
+        result is the engine's ``(rows, n_outputs)`` int64 matrix as
+        bytes.  The extras are empty at *want_spans* 0,
+        ``{"eval_s": …}`` at level 1 (two clock reads), and add
+        ``"phases"`` at level 2, when
         the engine runs under :func:`~repro.obs.profile.profiled`.  That
         flag is process-wide: in-process, another thread's profiled
         phases that overlap the batch land in its deltas too.
         """
+        import numpy as np
+
+        from ..network.compile_plan import evaluate_batch
+
         program = self.programs.get(model_id)
         if program is None:
             raise KeyError(f"model {model_id[:12]} not loaded")
+        matrix = np.frombuffer(volleys, dtype=np.int64).reshape(
+            rows, len(program.input_ids)
+        )
         before = _phase_totals() if want_spans >= 2 else None
         started = perf_counter()
         with _profile.profiled() if before is not None else nullcontext():
             result = evaluate_batch(program, matrix, params=_decode_params(params_enc))
+        result = result.tobytes()
         if not want_spans:
             return result, {}
         extras: dict = {"eval_s": perf_counter() - started}
@@ -204,8 +245,9 @@ class _Worker:
 def _complete(job: Job, result, extras: dict, failure: "str | None" = None) -> None:
     """Finish *job* the one way both pools do.
 
-    On success: ``on_extras`` (when there are extras), then ``on_done``.
-    On *failure*: count ``serve.worker.failures``, then ``on_fail``.
+    On success: ``on_extras`` (when there are extras), then ``on_done``
+    with the *result* bytes unpacked (:func:`unpack_rows`).  On
+    *failure*: count ``serve.worker.failures``, then ``on_fail``.
     """
     if failure is not None:
         _obs_metrics.METRICS.inc("serve.worker.failures")
@@ -213,7 +255,7 @@ def _complete(job: Job, result, extras: dict, failure: "str | None" = None) -> N
         return
     if extras and job.on_extras is not None:
         job.on_extras(extras)
-    job.on_done(result)
+    job.on_done(unpack_rows(result, job.rows))
 
 
 def _worker_main(conn) -> None:
@@ -221,8 +263,10 @@ def _worker_main(conn) -> None:
 
     Runs in a child process (or, for unit tests, a plain thread with the
     other pipe end held by the test).  It reports ready with no models,
-    then serves messages in order, so every model a ``load`` brings is
-    warmed before any eval behind it on the pipe runs.  Automatic
+    imports the batch engine (and with it NumPy) while the frontend
+    registers its models, then serves messages in order, so every model
+    a ``load`` brings is warmed before any eval behind it on the pipe
+    runs.  Automatic
     collections are off during a load, which allocates a whole program
     and its plan at once and would otherwise be walked by collection
     after collection; the load ends in one full collection and
@@ -231,8 +275,9 @@ def _worker_main(conn) -> None:
     paying collections that walk the model heap.
     Messages:
 
-    * ``("eval", job_id, model_id, matrix, params_enc, want_spans)`` →
-      ``("ok", job_id, result, extras)`` or
+    * ``("eval", job_id, model_id, volleys, rows, params_enc, want_spans)``
+      → ``("ok", job_id, result, extras)`` (*volleys* and *result* are
+      int64 bytes, see :meth:`_Worker.eval`) or
       ``("err", job_id, reason, extras)``.  The *extras* dict carries
       :meth:`_Worker.eval`'s engine timings and, every
       :data:`_METRICS_PIGGYBACK_EVERY` replies, what the worker counted
@@ -261,6 +306,9 @@ def _worker_main(conn) -> None:
         return delta
 
     conn.send(("ready", os.getpid(), sorted(worker.programs), worker.warmups))
+    # Import the engine, and NumPy with it, while the frontend registers.
+    from ..network.compile_plan import evaluate_batch  # noqa: F401
+
     replies = 0
     while True:
         try:
@@ -269,9 +317,11 @@ def _worker_main(conn) -> None:
             return
         op = message[0]
         if op == "eval":
-            _op, job_id, model_id, matrix, params_enc, want_spans = message
+            _op, job_id, model_id, volleys, rows, params_enc, want_spans = message
             try:
-                result, extras = worker.eval(model_id, matrix, params_enc, want_spans)
+                result, extras = worker.eval(
+                    model_id, volleys, rows, params_enc, want_spans
+                )
                 reply = ("ok", job_id, result, extras)
             except Exception as exc:  # noqa: BLE001 - reported to the parent
                 reply = ("err", job_id, f"{type(exc).__name__}: {exc}", {})
@@ -331,7 +381,8 @@ class ProcessWorkerPool:
     The workers are forked empty; *programs* (``model_id -> served
     program``, :meth:`~repro.serve.registry.ModelRegistry.programs`) are
     then shipped to them as ``load`` messages, and the constructor
-    returns once every worker holds them (:meth:`wait_loaded`).  A
+    returns once every worker holds them (:meth:`wait_loaded`), or as
+    soon as every worker reported ready when there are none.  A
     server passes no programs, registers its models afterwards and then
     calls :meth:`wait_loaded` itself, so no worker starts with the
     parent's model heap.
@@ -378,6 +429,10 @@ class ProcessWorkerPool:
         self._collector.start()
         for model_id, program in programs.items():
             self.add_model(model_id, program)
+        if not programs:
+            # Nothing to wait for: a worker that reported ready imports
+            # the engine while the caller registers its models.
+            return
         try:
             self.wait_loaded(programs)
         except ServeError:
@@ -483,7 +538,8 @@ class ProcessWorkerPool:
                         "eval",
                         job.job_id,
                         job.model_id,
-                        job.matrix,
+                        job.volleys,
+                        job.rows,
                         job.params_enc,
                         job.want_spans,
                     )
@@ -729,7 +785,7 @@ class InlineWorkerPool:
         _obs_metrics.METRICS.inc("serve.pool.submits")
         try:
             result, extras = self._worker.eval(
-                job.model_id, job.matrix, job.params_enc, job.want_spans
+                job.model_id, job.volleys, job.rows, job.params_enc, job.want_spans
             )
         except Exception as exc:  # noqa: BLE001 - mapped to job failure
             _complete(job, None, {}, f"worker 0 error: {type(exc).__name__}: {exc}")

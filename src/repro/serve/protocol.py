@@ -8,7 +8,10 @@ pipeline requests and match responses out of order.
 Times on the wire are members of ``N0∞``: a finite spike time is a
 non-negative JSON integer, and ``∞`` — "no spike on this line" — is
 spelled ``null``.  That makes a volley like ``(3, ∞, 0)`` the JSON array
-``[3, null, 0]``.
+``[3, null, 0]``.  A finite time may not exceed
+:data:`~repro.core.value.MAX_FINITE`, the largest the int64 engine
+carries; the limit and the sentinel codec are plain Python, so the
+frontend that parses the wire never imports NumPy.
 
 Operations
 ----------
@@ -70,8 +73,7 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping, Optional, Sequence
 
-from ..core.value import INF, Infinity, Time
-from ..network.compile_plan import MAX_FINITE
+from ..core.value import INF, MAX_FINITE, Infinity, Time
 
 #: Protocol identifier, echoed by ``health``.
 PROTOCOL = "repro.serve/1"

@@ -42,14 +42,7 @@ from concurrent.futures import Future
 from time import monotonic
 from typing import Mapping, Optional, Sequence
 
-import numpy as np
-
-from ..core.value import Time
-from ..network.compile_plan import (
-    decode_matrix,
-    encode_time,
-    evaluate_batch,
-)
+from ..core.value import Time, decode_matrix, encode_time
 from ..network import serialize
 from ..network.graph import NetworkError
 from ..obs import metrics as _obs_metrics
@@ -67,7 +60,7 @@ from .protocol import (
     time_to_wire,
 )
 from ..runtime.result_cache import RESULT_CACHE, volley_digest
-from .pool import Job
+from .pool import Job, pack_rows
 from .registry import MIN_PREFIX, ModelEntry, ModelRegistry, unpack_document
 
 
@@ -181,7 +174,7 @@ def serve_snapshot() -> dict:
 def _malloc_trim():
     """glibc's ``malloc_trim``, or ``None`` where the C library lacks it."""
     try:
-        import ctypes  # NumPy has loaded it already
+        import ctypes
 
         trim = ctypes.CDLL(None).malloc_trim
     except (AttributeError, OSError, TypeError):
@@ -504,16 +497,14 @@ class TNNService:
             self._span_batches += 1
             if self._span_batches % PHASE_SAMPLE_EVERY == 1:
                 want_spans = 2
-        matrix = np.array(
-            [request.encoded for request in live], dtype=np.int64
-        )
         params_enc = {
             name: encode_time(value) for name, value in live[0].params.items()
         }
         job = Job(
             job_id=next(self._job_ids),
             model_id=batch.model_id,
-            matrix=matrix,
+            volleys=pack_rows(request.encoded for request in live),
+            rows=len(live),
             params_enc=params_enc,
             on_done=lambda result, b=batch: self._on_done(b, result),
             on_fail=lambda reason, b=batch: self._on_fail(b, reason),
@@ -577,7 +568,7 @@ class TNNService:
         trace.seal(outcome, now, attrs)
         _rtrace.FLIGHT.record(trace)
 
-    def _on_done(self, batch: Batch, result: np.ndarray) -> None:
+    def _on_done(self, batch: Batch, result: list[list[int]]) -> None:
         now = monotonic()
         rows = decode_matrix(result)
         completed = 0
@@ -685,6 +676,8 @@ class TNNService:
         every call and not kept, so the oracle shares nothing with the
         served program and the registry holds no network.
         """
+        from ..network.compile_plan import evaluate_batch
+
         network = serialize.loads(self.registry.resolve(model).document)
         matrix = evaluate_batch(network, [tuple(v) for v in volleys], params=params)
         return [tuple(row) for row in decode_matrix(matrix)]

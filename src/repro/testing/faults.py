@@ -34,11 +34,10 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.value import INF, Infinity, Time
+from ..core.value import INF, MAX_FINITE, Infinity, Time
 from ..ir.sorters import group_sorters
 from ..network.blocks import Node
 from ..network.compile_plan import (
-    MAX_FINITE,
     CompiledPlan,
     _encode_params,
     _execute_kernels,
@@ -59,7 +58,7 @@ def jitter_volley(volley: Volley, *, jitter: int, seed: int) -> Volley:
     Offsets depend only on ``(seed, line index)``, never on the spike
     value, so shrinking a volley keeps the fault stable.  Times pushed
     below 0 clamp; times pushed past
-    :data:`~repro.network.compile_plan.MAX_FINITE` saturate to ``∞`` —
+    :data:`~repro.core.value.MAX_FINITE` saturate to ``∞`` —
     the sentinel boundary behaviour the regression tests pin down.
     """
     if jitter < 0:

@@ -8,12 +8,17 @@ backends and surfaces that refuse rank rows.
 
 import json
 import random
+from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.value import INF
 from repro.ir import Program, lower, optimize_program, same_structure
+from repro.ir import sorters
 from repro.ir.sorters import group_sorters
 from repro.network import NetworkBuilder, evaluate_all_interpreted
 from repro.network.blocks import Node
@@ -35,6 +40,7 @@ from repro.neuron.srm0_network import build_srm0_network
 from repro.obs.trace import spike_trace
 from repro.racelogic.compile import compile_network
 from repro.testing import generate_case
+from repro.testing.generators import FAMILIES
 from repro.runtime.engines import CompiledBatchEngine
 from repro.testing.oracles import run_backends, saturate_outputs
 
@@ -446,3 +452,170 @@ class TestRankRowsStayInTheIR:
         values = evaluate_batch_all(grouped, [(0, 1, 2, 3)])
         with pytest.raises(NetworkError, match="spike tracing cannot run rank"):
             spike_trace(grouped, values[0])
+
+
+# ---------------------------------------------------------------------------
+# The recognizer is pure Python; a frozen NumPy copy of the previous
+# recognizer is the reference it must agree with, program for program.
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=4)
+def _numpy_canonical(algorithm, width):
+    sort = bitonic_sort if algorithm == "bitonic" else odd_even_merge_sort
+    recorder = sorters._Recorder()
+    outputs = sort(recorder, [-1 - lane for lane in range(width)])
+    ops = np.array(recorder.ops, dtype=np.int64).reshape(-1, 3)
+    return ops[:, 0].astype(bool), ops[:, 1:], tuple(outputs)
+
+
+def _numpy_split(nodes, start, stop, outside):
+    run = nodes[start:stop]
+    size = stop - start
+    sources = [node.sources for node in run]
+    lengths = np.fromiter(map(len, sources), np.int64, size)
+    flat = np.fromiter(chain.from_iterable(sources), np.int64, int(lengths.sum()))
+    reader = np.repeat(np.arange(size), lengths)
+    internal = flat >= start
+    outside.update(flat[~internal].tolist())
+    cover = np.bincount(flat[internal] - start + 1, minlength=size + 1)
+    cover -= np.bincount(reader[internal] + 1, minlength=size + 1)
+    pairs = np.array(
+        [i for i in range(1, size) if sources[i] == sources[i - 1]], np.int64
+    )
+    cover[pairs] += 1
+    cover[pairs + 1] -= 1
+    firsts = np.flatnonzero(np.cumsum(cover[:size]) == 0).tolist()
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    external = np.concatenate(
+        ([0], np.cumsum(np.bincount(reader[~internal], minlength=size)))
+    )
+    is_max = np.fromiter((node.kind == "max" for node in run), bool, size)
+    found = []
+    for first, last in zip(firsts, firsts[1:] + [size]):
+        if np.any(lengths[first:last] != 2):
+            continue
+        sorter = _numpy_recognize(
+            start + first,
+            start + last,
+            int(external[last] - external[first]) // 2,
+            is_max[first:last],
+            flat[offsets[first]:offsets[last]].reshape(-1, 2),
+        )
+        if sorter is not None:
+            found.append(sorter)
+    return found
+
+
+def _numpy_recognize(start, stop, width, is_max, got):
+    if width < 2:
+        return None
+    for algorithm in sorters.ALGORITHMS:
+        canon_max, handles, outputs = _numpy_canonical(algorithm, width)
+        if len(canon_max) != stop - start or not np.array_equal(canon_max, is_max):
+            continue
+        node = handles >= 0
+        if not np.array_equal(got[node], handles[node] + start):
+            continue
+        lane_of, wire = -1 - handles[~node], got[~node]
+        if np.any(wire >= start):
+            continue
+        lanes = np.full(width, -1, dtype=np.int64)
+        lanes[lane_of] = wire
+        if np.array_equal(lanes[lane_of], wire) and lanes.min() >= 0:
+            break
+    else:
+        return None
+    if any(h is None or h < 0 for h in outputs):
+        return None
+    return sorters._Sorter(
+        start, stop, tuple(lanes.tolist()), tuple(start + h for h in outputs)
+    )
+
+
+def _numpy_group_sorters(source):
+    """``group_sorters`` as it was with the NumPy recognizer, unmemoized."""
+    program = lower(source) if not isinstance(source, Program) else source
+    nodes = program.nodes
+    runs = sorters._runs(nodes)
+    outside = set(program.outputs.values())
+    in_run = bytearray(len(nodes))
+    for start, stop in runs:
+        in_run[start:stop] = b"\x01" * (stop - start)
+    first = runs[0][0] if runs else len(nodes)
+    for node in nodes[first:]:
+        if not in_run[node.id]:
+            outside.update(node.sources)
+    found = [
+        sorter
+        for start, stop in runs
+        for sorter in _numpy_split(nodes, start, stop, outside)
+    ]
+    found = [s for s in found if sorters._contained(s, outside)]
+    return sorters._lower(program, found, outside) if found else program
+
+
+def _assert_same_grouping(network):
+    got = group_sorters(network)
+    want = _numpy_group_sorters(network)
+    assert got.fingerprint() == want.fingerprint()
+    assert got.provenance == want.provenance
+    assert got.outputs == want.outputs
+
+
+def _near_misses():
+    """Every near-miss network of :class:`TestNearMisses`, rebuilt."""
+    nets = [
+        _sorter_net(6, algorithm, lambda name: _FaultyBuilder(name, fault, victim))
+        for fault in ("missing", "swapped", "crossed")
+        for algorithm in sorted(SORTERS)
+        for victim in (0, 3, 6)
+    ]
+    b = NetworkBuilder("leak")
+    out = bitonic_sort(b, [b.input(f"x{i}") for i in range(4)])
+    for k, wire in enumerate(out):
+        b.output(f"s{k}", wire)
+    b.output("peek", b.inc(4, 1))
+    nets.append(b.build())
+    b = NetworkBuilder("tap")
+    out = bitonic_sort(b, [b.input(f"x{i}") for i in range(4)])
+    b.output("top", out[3])
+    b.output("tap", 4)
+    nets.append(b.build())
+    nets.append(_sorter_net(8, "bitonic", _UntaggedBuilder))
+    b = NetworkBuilder("chain")
+    again = bitonic_sort(b, bitonic_sort(b, [b.input(f"x{i}") for i in range(4)]))
+    for k, wire in enumerate(again):
+        b.output(f"s{k}", wire)
+    nets.append(b.build())
+    b = NetworkBuilder("pair")
+    first = odd_even_merge_sort(b, [b.input(f"x{i}") for i in range(5)])
+    second = bitonic_sort(b, [b.inc(w, 1) for w in first])
+    for k, wire in enumerate(second):
+        b.output(f"s{k}", wire)
+    nets.append(b.build())
+    return nets
+
+
+class TestPurePythonRecognizerMatchesNumPy:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from([name for name, _ in FAMILIES]),
+        st.integers(0, 100_000),
+        st.booleans(),
+    )
+    def test_every_family(self, family, seed, smoke):
+        _assert_same_grouping(generate_case(seed, smoke=smoke, family=family).network)
+
+    @pytest.mark.parametrize("algorithm", sorted(SORTERS))
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 13, 16, 17])
+    def test_every_width(self, algorithm, width):
+        _assert_same_grouping(_sorter_net(width, algorithm))
+
+    def test_near_misses(self):
+        for net in _near_misses():
+            _assert_same_grouping(net)
+
+    def test_served_columns(self):
+        for n_inputs in (10, 80):
+            _assert_same_grouping(_e2e_column(n_inputs))

@@ -1,9 +1,11 @@
 """ResultCache: digests, LRU bounds, metrics, and poisoning."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.core.value import INF
+from repro.core.value import INF, INF_I64, MAX_FINITE
 from repro.obs.metrics import METRICS
 from repro.runtime.result_cache import RESULT_CACHE, ResultCache, volley_digest
 
@@ -33,6 +35,47 @@ class TestVolleyDigest:
         assert volley_digest(column) == volley_digest(
             np.ascontiguousarray(column)
         )
+
+
+def _numpy_volley_digest(encoded, params_key=""):
+    """The digest as it was computed with NumPy for every input (frozen)."""
+    matrix = np.ascontiguousarray(np.asarray(encoded, dtype=np.int64))
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(repr(matrix.shape).encode("ascii"))
+    digest.update(matrix.tobytes())
+    digest.update(b"|")
+    digest.update(params_key.encode("utf-8"))
+    return digest.hexdigest()
+
+
+class TestDigestUnchanged:
+    """Cache keys of the NumPy-free digest equal the NumPy ones, bit for bit."""
+
+    ROWS = [
+        (),
+        (0,),
+        (1, 2, 3),
+        (INF_I64, MAX_FINITE, 0, 7),
+        tuple(range(80)),
+    ]
+
+    @pytest.mark.parametrize("row", ROWS)
+    @pytest.mark.parametrize("params_key", ["", "{}", '{"mu":null}'])
+    def test_tuple_rows(self, row, params_key):
+        assert volley_digest(row, params_key) == _numpy_volley_digest(row, params_key)
+        assert volley_digest(list(row), params_key) == _numpy_volley_digest(
+            row, params_key
+        )
+
+    @pytest.mark.parametrize("row", ROWS)
+    def test_arrays(self, row):
+        flat = np.array(row, dtype=np.int64)
+        assert volley_digest(flat) == _numpy_volley_digest(flat)
+        assert volley_digest(flat) == volley_digest(row)
+        matrix = np.array([row, row], dtype=np.int64).reshape(2, len(row))
+        assert volley_digest(matrix, "{}") == _numpy_volley_digest(matrix, "{}")
+        column = np.arange(12, dtype=np.int64).reshape(3, 4)[:, 1]
+        assert volley_digest(column) == _numpy_volley_digest(column)
 
 
 class TestLookupAndBounds:

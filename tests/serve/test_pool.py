@@ -18,6 +18,8 @@ from repro.serve.pool import (
     ProcessWorkerPool,
     _decode_params,
     _worker_main,
+    pack_rows,
+    unpack_rows,
 )
 from repro.serve.protocol import ServeError
 from repro.serve.registry import ModelRegistry
@@ -71,6 +73,30 @@ def encoded_volleys(network, volleys):
     return encode_volleys(volleys, arity=len(network.input_ids))
 
 
+def eval_message(job_id, model_id, matrix):
+    """An ``eval`` message as a process pool sends it: int64 bytes + rows."""
+    return ("eval", job_id, model_id, pack_rows(matrix.tolist()), len(matrix), {}, 0)
+
+
+def job(job_id, model_id, matrix, on_done, on_fail, params_enc=None):
+    """A :class:`Job` for an encoded ``(B, n)`` *matrix*."""
+    return Job(
+        job_id,
+        model_id,
+        pack_rows(matrix.tolist()),
+        len(matrix),
+        params_enc or {},
+        on_done,
+        on_fail,
+    )
+
+
+def as_reply(result):
+    """The engine's ``(B, n)`` result as the rows a job's ``on_done`` gets."""
+    data = np.ascontiguousarray(result, dtype=np.int64).tobytes()
+    return unpack_rows(data, len(result))
+
+
 class TestDecodeParams:
     def test_sentinel_roundtrip(self):
         from repro.core.value import INF
@@ -115,14 +141,12 @@ class TestWorkerBody:
         matrix = encoded_volleys(network, [(0, 1), (2, 3)])
         parent, thread = self.run_worker(registry)
         try:
-            parent.send(("eval", 7, model_id, matrix, {}, 0))
+            parent.send(eval_message(7, model_id, matrix))
             op, job_id, result, extras = parent.recv()
             assert (op, job_id) == ("ok", 7)
             # The first reply piggybacks the worker's metrics snapshot.
             assert set(extras) == {"metrics"}
-            np.testing.assert_array_equal(
-                result, evaluate_batch(network, matrix)
-            )
+            assert result == evaluate_batch(network, matrix).tobytes()
         finally:
             parent.send(("stop",))
             thread.join(timeout=5)
@@ -130,7 +154,7 @@ class TestWorkerBody:
     def test_unknown_model_is_an_error_reply(self, registry):
         parent, thread = self.run_worker(registry)
         try:
-            parent.send(("eval", 1, "f" * 64, np.zeros((1, 2), np.int64), {}, 0))
+            parent.send(eval_message(1, "f" * 64, np.zeros((1, 2), np.int64)))
             op, job_id, reason, _extras = parent.recv()
             assert op == "err" and "not loaded" in reason
         finally:
@@ -146,10 +170,10 @@ class TestWorkerBody:
             assert (op, model_id) == ("loaded", network.fingerprint())
             assert warmups == 2
             matrix = encoded_volleys(network, [(1, 2)])
-            parent.send(("eval", 2, network.fingerprint(), matrix, {}, 0))
+            parent.send(eval_message(2, network.fingerprint(), matrix))
             op, _job, result, _extras = parent.recv()
             assert op == "ok"
-            np.testing.assert_array_equal(result, evaluate_batch(network, matrix))
+            assert result == evaluate_batch(network, matrix).tobytes()
         finally:
             parent.send(("stop",))
             thread.join(timeout=5)
@@ -180,10 +204,10 @@ class TestWorkerBody:
             assert (op, bad_id) == ("load-failed", "f" * 64)
             demo = demo_network(registry)
             matrix = encoded_volleys(demo, [(0, 1)])
-            parent.send(("eval", 3, model_id, matrix, {}, 0))
+            parent.send(eval_message(3, model_id, matrix))
             op, _job, result, _extras = parent.recv()
             assert op == "ok"
-            np.testing.assert_array_equal(result, evaluate_batch(demo, matrix))
+            assert result == evaluate_batch(demo, matrix).tobytes()
             # Collections, paused during the load, are back on after it.
             assert gc.isenabled()
         finally:
@@ -218,11 +242,9 @@ class TestProcessPool:
             matrix = encoded_volleys(network, [(0, 1), (2, INF)])
 
             done, box, on_done, on_fail = _completion_recorder()
-            pool.submit(Job(1, model_id, matrix, {}, on_done, on_fail))
+            pool.submit(job(1, model_id, matrix, on_done, on_fail))
             assert done.wait(timeout=20), "no completion from worker"
-            np.testing.assert_array_equal(
-                box["result"], evaluate_batch(network, matrix)
-            )
+            assert box["result"] == as_reply(evaluate_batch(network, matrix))
 
             # Crash a worker; the pool must notice and restart it.
             pool.inject_crash(0)
@@ -236,11 +258,9 @@ class TestProcessPool:
 
             # The restarted worker serves correctly.
             done2, box2, on_done2, on_fail2 = _completion_recorder()
-            pool.submit(Job(2, model_id, matrix, {}, on_done2, on_fail2))
+            pool.submit(job(2, model_id, matrix, on_done2, on_fail2))
             assert done2.wait(timeout=20)
-            np.testing.assert_array_equal(
-                box2["result"], evaluate_batch(network, matrix)
-            )
+            assert box2["result"] == as_reply(evaluate_batch(network, matrix))
         finally:
             pool.shutdown()
 
@@ -255,7 +275,7 @@ class TestProcessPool:
             with pool._lock:
                 worker = pool._workers[0]
                 worker.alive = False  # what submit does on a broken pipe
-                worker.jobs[1] = Job(1, model_id, matrix, {}, on_done, on_fail)
+                worker.jobs[1] = job(1, model_id, matrix, on_done, on_fail)
             # Let the collector re-read its worker list, then kill the worker.
             done.wait(timeout=0.5)
             worker.process.kill()
@@ -276,7 +296,7 @@ class TestProcessPool:
         done, _box, on_done, on_fail = _completion_recorder()
         with pytest.raises(ServeError, match="shutting down"):
             pool.submit(
-                Job(1, model_id, np.zeros((1, 2), np.int64), {}, on_done, on_fail)
+                job(1, model_id, np.zeros((1, 2), np.int64), on_done, on_fail)
             )
 
     def test_needs_at_least_one_worker(self, registry):
@@ -308,9 +328,9 @@ class TestLoadFailure:
                 pool.wait_loaded([model_id, "0" * 64])
             matrix = encoded_volleys(network, [(0, 1), (3, 2)])
             done, box, on_done, on_fail = _completion_recorder()
-            pool.submit(Job(1, model_id, matrix, {}, on_done, on_fail))
+            pool.submit(job(1, model_id, matrix, on_done, on_fail))
             assert done.wait(timeout=20)
-            np.testing.assert_array_equal(box["result"], evaluate_batch(network, matrix))
+            assert box["result"] == as_reply(evaluate_batch(network, matrix))
 
             # A replacement loads only the good model.
             pool.inject_crash(0)
@@ -360,12 +380,10 @@ class TestWarmBarrier:
             matrix = encoded_volleys(network, [(1, 2)])
             done, box, on_done, on_fail = _completion_recorder()
             pool.submit(
-                Job(1, network.fingerprint(), matrix, {}, on_done, on_fail)
+                job(1, network.fingerprint(), matrix, on_done, on_fail)
             )
             assert done.wait(timeout=20)
-            np.testing.assert_array_equal(
-                box["result"], evaluate_batch(network, matrix)
-            )
+            assert box["result"] == as_reply(evaluate_batch(network, matrix))
         finally:
             pool.shutdown()
 
@@ -410,17 +428,17 @@ class TestInlinePool:
         pool = InlineWorkerPool(registry.programs())
         matrix = encoded_volleys(network, [(3, 0)])
         done, box, on_done, on_fail = _completion_recorder()
-        pool.submit(Job(1, model_id, matrix, {}, on_done, on_fail))
+        pool.submit(job(1, model_id, matrix, on_done, on_fail))
         assert done.is_set()  # synchronous
-        np.testing.assert_array_equal(box["result"], evaluate_batch(network, matrix))
+        assert box["result"] == as_reply(evaluate_batch(network, matrix))
 
     def test_int64_engine_eval(self, registry, model_id):
         network = demo_network(registry)
         pool = InlineWorkerPool(registry.programs())
         matrix = encoded_volleys(network, [(2, 5)])
         done, box, on_done, on_fail = _completion_recorder()
-        pool.submit(Job(1, model_id, matrix, {}, on_done, on_fail))
-        np.testing.assert_array_equal(box["result"], evaluate_batch(network, matrix))
+        pool.submit(job(1, model_id, matrix, on_done, on_fail))
+        assert box["result"] == as_reply(evaluate_batch(network, matrix))
 
     def test_fingerprint_mismatch_rejected(self, registry):
         """A mismatched document is refused by the registry, before any pool.
@@ -446,7 +464,7 @@ class TestInlinePool:
     def test_unknown_model_fails_job(self, registry):
         pool = InlineWorkerPool(registry.programs())
         done, box, on_done, on_fail = _completion_recorder()
-        pool.submit(Job(1, "f" * 64, np.zeros((1, 2), np.int64), {}, on_done, on_fail))
+        pool.submit(job(1, "f" * 64, np.zeros((1, 2), np.int64), on_done, on_fail))
         assert "not loaded" in box["reason"]
 
     def test_add_model(self, registry):
@@ -458,8 +476,8 @@ class TestInlinePool:
         assert pool._worker.programs[network.fingerprint()] is program
         matrix = encoded_volleys(network, [(1, 1)])
         done, box, on_done, on_fail = _completion_recorder()
-        pool.submit(Job(1, network.fingerprint(), matrix, {}, on_done, on_fail))
-        np.testing.assert_array_equal(box["result"], evaluate_batch(network, matrix))
+        pool.submit(job(1, network.fingerprint(), matrix, on_done, on_fail))
+        assert box["result"] == as_reply(evaluate_batch(network, matrix))
 
     def test_no_crashable_workers(self, registry):
         pool = InlineWorkerPool(registry.programs())
@@ -473,5 +491,109 @@ class TestInlinePool:
         done, _box, on_done, on_fail = _completion_recorder()
         with pytest.raises(ServeError, match="shutting down"):
             pool.submit(
-                Job(1, model_id, np.zeros((1, 2), np.int64), {}, on_done, on_fail)
+                job(1, model_id, np.zeros((1, 2), np.int64), on_done, on_fail)
             )
+
+
+# ---------------------------------------------------------------------------
+# The eval payload: int64 bytes both ways, at its edges, on both pools
+# ---------------------------------------------------------------------------
+
+
+def _edge_programs():
+    """``name -> (program, params)``: the shapes the bytes IPC must carry."""
+    from repro.network import NetworkBuilder
+    from repro.network.blocks import Node
+
+    b = NetworkBuilder("no-inputs")
+    mu = b.param("mu")
+    b.output("late", b.inc(mu, 2))
+    b.output("never", b.min())
+    no_inputs = served(b.build())
+    no_outputs = Program(
+        (Node(0, "input", name="x"), Node(1, "inc", (0,), amount=1)), {}
+    )
+    b = NetworkBuilder("sentinels")
+    x, y = b.inputs("x", "y")
+    mu = b.param("mu")
+    b.output("later", b.inc(x, 3))
+    b.output("first", b.min(x, y, mu))
+    b.output("last", b.max(x, y))
+    b.output("race", b.lt(x, y))
+    sentinels = served(b.build())
+    return {
+        "no-inputs": (no_inputs, {"mu": 0}),
+        "no-outputs": (no_outputs, {}),
+        "sentinels": (sentinels, {"mu": INF_I64}),
+        "sentinels-bound": (sentinels, {"mu": 0}),
+    }
+
+
+def _edge_matrix(program, rows):
+    """*rows* volleys cycling through 0, ``MAX_FINITE``, ``INF_I64`` and small times."""
+    from repro.core.value import MAX_FINITE
+
+    cells = [0, MAX_FINITE, INF_I64, 1, 7, MAX_FINITE - 2]
+    width = len(program.input_ids)
+    return np.array(
+        [[cells[(r * 5 + c) % len(cells)] for c in range(width)] for r in range(rows)],
+        dtype=np.int64,
+    ).reshape(rows, width)
+
+
+@pytest.fixture(scope="module", params=["inline", "process"])
+def edge_pool(request):
+    programs = {name: program for name, (program, _) in _edge_programs().items()}
+    if request.param == "inline":
+        pool = InlineWorkerPool(programs)
+    else:
+        pool = ProcessWorkerPool(programs, n_workers=1)
+    yield pool
+    pool.shutdown()
+
+
+class TestBytesPayload:
+    @pytest.mark.parametrize("rows", [1, 64])
+    @pytest.mark.parametrize(
+        "name", ["no-inputs", "no-outputs", "sentinels", "sentinels-bound"]
+    )
+    def test_reply_is_the_engine_result_byte_for_byte(self, edge_pool, name, rows):
+        from repro.core.value import decode_time
+
+        program, params = _edge_programs()[name]
+        matrix = _edge_matrix(program, rows)
+        done, box, on_done, on_fail = _completion_recorder()
+        edge_pool.submit(job(1, name, matrix, on_done, on_fail, params_enc=params))
+        assert done.wait(timeout=20), "no completion from worker"
+        assert "reason" not in box, box.get("reason")
+        decoded = {k: decode_time(v) for k, v in params.items()}
+        want = evaluate_batch(program, matrix, params=decoded)
+        assert want.shape == (rows, len(program.outputs))
+        assert pack_rows(box["result"]) == want.tobytes()
+        assert box["result"] == want.tolist()
+
+    def test_sentinel_cells_cross_unchanged(self, edge_pool):
+        program, params = _edge_programs()["sentinels"]
+        matrix = _edge_matrix(program, 6)
+        assert {0, INF_I64, INF_I64 - 1} <= set(matrix.ravel().tolist())
+        done, box, on_done, on_fail = _completion_recorder()
+        edge_pool.submit(job(2, "sentinels", matrix, on_done, on_fail, params))
+        assert done.wait(timeout=20)
+        later = [row[0] for row in box["result"]]
+        # inc saturates: MAX_FINITE + 3 and ∞ + 3 are both ∞.
+        assert later == [
+            INF_I64 if v >= INF_I64 - 3 else v + 3 for v in matrix[:, 0].tolist()
+        ]
+
+
+class TestRowCodec:
+    def test_pack_is_native_int64_row_after_row(self):
+        rows = [(0, INF_I64), (INF_I64 - 1, 5)]
+        assert pack_rows(rows) == np.array(rows, dtype=np.int64).tobytes()
+
+    def test_unpack_shapes(self):
+        data = np.arange(6, dtype=np.int64).tobytes()
+        assert unpack_rows(data, 2) == [[0, 1, 2], [3, 4, 5]]
+        assert unpack_rows(data, 6) == [[v] for v in range(6)]
+        # No outputs: nothing crosses, yet every row gets its empty answer.
+        assert unpack_rows(b"", 3) == [[], [], []]

@@ -13,7 +13,7 @@ from repro.obs import rtrace
 from repro.obs.rtrace import canonical_jsonl, well_formed
 from repro.serve.batcher import BatchPolicy
 from repro.serve.demo import demo_column, demo_volleys
-from repro.serve.pool import InlineWorkerPool, Job, ProcessWorkerPool
+from repro.serve.pool import InlineWorkerPool, Job, ProcessWorkerPool, pack_rows
 from repro.serve.protocol import ServeError, encode_line, eval_request
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import run_server_async
@@ -183,7 +183,8 @@ class TestServiceTracing:
                 jobs, self.jobs = self.jobs, []
                 for job in jobs:
                     entry = reg.resolve(job.model_id)
-                    job.on_done(evaluate_batch(entry.program, job.matrix))
+                    matrix = np.frombuffer(job.volleys, np.int64).reshape(job.rows, -1)
+                    job.on_done(evaluate_batch(entry.program, matrix).tolist())
 
             def add_model(self, model_id, program):
                 pass
@@ -324,7 +325,15 @@ class TestProcessPoolTracing:
                 matrix = np.full((1 + job_id % 3, entry.input_arity), job_id)
                 rows += matrix.shape[0]
                 pool.submit(
-                    Job(job_id, model_id, matrix, {}, lambda _r: done.set(), print)
+                    Job(
+                        job_id,
+                        model_id,
+                        pack_rows(matrix.tolist()),
+                        len(matrix),
+                        {},
+                        lambda _r: done.set(),
+                        print,
+                    )
                 )
                 assert done.wait(timeout=30)
             assert METRICS.counter("evaluate_batch.calls") < 21  # piggybacks only
@@ -418,8 +427,8 @@ def test_both_pools_run_one_worker_body(registry, pool_kind):
         done.set()
 
     try:
-        matrix = np.zeros((1, 2), np.int64)
-        pool.submit(Job(1, "f" * 64, matrix, {}, record, record))
+        volleys = pack_rows([(0, 0)])
+        pool.submit(Job(1, "f" * 64, volleys, 1, {}, record, record))
         assert done.wait(timeout=30)
     finally:
         pool.shutdown()

@@ -4,6 +4,7 @@ import json
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.value import INF
@@ -60,7 +61,8 @@ class HoldingPool:
             jobs, self.jobs = self.jobs, []
         for job in jobs:
             entry = registry.resolve(job.model_id)
-            job.on_done(evaluate_batch(entry.program, job.matrix))
+            matrix = np.frombuffer(job.volleys, np.int64).reshape(job.rows, -1)
+            job.on_done(evaluate_batch(entry.program, matrix).tolist())
 
     def add_model(self, model_id, program):
         pass

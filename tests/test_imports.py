@@ -38,9 +38,11 @@ NOT_SERVED_MODULES = (
     "repro.obs.trace",
 )
 
-#: Every ``repro`` module a started ``--model-file`` server loads: the
-#: serving stack, the demo model's recipe and the IR passes that build
-#: each served program.
+#: Every ``repro`` module a started ``--model-file`` server's frontend
+#: loads: the serving stack, the demo model's recipe and the IR passes
+#: that build each served program.  The batch engine
+#: (``repro.network.compile_plan``) and NumPy load only in the worker
+#: processes, which evaluate.
 SERVED_MODULES = {
     "repro",
     "repro.core",
@@ -52,7 +54,6 @@ SERVED_MODULES = {
     "repro.network",
     "repro.network.blocks",
     "repro.network.builder",
-    "repro.network.compile_plan",
     "repro.network.graph",
     "repro.network.serialize",
     "repro.network.sorting",
@@ -127,24 +128,59 @@ def test_serving_front_end_loads_only_what_serving_uses():
 
 
 def test_started_server_loads_the_served_modules(tmp_path):
+    """The frontend of a started server imports neither NumPy nor the engine.
+
+    Its worker process does: NumPy's extension module is mapped there
+    (read from ``/proc`` where there is one).
+    """
     from repro.network import serialize
     from repro.serve.demo import demo_column
 
     model = tmp_path / "column.json"
     serialize.save(demo_column(3, smoke=True)[0], model)
     result = run_fresh(
-        "import argparse, sys\n"
+        "import argparse, os, sys\n"
         "from repro.serve.server import add_serve_arguments, build_service\n"
         "parser = argparse.ArgumentParser()\n"
         "add_serve_arguments(parser)\n"
-        f"args = parser.parse_args(['--smoke', '--inline', '--model-file', {str(model)!r}])\n"
-        "build_service(args).close()\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('repro'))))"
+        "args = parser.parse_args(\n"
+        f"    ['--smoke', '--workers', '1', '--model-file', {str(model)!r}]\n"
+        ")\n"
+        "service = build_service(args)\n"
+        "maps = f'/proc/{service.pool._workers[0].process.pid}/maps'\n"
+        "if os.path.exists(maps):\n"
+        "    assert '_multiarray_umath' in open(maps).read(), 'worker has no NumPy'\n"
+        "service.close()\n"
+        "loaded = [m for m in sys.modules if m.startswith(('repro', 'numpy'))]\n"
+        "print(' '.join(sorted(loaded)))"
     )
     assert result.returncode == 0, result.stderr
     loaded = set(result.stdout.split())
+    assert "numpy" not in loaded
     assert loaded.isdisjoint(NOT_SERVED_MODULES), sorted(loaded & set(NOT_SERVED_MODULES))
     assert loaded == SERVED_MODULES
+
+
+def test_worker_imports_the_engine_by_its_first_load():
+    """The worker body, run on a thread of a NumPy-free interpreter."""
+    result = run_fresh(
+        "import multiprocessing as mp, pickle, sys, threading\n"
+        "from repro.serve.demo import demo_column\n"
+        "from repro.serve.pool import _worker_main\n"
+        "from repro.serve.registry import ModelRegistry\n"
+        "entry = ModelRegistry().register(demo_column(3, smoke=True)[0])\n"
+        "engine = ('numpy', 'repro.network.compile_plan')\n"
+        "assert not any(m in sys.modules for m in engine)\n"
+        "parent, child = mp.Pipe()\n"
+        "threading.Thread(target=_worker_main, args=(child,), daemon=True).start()\n"
+        "assert parent.recv()[0] == 'ready'\n"
+        "program = pickle.dumps(entry.program)\n"
+        "parent.send(('load', entry.model_id, entry.program.fingerprint(), program))\n"
+        "assert parent.recv()[0] == 'loaded'\n"
+        "assert all(m in sys.modules for m in engine)\n"
+        "parent.send(('stop',))"
+    )
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("package", LAZY)
