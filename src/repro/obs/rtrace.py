@@ -118,10 +118,10 @@ class RequestTrace:
     Producers open and close spans through this object; the service
     finishes the trace exactly once (on the completion path that
     resolves the request) and hands it to the flight recorder.  Spans
-    are appended under the GIL from whichever service thread owns the
-    stage (admission from the submitter, dispatch from the flusher,
-    completion from the pool collector) — stages never overlap for one
-    request, so no further locking is needed.
+    are appended under the GIL from whichever thread owns the stage
+    (admission from the submitter, dispatch and completion from the
+    pool's event loop) — stages never overlap for one request, so no
+    further locking is needed.
 
     Internally the trace is an **event log**, not a list of objects:
     every producer call appends one small list

@@ -19,10 +19,11 @@ batch — ``evaluate_batch`` binds parameters per call, so a batch is
 well-formed exactly when its key (model fingerprint, canonical params)
 is uniform.
 
-This module is a pure scheduling data structure: no threads, no clocks
-of its own (callers pass ``now``), no I/O.  That makes the policy
-deterministic and unit-testable; :class:`repro.serve.service.TNNService`
-owns the lock, the flusher thread, and the real clock.  Correctness of
+This module is a pure scheduling data structure: no threads, no clock,
+no I/O.  That makes the policy deterministic and unit-testable;
+:class:`repro.serve.service.TNNService` owns the latency trigger, one
+event-loop timer per open batch that closes it ``max_wait_s`` after it
+opened.  Correctness of
 the split/merge rests on ``evaluate_batch`` being batch-invariant —
 evaluating a concatenation of volleys equals concatenating per-volley
 evaluations — a property the test suite pins with Hypothesis
@@ -31,7 +32,6 @@ evaluations — a property the test suite pins with Hypothesis
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Optional
@@ -101,7 +101,6 @@ class Batch:
 
     key: BatchKey
     requests: list[PendingRequest]
-    opened: float
     attempts: int = 0
     #: Worker-reported timing payload for the latest attempt (engine
     #: wall clock + phase attribution), delivered just before the
@@ -120,34 +119,27 @@ class Batch:
 class MicroBatcher:
     """Accumulates requests into per-key open batches under a policy.
 
-    Not thread-safe by design — the owning service serializes access
-    under its own lock, which also covers the admission counter the
-    batcher must stay consistent with.
+    Not thread-safe by design — the owning service touches it only from
+    its event loop's thread.
     """
 
     def __init__(self, policy: BatchPolicy):
         self.policy = policy
-        self._open: "OrderedDict[BatchKey, Batch]" = OrderedDict()
+        self._open: dict[BatchKey, Batch] = {}
 
-    def pending(self) -> int:
-        """Requests currently sitting in open batches."""
-        return sum(batch.size for batch in self._open.values())
-
-    def add(
-        self, request: PendingRequest, now: float
-    ) -> tuple[Optional[Batch], bool]:
+    def add(self, request: PendingRequest) -> tuple[Optional[Batch], bool]:
         """Enqueue one request.
 
         Returns ``(full, opened)``: *full* is the batch if this request
         filled it (now closed and no longer tracked here), and *opened*
         says whether the request started a fresh open batch — the two
-        events that give a flusher something new to act on.
+        events that arm or cancel a batch's deadline timer.
         """
         key = (request.model_id, request.params_key)
         batch = self._open.get(key)
         opened = batch is None
         if opened:
-            batch = Batch(key=key, requests=[], opened=now)
+            batch = Batch(key=key, requests=[])
             self._open[key] = batch
         batch.requests.append(request)
         if batch.size >= self.policy.max_batch:
@@ -155,27 +147,9 @@ class MicroBatcher:
             return batch, opened
         return None, opened
 
-    def due(self, now: float) -> list[Batch]:
-        """Close and return every batch whose oldest request is overdue."""
-        ready = [
-            batch
-            for batch in self._open.values()
-            if now - batch.opened >= self.policy.max_wait_s
-        ]
-        for batch in ready:
-            del self._open[batch.key]
-        return ready
-
-    def next_due(self, now: float) -> Optional[float]:
-        """Seconds until the earliest open batch becomes due (None: empty).
-
-        May be ``<= 0`` when a batch is already overdue; callers treat
-        that as "flush immediately".
-        """
-        if not self._open:
-            return None
-        oldest = min(batch.opened for batch in self._open.values())
-        return (oldest + self.policy.max_wait_s) - now
+    def close(self, key: BatchKey) -> Batch:
+        """Close and return the open batch under *key* (its deadline came)."""
+        return self._open.pop(key)
 
     def drain(self) -> list[Batch]:
         """Close and return every open batch (shutdown path)."""

@@ -23,15 +23,21 @@ bytes: the micro-batcher's encoded rows, packed row after row by
 ``(B, n_outputs)`` result as bytes, which :func:`unpack_rows` turns
 back into rows of encoded ints in the frontend.
 
+Every pool owns the frontend's one thread, an asyncio event loop
+started by :func:`start_loop` (``pool.loop``): the service arms its
+batch deadlines there, the server runs its sockets there, and a process
+pool reads its worker pipes there (``loop.add_reader``), so a reply
+completes its batch on the thread that dispatched it.
+
 Dispatch is **least-loaded**: :meth:`ProcessWorkerPool.submit` picks the
-alive worker with the fewest in-flight batches.  A dedicated collector
-thread multiplexes every worker pipe; a broken pipe (crash, kill, OOM)
-is detected there, the dead worker's in-flight batches are failed back
-to the service (which retries them on another worker), and a
-replacement process is spawned in its place up to ``max_restarts``
-times.  :meth:`ProcessWorkerPool.inject_crash` makes a worker die on
-command — the fault-injection hook the served-conformance tests use to
-prove byte-identical responses survive crashes.
+alive worker with the fewest in-flight batches.  A broken pipe (crash,
+kill, OOM) reads as end-of-file on the loop; the dead worker's in-flight
+batches are failed back to the service (which retries them on another
+worker), and a replacement process is forked in its place, up to
+``max_restarts`` times, which takes work once it reports ready.
+:meth:`ProcessWorkerPool.inject_crash` makes a worker die on command —
+the fault-injection hook the served-conformance tests use to prove
+byte-identical responses survive crashes.
 
 :class:`InlineWorkerPool` is the same interface executed synchronously
 in-process — no IPC, no fork — used by unit tests and by benchmark
@@ -47,16 +53,19 @@ so they may lag by up to 15 batches per worker (and a crash loses them).
 
 from __future__ import annotations
 
+import asyncio
 import gc
 import itertools
 import multiprocessing as mp
 import multiprocessing.connection as mp_connection
 import os
 import pickle
+import select
+import selectors
 import threading
 from array import array
 from collections.abc import Iterable, Sequence
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field
 from itertools import chain
 from time import monotonic, perf_counter
@@ -81,6 +90,47 @@ def _pool_gauges(pool) -> dict:
         "serve.workers_alive": pool.alive_count,
         "serve.pool.inflight": pool.inflight,
     }
+
+
+class _Selector(selectors.DefaultSelector):
+    """The default selector, waking on time: epoll rounds a wait up to whole ms."""
+
+    def select(self, timeout=None):
+        if timeout:
+            # The selector's descriptor turns readable once any of its
+            # registered ones is ready; select() waits to the microsecond.
+            select.select([self.fileno()], [], [], timeout)
+        return super().select(0 if timeout else timeout)
+
+
+def start_loop() -> "tuple[asyncio.AbstractEventLoop, Callable[[float], None]]":
+    """Start the frontend's one thread, an asyncio event loop: ``(loop, stop)``.
+
+    ``stop(timeout)``, called from another thread, ends the loop as
+    :func:`asyncio.run` ends one (what is still pending is cancelled)
+    and joins its thread.
+    """
+    loop = asyncio.SelectorEventLoop(_Selector())
+    stopped = loop.create_future()
+
+    def run() -> None:
+        asyncio.set_event_loop(loop)
+        loop.run_until_complete(stopped)
+        left = asyncio.all_tasks(loop)
+        for task in left:
+            task.cancel()
+        loop.run_until_complete(asyncio.gather(*left, return_exceptions=True))
+        loop.run_until_complete(loop.shutdown_default_executor())
+        loop.close()
+
+    thread = threading.Thread(target=run, name="serve-loop", daemon=True)
+    thread.start()
+
+    def stop(timeout: float) -> None:
+        loop.call_soon_threadsafe(stopped.set_result, None)
+        thread.join(timeout)
+
+    return loop, stop
 
 
 def load_program(model_id: str, fingerprint: str, program: "Program | bytes") -> Program:
@@ -136,10 +186,9 @@ class Job:
     its row count (a program with no inputs sends no bytes).
     ``on_done`` receives the ``(B, n_outputs)`` result as rows of
     encoded ints (:func:`unpack_rows`); ``on_fail`` receives a
-    human-readable reason.  Exactly one of the
-    two is invoked, by :func:`_complete`, from the pool's collector
-    thread (process pool) or the submitting thread (inline pool) —
-    callbacks must be thread-safe.
+    human-readable reason.  Exactly one of the two is invoked, by
+    :func:`_complete`: on the pool's loop thread in a process pool, on
+    the submitting thread in an inline pool.
 
     ``want_spans`` asks the executing worker to time the engine run and
     report it back: level 1 is wall clock only (two clock reads), level
@@ -365,7 +414,10 @@ class _WorkerHandle:
     process: "mp.process.BaseProcess"
     conn: "mp_connection.Connection"
     generation: int
-    alive: bool = True
+    #: Reported ready and was sent every live model: takes work.
+    alive: bool = False
+    #: Set once the worker reported ready or died, whichever came first.
+    started: threading.Event = field(default_factory=threading.Event)
     jobs: dict[int, Job] = field(default_factory=dict)
     #: Plan warm-ups the worker has reported (one per loaded model).
     warmups: int = 0
@@ -378,14 +430,16 @@ class _WorkerHandle:
 class ProcessWorkerPool:
     """Multiprocessing workers with least-loaded dispatch and restarts.
 
-    The workers are forked empty; *programs* (``model_id -> served
-    program``, :meth:`~repro.serve.registry.ModelRegistry.programs`) are
-    then shipped to them as ``load`` messages, and the constructor
-    returns once every worker holds them (:meth:`wait_loaded`), or as
-    soon as every worker reported ready when there are none.  A
-    server passes no programs, registers its models afterwards and then
-    calls :meth:`wait_loaded` itself, so no worker starts with the
-    parent's model heap.
+    The workers are forked empty, before the pool's loop thread starts;
+    *programs* (``model_id -> served program``,
+    :meth:`~repro.serve.registry.ModelRegistry.programs`) are then
+    shipped to them as ``load`` messages, and the constructor returns
+    once every worker holds them (:meth:`wait_loaded`), or as soon as
+    every worker reported ready when there are none.  A server passes
+    no programs, registers its models afterwards and then calls
+    :meth:`wait_loaded` itself, so no worker starts with the parent's
+    model heap.  Replies are read on :attr:`loop`, where job callbacks
+    run; the methods that wait are called from any other thread.
     """
 
     def __init__(
@@ -417,16 +471,25 @@ class ProcessWorkerPool:
         # function, so both start methods work.
         methods = mp.get_all_start_methods()
         self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
-        self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
         self._workers: list[_WorkerHandle] = [
             self._spawn(slot, generation=0) for slot in range(n_workers)
         ]
+        self.loop, self._stop_loop = start_loop()
+        for worker in self._workers:
+            self.loop.call_soon_threadsafe(
+                self.loop.add_reader, worker.conn.fileno(), self._on_readable, worker
+            )
         self._gauges = _pool_gauges(self)
         _obs_metrics.METRICS.add_gauges(self._gauges)
-        self._collector = threading.Thread(
-            target=self._collect_loop, name="serve-pool-collector", daemon=True
-        )
-        self._collector.start()
+        for worker in self._workers:
+            if not worker.started.wait(self.start_timeout):
+                problem = "did not become ready in time"
+            elif not worker.alive:
+                problem = "exited before ready"
+            else:
+                continue
+            self.shutdown()
+            raise ServeError(E_WORKER, f"worker {worker.slot} {problem}")
         for model_id, program in programs.items():
             self.add_model(model_id, program)
         if not programs:
@@ -441,6 +504,7 @@ class ProcessWorkerPool:
 
     # -- lifecycle ------------------------------------------------------------
     def _spawn(self, slot: int, *, generation: int) -> _WorkerHandle:
+        """Fork an empty worker; it takes work once it reports ready."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main,
@@ -450,53 +514,30 @@ class ProcessWorkerPool:
         )
         process.start()
         child_conn.close()
-        if not parent_conn.poll(self.start_timeout):
-            process.terminate()
-            raise ServeError(
-                E_WORKER, f"worker {slot} did not become ready in time"
-            )
-        try:
-            message = parent_conn.recv()
-        except (EOFError, OSError):
-            process.terminate()
-            raise ServeError(E_WORKER, f"worker {slot} exited before ready")
-        if message[0] != "ready":
-            process.terminate()
-            raise ServeError(
-                E_WORKER, f"worker {slot} sent {message[0]!r} instead of ready"
-            )
         return _WorkerHandle(
             slot=slot, process=process, conn=parent_conn, generation=generation
         )
 
     def shutdown(self, timeout: float = 10.0) -> None:
-        """Stop the collector and terminate every worker."""
+        """Stop the loop thread and every worker."""
         with self._lock:
             if self._stopping:
                 return
             self._stopping = True
-            workers = list(self._workers)
         _obs_metrics.METRICS.remove_gauges(self._gauges)
-        self._wake()
-        self._collector.join(timeout=timeout)
-        for worker in workers:
-            if worker.alive:
-                try:
+        # Once the loop has stopped no replacement can be installed, so
+        # the worker list read below is final.
+        self._stop_loop(timeout)
+        for worker in self._workers:
+            if not worker.conn.closed:
+                with suppress(OSError):
                     worker.conn.send(("stop",))
-                except (OSError, BrokenPipeError):
-                    pass
-        for worker in workers:
+        for worker in self._workers:
             worker.process.join(timeout=timeout)
             if worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(timeout=1.0)
             worker.conn.close()
-
-    def _wake(self) -> None:
-        try:
-            self._wake_w.send(b"x")
-        except (OSError, BrokenPipeError):
-            pass
 
     # -- introspection --------------------------------------------------------
     @property
@@ -545,7 +586,7 @@ class ProcessWorkerPool:
                     )
                 )
             except (OSError, BrokenPipeError):
-                # The pipe died under us; the collector will reap the
+                # The pipe died under us; its end-of-file reaps the
                 # worker, but this job must fail over immediately.
                 del worker.jobs[job.job_id]
                 worker.alive = False
@@ -576,7 +617,7 @@ class ProcessWorkerPool:
         processed every ``load`` sent before the ping — newly shipped
         programs are verified and engine-warmed — and every eval:
         the pong carries the worker's unreported counts, which the
-        collector absorbs before it releases the barrier.  The hot-swap
+        loop absorbs before it releases the barrier.  The hot-swap
         promotion path calls this *before* flipping an alias, so the
         first admission routed to the new fingerprint never pays
         load cost and can never race an unloaded model.  Returns
@@ -635,31 +676,14 @@ class ProcessWorkerPool:
                 except (OSError, BrokenPipeError):
                     worker.alive = False
 
-    # -- collector ------------------------------------------------------------
-    def _collect_loop(self) -> None:
-        while True:
-            with self._lock:
-                if self._stopping:
-                    return
-                # Every pipe not yet reaped, dead-marked ones included: a
-                # send that failed on a crashed worker only marks it dead,
-                # and its in-flight jobs fail over when the EOF is reaped.
-                watched = {w.conn: w for w in self._workers if not w.conn.closed}
-            conns = list(watched) + [self._wake_r]
-            for conn in mp_connection.wait(conns, timeout=0.25):
-                if conn is self._wake_r:
-                    try:
-                        self._wake_r.recv()
-                    except (EOFError, OSError):
-                        pass
-                    continue
-                worker = watched[conn]
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    self._reap(worker)
-                    continue
-                self._deliver(worker, message)
+    # -- on the loop: replies, crashes, replacements --------------------------
+    def _on_readable(self, worker: _WorkerHandle) -> None:
+        try:
+            message = worker.conn.recv()
+        except (EOFError, OSError):
+            self._reap(worker)
+            return
+        self._deliver(worker, message)
 
     def _deliver(self, worker: _WorkerHandle, message: tuple) -> None:
         op = message[0]
@@ -691,9 +715,21 @@ class ProcessWorkerPool:
                 pending = self._pongs.pop(message[1], None)
             if pending is not None:
                 pending[1].set()
+        elif op == "ready":
+            # Every model's load is queued ahead of any eval the worker
+            # will be sent, so it serves nothing it has not loaded.  A
+            # send fails only if it died already; its end-of-file reaps it.
+            with suppress(OSError), self._lock:
+                for model_id, load in self._programs.items():
+                    worker.conn.send(("load", model_id, *load))
+                worker.alive = True
+            worker.started.set()
 
     def _reap(self, worker: _WorkerHandle) -> None:
-        """A worker pipe broke: fail its jobs over, then try to restart."""
+        """A worker pipe broke: fail its jobs over, then fork a replacement."""
+        self.loop.remove_reader(worker.conn.fileno())
+        came_up = worker.started.is_set()  # one that never did is not replaced
+        worker.started.set()
         with self._lock:
             worker.alive = False
             orphans = list(worker.jobs.values())
@@ -705,45 +741,22 @@ class ProcessWorkerPool:
             ]:
                 self._pongs.pop(token)[1].set()
             worker.conn.close()
-            can_restart = not self._stopping and self._restarts < self._max_restarts
+            can_restart = (
+                came_up and not self._stopping and self._restarts < self._max_restarts
+            )
         _obs_metrics.METRICS.inc("serve.worker.failures", len(orphans))
         _rtrace.FLIGHT.trip("worker-crash")
-        worker.process.join(timeout=1.0)
         for job in orphans:
             job.on_fail(f"worker {worker.slot} crashed")
         if can_restart:
-            self._replace(worker)
-
-    def _replace(self, dead: _WorkerHandle) -> None:
-        """Fork an empty replacement for *dead* and replay its models.
-
-        The replayed ``load`` messages are queued before the replacement
-        is installed, so every eval it is later sent runs behind them.
-        They are sent outside the lock (a large program blocks until the
-        worker reads it); models registered meanwhile are sent at install.
-        """
-        try:
-            replacement = self._spawn(dead.slot, generation=dead.generation + 1)
-        except ServeError:
-            return
-        with self._lock:
-            replay = dict(self._programs)
-        try:
-            for model_id, load in replay.items():
-                replacement.conn.send(("load", model_id, *load))
+            replacement = self._spawn(worker.slot, generation=worker.generation + 1)
             with self._lock:
-                if self._stopping:
-                    replacement.conn.send(("stop",))
-                    return
-                for model_id, load in self._programs.items():
-                    if model_id not in replay:
-                        replacement.conn.send(("load", model_id, *load))
-                self._workers[dead.slot] = replacement
+                self._workers[worker.slot] = replacement
                 self._restarts += 1
-        except OSError:
-            replacement.process.terminate()
-            return
-        _obs_metrics.METRICS.inc("serve.worker.restarts")
+            self.loop.add_reader(
+                replacement.conn.fileno(), self._on_readable, replacement
+            )
+            _obs_metrics.METRICS.inc("serve.worker.restarts")
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +772,8 @@ class InlineWorkerPool:
     completes jobs through the same :func:`_complete`, so a batch gets
     the same answer, counters and engine spans in either pool.  A
     sampled (level-2) batch turns on the process-wide profiling flag
-    for its evaluation, here in the serving process itself.
+    for its evaluation, here in the serving process itself.  Its
+    :attr:`loop` is where a service over it dispatches and completes.
     """
 
     def __init__(self, programs: dict[str, Program]):
@@ -767,6 +781,7 @@ class InlineWorkerPool:
         for model_id, program in programs.items():
             self.add_model(model_id, program)
         self._stopping = False
+        self.loop, self._stop_loop = start_loop()
         self._gauges = _pool_gauges(self)
         _obs_metrics.METRICS.add_gauges(self._gauges)
 
@@ -810,5 +825,8 @@ class InlineWorkerPool:
         raise RuntimeError("inline pool has no crashable workers")
 
     def shutdown(self, timeout: float = 10.0) -> None:
+        if self._stopping:
+            return
         self._stopping = True
         _obs_metrics.METRICS.remove_gauges(self._gauges)
+        self._stop_loop(timeout)

@@ -1,11 +1,12 @@
 """The asyncio front-end: a newline-delimited JSON TCP server.
 
-One asyncio task per connection reads request lines; each ``eval``
-spawns a sub-task that awaits the service future (via
-``asyncio.wrap_future``) and writes the response when it resolves — so a
-single connection can pipeline many requests and receive responses out
-of order, matched by ``id``.  All writes on a connection are serialized
-through a per-connection lock.
+It runs on the service's event loop (``pool.loop``), the one thread
+that also batches, dispatches and reads worker replies.  One asyncio
+task per connection reads request lines; each ``eval`` spawns a
+sub-task that awaits its service future (resolved on this same thread)
+and writes the response — so a single connection can pipeline many
+requests and receive responses out of order, matched by ``id``.  All
+writes on a connection are serialized through a per-connection lock.
 
 Admission rejections (``overloaded``) surface immediately as error
 responses rather than queuing — the client sees backpressure the moment
@@ -83,15 +84,14 @@ async def _finish_eval(
             deadline_s=None if deadline_ms is None else deadline_ms / 1e3,
             trace_id=trace_id,
         )
-    except ServeError as error:
-        await _write(
-            writer,
-            lock,
-            error_response(req_id, error.code, error.message, trace=trace_id),
-        )
-        return
-    try:
-        outputs = await asyncio.wrap_future(future)
+        if not future.done():
+            # Resolved on this loop's thread: no cross-thread wake needed.
+            answered = asyncio.get_running_loop().create_future()
+            future.add_done_callback(
+                lambda _f: answered.done() or answered.set_result(None)
+            )
+            await answered
+        outputs = future.result()
     except ServeError as error:
         await _write(
             writer,
@@ -338,6 +338,9 @@ async def run_server_async(
 ) -> int:
     """Serve until a ``shutdown`` request or SIGINT/SIGTERM; returns 0.
 
+    The sockets are served on ``service.pool.loop``; await this from
+    any other loop (the main thread's, under :func:`serve_main`), which
+    handles signals and flight dumps, then drains and closes the service.
     *ready* (if given) resolves to the bound port once listening —
     in-process callers (tests, benchmarks) use it instead of polling;
     *port_file* writes the bound port to disk for shell callers using
@@ -346,13 +349,41 @@ async def run_server_async(
     ``SIGUSR2`` and (rate-limited) whenever a trip — worker crash,
     deadline miss, overload burst — is observed.
     """
-    shutdown = asyncio.Event()
-    conn_tasks: set[asyncio.Task] = set()
+    loop = asyncio.get_running_loop()
+    serving = service.pool.loop
+    shutdown = asyncio.Event()  # set on the serving loop
 
-    def _on_connection(r: asyncio.StreamReader, w: asyncio.StreamWriter) -> None:
-        task = asyncio.ensure_future(_handle_connection(service, r, w, shutdown))
-        conn_tasks.add(task)
-        task.add_done_callback(conn_tasks.discard)
+    async def listen() -> None:
+        conn_tasks: set[asyncio.Task] = set()
+
+        def _on_connection(r: asyncio.StreamReader, w: asyncio.StreamWriter) -> None:
+            task = asyncio.ensure_future(_handle_connection(service, r, w, shutdown))
+            conn_tasks.add(task)
+            task.add_done_callback(conn_tasks.discard)
+
+        server = await asyncio.start_server(
+            _on_connection, host=host, port=port, limit=MAX_LINE_BYTES
+        )
+        bound_port = server.sockets[0].getsockname()[1]
+        if port_file:
+            Path(port_file).write_text(f"{bound_port}\n", encoding="utf-8")
+        if ready is not None:
+            loop.call_soon_threadsafe(
+                lambda: ready.done() or ready.set_result(bound_port)
+            )
+        print(f"serving {len(service.registry)} model(s) on {host}:{bound_port}", flush=True)
+        async with server:
+            await shutdown.wait()
+            server.close()
+            await server.wait_closed()
+        if conn_tasks:
+            # Give open connections a beat to drain on EOF, then cancel
+            # stragglers — a client holding its connection open must not
+            # wedge shutdown.
+            await asyncio.wait(conn_tasks, timeout=1.0)
+            for task in list(conn_tasks):
+                task.cancel()
+            await asyncio.gather(*conn_tasks, return_exceptions=True)
 
     def _dump_flight(reason: str) -> None:
         if not flight_out:
@@ -364,10 +395,8 @@ async def run_server_async(
             print(f"flight dump failed: {exc}", flush=True)
 
     async def _watch_trips() -> None:
-        # Anomalies trip the recorder from service/pool threads; file
-        # I/O happens here, on the loop, rate-limited to one dump per
-        # watch interval.  dump_to itself trips "<reason>", so only
-        # *foreign* trip growth counts.
+        # File I/O off the serving loop, at most one dump per interval.
+        # dump_to itself trips "<reason>": only *foreign* trips count.
         seen = sum(_rtrace.FLIGHT.stats()["trips"].values())
         while True:
             await asyncio.sleep(1.0)
@@ -378,14 +407,11 @@ async def run_server_async(
                 _dump_flight(f"trip:{reason}")
                 seen = sum(_rtrace.FLIGHT.stats()["trips"].values())
 
-    server = await asyncio.start_server(
-        _on_connection, host=host, port=port, limit=MAX_LINE_BYTES
-    )
-    bound_port = server.sockets[0].getsockname()[1]
-    loop = asyncio.get_running_loop()
     for signum in (signal.SIGINT, signal.SIGTERM):
         with contextlib.suppress(NotImplementedError, RuntimeError, ValueError):
-            loop.add_signal_handler(signum, shutdown.set)
+            loop.add_signal_handler(
+                signum, serving.call_soon_threadsafe, shutdown.set
+            )
     trip_watcher: Optional[asyncio.Task] = None
     if flight_out:
         with contextlib.suppress(NotImplementedError, RuntimeError, ValueError):
@@ -393,27 +419,24 @@ async def run_server_async(
                 signal.SIGUSR2, lambda: _dump_flight("sigusr2")
             )
         trip_watcher = asyncio.ensure_future(_watch_trips())
-    if port_file:
-        Path(port_file).write_text(f"{bound_port}\n", encoding="utf-8")
-    if ready is not None and not ready.done():
-        ready.set_result(bound_port)
-    print(f"serving {len(service.registry)} model(s) on {host}:{bound_port}", flush=True)
-    async with server:
-        await shutdown.wait()
-        server.close()
-        await server.wait_closed()
-    if conn_tasks:
-        # Give open connections a beat to drain on EOF, then cancel
-        # stragglers — a client holding its connection open must not
-        # wedge shutdown.
-        await asyncio.wait(conn_tasks, timeout=1.0)
-        for task in list(conn_tasks):
-            task.cancel()
-        await asyncio.gather(*conn_tasks, return_exceptions=True)
-    if trip_watcher is not None:
-        trip_watcher.cancel()
-        with contextlib.suppress(asyncio.CancelledError):
-            await trip_watcher
+    listening = asyncio.run_coroutine_threadsafe(listen(), serving)
+    finished = loop.create_future()
+    listening.add_done_callback(
+        lambda _listening: loop.call_soon_threadsafe(
+            lambda: finished.done() or finished.set_result(None)
+        )
+    )
+    try:
+        await finished
+    except asyncio.CancelledError:
+        listening.cancel()
+        raise
+    finally:
+        if trip_watcher is not None:
+            trip_watcher.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await trip_watcher
+    listening.result()
     if service.training is not None:
         # Stop training before draining: a final snapshot folds any
         # queued-but-unapplied volleys in, and the lineage document is

@@ -9,9 +9,9 @@ the conformance harness all drive this one object:
   immediately with ``overloaded`` (backpressure, never unbounded
   buffering);
 * **micro-batching** — admitted requests join per-``(model, params)``
-  open batches (:class:`~repro.serve.batcher.MicroBatcher`); a dedicated
-  flusher thread dispatches each batch when it fills or its oldest
-  request has waited ``max_wait_s``;
+  open batches (:class:`~repro.serve.batcher.MicroBatcher`); a batch is
+  dispatched when it fills, or when its deadline timer fires
+  ``max_wait_s`` after it opened;
 * **deadlines** — a request may carry a deadline; it is enforced at
   dispatch (expired requests are dropped from the batch and answered
   ``deadline``) and again at completion (a result that arrives late is
@@ -24,15 +24,18 @@ the conformance harness all drive this one object:
   never produce a different answer — the served-conformance suite
   asserts byte-identical responses *through* injected crashes.
 
-:meth:`TNNService.submit` returns a :class:`concurrent.futures.Future`
-resolving to the decoded output ``Time`` tuple; the asyncio front-end
-awaits it via ``asyncio.wrap_future``.  :meth:`TNNService.direct` is the
+Batching, dispatch and completion run on the pool's event loop
+(``pool.loop``), which the asyncio front-end serves its sockets on.
+:meth:`TNNService.submit`, from any thread, admits or rejects at once and
+returns a :class:`concurrent.futures.Future` of the decoded output
+``Time`` tuple, resolved on the loop thread.  :meth:`TNNService.direct` is the
 reference path (one straight ``evaluate_batch``) that served responses
 are compared against byte-for-byte.
 """
 
 from __future__ import annotations
 
+import asyncio
 import functools
 import itertools
 import json
@@ -49,7 +52,7 @@ from ..obs import metrics as _obs_metrics
 from ..obs import profile as _obs_profile
 from ..obs import rtrace as _rtrace
 from ..obs.hist import BUCKET_BOUNDS_S
-from .batcher import Batch, BatchPolicy, MicroBatcher, PendingRequest
+from .batcher import Batch, BatchKey, BatchPolicy, MicroBatcher, PendingRequest
 from .protocol import (
     E_BAD_REQUEST,
     E_DEADLINE,
@@ -256,11 +259,15 @@ class TNNService:
             (entry.model_id, entry.packed) for entry in registry.entries()
         )
 
-        self._cond = threading.Condition()
+        self._loop = pool.loop
+        #: Guards admission (``_pending``, ``_closed``) and the archive;
+        #: the batcher and its timers belong to the loop thread.
+        self._lock = threading.Lock()
         self._batcher = MicroBatcher(self.policy)
-        self._ready: list[Batch] = []  # closed batches awaiting dispatch
+        self._timers: dict[BatchKey, asyncio.TimerHandle] = {}
         self._pending = 0  # admitted and not yet completed
         self._closed = False
+        self._drained = threading.Event()  # closed, and nothing pending
         self._job_ids = itertools.count(1)
         self._req_ids = itertools.count(1)
         self._overload_marks = 0
@@ -272,10 +279,6 @@ class TNNService:
             "serve.pending": self.pending,
         }
         _obs_metrics.METRICS.add_gauges(self._gauges)
-        self._flusher = threading.Thread(
-            target=self._flush_loop, name="serve-flusher", daemon=True
-        )
-        self._flusher.start()
 
     # -- submission -----------------------------------------------------------
     def submit(
@@ -308,7 +311,7 @@ class TNNService:
         digest: Optional[str] = None
         if self.result_cache_enabled:
             # Ahead of admission: a hit never takes a queue slot, never
-            # wakes the flusher, never touches the pool.  The key is
+            # reaches the batcher, never touches the pool.  The key is
             # total over everything that affects the answer (program
             # fingerprint + encoded volley + canonical params), so the
             # cached row is byte-identical to recomputation.
@@ -345,7 +348,7 @@ class TNNService:
             # Front-ends add post-resolution spans (response encode)
             # without a side channel: the trace rides on the future.
             request.future.rtrace = trace  # type: ignore[attr-defined]
-        with self._cond:
+        with self._lock:
             if self._closed:
                 _obs_metrics.METRICS.inc("serve.rejected.shutdown")
                 raise ServeError(E_SHUTDOWN, "service is shutting down")
@@ -367,16 +370,10 @@ class TNNService:
                 )
             self._pending += 1
             _obs_metrics.METRICS.observe_max("serve.queue.peak", self._pending)
-            full, opened = self._batcher.add(request, now)
-            if full is not None:
-                self._ready.append(full)
-            # Wake the flusher only when there is news for it: a closed
-            # batch to dispatch, or a newly opened batch whose deadline it
-            # must start tracking.  A request riding an already-open batch
-            # changes neither, and skipping the wakeup keeps the admission
-            # path out of the flusher's way under load.
-            if full is not None or opened:
-                self._cond.notify_all()
+        if self._on_loop():
+            self._enqueue(request)
+        else:
+            self._loop.call_soon_threadsafe(self._enqueue, request)
         return request.future
 
     def _resolve_from_cache(
@@ -447,22 +444,33 @@ class TNNService:
             raise ServeError(E_BAD_REQUEST, str(exc)) from exc
         return entry, encoded
 
-    # -- the flusher thread ---------------------------------------------------
-    def _flush_loop(self) -> None:
-        while True:
-            with self._cond:
-                now = monotonic()
-                batches = self._ready
-                self._ready = []
-                batches.extend(self._batcher.due(now))
-                if not batches:
-                    if self._closed and self._batcher.pending() == 0:
-                        return
-                    wait = self._batcher.next_due(now)
-                    self._cond.wait(timeout=wait if wait is not None else 0.25)
-                    continue
-            for batch in batches:
-                self._dispatch(batch)
+    # -- on the loop: batching and dispatch -----------------------------------
+    def _on_loop(self) -> bool:
+        try:
+            return asyncio.get_running_loop() is self._loop
+        except RuntimeError:
+            return False
+
+    def _enqueue(self, request: PendingRequest) -> None:
+        """Batch an admitted request; arm or cancel its batch's deadline."""
+        key = (request.model_id, request.params_key)
+        full, opened = self._batcher.add(request)
+        if full is not None:
+            timer = self._timers.pop(key, None)
+            if timer is not None:
+                timer.cancel()
+            # Next pass: an inline pool answers at once, and a client that
+            # resubmits from the answer's callback would recurse.
+            self._loop.call_soon(self._dispatch, full)
+        elif opened:
+            self._timers[key] = self._loop.call_later(
+                self.policy.max_wait_s, self._flush, key
+            )
+
+    def _flush(self, key: BatchKey) -> None:
+        """A batch's deadline: dispatch it as full as it got."""
+        del self._timers[key]
+        self._dispatch(self._batcher.close(key))
 
     def _dispatch(self, batch: Batch) -> None:
         now = monotonic()
@@ -602,13 +610,7 @@ class TNNService:
 
     def _on_fail(self, batch: Batch, reason: str) -> None:
         now = monotonic()
-        retry = False
-        with self._cond:
-            if batch.attempts < self.max_attempts and not self._closed:
-                self._ready.append(batch)
-                self._cond.notify_all()
-                retry = True
-        if retry:
+        if batch.attempts < self.max_attempts and not self._closed:
             _obs_metrics.METRICS.inc("serve.retries")
             for request in batch.requests:
                 if request.trace is not None:
@@ -616,6 +618,7 @@ class TNNService:
                     # The retry re-enters the batch wait; its spans join
                     # this same trace (one trace id, two attempts).
                     request.trace.push("queue", now)
+            self._loop.call_soon_threadsafe(self._dispatch, batch)
             return
         _rtrace.FLIGHT.trip("worker-failure")
         for request in batch.requests:
@@ -656,9 +659,10 @@ class TNNService:
         """Release *n* admission slots (requests left the system)."""
         if n == 0:
             return
-        with self._cond:
+        with self._lock:
             self._pending -= n
-            self._cond.notify_all()
+            if self._closed and not self._pending:
+                self._drained.set()
 
     # -- reference path and introspection -------------------------------------
     def direct(
@@ -673,8 +677,13 @@ class TNNService:
         This is the conformance oracle: a served response is correct
         exactly when its canonical encoding is byte-identical to this
         result's.  The network is rebuilt from the model's document on
-        every call and not kept, so the oracle shares nothing with the
-        served program and the registry holds no network.
+        every call and not kept, so the registry holds no network.
+
+        It shares code with the served path: the same
+        :func:`~repro.network.serialize.loads` parses the document, the
+        same ``lower`` lowers it and the same compiled ``evaluate_batch``
+        engine runs it, so a fault there reads as agreement.  It skips
+        sorter grouping, the IR passes, pickling, the pool and batching.
         """
         from ..network.compile_plan import evaluate_batch
 
@@ -684,7 +693,7 @@ class TNNService:
 
     def pending(self) -> int:
         """Requests admitted and not yet completed (queued + in flight)."""
-        with self._cond:
+        with self._lock:
             return self._pending
 
     def stats(self) -> dict:
@@ -732,7 +741,7 @@ class TNNService:
         """
         before = set(self.registry.ids())
         entry = self.registry.register(model, name=name)
-        with self._cond:
+        with self._lock:
             self._document_archive[entry.model_id] = entry.packed
             while len(self._document_archive) > self._archive_limit:
                 self._document_archive.popitem(last=False)
@@ -753,7 +762,7 @@ class TNNService:
             entry = self.registry.resolve(key)
             return entry.model_id, entry.document
         except ServeError:
-            with self._cond:
+            with self._lock:
                 archive = self._document_archive
                 if key in archive:
                     hits = [key]
@@ -828,25 +837,30 @@ class TNNService:
         return model_id
 
     def close(self, *, drain: bool = True, timeout: float = 10.0) -> None:
-        """Stop admission, optionally drain in-flight work, stop the pool."""
-        with self._cond:
+        """Stop admission, drain (or fail) queued work, stop the pool; off the loop."""
+        if self._on_loop():
+            raise RuntimeError("TNNService.close() would block its own event loop")
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
-            if not drain:
-                for batch in self._batcher.drain() + self._ready:
-                    for request in batch.requests:
-                        request.future.set_exception(
-                            ServeError(E_SHUTDOWN, "service closed")
-                        )
-                    self._pending -= len(batch.requests)
-                self._ready = []
-            self._cond.notify_all()
-        deadline = monotonic() + timeout
+            if not self._pending:
+                self._drained.set()
         if drain:
-            with self._cond:
-                while self._pending > 0 and monotonic() < deadline:
-                    self._cond.wait(timeout=0.05)
-        self._flusher.join(timeout=max(0.1, deadline - monotonic()))
+            self._drained.wait(timeout)
+        else:
+            asyncio.run_coroutine_threadsafe(
+                self._fail_queued(), self._loop
+            ).result(timeout)
         self.pool.shutdown(timeout=timeout)
         _obs_metrics.METRICS.remove_gauges(self._gauges)
+
+    async def _fail_queued(self) -> None:
+        """Answer every request still in an open batch ``shutting-down``."""
+        for timer in self._timers.values():
+            timer.cancel()
+        self._timers.clear()
+        for batch in self._batcher.drain():
+            for request in batch.requests:
+                request.future.set_exception(ServeError(E_SHUTDOWN, "service closed"))
+            self._release(len(batch.requests))

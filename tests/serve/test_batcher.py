@@ -35,83 +35,59 @@ class TestPolicy:
 class TestSizeTrigger:
     def test_fills_at_max_batch(self):
         batcher = MicroBatcher(BatchPolicy(max_batch=3, max_wait_s=1.0))
-        assert batcher.add(request(1), now=0.0) == (None, True)
-        assert batcher.add(request(2), now=0.0) == (None, False)
-        batch, opened = batcher.add(request(3), now=0.0)
+        assert batcher.add(request(1)) == (None, True)
+        assert batcher.add(request(2)) == (None, False)
+        batch, opened = batcher.add(request(3))
         assert batch is not None and batch.size == 3
         assert not opened
-        assert batcher.pending() == 0
+        assert batcher.drain() == []
 
     def test_max_batch_one_dispatches_immediately(self):
         batcher = MicroBatcher(BatchPolicy(max_batch=1, max_wait_s=1.0))
-        batch, opened = batcher.add(request(1), now=0.0)
+        batch, opened = batcher.add(request(1))
         assert batch is not None and batch.size == 1
         assert opened  # the request both opened and filled the batch
 
     def test_requests_preserve_order(self):
         batcher = MicroBatcher(BatchPolicy(max_batch=4, max_wait_s=1.0))
         for i in range(1, 4):
-            batcher.add(request(i), now=0.0)
-        batch, _ = batcher.add(request(4), now=0.0)
+            batcher.add(request(i))
+        batch, _ = batcher.add(request(4))
         assert [r.req_id for r in batch.requests] == [1, 2, 3, 4]
 
     def test_opened_flag_resets_after_flush(self):
         batcher = MicroBatcher(BatchPolicy(max_batch=100, max_wait_s=0.5))
-        assert batcher.add(request(1), now=0.0)[1] is True
-        assert batcher.add(request(2), now=0.1)[1] is False
-        batcher.due(now=1.0)
-        assert batcher.add(request(3), now=1.0)[1] is True
-
-
-class TestLatencyTrigger:
-    def test_due_after_max_wait(self):
-        batcher = MicroBatcher(BatchPolicy(max_batch=100, max_wait_s=0.5))
-        batcher.add(request(1), now=10.0)
-        assert batcher.due(now=10.4) == []
-        [batch] = batcher.due(now=10.5)
-        assert batch.size == 1
-        assert batcher.pending() == 0
-
-    def test_age_measured_from_batch_open(self):
-        batcher = MicroBatcher(BatchPolicy(max_batch=100, max_wait_s=0.5))
-        batcher.add(request(1), now=10.0)
-        batcher.add(request(2), now=10.4)  # late rider, same batch
-        [batch] = batcher.due(now=10.5)
-        assert batch.size == 2
-
-    def test_next_due(self):
-        batcher = MicroBatcher(BatchPolicy(max_batch=100, max_wait_s=0.5))
-        assert batcher.next_due(now=0.0) is None
-        batcher.add(request(1), now=10.0)
-        assert batcher.next_due(now=10.1) == pytest.approx(0.4)
-        assert batcher.next_due(now=11.0) <= 0  # overdue: flush now
+        assert batcher.add(request(1))[1] is True
+        assert batcher.add(request(2))[1] is False
+        batch = batcher.close(("m", "{}"))
+        assert batch.size == 2 and batcher.drain() == []
+        assert batcher.add(request(3))[1] is True
 
 
 class TestKeying:
     def test_models_do_not_share_batches(self):
         batcher = MicroBatcher(BatchPolicy(max_batch=2, max_wait_s=1.0))
-        assert batcher.add(request(1, model="a"), now=0.0) == (None, True)
-        assert batcher.add(request(2, model="b"), now=0.0) == (None, True)
-        batch, opened = batcher.add(request(3, model="a"), now=0.0)
+        assert batcher.add(request(1, model="a")) == (None, True)
+        assert batcher.add(request(2, model="b")) == (None, True)
+        batch, opened = batcher.add(request(3, model="a"))
         assert batch.model_id == "a" and batch.size == 2
         assert not opened
-        assert batcher.pending() == 1  # model b still open
+        assert [b.model_id for b in batcher.drain()] == ["b"]  # b still open
 
     def test_params_do_not_share_batches(self):
         batcher = MicroBatcher(BatchPolicy(max_batch=2, max_wait_s=1.0))
-        assert batcher.add(request(1, params_key='{"mu":0}'), now=0.0)[0] is None
-        assert batcher.add(request(2, params_key='{"mu":null}'), now=0.0)[0] is None
-        assert batcher.pending() == 2
+        assert batcher.add(request(1, params_key='{"mu":0}'))[0] is None
+        assert batcher.add(request(2, params_key='{"mu":null}'))[0] is None
+        assert len(batcher.drain()) == 2
 
 
 class TestDrain:
     def test_drain_closes_everything(self):
         batcher = MicroBatcher(BatchPolicy(max_batch=10, max_wait_s=1.0))
-        batcher.add(request(1, model="a"), now=0.0)
-        batcher.add(request(2, model="b"), now=0.0)
+        batcher.add(request(1, model="a"))
+        batcher.add(request(2, model="b"))
         batches = batcher.drain()
         assert sorted(b.model_id for b in batches) == ["a", "b"]
-        assert batcher.pending() == 0
         assert batcher.drain() == []
 
 

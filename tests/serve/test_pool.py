@@ -42,6 +42,14 @@ def model_id(registry):
     return registry.resolve("demo").model_id
 
 
+@pytest.fixture()
+def inline_pool(registry):
+    """An inline pool over the demo model, shut down (its loop thread too) after."""
+    pool = InlineWorkerPool(registry.programs())
+    yield pool
+    pool.shutdown()
+
+
 def served(network):
     """*network*'s served program, built as the registry builds it."""
     return ModelRegistry().register(network).program
@@ -387,9 +395,8 @@ class TestWarmBarrier:
         finally:
             pool.shutdown()
 
-    def test_inline_pool_is_always_warm(self, registry):
-        pool = InlineWorkerPool(registry.programs())
-        assert pool.wait_warm() is True
+    def test_inline_pool_is_always_warm(self, inline_pool):
+        assert inline_pool.wait_warm() is True
 
 
 class TestEngines:
@@ -423,21 +430,19 @@ class TestEngines:
 
 
 class TestInlinePool:
-    def test_eval_matches_direct(self, registry, model_id):
+    def test_eval_matches_direct(self, registry, model_id, inline_pool):
         network = demo_network(registry)
-        pool = InlineWorkerPool(registry.programs())
         matrix = encoded_volleys(network, [(3, 0)])
         done, box, on_done, on_fail = _completion_recorder()
-        pool.submit(job(1, model_id, matrix, on_done, on_fail))
+        inline_pool.submit(job(1, model_id, matrix, on_done, on_fail))
         assert done.is_set()  # synchronous
         assert box["result"] == as_reply(evaluate_batch(network, matrix))
 
-    def test_int64_engine_eval(self, registry, model_id):
+    def test_int64_engine_eval(self, registry, model_id, inline_pool):
         network = demo_network(registry)
-        pool = InlineWorkerPool(registry.programs())
         matrix = encoded_volleys(network, [(2, 5)])
         done, box, on_done, on_fail = _completion_recorder()
-        pool.submit(job(1, model_id, matrix, on_done, on_fail))
+        inline_pool.submit(job(1, model_id, matrix, on_done, on_fail))
         assert box["result"] == as_reply(evaluate_batch(network, matrix))
 
     def test_fingerprint_mismatch_rejected(self, registry):
@@ -461,28 +466,27 @@ class TestInlinePool:
         finally:
             service.close()
 
-    def test_unknown_model_fails_job(self, registry):
-        pool = InlineWorkerPool(registry.programs())
+    def test_unknown_model_fails_job(self, inline_pool):
         done, box, on_done, on_fail = _completion_recorder()
-        pool.submit(job(1, "f" * 64, np.zeros((1, 2), np.int64), on_done, on_fail))
+        inline_pool.submit(
+            job(1, "f" * 64, np.zeros((1, 2), np.int64), on_done, on_fail)
+        )
         assert "not loaded" in box["reason"]
 
-    def test_add_model(self, registry):
+    def test_add_model(self, inline_pool):
         network, _ = demo_column(7, smoke=True)
         program = served(network)
-        pool = InlineWorkerPool(registry.programs())
-        pool.add_model(network.fingerprint(), program)
+        inline_pool.add_model(network.fingerprint(), program)
         # The inline pool serves the registry's own program object.
-        assert pool._worker.programs[network.fingerprint()] is program
+        assert inline_pool._worker.programs[network.fingerprint()] is program
         matrix = encoded_volleys(network, [(1, 1)])
         done, box, on_done, on_fail = _completion_recorder()
-        pool.submit(job(1, network.fingerprint(), matrix, on_done, on_fail))
+        inline_pool.submit(job(1, network.fingerprint(), matrix, on_done, on_fail))
         assert box["result"] == as_reply(evaluate_batch(network, matrix))
 
-    def test_no_crashable_workers(self, registry):
-        pool = InlineWorkerPool(registry.programs())
+    def test_no_crashable_workers(self, inline_pool):
         with pytest.raises(RuntimeError, match="no crashable"):
-            pool.inject_crash(0)
+            inline_pool.inject_crash(0)
 
     def test_shutdown_stops_admission(self, registry, model_id):
         pool = InlineWorkerPool(registry.programs())

@@ -13,7 +13,13 @@ from repro.obs import rtrace
 from repro.obs.rtrace import canonical_jsonl, well_formed
 from repro.serve.batcher import BatchPolicy
 from repro.serve.demo import demo_column, demo_volleys
-from repro.serve.pool import InlineWorkerPool, Job, ProcessWorkerPool, pack_rows
+from repro.serve.pool import (
+    InlineWorkerPool,
+    Job,
+    ProcessWorkerPool,
+    pack_rows,
+    start_loop,
+)
 from repro.serve.protocol import ServeError, encode_line, eval_request
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import run_server_async
@@ -169,6 +175,7 @@ class TestServiceTracing:
 
             def __init__(self):
                 self.jobs = []
+                self.loop, self.stop_loop = start_loop()
 
             def alive_count(self):
                 return 1
@@ -190,7 +197,7 @@ class TestServiceTracing:
                 pass
 
             def shutdown(self, timeout=10.0):
-                pass
+                self.stop_loop(timeout)
 
         pool = ParkingPool()
         service = make_service(registry, pool=pool, max_pending=1)

@@ -13,7 +13,7 @@ from repro.network.compile_plan import evaluate_batch
 from repro.network.graph import NetworkError
 from repro.serve.batcher import BatchPolicy
 from repro.serve.demo import demo_column, demo_volleys
-from repro.serve.pool import InlineWorkerPool
+from repro.serve.pool import InlineWorkerPool, start_loop
 from repro.serve import service as service_module
 from repro.serve.protocol import ServeError, encode_line
 from repro.serve.registry import ModelRegistry
@@ -39,6 +39,7 @@ class HoldingPool:
     def __init__(self):
         self.jobs = []
         self.lock = threading.Lock()
+        self.loop, self.stop_loop = start_loop()
 
     def alive_count(self):
         return 1
@@ -68,7 +69,7 @@ class HoldingPool:
         pass
 
     def shutdown(self, timeout=10.0):
-        pass
+        self.stop_loop(timeout)
 
 
 class FlakyPool(InlineWorkerPool):
@@ -222,6 +223,71 @@ class TestDeadlines:
         try:
             future = service.submit("demo", (2, 2))
             assert future.result(timeout=10) == service.direct("demo", [(2, 2)])[0]
+        finally:
+            service.close()
+
+
+class RecordingPool(InlineWorkerPool):
+    """Notes when each batch is dispatched, and its rows."""
+
+    def __init__(self, programs):
+        super().__init__(programs)
+        self.dispatched = []
+
+    def submit(self, job):
+        self.dispatched.append((time.monotonic(), job.rows))
+        super().submit(job)
+
+
+class TestLatencyTrigger:
+    """A batch's deadline is an event-loop timer armed when it opens."""
+
+    def test_lone_request_dispatches_after_max_wait(self, registry):
+        pool = RecordingPool(registry.programs())
+        service = TNNService(
+            registry, pool, policy=BatchPolicy(max_batch=64, max_wait_s=0.05)
+        )
+        try:
+            submitted = time.monotonic()
+            service.submit("demo", (0, 1)).result(timeout=10)
+            [(dispatched, rows)] = pool.dispatched
+            assert rows == 1
+            assert dispatched - submitted >= 0.05
+        finally:
+            service.close()
+
+    def test_age_measured_from_batch_open(self, registry):
+        pool = RecordingPool(registry.programs())
+        service = TNNService(
+            registry, pool, policy=BatchPolicy(max_batch=64, max_wait_s=0.3)
+        )
+        try:
+            opened = time.monotonic()
+            first = service.submit("demo", (0, 1))
+            time.sleep(0.1)
+            late = time.monotonic()
+            rider = service.submit("demo", (1, 0))  # same open batch
+            assert [first.result(10), rider.result(10)] == service.direct(
+                "demo", [(0, 1), (1, 0)]
+            )
+            [(dispatched, rows)] = pool.dispatched
+            assert rows == 2
+            assert opened + 0.3 <= dispatched < late + 0.3
+        finally:
+            service.close()
+
+    def test_filled_batch_cancels_its_deadline_timer(self, registry):
+        pool = RecordingPool(registry.programs())
+        service = TNNService(
+            registry, pool, policy=BatchPolicy(max_batch=2, max_wait_s=30.0)
+        )
+        try:
+            futures = [service.submit("demo", v) for v in [(0, 1), (2, 3)]]
+            assert [f.result(timeout=10) for f in futures] == service.direct(
+                "demo", [(0, 1), (2, 3)]
+            )
+            assert [rows for _, rows in pool.dispatched] == [2]
+            assert service._timers == {}
         finally:
             service.close()
 

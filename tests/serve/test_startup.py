@@ -119,8 +119,10 @@ class TestLeanStartup:
             waited.wait(timeout=0.05)
         assert pool.restarts == 1
         assert pool.wait_warm(timeout=30.0)
-        # The replacement started empty and loaded both models.
+        # The replacement started empty, reported ready on the loop and
+        # then loaded both models.
         assert [op for gen, op in replies if gen == 1 and op != "pong"] == [
+            "ready",
             "loaded",
             "loaded",
         ]
