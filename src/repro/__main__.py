@@ -18,12 +18,10 @@ Commands:
   ``--demo <name>`` to run a kernel's demo volley through every backend
   (byte-identity checked) and print its inferred function-table
   contract.
-* ``stats`` — runtime metrics: counters, timers and the result-cache
-  record, optionally after exercising every backend once; with
-  ``--json`` the serving-layer section (queue depth, batch histogram,
-  latency quantiles) rides along.
-* ``runtime`` — the execution runtime: the four engines in report
-  order and the result cache (``--json`` for the full record).
+* ``stats`` — runtime metrics: counters, timers, the result-cache
+  record and the four engines in report order, optionally after
+  exercising every backend once; with ``--json`` the serving-layer
+  section (queue depth, batch histogram, latency quantiles) rides along.
 * ``train`` — online STDP through the training plane, locally: stream
   the seeded classification scenario (or an NDJSON ``--source``) through
   ingestion → trainer → snapshot → promote and report the holdout
@@ -50,7 +48,6 @@ import sys
 def _selfcheck() -> int:
     import random
 
-    from .analysis.equivalence import check_network
     from .core.algebra import maximum
     from .core.function import enumerate_domain
     from .core.lattice import check_lattice_laws, standard_domain
@@ -60,6 +57,7 @@ def _selfcheck() -> int:
     from .neuron.response import ResponseFunction
     from .neuron.srm0 import SRM0Neuron
     from .neuron.srm0_network import build_srm0_network
+    from .testing.conformance import diff_backends
 
     failures = 0
 
@@ -91,9 +89,10 @@ def _selfcheck() -> int:
         "s-t properties of the synthesized network",
         verify(net.as_function(), window=4).ok,
     )
+    run, disagreements = diff_backends(net, list(enumerate_domain(3, 3)))
     check(
-        "three execution semantics agree (denotational/event/CMOS)",
-        check_network(net, window=3).ok,
+        "four execution engines agree (interpreted/batch/event/CMOS)",
+        not disagreements and not run.skipped,
     )
 
     table = NormalizedTable.random(3, window=3, n_rows=5, rng=random.Random(1))
@@ -423,6 +422,7 @@ def _kernels(argv: list[str]) -> int:
     print(kernel.describe())
 
     from .runtime.engines import ENGINES
+    from .testing.conformance import find_disagreements
     from .testing.oracles import run_backends
 
     volley = spec.demo_volley
@@ -436,18 +436,16 @@ def _kernels(argv: list[str]) -> int:
             if not (args.no_grl and engine.cycle_accurate)
         ],
     )
-    rows = {}
     for backend, results in sorted(run.results.items()):
         if results[0] is None:
             reason = run.skipped.get(backend, "unsupported case")
             print(f"  {backend:<15} skipped ({reason})")
             continue
-        rows[backend] = results[0]
         outputs = dict(zip(kernel.outputs, results[0]))
         print(f"  {backend:<15} {outputs}")
-    agree = len(set(rows.values())) <= 1
+    agree = not find_disagreements(run)
     print(
-        f"  -> {'byte-identical across ' + str(len(rows)) + ' backend(s)' if agree else 'BACKENDS DISAGREE'}"
+        f"  -> {'byte-identical across ' + str(len(run.names_for(0))) + ' backend(s)' if agree else 'BACKENDS DISAGREE'}"
     )
 
     window = args.window if args.window is not None else spec.table_window
@@ -471,8 +469,9 @@ def _stats(argv: list[str]) -> int:
         description=(
             "Runtime metrics: counters, timers, and high-water marks "
             "from the observability registry, plus the result-cache "
-            "record.  Metrics are per-process; use --exercise to "
-            "run a small workload through every backend first."
+            "record and the execution engines in report order.  "
+            "Metrics are per-process; use --exercise to run a small "
+            "workload through every backend first."
         ),
     )
     parser.add_argument(
@@ -489,7 +488,7 @@ def _stats(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     from .obs.metrics import METRICS, reset_metrics
-    from .runtime import RESULT_CACHE
+    from .runtime import ENGINES, RESULT_CACHE
 
     if args.exercise:
         from .testing.oracles import run_backends
@@ -518,6 +517,10 @@ def _stats(argv: list[str]) -> int:
                 "last_accuracy": METRICS.gauge_value("training.last_accuracy"),
             },
             "cache": {"result": RESULT_CACHE.info()},
+            "engines": [
+                {"name": e.name, "cycle_accurate": e.cycle_accurate}
+                for e in ENGINES
+            ],
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -526,6 +529,10 @@ def _stats(argv: list[str]) -> int:
         print("result cache:")
         for key in sorted(result):
             print(f"  {key:<20} {result[key]}")
+        print("engines (report order; compiled-batch serves):")
+        for engine in ENGINES:
+            note = " (cycle-accurate)" if engine.cycle_accurate else ""
+            print(f"  {engine.name}{note}")
     if args.reset:
         reset_metrics()
         print("metrics reset")
@@ -733,48 +740,6 @@ def _train(argv: list[str]) -> int:
     return 0 if improved else 1
 
 
-def _runtime(argv: list[str]) -> int:
-    import argparse
-    import json
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro runtime",
-        description=(
-            "The execution runtime: the four engines in report order "
-            "(the compiled-batch engine serves) and the result cache."
-        ),
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="machine-readable JSON output"
-    )
-    args = parser.parse_args(argv)
-
-    from .runtime import RESULT_CACHE
-    from .runtime.engines import ENGINES
-
-    if args.json:
-        payload = {
-            "engines": [
-                {"name": e.name, "cycle_accurate": e.cycle_accurate}
-                for e in ENGINES
-            ],
-            "cache": {"result": RESULT_CACHE.info()},
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    print(f"execution runtime: {len(ENGINES)} engines; compiled-batch serves")
-    for engine in ENGINES:
-        note = " (cycle-accurate)" if engine.cycle_accurate else ""
-        print(f"  {engine.name}{note}")
-    result = RESULT_CACHE.info()
-    print(
-        f"result cache: {result['entries']} entries / {result['bytes']} "
-        f"bytes (hits {result['hits']}, misses {result['misses']}, "
-        f"evictions {result['evictions']})"
-    )
-    return 0
-
-
 def _info() -> int:
     import repro
 
@@ -806,8 +771,6 @@ def main(argv: list[str] | None = None) -> int:
         return _kernels(args[1:])
     if command == "stats":
         return _stats(args[1:])
-    if command == "runtime":
-        return _runtime(args[1:])
     if command == "train":
         return _train(args[1:])
     if command == "serve":
@@ -826,7 +789,7 @@ def main(argv: list[str] | None = None) -> int:
         return _info()
     print(
         f"unknown command {command!r}; try: info, selfcheck, conformance, "
-        "trace, ir, kernels, stats, runtime, train, serve, loadgen, top"
+        "trace, ir, kernels, stats, train, serve, loadgen, top"
     )
     return 2
 

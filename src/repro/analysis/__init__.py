@@ -1,12 +1,5 @@
-"""Analysis tools: taxonomy testing and cross-implementation equivalence."""
+"""Analysis tools: taxonomy testing, jitter robustness and ASCII plots."""
 
-from .equivalence import (
-    Disagreement,
-    EquivalenceReport,
-    check_network,
-    compare,
-    network_implementations,
-)
 from .robustness import (
     RobustnessReport,
     column_evaluator,
@@ -24,12 +17,9 @@ from .taxonomy import (
 )
 
 __all__ = [
-    "Disagreement",
-    "EquivalenceReport",
     "NetworkClass",
     "RobustnessReport",
     "TaxonomyReport",
-    "check_network",
     "classify_counts",
     "column_evaluator",
     "jitter_input",
@@ -38,8 +28,6 @@ __all__ = [
     "classify_simulation",
     "raster",
     "response_plot",
-    "compare",
-    "network_implementations",
     "synthetic_rate_trace",
     "trace_raster",
     "waveforms",

@@ -19,7 +19,7 @@ __all__, __getattr__, __dir__ = _lazy(
         "compile_plan": (
             "INF_I64", "MAX_FINITE", "CompiledPlan", "compile_plan",
             "decode_matrix", "decode_time", "encode_time", "encode_volleys",
-            "evaluate_batch", "evaluate_batch_all", "evaluate_batch_dicts",
+            "evaluate_batch", "evaluate_batch_all",
         ),
         "events": ("EventSimulator", "SimulationResult", "SpikeEvent", "simulate"),
         "generate": ("input_batch", "random_inputs", "random_network", "random_volley"),

@@ -612,21 +612,3 @@ def evaluate_batch_all(
     param_vector = _encode_params(network, params)
     return plan.run(matrix, param_vector)
 
-
-def evaluate_batch_dicts(
-    network: "ProgramLike",
-    inputs: VolleyLike,
-    *,
-    params: Optional[Mapping[str, Time]] = None,
-) -> list[dict[str, Time]]:
-    """Batched evaluation decoded to per-volley ``{output: Time}`` dicts.
-
-    The convenience shape used by the equivalence harness; prefer the raw
-    matrix from :func:`evaluate_batch` in hot loops.
-    """
-    matrix = evaluate_batch(network, inputs, params=params)
-    names = list(network.outputs)
-    return [
-        {name: decode_time(int(value)) for name, value in zip(names, row)}
-        for row in matrix
-    ]

@@ -1,98 +1,21 @@
-"""Tests for the cross-implementation equivalence harness."""
+"""Cross-engine equivalence checks refuse a network with unbound parameters.
+
+The agreement cases themselves run through ``run_backends`` in
+``tests/testing/test_oracles.py``.
+"""
 
 import pytest
 
-from repro.analysis.equivalence import (
-    check_network,
-    compare,
-    network_implementations,
-)
-from repro.core.synthesis import max_from_min_lt, synthesize
-from repro.core.table import FIG7_TABLE
-from repro.core.value import INF
 from repro.network.builder import NetworkBuilder
-
-
-class TestCompare:
-    def test_agreement(self):
-        impls = {
-            "a": lambda vec: {"y": min(vec)},
-            "b": lambda vec: {"y": min(vec)},
-        }
-        report = compare(impls, [(1, 2), (3, 0)])
-        assert report.ok
-        assert report.vectors_checked == 2
-
-    def test_disagreement_recorded(self):
-        impls = {
-            "a": lambda vec: {"y": min(vec)},
-            "b": lambda vec: {"y": max(vec)},
-        }
-        report = compare(impls, [(1, 2), (3, 3)])
-        assert not report.ok
-        assert report.disagreements[0].inputs == (1, 2)
-        # (3, 3): min == max, agree.
-        assert len(report.disagreements) == 1
-
-    def test_disagreement_cap(self):
-        impls = {
-            "a": lambda vec: {"y": 0},
-            "b": lambda vec: {"y": 1},
-        }
-        report = compare(impls, [(i,) for i in range(50)], max_disagreements=5)
-        assert len(report.disagreements) == 5
-
-    def test_needs_two(self):
-        with pytest.raises(ValueError):
-            compare({"only": lambda vec: {}}, [])
-
-    def test_str(self):
-        impls = {
-            "a": lambda vec: {"y": 0},
-            "b": lambda vec: {"y": 0},
-        }
-        text = str(compare(impls, [(0,)]))
-        assert "all agree" in text
+from repro.network.graph import NetworkError
+from repro.testing.oracles import run_backends
 
 
 class TestCheckNetwork:
-    def test_fig7_all_semantics_agree(self):
-        report = check_network(synthesize(FIG7_TABLE), window=3)
-        assert report.ok, str(report)
-        assert set(report.implementations) == {
-            "denotational",
-            "event-driven",
-            "grl-digital",
-        }
-
-    def test_lemma2_agrees(self):
-        report = check_network(max_from_min_lt(), window=4)
-        assert report.ok
-
-    def test_sampled_mode(self):
-        report = check_network(synthesize(FIG7_TABLE), window=6, sample=40)
-        assert report.ok
-        assert report.vectors_checked == 40
-
-    def test_without_grl(self):
-        report = check_network(
-            max_from_min_lt(), window=3, include_grl=False
-        )
-        assert report.ok
-        assert "grl-digital" not in report.implementations
-
     def test_params_must_be_bound(self):
         b = NetworkBuilder()
         x = b.input("x")
         mu = b.param("mu")
         b.output("y", b.gate(x, mu))
-        with pytest.raises(ValueError, match="parameters"):
-            network_implementations(b.build())
-
-    def test_catches_injected_bug(self):
-        # Hand-build mismatched implementations through the public API.
-        net = max_from_min_lt()
-        impls = network_implementations(net, include_grl=False)
-        impls["broken"] = lambda vec: {"c": INF}
-        report = compare(impls, [(0, 1)])
-        assert not report.ok
+        with pytest.raises(NetworkError, match=r"unbound params: \['mu'\]"):
+            run_backends(b.build(), [(0,)])

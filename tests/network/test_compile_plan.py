@@ -33,7 +33,6 @@ from repro.network.compile_plan import (
     encode_volleys,
     evaluate_batch,
     evaluate_batch_all,
-    evaluate_batch_dicts,
 )
 from repro.network.generate import random_network, random_volley
 from repro.network.graph import NetworkError
@@ -139,8 +138,12 @@ class TestEvaluateBatch:
         assert matrix[0, net.input_ids["x"]] == 2
 
     def test_batch_dicts(self):
-        rows = evaluate_batch_dicts(diamond(), [(2, 7), (4, 4)])
-        assert rows == [{"z": 2}, {"z": INF}]
+        net = diamond()
+        rows = decode_matrix(evaluate_batch(net, [(2, 7), (4, 4)]))
+        assert [dict(zip(net.output_names, row)) for row in rows] == [
+            {"z": 2},
+            {"z": INF},
+        ]
 
     def test_params_batched(self):
         b = NetworkBuilder("gated")
@@ -255,7 +258,8 @@ class TestBatchMatchesInterpreted:
         volley = random_volley(3, rng=random.Random(seed))
         bound = dict(zip(network.input_names, volley))
         scalar = evaluate(network, bound)
-        batch = evaluate_batch_dicts(network, [volley])[0]
+        row = decode_matrix(evaluate_batch(network, [volley]))[0]
+        batch = dict(zip(network.output_names, row))
         assert scalar == batch
 
     def test_scalar_wrapper_big_int_fallback(self):

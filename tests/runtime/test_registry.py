@@ -28,9 +28,8 @@ class TestStockRegistry:
         assert flags == {name: name == "grl-circuit" for name in ORDER}
 
     def test_describe_shape(self, capsys):
-        assert main(["runtime", "--json"]) == 0
+        assert main(["stats", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"engines", "cache"}
         assert payload["engines"] == [
             {"name": name, "cycle_accurate": name == "grl-circuit"}
             for name in ORDER

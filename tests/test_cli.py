@@ -33,6 +33,10 @@ class TestCli:
         assert "stats" in out
         assert "serve" in out
         assert "loadgen" in out
+        # The engine listing is part of `stats`; `runtime` is no command.
+        assert "runtime" not in out
+        assert main(["runtime"]) == 2
+        assert "unknown command 'runtime'" in capsys.readouterr().out
 
     def test_conformance_smoke(self, capsys):
         code = main(

@@ -10,9 +10,9 @@ import random
 
 import pytest
 
-from repro.analysis.equivalence import check_network
 from repro.core.function import enumerate_domain
 from repro.core.minimize import minimize
+from repro.core.properties import sample_vectors
 from repro.core.synthesis import synthesize
 from repro.core.table import NormalizedTable
 from repro.core.value import INF, Infinity
@@ -26,6 +26,7 @@ from repro.racelogic.asynchronous import compile_async, run_async
 from repro.racelogic.compile import GRLExecutor, compile_network
 from repro.racelogic.digital import run_circuit
 from repro.racelogic.export import circuit_dumps, circuit_loads, to_verilog
+from repro.testing.conformance import diff_backends
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -125,8 +126,10 @@ class TestOptimizedNetworksStayEquivalentEverywhere:
     def test_full_equivalence_harness_after_optimization(self, seed):
         net = random_network(n_inputs=3, n_blocks=25, seed=seed + 40)
         optimized = optimize_program(net)[0].to_network()
-        report = check_network(optimized, window=3, sample=40)
-        assert report.ok, str(report)
+        vectors = sample_vectors(3, count=40, max_time=3, rng=random.Random(0))
+        run, disagreements = diff_backends(optimized, vectors)
+        assert not disagreements, disagreements
+        assert run.skipped == {}
 
 
 class TestNeuronPipeline:

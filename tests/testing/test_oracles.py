@@ -1,10 +1,17 @@
 """Tests for the stock engines, run_backends and the comparison semantics."""
 
+import random
+
 import pytest
 
+from repro.core.function import enumerate_domain
+from repro.core.properties import sample_vectors
+from repro.core.synthesis import max_from_min_lt, synthesize
+from repro.core.table import FIG7_TABLE
 from repro.core.value import INF
 from repro.network.builder import NetworkBuilder
 from repro.network.compile_plan import MAX_FINITE
+from repro.network.graph import NetworkError
 from repro.runtime.engines import (
     ENGINES,
     BackendEngine,
@@ -13,7 +20,7 @@ from repro.runtime.engines import (
     GRLCircuitEngine,
     InterpretedEngine,
 )
-from repro.testing.conformance import run_conformance
+from repro.testing.conformance import find_disagreements, run_conformance
 from repro.testing.oracles import run_backends, saturate, saturate_outputs
 
 
@@ -115,6 +122,25 @@ class TestRunBackends:
         for rows in run.results.values():
             assert rows == [(2,), (INF,)]
 
+    @pytest.mark.parametrize(
+        "build, vectors",
+        [
+            (lambda: synthesize(FIG7_TABLE), list(enumerate_domain(3, 3))),
+            (max_from_min_lt, list(enumerate_domain(2, 4))),
+            (
+                lambda: synthesize(FIG7_TABLE),
+                sample_vectors(3, count=40, max_time=6, rng=random.Random(0)),
+            ),
+        ],
+        ids=["fig7-exhaustive-w3", "lemma2-exhaustive-w4", "fig7-sampled-40-w6"],
+    )
+    def test_paper_networks_agree_on_every_engine(self, build, vectors):
+        run = run_backends(build(), vectors)
+        assert find_disagreements(run) == []
+        assert list(run.results) == [engine.name for engine in ENGINES]
+        assert run.skipped == {}
+        assert all(None not in rows for rows in run.results.values())
+
     def test_partial_backend_leaves_none_rows(self):
         run = run_backends(
             diamond(),
@@ -156,3 +182,5 @@ class TestRunBackends:
             assert rows == [(3,)]
         for rows in blocked.results.values():
             assert rows == [(INF,)]
+        with pytest.raises(NetworkError, match=r"unbound params: \['mu'\]"):
+            run_backends(net, [(3,)])
