@@ -177,8 +177,9 @@ def _conformance(argv: list[str]) -> int:
         "--optimize",
         action="store_true",
         help=(
-            "diff the backends on IR pass-pipeline output instead of the "
-            "raw networks (certifies the optimizer)"
+            "diff the backends on the served program (sorters grouped, "
+            "IR-optimized) instead of the raw networks; all of them run "
+            "that one program, so this does not check the optimizer"
         ),
     )
     parser.add_argument(
@@ -222,19 +223,6 @@ def _conformance(argv: list[str]) -> int:
     return 0 if report.ok else 1
 
 
-def _demo_column(seed: int, *, smoke: bool):
-    """The seeded SRM0 demo column (shared with the serving layer).
-
-    Deterministic in *seed*: the same seed always yields the same
-    weights, threshold, and volley — so trace exports are reproducible
-    and a ``loadgen`` client can rebuild the model a ``serve`` process
-    is serving.
-    """
-    from .serve.demo import demo_column
-
-    return demo_column(seed, smoke=smoke)
-
-
 def _trace(argv: list[str]) -> int:
     import argparse
     import json
@@ -269,8 +257,9 @@ def _trace(argv: list[str]) -> int:
 
     from .obs.trace import first_divergence, to_chrome_trace, to_jsonl
     from .runtime.engines import ENGINES
+    from .serve.demo import demo_column
 
-    network, volley = _demo_column(args.seed, smoke=args.smoke)
+    network, volley = demo_column(args.seed, smoke=args.smoke)
     print(f"tracing {network.name}: volley {volley} -> "
           f"{len(network.nodes)} nodes, outputs {network.output_names}")
 
@@ -347,8 +336,9 @@ def _ir(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     from .ir import lower, optimize_program
+    from .serve.demo import demo_column
 
-    network, _ = _demo_column(args.seed, smoke=args.smoke)
+    network, _ = demo_column(args.seed, smoke=args.smoke)
     program = lower(network)
     print(
         f"lowered {network.name}: {len(program.nodes)} node(s), "
@@ -491,9 +481,10 @@ def _stats(argv: list[str]) -> int:
     from .runtime import ENGINES, RESULT_CACHE
 
     if args.exercise:
+        from .serve.demo import demo_column
         from .testing.oracles import run_backends
 
-        network, volley = _demo_column(0, smoke=True)
+        network, volley = demo_column(0, smoke=True)
         run_backends(network, [volley])
 
     if args.json:

@@ -28,10 +28,12 @@ the same node table:
 
 A program may also carry IR-only ``rank`` rows — the ``k``-th smallest
 of their sources — which :func:`repro.ir.sorters.group_sorters` puts in
-place of each recognized sorting network.  Only the compiled plan runs
-them (one sort kernel per sorter); the interpreted, event-driven and
-GRL backends evaluate comparator-level programs and refuse ranked ones
-(:attr:`Program.rank_ids`), and :meth:`Program.to_network` does too, so
+place of each recognized sorting network.  Every backend and the spike
+tracer run any program, rank rows included: the compiled plan as one
+sort kernel per sorter, the interpreted walk as one sort per sorter,
+the event simulator as a fire on the ``k+1``-th arrival, the GRL
+netlist as one gate-level bitonic sorter.  Only
+:meth:`Program.to_network` refuses them (:attr:`Program.rank_ids`), so
 a ``rank`` row never reaches a :class:`~repro.network.graph.Network` or
 a model document.
 
@@ -236,22 +238,18 @@ class Program:
             self._fingerprint = structural_digest(self.nodes, self.outputs)
         return self._fingerprint
 
-    def require_comparators(self, consumer: str) -> None:
-        """Raise :class:`NetworkError` if this program has ``rank`` rows.
+    # -- conversion ----------------------------------------------------------
+    def to_network(self, *, name: Optional[str] = None) -> Network:
+        """Materialize back into a :class:`Network` (same node table).
 
-        *consumer* names what refused them, for the message.
+        A model document has no ``rank`` kind, so a program with rank
+        rows is refused; use the program before ``group_sorters``.
         """
         if self.rank_ids:
             raise NetworkError(
-                f"{consumer} cannot run rank row {self.rank_ids[0]}: rank "
-                "rows are IR-only and run on the compiled plan; use the "
-                "program before group_sorters"
+                f"a Network cannot hold rank row {self.rank_ids[0]}: rank "
+                "rows are IR-only"
             )
-
-    # -- conversion ----------------------------------------------------------
-    def to_network(self, *, name: Optional[str] = None) -> Network:
-        """Materialize back into a :class:`Network` (same node table)."""
-        self.require_comparators("a Network")
         return Network(self.nodes, dict(self.outputs), name=name or self.name)
 
     def pretty(self) -> str:

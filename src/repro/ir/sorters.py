@@ -37,9 +37,9 @@ observable and appear in no provenance tuple, like dead code.
 Grouping must run before the optimizer sweep
 (:func:`repro.ir.passes.optimize_program`): the sweep's rewrites change
 comparators, so the canonical shape is gone afterwards.  The sweep in
-turn treats rank rows as opaque.  Only the compiled plan runs rank rows;
-every other backend evaluates comparator-level programs
-(:meth:`~repro.ir.program.Program.require_comparators`).
+turn treats rank rows as opaque.  Every backend runs rank rows and the
+spike tracer names their causes; only
+:meth:`~repro.ir.program.Program.to_network` refuses them.
 """
 
 from __future__ import annotations

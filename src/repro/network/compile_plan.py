@@ -50,9 +50,8 @@ Compilation
   sorting network (all of one sorter's rows share their sources) run as
   one gather, one ``np.sort`` along the wire axis and one write of the
   live ranks.  ``∞`` is the largest int64, so it sorts last, as in
-  ``N0∞``.  Only this backend runs rank rows; a program that has them
-  has no comparator values to trace, so
-  :func:`repro.obs.trace.spike_trace` refuses it;
+  ``N0∞``.  The other backends run rank rows too, each in its own
+  terms, and :func:`repro.obs.trace.spike_trace` traces them;
 * **one grow-only scratch set** — every batch size runs on a contiguous
   prefix of the same flat arena and gather buffers, kept in a small
   thread-safe free-list, so steady-state runs allocate only their output.

@@ -15,6 +15,8 @@ Firing rules, using only local arrival history:
 * ``max``  — fires when the last of its sources has arrived.
 * ``lt``   — when ``a`` arrives at ``t``, fires at ``t`` iff ``b`` has not
   arrived at or before ``t``.
+* ``rank`` — row ``k`` (from 0) fires at the ``k+1``-th arrival among
+  its lanes (a threshold; a lane listed twice arrives twice).
 
 Correctness with zero-delay blocks needs care: several events can share a
 timestamp, and an ``lt`` must not decide "b is absent" while a same-time
@@ -88,8 +90,13 @@ class EventSimulator:
 
     def __init__(self, network: ProgramLike):
         self.network = ensure_program(network)
-        self.network.require_comparators("the event simulator")
-        self._consumers = self.network.consumers()
+        # Each wire's (reader, port) pairs: one sorter's rank rows all
+        # read each lane, so scanning every reader's sources per spike
+        # would cost lanes x rows per lane.
+        self._readers: list[list[tuple[int, int]]] = [[] for _ in self.network.nodes]
+        for node in self.network.nodes:
+            for port, src in enumerate(node.sources):
+                self._readers[src].append((node.id, port))
 
     def run(
         self,
@@ -127,10 +134,8 @@ class EventSimulator:
                 return
             fired[node_id] = t
             trace.append(SpikeEvent(t, node_id))
-            for consumer in self._consumers[node_id]:
-                for port, src in enumerate(net.nodes[consumer].sources):
-                    if src == node_id:
-                        heapq.heappush(heap, (t, consumer, -port, port))
+            for consumer, port in self._readers[node_id]:
+                heapq.heappush(heap, (t, consumer, -port, port))
 
         for node in net.nodes:
             if node.kind == "input":
@@ -181,6 +186,9 @@ class EventSimulator:
                         fire(node_id, t)
                 # A spike on port 1 (b) never causes lt to fire; if a already
                 # fired the block, the min() above keeps history consistent.
+            elif node.kind == "rank":
+                if len(arrivals[node_id]) == node.amount + 1:
+                    fire(node_id, t)
 
         outputs = {name: fired[nid] for name, nid in net.outputs.items()}
         trace.sort(key=lambda e: (e.time, e.node_id))

@@ -57,7 +57,6 @@ def evaluate_all_interpreted(
     :func:`repro.obs.trace.spike_trace` takes.
     """
     program = ensure_program(network)
-    program.require_comparators("the interpreted evaluator")
     params = params or {}
     missing_in = set(program.input_ids) - set(inputs)
     if missing_in:
@@ -68,6 +67,8 @@ def evaluate_all_interpreted(
 
     nodes = program.nodes
     values: list[Time] = [INF] * len(nodes)
+    # The rank rows of one sorter share their lane tuple: sort it once.
+    lanes: tuple[int, ...] = ()
     for level_ids in program.schedule:
         for node_id in level_ids:
             node = nodes[node_id]
@@ -104,6 +105,11 @@ def evaluate_all_interpreted(
                 a = values[node.sources[0]]
                 b = values[node.sources[1]]
                 values[node.id] = a if a < b else INF
+            elif kind == "rank":
+                if node.sources is not lanes:
+                    lanes = node.sources
+                    ranked = sorted([values[s] for s in lanes])
+                values[node.id] = ranked[node.amount]
             else:  # const-inf / const-zero: the IR-declared identities
                 values[node.id] = CONST_IDENTITY[kind]
     return values

@@ -157,28 +157,3 @@ def weight_settings(
     for synapse, weight in zip(synapses, weights):
         merged.update(synapse.settings_for_weight(weight))
     return merged
-
-
-def batched_weighted_fire_times(
-    network: Network,
-    synapses: Sequence[SynapseWires],
-    weights: Sequence[int],
-    volleys: Sequence[Sequence[Time]],
-    *,
-    output: str = "y",
-) -> list[Time]:
-    """Fire times of a programmable neuron over a volley batch.
-
-    Pins the micro-weights for *weights* once and evaluates every volley
-    in a single compiled call
-    (:func:`repro.network.compile_plan.evaluate_batch`) — the fast path
-    for the Figs. 13–14 weight-sweep experiments, which probe each
-    weight setting on many volleys.
-    """
-    from ..network.compile_plan import decode_time, evaluate_batch
-
-    column = list(network.outputs).index(output)
-    matrix = evaluate_batch(
-        network, volleys, params=weight_settings(synapses, weights)
-    )
-    return [decode_time(v) for v in matrix[:, column].tolist()]

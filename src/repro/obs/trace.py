@@ -31,6 +31,8 @@ node kind    cause
 ``min``      ``"min<-<src>"`` — the earliest source (ties: lowest id)
 ``max``      ``"max<-<src>"`` — the latest source (ties: lowest id)
 ``lt``       ``"lt<-<a>"`` — fires only via its first operand
+``rank``     ``"rank<k><-<src>"`` — the lane holding the ``k``-th value
+             (ties: lowest id)
 ``max`` (0-ary)  ``"const0"`` — the lattice bottom fires at 0
 ===========  =========================================================
 
@@ -92,6 +94,10 @@ def cause_of(node, values) -> str:
         return f"inc+{node.amount}<-{node.sources[0]}"
     if kind == "lt":
         return f"lt<-{node.sources[0]}"
+    if kind == "rank":
+        kth = sorted([_as_int(values[s]) for s in node.sources])[node.amount]
+        winner = min(s for s in node.sources if _as_int(values[s]) == kth)
+        return f"rank{node.amount}<-{winner}"
     if not node.sources:  # 0-ary max; a 0-ary min never fires
         return "const0"
     if kind == "min":
@@ -113,11 +119,10 @@ def spike_trace(program: ProgramLike, values: Sequence) -> list[TraceEvent]:
     *values* holds every node's fire time by node id, in either encoding
     :func:`cause_of` accepts.  One event per finite firing (a time above
     :data:`~repro.core.value.MAX_FINITE` means ``∞``), sorted
-    by ``(time, node_id)``.  A program with IR-only ``rank`` rows has no
-    comparator values to name causes by, so it is refused.
+    by ``(time, node_id)``.  Any program traces, rank rows included, so
+    the program a serving worker runs traces as it is.
     """
     program = ensure_program(program)
-    program.require_comparators("spike tracing")
     events = sorted(
         TraceEvent(int(value), node.id, cause_of(node, values))
         for node, value in zip(program.nodes, values)

@@ -10,6 +10,7 @@ s-t primitive  GRL gate
 ``lt``         the latched a-before-b gate
 ``inc(+c)``    c clocked flip-flops (shift reg.)
 ``param``      an input wire pinned by the config
+``rank``       one output of a bitonic sorter (Fig. 10)
 =============  =================================
 
 The compiled circuit, run on the cycle-accurate
@@ -21,10 +22,12 @@ TNNs can be implemented directly with off-the-shelf CMOS.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from types import SimpleNamespace
 from typing import Optional
 
 from ..core.value import Time
 from ..ir.program import ProgramLike, ensure_program
+from ..network.sorting import bitonic_sort
 from .circuit import Circuit, CircuitBuilder
 from .digital import DigitalResult, DigitalSimulator
 
@@ -39,7 +42,8 @@ def compile_network(
 
     Parameters become circuit inputs (bind them with the same 0/∞ values
     at simulation time); node-for-gate the structure is otherwise
-    preserved, with ``inc`` nodes expanding into DFF chains.
+    preserved, with ``inc`` nodes expanding into DFF chains and the
+    rank rows of one sorter into one bitonic sorter over their lanes.
 
     The IR declares which nodes are the lattice-identity constants
     (:attr:`~repro.ir.program.Program.const_ids`); those have no gate
@@ -49,10 +53,10 @@ def compile_network(
 
     *node_map*, if given, is filled with ``node id -> gate id`` — the
     gate whose 1→0 fall time *is* the node's spike time (for an ``inc``
-    chain, the final flip-flop).  The spike-trace read-back uses it.
+    chain, the final flip-flop; for a rank row, its sorted output).  The
+    spike-trace read-back uses it.
     """
     program = ensure_program(network)
-    program.require_comparators("the GRL compiler")
     if program.const_ids:
         node = program.nodes[program.const_ids[0]]
         constant = "∞" if node.kind == "min" else "0"
@@ -63,6 +67,11 @@ def compile_network(
         )
     builder = CircuitBuilder(name or f"grl-{program.name}")
     wire: dict[int, int] = node_map if node_map is not None else {}
+    comparators = SimpleNamespace(  # bitonic_sort's builder: AND is min, OR max
+        min=lambda a, b, tag="": builder.and_(a, b),
+        max=lambda a, b, tag="": builder.or_(a, b),
+    )
+    lanes: tuple[int, ...] = ()
     for node in program.nodes:
         if node.kind in ("input", "param"):
             wire[node.id] = builder.input(node.name)
@@ -72,6 +81,11 @@ def compile_network(
             wire[node.id] = builder.and_(*(wire[s] for s in node.sources))
         elif node.kind == "max":
             wire[node.id] = builder.or_(*(wire[s] for s in node.sources))
+        elif node.kind == "rank":
+            if node.sources is not lanes:  # one sorter's rows share lanes
+                lanes = node.sources
+                ranked = bitonic_sort(comparators, [wire[s] for s in lanes])
+            wire[node.id] = ranked[node.amount]
         else:  # lt
             a, b = node.sources
             wire[node.id] = builder.lt(wire[a], wire[b])

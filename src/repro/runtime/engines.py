@@ -20,7 +20,7 @@ from typing import Optional
 
 from ..core.value import Infinity, Time
 from ..ir.program import ProgramLike, ensure_program
-from ..ir.sorters import group_sorters
+from ..ir.sorters import _canonical, group_sorters
 from ..network.compile_plan import (
     decode_matrix,
     evaluate_batch,
@@ -115,12 +115,13 @@ class InterpretedEngine(BackendEngine):
 class CompiledBatchEngine(BackendEngine):
     """The compiled int64 batch engine, one plan call per batch.
 
-    The plan runs as fused NumPy kernels, one per (level, kind), and it
-    runs the program the serving workers run: every recognized sorting
-    network lowered to rank rows (:func:`repro.ir.sorters.group_sorters`)
-    and executed as one sort kernel, while the other three backends
-    evaluate its comparators.  Traces come from the comparator-level
-    plan's value matrix.
+    The plan runs as fused NumPy kernels, one per (level, kind).  It
+    groups the sorters of what it is handed
+    (:func:`repro.ir.sorters.group_sorters`, the identity on a grouped
+    program) and runs each as one sort kernel, so a comparator-level
+    program still diffs the recognizer against the other three backends'
+    comparators.  Traces come from the value matrix of the program it
+    is handed.
     """
 
     name = "compiled-batch"
@@ -164,7 +165,8 @@ class GRLCircuitEngine(BackendEngine):
     Partial on two axes: zero-source min/max constants have no gate
     realization, and simulation cost is ``O(cycles × gates)`` with
     ``cycles ≈ latest finite spike + flip-flop count``, so both the
-    netlist size and the volley's latest spike are budgeted.
+    netlist size and the volley's latest spike are budgeted.  The rank
+    rows of one sorter count as the bitonic sorter they compile to.
     """
 
     name = "grl-circuit"
@@ -188,6 +190,13 @@ class GRLCircuitEngine(BackendEngine):
         gates = len(program.nodes) + sum(
             n.amount - 1 for n in program.nodes if n.kind == "inc"
         )
+        lanes: tuple[int, ...] = ()
+        for node_id in program.rank_ids:
+            gates -= 1  # a rank row is a sorter output, not a gate
+            if program.nodes[node_id].sources is not lanes:
+                lanes = program.nodes[node_id].sources
+                canon = _canonical("bitonic", len(lanes))
+                gates += len(canon.kinds) if canon is not None else 0
         if gates > self.max_gates:
             return f"netlist too large for cycle simulation ({gates} gates)"
         return None

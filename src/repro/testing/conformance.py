@@ -194,9 +194,9 @@ def diff_backends(
 ) -> tuple[BackendRun, list[tuple[int, dict[str, Outputs]]]]:
     """Run the backends and return ``(raw run, disagreement list)``.
 
-    ``optimize=True`` lowers the network through the IR optimizer
-    once and diffs the backends on the shared optimized
-    :class:`~repro.ir.program.Program` instead of the raw network.
+    ``optimize=True`` diffs the backends on the program a serving
+    worker loads (:func:`~repro.testing.oracles.run_backends`) instead
+    of the raw network.
     """
     run = run_backends(
         network, volleys, params=params, oracles=oracles, optimize=optimize
@@ -287,7 +287,7 @@ def run_case(
 ) -> tuple[BackendRun, list[Mismatch]]:
     """Diff one generated case, shrinking any disagreements found.
 
-    With ``optimize=True`` all backends consume the same pass-optimized
+    With ``optimize=True`` all backends consume the same served
     :class:`~repro.ir.program.Program`; divergence tracing then runs on
     that shared program and shrinking re-optimizes each candidate, so
     the minimized reproducer still splits the *optimized* backends.
@@ -349,10 +349,12 @@ def run_conformance(
     The acceptance gate for the repository: clean networks must produce
     **zero** cross-backend disagreements while every injected fault
     class is detected.  ``smoke=True`` shrinks case sizes and volley
-    counts for CI.  ``optimize=True`` runs the sweep on the IR
-    pass-pipeline output instead of the raw networks — the same gate,
-    now also certifying the optimizer.  (The fault self-check always
-    runs unoptimized: its mutants are Network-level edits.)  *family*
+    counts for CI.  ``optimize=True`` runs the sweep on the program a
+    serving worker loads instead of the raw networks; every backend
+    consumes that one program, so a rewrite bug they all inherit reads
+    OK — it checks the engines, not the optimizer.  (The fault
+    self-check always runs unoptimized: its mutants are Network-level
+    edits.)  *family*
     pins every case to one generator family (e.g. ``"kernels"``) so a
     sweep can target one construction surface; the fault self-check
     inherits the pin, proving the harness keeps its teeth on that

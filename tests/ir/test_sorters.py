@@ -2,8 +2,8 @@
 
 Covers recognition (every width, both constructions), the near misses
 that must stay comparators, containment, idempotence, provenance, the
-sweep's opaque handling of rank rows, the compiled sort kernel, and the
-backends and surfaces that refuse rank rows.
+sweep's opaque handling of rank rows, the compiled sort kernel, rank rows
+on every engine and in spike traces, and the surfaces that refuse them.
 """
 
 import json
@@ -28,20 +28,24 @@ from repro.network.compile_plan import (
     compile_plan,
     decode_matrix,
     evaluate_batch,
-    evaluate_batch_all,
 )
-from repro.network.events import EventSimulator
 from repro.network.graph import NetworkError
 from repro.network.serialize import dumps, loads
 from repro.network.sorting import bitonic_sort, odd_even_merge_sort
 from repro.neuron.response import ResponseFunction
 from repro.neuron.srm0 import SRM0Neuron
 from repro.neuron.srm0_network import build_srm0_network
-from repro.obs.trace import spike_trace
+from repro.obs.trace import cause_of, to_jsonl
 from repro.racelogic.compile import compile_network
 from repro.testing import generate_case
 from repro.testing.generators import FAMILIES
-from repro.runtime.engines import CompiledBatchEngine
+from repro.runtime.engines import (
+    ENGINES,
+    CompiledBatchEngine,
+    EventDrivenEngine,
+    GRLCircuitEngine,
+    InterpretedEngine,
+)
 from repro.testing.oracles import run_backends, saturate_outputs
 
 SORTERS = {"bitonic": bitonic_sort, "odd-even": odd_even_merge_sort}
@@ -314,18 +318,20 @@ class TestInvariants:
         assert low.fingerprint() != high.fingerprint()
 
     def test_optimize_mode_diffs_the_served_load_path(self, monkeypatch):
-        seen = []
-        run = CompiledBatchEngine.run
+        seen = {}
+        for engine in ENGINES:
 
-        def spy(self, network, volleys, params=None):
-            seen.append(network)
-            return run(self, network, volleys, params)
+            def spy(self, network, volleys, params=None, run=engine.run):
+                seen[self.name] = network
+                return run(self, network, volleys, params)
 
-        monkeypatch.setattr(CompiledBatchEngine, "run", spy)
+            monkeypatch.setattr(engine, "run", spy)
         case = generate_case(1, family="sorters")
         result = run_backends(case.network, case.volleys, optimize=True)
-        (served,) = seen
-        assert served.rank_ids and not result.program.rank_ids
+        served, _ = optimize_program(group_sorters(case.network))
+        assert same_structure(result.program, served) and served.rank_ids
+        assert set(seen) == {engine.name for engine in ENGINES}
+        assert all(program is result.program for program in seen.values())
         for index in range(len(case.volleys)):
             outputs = {rows[index] for rows in result.results.values()}
             assert len(outputs - {None}) == 1, index  # None: GRL skipped it
@@ -436,22 +442,125 @@ class TestRankRowsStayInTheIR:
         with pytest.raises((ValueError, NetworkError)):
             loads(json.dumps(document))
 
-    def test_comparator_backends_and_conversions_refuse_rank_rows(self):
+    def test_to_network_refuses_rank_rows(self):
         grouped = group_sorters(_sorter_net(4))
-        with pytest.raises(NetworkError, match="rank"):
-            evaluate_all_interpreted(grouped, {f"x{i}": 0 for i in range(4)})
-        with pytest.raises(NetworkError, match="rank"):
-            EventSimulator(grouped)
-        with pytest.raises(NetworkError, match="rank"):
-            compile_network(grouped)
         with pytest.raises(NetworkError, match="rank"):
             grouped.to_network()
 
-    def test_tracing_a_grouped_plan_is_refused(self):
-        grouped = group_sorters(_sorter_net(4))
-        values = evaluate_batch_all(grouped, [(0, 1, 2, 3)])
-        with pytest.raises(NetworkError, match="spike tracing cannot run rank"):
-            spike_trace(grouped, values[0])
+
+def _ranked(width, algorithm):
+    """A grouped sorter over *width* lanes, its raw comparator twin and
+    its volleys.
+
+    Lanes repeat inputs (duplicates, so ties) and every third one is
+    delayed by 1, so a ``MAX_FINITE`` input crosses the sentinel.  A
+    single lane has no comparator to group; its rank row is built
+    directly, and the lane itself is its twin.
+    """
+    b = NetworkBuilder(f"ranked-{algorithm}{width}")
+    xs = [b.input(f"x{i}") for i in range(max(1, (width + 1) // 2))]
+    lanes = [
+        b.inc(xs[i % len(xs)], 1) if i % 3 == 2 else xs[i % len(xs)]
+        for i in range(width)
+    ]
+    if width == 1:
+        b.output("s0", lanes[0])
+        net = b.build()
+        grouped = Program(net.nodes + (Node.rank(1, (0,), 0),), {"s0": 1})
+    else:
+        for k, wire in enumerate(SORTERS[algorithm](b, lanes)):
+            b.output(f"s{k}", wire)
+        net = b.build()
+        grouped = group_sorters(net)
+    assert len(grouped.rank_ids) == width
+    return grouped, net, _volleys(len(xs), random.Random(width))
+
+
+def _engines():
+    """Every engine, the GRL one with room for a 17-lane sorter."""
+    return [
+        InterpretedEngine(),
+        CompiledBatchEngine(),
+        EventDrivenEngine(),
+        GRLCircuitEngine(max_gates=2000),
+    ]
+
+
+class TestEveryEngineRunsRankRows:
+    @pytest.mark.parametrize("algorithm", sorted(SORTERS))
+    @pytest.mark.parametrize("width", range(1, 18))
+    def test_grouped_sorters_match_their_comparators(self, algorithm, width):
+        grouped, net, volleys = _ranked(width, algorithm)
+        want = _interpreted(net, volleys)
+        run = run_backends(grouped, volleys, oracles=_engines())
+        assert run.skipped == {}
+        for name, rows in run.results.items():
+            for index, row in enumerate(rows):
+                if row is None:  # the GRL budget: a near-sentinel volley
+                    assert name == "grl-circuit"
+                    assert max(v for v in volleys[index] if v != INF) > 32
+                else:
+                    assert row == want[index], (name, volleys[index])
+
+    @pytest.mark.parametrize("algorithm", sorted(SORTERS))
+    @pytest.mark.parametrize("width", [1, 2, 5, 8, 17])
+    def test_traces_are_byte_identical(self, algorithm, width):
+        grouped, _net, volleys = _ranked(width, algorithm)
+        for volley in volleys:
+            traces = {
+                engine.name: engine.trace(grouped, volley) for engine in _engines()
+            }
+            documents = {
+                to_jsonl(trace, grouped)
+                for trace in traces.values()
+                if trace is not None
+            }
+            assert len(documents) == 1, volley
+            assert traces["grl-circuit"] is not None or max(
+                v for v in volley if v != INF
+            ) > 32
+
+    def test_rank_cause_names_the_kth_lane_lowest_id_on_ties(self):
+        row = Node.rank(4, (3, 1, 2, 0, 1), 2)
+        assert cause_of(row, [5, 2, INF, 2]) == "rank2<-1"  # 2, 2, 2, 5, ∞
+        assert cause_of(row, [5, 7, 1, 7]) == "rank2<-1"  # 1, 5, 7, 7, 7
+        assert cause_of(Node.rank(4, (3, 1, 2, 0, 1), 0), [5, 7, 1, 7]) == "rank0<-2"
+        assert cause_of(Node.rank(2, (0, 1), 1), [5, 5]) == "rank1<-0"
+
+    def test_grl_budget_counts_the_sorter_a_rank_group_compiles_to(self):
+        net = _sorter_net(12)
+        grouped = group_sorters(net)
+        reasons = {
+            GRLCircuitEngine(max_gates=0).supports_network(p) for p in (net, grouped)
+        }
+        assert reasons == {
+            "netlist too large for cycle simulation "
+            f"({len(compile_network(grouped))} gates)"
+        }
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 100_000), st.booleans())
+    def test_served_sorters_programs_agree_and_trace_alike(self, seed, smoke):
+        case = generate_case(seed, smoke=smoke, family="sorters")
+        params = case.params or None
+        run = run_backends(case.network, case.volleys, params=params, optimize=True)
+        program = run.program
+        assert same_structure(
+            program, optimize_program(group_sorters(case.network))[0]
+        )
+        compiled = run.results["compiled-batch"]
+        for name, rows in run.results.items():
+            for row, want in zip(rows, compiled):
+                assert row is None or row == want, name
+        for volley in run.volleys:
+            documents = {
+                to_jsonl(trace, program)
+                for trace in (
+                    engine().trace(program, volley, params) for engine in ENGINES
+                )
+                if trace is not None
+            }
+            assert len(documents) == 1, volley
 
 
 # ---------------------------------------------------------------------------
