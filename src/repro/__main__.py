@@ -765,9 +765,16 @@ def main(argv: list[str] | None = None) -> int:
     if command == "train":
         return _train(args[1:])
     if command == "serve":
+        # Worker 0 is forked before the serving stack is imported or any
+        # thread starts; every other worker process is forked by it.
+        from .serve.cli import serve_parser
+        from .serve.worker import start_warm_worker
+
+        inline = serve_parser().parse_args(args[1:]).inline
+        warm = None if inline else start_warm_worker()
         from .serve.server import serve_main
 
-        return serve_main(args[1:])
+        return serve_main(args[1:], warm=warm)
     if command == "loadgen":
         from .serve.loadgen import loadgen_main
 

@@ -8,9 +8,13 @@ batches where the compiled engine
   open batches closed by a size trigger (``max_batch``) or a latency
   trigger (``max_wait_s``), results split back per request;
 * :mod:`repro.serve.pool` — the sharded worker pool: one process per
-  worker, forked empty and sent each model's served program (built
-  once by the registry) as a ``load`` that compiles and warms it;
-  least-loaded dispatch, crash detection and restart;
+  worker, started empty and sent each model's served program as a
+  ``load`` that compiles and warms it; least-loaded dispatch, crash
+  detection and restart;
+* :mod:`repro.serve.worker` — what runs in those processes: the worker
+  body and worker 0, the warm worker, which forks the other workers,
+  their replacements and one short-lived builder per registration (the
+  process that parses a model and builds its served program);
 * :mod:`repro.serve.service` — the service core: fingerprint-keyed
   model registry, bounded-queue admission control with backpressure
   rejection, per-request deadlines, bounded retry on worker failure;
@@ -21,7 +25,8 @@ batches where the compiled engine
   server's ``metrics`` op (``metrics_text`` renders the same registry
   in Prometheus text format);
 * :mod:`repro.serve.server` / :mod:`repro.serve.loadgen` — the asyncio
-  newline-delimited-JSON front-end (``python -m repro serve``) and the
+  newline-delimited-JSON front-end (``python -m repro serve``, whose
+  command line is :mod:`repro.serve.cli`) and the
   conformance-checking load generator (``python -m repro loadgen``);
 * :mod:`repro.serve.protocol` — the wire format (``∞`` is ``null``) and
   the canonical response encoding the byte-identity contract is stated
@@ -40,45 +45,25 @@ or ``SIGUSR2``.
 The conformance contract: every served response is byte-identical to a
 direct ``evaluate_batch`` of the same volleys — including under injected
 worker crashes and deadline faults (:mod:`repro.testing.served`).
+
+The package resolves its public names on first access
+(:func:`repro._lazy`), so a worker that imports only
+:mod:`repro.serve.worker` does not load the frontend's modules.
 """
 
-from .batcher import Batch, BatchPolicy, MicroBatcher, PendingRequest
-from .pool import InlineWorkerPool, Job, ProcessWorkerPool
-from .protocol import (
-    ERROR_CODES,
-    PROTOCOL,
-    ProtocolError,
-    ServeError,
-    canonical,
-    encode_line,
-    error_response,
-    eval_request,
-    ok_response,
-    parse_request,
-)
-from .registry import ModelEntry, ModelRegistry
-from .service import TNNService, serve_snapshot
+from .. import _lazy
 
-__all__ = [
-    "Batch",
-    "BatchPolicy",
-    "ERROR_CODES",
-    "InlineWorkerPool",
-    "Job",
-    "MicroBatcher",
-    "ModelEntry",
-    "ModelRegistry",
-    "PROTOCOL",
-    "PendingRequest",
-    "ProcessWorkerPool",
-    "ProtocolError",
-    "ServeError",
-    "TNNService",
-    "canonical",
-    "encode_line",
-    "error_response",
-    "eval_request",
-    "ok_response",
-    "parse_request",
-    "serve_snapshot",
-]
+__all__, __getattr__, __dir__ = _lazy(
+    __name__,
+    {
+        "batcher": ("Batch", "BatchPolicy", "MicroBatcher", "PendingRequest"),
+        "pool": ("InlineWorkerPool", "Job", "ProcessWorkerPool"),
+        "protocol": (
+            "ERROR_CODES", "PROTOCOL", "ProtocolError", "ServeError",
+            "canonical", "encode_line", "error_response", "eval_request",
+            "ok_response", "parse_request",
+        ),
+        "registry": ("ModelEntry", "ModelRegistry"),
+        "service": ("TNNService", "serve_snapshot"),
+    },
+)

@@ -2,26 +2,37 @@
 
 Each worker is a separate OS process that starts with no models.  Every
 model reaches it as a ``load`` message carrying the model's served
-program — built once, by the frontend's registry, from the network it
-parsed — pickled once per model, and sent when the pool starts, when a
-model is registered, and when a replacement worker is brought up to
-date.  :func:`load_program` unpickles it, verifies the program
-fingerprint the message names, and **warms** the compiled plan, so the
-first real request never pays compilation or first-touch cost; a worker
-never parses, lowers or optimizes.  Eval messages are answered by the
-batch engine (:func:`~repro.network.compile_plan.evaluate_batch`).  Both
-loading and evaluating live in one worker body, :class:`_Worker`, which
-both pools run; :func:`_worker_main` is only its pipe transport.
+program — built once per registration, in a builder process
+(:meth:`ProcessWorkerPool.build`), pickled there, and unpickled once by
+the frontend — sent as the same bytes when a model is registered and
+when a replacement worker is brought up to date.
+:func:`~repro.serve.worker.load_program` unpickles it, verifies the
+program fingerprint the message names, and **warms** the compiled plan,
+so the first real request never pays compilation or first-touch cost; a
+worker never parses, lowers or optimizes.  Eval messages are answered by
+the batch engine (:func:`~repro.network.compile_plan.evaluate_batch`).
+Both loading and evaluating live in one worker body,
+:class:`~repro.serve.worker._Worker`, which both pools run.
 
-Only the evaluating side imports NumPy and the engine: this module
-does not, a process worker imports them right after it reports ready
-(overlapping the frontend's model registration), and :class:`_Worker`
-imports them on first use.  A batch crosses the pipe as raw int64
-bytes: the micro-batcher's encoded rows, packed row after row by
-:func:`pack_rows`, plus the row count; the worker views them as a
-``(B, n_inputs)`` array, and its reply is the engine's
-``(B, n_outputs)`` result as bytes, which :func:`unpack_rows` turns
-back into rows of encoded ints in the frontend.
+**Worker lifecycle.**  The frontend forks one process, worker 0 — the
+warm worker (:mod:`repro.serve.worker`) — before it starts a thread;
+``python -m repro serve`` forks it before it even imports this module.
+Worker 0 imports the engine and the build path once, and every other
+process the pool needs is forked by it, on request over its pipe: the
+other workers (its **siblings**), their replacements, and one
+short-lived **builder** per registration.  Each request carries the new
+process's pipe end (``send_handle``).  So the frontend never holds a
+model's parse heap, and never forks once its thread runs; when worker 0
+itself dies, its replacement is started with ``spawn``.
+
+Only the evaluating side imports NumPy and the engine: this module does
+not, and :class:`~repro.serve.worker._Worker` imports them on first use.
+A batch crosses the pipe as raw int64 bytes: the micro-batcher's
+encoded rows, packed row after row by :func:`pack_rows`, plus the row
+count; the worker views them as a ``(B, n_inputs)`` array, and its
+reply is the engine's ``(B, n_outputs)`` result as bytes, which
+:func:`unpack_rows` turns back into rows of encoded ints in the
+frontend.
 
 Every pool owns the frontend's one thread, an asyncio event loop
 started by :func:`start_loop` (``pool.loop``): the service arms its
@@ -33,7 +44,7 @@ Dispatch is **least-loaded**: :meth:`ProcessWorkerPool.submit` picks the
 alive worker with the fewest in-flight batches.  A broken pipe (crash,
 kill, OOM) reads as end-of-file on the loop; the dead worker's in-flight
 batches are failed back to the service (which retries them on another
-worker), and a replacement process is forked in its place, up to
+worker), and a replacement is started in its place, up to
 ``max_restarts`` times, which takes work once it reports ready.
 :meth:`ProcessWorkerPool.inject_crash` makes a worker die on command —
 the fault-injection hook the served-conformance tests use to prove
@@ -42,19 +53,20 @@ byte-identical responses survive crashes.
 :class:`InlineWorkerPool` is the same interface executed synchronously
 in-process — no IPC, no fork — used by unit tests and by benchmark
 configurations that isolate scheduling cost from process cost.  It
-calls the same :class:`_Worker` directly, with the registry's own
-:class:`~repro.ir.program.Program` objects, so a sampled batch there
-sets the process-wide profiling flag in the serving process itself.
+builds programs in-process and calls the same worker body directly,
+with the registry's own :class:`~repro.ir.program.Program` objects, so
+a sampled batch there sets the process-wide profiling flag in the
+serving process itself.
 
 Both pools count into the frontend's one metrics registry: a process
-worker's counts arrive every :data:`_METRICS_PIGGYBACK_EVERY`-th reply,
-so they may lag by up to 15 batches per worker (and a crash loses them).
+worker's counts arrive every
+:data:`~repro.serve.worker._METRICS_PIGGYBACK_EVERY`-th reply, so they
+may lag by up to 15 batches per worker (and a crash loses them).
 """
 
 from __future__ import annotations
 
 import asyncio
-import gc
 import itertools
 import multiprocessing as mp
 import multiprocessing.connection as mp_connection
@@ -62,26 +74,23 @@ import os
 import pickle
 import select
 import selectors
+import signal
 import threading
 from array import array
 from collections.abc import Iterable, Sequence
-from contextlib import nullcontext, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain
-from time import monotonic, perf_counter
-from typing import Callable
+from multiprocessing.reduction import send_handle
+from time import monotonic, sleep
+from typing import Callable, Optional
 
-from ..core.value import Time, decode_time
 from ..ir.program import Program
 from ..obs import metrics as _obs_metrics
-from ..obs import profile as _profile
 from ..obs import rtrace as _rtrace
+from . import worker as _worker
 from .protocol import E_WORKER, ServeError
-
-#: A worker piggybacks what it counted since its last report on every
-#: Nth eval reply (every reply would double the IPC payload for
-#: slow-moving counters).
-_METRICS_PIGGYBACK_EVERY = 16
+from .registry import Built, build_program
 
 
 def _pool_gauges(pool) -> dict:
@@ -133,35 +142,6 @@ def start_loop() -> "tuple[asyncio.AbstractEventLoop, Callable[[float], None]]":
     return loop, stop
 
 
-def load_program(model_id: str, fingerprint: str, program: "Program | bytes") -> Program:
-    """Make one served program ready to evaluate.
-
-    *program* is the registry's served program
-    (:attr:`~repro.serve.registry.ModelEntry.program`), pickled by a
-    process pool or the object itself in-process.  Unpickle it, verify
-    that its fingerprint is *fingerprint* (:class:`ValueError`
-    otherwise; unpickling re-derives the fingerprint from the node
-    table), and warm the compiled plan.  :meth:`_Worker.load` is its
-    one caller.
-    """
-    from ..network.compile_plan import compile_plan
-
-    if isinstance(program, bytes):
-        program = pickle.loads(program)
-    if program.fingerprint() != fingerprint:
-        raise ValueError(
-            f"program fingerprint {program.fingerprint()[:12]} of model "
-            f"{model_id[:12]} does not match {fingerprint[:12]}"
-        )
-    compile_plan(program).warm()
-    return program
-
-
-def _decode_params(params_enc: dict[str, int]) -> dict[str, Time]:
-    """Sentinel-encoded parameter binding back to ``Time`` values."""
-    return {name: decode_time(value) for name, value in params_enc.items()}
-
-
 def pack_rows(rows: Iterable[Sequence[int]]) -> bytes:
     """Encoded volley rows as one eval payload: their int64 cells, row after row."""
     return array("q", chain.from_iterable(rows)).tobytes()
@@ -210,87 +190,6 @@ class Job:
     on_extras: "Callable[[dict], None] | None" = None
 
 
-# ---------------------------------------------------------------------------
-# Worker body (shared by both pools) and its process transport
-# ---------------------------------------------------------------------------
-
-def _phase_totals() -> dict[str, float]:
-    """Accumulated ``phase.*`` timer seconds, keyed without the prefix."""
-    timers = _obs_metrics.METRICS.snapshot()["timers"]
-    return {
-        name[len("phase."):]: entry["total_s"]
-        for name, entry in timers.items()
-        if name.startswith("phase.")
-    }
-
-
-class _Worker:
-    """One worker's models and the two things it does with them.
-
-    A process worker (:func:`_worker_main`) and :class:`InlineWorkerPool`
-    each hold one and call it the same way, so where a batch runs cannot
-    change its answer, its counters or its trace.
-    """
-
-    def __init__(self) -> None:
-        self.programs: dict[str, Program] = {}
-        #: Plan warm-ups so far (one per loaded model).
-        self.warmups = 0
-
-    def load(self, model_id: str, fingerprint: str, program) -> int:
-        """Load *model_id* through :func:`load_program`; the new warm-up count."""
-        self.programs[model_id] = load_program(model_id, fingerprint, program)
-        self.warmups += 1
-        return self.warmups
-
-    def eval(
-        self,
-        model_id: str,
-        volleys: bytes,
-        rows: int,
-        params_enc: dict,
-        want_spans: int,
-    ) -> tuple[bytes, dict]:
-        """Evaluate one batch: ``(result bytes, timing extras)``.
-
-        *volleys* holds *rows* encoded volleys (:func:`pack_rows`); the
-        result is the engine's ``(rows, n_outputs)`` int64 matrix as
-        bytes.  The extras are empty at *want_spans* 0,
-        ``{"eval_s": …}`` at level 1 (two clock reads), and add
-        ``"phases"`` at level 2, when
-        the engine runs under :func:`~repro.obs.profile.profiled`.  That
-        flag is process-wide: in-process, another thread's profiled
-        phases that overlap the batch land in its deltas too.
-        """
-        import numpy as np
-
-        from ..network.compile_plan import evaluate_batch
-
-        program = self.programs.get(model_id)
-        if program is None:
-            raise KeyError(f"model {model_id[:12]} not loaded")
-        matrix = np.frombuffer(volleys, dtype=np.int64).reshape(
-            rows, len(program.input_ids)
-        )
-        before = _phase_totals() if want_spans >= 2 else None
-        started = perf_counter()
-        with _profile.profiled() if before is not None else nullcontext():
-            result = evaluate_batch(program, matrix, params=_decode_params(params_enc))
-        result = result.tobytes()
-        if not want_spans:
-            return result, {}
-        extras: dict = {"eval_s": perf_counter() - started}
-        if before is not None:
-            phases = {
-                name: total - before.get(name, 0.0)
-                for name, total in _phase_totals().items()
-                if total - before.get(name, 0.0) > 0.0
-            }
-            if phases:
-                extras["phases"] = phases
-        return result, extras
-
-
 def _complete(job: Job, result, extras: dict, failure: "str | None" = None) -> None:
     """Finish *job* the one way both pools do.
 
@@ -307,103 +206,6 @@ def _complete(job: Job, result, extras: dict, failure: "str | None" = None) -> N
     job.on_done(unpack_rows(result, job.rows))
 
 
-def _worker_main(conn) -> None:
-    """The worker process: a :class:`_Worker` behind a pipe.
-
-    Runs in a child process (or, for unit tests, a plain thread with the
-    other pipe end held by the test).  It reports ready with no models,
-    imports the batch engine (and with it NumPy) while the frontend
-    registers its models, then serves messages in order, so every model
-    a ``load`` brings is warmed before any eval behind it on the pipe
-    runs.  Automatic
-    collections are off during a load, which allocates a whole program
-    and its plan at once and would otherwise be walked by collection
-    after collection; the load ends in one full collection and
-    ``gc.freeze()``: the compiled programs and warmed plans are
-    immortal, and frozen objects keep steady-state eval batches from
-    paying collections that walk the model heap.
-    Messages:
-
-    * ``("eval", job_id, model_id, volleys, rows, params_enc, want_spans)``
-      → ``("ok", job_id, result, extras)`` (*volleys* and *result* are
-      int64 bytes, see :meth:`_Worker.eval`) or
-      ``("err", job_id, reason, extras)``.  The *extras* dict carries
-      :meth:`_Worker.eval`'s engine timings and, every
-      :data:`_METRICS_PIGGYBACK_EVERY` replies, what the worker counted
-      since its last report (:func:`~repro.obs.metrics.snapshot_delta`,
-      first against its start; a snapshot takes no inherited lock);
-    * ``("load", model_id, program_fingerprint, program)`` →
-      ``("loaded", model_id, warmups)``, or ``("load-failed", model_id,
-      reason)`` when the pickled program does not unpickle or its
-      fingerprint is not *program_fingerprint* (the worker keeps serving
-      its other models);
-    * ``("ping", token)`` → ``("pong", token, delta)``: every pong
-      reports what the worker counted since its last report, so after a
-      warm barrier the parent registry holds every count of every batch
-      sent before it
-    * ``("crash",)`` → hard ``os._exit`` (fault-injection hook)
-    * ``("stop",)`` → clean return
-    """
-    worker = _Worker()
-    reported = _obs_metrics.METRICS.snapshot()
-
-    def unreported() -> dict:
-        nonlocal reported
-        current = _obs_metrics.METRICS.snapshot()
-        delta = _obs_metrics.snapshot_delta(current, reported)
-        reported = current
-        return delta
-
-    conn.send(("ready", os.getpid(), sorted(worker.programs), worker.warmups))
-    # Import the engine, and NumPy with it, while the frontend registers.
-    from ..network.compile_plan import evaluate_batch  # noqa: F401
-
-    replies = 0
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            return
-        op = message[0]
-        if op == "eval":
-            _op, job_id, model_id, volleys, rows, params_enc, want_spans = message
-            try:
-                result, extras = worker.eval(
-                    model_id, volleys, rows, params_enc, want_spans
-                )
-                reply = ("ok", job_id, result, extras)
-            except Exception as exc:  # noqa: BLE001 - reported to the parent
-                reply = ("err", job_id, f"{type(exc).__name__}: {exc}", {})
-            if replies % _METRICS_PIGGYBACK_EVERY == 0:
-                reply[3]["metrics"] = unreported()
-            conn.send(reply)
-            replies += 1
-        elif op == "load":
-            model_id = message[1]
-            gc.disable()
-            try:
-                warmups = worker.load(model_id, message[2], message[3])
-            except Exception as exc:  # noqa: BLE001 - reported to the parent
-                conn.send(("load-failed", model_id, f"{type(exc).__name__}: {exc}"))
-            else:
-                conn.send(("loaded", model_id, warmups))
-            # The program is unpickled: do not hold its bytes until the
-            # next message.
-            del message
-            gc.collect()
-            gc.freeze()
-            gc.enable()
-        elif op == "ping":
-            conn.send(("pong", message[1], unreported()))
-        elif op == "crash":
-            os._exit(3)
-        elif op == "stop":
-            conn.close()
-            return
-        else:
-            conn.send(("err", None, f"unknown op {op!r}", {}))
-
-
 # ---------------------------------------------------------------------------
 # Process pool
 # ---------------------------------------------------------------------------
@@ -411,9 +213,16 @@ def _worker_main(conn) -> None:
 @dataclass
 class _WorkerHandle:
     slot: int
-    process: "mp.process.BaseProcess"
     conn: "mp_connection.Connection"
     generation: int
+    #: Worker 0's process, the frontend's one child; ``None`` for a
+    #: sibling, which worker 0 forked.
+    process: "Optional[mp.process.BaseProcess]" = None
+    #: A sibling's end of its pipe, held until worker 0 is asked to fork
+    #: the sibling on it.
+    peer: "Optional[mp_connection.Connection]" = None
+    #: The process id the worker reported with ``ready``.
+    pid: Optional[int] = None
     #: Reported ready and was sent every live model: takes work.
     alive: bool = False
     #: Set once the worker reported ready or died, whichever came first.
@@ -427,19 +236,46 @@ class _WorkerHandle:
         return len(self.jobs)
 
 
+def _await_eof(conn, timeout: float) -> bool:
+    """Read *conn* until end-of-file; ``False`` if it stays open *timeout* s."""
+    deadline = monotonic() + timeout
+    while conn.poll(max(0.0, deadline - monotonic())):
+        try:
+            conn.recv_bytes()
+        except (EOFError, OSError):
+            return True
+    return False
+
+
+def _sibling(slot: int, generation: int) -> _WorkerHandle:
+    """A sibling's handle; worker 0 forks the process once asked."""
+    ours, theirs = mp.Pipe(duplex=True)
+    return _WorkerHandle(slot=slot, conn=ours, generation=generation, peer=theirs)
+
+
+def _hand_over(warm: _WorkerHandle, op: str, peer) -> None:
+    """Ask worker 0 to fork a process (*op*: ``fork`` or ``build``) on *peer*."""
+    warm.conn.send((op,))
+    send_handle(warm.conn, peer.fileno(), warm.pid)
+
+
 class ProcessWorkerPool:
     """Multiprocessing workers with least-loaded dispatch and restarts.
 
-    The workers are forked empty, before the pool's loop thread starts;
+    Worker 0 is *warm* (``(process, conn)`` from
+    :func:`~repro.serve.worker.start_warm_worker`, which
+    ``python -m repro serve`` calls before it imports the serving
+    stack), or is forked here, before the pool's loop thread starts.
+    Worker 0 forks the other ``n_workers - 1`` once it reports ready.
     *programs* (``model_id -> served program``,
     :meth:`~repro.serve.registry.ModelRegistry.programs`) are then
-    shipped to them as ``load`` messages, and the constructor returns
-    once every worker holds them (:meth:`wait_loaded`), or as soon as
-    every worker reported ready when there are none.  A server passes
-    no programs, registers its models afterwards and then calls
-    :meth:`wait_loaded` itself, so no worker starts with the parent's
-    model heap.  Replies are read on :attr:`loop`, where job callbacks
-    run; the methods that wait are called from any other thread.
+    shipped to every worker as ``load`` messages, and the constructor
+    returns once every worker holds them (:meth:`wait_loaded`), or as
+    soon as every worker reported ready when there are none.  A server
+    passes no programs, registers its models afterwards (each built by
+    :meth:`build`) and then calls :meth:`wait_loaded` itself.  Replies
+    are read on :attr:`loop`, where job callbacks run; the methods that
+    wait are called from any other thread.
     """
 
     def __init__(
@@ -449,6 +285,7 @@ class ProcessWorkerPool:
         n_workers: int = 2,
         max_restarts: int = 8,
         start_timeout: float = 60.0,
+        warm=None,
     ):
         if n_workers < 1:
             raise ValueError(f"need at least one worker, got {n_workers}")
@@ -462,17 +299,18 @@ class ProcessWorkerPool:
         self.start_timeout = start_timeout
         self._lock = threading.Lock()
         self._stopping = False
+        #: Every first worker reported ready; a sibling that dies before
+        #: ready is replaced from then on (worker 0 may have died with
+        #: its fork request).
+        self._serving = False
         self._restarts = 0
         self._ping_tokens = itertools.count(1)
         #: Outstanding warm-barrier pings: token -> (worker, event).
         self._pongs: dict[int, tuple[_WorkerHandle, threading.Event]] = {}
-        # Prefer fork where available (fast, shares the warm parent
-        # image); spawn elsewhere.  The worker body is a module-level
-        # function, so both start methods work.
-        methods = mp.get_all_start_methods()
-        self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
+        process, conn = warm if warm is not None else _worker.start_warm_worker()
         self._workers: list[_WorkerHandle] = [
-            self._spawn(slot, generation=0) for slot in range(n_workers)
+            _WorkerHandle(slot=0, conn=conn, generation=0, process=process),
+            *(_sibling(slot, 0) for slot in range(1, n_workers)),
         ]
         self.loop, self._stop_loop = start_loop()
         for worker in self._workers:
@@ -490,6 +328,7 @@ class ProcessWorkerPool:
                 continue
             self.shutdown()
             raise ServeError(E_WORKER, f"worker {worker.slot} {problem}")
+        self._serving = True
         for model_id, program in programs.items():
             self.add_model(model_id, program)
         if not programs:
@@ -503,20 +342,70 @@ class ProcessWorkerPool:
             raise
 
     # -- lifecycle ------------------------------------------------------------
-    def _spawn(self, slot: int, *, generation: int) -> _WorkerHandle:
-        """Fork an empty worker; it takes work once it reports ready."""
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(child_conn,),
-            name=f"serve-worker-{slot}.{generation}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        return _WorkerHandle(
-            slot=slot, process=process, conn=parent_conn, generation=generation
-        )
+    def _request_forks(self) -> None:
+        """Ask worker 0 for every sibling not yet forked (lock held).
+
+        A send fails only if worker 0 died already; its end-of-file
+        brings a replacement, whose ``ready`` asks again.
+        """
+        for worker in self._workers:
+            if worker.peer is not None:
+                try:
+                    _hand_over(self._workers[0], "fork", worker.peer)
+                except OSError:
+                    return
+                worker.peer.close()
+                worker.peer = None
+
+    def build(self, packed: bytes) -> Built:
+        """Build a model's served program in a builder process.
+
+        *packed* is the model's packed document
+        (:func:`~repro.serve.registry.pack_document`).  Worker 0 forks
+        the builder on a fresh pipe, which this end then writes the
+        document to; the builder runs
+        :func:`~repro.serve.registry.build_program` and answers with the
+        pickled program, unpickled here once, its bytes kept as the
+        :attr:`~repro.serve.registry.Built.payload` every worker is
+        sent.  What the build raised is re-raised here; a builder that
+        dies, or no reply within ``start_timeout`` (which includes
+        waiting for a replaced worker 0), is a :class:`ServeError`.
+        """
+        deadline = monotonic() + self.start_timeout
+        ours, theirs = mp.Pipe(duplex=True)
+        try:
+            while True:
+                with self._lock:
+                    if self._stopping:
+                        raise ServeError(E_WORKER, "pool is shutting down")
+                    warm = self._workers[0]
+                    if warm.alive:
+                        with suppress(OSError):
+                            _hand_over(warm, "build", theirs)
+                            break
+                if monotonic() >= deadline:
+                    raise ServeError(
+                        E_WORKER, f"worker 0 was not up within {self.start_timeout:g}s"
+                    )
+                sleep(0.01)
+            theirs.close()
+            ours.send_bytes(packed)
+            if not ours.poll(max(0.0, deadline - monotonic())):
+                raise ServeError(
+                    E_WORKER, f"model builder did not answer in {self.start_timeout:g}s"
+                )
+            reply = ours.recv()
+        except (EOFError, OSError) as exc:
+            raise ServeError(
+                E_WORKER, f"model builder exited without a reply ({type(exc).__name__})"
+            ) from None
+        finally:
+            ours.close()
+            theirs.close()
+        if reply[0] == "failed":
+            raise reply[1]
+        _op, model_id, name, nodes, payload = reply
+        return Built(model_id, name, nodes, pickle.loads(payload), payload)
 
     def shutdown(self, timeout: float = 10.0) -> None:
         """Stop the loop thread and every worker."""
@@ -533,11 +422,19 @@ class ProcessWorkerPool:
                 with suppress(OSError):
                     worker.conn.send(("stop",))
         for worker in self._workers:
-            worker.process.join(timeout=timeout)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=1.0)
+            if worker.process is not None:
+                worker.process.join(timeout=timeout)
+                if worker.process.is_alive():
+                    worker.process.terminate()
+                    worker.process.join(timeout=1.0)
+            elif not worker.conn.closed and not _await_eof(worker.conn, timeout):
+                # Worker 0's child: its pipe closes when it exits.
+                if worker.pid is not None:
+                    with suppress(ProcessLookupError):
+                        os.kill(worker.pid, signal.SIGKILL)
             worker.conn.close()
+            if worker.peer is not None:
+                worker.peer.close()
 
     # -- introspection --------------------------------------------------------
     @property
@@ -593,13 +490,19 @@ class ProcessWorkerPool:
                 raise ServeError(E_WORKER, "worker pipe broken on submit")
         _obs_metrics.METRICS.inc("serve.pool.submits")
 
-    def add_model(self, model_id: str, program: Program) -> None:
+    def add_model(
+        self, model_id: str, program: Program, payload: Optional[bytes] = None
+    ) -> None:
         """Ship a newly registered model's program to every alive worker.
 
-        The program is pickled once, here; every worker, and every
+        *payload* is the program pickled, as its builder sent it
+        (:attr:`~repro.serve.registry.ModelEntry.payload`); without one
+        the program is pickled here.  Every worker, and every
         replacement later, is sent the same bytes.
         """
-        load = (program.fingerprint(), pickle.dumps(program, pickle.HIGHEST_PROTOCOL))
+        if payload is None:
+            payload = pickle.dumps(program, pickle.HIGHEST_PROTOCOL)
+        load = (program.fingerprint(), payload)
         with self._lock:
             self._programs[model_id] = load
             self._failed.pop(model_id, None)
@@ -720,15 +623,26 @@ class ProcessWorkerPool:
             # will be sent, so it serves nothing it has not loaded.  A
             # send fails only if it died already; its end-of-file reaps it.
             with suppress(OSError), self._lock:
+                worker.pid = message[1]
                 for model_id, load in self._programs.items():
                     worker.conn.send(("load", model_id, *load))
                 worker.alive = True
+                if worker.slot == 0:
+                    self._request_forks()
             worker.started.set()
 
     def _reap(self, worker: _WorkerHandle) -> None:
-        """A worker pipe broke: fail its jobs over, then fork a replacement."""
+        """A worker pipe broke: fail its jobs over, then start a replacement.
+
+        Worker 0 is replaced by a ``spawn`` (this process runs threads
+        and forks no more); a sibling by asking worker 0 to fork one,
+        at once or, while worker 0 is down, once its replacement is
+        ready.  A worker that never came up is not replaced, unless it
+        is a sibling of a pool that finished starting: worker 0 died
+        with its fork request.
+        """
         self.loop.remove_reader(worker.conn.fileno())
-        came_up = worker.started.is_set()  # one that never did is not replaced
+        came_up = worker.started.is_set() or (worker.slot and self._serving)
         worker.started.set()
         with self._lock:
             worker.alive = False
@@ -749,10 +663,19 @@ class ProcessWorkerPool:
         for job in orphans:
             job.on_fail(f"worker {worker.slot} crashed")
         if can_restart:
-            replacement = self._spawn(worker.slot, generation=worker.generation + 1)
+            generation = worker.generation + 1
+            if worker.slot == 0:
+                process, conn = _worker.start_warm_worker("spawn", generation=generation)
+                replacement = _WorkerHandle(
+                    slot=0, conn=conn, generation=generation, process=process
+                )
+            else:
+                replacement = _sibling(worker.slot, generation)
             with self._lock:
                 self._workers[worker.slot] = replacement
                 self._restarts += 1
+                if self._workers[0].alive:
+                    self._request_forks()
             self.loop.add_reader(
                 replacement.conn.fileno(), self._on_readable, replacement
             )
@@ -768,16 +691,21 @@ class InlineWorkerPool:
 
     Used by unit tests (determinism, no fork) and by benchmark
     configurations that measure scheduling without process overhead.
-    It holds one :class:`_Worker`, the body a process worker runs, and
-    completes jobs through the same :func:`_complete`, so a batch gets
-    the same answer, counters and engine spans in either pool.  A
+    It builds programs in-process (:attr:`build` is
+    :func:`~repro.serve.registry.build_program`) and holds one
+    :class:`~repro.serve.worker._Worker`, the body a process worker
+    runs, and completes jobs through the same :func:`_complete`, so a
+    batch gets the same answer, counters and engine spans in either
+    pool.  A
     sampled (level-2) batch turns on the process-wide profiling flag
     for its evaluation, here in the serving process itself.  Its
     :attr:`loop` is where a service over it dispatches and completes.
     """
 
+    build = staticmethod(build_program)
+
     def __init__(self, programs: dict[str, Program]):
-        self._worker = _Worker()
+        self._worker = _worker._Worker()
         for model_id, program in programs.items():
             self.add_model(model_id, program)
         self._stopping = False
@@ -807,7 +735,9 @@ class InlineWorkerPool:
             return
         _complete(job, result, extras)
 
-    def add_model(self, model_id: str, program: Program) -> None:
+    def add_model(
+        self, model_id: str, program: Program, payload: Optional[bytes] = None
+    ) -> None:
         self._worker.load(model_id, program.fingerprint(), program)
 
     def wait_warm(self, timeout: float = 30.0) -> bool:

@@ -5,12 +5,13 @@ SHA-256 of its node table and terminal/output maps, preserved
 bit-for-bit by JSON serialization (:mod:`repro.network.serialize`
 embeds and verifies it).  That one choice buys three properties:
 
-* **shippability** — the frontend parses and verifies each document
-  once, builds the optimized program a worker serves, and ships that
-  program; a worker *proves* it received it intact by recomputing the
-  program's fingerprint.  The frontend keeps each model's program and
-  its document, zlib-compressed, not its network, which is dropped
-  once the program is built;
+* **shippability** — each document is parsed and verified once, by
+  :func:`build_program`, which builds the optimized program a worker
+  serves; a worker *proves* it received that program intact by
+  recomputing its fingerprint.  With a process pool the build runs in
+  a short-lived builder process, so the frontend never holds a model's
+  parse heap; it keeps each model's program and its document,
+  zlib-compressed, never its network;
 * **deduplication** — registering a structural twin (same algebra, any
   display name) resolves to the existing entry, so workers load it once;
 * **conformance** — "served response equals direct ``evaluate_batch``"
@@ -34,16 +35,14 @@ promotes while the service admits requests.
 
 from __future__ import annotations
 
+import importlib
+import sys
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
-# Called through this module's name, so tooling that times the serving
-# set-up can wrap ``repro.serve.registry.optimize_program``.
-from ..ir.passes import optimize_program
 from ..ir.program import Program, lower
-from ..ir.sorters import group_sorters
 from ..network import serialize
 from ..network.graph import Network, NetworkError
 from ..runtime.result_cache import RESULT_CACHE
@@ -64,15 +63,64 @@ def unpack_document(packed: bytes) -> str:
     return zlib.decompress(packed).decode("utf-8", "surrogatepass")
 
 
+#: The IR passes of the build path, imported on first use
+#: (:func:`__getattr__`): a frontend whose pool builds in builder
+#: processes never loads them.
+_BUILD_PASSES = {
+    "group_sorters": "repro.ir.sorters",
+    "optimize_program": "repro.ir.passes",
+}
+
+
+def __getattr__(name: str):
+    if name not in _BUILD_PASSES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_BUILD_PASSES[name]), name)
+    globals()[name] = value
+    return value
+
+
+class Built(NamedTuple):
+    """What :func:`build_program` makes of one model document."""
+
+    model_id: str  # the parsed network's fingerprint
+    name: str
+    nodes: int
+    program: Program
+    #: The program pickled, when it crossed a pipe to get here (a
+    #: process pool ships these same bytes to its workers).
+    payload: Optional[bytes] = None
+
+
+def build_program(packed: bytes) -> Built:
+    """Parse a packed document and build the program a worker serves.
+
+    The network is parsed (which verifies any fingerprint the document
+    embeds), lowered, its sorters grouped (before the optimizer, whose
+    rewrites would hide a sorter's shape; it also leaves the sweep a
+    fraction of the nodes) and optimized; only its fingerprint, name
+    and node count outlive the call.  A process pool runs this in a
+    builder process; an inline pool, and a registry used without a
+    pool, run it in-process.
+    """
+    network = serialize.loads(unpack_document(packed))
+    # Called through this module's name, so tooling that times the
+    # serving set-up can wrap ``repro.serve.registry.optimize_program``.
+    this = sys.modules[__name__]
+    program, _report = this.optimize_program(this.group_sorters(lower(network)))
+    return Built(network.fingerprint(), network.name, len(network.nodes), program)
+
+
 @dataclass(frozen=True)
 class ModelEntry:
     """One registered model: its packed document, served program and node count.
 
     ``program`` is what the worker pool serves: the network lowered, its
     sorters grouped into rank rows and the result optimized, built once
-    here (fire-time equal to the network by the IR's provenance
-    contract).  Workers receive it, not the document, and only compile
-    and warm it.  ``packed`` is the serialized document, compressed by
+    by :func:`build_program` (fire-time equal to the network by the
+    IR's provenance contract); ``payload`` is that program pickled, when
+    a builder process sent it.  Workers receive it, not the document,
+    and only compile and warm it.  ``packed`` is the serialized document, compressed by
     :func:`pack_document` (the 80-input column's 3.8 MB of JSON keeps as
     about 180 kB); :attr:`document` returns the exact text registered,
     which the ``model_doc`` op hands out so a client can rebuild and
@@ -87,6 +135,7 @@ class ModelEntry:
     packed: bytes
     program: Program
     nodes: int
+    payload: Optional[bytes] = None
 
     @property
     def document(self) -> str:
@@ -157,61 +206,59 @@ class ModelRegistry:
         model: Union[Network, str],
         *,
         name: Optional[str] = None,
+        build: Callable[[bytes], Built] = build_program,
     ) -> ModelEntry:
         """Register *model*; returns the (possibly pre-existing) entry.
 
-        *model* is a :class:`Network` or a serialized document.  Either
-        way, a registration fails loudly here rather than shipping a
-        document workers would reject:
+        *model* is a :class:`Network` or a serialized document; either
+        way the entry keeps a document, packed (:func:`pack_document`):
+        a document (a ``--model-file``'s text) exactly as given, a
+        network serialized.  *build* (:func:`build_program`, or a
+        process pool's :meth:`~repro.serve.pool.ProcessWorkerPool.build`,
+        which runs it in a builder process) parses that document once
+        and builds the served program, so a registration fails loudly
+        here rather than shipping a document workers would reject:
 
-        * a **document** (a ``--model-file``'s text) is parsed once, which
-          also verifies any fingerprint it embeds.  The model id is the
-          fingerprint of the rebuilt network, and the entry keeps the
-          text exactly as given, packed — that one parse is the round
-          trip;
-        * a **network** is serialized, the document parsed back, and the
-          two fingerprints compared bit-for-bit.
+        * a **document**'s parse verifies any fingerprint it embeds, and
+          the model id is the fingerprint of the network it rebuilds
+          (so a twin of a registered model is built, then dropped);
+        * a **network** already registered is not built again;
+          otherwise the fingerprint of the network rebuilt from its
+          document must equal its own, bit for bit.
 
-        A new model's served program is then built from the network:
-        lowered, its sorters grouped (before the optimizer, whose
-        rewrites would hide a sorter's shape; it also leaves the sweep a
-        fraction of the nodes) and optimized.  All of it happens outside
-        the lock: a large column takes a while, and admissions must keep
-        resolving meanwhile.  The network is not kept: once its program
-        is built it is dropped, and the lowering memoized on it with it;
-        the document is kept packed (:func:`pack_document`).
+        The build happens outside the lock: a large column takes a
+        while, and admissions must keep resolving meanwhile.
         """
-        document = None
+        fingerprint = None
+        entry = None
         if isinstance(model, str):
             document = model
-            network = serialize.loads(document)
         else:
-            network = model
-        fingerprint = network.fingerprint()
-        with self._lock:
-            entry = self._by_id.get(fingerprint)
+            fingerprint = model.fingerprint()
+            with self._lock:
+                entry = self._by_id.get(fingerprint)
+            document = None if entry else serialize.dumps(model, indent=None)
         if entry is None:
-            if document is None:
-                document = serialize.dumps(network, indent=None)
-                rebuilt = serialize.loads(document).fingerprint()
-                if rebuilt != fingerprint:
-                    raise NetworkError(
-                        f"serialization round-trip changed the fingerprint "
-                        f"of {network.name!r}: {fingerprint[:12]} -> "
-                        f"{rebuilt[:12]}"
-                    )
-            program, _report = optimize_program(group_sorters(lower(network)))
+            packed = pack_document(document)
+            built = build(packed)
+            if fingerprint is not None and built.model_id != fingerprint:
+                raise NetworkError(
+                    f"serialization round-trip changed the fingerprint "
+                    f"of {model.name!r}: {fingerprint[:12]} -> "
+                    f"{built.model_id[:12]}"
+                )
             entry = ModelEntry(
-                model_id=fingerprint,
-                name=name or network.name,
-                packed=pack_document(document),
-                program=program,
-                nodes=len(network.nodes),
+                model_id=built.model_id,
+                name=name or built.name,
+                packed=packed,
+                program=built.program,
+                nodes=built.nodes,
+                payload=built.payload,
             )
         with self._lock:
-            entry = self._by_id.setdefault(fingerprint, entry)
+            entry = self._by_id.setdefault(entry.model_id, entry)
             if name:
-                self._aliases[name] = fingerprint
+                self._aliases[name] = entry.model_id
         return entry
 
     def resolve(self, key: str) -> ModelEntry:

@@ -44,6 +44,7 @@ from .protocol import (
     ok_response,
     parse_request,
 )
+from .cli import serve_parser
 from .service import TNNService
 
 
@@ -459,20 +460,24 @@ async def run_server_async(
     return 0
 
 
-def build_service(args: argparse.Namespace) -> TNNService:
+def build_service(args: argparse.Namespace, *, warm=None) -> TNNService:
     """The service a ``python -m repro serve`` invocation runs.
 
-    *args* comes from a parser set up by :func:`add_serve_arguments`,
-    which gives every option its default.  The pool is forked before
-    any model is parsed, so workers start without the server's model
-    heap.  Every model is then registered through
-    :meth:`TNNService.register`: the registry parses it once (a
-    ``--model-file`` from its own text), builds its served program, and
-    the service ships that program to the workers as a ``load``, which
-    they only compile and warm.  The call returns once every model has
-    been loaded and warmed.  If a model does not load,
-    or the workers are not warm within the pool's ``start_timeout``,
-    the service is closed and :class:`ServeError` raised.
+    *args* comes from :func:`~repro.serve.cli.serve_parser`,
+    which gives every option its default.  *warm* is worker 0 when the
+    caller already started it (:func:`~repro.serve.worker.
+    start_warm_worker`, which ``python -m repro serve`` calls before it
+    imports this module); otherwise the process pool forks it here,
+    before its loop thread starts.  Every model is then registered
+    through :meth:`TNNService.register`: a builder process that worker 0
+    forks parses it once (a ``--model-file`` from its own text) and
+    builds its served program, and the service ships that program to
+    the workers as a ``load``, which they only compile and warm; the
+    frontend never parses a model (with ``--inline`` it builds
+    in-process).  The call returns once every model has been loaded and
+    warmed.  If a model does not build or load, or the workers are not
+    warm within the pool's ``start_timeout``, the service is closed and
+    the error raised.
     """
     from .batcher import BatchPolicy
     from .demo import demo_column
@@ -488,7 +493,7 @@ def build_service(args: argparse.Namespace) -> TNNService:
     if args.inline:
         pool = InlineWorkerPool({})
     else:
-        pool = ProcessWorkerPool({}, n_workers=args.workers)
+        pool = ProcessWorkerPool({}, n_workers=args.workers, warm=warm)
     service = TNNService(
         ModelRegistry(),
         pool,
@@ -501,9 +506,10 @@ def build_service(args: argparse.Namespace) -> TNNService:
         ),
         result_cache=not args.no_result_cache,
     )
-    # Parsing a model allocates its whole heap at once, and automatic
-    # collections would walk it again and again; serve_main collects
-    # (and freezes) once, after start-up.
+    # Building a model (in-process with --inline) or serializing one
+    # allocates a whole heap at once, and automatic collections would
+    # walk it again and again; serve_main collects (and freezes) once,
+    # after start-up.
     gc.disable()
     try:
         network, _volley = demo_column(args.model_seed, smoke=args.smoke)
@@ -544,145 +550,13 @@ def build_service(args: argparse.Namespace) -> TNNService:
     return service
 
 
-def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument(
-        "--port", type=int, default=7070, help="TCP port (0 picks a free one)"
-    )
-    parser.add_argument(
-        "--workers", type=int, default=2, help="worker processes in the pool"
-    )
-    parser.add_argument(
-        "--inline",
-        action="store_true",
-        help="evaluate in-process instead of in worker processes",
-    )
-    parser.add_argument(
-        "--no-result-cache",
-        action="store_true",
-        help="disable the (fingerprint, volley) result cache "
-        "(armed by default; repeats then always re-evaluate)",
-    )
-    parser.add_argument(
-        "--result-cache-entries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="rebound the result cache to N entries (default 4096)",
-    )
-    parser.add_argument(
-        "--max-batch", type=int, default=64, help="micro-batch size trigger"
-    )
-    parser.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="micro-batch latency trigger (milliseconds)",
-    )
-    parser.add_argument(
-        "--max-pending",
-        type=int,
-        default=1024,
-        help="admission bound; beyond it requests are rejected 'overloaded'",
-    )
-    parser.add_argument(
-        "--deadline-ms",
-        type=int,
-        default=None,
-        help="default per-request deadline (none if omitted)",
-    )
-    parser.add_argument(
-        "--model-seed", type=int, default=0, help="seed of the built-in demo model"
-    )
-    parser.add_argument(
-        "--smoke", action="store_true", help="smaller demo model (CI budget)"
-    )
-    parser.add_argument(
-        "--kernel",
-        action="append",
-        metavar="NAME",
-        help=(
-            "also serve a stdlib kernel demo model as 'kernel:NAME' "
-            "(repeatable; see `python -m repro kernels`)"
-        ),
-    )
-    parser.add_argument(
-        "--model-file",
-        action="append",
-        metavar="PATH",
-        help="also serve a serialized network (repeatable)",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        help="write a final metrics snapshot here on shutdown",
-    )
-    parser.add_argument(
-        "--port-file",
-        metavar="PATH",
-        help="write the bound port here once listening (for --port 0)",
-    )
-    parser.add_argument(
-        "--train",
-        action="store_true",
-        help=(
-            "run the online training plane: serve the seeded "
-            "classification scenario column under --train-alias, accept "
-            "'train' ops, snapshot + hot-swap as it learns"
-        ),
-    )
-    parser.add_argument(
-        "--train-alias",
-        default="digits@live",
-        metavar="ALIAS",
-        help="versioned alias the training plane promotes (default %(default)s)",
-    )
-    parser.add_argument(
-        "--train-seed",
-        type=int,
-        default=0,
-        help="seed of the training scenario and trainer",
-    )
-    parser.add_argument(
-        "--snapshot-every",
-        type=int,
-        default=50,
-        metavar="N",
-        help="training presentations between snapshots/promotions",
-    )
-    parser.add_argument(
-        "--lineage-out",
-        metavar="PATH",
-        help="write the training lineage document here on shutdown",
-    )
-    parser.add_argument(
-        "--rtrace",
-        action="store_true",
-        help="enable request-scoped span tracing (repro.obs.rtrace)",
-    )
-    parser.add_argument(
-        "--flight-out",
-        metavar="PREFIX",
-        help=(
-            "dump the flight recorder to PREFIX.jsonl + PREFIX.trace.json "
-            "on SIGUSR2 and on recorded anomalies"
-        ),
-    )
+def serve_main(argv: Optional[list[str]] = None, *, warm=None) -> int:
+    """``python -m repro serve``: build the service, serve until shut down.
 
-
-def serve_main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro serve",
-        description=(
-            "Serve TNN inference over newline-delimited JSON: concurrent "
-            "single-volley requests are micro-batched into compiled "
-            "evaluate_batch calls on a sharded worker pool.  Drive it "
-            "with `python -m repro loadgen`."
-        ),
-    )
-    add_serve_arguments(parser)
-    args = parser.parse_args(argv)
-    service = build_service(args)
+    *warm* is an already started worker 0 (see :func:`build_service`).
+    """
+    args = serve_parser().parse_args(argv)
+    service = build_service(args, warm=warm)
     # Model documents, compiled plans, and the service machinery live for
     # the whole process; freezing them keeps full GC passes from scanning
     # the model heap on every allocation-heavy traced burst.

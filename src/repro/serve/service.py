@@ -64,7 +64,13 @@ from .protocol import (
 )
 from ..runtime.result_cache import RESULT_CACHE, volley_digest
 from .pool import Job, pack_rows
-from .registry import MIN_PREFIX, ModelEntry, ModelRegistry, unpack_document
+from .registry import (
+    MIN_PREFIX,
+    ModelEntry,
+    ModelRegistry,
+    build_program,
+    unpack_document,
+)
 
 
 #: Overload rejections within one second before the flight recorder is
@@ -733,20 +739,24 @@ class TNNService:
         """Register a model and ship it to the worker pool.
 
         *model* is a :class:`~repro.network.graph.Network` or a
-        serialized document (see :meth:`ModelRegistry.register`).  The
-        archive keeps the entry's packed document.  Once a new model's
-        program is shipped, the C heap's free pages go back to the OS
-        (:func:`_trim_heap`): building the program freed a heap of the
+        serialized document (see :meth:`ModelRegistry.register`); the
+        pool's ``build`` builds its program (a process pool's in a
+        builder process).  The archive keeps the entry's packed
+        document.  Once a new model's program is shipped, the C heap's
+        free pages go back to the OS (:func:`_trim_heap`): reading,
+        serializing or (in-process) building a model freed a heap of the
         document's size, which the process would otherwise keep.
         """
         before = set(self.registry.ids())
-        entry = self.registry.register(model, name=name)
+        entry = self.registry.register(
+            model, name=name, build=getattr(self.pool, "build", build_program)
+        )
         with self._lock:
             self._document_archive[entry.model_id] = entry.packed
             while len(self._document_archive) > self._archive_limit:
                 self._document_archive.popitem(last=False)
         if entry.model_id not in before:
-            self.pool.add_model(entry.model_id, entry.program)
+            self.pool.add_model(entry.model_id, entry.program, entry.payload)
             _trim_heap()
         return entry
 

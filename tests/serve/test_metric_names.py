@@ -242,7 +242,7 @@ def test_sort_kernel_timer_is_pinned():
     """A served column's sorters run as sort kernels timed as ``plan.group.sort``."""
     from repro.obs.metrics import METRICS
     from repro.obs.profile import profiled
-    from repro.serve.pool import load_program
+    from repro.serve.worker import load_program
 
     entry = ModelRegistry().register(demo_column(0, smoke=True)[0])
     program = load_program(entry.model_id, entry.program.fingerprint(), entry.program)

@@ -16,13 +16,12 @@ from repro.serve.pool import (
     InlineWorkerPool,
     Job,
     ProcessWorkerPool,
-    _decode_params,
-    _worker_main,
     pack_rows,
     unpack_rows,
 )
 from repro.serve.protocol import ServeError
 from repro.serve.registry import ModelRegistry
+from repro.serve.worker import _decode_params, _worker_main
 
 
 @pytest.fixture(scope="module")
@@ -362,9 +361,9 @@ class TestLoadFailure:
     def test_worker_exit_before_ready_is_a_serve_error(self, monkeypatch):
         import os
 
-        import repro.serve.pool as pool_module
+        import repro.serve.worker as worker_module
 
-        monkeypatch.setattr(pool_module, "_worker_main", lambda conn: os._exit(1))
+        monkeypatch.setattr(worker_module, "_warm_main", lambda conn: os._exit(1))
         with pytest.raises(ServeError, match="exited before ready"):
             ProcessWorkerPool({}, n_workers=1)
 

@@ -193,7 +193,7 @@ class TestServiceTracing:
                     matrix = np.frombuffer(job.volleys, np.int64).reshape(job.rows, -1)
                     job.on_done(evaluate_batch(entry.program, matrix).tolist())
 
-            def add_model(self, model_id, program):
+            def add_model(self, model_id, program, payload=None):
                 pass
 
             def shutdown(self, timeout=10.0):

@@ -1,11 +1,12 @@
-"""Lean serving start-up: the pool forks before any model is parsed.
+"""Lean serving start-up: the frontend never parses a model.
 
 ``build_service`` builds an empty worker pool first, then registers the
-demo and ``--model-file`` models through the service, which ships each
-one's served program to the workers as a ``load``; it returns once they
-are warm.  A model file is registered from its own text: the server
-parses it once and keeps it as written.  Workers never parse.  A
-worker's ready message lists no models (pinned by
+demo and ``--model-file`` models through the service: a builder process
+that worker 0 forks parses each one once and builds its served program,
+which the service ships to the workers as a ``load``; it returns once
+they are warm.  A model file is registered from its own text and kept
+as written.  Workers never parse.  A worker's ready message lists no
+models (pinned by
 ``tests/serve/test_pool.py::TestEngines::test_ready_reports_warmups``).
 """
 
@@ -27,10 +28,12 @@ from repro.ir.program import same_structure
 from repro.network import serialize
 from repro.network.graph import NetworkError
 from repro.serve import pool as pool_module
+from repro.serve import worker as worker_module
 from repro.serve.demo import demo_column, demo_volleys
 from repro.serve.protocol import ServeError
 from repro.serve.registry import ModelRegistry
-from repro.serve.server import _handle_model_doc, add_serve_arguments, build_service
+from repro.serve.cli import add_serve_arguments
+from repro.serve.server import _handle_model_doc, build_service
 from repro.serve.service import TNNService
 from repro.testing import check_served
 
@@ -130,24 +133,40 @@ class TestLeanStartup:
         assert_serves_byte_identically(service, seed=2)
 
 
+def counting_parses(monkeypatch):
+    """Count ``serialize.loads`` calls outside the frontend; refuse them in it.
+
+    The patch is made before the pool forks worker 0, so worker 0 and
+    the builders it forks inherit it; the count lives in shared memory.
+    """
+    frontend = os.getpid()
+    count = mp.Value("i", 0, lock=False)
+    loads = serialize.loads
+
+    def counting_loads(document):
+        if os.getpid() == frontend:
+            raise AssertionError("the frontend parsed a document")
+        count.value += 1
+        return loads(document)
+
+    monkeypatch.setattr(serialize, "loads", counting_loads)
+    return count
+
+
 class TestModelFileText:
     """A ``--model-file`` is registered from its own text, parsed once."""
 
     def test_file_is_parsed_once_and_served_as_written(self, monkeypatch, model_file):
         text = model_file.read_text(encoding="utf-8")
         model_id = serialize.loads(text).fingerprint()
-        parsed, dumped = [], []
-        loads, dumps = serialize.loads, serialize.dumps
-
-        def counting_loads(document):
-            parsed.append(document)
-            return loads(document)
+        dumped = []
+        dumps = serialize.dumps
 
         def counting_dumps(network, **kwargs):
             dumped.append(network.fingerprint())
             return dumps(network, **kwargs)
 
-        monkeypatch.setattr(serialize, "loads", counting_loads)
+        parsed = counting_parses(monkeypatch)
         monkeypatch.setattr(serialize, "dumps", counting_dumps)
         service = build_service(
             serve_args("--smoke", "--workers", "1", "--model-file", str(model_file))
@@ -155,10 +174,11 @@ class TestModelFileText:
         try:
             # Collections are paused while models load, and only then.
             assert gc.isenabled()
-            # Workers parse in their own (forked) processes: every call
-            # counted here ran in the server.
-            assert parsed.count(text) == 1
+            # One parse per model (the demo column's and the file's),
+            # each in its builder; the file's text is not re-serialized.
+            assert parsed.value == 2
             assert model_id not in dumped
+            monkeypatch.undo()
             entry = service.registry.resolve(model_id)
             assert entry.document == text
             reply = _handle_model_doc(service, {"op": "model_doc", "model": model_id})
@@ -215,7 +235,7 @@ def load_program_failing_for(monkeypatch, bad_id, *, delay_s=0.0):
     program would; with *delay_s* every load first sleeps that long
     instead.
     """
-    load_program = pool_module.load_program
+    load_program = worker_module.load_program
 
     def patched(model_id, *load):
         time.sleep(delay_s)
@@ -223,7 +243,7 @@ def load_program_failing_for(monkeypatch, bad_id, *, delay_s=0.0):
             raise RuntimeError("plan compile crashed")
         return load_program(model_id, *load)
 
-    monkeypatch.setattr(pool_module, "load_program", patched)
+    monkeypatch.setattr(worker_module, "load_program", patched)
 
 
 def serve_workers():
@@ -276,30 +296,39 @@ class TestFailedStartup:
 
 
 class TestParseOnce:
-    """A model is parsed once, in the frontend; workers get its program."""
+    """A model is parsed once: in a builder, or in-process by an inline pool."""
 
     @pytest.fixture
     def parses(self, monkeypatch):
-        """Every ``serialize.loads`` call the frontend makes, by caller.
+        """Every ``serialize.loads`` call, by caller.
 
-        ``"direct"`` holds the parses :meth:`TNNService.direct` makes to
-        rebuild its oracle network, ``"register"`` every other one.
-        Forked workers inherit the patch; a call there fails its load,
-        which surfaces as ``load-failed``.
+        ``"direct"`` holds the frontend's parses :meth:`TNNService.direct`
+        makes to rebuild its oracle network, ``"register"`` its other
+        ones, and ``"builder"`` counts the parses of the processes
+        worker 0 forks (they inherit the patch; the count lives in
+        shared memory).
         """
         frontend = os.getpid()
-        calls = {"register": [], "direct": []}
+        calls = {"register": [], "direct": [], "builder": mp.Value("i", 0, lock=False)}
         loads = serialize.loads
 
         def counting_loads(document):
             if os.getpid() != frontend:
-                raise RuntimeError("a worker parsed a document")
+                calls["builder"].value += 1
+                return loads(document)
             direct = sys._getframe(1).f_code is TNNService.direct.__code__
             calls["direct" if direct else "register"].append(document)
             return loads(document)
 
         monkeypatch.setattr(serialize, "loads", counting_loads)
         return calls
+
+    @staticmethod
+    def counts(parses):
+        """``(frontend registration parses, builder parses, direct parses)``."""
+        return (
+            len(parses["register"]), parses["builder"].value, len(parses["direct"])
+        )
 
     @pytest.fixture(params=["inline", "process"])
     def service(self, request, parses):
@@ -319,9 +348,10 @@ class TestParseOnce:
         model = serialize.dumps(network) if form == "document" else network
         entry = service.register(model)
         service.pool.wait_loaded([entry.model_id])
-        assert len(parses["register"]) == 1
+        inline = isinstance(service.pool, pool_module.InlineWorkerPool)
+        assert self.counts(parses)[:2] == ((1, 0) if inline else (0, 1))
         assert_serves_byte_identically(service, seed=6)
-        assert (len(parses["register"]), len(parses["direct"])) == (1, 1)
+        assert self.counts(parses) == ((1, 0, 1) if inline else (0, 1, 1))
 
     def test_replacement_worker_is_sent_programs(self, parses):
         service = TNNService(
@@ -333,6 +363,8 @@ class TestParseOnce:
             pool = service.pool
             ((model_id, (fingerprint, payload)),) = pool._programs.items()
             assert (model_id, fingerprint) == (entry.model_id, entry.program.fingerprint())
+            # The builder's bytes, shipped as they came.
+            assert payload is entry.payload
             assert same_structure(pickle.loads(payload), entry.program)
             pool.inject_crash(0)
             waited = threading.Event()
@@ -344,13 +376,17 @@ class TestParseOnce:
             pool.wait_loaded([entry.model_id])
             assert pool.warmups() == [1]
             assert_serves_byte_identically(service, seed=7)
-            assert (len(parses["register"]), len(parses["direct"])) == (1, 1)
+            assert self.counts(parses) == (0, 1, 1)
         finally:
             service.close()
 
 
 class TestNoNetworkKept:
-    """The frontend keeps a model's document and program, not its network."""
+    """The frontend keeps a model's document and program, not its network.
+
+    With a process pool it never parses one; an inline pool's parse is
+    freed once the program is built.
+    """
 
     @pytest.fixture(params=["inline", "process"])
     def service(self, request):
@@ -382,7 +418,8 @@ class TestNoNetworkKept:
         del network
         entry = service.register(text)
         gc.collect()
-        assert len(parsed) == 1 and parsed[0]() is None
+        inline = isinstance(service.pool, pool_module.InlineWorkerPool)
+        assert len(parsed) == inline and all(ref() is None for ref in parsed)
         service.pool.wait_loaded([entry.model_id])
         assert entry.document == text
         assert entry.describe()["nodes"] == nodes
@@ -395,7 +432,125 @@ class TestNoNetworkKept:
         del network
         gc.collect()
         assert ref() is None
-        assert len(parsed) == 1 and parsed[0]() is None  # the round trip's
+        # The round trip's parse, in-process only with an inline pool.
+        inline = isinstance(service.pool, pool_module.InlineWorkerPool)
+        assert len(parsed) == inline and all(ref() is None for ref in parsed)
         service.pool.wait_loaded([entry.model_id])
         assert entry.describe()["nodes"] == nodes
         assert_serves_byte_identically(service, seed=8)
+
+
+def wait_replaced(pool, restarts, alive):
+    """Wait until *pool* has made *restarts* restarts and has *alive* workers."""
+    waited = threading.Event()
+    for _ in range(600):
+        if pool.restarts == restarts and pool.alive_count() == alive:
+            return
+        waited.wait(timeout=0.05)
+    raise AssertionError(f"pool did not reach {restarts} restart(s), {alive} alive")
+
+
+class TestFrontendBuildsNothing:
+    """With a process pool every build runs in a builder worker 0 forks."""
+
+    def test_build_path_is_never_called_in_the_frontend(self, monkeypatch, model_file):
+        from repro.ir import passes, program, sorters
+        from repro.serve import registry
+
+        frontend = os.getpid()
+
+        def refused(function):
+            def guarded(*args, **kwargs):
+                if os.getpid() == frontend:
+                    raise AssertionError(f"the frontend called {function.__name__}")
+                return function(*args, **kwargs)
+
+            return guarded
+
+        # The registry's names first: reading one the first time caches
+        # the function it resolves to.
+        for module, name in [
+            (registry, "lower"),
+            (registry, "group_sorters"),
+            (registry, "optimize_program"),
+            (serialize, "loads"),
+            (program, "lower"),
+            (sorters, "group_sorters"),
+            (passes, "optimize_program"),
+        ]:
+            monkeypatch.setattr(module, name, refused(getattr(module, name)))
+        service = build_service(
+            serve_args(
+                "--smoke", "--workers", "2", "--no-result-cache",
+                "--model-file", str(model_file),
+            )
+        )
+        try:
+            network = demo_column(9, smoke=True)[0]
+            entry = service.register(network)
+            service.pool.wait_loaded([entry.model_id])
+            volleys = demo_volleys(entry.input_arity, 16, seed=9)
+            served = [service.submit(entry.model_id, v).result(timeout=20) for v in volleys]
+            # A sibling, then worker 0, crash and are replaced; models
+            # registered after each replacement still build off-frontend.
+            pool = service.pool
+            pool.inject_crash(1)
+            wait_replaced(pool, 1, 2)
+            pool.inject_crash(0)
+            wait_replaced(pool, 2, 2)
+            later = service.register(demo_column(10, smoke=True)[0])
+            pool.wait_loaded([later.model_id])
+            monkeypatch.undo()
+            assert served == service.direct(entry.model_id, volleys)
+            assert_serves_byte_identically(service, seed=11)
+        finally:
+            service.close()
+
+
+class TestBuilderFailure:
+    """A builder that dies fails its registration, not worker 0."""
+
+    def test_killed_builder_is_a_serve_error(self, monkeypatch):
+        frontend = os.getpid()
+        dying = mp.Value("i", 1, lock=False)
+        build_program = worker_module.build_program
+
+        def build_or_die(packed):
+            if os.getpid() != frontend and dying.value:
+                os._exit(9)
+            return build_program(packed)
+
+        monkeypatch.setattr(worker_module, "build_program", build_or_die)
+        service = TNNService(
+            ModelRegistry(), pool_module.ProcessWorkerPool({}, n_workers=1)
+        )
+        try:
+            with pytest.raises(ServeError, match="model builder exited without a reply"):
+                service.register(demo_column(4, smoke=True)[0])
+            assert len(service.registry) == 0
+            dying.value = 0
+            entry = service.register(demo_column(4, smoke=True)[0], name="col")
+            service.pool.wait_loaded([entry.model_id])
+            assert (service.pool.restarts, service.pool.alive_count()) == (0, 1)
+            assert_serves_byte_identically(service, seed=12)
+        finally:
+            service.close()
+
+
+class TestWarmWorker:
+    def test_import_heap_is_frozen_before_the_first_load(self, monkeypatch):
+        """The first ``load``'s collection does not walk the engine's import heap."""
+
+        def report_freeze_count(model_id, *load):
+            raise RuntimeError(f"freeze count {gc.get_freeze_count()}")
+
+        monkeypatch.setattr(worker_module, "load_program", report_freeze_count)
+        pool = pool_module.ProcessWorkerPool({}, n_workers=1)
+        try:
+            program = ModelRegistry().register(demo_column(3, smoke=True)[0]).program
+            pool.add_model("f" * 64, program)
+            assert pool.wait_warm(timeout=20.0)
+            (reason,) = pool.failed_models().values()
+            assert int(reason.rsplit(" ", 1)[1]) > 0, reason
+        finally:
+            pool.shutdown()

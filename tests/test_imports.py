@@ -36,21 +36,22 @@ NOT_SERVED_MODULES = (
     "repro.neuron.weights",
     "repro.neuron.wta",
     "repro.obs.trace",
+    # The build path: builders, which worker 0 forks, build each model.
+    "repro.ir.passes",
+    "repro.ir.sorters",
 )
 
 #: Every ``repro`` module a started ``--model-file`` server's frontend
-#: loads: the serving stack, the demo model's recipe and the IR passes
-#: that build each served program.  The batch engine
-#: (``repro.network.compile_plan``) and NumPy load only in the worker
+#: loads: the serving stack and the demo model's recipe.  The IR passes
+#: that build each served program load in worker 0, and the batch engine
+#: (``repro.network.compile_plan``) and NumPy only in the worker
 #: processes, which evaluate.
 SERVED_MODULES = {
     "repro",
     "repro.core",
     "repro.core.value",
     "repro.ir",
-    "repro.ir.passes",
     "repro.ir.program",
-    "repro.ir.sorters",
     "repro.network",
     "repro.network.blocks",
     "repro.network.builder",
@@ -70,12 +71,46 @@ SERVED_MODULES = {
     "repro.runtime.result_cache",
     "repro.serve",
     "repro.serve.batcher",
+    "repro.serve.cli",
     "repro.serve.demo",
     "repro.serve.pool",
     "repro.serve.protocol",
     "repro.serve.registry",
     "repro.serve.server",
     "repro.serve.service",
+    "repro.serve.worker",
+}
+
+#: Every ``repro`` module worker 0 holds once it serves: the engine, the
+#: build path its builders run, and ``python -m repro serve``'s command
+#: line, imported before the fork.  No asyncio and none of the
+#: frontend's serving stack (service, server, batcher, request tracing).
+WARM_WORKER_MODULES = {
+    "repro",
+    "repro.core",
+    "repro.core.value",
+    "repro.ir",
+    "repro.ir.passes",
+    "repro.ir.program",
+    "repro.ir.sorters",
+    "repro.network",
+    "repro.network.blocks",
+    "repro.network.builder",
+    "repro.network.compile_plan",
+    "repro.network.graph",
+    "repro.network.serialize",
+    "repro.network.sorting",
+    "repro.obs",
+    "repro.obs.hist",
+    "repro.obs.metrics",
+    "repro.obs.profile",
+    "repro.runtime",
+    "repro.runtime.result_cache",
+    "repro.serve",
+    "repro.serve.cli",
+    "repro.serve.protocol",
+    "repro.serve.registry",
+    "repro.serve.worker",
 }
 
 #: Subpackages whose public names load on first access.
@@ -130,8 +165,10 @@ def test_serving_front_end_loads_only_what_serving_uses():
 def test_started_server_loads_the_served_modules(tmp_path):
     """The frontend of a started server imports neither NumPy nor the engine.
 
-    Its worker process does: NumPy's extension module is mapped there
-    (read from ``/proc`` where there is one).
+    Nor does it import the IR passes: builders, forked by worker 0,
+    build every model.  Every worker process imports NumPy: its
+    extension module is mapped there (read from ``/proc`` where there is
+    one).
     """
     from repro.network import serialize
     from repro.serve.demo import demo_column
@@ -140,16 +177,18 @@ def test_started_server_loads_the_served_modules(tmp_path):
     serialize.save(demo_column(3, smoke=True)[0], model)
     result = run_fresh(
         "import argparse, os, sys\n"
-        "from repro.serve.server import add_serve_arguments, build_service\n"
+        "from repro.serve.cli import add_serve_arguments\n"
+        "from repro.serve.server import build_service\n"
         "parser = argparse.ArgumentParser()\n"
         "add_serve_arguments(parser)\n"
         "args = parser.parse_args(\n"
-        f"    ['--smoke', '--workers', '1', '--model-file', {str(model)!r}]\n"
+        f"    ['--smoke', '--workers', '2', '--model-file', {str(model)!r}]\n"
         ")\n"
         "service = build_service(args)\n"
-        "maps = f'/proc/{service.pool._workers[0].process.pid}/maps'\n"
-        "if os.path.exists(maps):\n"
-        "    assert '_multiarray_umath' in open(maps).read(), 'worker has no NumPy'\n"
+        "for worker in service.pool._workers:\n"
+        "    maps = f'/proc/{worker.pid}/maps'\n"
+        "    if os.path.exists(maps):\n"
+        "        assert '_multiarray_umath' in open(maps).read(), 'worker has no NumPy'\n"
         "service.close()\n"
         "loaded = [m for m in sys.modules if m.startswith(('repro', 'numpy'))]\n"
         "print(' '.join(sorted(loaded)))"
@@ -161,12 +200,39 @@ def test_started_server_loads_the_served_modules(tmp_path):
     assert loaded == SERVED_MODULES
 
 
+def test_warm_worker_loads_the_engine_and_build_path_only():
+    """Worker 0, forked as ``python -m repro serve`` forks it, before a load.
+
+    A patched ``load_program`` (inherited through the fork) reports the
+    worker's modules instead of loading.
+    """
+    result = run_fresh(
+        "import sys\n"
+        "import repro.serve.cli\n"
+        "from repro.serve import worker\n"
+        "def report(model_id, *load):\n"
+        "    raise RuntimeError(' '.join(sorted(sys.modules)))\n"
+        "worker.load_program = report\n"
+        "process, conn = worker.start_warm_worker()\n"
+        "assert conn.recv()[0] == 'ready'\n"
+        "conn.send(('load', 'f' * 64, 'f' * 64, b''))\n"
+        "op, _model, reason = conn.recv()\n"
+        "conn.send(('stop',))\n"
+        "process.join()\n"
+        "print(reason.removeprefix('RuntimeError: '))"
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "numpy" in loaded and "asyncio" not in loaded
+    assert {m for m in loaded if m.startswith("repro")} == WARM_WORKER_MODULES
+
+
 def test_worker_imports_the_engine_by_its_first_load():
     """The worker body, run on a thread of a NumPy-free interpreter."""
     result = run_fresh(
         "import multiprocessing as mp, pickle, sys, threading\n"
         "from repro.serve.demo import demo_column\n"
-        "from repro.serve.pool import _worker_main\n"
+        "from repro.serve.worker import _worker_main\n"
         "from repro.serve.registry import ModelRegistry\n"
         "entry = ModelRegistry().register(demo_column(3, smoke=True)[0])\n"
         "engine = ('numpy', 'repro.network.compile_plan')\n"
