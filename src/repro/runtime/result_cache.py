@@ -26,7 +26,7 @@ import hashlib
 import threading
 from array import array
 from collections import OrderedDict
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from ..core.value import INF, Infinity
 from ..obs import metrics as _obs_metrics
@@ -37,40 +37,26 @@ _UNSET = object()
 _ENTRY_OVERHEAD = 96
 
 
-def volley_digest(encoded: Any, params_key: str = "") -> str:
+def volley_digest(encoded: Sequence[int], params_key: str = "") -> str:
     """Canonical digest of one encoded volley + parameter binding.
 
-    *encoded* is sentinel-int64 data — one request row (a sequence of
-    ints) or an ndarray of any shape — canonicalized to C-contiguous
-    int64 bytes.  The shape is folded in so an empty row and an empty
-    matrix cannot collide, and *params_key* (the service's canonical
-    params JSON) rides behind a separator byte.  A row is packed with
-    :mod:`array`; NumPy is imported only for an ndarray, which means
-    it is loaded already.
+    *encoded* is one request row of sentinel-int64 times (a sequence of
+    ints), packed as native int64 bytes with :mod:`array`.  The row's
+    shape is folded in, as NumPy's packing of the same row would fold
+    it, and *params_key* (the service's canonical params JSON) rides
+    behind a separator byte.
     """
-    if hasattr(encoded, "__array__"):
-        import numpy as np
-
-        matrix = np.ascontiguousarray(np.asarray(encoded, dtype=np.int64))
-        shape, data = matrix.shape, matrix.tobytes()
-    else:
-        shape, data = (len(encoded),), array("q", encoded).tobytes()
     digest = hashlib.blake2b(digest_size=16)
-    digest.update(repr(shape).encode("ascii"))
-    digest.update(data)
+    digest.update(repr((len(encoded),)).encode("ascii"))
+    digest.update(array("q", encoded).tobytes())
     digest.update(b"|")
     digest.update(params_key.encode("utf-8"))
     return digest.hexdigest()
 
 
-def _row_nbytes(row: Any) -> int:
+def _row_nbytes(row: tuple) -> int:
     """Approximate resident bytes of one cached output row."""
-    if isinstance(row, (tuple, list)):
-        return _ENTRY_OVERHEAD + 16 * len(row)
-    nbytes = getattr(row, "nbytes", None)
-    if isinstance(nbytes, int):
-        return _ENTRY_OVERHEAD + nbytes
-    return _ENTRY_OVERHEAD
+    return _ENTRY_OVERHEAD + 16 * len(row)
 
 
 class ResultCache:
@@ -89,14 +75,14 @@ class ResultCache:
         max_bytes: Optional[int] = 32 << 20,
     ) -> None:
         self._lock = threading.RLock()
-        self._entries: "OrderedDict[tuple[str, str], Any]" = OrderedDict()
+        self._entries: "OrderedDict[tuple[str, str], tuple]" = OrderedDict()
         self._nbytes = 0
         self._max_entries = max_entries
         self._max_bytes = max_bytes
 
     # -- lookup / insert ------------------------------------------------
 
-    def get(self, fingerprint: str, digest: str) -> Optional[Any]:
+    def get(self, fingerprint: str, digest: str) -> Optional[tuple]:
         with self._lock:
             key = (fingerprint, digest)
             row = self._entries.get(key)
@@ -107,7 +93,7 @@ class ResultCache:
             _obs_metrics.METRICS.inc("result_cache.hit")
             return row
 
-    def put(self, fingerprint: str, digest: str, row: Any) -> None:
+    def put(self, fingerprint: str, digest: str, row: tuple) -> None:
         with self._lock:
             key = (fingerprint, digest)
             old = self._entries.pop(key, None)
@@ -165,7 +151,7 @@ class ResultCache:
         with self._lock:
             for key in reversed(self._entries):
                 row = self._entries[key]
-                if not isinstance(row, tuple) or not row:
+                if not row:
                     continue
                 head = row[0]
                 bad = 0 if isinstance(head, Infinity) or head is INF else head + 1

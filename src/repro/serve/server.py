@@ -2,11 +2,14 @@
 
 It runs on the service's event loop (``pool.loop``), the one thread
 that also batches, dispatches and reads worker replies.  One asyncio
-task per connection reads request lines; each ``eval`` spawns a
-sub-task that awaits its service future (resolved on this same thread)
-and writes the response — so a single connection can pipeline many
-requests and receive responses out of order, matched by ``id``.  All
-writes on a connection are serialized through a per-connection lock.
+task per connection reads request lines.  Each ``eval`` is submitted,
+and the done-callback of its service future, which resolves on this
+same thread, writes the answer — so a single connection can pipeline
+many requests and receive responses out of order, matched by ``id``
+(a reply echoes the ``id`` of a request that carried one).  The
+reader drains the connection after each line, so a client that stops
+reading its answers is not read either; a closing connection first
+waits for the answers still due on it.
 
 Admission rejections (``overloaded``) surface immediately as error
 responses rather than queuing — the client sees backpressure the moment
@@ -28,6 +31,8 @@ import contextlib
 import gc
 import json
 import signal
+from concurrent.futures import Future
+from functools import partial
 from pathlib import Path
 from time import monotonic
 from typing import Optional
@@ -53,81 +58,85 @@ from .service import TNNService
 MAX_LINE_BYTES = 2**16
 
 
-async def _write_line(
-    writer: asyncio.StreamWriter, lock: asyncio.Lock, data: bytes
-) -> None:
-    async with lock:
-        writer.write(data)
-        await writer.drain()
-
-
-async def _write(writer: asyncio.StreamWriter, lock: asyncio.Lock, message: dict) -> None:
-    await _write_line(writer, lock, encode_line(message))
-
-
-async def _finish_eval(
+def _finish_eval(
     service: TNNService,
     message: dict,
     writer: asyncio.StreamWriter,
-    lock: asyncio.Lock,
+    owed: set[Future],
 ) -> None:
-    req_id = message.get("id")
+    """Admit one eval; the done-callback of its future writes the answer.
+
+    An admitted request's future joins *owed* until it resolves, so the
+    connection can wait for its answers before it closes.
+    """
     deadline_ms = message.get("deadline_ms")
-    # A client-supplied trace id is echoed on every response for this
-    # request; server-generated ids stay internal so untraced clients
-    # keep their byte-identity contract.
-    trace_id = message.get("trace")
     try:
         future = service.submit(
             message["model"],
             message["volley_times"],
             params=message["params_times"],
             deadline_s=None if deadline_ms is None else deadline_ms / 1e3,
-            trace_id=trace_id,
+            trace_id=message.get("trace"),
         )
-        if not future.done():
-            # Resolved on this loop's thread: no cross-thread wake needed.
-            answered = asyncio.get_running_loop().create_future()
-            future.add_done_callback(
-                lambda _f: answered.done() or answered.set_result(None)
-            )
-            await answered
+    except ServeError as error:
+        writer.write(encode_line(_error_reply(message, error)))
+        return
+    owed.add(future)
+    future.add_done_callback(partial(_answer, writer, message, owed))
+
+
+def _error_reply(message: dict, error: ServeError) -> dict:
+    return error_response(
+        message.get("id"), error.code, error.message, trace=message.get("trace")
+    )
+
+
+def _answer(
+    writer: asyncio.StreamWriter, message: dict, owed: set[Future], future: Future
+) -> None:
+    """Write one eval's answer; runs on the loop thread that resolved it."""
+    owed.discard(future)
+    if writer.is_closing():
+        return  # the client went away; nobody is left to answer
+    try:
         outputs = future.result()
     except ServeError as error:
-        await _write(
-            writer,
-            lock,
-            error_response(req_id, error.code, error.message, trace=trace_id),
-        )
+        writer.write(encode_line(_error_reply(message, error)))
         return
-    # The fingerprint resolved at admission, reported back when the
-    # client asked: under hot-swap promotion an alias's meaning moves
-    # between admissions, and byte-conformance is only checkable
-    # against the version that actually served the request.
-    model_id = (
-        getattr(future, "model_id", None)
-        if message.get("want_model_id")
-        else None
-    )
-    trace = getattr(future, "rtrace", None)
-    if trace is None:
-        await _write(
-            writer,
-            lock,
-            ok_response(req_id, outputs, trace=trace_id, model=model_id),
-        )
-        return
-    # Time the response encode as the trace's final span; the root is
-    # stretched to cover it so the recorded trace stays well-formed
-    # (the ring holds this same object, so the span is visible there).
+    # A client-supplied trace id is echoed on every response for this
+    # request; server-generated ids stay internal so untraced clients
+    # keep their byte-identity contract.  The fingerprint resolved at
+    # admission is reported back when the client asked: under hot-swap
+    # promotion an alias's meaning moves between admissions, and
+    # byte-conformance is only checkable against the version that
+    # actually served the request.
     start = monotonic()
     data = encode_line(
-        ok_response(req_id, outputs, trace=trace_id, model=model_id)
+        ok_response(
+            message.get("id"),
+            outputs,
+            trace=message.get("trace"),
+            model=future.model_id if message.get("want_model_id") else None,
+        )
     )
-    end = monotonic()
-    trace.graft("encode", start, end, 0)
-    trace.stretch(end)
-    await _write_line(writer, lock, data)
+    trace = getattr(future, "rtrace", None)
+    if trace is not None:
+        # Time the response encode as the trace's final span; the root
+        # is stretched to cover it so the recorded trace stays
+        # well-formed (the ring holds this same object, so the span is
+        # visible there).
+        end = monotonic()
+        trace.graft("encode", start, end, 0)
+        trace.stretch(end)
+    writer.write(data)
+
+
+def _with_id(message: dict, response: dict) -> dict:
+    """*response*, echoing the request's ``id`` when it carried one."""
+    req_id = message.get("id")
+    if req_id is not None:
+        response["id"] = req_id
+    return response
 
 
 def _metrics_payload(service: TNNService) -> dict:
@@ -193,10 +202,7 @@ def _handle_lineage(service: TNNService, message: dict) -> dict:
             ]
         except KeyError as exc:
             return error_response(req_id, E_NO_MODEL, str(exc.args[0]))
-    response = {"ok": True, "lineage": document}
-    if req_id is not None:
-        response["id"] = req_id
-    return response
+    return _with_id(message, {"ok": True, "lineage": document})
 
 
 def _handle_promote(service: TNNService, message: dict) -> dict:
@@ -220,10 +226,52 @@ def _handle_model_doc(service: TNNService, message: dict) -> dict:
         fingerprint, document = service.document(message["model"])
     except ServeError as error:
         return error_response(req_id, error.code, error.message)
-    response = {"ok": True, "model": fingerprint, "document": document}
-    if req_id is not None:
-        response["id"] = req_id
-    return response
+    return _with_id(
+        message, {"ok": True, "model": fingerprint, "document": document}
+    )
+
+
+async def _reply(
+    service: TNNService, message: dict, shutdown: asyncio.Event
+) -> dict:
+    """The reply to any op but ``eval``."""
+    op = message["op"]
+    if op == "promote":
+        # The warm barrier inside promote blocks on worker round-trips;
+        # run it off the event loop so concurrent eval traffic keeps
+        # flowing through the flip.
+        return await asyncio.get_running_loop().run_in_executor(
+            None, _handle_promote, service, message
+        )
+    if op == "train":
+        return _handle_train(service, message)
+    if op == "lineage":
+        return _handle_lineage(service, message)
+    if op == "model_doc":
+        return _handle_model_doc(service, message)
+    if op == "health":
+        response = {
+            "ok": True,
+            "protocol": PROTOCOL,
+            "status": "serving",
+            "models": len(service.registry),
+            "workers_alive": service.pool.alive_count(),
+            "pending": service.pending(),
+        }
+    elif op == "metrics":
+        response = _metrics_payload(service)
+    elif op == "metrics_text":
+        response = _metrics_text_payload()
+    elif op == "models":
+        response = {
+            "ok": True,
+            "models": [entry.describe() for entry in service.registry.entries()],
+            "aliases": service.registry.aliases(),
+        }
+    else:  # shutdown
+        shutdown.set()
+        response = {"ok": True, "status": "shutting-down"}
+    return _with_id(message, response)
 
 
 async def _handle_connection(
@@ -232,19 +280,18 @@ async def _handle_connection(
     writer: asyncio.StreamWriter,
     shutdown: asyncio.Event,
 ) -> None:
-    lock = asyncio.Lock()
-    tasks: set[asyncio.Task] = set()
+    owed: set[Future] = set()  # admitted evals whose answers are unwritten
     try:
         while True:
             try:
                 line = await reader.readline()
             except ValueError:  # the line overran the stream limit: unframeable
-                await _write(
-                    writer,
-                    lock,
-                    error_response(
-                        None, E_BAD_REQUEST, f"line exceeds {MAX_LINE_BYTES} bytes"
-                    ),
+                writer.write(
+                    encode_line(
+                        error_response(
+                            None, E_BAD_REQUEST, f"line exceeds {MAX_LINE_BYTES} bytes"
+                        )
+                    )
                 )
                 break
             if not line:
@@ -254,73 +301,22 @@ async def _handle_connection(
             try:
                 message = parse_request(line)
             except ProtocolError as error:
-                await _write(
-                    writer,
-                    lock,
-                    error_response(None, E_BAD_REQUEST, str(error)),
+                writer.write(
+                    encode_line(error_response(None, E_BAD_REQUEST, str(error)))
                 )
-                continue
-            op = message["op"]
-            if op == "eval":
-                task = asyncio.ensure_future(
-                    _finish_eval(service, message, writer, lock)
-                )
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-            elif op == "health":
-                await _write(
-                    writer,
-                    lock,
-                    {
-                        "ok": True,
-                        "protocol": PROTOCOL,
-                        "status": "serving",
-                        "models": len(service.registry),
-                        "workers_alive": service.pool.alive_count(),
-                        "pending": service.pending(),
-                    },
-                )
-            elif op == "metrics":
-                await _write(writer, lock, _metrics_payload(service))
-            elif op == "metrics_text":
-                await _write(writer, lock, _metrics_text_payload())
-            elif op == "models":
-                await _write(
-                    writer,
-                    lock,
-                    {
-                        "ok": True,
-                        "models": [
-                            entry.describe()
-                            for entry in service.registry.entries()
-                        ],
-                        "aliases": service.registry.aliases(),
-                    },
-                )
-            elif op == "train":
-                await _write(writer, lock, _handle_train(service, message))
-            elif op == "lineage":
-                await _write(writer, lock, _handle_lineage(service, message))
-            elif op == "promote":
-                # The warm barrier inside promote blocks on worker
-                # round-trips; run it off the event loop so concurrent
-                # eval traffic keeps flowing through the flip.
-                response = await asyncio.get_running_loop().run_in_executor(
-                    None, _handle_promote, service, message
-                )
-                await _write(writer, lock, response)
-            elif op == "model_doc":
-                await _write(writer, lock, _handle_model_doc(service, message))
-            else:  # shutdown
-                await _write(
-                    writer, lock, {"ok": True, "status": "shutting-down"}
-                )
-                shutdown.set()
+            else:
+                if message["op"] == "eval":
+                    _finish_eval(service, message, writer, owed)
+                else:
+                    writer.write(encode_line(await _reply(service, message, shutdown)))
+            # Back-pressure: while the client does not read its answers,
+            # its next request is not read either.
+            await writer.drain()
     except ConnectionResetError:
         pass  # the client went away; nobody is left to answer
     finally:
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+        if owed:  # answers still due: the connection closes after them
+            await asyncio.wait([asyncio.wrap_future(future) for future in owed])
         with contextlib.suppress(Exception):
             writer.close()
             await writer.wait_closed()

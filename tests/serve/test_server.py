@@ -1,7 +1,13 @@
 """End-to-end tests of the asyncio NDJSON front-end (inline pool, port 0)."""
 
 import asyncio
+import gc
 import json
+import logging
+import socket
+import struct
+import threading
+import time
 
 import pytest
 
@@ -13,6 +19,8 @@ from repro.serve.protocol import PROTOCOL, canonical, encode_line, eval_request,
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import MAX_LINE_BYTES, _handle_connection, run_server_async
 from repro.serve.service import TNNService
+
+from .test_service import HoldingPool
 
 
 def make_service():
@@ -64,6 +72,7 @@ class TestOps:
             assert reply["ok"] and reply["protocol"] == PROTOCOL
             assert reply["status"] == "serving"
             assert reply["models"] == 1
+            assert "id" not in reply  # only a request's own id is echoed
             return reply
 
         run_session(session)
@@ -86,6 +95,27 @@ class TestOps:
             # The result cache's one JSON view is the serve section's.
             assert {"enabled", "hits", "misses"} <= set(reply["serve"]["result_cache"])
             assert "batch_size" in reply["serve"]
+
+        run_session(session)
+
+    def test_control_replies_echo_id_between_pipelined_evals(self):
+        async def session(reader, writer, service):
+            ops = ["health", "metrics", "metrics_text", "models"]
+            for i, op in enumerate(ops):
+                writer.write(encode_line(eval_request(i, "demo", (i, 0))))
+                writer.write(encode_line({"op": op, "id": op}))
+            await writer.drain()
+            replies = {}
+            for _ in range(2 * len(ops)):
+                reply = json.loads(await reader.readline())
+                replies[reply["id"]] = reply
+            assert set(replies) == set(range(len(ops))) | set(ops)
+            assert replies["health"]["status"] == "serving"
+            assert "serve" in replies["metrics"]
+            assert "text" in replies["metrics_text"]
+            assert replies["models"]["models"][0]["name"] == "demo"
+            for i in range(len(ops)):
+                assert replies[i]["outputs"] is not None
 
         run_session(session)
 
@@ -189,6 +219,132 @@ class TestWireHardening:
 
         asyncio.run(main())
 
+    def test_a_client_that_stops_reading_is_not_read(self):
+        class ScriptedReader:
+            def __init__(self, lines):
+                self.lines = list(lines)
+                self.reads = 0
+
+            async def readline(self):
+                self.reads += 1
+                return self.lines.pop(0) if self.lines else b""
+
+        class HeldWriter:
+            """A writer whose ``drain`` blocks until the test releases it."""
+
+            def __init__(self):
+                self.data = []
+                self.held = threading.Event()
+                self.release = asyncio.Event()
+                self.closed = False
+
+            def write(self, data):
+                self.data.append(data)
+
+            def is_closing(self):
+                return self.closed
+
+            async def drain(self):
+                self.held.set()
+                await self.release.wait()
+
+            def close(self):
+                self.closed = True
+
+            async def wait_closed(self):
+                pass
+
+        service = make_service()
+        loop = service.pool.loop
+        volleys = [(i, 0) for i in range(5)]
+        reader = ScriptedReader(
+            encode_line(eval_request(i, "demo", volley))
+            for i, volley in enumerate(volleys)
+        )
+        writer = HeldWriter()
+        try:
+            handled = asyncio.run_coroutine_threadsafe(
+                _handle_connection(service, reader, writer, asyncio.Event()), loop
+            )
+            assert writer.held.wait(5)
+            time.sleep(0.05)  # room for a reader that ignores back-pressure
+            assert reader.reads == 1
+            loop.call_soon_threadsafe(writer.release.set)
+            handled.result(5)
+        finally:
+            loop.call_soon_threadsafe(writer.release.set)
+            service.close()
+        assert writer.closed and reader.reads == len(volleys) + 1
+        replies = sorted(
+            (json.loads(line) for line in writer.data), key=lambda r: r["id"]
+        )
+        direct = service.direct("demo", volleys)
+        assert [canonical(reply) for reply in replies] == [
+            canonical(ok_response(i, row)) for i, row in enumerate(direct)
+        ]
+
+    def test_an_abandoned_connection_leaks_nothing(self, caplog):
+        registry = ModelRegistry()
+        registry.register(demo_column(0, smoke=True)[0], name="demo")
+        pool = HoldingPool()
+        service = TNNService(
+            registry, pool, policy=BatchPolicy(max_batch=4, max_wait_s=0.001)
+        )
+        k = 16
+
+        def settle(condition):
+            deadline = time.monotonic() + 5
+            while not condition():
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+
+        async def main():
+            ready = asyncio.get_running_loop().create_future()
+            server_task = asyncio.ensure_future(
+                run_server_async(service, port=0, ready=ready)
+            )
+            port = await ready
+            with socket.create_connection(("127.0.0.1", port)) as sock:
+                sock.sendall(
+                    b"".join(
+                        encode_line(eval_request(i, "demo", (i, 0))) for i in range(k)
+                    )
+                )
+                settle(lambda: service.pending() == k)  # all admitted, none answered
+                # Linger 0: closing sends a reset, not a FIN.
+                sock.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+            time.sleep(0.1)  # the server sees the reset
+
+            def release():  # on the loop, where a real pool finishes jobs
+                pool.loop.call_soon_threadsafe(pool.release_all, registry)
+                return service.pending() == 0
+
+            settle(release)
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(encode_line(eval_request(99, "demo", (2, INF))))
+                stream.flush()
+                settle(lambda: service.pending() == 1)
+                settle(release)
+                line = stream.readline().decode().rstrip("\n")
+                stream.write(encode_line({"op": "shutdown"}))
+                stream.flush()
+                stream.readline()
+            await asyncio.wait_for(server_task, timeout=15)
+            return line
+
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            line = asyncio.run(main())
+            gc.collect()
+        [direct] = service.direct("demo", [(2, INF)])
+        assert line == canonical(ok_response(99, direct))
+        assert service.pending() == 0
+        logged = caplog.text
+        assert "exception was never retrieved" not in logged
+        assert "socket.send() raised exception" not in logged
+
     def test_connection_reset_ends_quietly(self):
         class ResetReader:
             async def readline(self):
@@ -221,8 +377,9 @@ class TestLifecycle:
             )
             port = await ready
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            reply = await request(reader, writer, {"op": "shutdown"})
+            reply = await request(reader, writer, {"op": "shutdown", "id": "bye"})
             assert reply["ok"] and reply["status"] == "shutting-down"
+            assert reply["id"] == "bye"
             writer.close()
             assert await asyncio.wait_for(server_task, timeout=15) == 0
             # Drained: admission is closed afterwards.
