@@ -11,10 +11,10 @@ batches where the compiled engine
   worker, started empty and sent each model's served program as a
   ``load`` that compiles and warms it; least-loaded dispatch, crash
   detection and restart;
-* :mod:`repro.serve.worker` — what runs in those processes: the worker
-  body and worker 0, the warm worker, which forks the other workers,
-  their replacements and one short-lived builder per registration (the
-  process that parses a model and builds its served program);
+* :mod:`repro.serve.worker` — what runs in those processes: the warm
+  start of worker 0 and the worker body, in which any worker forks the
+  other workers, their replacements and one short-lived builder per
+  registration (the process that parses a model and builds its program);
 * :mod:`repro.serve.service` — the service core: fingerprint-keyed
   model registry, bounded-queue admission control with backpressure
   rejection, per-request deadlines, bounded retry on worker failure;

@@ -17,13 +17,13 @@ Both loading and evaluating live in one worker body,
 **Worker lifecycle.**  The frontend forks one process, worker 0 — the
 warm worker (:mod:`repro.serve.worker`) — before it starts a thread;
 ``python -m repro serve`` forks it before it even imports this module.
-Worker 0 imports the engine and the build path once, and every other
-process the pool needs is forked by it, on request over its pipe: the
-other workers (its **siblings**), their replacements, and one
-short-lived **builder** per registration.  Each request carries the new
-process's pipe end (``send_handle``).  So the frontend never holds a
-model's parse heap, and never forks once its thread runs; when worker 0
-itself dies, its replacement is started with ``spawn``.
+Worker 0 imports the engine and the build path once.  Every other
+process the pool needs (the other workers, any worker's replacement,
+one short-lived **builder** per registration) is forked by the first
+live worker in slot order, on request over its pipe, which carries the
+new process's pipe end (``send_handle``).  So the frontend never holds a
+model's parse heap and never forks once its thread runs; only when no
+worker is alive is a replacement started with ``spawn``.
 
 Only the evaluating side imports NumPy and the engine: this module does
 not, and :class:`~repro.serve.worker._Worker` imports them on first use.
@@ -215,11 +215,11 @@ class _WorkerHandle:
     slot: int
     conn: "mp_connection.Connection"
     generation: int
-    #: Worker 0's process, the frontend's one child; ``None`` for a
-    #: sibling, which worker 0 forked.
+    #: The process, if the frontend started it (worker 0, or a spawned
+    #: replacement); ``None`` if a worker forked it.
     process: "Optional[mp.process.BaseProcess]" = None
-    #: A sibling's end of its pipe, held until worker 0 is asked to fork
-    #: the sibling on it.
+    #: A forked worker's end of its pipe, held until a live worker is
+    #: asked to fork the worker on it.
     peer: "Optional[mp_connection.Connection]" = None
     #: The process id the worker reported with ``ready``.
     pid: Optional[int] = None
@@ -236,9 +236,8 @@ class _WorkerHandle:
         return len(self.jobs)
 
 
-def _await_eof(conn, timeout: float) -> bool:
-    """Read *conn* until end-of-file; ``False`` if it stays open *timeout* s."""
-    deadline = monotonic() + timeout
+def _await_eof(conn, deadline: float) -> bool:
+    """Read *conn* until end-of-file; ``False`` if it is open at *deadline*."""
     while conn.poll(max(0.0, deadline - monotonic())):
         try:
             conn.recv_bytes()
@@ -247,16 +246,16 @@ def _await_eof(conn, timeout: float) -> bool:
     return False
 
 
-def _sibling(slot: int, generation: int) -> _WorkerHandle:
-    """A sibling's handle; worker 0 forks the process once asked."""
+def _forked(slot: int, generation: int) -> _WorkerHandle:
+    """A forked worker's handle; a live worker forks the process once asked."""
     ours, theirs = mp.Pipe(duplex=True)
     return _WorkerHandle(slot=slot, conn=ours, generation=generation, peer=theirs)
 
 
-def _hand_over(warm: _WorkerHandle, op: str, peer) -> None:
-    """Ask worker 0 to fork a process (*op*: ``fork`` or ``build``) on *peer*."""
-    warm.conn.send((op,))
-    send_handle(warm.conn, peer.fileno(), warm.pid)
+def _hand_over(forker: _WorkerHandle, op: str, peer) -> None:
+    """Ask *forker* to fork a process (*op*: ``fork`` or ``build``) on *peer*."""
+    forker.conn.send((op,))
+    send_handle(forker.conn, peer.fileno(), forker.pid)
 
 
 class ProcessWorkerPool:
@@ -266,7 +265,7 @@ class ProcessWorkerPool:
     :func:`~repro.serve.worker.start_warm_worker`, which
     ``python -m repro serve`` calls before it imports the serving
     stack), or is forked here, before the pool's loop thread starts.
-    Worker 0 forks the other ``n_workers - 1`` once it reports ready.
+    The first live worker (:meth:`_forker`) forks every other one.
     *programs* (``model_id -> served program``,
     :meth:`~repro.serve.registry.ModelRegistry.programs`) are then
     shipped to every worker as ``load`` messages, and the constructor
@@ -299,9 +298,8 @@ class ProcessWorkerPool:
         self.start_timeout = start_timeout
         self._lock = threading.Lock()
         self._stopping = False
-        #: Every first worker reported ready; a sibling that dies before
-        #: ready is replaced from then on (worker 0 may have died with
-        #: its fork request).
+        #: Every first worker reported ready; from then on a forked worker
+        #: that dies before ready is replaced (its forker may have died).
         self._serving = False
         self._restarts = 0
         self._ping_tokens = itertools.count(1)
@@ -310,7 +308,7 @@ class ProcessWorkerPool:
         process, conn = warm if warm is not None else _worker.start_warm_worker()
         self._workers: list[_WorkerHandle] = [
             _WorkerHandle(slot=0, conn=conn, generation=0, process=process),
-            *(_sibling(slot, 0) for slot in range(1, n_workers)),
+            *(_forked(slot, 0) for slot in range(1, n_workers)),
         ]
         self.loop, self._stop_loop = start_loop()
         for worker in self._workers:
@@ -342,16 +340,21 @@ class ProcessWorkerPool:
             raise
 
     # -- lifecycle ------------------------------------------------------------
-    def _request_forks(self) -> None:
-        """Ask worker 0 for every sibling not yet forked (lock held).
+    def _forker(self) -> Optional[_WorkerHandle]:
+        """The first live worker in slot order: it forks for the pool."""
+        return next((worker for worker in self._workers if worker.alive), None)
 
-        A send fails only if worker 0 died already; its end-of-file
-        brings a replacement, whose ``ready`` asks again.
+    def _request_forks(self) -> None:
+        """Ask :meth:`_forker` for every worker not yet forked (lock held).
+
+        A send fails only if the forker died already (its end-of-file
+        asks again); with no worker alive, the next ``ready`` asks.
         """
+        forker = self._forker()
         for worker in self._workers:
-            if worker.peer is not None:
+            if forker is not None and worker.peer is not None:
                 try:
-                    _hand_over(self._workers[0], "fork", worker.peer)
+                    _hand_over(forker, "fork", worker.peer)
                 except OSError:
                     return
                 worker.peer.close()
@@ -361,15 +364,15 @@ class ProcessWorkerPool:
         """Build a model's served program in a builder process.
 
         *packed* is the model's packed document
-        (:func:`~repro.serve.registry.pack_document`).  Worker 0 forks
-        the builder on a fresh pipe, which this end then writes the
+        (:func:`~repro.serve.registry.pack_document`).  :meth:`_forker`
+        forks the builder on a fresh pipe, which this end then writes the
         document to; the builder runs
         :func:`~repro.serve.registry.build_program` and answers with the
         pickled program, unpickled here once, its bytes kept as the
         :attr:`~repro.serve.registry.Built.payload` every worker is
         sent.  What the build raised is re-raised here; a builder that
         dies, or no reply within ``start_timeout`` (which includes
-        waiting for a replaced worker 0), is a :class:`ServeError`.
+        waiting for a live worker), is a :class:`ServeError`.
         """
         deadline = monotonic() + self.start_timeout
         ours, theirs = mp.Pipe(duplex=True)
@@ -378,14 +381,14 @@ class ProcessWorkerPool:
                 with self._lock:
                     if self._stopping:
                         raise ServeError(E_WORKER, "pool is shutting down")
-                    warm = self._workers[0]
-                    if warm.alive:
+                    forker = self._forker()
+                    if forker is not None:
                         with suppress(OSError):
-                            _hand_over(warm, "build", theirs)
+                            _hand_over(forker, "build", theirs)
                             break
                 if monotonic() >= deadline:
                     raise ServeError(
-                        E_WORKER, f"worker 0 was not up within {self.start_timeout:g}s"
+                        E_WORKER, f"no worker was up within {self.start_timeout:g}s"
                     )
                 sleep(0.01)
             theirs.close()
@@ -408,7 +411,7 @@ class ProcessWorkerPool:
         return Built(model_id, name, nodes, pickle.loads(payload), payload)
 
     def shutdown(self, timeout: float = 10.0) -> None:
-        """Stop the loop thread and every worker."""
+        """Stop the loop thread and every worker, all within *timeout*."""
         with self._lock:
             if self._stopping:
                 return
@@ -416,25 +419,28 @@ class ProcessWorkerPool:
         _obs_metrics.METRICS.remove_gauges(self._gauges)
         # Once the loop has stopped no replacement can be installed, so
         # the worker list read below is final.
+        deadline = monotonic() + timeout
         self._stop_loop(timeout)
         for worker in self._workers:
+            if worker.peer is not None:  # never forked: its pipe reads EOF
+                worker.peer.close()
             if not worker.conn.closed:
                 with suppress(OSError):
                     worker.conn.send(("stop",))
         for worker in self._workers:
             if worker.process is not None:
-                worker.process.join(timeout=timeout)
+                # One not yet ready is still importing: it is not waited for.
+                left = deadline - monotonic() if worker.started.is_set() else 0.0
+                worker.process.join(max(0.0, left))
                 if worker.process.is_alive():
                     worker.process.terminate()
                     worker.process.join(timeout=1.0)
-            elif not worker.conn.closed and not _await_eof(worker.conn, timeout):
-                # Worker 0's child: its pipe closes when it exits.
+            elif not worker.conn.closed and not _await_eof(worker.conn, deadline):
+                # A forked worker: its pipe closes when it exits.
                 if worker.pid is not None:
                     with suppress(ProcessLookupError):
                         os.kill(worker.pid, signal.SIGKILL)
             worker.conn.close()
-            if worker.peer is not None:
-                worker.peer.close()
 
     # -- introspection --------------------------------------------------------
     @property
@@ -627,22 +633,19 @@ class ProcessWorkerPool:
                 for model_id, load in self._programs.items():
                     worker.conn.send(("load", model_id, *load))
                 worker.alive = True
-                if worker.slot == 0:
-                    self._request_forks()
+                self._request_forks()
             worker.started.set()
 
     def _reap(self, worker: _WorkerHandle) -> None:
         """A worker pipe broke: fail its jobs over, then start a replacement.
 
-        Worker 0 is replaced by a ``spawn`` (this process runs threads
-        and forks no more); a sibling by asking worker 0 to fork one,
-        at once or, while worker 0 is down, once its replacement is
-        ready.  A worker that never came up is not replaced, unless it
-        is a sibling of a pool that finished starting: worker 0 died
-        with its fork request.
+        The first live worker forks it; with none alive it is spawned
+        (this process runs threads and forks no more).  A worker that
+        never came up is replaced only if it was forked after start-up:
+        its forker may have died with the fork request.
         """
         self.loop.remove_reader(worker.conn.fileno())
-        came_up = worker.started.is_set() or (worker.slot and self._serving)
+        came_up = worker.started.is_set() or (self._serving and worker.process is None)
         worker.started.set()
         with self._lock:
             worker.alive = False
@@ -658,24 +661,22 @@ class ProcessWorkerPool:
             can_restart = (
                 came_up and not self._stopping and self._restarts < self._max_restarts
             )
+            spawn = not any(w.alive for w in self._workers)
         _obs_metrics.METRICS.inc("serve.worker.failures", len(orphans))
         _rtrace.FLIGHT.trip("worker-crash")
         for job in orphans:
             job.on_fail(f"worker {worker.slot} crashed")
         if can_restart:
-            generation = worker.generation + 1
-            if worker.slot == 0:
-                process, conn = _worker.start_warm_worker("spawn", generation=generation)
-                replacement = _WorkerHandle(
-                    slot=0, conn=conn, generation=generation, process=process
-                )
+            slot, generation = worker.slot, worker.generation + 1
+            if spawn:
+                process, conn = _worker.start_warm_worker("spawn", slot, generation)
+                replacement = _WorkerHandle(slot, conn, generation, process)
             else:
-                replacement = _sibling(worker.slot, generation)
+                replacement = _forked(slot, generation)
             with self._lock:
-                self._workers[worker.slot] = replacement
+                self._workers[slot] = replacement
                 self._restarts += 1
-                if self._workers[0].alive:
-                    self._request_forks()
+                self._request_forks()
             self.loop.add_reader(
                 replacement.conn.fileno(), self._on_readable, replacement
             )

@@ -465,7 +465,7 @@ def build_service(args: argparse.Namespace, *, warm=None) -> TNNService:
     start_warm_worker`, which ``python -m repro serve`` calls before it
     imports this module); otherwise the process pool forks it here,
     before its loop thread starts.  Every model is then registered
-    through :meth:`TNNService.register`: a builder process that worker 0
+    through :meth:`TNNService.register`: a builder process that a worker
     forks parses it once (a ``--model-file`` from its own text) and
     builds its served program, and the service ships that program to
     the workers as a ``load``, which they only compile and warm; the

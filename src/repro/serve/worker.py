@@ -1,4 +1,4 @@
-"""The worker processes: the warm worker, its siblings and its builders.
+"""The worker processes: the warm worker, the workers it forks, the builders.
 
 Everything here runs outside the frontend.  ``python -m repro serve``
 forks **worker 0**, the warm worker (:func:`start_warm_worker`), right
@@ -7,36 +7,34 @@ before any thread starts.  The registry (the parser and the program IR)
 is imported before that fork; worker 0 then imports the batch engine
 (and with it NumPy) and the IR passes the build path needs
 (:func:`repro.serve.registry.build_program`: ``group_sorters``,
-``optimize_program``) once, freezes that import heap, and serves like
-any worker.  It also
-forks, on request over its pipe, every other process the pool needs:
+``optimize_program``) once, freezes that import heap, and serves.
+Every worker forks, on request over its pipe, what the pool needs:
 
-* a **sibling** worker (``("fork",)``), or the replacement of one that
-  died;
+* a **worker** (``("fork",)``), new or the replacement of a dead one;
 * a short-lived **builder** per registration (``("build",)``), which
   reads a packed model document from its pipe, builds the served
   program, writes ``("built", model_id, name, nodes, pickled program)``
   or ``("failed", exception)`` back, and exits.
 
 Each request is followed on the pipe by the new process's pipe end
-(``send_handle``; the duplex pipe is a socketpair).  Siblings and
+(``send_handle``; the duplex pipe is a socketpair).  Workers and
 builders are forked from a single-threaded process whose engine and
 build path are already imported and frozen, so they share those pages
-and start without importing anything.  Worker 0 ignores ``SIGCHLD``,
-so the kernel reaps the children it forks.
+and start without importing anything.  Every worker inherits worker 0's
+ignored ``SIGCHLD``, so the kernel reaps the children it forks.
 
-The frontend forks nothing else: when worker 0 itself dies, the pool
-starts its replacement with the ``spawn`` start method, which pays the
+The frontend forks nothing else: when no worker is alive, the pool
+starts a replacement with the ``spawn`` start method, which pays the
 imports once.  Worker 0 pins OpenBLAS to one thread before it imports
-NumPy (the engine never calls BLAS), so it has no thread of its own
-when it forks.
+NumPy (the engine never calls BLAS), so no worker has a thread of its
+own when it forks.
 """
 
 from __future__ import annotations
 
 import gc
 
-# Imported before worker 0 forks, so it and its children share the
+# Imported before worker 0 forks, so every worker and builder shares the
 # frontend's initialised OpenSSL instead of each initialising its own.
 import hashlib  # noqa: F401
 import multiprocessing as mp
@@ -179,8 +177,8 @@ def _worker_main(conn) -> None:
 
     Runs in a child process (or, for unit tests, a plain thread with the
     other pipe end held by the test).  It reports ready with no models,
-    imports the batch engine (and with it NumPy; a no-op in a sibling,
-    which worker 0 forked with it imported) and freezes the import heap
+    imports the batch engine (and with it NumPy; a no-op in a forked
+    worker, which has it imported) and freezes the import heap
     (``gc.freeze()``), so the first ``load``'s collection does not walk
     it.  Then it serves messages in order, so every model a ``load``
     brings is warmed before any eval behind it on the pipe runs.
@@ -209,8 +207,8 @@ def _worker_main(conn) -> None:
       reports what the worker counted since its last report, so after a
       warm barrier the parent registry holds every count of every batch
       sent before it
-    * ``("fork",)`` and ``("build",)``, each followed by a pipe end
-      (worker 0 only): fork a sibling worker or a builder on it, no reply
+    * ``("fork",)`` and ``("build",)``, each followed by a pipe end:
+      fork a worker or a builder on it, no reply
     * ``("crash",)`` → hard ``os._exit`` (fault-injection hook)
     * ``("stop",)`` → clean return
     """
@@ -322,7 +320,7 @@ def _builder_main(conn: Connection) -> None:
 
 
 def _warm_main(conn) -> None:
-    """Worker 0: import the IR passes and the engine, then serve and fork.
+    """Worker 0, or a spawned one: import the IR passes and the engine, then serve.
 
     Runs as :func:`_worker_main`, after importing what the builders it
     forks need.  OpenBLAS would start a thread pool at NumPy's import;
@@ -336,12 +334,12 @@ def _warm_main(conn) -> None:
     _worker_main(conn)
 
 
-def start_warm_worker(method: str = "fork", *, generation: int = 0):
-    """Start worker 0: ``(process, conn)``, *conn* the frontend's pipe end.
+def start_warm_worker(method: str = "fork", slot: int = 0, generation: int = 0):
+    """Start worker *slot*: ``(process, conn)``, *conn* the frontend's pipe end.
 
     ``python -m repro serve`` calls this before it imports the serving
     stack or starts a thread (``"fork"``, where the platform has it);
-    a pool replaces a dead worker 0 with ``"spawn"``.
+    a pool with no live worker spawns a replacement (``"spawn"``).
     """
     if method not in mp.get_all_start_methods():
         method = "spawn"
@@ -350,7 +348,7 @@ def start_warm_worker(method: str = "fork", *, generation: int = 0):
     process = ctx.Process(
         target=_warm_main,
         args=(theirs,),
-        name=f"serve-worker-0.{generation}",
+        name=f"serve-worker-{slot}.{generation}",
         daemon=True,
     )
     process.start()

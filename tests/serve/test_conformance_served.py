@@ -7,6 +7,8 @@ generator-family networks, injected worker crashes mid-stream, and
 deadline faults.
 """
 
+import time
+
 import pytest
 
 from repro.serve.batcher import BatchPolicy
@@ -44,9 +46,16 @@ class TestGeneratorFamilies:
             service.close()
 
 
+def wait_for(condition, what):
+    deadline = time.monotonic() + 30
+    while not condition():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.005)
+
+
 class TestProcessPoolConformance:
     def test_byte_identical_through_worker_crashes(self):
-        """Crash workers mid-stream; retries must not change a byte."""
+        """Crash workers mid-stream; retries serve every request, byte for byte."""
         network, _ = demo_column(0, smoke=True)
         registry = ModelRegistry()
         registry.register(network, name="demo")
@@ -64,15 +73,42 @@ class TestProcessPoolConformance:
 
             pool.inject_crash(0)
             after = check_served(service, "demo", demo_volleys(arity, 40, seed=2))
-            assert after.byte_identical, after.summary()
-            # Crash-time rejections are only allowed as worker-failure
-            # after retry exhaustion, never as silent wrong answers.
-            assert set(after.rejected) <= {"worker-failure"}
+            assert after.byte_identical and after.ok == 40, after.summary()
+            # Worker 1 forked worker 0's replacement; crash worker 1 only
+            # once that replacement serves.
+            wait_for(
+                lambda: pool.restarts == 1 and pool.alive_count() == 2,
+                "worker 0 was not replaced",
+            )
 
             pool.inject_crash(1)
             final = check_served(service, "demo", demo_volleys(arity, 40, seed=3))
-            assert final.byte_identical, final.summary()
-            assert pool.restarts >= 1
+            assert final.byte_identical and final.ok == 40, final.summary()
+            assert pool.restarts >= 2
+        finally:
+            service.close()
+
+    def test_byte_identical_through_a_crash_during_promotion(self):
+        """Worker 0 dies as an alias is promoted: the alias serves its new model."""
+        registry = ModelRegistry()
+        old = registry.register(demo_column(0, smoke=True)[0], name="m@live")
+        pool = ProcessWorkerPool(registry.programs(), n_workers=2)
+        service = TNNService(
+            registry, pool, policy=BatchPolicy(max_batch=8, max_wait_s=0.002)
+        )
+        try:
+            served = check_served(service, "m@live", demo_volleys(old.input_arity, 8, seed=5))
+            assert served.byte_identical and served.ok == 8, served.summary()
+            new = service.register(demo_column(1, smoke=True)[0])
+            pool.inject_crash(0)
+            summary = service.promote("m@live", new.model_id)
+            assert (summary["model"], summary["retired"]) == (new.model_id, old.model_id)
+            report = check_served(
+                service, "m@live", demo_volleys(new.input_arity, 40, seed=6)
+            )
+            assert report.byte_identical and report.ok == report.total, report.summary()
+            assert not report.rejected
+            assert old.model_id not in registry.ids()
         finally:
             service.close()
 

@@ -2,8 +2,10 @@
 
 import gc
 import multiprocessing as mp
+import os
 import pickle
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -102,6 +104,16 @@ def as_reply(result):
     """The engine's ``(B, n)`` result as the rows a job's ``on_done`` gets."""
     data = np.ascontiguousarray(result, dtype=np.int64).tobytes()
     return unpack_rows(data, len(result))
+
+
+def running(pid: int) -> bool:
+    """Whether process *pid* exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            state = stat.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
 
 
 class TestDecodeParams:
@@ -262,6 +274,8 @@ class TestProcessPool:
                 deadline.wait(timeout=0.05)
             assert pool.restarts >= 1
             assert pool.alive_count() == 2
+            # Worker 1 forked the replacement: the frontend started no process.
+            assert pool._workers[0].process is None
 
             # The restarted worker serves correctly.
             done2, box2, on_done2, on_fail2 = _completion_recorder()
@@ -296,6 +310,24 @@ class TestProcessPool:
             assert (pool.restarts, pool.alive_count()) == (1, 1)
         finally:
             pool.shutdown()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+    def test_shutdown_after_every_worker_crashed_is_prompt(self, registry):
+        """No pipe is waited on for want of a fork, and no worker outlives it."""
+        pool = ProcessWorkerPool(registry.programs(), n_workers=2)
+        pids = {worker.pid for worker in pool._workers}
+        pool.inject_crash(0)
+        pool.inject_crash(1)
+        deadline = time.monotonic() + 30
+        while pool.restarts < 2:
+            assert time.monotonic() < deadline, "the crashes were not reaped"
+            time.sleep(0.005)
+        started = time.monotonic()
+        pool.shutdown()
+        assert time.monotonic() - started < 1.0
+        for worker in pool._workers:
+            pids |= {worker.pid, worker.process and worker.process.pid}
+        assert [pid for pid in pids - {None} if running(pid)] == []
 
     def test_submit_after_shutdown_rejected(self, registry, model_id):
         pool = ProcessWorkerPool(registry.programs(), n_workers=1)

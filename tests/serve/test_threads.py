@@ -8,7 +8,8 @@ and, through a process pool, again after a worker crash and its
 replacement — ``threading.enumerate()`` lists the main thread and the
 loop's, and after ``close()`` the main thread alone.  No process forks
 once it runs a second thread: the frontend forks worker 0 alone, before
-its loop starts, and worker 0 forks every other worker process.
+its loop starts, and the first live worker forks every other worker
+process.
 """
 
 import os
@@ -113,7 +114,7 @@ def warm_main(conn):
     _warm_main(conn)
 
 
-# Module level, so a spawned worker 0, which runs this file again as
+# Module level, so a spawned worker, which runs this file again as
 # ``__mp_main__``, notes its forks too.
 worker._warm_main = warm_main
 
@@ -152,8 +153,12 @@ if __name__ == "__main__":
     pool.inject_crash(0)
     wait_for(lambda: pool.restarts == 2 and pool.alive_count() == 2)
     service.register(demo_column(5, smoke=True)[0])
+    # Both die at once: with no worker alive a replacement is spawned,
+    # and the builder of the next registration is forked by one.
+    pool.inject_crash(0)
     pool.inject_crash(1)
-    wait_for(lambda: pool.restarts == 3 and pool.alive_count() == 2)
+    wait_for(lambda: pool.restarts >= 4 and pool.alive_count() == 2)
+    service.register(demo_column(6, smoke=True)[0])
     serve(3)
     service.training.stop(final_snapshot=False)
     service.close()
@@ -162,13 +167,15 @@ if __name__ == "__main__":
 
 
 def test_every_fork_site_is_single_threaded(tmp_path):
-    """Whoever forks — the frontend once, then worker 0 — runs one thread.
+    """Whoever forks — the frontend once, then the workers — runs one thread.
 
-    Worker 0 forks its siblings, a crashed sibling's replacement and the
-    builders (start-up registrations and a training snapshot); a
-    replacement worker 0 is spawned, and forks the same way.  Each fork
-    and each worker 0 start notes its process's Python and OS thread
-    counts in a log.
+    Worker 0 forks worker 1, its replacement and the builders (start-up
+    registrations and a training snapshot); worker 1 forks worker 0's
+    replacement, which forks the next builder.  When both die at once, a
+    replacement is spawned, and a spawned worker forks the last builder
+    (and the other worker, unless that was spawned too).  Each fork and
+    each start of worker 0 or a spawned worker notes its process's
+    Python and OS thread counts in a log.
     """
     script = tmp_path / "fork_sites.py"
     script.write_text(FORK_SITES, encoding="utf-8")
@@ -188,11 +195,14 @@ def test_every_fork_site_is_single_threaded(tmp_path):
     (frontend,) = [pid for what, pid, *_ in notes if what == "frontend"]
     warm = [pid for what, pid, *_ in notes if what == "warm"]
     forks = [(pid, int(py), threads) for what, pid, py, threads in notes if what == "fork"]
-    # The frontend forked once, worker 0; a second worker 0 was spawned.
+    # The frontend forked once, worker 0; later workers were spawned.
     assert [pid for pid, *_ in forks if pid == frontend] == [frontend]
-    assert len(warm) == 2 and frontend not in warm
-    # Both generations of worker 0 forked, and nobody else did.
-    assert {pid for pid, *_ in forks} == {frontend, *warm}
+    first, *spawned = warm
+    assert spawned and frontend not in warm
+    # Worker 0, a spawned worker and a forked worker all forked.
+    forkers = {pid for pid, *_ in forks}
+    assert first in forkers and forkers & set(spawned)
+    assert forkers - {frontend, *warm}
     assert len(forks) >= 6
     for what, pid, py, threads in notes:
         if what in ("fork", "warm"):
