@@ -24,8 +24,8 @@ from repro.racelogic.energy import measure_energy
 
 
 def _optimized(network):
-    """The IR optimizer's output, raised back to a Network."""
-    return optimize_program(network)[0].to_network()
+    """The IR optimizer's output network."""
+    return optimize_program(network)[0]
 
 
 def _pipeline_sizes(table):

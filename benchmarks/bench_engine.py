@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.core.table import NormalizedTable
 from repro.core.synthesis import synthesize
-from repro.ir import ensure_program, lower, optimize_program
+from repro.ir import optimize_program
 from repro.ir.sorters import group_sorters
 from repro.network.compile_plan import (
     INF_I64,
@@ -119,7 +119,7 @@ def bench_networks():
             threshold=3,
         )
     )
-    column_optimized, _report = optimize_program(lower(column))
+    column_optimized, _report = optimize_program(column)
     return {
         "fig09-minterm(3x16)": fig09,
         "fig12-srm0(4in)": fig12,
@@ -142,9 +142,8 @@ def wide_column():
             threshold=3,
         )
     )
-    program = lower(column)
-    kernel, _report = optimize_program(group_sorters(program))
-    comparators, _report = optimize_program(program)
+    kernel, _report = optimize_program(group_sorters(column))
+    comparators, _report = optimize_program(column)
     return kernel, comparators
 
 
@@ -261,8 +260,7 @@ def run(*, smoke=False) -> dict:
     """Measure every family; returns the artifact dict."""
     batches = SMOKE_BATCHES if smoke else BATCHES
     families = {}
-    for name, network in bench_networks().items():
-        program = ensure_program(network)
+    for name, program in bench_networks().items():
         plan = compile_plan(program)
         families[name] = {
             "nodes": plan.n_nodes,
@@ -379,7 +377,7 @@ def report(*, smoke=False, artifact_path=ARTIFACT) -> tuple[str, bool]:
 # -- pytest-benchmark hooks ---------------------------------------------------
 
 def _outputs_b1024(benchmark, family):
-    program = ensure_program(bench_networks()[family])
+    program = bench_networks()[family]
     plan = compile_plan(program).warm()
     rng = random.Random(0)
     arity = len(program.input_ids)

@@ -9,21 +9,21 @@ prices that claim on two network families:
   (Theorem 1 minterm forms, SRM0 sorting-network columns up to a
   40-input one whose bitonic sorter is deep): the optimizer must shrink
   them substantially, and ``evaluate_batch`` on the optimized program
-  must at least match the legacy ``Network`` → compile path (the same
-  program raised back with ``program.to_network()`` — the comparison
-  pins the IR plumbing's overhead to zero);
+  must at least match the legacy path, a fresh ``Network`` over the
+  optimized node table compiled on its own (the comparison pins the
+  optimizer's bookkeeping, its provenance map, to zero run cost);
 * **minimal** — already-optimal networks the optimizer cannot improve:
   node counts must not change, and the optimizer must hand back the
-original's lowering itself, so the two share one compiled plan and
+original network itself, so the two share one compiled plan and
 ``evaluate_batch`` cannot slow down.
 
 For the redundant networks it also prices the served program's build,
-``optimize_program(group_sorters(lower(network)))``
+``optimize_program(group_sorters(network))``
 (:mod:`repro.ir.sorters`), which the serving registry runs once per
 registered model: each recognized sorting network becomes rank rows
 before the sweep, so the sweep sees a fraction of the nodes.  Both
-paths are timed from a fresh lowering, as the registry lowers each
-network it registers.
+paths are timed from a fresh network (the grouping memo is per
+network), as the registry parses each network it registers.
 
 Per-step node reductions and optimize and batch timings land in
 ``BENCH_ir_passes.json`` at the repo root, under the shared ``env``
@@ -43,9 +43,9 @@ from time import perf_counter
 
 from repro.core.synthesis import synthesize
 from repro.core.table import NormalizedTable
-from repro.ir import Program, lower, optimize_program
+from repro.ir import optimize_program
 from repro.ir.sorters import group_sorters
-from repro.network import NetworkBuilder, compile_plan, evaluate_batch
+from repro.network import Network, NetworkBuilder, compile_plan, evaluate_batch
 from repro.network.generate import random_volley
 from repro.neuron.response import ResponseFunction
 from repro.neuron.srm0 import SRM0Neuron
@@ -55,8 +55,8 @@ from artifact_env import best_of, main, write_artifact
 
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_ir_passes.json"
 
-#: Optimized-program batches may not run slower than the legacy
-#: program->Network->compile path by more than this factor.
+#: Optimized-program batches may not run slower than a fresh network
+#: over the same node table by more than this factor.
 MAX_LEGACY_RATIO = 1.10
 #: On minimal networks the optimizer must be a no-op, so the optimized
 #: batch may not regress past timing noise.
@@ -157,11 +157,11 @@ def _optimize(network):
 
 
 def _load_paths(network):
-    """Best-of-3 ms of both load paths from a fresh lowering, and the
+    """Best-of-3 ms of both load paths from a fresh network, and the
     grouped path's node count."""
 
     def fresh():
-        return Program(network.nodes, network.outputs, name=network.name)
+        return Network(network.nodes, network.outputs, name=network.name)
 
     comparators_s, grouped_s = best_of(
         3,
@@ -180,7 +180,7 @@ def _load_paths(network):
 def measure_redundant(network, *, batch, repeats, budget_s=0.0, seed=0):
     """Reduction accounting plus optimized-vs-legacy batch timing."""
     program, report, optimize_ms = _optimize(network)
-    legacy = program.to_network()  # the old path: optimizer -> Network
+    legacy = Network(program.nodes, program.outputs)  # no provenance, own plan
     volleys = _volleys(network, batch, seed=seed)
     fns = (
         lambda: evaluate_batch(network, volleys),
@@ -190,7 +190,7 @@ def measure_redundant(network, *, batch, repeats, budget_s=0.0, seed=0):
     rounds = _gate_rounds(repeats, budget_s, *fns)  # warms the plans
     t_raw, t_opt, t_leg = best_of(rounds, *fns)
     return {
-        "nodes_before": len(lower(network).nodes),
+        "nodes_before": len(network.nodes),
         "nodes_after": len(program.nodes),
         "removed_by_pass": report.by_pass(),
         "optimize_ms": optimize_ms,
@@ -217,7 +217,7 @@ def measure_minimal(network, *, batch, repeats, budget_s=0.0, seed=1):
     rounds = _gate_rounds(repeats, budget_s, *fns)  # warms the plan
     t_raw, t_opt = best_of(rounds, *fns)
     return {
-        "nodes_before": len(lower(network).nodes),
+        "nodes_before": len(network.nodes),
         "nodes_after": len(program.nodes),
         "removed": report.removed,
         "optimize_ms": optimize_ms,
@@ -283,9 +283,9 @@ def report(*, smoke=False, artifact_path=ARTIFACT) -> tuple[str, bool]:
             ok = False
             lines.append(
                 f"  FAIL: optimized batch is {row['ratio_vs_legacy']:.2f}x "
-                f"the legacy Network path (bound {MAX_LEGACY_RATIO:.2f}x)"
+                f"a fresh network over its table (bound {MAX_LEGACY_RATIO:.2f}x)"
             )
-    lines.append("\nserved-program build from a fresh lowering (sorters grouped first):")
+    lines.append("\nserved-program build from a fresh network (sorters grouped first):")
     lines.append(
         f"{'network':<20} {'comparators':>12} {'grouped':>10} {'nodes':>7} "
         f"{'rank rows':>9}"

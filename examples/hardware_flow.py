@@ -56,7 +56,7 @@ def main() -> None:
 
     print("\n=== 3. Optimize ===")
     before = net.size
-    net = optimize_program(net)[0].to_network()
+    net = optimize_program(net)[0]
     print(f"optimized: {before} -> {net.size} blocks")
 
     print("\n=== 4. Static timing ===")

@@ -12,8 +12,8 @@ Commands:
 * ``trace`` — run one volley through a seeded SRM0 column on every
   backend, check the canonical spike traces are byte-identical, and
   print/export the trace (JSONL and Chrome ``chrome://tracing`` JSON).
-* ``ir`` — lower a seeded column to the s-t program IR and report the
-  optimizer's node counts, step by step.
+* ``ir`` — build a seeded column, run the IR optimizer over it and
+  report the node counts, step by step.
 * ``kernels`` — the s-t kernel standard library: list the registry, or
   ``--demo <name>`` to run a kernel's demo volley through every backend
   (byte-identity checked) and print its inferred function-table
@@ -318,10 +318,10 @@ def _ir(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro ir",
         description=(
-            "Lower a seeded SRM0 column to the s-t program IR and run "
-            "the optimizer (one simplifying sweep, then dce), reporting "
-            "node counts step by step.  The same lowering and optimizer "
-            "feed all four execution backends."
+            "Build a seeded SRM0 column and run the IR optimizer (one "
+            "simplifying sweep, then dce), reporting node counts step by "
+            "step.  The same network and optimizer feed all four "
+            "execution backends."
         ),
     )
     parser.add_argument(
@@ -335,16 +335,16 @@ def _ir(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    from .ir import lower, optimize_program
+    from .ir import optimize_program
     from .serve.demo import demo_column
 
     network, _ = demo_column(args.seed, smoke=args.smoke)
-    program = lower(network)
     print(
-        f"lowered {network.name}: {len(program.nodes)} node(s), "
-        f"depth {program.depth}, fingerprint {program.fingerprint()[:12]}"
+        f"lowered {network.name}: {len(network.nodes)} node(s), "
+        f"depth {len(network.schedule) - 1}, "
+        f"fingerprint {network.fingerprint()[:12]}"
     )
-    optimized, report = optimize_program(program)
+    optimized, report = optimize_program(network)
     if args.describe:
         print(report.describe())
         print()

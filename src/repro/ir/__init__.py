@@ -1,7 +1,10 @@
-"""repro.ir — the canonical program IR and shared optimizer pipeline.
+"""repro.ir — the optimizer pipeline over the one network type.
 
-One lowering (:func:`lower`), one schedule, one optimizer
-(:func:`optimize_program`) feeding all four execution backends.
+Every engine runs a :class:`~repro.network.graph.Network`, which carries
+its own level schedule; this package rewrites one.
+:func:`optimize_program` simplifies a network in one sweep and strips
+dead rows, and :func:`repro.ir.sorters.group_sorters` puts ``rank`` rows
+in place of each recognized sorting network.
 """
 
 from .. import _lazy
@@ -10,9 +13,5 @@ __all__, __getattr__, __dir__ = _lazy(
     __name__,
     {
         "passes": ("PipelineReport", "optimize_program"),
-        "program": (
-            "CONST_IDENTITY", "NODE_CLASSES", "Program", "ProgramLike",
-            "classify", "ensure_program", "lower", "same_structure",
-        ),
     },
 )

@@ -1,6 +1,6 @@
 """The shared optimizer: one value-numbering sweep, then dead-node removal.
 
-Every backend consumes the same :class:`~repro.ir.program.Program`, so
+Every backend runs the same :class:`~repro.network.graph.Network`, so
 an optimization implemented here — once — speeds up the compiled batch
 engine, the interpreted walk, the event simulator, and the GRL netlist
 alike.  :func:`optimize_program` runs two steps and reports the node
@@ -56,7 +56,7 @@ from typing import Optional
 
 from ..core.value import INF, Time
 from ..network.blocks import Node
-from .program import Program, ProgramLike, ensure_program, same_structure
+from ..network.graph import Network, same_structure
 
 #: Sentinel for a wire that provably never spikes.
 _NEVER = -1
@@ -74,7 +74,7 @@ class _Rewriter:
     :class:`Node` once.
     """
 
-    def __init__(self, program: Program):
+    def __init__(self, program: Network):
         self.program = program
         self.rows: list[tuple] = []
         self.result: dict[int, int] = {}  # old id -> new id, or _NEVER
@@ -118,8 +118,8 @@ class _Rewriter:
             self._never_wire = self.emit("lt", (0, 0), tags=("never",))
         return self._never_wire
 
-    def finish(self) -> tuple[Program, int]:
-        """Close the rewrite: outputs, dead-row removal, provenance, Program.
+    def finish(self) -> tuple[Network, int]:
+        """Close the rewrite: outputs, dead-row removal, provenance, Network.
 
         Compute rows feeding no output are dropped (terminals are kept
         even when dead — the program interface, input and parameter
@@ -169,7 +169,7 @@ class _Rewriter:
                     sources = tuple([remap[s] for s in sources])
                     nodes.append(Node(new, kind, sources, amount, name, tags))
                 provenance[new] = tuple(sorted(prov_sets.get(row_id, ())))
-        return Program(
+        return Network(
             tuple(nodes),
             {out_name: remap[new] for out_name, new in outputs.items()},
             name=self.program.name,
@@ -258,7 +258,7 @@ def _rewrite(rw: _Rewriter, known: dict[int, Time], node: Node) -> int:
 
 
 def _simplify(
-    program: Program, params: Optional[Mapping[str, Time]]
+    program: Network, params: Optional[Mapping[str, Time]]
 ) -> _Rewriter:
     """The value-numbering sweep (see the module doc for its rules)."""
     rw = _Rewriter(program)
@@ -315,18 +315,17 @@ class PipelineReport:
 
 
 def optimize_program(
-    source: ProgramLike,
+    program: Network,
     *,
     params: Optional[Mapping[str, Time]] = None,
-) -> tuple[Program, PipelineReport]:
-    """Simplify *source* in one sweep, then strip dead nodes.
+) -> tuple[Network, PipelineReport]:
+    """Simplify *program* in one sweep, then strip dead nodes.
 
     *params*, when given, additionally specializes ``param`` cones to
     that binding — only sound when the resulting program is run under
     the same binding.  Returns ``(program, report)``; the program is
-    *source*'s own Program object when neither step changes anything.
+    *program* itself when neither step changes anything.
     """
-    program = ensure_program(source)
     optimized, simplified = _simplify(program, params).finish()
     if same_structure(optimized, program):
         optimized = program

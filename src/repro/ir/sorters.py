@@ -38,8 +38,8 @@ Grouping must run before the optimizer sweep
 (:func:`repro.ir.passes.optimize_program`): the sweep's rewrites change
 comparators, so the canonical shape is gone afterwards.  The sweep in
 turn treats rank rows as opaque.  Every backend runs rank rows and the
-spike tracer names their causes; only
-:meth:`~repro.ir.program.Program.to_network` refuses them.
+spike tracer names their causes; only a model document
+(:func:`repro.network.serialize.dumps`) refuses them.
 """
 
 from __future__ import annotations
@@ -54,16 +54,18 @@ from operator import itemgetter
 from typing import Optional
 
 from ..network.blocks import Node
+from ..network.graph import Network
 from ..network.sorting import bitonic_sort, odd_even_merge_sort
-from .program import Program, ProgramLike, ensure_program
 
 #: Sorter constructions a region may match, tried in this order.
 ALGORITHMS = ("bitonic", "odd-even")
 
-#: One Program per grouped source (dies with the source).
-_GROUP_MEMO: "weakref.WeakKeyDictionary[Program, Program]" = (
+#: One grouped network per source network (dies with the source).
+_GROUP_MEMO: "weakref.WeakKeyDictionary[Network, object]" = (
     weakref.WeakKeyDictionary()
 )
+#: The memo's value for a source with no sorter to group.
+_UNCHANGED = object()
 
 
 @dataclass(frozen=True)
@@ -256,7 +258,7 @@ def _recognize(start: int, stop: int, width: int, kinds, got) -> Optional[_Sorte
     return _Sorter(start, stop, lanes, tuple(start + h for h in canon.outputs))
 
 
-def _lower(program: Program, sorters: list[_Sorter], outside: set[int]) -> Program:
+def _lower(program: Network, sorters: list[_Sorter], outside: set[int]) -> Network:
     """Rebuild *program* with each sorter's read outputs as rank rows.
 
     *sorters* are in id order.  A sorter's node ids are contiguous and
@@ -289,7 +291,7 @@ def _lower(program: Program, sorters: list[_Sorter], outside: set[int]) -> Progr
                     node.tags,
                 )
             )
-    return Program(
+    return Network(
         tuple(kept),
         {name: remap[old] for name, old in program.outputs.items()},
         name=program.name,
@@ -297,14 +299,13 @@ def _lower(program: Program, sorters: list[_Sorter], outside: set[int]) -> Progr
     )
 
 
-def group_sorters(source: ProgramLike) -> Program:
-    """*source* with every recognized sorting network lowered to rank rows.
+def group_sorters(program: Network) -> Network:
+    """*program* with every recognized sorting network lowered to rank rows.
 
-    Returns *source*'s own Program when no region qualifies, so the step
-    is idempotent: a grouped program has no comparator regions left.
-    Memoized weakly per program.
+    Returns *program* itself when no region qualifies, so the step is
+    idempotent: a grouped program has no comparator regions left.
+    Memoized weakly per network.
     """
-    program = ensure_program(source)
     grouped = _GROUP_MEMO.get(program)
     if grouped is None:
         nodes = program.nodes
@@ -321,9 +322,10 @@ def group_sorters(source: ProgramLike) -> Program:
             for sorter in _split(nodes, start, stop, outside)
         ]
         sorters = [s for s in sorters if _contained(s, outside)]
-        grouped = _lower(program, sorters, outside) if sorters else program
+        # A memo value that is its own key would keep the key alive.
+        grouped = _lower(program, sorters, outside) if sorters else _UNCHANGED
         _GROUP_MEMO[program] = grouped
-    return grouped
+    return program if grouped is _UNCHANGED else grouped
 
 
 def _contained(sorter: _Sorter, outside: set[int]) -> bool:

@@ -30,8 +30,8 @@ from typing import Optional
 
 from ..core.value import Time
 from ..ir.passes import PipelineReport, optimize_program
-from ..ir.program import Program
 from ..network.blocks import Node
+from ..network.graph import Network
 from .kernel import Kernel, KernelError
 
 #: Node-tag prefix carrying kernel-instance provenance.
@@ -122,12 +122,12 @@ class _Inliner:
             outputs[port] = local[nid]
         return outputs
 
-    def finish(self) -> Program:
+    def finish(self) -> Network:
         if not self.outputs:
             raise KernelError(
                 f"composition {self.name!r} exposes no outputs"
             )
-        return Program(tuple(self.nodes), self.outputs, name=self.name)
+        return Network(tuple(self.nodes), self.outputs, name=self.name)
 
 
 # ---------------------------------------------------------------------------
@@ -142,17 +142,17 @@ class Composition:
     instances: tuple[str, ...]
 
     @property
-    def program(self) -> Program:
+    def program(self) -> Network:
         return self.kernel.program
 
     def optimized(
         self, *, params: Optional[Mapping[str, Time]] = None
-    ) -> tuple[Program, PipelineReport]:
+    ) -> tuple[Network, PipelineReport]:
         """The composed program through the optimizer."""
         return optimize_program(self.program, params=params)
 
     def attribution(
-        self, program: Optional[Program] = None
+        self, program: Optional[Network] = None
     ) -> dict[int, tuple[str, ...]]:
         """Kernel-instance provenance per node of *program*.
 
@@ -167,7 +167,7 @@ class Composition:
 
 
 def kernel_attribution(
-    program: Program, original: Optional[Program] = None
+    program: Network, original: Optional[Network] = None
 ) -> dict[int, tuple[str, ...]]:
     """Map each node of *program* to the kernel instances it descends from.
 

@@ -1,6 +1,6 @@
 """The reusable s-t kernel: an IR subprogram with named ports.
 
-A :class:`Kernel` packages one :class:`~repro.ir.program.Program` as a
+A :class:`Kernel` packages one :class:`~repro.network.graph.Network` as a
 composable unit of space-time computation, in the spirit of STICK
 (Lagorce & Benosman): the program's ``input`` terminals are the kernel's
 **input ports**, its named outputs are the **output ports**, and the
@@ -31,7 +31,6 @@ from typing import Optional
 
 from ..core.table import NormalizedTable
 from ..core.value import Time
-from ..ir.program import Program, ensure_program, lower
 from ..network.blocks import Node
 from ..network.builder import NetworkBuilder
 from ..network.graph import Network, NetworkError
@@ -48,12 +47,12 @@ class Kernel:
 
     def __init__(
         self,
-        program: Program | Network,
+        program: Network,
         *,
         name: Optional[str] = None,
         description: str = "",
     ):
-        self.program: Program = ensure_program(program)
+        self.program = program
         self.name = name or self.program.name
         self.description = description
         if not self.program.outputs:
@@ -69,7 +68,7 @@ class Kernel:
         description: str = "",
     ) -> "Kernel":
         """Freeze a :class:`NetworkBuilder` into a kernel."""
-        return cls(lower(builder.build()), name=name, description=description)
+        return cls(builder.build(), name=name, description=description)
 
     # -- ports ------------------------------------------------------------------
     @property
@@ -105,7 +104,8 @@ class Kernel:
             lines.append(f"  cfg: {', '.join(self.params)}")
         lines.append(f"  out: {', '.join(self.outputs)}")
         lines.append(
-            f"  {self.program.size} block(s), depth {self.program.depth}"
+            f"  {self.program.size} block(s), "
+            f"depth {len(self.program.schedule) - 1}"
         )
         return "\n".join(lines)
 
@@ -154,7 +154,7 @@ class Kernel:
         }
         if len(new_outputs) != len(self.program.outputs):
             raise KernelError("renamed output ports collide")
-        program = Program(
+        program = Network(
             tuple(nodes),
             new_outputs,
             name=name or self.name,
@@ -166,8 +166,11 @@ class Kernel:
 
     # -- evaluation and the contract surface ------------------------------------
     def network(self, *, name: Optional[str] = None) -> Network:
-        """The kernel as a plain :class:`Network` (for serving, serialization)."""
-        return self.program.to_network(name=name or f"kernel-{self.name}")
+        """The kernel's network under its serving name (for serving, serialization)."""
+        program = self.program
+        return Network(
+            program.nodes, program.outputs, name=name or f"kernel-{self.name}"
+        )
 
     def evaluate(
         self,

@@ -29,8 +29,8 @@ interpreted evaluator for such inputs).
 
 Compilation
 -----------
-:func:`compile_plan` lowers a :class:`~repro.ir.program.Program` (or a
-``Network``, lowered on entry) to a :class:`CompiledPlan`:
+:func:`compile_plan` lowers a :class:`~repro.network.graph.Network` to a
+:class:`CompiledPlan`:
 
 * **node-major arena** — values live in an ``(n_cols, B)`` int64 arena
   whose rows are *permuted* so inputs, params and every fused kernel
@@ -56,11 +56,10 @@ Compilation
   prefix of the same flat arena and gather buffers, kept in a small
   thread-safe free-list, so steady-state runs allocate only their output.
 
-A plan is a pure function of its program, and a ``Program`` is frozen,
-so the program owns its plan: :func:`compile_plan` builds it once and
-stores it on the program, and the plan lives exactly as long as the
-program does.  A ``Network`` shares its lowering's plan through the
-lowering memo; structural twins (e.g. a serialization round-trip) each
+A plan is a pure function of its network, and a ``Network`` is frozen,
+so the network owns its plan: :func:`compile_plan` builds it once and
+stores it on the network, and the plan lives exactly as long as the
+network does.  Structural twins (e.g. a serialization round-trip) each
 compile their own.
 
 The plan knows nothing of tracing: the canonical spike trace is a pure
@@ -103,10 +102,9 @@ from ..core.value import (  # the sentinel codec, re-exported here
     decode_time,
     encode_time,
 )
-from ..ir.program import CONST_IDENTITY, ProgramLike, classify, ensure_program
 from ..obs import metrics as _obs_metrics
 from ..obs import profile as _obs_profile
-from .graph import NetworkError
+from .graph import CONST_IDENTITY, Network, NetworkError, classify
 
 VolleyLike = Union[np.ndarray, Sequence[Sequence[Time]]]
 
@@ -152,7 +150,7 @@ def encode_volleys(
 
 
 def _encode_params(
-    network: "ProgramLike", params: Optional[Mapping[str, Time]]
+    network: Network, params: Optional[Mapping[str, Time]]
 ) -> np.ndarray:
     """Validate and encode a parameter binding in declaration order."""
     params = params or {}
@@ -312,17 +310,15 @@ _POOL_DEPTH = 4
 # ---------------------------------------------------------------------------
 
 class CompiledPlan:
-    """An executable, batch-oriented compilation of one program structure.
+    """An executable, batch-oriented compilation of one network structure.
 
-    Accepts a :class:`~repro.ir.program.Program` or a
-    :class:`~repro.network.graph.Network` (lowered on entry).  The level
-    schedule and the zero-source constant classification come from the
-    IR — this backend only encodes what it is told.
+    The level schedule and the zero-source constant classification come
+    from the :class:`~repro.network.graph.Network` — this backend only
+    encodes what it is told.
     """
 
-    def __init__(self, source: "ProgramLike"):
-        program = ensure_program(source)
-        #: The program this plan executes.
+    def __init__(self, program: Network):
+        #: The network this plan executes.
         self.program = program
         self.n_nodes = len(program.nodes)
         self.n_inputs = len(program.input_ids)
@@ -539,15 +535,13 @@ class CompiledPlan:
         return self
 
 
-def compile_plan(source: "ProgramLike") -> CompiledPlan:
-    """The executable plan for *source* (Network or Program).
+def compile_plan(program: Network) -> CompiledPlan:
+    """The executable plan for *program*.
 
-    Built once per program, under the ``plan.compile`` timer, and kept
-    on that program; a network resolves to its (memoized) lowering, so
-    a network and its unoptimized lowering share one plan.  Immutability
-    of both types means a stored plan can never go stale.
+    Built once per network, under the ``plan.compile`` timer, and kept
+    on that network, so repeat calls return the very same plan.  A
+    network is immutable, so a stored plan can never go stale.
     """
-    program = ensure_program(source)
     plan = program._plan
     # Unlocked: two threads racing here each build an equal plan and the
     # last store wins, so the race costs one compile and never a result.
@@ -562,7 +556,7 @@ def compile_plan(source: "ProgramLike") -> CompiledPlan:
 # ---------------------------------------------------------------------------
 
 def evaluate_batch(
-    network: "ProgramLike",
+    network: Network,
     inputs: VolleyLike,
     *,
     params: Optional[Mapping[str, Time]] = None,
@@ -600,7 +594,7 @@ def evaluate_batch(
 
 
 def evaluate_batch_all(
-    network: "ProgramLike",
+    network: Network,
     inputs: VolleyLike,
     *,
     params: Optional[Mapping[str, Time]] = None,

@@ -38,9 +38,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..core.value import INF, Infinity, Time, check_time
-from ..ir.program import CONST_IDENTITY, ProgramLike, classify, ensure_program
 from ..obs.metrics import METRICS
-from .graph import Network, NetworkError
+from .graph import CONST_IDENTITY, Network, NetworkError, classify
 
 
 @dataclass(frozen=True)
@@ -88,8 +87,8 @@ class EventSimulator:
     longer pattern-matches zero-source nodes itself.
     """
 
-    def __init__(self, network: ProgramLike):
-        self.network = ensure_program(network)
+    def __init__(self, network: Network):
+        self.network = network
         # Each wire's (reader, port) pairs: one sorter's rank rows all
         # read each lane, so scanning every reader's sources per spike
         # would cost lanes x rows per lane.
@@ -204,7 +203,7 @@ class EventSimulator:
 
 
 def simulate(
-    network: ProgramLike,
+    network: Network,
     inputs: Mapping[str, Time],
     *,
     params: Optional[Mapping[str, Time]] = None,

@@ -59,7 +59,16 @@ _INT = frozenset((int,))
 
 
 def network_to_dict(network: Network) -> dict[str, Any]:
-    """The JSON-ready representation of *network*."""
+    """The JSON-ready representation of *network*.
+
+    The format has no ``rank`` kind, so a network holding the IR-only
+    rank rows of :func:`repro.ir.sorters.group_sorters` is refused.
+    """
+    if network.rank_ids:
+        raise NetworkError(
+            f"a model document cannot hold rank row {network.rank_ids[0]}: "
+            "rank rows are IR-only"
+        )
     nodes: list[dict[str, Any]] = []
     for node in network.nodes:
         entry: dict[str, Any] = {"kind": node.kind}

@@ -31,12 +31,11 @@ from collections.abc import Mapping
 from typing import Optional
 
 from ..core.value import INF, INF_I64, MAX_FINITE, Infinity, Time, check_time
-from ..ir.program import CONST_IDENTITY, ProgramLike, classify, ensure_program
-from .graph import Network, NetworkError
+from .graph import CONST_IDENTITY, Network, NetworkError, classify
 
 
 def evaluate_all_interpreted(
-    network: ProgramLike,
+    network: Network,
     inputs: Mapping[str, Time],
     *,
     params: Optional[Mapping[str, Time]] = None,
@@ -47,29 +46,27 @@ def evaluate_all_interpreted(
     executable specification the compiled engine is checked against, and
     handles arbitrary-precision times the int64 engine cannot.
 
-    Accepts a :class:`~repro.network.graph.Network` or an already-lowered
-    :class:`~repro.ir.program.Program` and walks the IR level schedule;
-    the zero-source min/max constants evaluate to the lattice identities
-    the IR declares (:data:`repro.ir.CONST_IDENTITY`) — this backend no
+    Walks the network's level schedule; the zero-source min/max
+    constants evaluate to the lattice identities the network declares
+    (:data:`repro.network.graph.CONST_IDENTITY`) — this backend no
     longer derives that rule itself.
 
     The returned list is the fire-time vector
     :func:`repro.obs.trace.spike_trace` takes.
     """
-    program = ensure_program(network)
     params = params or {}
-    missing_in = set(program.input_ids) - set(inputs)
+    missing_in = set(network.input_ids) - set(inputs)
     if missing_in:
         raise NetworkError(f"unbound inputs: {sorted(missing_in)}")
-    missing_p = set(program.param_ids) - set(params)
+    missing_p = set(network.param_ids) - set(params)
     if missing_p:
         raise NetworkError(f"unbound params: {sorted(missing_p)}")
 
-    nodes = program.nodes
+    nodes = network.nodes
     values: list[Time] = [INF] * len(nodes)
     # The rank rows of one sorter share their lane tuple: sort it once.
     lanes: tuple[int, ...] = ()
-    for level_ids in program.schedule:
+    for level_ids in network.schedule:
         for node_id in level_ids:
             node = nodes[node_id]
             kind = classify(node)
@@ -116,7 +113,7 @@ def evaluate_all_interpreted(
 
 
 def evaluate_all(
-    network: ProgramLike,
+    network: Network,
     inputs: Mapping[str, Time],
     *,
     params: Optional[Mapping[str, Time]] = None,
@@ -173,7 +170,7 @@ def evaluate_all(
 
 
 def evaluate(
-    network: ProgramLike,
+    network: Network,
     inputs: Mapping[str, Time],
     *,
     params: Optional[Mapping[str, Time]] = None,
@@ -184,7 +181,7 @@ def evaluate(
 
 
 def evaluate_vector(
-    network: ProgramLike,
+    network: Network,
     vector: tuple[Time, ...],
     *,
     params: Optional[Mapping[str, Time]] = None,

@@ -132,6 +132,26 @@ def _race(a: TimeInterval, b: TimeInterval) -> TimeInterval:
     return TimeInterval(a.lo, a.hi, may_be_absent=can_lose)
 
 
+def _kth(intervals: list[TimeInterval], k: int) -> TimeInterval:
+    """Transfer function of rank *k*: the k-th smallest, absence last.
+
+    Order statistics are monotone, so the k-th smallest of the ``lo``
+    bounds and the k-th smallest of the ``hi`` bounds (each ``∞`` where
+    the wire may be absent) bound the k-th smallest value.  When that
+    ``hi`` is ``∞`` the row may be absent, and a spike it does fire is
+    one of its sources' spikes, so no later than the latest ``hi``.
+    """
+    inf = float("inf")
+    lo = sorted(i.lo if i.may_spike else inf for i in intervals)[k]
+    if lo == inf:
+        return TimeInterval.never()
+    hi = sorted(inf if i.may_be_absent else i.hi for i in intervals)[k]
+    if hi != inf:
+        return TimeInterval(lo, hi)
+    hi = max(i.hi for i in intervals if i.may_spike)
+    return TimeInterval(lo, hi, may_be_absent=True)
+
+
 def analyze(
     network: Network,
     inputs: Mapping[str, TimeInterval],
@@ -159,6 +179,8 @@ def analyze(
             values[node.id] = _meet([values[s] for s in node.sources])
         elif node.kind == "max":
             values[node.id] = _join([values[s] for s in node.sources])
+        elif node.kind == "rank":
+            values[node.id] = _kth([values[s] for s in node.sources], node.amount)
         else:  # lt
             values[node.id] = _race(
                 values[node.sources[0]], values[node.sources[1]]

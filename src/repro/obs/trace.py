@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from ..core.value import MAX_FINITE, Infinity
-from ..ir.program import ProgramLike, ensure_program
+from ..network.graph import Network
 from .metrics import METRICS
 
 
@@ -113,7 +113,7 @@ def _as_int(value) -> int:
     return (MAX_FINITE + 1) if isinstance(value, Infinity) else int(value)
 
 
-def spike_trace(program: ProgramLike, values: Sequence) -> list[TraceEvent]:
+def spike_trace(program: Network, values: Sequence) -> list[TraceEvent]:
     """The canonical spike trace of one volley, from its fire times.
 
     *values* holds every node's fire time by node id, in either encoding
@@ -122,7 +122,6 @@ def spike_trace(program: ProgramLike, values: Sequence) -> list[TraceEvent]:
     by ``(time, node_id)``.  Any program traces, rank rows included, so
     the program a serving worker runs traces as it is.
     """
-    program = ensure_program(program)
     events = sorted(
         TraceEvent(int(value), node.id, cause_of(node, values))
         for node, value in zip(program.nodes, values)
@@ -167,7 +166,7 @@ def project_events(
 ) -> list[TraceEvent]:
     """Project an optimized program's trace onto original node identities.
 
-    *provenance* is the :attr:`repro.ir.program.Program.provenance` map:
+    *provenance* is the :attr:`repro.network.graph.Network.provenance` map:
     each optimized node id → the tuple of original node ids it stands
     for, every one of which provably fires at the same time.  Each event
     is therefore fanned out to one event per original root, so the

@@ -26,14 +26,14 @@ from types import SimpleNamespace
 from typing import Optional
 
 from ..core.value import Time
-from ..ir.program import ProgramLike, ensure_program
+from ..network.graph import Network
 from ..network.sorting import bitonic_sort
 from .circuit import Circuit, CircuitBuilder
 from .digital import DigitalResult, DigitalSimulator
 
 
 def compile_network(
-    network: ProgramLike,
+    network: Network,
     *,
     name: Optional[str] = None,
     node_map: Optional[dict[int, int]] = None,
@@ -45,8 +45,8 @@ def compile_network(
     preserved, with ``inc`` nodes expanding into DFF chains and the
     rank rows of one sorter into one bitonic sorter over their lanes.
 
-    The IR declares which nodes are the lattice-identity constants
-    (:attr:`~repro.ir.program.Program.const_ids`); those have no gate
+    The network declares which nodes are the lattice-identity constants
+    (:attr:`~repro.network.graph.Network.const_ids`); those have no gate
     realization, so a program still carrying one is rejected here — run
     the optimizer (:mod:`repro.ir.passes`) to fold them away
     where the lattice laws allow.
@@ -56,23 +56,22 @@ def compile_network(
     chain, the final flip-flop; for a rank row, its sorted output).  The
     spike-trace read-back uses it.
     """
-    program = ensure_program(network)
-    if program.const_ids:
-        node = program.nodes[program.const_ids[0]]
+    if network.const_ids:
+        node = network.nodes[network.const_ids[0]]
         constant = "∞" if node.kind == "min" else "0"
         raise ValueError(
             f"node {node.id}: a zero-source {node.kind} (the constant "
             f"{constant}) has no GRL realization — a CMOS gate needs "
             "input wires"
         )
-    builder = CircuitBuilder(name or f"grl-{program.name}")
+    builder = CircuitBuilder(name or f"grl-{network.name}")
     wire: dict[int, int] = node_map if node_map is not None else {}
     comparators = SimpleNamespace(  # bitonic_sort's builder: AND is min, OR max
         min=lambda a, b, tag="": builder.and_(a, b),
         max=lambda a, b, tag="": builder.or_(a, b),
     )
     lanes: tuple[int, ...] = ()
-    for node in program.nodes:
+    for node in network.nodes:
         if node.kind in ("input", "param"):
             wire[node.id] = builder.input(node.name)
         elif node.kind == "inc":
@@ -89,7 +88,7 @@ def compile_network(
         else:  # lt
             a, b = node.sources
             wire[node.id] = builder.lt(wire[a], wire[b])
-    for out_name, node_id in program.outputs.items():
+    for out_name, node_id in network.outputs.items():
         builder.output(out_name, wire[node_id])
     return builder.build()
 
@@ -97,8 +96,8 @@ def compile_network(
 class GRLExecutor:
     """Run an s-t network *as hardware*: compile once, simulate per input."""
 
-    def __init__(self, network: ProgramLike):
-        self.network = ensure_program(network)
+    def __init__(self, network: Network):
+        self.network = network
         self.node_wires: dict[int, int] = {}
         self.circuit = compile_network(self.network, node_map=self.node_wires)
         self._simulator = DigitalSimulator(self.circuit)

@@ -11,7 +11,7 @@ One seam for every layer (DESIGN.md §14).  The pieces:
   :meth:`~repro.runtime.result_cache.ResultCache.info` is its record.
 
 Compiled plans are not cached here: each
-:class:`~repro.ir.program.Program` owns its plan
+:class:`~repro.network.graph.Network` owns its plan
 (:func:`~repro.network.compile_plan.compile_plan`).
 
 Import-weight discipline: importing ``repro.runtime`` loads only the

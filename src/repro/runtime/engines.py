@@ -6,8 +6,11 @@ interpreted big-int walk, the compiled int64 batch engine, the
 event-driven simulator, and the gate-level GRL circuit model.  Each is a
 :class:`BackendEngine` carrying a report ``name`` and a
 ``cycle_accurate`` flag (the slow gate-level model sets it, so sweeps
-can leave it out).  :data:`ENGINES` lists the four classes in the pinned
-report order; differential testing instantiates fresh engines from it.
+can leave it out).  Every engine takes the one graph type, a
+:class:`~repro.network.graph.Network` — built, grouped into rank rows or
+optimized — and runs it as it is.  :data:`ENGINES` lists the four
+classes in the pinned report order; differential testing instantiates
+fresh engines from it.
 Serving does not go through these objects: the serving stack calls the
 batch engine (:func:`~repro.network.compile_plan.evaluate_batch`)
 directly.
@@ -19,7 +22,6 @@ from collections.abc import Mapping, Sequence
 from typing import Optional
 
 from ..core.value import Infinity, Time
-from ..ir.program import ProgramLike, ensure_program
 from ..ir.sorters import _canonical, group_sorters
 from ..network.compile_plan import (
     decode_matrix,
@@ -27,6 +29,7 @@ from ..network.compile_plan import (
     evaluate_batch_all,
 )
 from ..network.events import EventSimulator
+from ..network.graph import Network
 from ..network.simulator import evaluate_all_interpreted
 from ..obs.trace import TraceEvent, spike_trace
 
@@ -48,7 +51,7 @@ class BackendEngine:
     #: Simulates gate-by-gate cycles (orders of magnitude slower).
     cycle_accurate: bool = False
 
-    def supports_network(self, network: ProgramLike) -> Optional[str]:
+    def supports_network(self, network: Network) -> Optional[str]:
         """``None`` if the backend can run *network*, else a skip reason."""
         return None
 
@@ -58,7 +61,7 @@ class BackendEngine:
 
     def run(
         self,
-        network: ProgramLike,
+        network: Network,
         volleys: Sequence[Volley],
         params: Optional[Mapping[str, Time]] = None,
     ) -> list[Outputs]:
@@ -67,7 +70,7 @@ class BackendEngine:
 
     def trace(
         self,
-        network: ProgramLike,
+        network: Network,
         volley: Volley,
         params: Optional[Mapping[str, Time]] = None,
     ) -> Optional[list[TraceEvent]]:
@@ -176,25 +179,24 @@ class GRLCircuitEngine(BackendEngine):
         self.max_time = max_time
         self.max_gates = max_gates
 
-    def supports_network(self, network: ProgramLike) -> Optional[str]:
-        program = ensure_program(network)
-        if program.const_ids:
+    def supports_network(self, network: Network) -> Optional[str]:
+        if network.const_ids:
             # The IR declares which nodes are lattice-identity constants;
             # this oracle no longer pattern-matches them itself.
-            node = program.nodes[program.const_ids[0]]
+            node = network.nodes[network.const_ids[0]]
             return (
                 f"zero-source {node.kind} (node {node.id}) has no "
                 "CMOS gate realization"
             )
         # DFF chains dominate the netlist: one flip-flop per inc unit.
-        gates = len(program.nodes) + sum(
-            n.amount - 1 for n in program.nodes if n.kind == "inc"
+        gates = len(network.nodes) + sum(
+            n.amount - 1 for n in network.nodes if n.kind == "inc"
         )
         lanes: tuple[int, ...] = ()
-        for node_id in program.rank_ids:
+        for node_id in network.rank_ids:
             gates -= 1  # a rank row is a sorter output, not a gate
-            if program.nodes[node_id].sources is not lanes:
-                lanes = program.nodes[node_id].sources
+            if network.nodes[node_id].sources is not lanes:
+                lanes = network.nodes[node_id].sources
                 canon = _canonical("bitonic", len(lanes))
                 gates += len(canon.kinds) if canon is not None else 0
         if gates > self.max_gates:

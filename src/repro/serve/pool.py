@@ -9,7 +9,7 @@ when a replacement worker is brought up to date.
 :func:`~repro.serve.worker.load_program` unpickles it, verifies the
 program fingerprint the message names, and **warms** the compiled plan,
 so the first real request never pays compilation or first-touch cost; a
-worker never parses, lowers or optimizes.  Eval messages are answered by
+worker never parses, groups or optimizes.  Eval messages are answered by
 the batch engine (:func:`~repro.network.compile_plan.evaluate_batch`).
 Both loading and evaluating live in one worker body,
 :class:`~repro.serve.worker._Worker`, which both pools run.
@@ -54,7 +54,7 @@ byte-identical responses survive crashes.
 in-process — no IPC, no fork — used by unit tests and by benchmark
 configurations that isolate scheduling cost from process cost.  It
 builds programs in-process and calls the same worker body directly,
-with the registry's own :class:`~repro.ir.program.Program` objects, so
+with the registry's own :class:`~repro.network.graph.Network` objects, so
 a sampled batch there sets the process-wide profiling flag in the
 serving process itself.
 
@@ -85,7 +85,7 @@ from multiprocessing.reduction import send_handle
 from time import monotonic, sleep
 from typing import Callable, Optional
 
-from ..ir.program import Program
+from ..network.graph import Network
 from ..obs import metrics as _obs_metrics
 from ..obs import rtrace as _rtrace
 from . import worker as _worker
@@ -279,7 +279,7 @@ class ProcessWorkerPool:
 
     def __init__(
         self,
-        programs: dict[str, Program],
+        programs: dict[str, Network],
         *,
         n_workers: int = 2,
         max_restarts: int = 8,
@@ -497,7 +497,7 @@ class ProcessWorkerPool:
         _obs_metrics.METRICS.inc("serve.pool.submits")
 
     def add_model(
-        self, model_id: str, program: Program, payload: Optional[bytes] = None
+        self, model_id: str, program: Network, payload: Optional[bytes] = None
     ) -> None:
         """Ship a newly registered model's program to every alive worker.
 
@@ -705,7 +705,7 @@ class InlineWorkerPool:
 
     build = staticmethod(build_program)
 
-    def __init__(self, programs: dict[str, Program]):
+    def __init__(self, programs: dict[str, Network]):
         self._worker = _worker._Worker()
         for model_id, program in programs.items():
             self.add_model(model_id, program)
@@ -737,7 +737,7 @@ class InlineWorkerPool:
         _complete(job, result, extras)
 
     def add_model(
-        self, model_id: str, program: Program, payload: Optional[bytes] = None
+        self, model_id: str, program: Network, payload: Optional[bytes] = None
     ) -> None:
         self._worker.load(model_id, program.fingerprint(), program)
 

@@ -42,7 +42,6 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
-from ..ir.program import Program, lower
 from ..network import serialize
 from ..network.graph import Network, NetworkError
 from ..runtime.result_cache import RESULT_CACHE
@@ -86,7 +85,7 @@ class Built(NamedTuple):
     model_id: str  # the parsed network's fingerprint
     name: str
     nodes: int
-    program: Program
+    program: Network
     #: The program pickled, when it crossed a pipe to get here (a
     #: process pool ships these same bytes to its workers).
     payload: Optional[bytes] = None
@@ -96,7 +95,7 @@ def build_program(packed: bytes) -> Built:
     """Parse a packed document and build the program a worker serves.
 
     The network is parsed (which verifies any fingerprint the document
-    embeds), lowered, its sorters grouped (before the optimizer, whose
+    embeds and schedules the network), its sorters grouped (before the optimizer, whose
     rewrites would hide a sorter's shape; it also leaves the sweep a
     fraction of the nodes) and optimized; only its fingerprint, name
     and node count outlive the call.  A process pool runs this in a
@@ -107,7 +106,7 @@ def build_program(packed: bytes) -> Built:
     # Called through this module's name, so tooling that times the
     # serving set-up can wrap ``repro.serve.registry.optimize_program``.
     this = sys.modules[__name__]
-    program, _report = this.optimize_program(this.group_sorters(lower(network)))
+    program, _report = this.optimize_program(this.group_sorters(network))
     return Built(network.fingerprint(), network.name, len(network.nodes), program)
 
 
@@ -115,7 +114,7 @@ def build_program(packed: bytes) -> Built:
 class ModelEntry:
     """One registered model: its packed document, served program and node count.
 
-    ``program`` is what the worker pool serves: the network lowered, its
+    ``program`` is what the worker pool serves: the network with its
     sorters grouped into rank rows and the result optimized, built once
     by :func:`build_program` (fire-time equal to the network by the
     IR's provenance contract); ``payload`` is that program pickled, when
@@ -133,7 +132,7 @@ class ModelEntry:
     model_id: str  # == network.fingerprint()
     name: str
     packed: bytes
-    program: Program
+    program: Network
     nodes: int
     payload: Optional[bytes] = None
 
@@ -313,7 +312,7 @@ class ModelRegistry:
         RESULT_CACHE.evict_fingerprint(entry.model_id)
         return entry
 
-    def programs(self) -> dict[str, Program]:
+    def programs(self) -> dict[str, Network]:
         """``model_id -> served program`` — the worker-pool payload."""
         with self._lock:
             return {fp: entry.program for fp, entry in self._by_id.items()}

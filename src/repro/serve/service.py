@@ -686,10 +686,10 @@ class TNNService:
         every call and not kept, so the registry holds no network.
 
         It shares code with the served path: the same
-        :func:`~repro.network.serialize.loads` parses the document, the
-        same ``lower`` lowers it and the same compiled ``evaluate_batch``
-        engine runs it, so a fault there reads as agreement.  It skips
-        sorter grouping, the IR passes, pickling, the pool and batching.
+        :func:`~repro.network.serialize.loads` parses the document and
+        the same compiled ``evaluate_batch`` engine runs it, so a fault
+        there reads as agreement.  It skips sorter grouping, the IR
+        passes, pickling, the pool and batching.
         """
         from ..network.compile_plan import evaluate_batch
 

@@ -57,7 +57,7 @@ from ..obs import profile as _profile
 from .registry import build_program
 
 if TYPE_CHECKING:
-    from ..ir.program import Program
+    from ..network.graph import Network
 
 #: A worker piggybacks what it counted since its last report on every
 #: Nth eval reply (every reply would double the IPC payload for
@@ -65,7 +65,7 @@ if TYPE_CHECKING:
 _METRICS_PIGGYBACK_EVERY = 16
 
 
-def load_program(model_id: str, fingerprint: str, program: "Program | bytes") -> "Program":
+def load_program(model_id: str, fingerprint: str, program: "Network | bytes") -> "Network":
     """Make one served program ready to evaluate.
 
     *program* is the registry's served program
@@ -114,7 +114,7 @@ class _Worker:
     """
 
     def __init__(self) -> None:
-        self.programs: dict[str, Program] = {}
+        self.programs: dict[str, Network] = {}
         #: Plan warm-ups so far (one per loaded model).
         self.warmups = 0
 

@@ -288,7 +288,7 @@ def run_case(
     """Diff one generated case, shrinking any disagreements found.
 
     With ``optimize=True`` all backends consume the same served
-    :class:`~repro.ir.program.Program`; divergence tracing then runs on
+    :class:`~repro.network.graph.Network`; divergence tracing then runs on
     that shared program and shrinking re-optimizes each candidate, so
     the minimized reproducer still splits the *optimized* backends.
     """

@@ -44,9 +44,9 @@ from typing import Optional
 
 from ..core.value import INF, Infinity, Time
 from ..ir.passes import optimize_program
-from ..ir.program import Program, ProgramLike
 from ..ir.sorters import group_sorters
 from ..network.compile_plan import MAX_FINITE
+from ..network.graph import Network
 from ..runtime.engines import ENGINES, BackendEngine, Outputs, Volley
 
 __all__ = [
@@ -83,8 +83,8 @@ class BackendRun:
     backend *name* on volley *i*, or ``None`` when that backend skipped
     the volley; backends skipped wholesale appear in ``skipped`` with
     their reason instead.  ``program`` is the exact
-    :class:`~repro.ir.program.Program` every backend consumed when the
-    run went through the shared-lowering path (``optimize=True``), else
+    :class:`~repro.network.graph.Network` every backend consumed when the
+    run went through the served-program path (``optimize=True``), else
     ``None``; its provenance map relates the optimized trace back to the
     original node ids.
     """
@@ -92,7 +92,7 @@ class BackendRun:
     volleys: list[Volley]
     results: dict[str, list[Optional[Outputs]]] = field(default_factory=dict)
     skipped: dict[str, str] = field(default_factory=dict)
-    program: Optional[Program] = None
+    program: Optional[Network] = None
 
     def names_for(self, index: int) -> list[str]:
         """Backends that produced an output for volley *index*."""
@@ -100,7 +100,7 @@ class BackendRun:
 
 
 def run_backends(
-    network: ProgramLike,
+    network: Network,
     volleys: Sequence[Volley],
     *,
     params: Optional[Mapping[str, Time]] = None,
@@ -117,7 +117,7 @@ def run_backends(
     directly.
 
     With ``optimize=True`` every backend runs the program a serving
-    worker loads, built *once*: the lowering with its sorters grouped
+    worker loads, built *once*: the network with its sorters grouped
     into rank rows (:func:`~repro.ir.sorters.group_sorters`) and then
     optimized.  It is recorded on the returned ``BackendRun``.  Leave it
     ``False`` for fault injection: :class:`FaultedOracle` network
@@ -125,7 +125,7 @@ def run_backends(
     """
     if oracles is None:
         oracles = [engine() for engine in ENGINES]
-    program: Optional[Program] = None
+    program: Optional[Network] = None
     if optimize:
         program, _report = optimize_program(group_sorters(network))
         network = program

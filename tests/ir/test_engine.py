@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.ir import lower, optimize_program
+from repro.ir import optimize_program
+from repro.ir.sorters import group_sorters
 from repro.network import NetworkBuilder
 from repro.obs import project_events, to_jsonl
 from repro.runtime.engines import (
@@ -24,8 +25,10 @@ class TestEngineProtocol:
             assert engine.run is not BackendEngine.run
 
     def test_oracles_accept_lowered_programs(self):
-        case = generate_case(3, smoke=True)
-        program = lower(case.network)
+        """A network whose sorters were lowered to rank rows runs as is."""
+        case = generate_case(3, smoke=True, family="sorters")
+        program = group_sorters(case.network)
+        assert program.rank_ids
         params = case.params or None
         volleys = list(case.volleys[:2])
         for oracle in (InterpretedEngine(), CompiledBatchEngine(), EventDrivenEngine()):

@@ -5,10 +5,11 @@ import random
 import pytest
 
 from repro.core.value import INF, Infinity
-from repro.ir import Program, lower, optimize_program, same_structure
+from repro.ir import optimize_program
 from repro.ir.passes import _NEVER, _simplify
 from repro.network import NetworkBuilder, evaluate_all_interpreted
 from repro.network.blocks import Node
+from repro.network.graph import Network, same_structure
 from repro.neuron.response import ResponseFunction
 from repro.neuron.srm0 import SRM0Neuron
 from repro.neuron.srm0_network import build_srm0_network
@@ -30,14 +31,14 @@ def _e2e_column(n_inputs):
 
 
 def _swept(program):
-    """The sweep's whole row table, dead rows and all, as a Program."""
+    """The sweep's whole row table, dead rows and all, as a network."""
     rw = _simplify(program, None)
     outputs = {
         name: rw.never_wire() if rw.result[old] == _NEVER else rw.result[old]
         for name, old in program.outputs.items()
     }
     nodes = tuple(Node(i, *row) for i, row in enumerate(rw.rows))
-    return Program(nodes, outputs)
+    return Network(nodes, outputs)
 
 
 def _outputs(program, inputs, params=None):
@@ -148,7 +149,7 @@ class TestIndividualPasses:
         b = NetworkBuilder("diamond")
         x, y = b.input("x"), b.input("y")
         b.output("z", b.lt(b.min(x, y), b.max(x, y)))
-        program = lower(b.build())
+        program = b.build()
         optimized, report = optimize_program(program)
         assert optimized is program
         assert report.removed == 0
@@ -246,7 +247,7 @@ class TestIdempotence:
     @pytest.mark.parametrize("seed", range(4))
     def test_single_passes_idempotent_on_own_output(self, seed):
         # The sweep alone, dead nodes and all, is already a fixpoint.
-        once = _swept(lower(generate_case(seed, smoke=True).network))
+        once = _swept(generate_case(seed, smoke=True).network)
         assert same_structure(once, _swept(once))
 
 
@@ -277,6 +278,6 @@ class TestProvenance:
             names = case.network.input_names
             for volley in case.volleys[:4]:
                 inputs = dict(zip(names, volley))
-                assert _outputs(lower(case.network), inputs, params) == _outputs(
+                assert _outputs(case.network, inputs, params) == _outputs(
                     program, inputs, params
                 )

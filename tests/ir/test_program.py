@@ -1,4 +1,4 @@
-"""The Program lowering: schedule, fingerprint, memoization, round trip."""
+"""The scheduled network: schedule, fingerprint, memoization, round trip."""
 
 import hashlib
 import pickle
@@ -9,18 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.value import INF
-from repro.ir import (
-    CONST_IDENTITY,
-    Program,
-    classify,
-    ensure_program,
-    lower,
-    optimize_program,
-    same_structure,
-)
-from repro.ir.program import IdentityProvenance
+from repro.ir import optimize_program
 from repro.ir.sorters import group_sorters
 from repro.network import Network, NetworkBuilder, NetworkError, Node
+from repro.network.graph import (
+    CONST_IDENTITY,
+    IdentityProvenance,
+    classify,
+    same_structure,
+)
+from repro.network.serialize import dumps, loads
 from repro.network.compile_plan import compile_plan, evaluate_batch
 from repro.neuron.response import ResponseFunction
 from repro.neuron.srm0 import SRM0Neuron
@@ -53,35 +51,30 @@ def diamond() -> Network:
 class TestLowering:
     def test_shares_node_table(self):
         net = diamond()
-        program = lower(net)
-        assert program.nodes is net.nodes
-        assert program.outputs == net.outputs
+        again = Network(net.nodes, net.outputs)
+        assert again.nodes is net.nodes
+        assert again.outputs == net.outputs
 
     def test_fingerprint_matches_network(self):
         net = diamond()
-        assert lower(net).fingerprint() == net.fingerprint()
+        assert Network(net.nodes, net.outputs, name="twin").fingerprint() == (
+            net.fingerprint()
+        )
 
     def test_memoized_per_network_object(self):
-        net = diamond()
-        assert lower(net) is lower(net)
-
-    def test_ensure_program_is_identity_on_programs(self):
-        program = lower(diamond())
-        assert ensure_program(program) is program
-
-    def test_ensure_program_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            ensure_program("not a network")
+        net = random_sorter_network(seed=3, smoke=True)
+        assert group_sorters(net) is group_sorters(net)
+        assert group_sorters(net) is not group_sorters(loads(dumps(net)))
 
     def test_levels_are_longest_path(self):
-        program = lower(diamond())
+        program = diamond()
         # inputs at level 0, min/max at 1, lt at 2
         assert program.levels == (0, 0, 1, 1, 2)
         assert program.schedule == ((0, 1), (2, 3), (4,))
-        assert program.depth == 2
+        assert program.depth() == len(program.schedule) - 1 == 2
 
     def test_terminal_and_output_maps(self):
-        program = lower(diamond())
+        program = diamond()
         assert program.input_names == ["x", "y"]
         assert program.param_names == []
         assert program.output_names == ["z"]
@@ -90,21 +83,21 @@ class TestLowering:
     def test_dense_ids_required(self):
         nodes = (Node(0, "input", name="x"), Node(2, "inc", sources=(0,)))
         with pytest.raises(NetworkError):
-            Program(nodes, {})
+            Network(nodes, {})
 
     def test_round_trip_preserves_fingerprint(self):
         net = diamond()
-        program = lower(net)
-        again = program.to_network()
+        again = loads(dumps(net))
         assert again.fingerprint() == net.fingerprint()
-        assert same_structure(program, lower(again))
+        assert same_structure(net, again)
+        assert (again.levels, again.schedule) == (net.levels, net.schedule)
 
     def test_provenance_defaults_to_identity(self):
-        program = lower(diamond())
+        program = diamond()
         assert program.provenance == {i: (i,) for i in range(5)}
 
     def test_identity_provenance_reads_as_the_dict_and_stores_no_entries(self):
-        program = lower(diamond())
+        program = diamond()
         identity = {i: (i,) for i in range(5)}
         prov = program.provenance
         assert isinstance(prov, IdentityProvenance) and not isinstance(prov, dict)
@@ -125,7 +118,7 @@ class TestLowering:
         assert set(program.provenance) == set(range(len(program.nodes)))
 
     def test_consumers(self):
-        program = lower(diamond())
+        program = diamond()
         assert program.consumers()[0] == [2, 3]  # x feeds min and max
         assert program.consumers()[4] == []
 
@@ -151,20 +144,20 @@ class TestConstants:
         b.output("never", b.min())
         b.output("now", b.max())
         b.output("wire", b.max(x))
-        program = lower(b.build())
+        program = b.build()
         kinds = {classify(program.nodes[i]) for i in program.const_ids}
         assert kinds == {"const-inf", "const-zero"}
         assert len(program.const_ids) == 2
 
 
-def served(network: Network) -> Program:
+def served(network: Network) -> Network:
     """The program a served model runs: grouped sorters, then the sweep."""
-    program, _report = optimize_program(group_sorters(lower(network)))
+    program, _report = optimize_program(group_sorters(network))
     return program
 
 
 class TestPickle:
-    """A Program pickles as its constructor arguments, nothing derived."""
+    """A network pickles as its constructor arguments, nothing derived."""
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
@@ -254,7 +247,7 @@ def _assert_digests_unchanged(network):
     assert network.fingerprint() == _frozen_fingerprint(
         network.nodes, network.outputs, ("inc",)
     )
-    for program in (lower(network), group_sorters(network), served(network)):
+    for program in (group_sorters(network), served(network)):
         program._fingerprint = None
         assert program.fingerprint() == _frozen_fingerprint(
             program.nodes, program.outputs, ("inc", "rank")
@@ -262,7 +255,8 @@ def _assert_digests_unchanged(network):
 
 
 class TestStructuralDigest:
-    """One digest for Network and Program, bit-identical to the old loops."""
+    """One digest for built, grouped and optimized networks, bit-identical
+    to the old loops."""
 
     @pytest.mark.parametrize("family", [name for name, _weight in FAMILIES])
     def test_every_family(self, family):

@@ -6,8 +6,10 @@ sweep's opaque handling of rank rows, the compiled sort kernel, rank rows
 on every engine and in spike traces, and the surfaces that refuse them.
 """
 
+import gc
 import json
 import random
+import weakref
 from functools import lru_cache
 from itertools import chain
 
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.value import INF
-from repro.ir import Program, lower, optimize_program, same_structure
+from repro.ir import optimize_program
 from repro.ir import sorters
 from repro.ir.sorters import group_sorters
 from repro.network import NetworkBuilder, evaluate_all_interpreted
@@ -29,7 +31,7 @@ from repro.network.compile_plan import (
     decode_matrix,
     evaluate_batch,
 )
-from repro.network.graph import NetworkError
+from repro.network.graph import Network, NetworkError, same_structure
 from repro.network.serialize import dumps, loads
 from repro.network.sorting import bitonic_sort, odd_even_merge_sort
 from repro.neuron.response import ResponseFunction
@@ -167,13 +169,12 @@ class TestRecognition:
 
     def test_width_one_has_nothing_to_lower(self):
         net = _sorter_net(1)
-        assert group_sorters(net) is lower(net)
+        assert group_sorters(net) is net
 
     def test_both_sorters_of_the_wide_served_column_lower(self):
         net = _e2e_column(80)
-        program = lower(net)
-        assert len(_sort_nodes(program)) == 28288
-        grouped = group_sorters(program)
+        assert len(_sort_nodes(net)) == 28288
+        grouped = group_sorters(net)
         assert not _sort_nodes(grouped)
         widths = {grouped.nodes[i].sources for i in grouped.rank_ids}
         assert [len(s) for s in widths] == [328, 328]
@@ -259,7 +260,7 @@ class TestNearMisses:
     def test_untagged_comparators_of_the_right_shape_stay(self):
         net = _sorter_net(8, "bitonic", _UntaggedBuilder)
         assert len([n for n in net.nodes if n.kind in ("min", "max")]) == 48
-        assert group_sorters(net) is lower(net)
+        assert group_sorters(net) is net
 
     def test_chained_sorters_join_one_region_that_is_no_sorter(self):
         b = NetworkBuilder("chain")
@@ -291,8 +292,16 @@ class TestInvariants:
         assert same_structure(again, grouped)
 
     def test_memoized_per_program(self):
-        program = lower(_sorter_net(5))
+        program = _sorter_net(5)
         assert group_sorters(program) is group_sorters(program)
+
+    def test_memo_keeps_no_ungrouped_network_alive(self):
+        net = _sorter_net(1)
+        assert group_sorters(net) is net
+        alive = weakref.ref(net)
+        del net
+        gc.collect()
+        assert alive() is None
 
     def test_provenance_names_the_replaced_output_comparator(self):
         net = _sorter_net(5)
@@ -301,20 +310,20 @@ class TestInvariants:
             k = grouped.nodes[node_id].amount
             assert grouped.provenance[node_id] == (net.outputs[f"s{k}"],)
         covered = {root for roots in grouped.provenance.values() for root in roots}
-        interior = {n.id for n in _sort_nodes(lower(net))} - set(net.outputs.values())
+        interior = {n.id for n in _sort_nodes(net)} - set(net.outputs.values())
         assert not covered & interior
 
     def test_fingerprint_and_model_document_are_untouched(self):
         net = _e2e_column(10)
         fingerprint = net.fingerprint()
         grouped = group_sorters(net)
-        assert net.fingerprint() == lower(net).fingerprint() == fingerprint
+        assert net.fingerprint() == fingerprint
         assert grouped.fingerprint() != fingerprint
 
     def test_fingerprint_covers_the_rank(self):
         terminals = (Node(0, "input", name="a"), Node(1, "input", name="b"))
-        low = Program(terminals + (Node.rank(2, (0, 1), 0),), {"y": 2})
-        high = Program(terminals + (Node.rank(2, (0, 1), 1),), {"y": 2})
+        low = Network(terminals + (Node.rank(2, (0, 1), 0),), {"y": 2})
+        high = Network(terminals + (Node.rank(2, (0, 1), 1),), {"y": 2})
         assert low.fingerprint() != high.fingerprint()
 
     def test_optimize_mode_diffs_the_served_load_path(self, monkeypatch):
@@ -337,7 +346,7 @@ class TestInvariants:
             assert len(outputs - {None}) == 1, index  # None: GRL skipped it
 
     def test_sorters_family_serving_composition_agrees(self):
-        """``optimize(group(lower(net)))``, the load path, on the family."""
+        """``optimize(group(net))``, the load path, on the family."""
         for seed in range(30):
             case = generate_case(seed, smoke=seed % 2 == 0, family="sorters")
             served, _ = optimize_program(group_sorters(case.network))
@@ -442,10 +451,22 @@ class TestRankRowsStayInTheIR:
         with pytest.raises((ValueError, NetworkError)):
             loads(json.dumps(document))
 
-    def test_to_network_refuses_rank_rows(self):
+    def test_dumps_refuses_rank_rows(self):
         grouped = group_sorters(_sorter_net(4))
+        assert grouped.rank_ids
         with pytest.raises(NetworkError, match="rank"):
-            grouped.to_network()
+            dumps(grouped)
+
+    def test_registering_rank_rows_fails_before_any_build(self):
+        from repro.serve.registry import ModelRegistry
+
+        def build(packed):
+            raise AssertionError("a rank-row network reached the build")
+
+        registry = ModelRegistry()
+        with pytest.raises(NetworkError, match="rank"):
+            registry.register(group_sorters(_sorter_net(4)), build=build)
+        assert len(registry) == 0
 
 
 def _ranked(width, algorithm):
@@ -466,7 +487,7 @@ def _ranked(width, algorithm):
     if width == 1:
         b.output("s0", lanes[0])
         net = b.build()
-        grouped = Program(net.nodes + (Node.rank(1, (0,), 0),), {"s0": 1})
+        grouped = Network(net.nodes + (Node.rank(1, (0,), 0),), {"s0": 1})
     else:
         for k, wire in enumerate(SORTERS[algorithm](b, lanes)):
             b.output(f"s{k}", wire)
@@ -644,7 +665,7 @@ def _numpy_recognize(start, stop, width, is_max, got):
 
 def _numpy_group_sorters(source):
     """``group_sorters`` as it was with the NumPy recognizer, unmemoized."""
-    program = lower(source) if not isinstance(source, Program) else source
+    program = source
     nodes = program.nodes
     runs = sorters._runs(nodes)
     outside = set(program.outputs.values())

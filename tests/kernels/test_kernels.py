@@ -251,10 +251,10 @@ class TestKernelApi:
             latch().renamed(outputs={"q": "missed"})
 
     def test_kernel_requires_outputs(self):
-        from repro.ir.program import Program
         from repro.network.blocks import Node
+        from repro.network.graph import Network
 
-        silent = Program((Node(0, "input", name="x"),), {})
+        silent = Network((Node(0, "input", name="x"),), {})
         with pytest.raises(KernelError, match="no output ports"):
             Kernel(silent)
 

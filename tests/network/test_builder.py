@@ -308,7 +308,6 @@ class TestSlottedNode:
 
     def test_plan_bytes_unchanged_for_the_80_input_column(self):
         from repro.ir.passes import optimize_program
-        from repro.ir.program import lower
         from repro.network.compile_plan import compile_plan
         from repro.neuron.response import ResponseFunction
         from repro.neuron.srm0 import SRM0Neuron
@@ -325,7 +324,7 @@ class TestSlottedNode:
         )
         network = build_srm0_network(neuron, name="col-80in")
         assert len(network.nodes) == 29_351
-        plan = compile_plan(optimize_program(lower(network))[0])
+        plan = compile_plan(optimize_program(network)[0])
         assert ndarray_nbytes(plan) == 476_296
 
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.value import INF, Infinity
-from repro.ir import lower, optimize_program
+from repro.ir import optimize_program
 from repro.network.builder import NetworkBuilder
 from repro.network.compile_plan import (
     INF_I64,
@@ -394,10 +394,6 @@ class TestPlanCache:
     def test_identity_memoized(self):
         net = diamond()
         assert compile_plan(net) is compile_plan(net)
-
-    def test_network_shares_its_lowerings_plan(self):
-        net = diamond()
-        assert compile_plan(net) is compile_plan(lower(net))
 
     def test_noop_optimization_shares_the_plan(self):
         net = diamond()

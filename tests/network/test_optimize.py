@@ -19,8 +19,8 @@ from repro.network.simulator import evaluate
 
 
 def optimized_network(network):
-    """The optimizer's output, raised back to a ``Network``."""
-    return optimize_program(network)[0].to_network()
+    """The optimizer's output network."""
+    return optimize_program(network)[0]
 
 
 def assert_equivalent(original, optimized, *, window=4, params=None):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.value import INF
-from repro.ir import lower, optimize_program
+from repro.ir import optimize_program
 from repro.network.builder import NetworkBuilder
 from repro.network.compile_plan import (
     INF_I64,
@@ -24,7 +24,7 @@ from repro.network.compile_plan import (
     decode_matrix,
     evaluate_batch,
 )
-from repro.network.graph import NetworkError
+from repro.network.graph import Network, NetworkError
 from repro.network.simulator import evaluate_all_interpreted
 from repro.obs import reset_metrics
 from repro.obs.metrics import METRICS
@@ -95,8 +95,14 @@ class TestLowering:
         plan = CompiledPlan(diamond())
         assert any(isinstance(k, _ReduceKernel) for k in plan.kernels)
 
+    def test_plan_lives_on_the_network(self):
+        net = diamond()
+        plan = compile_plan(net)
+        assert compile_plan(net) is plan is net._plan
+        assert compile_plan(Network(net.nodes, net.outputs)) is not plan
+
     def test_accepts_optimized_program(self):
-        program, _report = optimize_program(lower(ragged_net()))
+        program, _report = optimize_program(ragged_net())
         plan = CompiledPlan(program)
         matrix = np.array([[0, 2, INF_I64]], dtype=np.int64)
         np.testing.assert_array_equal(
@@ -194,7 +200,7 @@ class TestScratchPool:
             )
 
     def test_concurrent_batch_sizes_are_byte_identical(self):
-        program, _report = optimize_program(lower(ragged_net()))
+        program, _report = optimize_program(ragged_net())
         plan = CompiledPlan(program)
         sizes = (1, 7, 32, 64)
         matrices = {batch: random_matrix(batch, 3, batch) for batch in sizes}

@@ -4,13 +4,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.synthesis import synthesize
 from repro.core.table import FIG7_TABLE, NormalizedTable
 from repro.core.value import INF
+from repro.ir import optimize_program
+from repro.ir.sorters import group_sorters
 from repro.network.builder import NetworkBuilder
 from repro.network.graph import NetworkError
-from repro.network.simulator import evaluate_all
+from repro.network.simulator import evaluate_all, evaluate_all_interpreted
+from repro.network.sorting import bitonic_sort
 from repro.network.timing import (
     TimeInterval,
     analyze,
@@ -18,6 +23,7 @@ from repro.network.timing import (
     makespan_bound,
     output_intervals,
 )
+from repro.testing.generators import random_sorter_network
 
 
 class TestInterval:
@@ -166,6 +172,76 @@ class TestTransferFunctions:
         net = synthesize(FIG7_TABLE)
         with pytest.raises(NetworkError, match="unbound"):
             analyze(net, {})
+
+
+class TestRankRows:
+    """A rank row is the k-th order statistic of its sources' intervals."""
+
+    def _sorter(self, width):
+        b = NetworkBuilder(f"bitonic{width}")
+        xs = [b.input(f"x{i}") for i in range(width)]
+        for k, wire in enumerate(bitonic_sort(b, xs)):
+            b.output(f"y{k}", wire)
+        grouped = group_sorters(b.build())
+        assert len(grouped.rank_ids) == width
+        return grouped
+
+    def test_exact_inputs_give_the_sorted_times(self):
+        grouped = self._sorter(4)
+        windows = {
+            name: TimeInterval.exactly(t)
+            for name, t in zip(grouped.input_names, (0, 5, 9, 2))
+        }
+        intervals = output_intervals(grouped, windows)
+        assert [(i.lo, i.hi, i.may_be_absent) for i in intervals.values()] == [
+            (0, 0, False), (2, 2, False), (5, 5, False), (9, 9, False),
+        ]
+
+    def test_absence_ranks_last(self):
+        grouped = self._sorter(2)
+        windows = {
+            "x0": TimeInterval.window(1, 3, may_be_absent=True),
+            "x1": TimeInterval.window(2, 4),
+        }
+        first, second = output_intervals(grouped, windows).values()
+        assert (first.lo, first.hi, first.may_be_absent) == (1, 4, False)
+        assert (second.lo, second.hi, second.may_be_absent) == (2, 4, True)
+        silent = dict(windows, x0=TimeInterval.never())
+        first, second = output_intervals(grouped, silent).values()
+        assert (first.lo, first.hi, first.certain) == (2, 4, True)
+        assert not second.may_spike
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        window=st.integers(min_value=0, max_value=6),
+        volley=st.lists(
+            st.one_of(st.integers(min_value=0, max_value=6), st.just(INF)),
+            min_size=6,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sound_on_grouped_sorter_networks(self, seed, window, volley):
+        """Every node's interpreted fire time lies in its interval, on the
+        grouped and the served program of a ``sorters``-family network."""
+        net = random_sorter_network(seed=seed, smoke=True)
+        names = net.input_names
+        inputs = {
+            name: t if t is INF or t <= window else window
+            for name, t in zip(names, volley)
+        }
+        windows = default_input_window(net, window)
+        grouped = group_sorters(net)
+        for program in (grouped, optimize_program(grouped)[0]):
+            intervals = analyze(program, windows)
+            fired = evaluate_all_interpreted(program, inputs)
+            for node_id, value in enumerate(fired):
+                assert intervals[node_id].contains(value), (
+                    program.nodes[node_id].kind,
+                    node_id,
+                    value,
+                    str(intervals[node_id]),
+                )
 
 
 class TestMakespan:

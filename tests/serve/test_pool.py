@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.ir.program import Program
 from repro.network import serialize
+from repro.network.graph import Network
 from repro.network.compile_plan import INF_I64, evaluate_batch
 from repro.serve.demo import demo_column
 from repro.serve.pool import (
@@ -69,7 +69,7 @@ def mislabeled(program):
     cache does not travel: the worker recomputes the real one, as it
     would for a program corrupted after it was fingerprinted.
     """
-    copy = Program(
+    copy = Network(
         program.nodes, program.outputs, name=program.name, provenance=program.provenance
     )
     copy._fingerprint = "0" * 64
@@ -545,7 +545,7 @@ def _edge_programs():
     b.output("late", b.inc(mu, 2))
     b.output("never", b.min())
     no_inputs = served(b.build())
-    no_outputs = Program(
+    no_outputs = Network(
         (Node(0, "input", name="x"), Node(1, "inc", (0,), amount=1)), {}
     )
     b = NetworkBuilder("sentinels")

@@ -24,7 +24,7 @@ import weakref
 
 import pytest
 
-from repro.ir.program import same_structure
+from repro.network.graph import same_structure
 from repro.network import serialize
 from repro.network.graph import NetworkError
 from repro.serve import pool as pool_module
@@ -454,7 +454,7 @@ class TestFrontendBuildsNothing:
     """With a process pool every build runs in a builder worker 0 forks."""
 
     def test_build_path_is_never_called_in_the_frontend(self, monkeypatch, model_file):
-        from repro.ir import passes, program, sorters
+        from repro.ir import passes, sorters
         from repro.serve import registry
 
         frontend = os.getpid()
@@ -470,11 +470,9 @@ class TestFrontendBuildsNothing:
         # The registry's names first: reading one the first time caches
         # the function it resolves to.
         for module, name in [
-            (registry, "lower"),
             (registry, "group_sorters"),
             (registry, "optimize_program"),
             (serialize, "loads"),
-            (program, "lower"),
             (sorters, "group_sorters"),
             (passes, "optimize_program"),
         ]:

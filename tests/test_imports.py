@@ -50,8 +50,6 @@ SERVED_MODULES = {
     "repro",
     "repro.core",
     "repro.core.value",
-    "repro.ir",
-    "repro.ir.program",
     "repro.network",
     "repro.network.blocks",
     "repro.network.builder",
@@ -91,7 +89,6 @@ WARM_WORKER_MODULES = {
     "repro.core.value",
     "repro.ir",
     "repro.ir.passes",
-    "repro.ir.program",
     "repro.ir.sorters",
     "repro.network",
     "repro.network.blocks",

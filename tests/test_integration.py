@@ -46,7 +46,7 @@ class TestTableToSiliconPipeline:
 
         minimal = minimize(table)
         synthesized = synthesize(minimal)
-        optimized = optimize_program(synthesized)[0].to_network()
+        optimized = optimize_program(synthesized)[0]
         reloaded = loads(dumps(optimized))
 
         stages = {
@@ -61,7 +61,7 @@ class TestTableToSiliconPipeline:
 
     def test_hardware_stages_agree(self, seed):
         table = self._table(seed)
-        net = optimize_program(synthesize(minimize(table)))[0].to_network()
+        net = optimize_program(synthesize(minimize(table)))[0]
         clocked = GRLExecutor(net)
         asynchronous = compile_async(net)
         sim = EventSimulator(net)
@@ -125,7 +125,7 @@ class TestOptimizedNetworksStayEquivalentEverywhere:
     @pytest.mark.parametrize("seed", range(3))
     def test_full_equivalence_harness_after_optimization(self, seed):
         net = random_network(n_inputs=3, n_blocks=25, seed=seed + 40)
-        optimized = optimize_program(net)[0].to_network()
+        optimized = optimize_program(net)[0]
         vectors = sample_vectors(3, count=40, max_time=3, rng=random.Random(0))
         run, disagreements = diff_backends(optimized, vectors)
         assert not disagreements, disagreements
@@ -145,7 +145,7 @@ class TestNeuronPipeline:
             3, [2, 3, 1], base_response=base, threshold=6
         )
         raw = build_srm0_network(neuron)
-        net = optimize_program(raw)[0].to_network()
+        net = optimize_program(raw)[0]
         assert net.size <= raw.size
         executor = GRLExecutor(net)
         rng = random.Random(0)

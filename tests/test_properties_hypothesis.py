@@ -161,7 +161,7 @@ class TestNetworkProperties:
     )
     def test_optimize_preserves_semantics(self, seed, vec):
         net = build_random_network(seed)
-        optimized = optimize_program(net)[0].to_network()
+        optimized = optimize_program(net)[0]
         bound = dict(zip(net.input_names, vec))
         assert evaluate(optimized, bound) == evaluate(net, bound)
 
