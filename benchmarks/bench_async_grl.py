@@ -83,9 +83,10 @@ def bench_async_simulation(benchmark):
 
 
 def bench_clocked_vs_async_speed(benchmark):
-    # Event-driven async visits only event times; the clocked simulator
-    # sweeps every cycle. Time the async side (the clocked side is timed
-    # in bench_fig16_grl).
+    # Both simulators are event-driven: the async one visits gate-delay
+    # event times, the clocked one only the cycles in which a wire
+    # switches. Time the async side (the clocked side is timed in
+    # bench_fig16_grl).
     table = NormalizedTable.random(3, window=3, n_rows=10, rng=random.Random(3))
     net = synthesize(table)
     circuit = compile_async(net)

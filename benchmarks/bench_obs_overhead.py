@@ -107,7 +107,7 @@ def measure(network, batch_sizes=BATCH_SIZES, *, repeats=30, seed=0):
             repeats,
             lambda: baseline_run(plan, matrix),
             lambda: plan.outputs(matrix),
-            lambda: spike_trace(plan.program, plan.run(matrix)[0].tolist()),
+            lambda: spike_trace(network, plan.run(matrix)[0].tolist()),
         )
         rows.append(
             {

@@ -154,11 +154,6 @@ def _conformance(argv: list[str]) -> int:
         help="small cases and short volleys (CI smoke budget)",
     )
     parser.add_argument(
-        "--no-grl",
-        action="store_true",
-        help="skip the cycle-accurate GRL circuit backend",
-    )
-    parser.add_argument(
         "--no-faults",
         action="store_true",
         help="skip the fault-injection self-check",
@@ -200,7 +195,6 @@ def _conformance(argv: list[str]) -> int:
             args.seed,
             args.count,
             smoke=args.smoke,
-            include_grl=not args.no_grl,
             with_faults=not args.no_faults,
             shrink=not args.no_shrink,
             optimize=args.optimize,
@@ -241,11 +235,6 @@ def _trace(argv: list[str]) -> int:
         "--smoke", action="store_true", help="smaller column (CI smoke budget)"
     )
     parser.add_argument(
-        "--no-grl",
-        action="store_true",
-        help="skip the cycle-accurate GRL circuit backend",
-    )
-    parser.add_argument(
         "--jsonl", metavar="PATH", help="write the canonical JSONL trace here"
     )
     parser.add_argument(
@@ -265,8 +254,6 @@ def _trace(argv: list[str]) -> int:
 
     traces = {}
     for engine in ENGINES:
-        if args.no_grl and engine.cycle_accurate:
-            continue
         trace = engine().trace(network, volley)
         if trace is None:
             print(f"  {engine.name:<15} skipped (cannot trace this case)")
@@ -384,11 +371,6 @@ def _kernels(argv: list[str]) -> int:
         default=None,
         help="override the function-table window for --demo",
     )
-    parser.add_argument(
-        "--no-grl",
-        action="store_true",
-        help="skip the cycle-accurate GRL circuit backend in --demo",
-    )
     args = parser.parse_args(argv)
 
     from .kernels import KERNELS, KernelError, build_kernel
@@ -411,31 +393,18 @@ def _kernels(argv: list[str]) -> int:
     spec = KERNELS[args.demo]
     print(kernel.describe())
 
-    from .runtime.engines import ENGINES
     from .testing.conformance import find_disagreements
     from .testing.oracles import run_backends
 
     volley = spec.demo_volley
     print(f"\ndemo volley {volley}:")
-    run = run_backends(
-        kernel.network(),
-        [volley],
-        oracles=[
-            engine()
-            for engine in ENGINES
-            if not (args.no_grl and engine.cycle_accurate)
-        ],
-    )
+    run = run_backends(kernel.network(), [volley])
     for backend, results in sorted(run.results.items()):
-        if results[0] is None:
-            reason = run.skipped.get(backend, "unsupported case")
-            print(f"  {backend:<15} skipped ({reason})")
-            continue
         outputs = dict(zip(kernel.outputs, results[0]))
         print(f"  {backend:<15} {outputs}")
     agree = not find_disagreements(run)
     print(
-        f"  -> {'byte-identical across ' + str(len(run.names_for(0))) + ' backend(s)' if agree else 'BACKENDS DISAGREE'}"
+        f"  -> {'byte-identical across ' + str(len(run.results)) + ' backend(s)' if agree else 'BACKENDS DISAGREE'}"
     )
 
     window = args.window if args.window is not None else spec.table_window

@@ -318,8 +318,8 @@ class CompiledPlan:
     """
 
     def __init__(self, program: Network):
-        #: The network this plan executes.
-        self.program = program
+        # No reference back to *program*: the network holds its plan, so
+        # a back-reference would leave the pair to the cyclic collector.
         self.n_nodes = len(program.nodes)
         self.n_inputs = len(program.input_ids)
         self.n_params = len(program.param_ids)

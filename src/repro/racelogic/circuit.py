@@ -13,7 +13,7 @@ off-the-shelf-CMOS target of the paper's §V.  Gate kinds:
 
 The same id-ordering discipline as space-time networks applies: sources
 precede consumers, so gate order is a topological order and the
-cycle-accurate simulator can sweep gates once per cycle.
+cycle-accurate simulator settles each gate at most once per cycle.
 """
 
 from __future__ import annotations

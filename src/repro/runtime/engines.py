@@ -5,8 +5,8 @@ interchangeable implementations; the repo carries four — the
 interpreted big-int walk, the compiled int64 batch engine, the
 event-driven simulator, and the gate-level GRL circuit model.  Each is a
 :class:`BackendEngine` carrying a report ``name`` and a
-``cycle_accurate`` flag (the slow gate-level model sets it, so sweeps
-can leave it out).  Every engine takes the one graph type, a
+``cycle_accurate`` label (set by the gate-level model; ``repro stats``
+prints it).  Every engine takes the one graph type, a
 :class:`~repro.network.graph.Network` — built, grouped into rank rows or
 optimized — and runs it as it is.  :data:`ENGINES` lists the four
 classes in the pinned report order; differential testing instantiates
@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from typing import Optional
 
-from ..core.value import Infinity, Time
+from ..core.value import Time
 from ..ir.sorters import _canonical, group_sorters
 from ..network.compile_plan import (
     decode_matrix,
@@ -36,28 +36,28 @@ from ..obs.trace import TraceEvent, spike_trace
 Volley = tuple[Time, ...]
 Outputs = tuple[Time, ...]
 
+#: The largest netlist the GRL engine builds: room for the 80-input
+#: served column (29,255 gates), not for a delay of 2**62 flip-flops.
+MAX_GATES = 40_000
+
 
 class BackendEngine:
     """One executable semantics of the network language.
 
-    Subclasses implement :meth:`run`; partial backends override
-    :meth:`supports_network` / :meth:`supports_volley`.  ``run`` returns
+    Subclasses implement :meth:`run`; a partial backend overrides
+    :meth:`supports_network`.  ``run`` returns
     *raw* outputs — canonicalization (sentinel saturation) is applied
     uniformly by the harness, never per backend.
     """
 
     #: Report label; subclasses must override.
     name: str = "abstract"
-    #: Simulates gate-by-gate cycles (orders of magnitude slower).
+    #: Simulates the gate netlist cycle by cycle (a ``repro stats`` label).
     cycle_accurate: bool = False
 
     def supports_network(self, network: Network) -> Optional[str]:
         """``None`` if the backend can run *network*, else a skip reason."""
         return None
-
-    def supports_volley(self, volley: Volley) -> bool:
-        """True if the backend can run this particular volley."""
-        return True
 
     def run(
         self,
@@ -76,8 +76,8 @@ class BackendEngine:
     ) -> Optional[list[TraceEvent]]:
         """The canonical spike trace of one volley, or ``None``.
 
-        ``None`` means the backend cannot trace this case (unsupported
-        network/volley, or no tracing support at all — the base).  A
+        ``None`` means the backend cannot trace this case (an unsupported
+        network, or no tracing support at all — the base).  A
         backend traces by running the volley to its per-node fire times
         and returning :func:`~repro.obs.trace.spike_trace` over them, so
         two backends that agree on fire times return *equal* lists.
@@ -165,19 +165,16 @@ class EventDrivenEngine(BackendEngine):
 class GRLCircuitEngine(BackendEngine):
     """The cycle-accurate CMOS model, where a gate netlist exists.
 
-    Partial on two axes: zero-source min/max constants have no gate
-    realization, and simulation cost is ``O(cycles × gates)`` with
-    ``cycles ≈ latest finite spike + flip-flop count``, so both the
-    netlist size and the volley's latest spike are budgeted.  The rank
-    rows of one sorter count as the bitonic sorter they compile to.
+    Partial on one axis, the netlist: zero-source min/max constants have
+    no gate realization, and an ``inc(+k)`` compiles to k flip-flops, so
+    a netlist over :data:`MAX_GATES` (a near-sentinel delay, say) is
+    refused before it is built.  The rank rows of one sorter count as
+    the bitonic sorter they compile to.  Any volley runs: the simulator
+    visits only the cycles in which something switches.
     """
 
     name = "grl-circuit"
     cycle_accurate = True
-
-    def __init__(self, *, max_time: int = 32, max_gates: int = 400):
-        self.max_time = max_time
-        self.max_gates = max_gates
 
     def supports_network(self, network: Network) -> Optional[str]:
         if network.const_ids:
@@ -199,14 +196,9 @@ class GRLCircuitEngine(BackendEngine):
                 lanes = network.nodes[node_id].sources
                 canon = _canonical("bitonic", len(lanes))
                 gates += len(canon.kinds) if canon is not None else 0
-        if gates > self.max_gates:
+        if gates > MAX_GATES:
             return f"netlist too large for cycle simulation ({gates} gates)"
         return None
-
-    def supports_volley(self, volley: Volley) -> bool:
-        return all(
-            isinstance(v, Infinity) or v <= self.max_time for v in volley
-        )
 
     def run(self, network, volleys, params=None):
         from ..racelogic.compile import GRLExecutor
@@ -225,10 +217,7 @@ class GRLCircuitEngine(BackendEngine):
     def trace(self, network, volley, params=None):
         from ..racelogic.compile import GRLExecutor
 
-        volley = tuple(volley)
         if self.supports_network(network) is not None:
-            return None
-        if not self.supports_volley(volley):
             return None
         executor = GRLExecutor(network)
         result = executor.run(

@@ -171,15 +171,11 @@ class ConformanceReport:
 # ---------------------------------------------------------------------------
 
 def find_disagreements(run: BackendRun) -> list[tuple[int, dict[str, Outputs]]]:
-    """Volley indices where the supporting backends do not all agree."""
+    """Volley indices where the backends that ran do not all agree."""
     found: list[tuple[int, dict[str, Outputs]]] = []
     for index in range(len(run.volleys)):
-        outputs = {
-            name: rows[index]
-            for name, rows in run.results.items()
-            if rows[index] is not None
-        }
-        if len(outputs) >= 2 and len(set(outputs.values())) > 1:
+        outputs = {name: rows[index] for name, rows in run.results.items()}
+        if len(set(outputs.values())) > 1:
             found.append((index, outputs))
     return found
 
@@ -338,7 +334,6 @@ def run_conformance(
     count: int = 50,
     *,
     smoke: bool = False,
-    include_grl: bool = True,
     with_faults: bool = True,
     shrink: bool = True,
     optimize: bool = False,
@@ -358,14 +353,9 @@ def run_conformance(
     pins every case to one generator family (e.g. ``"kernels"``) so a
     sweep can target one construction surface; the fault self-check
     inherits the pin, proving the harness keeps its teeth on that
-    family's victims too.  ``include_grl=False`` leaves out the
-    cycle-accurate engine.
+    family's victims too.
     """
-    oracles = [
-        engine()
-        for engine in ENGINES
-        if include_grl or not engine.cycle_accurate
-    ]
+    oracles = [engine() for engine in ENGINES]
     report = ConformanceReport(seed=seed, count=count)
     for offset in range(count):
         case = generate_case(seed + offset, smoke=smoke, family=family)
@@ -374,8 +364,7 @@ def run_conformance(
         )
         report.cases += 1
         report.volleys_checked += len(run.volleys)
-        for name, rows in run.results.items():
-            report.comparisons += sum(1 for row in rows if row is not None)
+        report.comparisons += len(run.volleys) * len(run.results)
         for name, reason in run.skipped.items():
             report.skips[name] = report.skips.get(name, 0) + 1
             report.skip_reasons.setdefault(name, reason)

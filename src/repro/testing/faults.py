@@ -227,9 +227,6 @@ class FaultedOracle(BackendEngine):
     def supports_network(self, network: Network) -> Optional[str]:
         return self.victim.supports_network(self._network(network))
 
-    def supports_volley(self, volley: Volley) -> bool:
-        return self.victim.supports_volley(volley)
-
     def run(self, network, volleys, params=None):
         network = self._network(network)
         if self.volley_transform is not None:

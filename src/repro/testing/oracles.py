@@ -21,17 +21,19 @@ what :func:`run_backends` and the conformance harness check.
 
 Partiality
 ----------
-Not every backend can run every case.  The GRL engine compiles to a CMOS
-netlist (zero-source min/max constants have no gate realization) and
-simulates cycle-by-cycle, so it declares structural limits via
-``supports_network`` and per-volley limits via ``supports_volley``.  A
+Not every backend can run every network.  The GRL engine compiles to a
+CMOS netlist: zero-source min/max constants have no gate realization,
+and a netlist too large to build (an ``inc(+k)`` is k flip-flops) is
+refused, so it declares these limits via ``supports_network``.  A
 backend is never silently dropped — skips carry a human-readable reason
-into the report.
+into the report.  Whatever network a backend accepts, it runs on every
+volley: the GRL simulator visits only the cycles in which a wire
+switches, so a near-sentinel volley costs what any other does.
 
 Adding a backend
 ----------------
 Subclass :class:`~repro.runtime.engines.BackendEngine`, implement
-``run`` (and the ``supports_*`` hooks if partial), then append the class
+``run`` (and ``supports_network`` if partial), then append the class
 to :data:`~repro.runtime.engines.ENGINES`; the conformance CLI picks it
 up from there.
 """
@@ -80,9 +82,8 @@ class BackendRun:
     """Canonicalized outputs of several backends over one volley batch.
 
     ``results[name][i]`` is the sentinel-saturated output tuple of
-    backend *name* on volley *i*, or ``None`` when that backend skipped
-    the volley; backends skipped wholesale appear in ``skipped`` with
-    their reason instead.  ``program`` is the exact
+    backend *name* on volley *i*; backends that cannot run the network
+    appear in ``skipped`` with their reason instead.  ``program`` is the exact
     :class:`~repro.network.graph.Network` every backend consumed when the
     run went through the served-program path (``optimize=True``), else
     ``None``; its provenance map relates the optimized trace back to the
@@ -90,13 +91,9 @@ class BackendRun:
     """
 
     volleys: list[Volley]
-    results: dict[str, list[Optional[Outputs]]] = field(default_factory=dict)
+    results: dict[str, list[Outputs]] = field(default_factory=dict)
     skipped: dict[str, str] = field(default_factory=dict)
     program: Optional[Network] = None
-
-    def names_for(self, index: int) -> list[str]:
-        """Backends that produced an output for volley *index*."""
-        return [n for n, rows in self.results.items() if rows[index] is not None]
 
 
 def run_backends(
@@ -111,8 +108,7 @@ def run_backends(
 
     *oracles* defaults to one fresh instance of every class in
     :data:`~repro.runtime.engines.ENGINES`.  Backends that cannot run
-    the network are recorded in ``skipped``; backends that cannot run
-    an individual volley leave ``None`` in that row.  Raw outputs are
+    the network are recorded in ``skipped``.  Raw outputs are
     saturated at the int64 sentinel so the caller can compare tuples
     directly.
 
@@ -136,17 +132,11 @@ def run_backends(
         if reason is not None:
             run.skipped[oracle.name] = reason
             continue
-        mask = [oracle.supports_volley(v) for v in volleys]
-        subset = [v for v, ok in zip(volleys, mask) if ok]
-        outputs = oracle.run(network, subset, params=params) if subset else []
-        if len(outputs) != len(subset):
+        outputs = oracle.run(network, volleys, params=params) if volleys else []
+        if len(outputs) != len(volleys):
             raise RuntimeError(
                 f"oracle {oracle.name!r} returned {len(outputs)} rows for "
-                f"{len(subset)} volleys"
+                f"{len(volleys)} volleys"
             )
-        rows: list[Optional[Outputs]] = []
-        it = iter(outputs)
-        for ok in mask:
-            rows.append(saturate_outputs(next(it)) if ok else None)
-        run.results[oracle.name] = rows
+        run.results[oracle.name] = [saturate_outputs(row) for row in outputs]
     return run

@@ -266,9 +266,7 @@ PARAMS = {_format_params(params)}
 def test_{title}():
     network = loads(NETWORK_JSON)
     run = run_backends(network, [VOLLEY], params=PARAMS or None)
-    outputs = {{
-        name: rows[0] for name, rows in run.results.items() if rows[0] is not None
-    }}
+    outputs = {{name: rows[0] for name, rows in run.results.items()}}
     assert len(set(outputs.values())) == 1, f"backends disagree: {{outputs}}"
 '''
 

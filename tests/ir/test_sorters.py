@@ -41,13 +41,8 @@ from repro.obs.trace import cause_of, to_jsonl
 from repro.racelogic.compile import compile_network
 from repro.testing import generate_case
 from repro.testing.generators import FAMILIES
-from repro.runtime.engines import (
-    ENGINES,
-    CompiledBatchEngine,
-    EventDrivenEngine,
-    GRLCircuitEngine,
-    InterpretedEngine,
-)
+from repro.runtime import engines
+from repro.runtime.engines import ENGINES, GRLCircuitEngine
 from repro.testing.oracles import run_backends, saturate_outputs
 
 SORTERS = {"bitonic": bitonic_sort, "odd-even": odd_even_merge_sort}
@@ -178,7 +173,8 @@ class TestRecognition:
         assert not _sort_nodes(grouped)
         widths = {grouped.nodes[i].sources for i in grouped.rank_ids}
         assert [len(s) for s in widths] == [328, 328]
-        plan = compile_plan(optimize_program(grouped)[0])
+        served = optimize_program(grouped)[0]
+        plan = compile_plan(served)
         assert sum(isinstance(k, _SortKernel) for k in plan.kernels) == 2
         rng = random.Random(80)
         volleys = [
@@ -187,7 +183,7 @@ class TestRecognition:
             )
             for _ in range(4)
         ]
-        assert decode_matrix(evaluate_batch(plan.program, volleys)) == (
+        assert decode_matrix(evaluate_batch(served, volleys)) == (
             decode_matrix(evaluate_batch(net, volleys))
         )
 
@@ -413,10 +409,11 @@ class TestSortKernel:
         b.output("b", out[3])
         b.output("c", out[5])
         net = b.build()
-        plan = compile_plan(group_sorters(net))
+        grouped = group_sorters(net)
+        plan = compile_plan(grouped)
         (kernel,) = [k for k in plan.kernels if isinstance(k, _SortKernel)]
         assert list(kernel.ranks) == [0, 3, 5]
-        assert _agrees(plan.program, net, _volleys(6, random.Random(6)))
+        assert _agrees(grouped, net, _volleys(6, random.Random(6)))
         assert "sort" in plan.describe() and "width=6" in plan.describe()
 
     @pytest.mark.parametrize("batch", [1, 2, 7, 64, 130])
@@ -498,13 +495,7 @@ def _ranked(width, algorithm):
 
 
 def _engines():
-    """Every engine, the GRL one with room for a 17-lane sorter."""
-    return [
-        InterpretedEngine(),
-        CompiledBatchEngine(),
-        EventDrivenEngine(),
-        GRLCircuitEngine(max_gates=2000),
-    ]
+    return [engine() for engine in ENGINES]
 
 
 class TestEveryEngineRunsRankRows:
@@ -516,12 +507,7 @@ class TestEveryEngineRunsRankRows:
         run = run_backends(grouped, volleys, oracles=_engines())
         assert run.skipped == {}
         for name, rows in run.results.items():
-            for index, row in enumerate(rows):
-                if row is None:  # the GRL budget: a near-sentinel volley
-                    assert name == "grl-circuit"
-                    assert max(v for v in volleys[index] if v != INF) > 32
-                else:
-                    assert row == want[index], (name, volleys[index])
+            assert rows == want, name
 
     @pytest.mark.parametrize("algorithm", sorted(SORTERS))
     @pytest.mark.parametrize("width", [1, 2, 5, 8, 17])
@@ -531,15 +517,8 @@ class TestEveryEngineRunsRankRows:
             traces = {
                 engine.name: engine.trace(grouped, volley) for engine in _engines()
             }
-            documents = {
-                to_jsonl(trace, grouped)
-                for trace in traces.values()
-                if trace is not None
-            }
+            documents = {to_jsonl(trace, grouped) for trace in traces.values()}
             assert len(documents) == 1, volley
-            assert traces["grl-circuit"] is not None or max(
-                v for v in volley if v != INF
-            ) > 32
 
     def test_rank_cause_names_the_kth_lane_lowest_id_on_ties(self):
         row = Node.rank(4, (3, 1, 2, 0, 1), 2)
@@ -548,11 +527,14 @@ class TestEveryEngineRunsRankRows:
         assert cause_of(Node.rank(4, (3, 1, 2, 0, 1), 0), [5, 7, 1, 7]) == "rank0<-2"
         assert cause_of(Node.rank(2, (0, 1), 1), [5, 5]) == "rank1<-0"
 
-    def test_grl_budget_counts_the_sorter_a_rank_group_compiles_to(self):
+    def test_grl_budget_counts_the_sorter_a_rank_group_compiles_to(
+        self, monkeypatch
+    ):
         net = _sorter_net(12)
         grouped = group_sorters(net)
+        monkeypatch.setattr(engines, "MAX_GATES", 0)
         reasons = {
-            GRLCircuitEngine(max_gates=0).supports_network(p) for p in (net, grouped)
+            GRLCircuitEngine().supports_network(p) for p in (net, grouped)
         }
         assert reasons == {
             "netlist too large for cycle simulation "
@@ -571,8 +553,7 @@ class TestEveryEngineRunsRankRows:
         )
         compiled = run.results["compiled-batch"]
         for name, rows in run.results.items():
-            for row, want in zip(rows, compiled):
-                assert row is None or row == want, name
+            assert rows == compiled, name
         for volley in run.volleys:
             documents = {
                 to_jsonl(trace, program)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.value import INF, Infinity
 from repro.ir import optimize_program
+from repro.ir.sorters import group_sorters
 from repro.network.builder import NetworkBuilder
 from repro.network.compile_plan import (
     INF_I64,
@@ -43,6 +44,7 @@ from repro.network.simulator import (
     evaluate_all_interpreted,
     evaluate_vector,
 )
+from repro.serve.demo import demo_column
 
 times = st.one_of(st.integers(min_value=0, max_value=30), st.just(INF))
 
@@ -406,11 +408,25 @@ class TestPlanCache:
         program, report = optimize_program(net)
         assert report.removed > 0
         plan = compile_plan(program)
-        assert plan.program is program
         refs = weakref.ref(program), weakref.ref(plan)
         del net, program, plan
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
+
+    def test_warmed_network_is_freed_by_its_last_reference(self):
+        # The plan holds nothing of its network, so reference counting
+        # alone frees the pair: unloading a model needs no gc.collect().
+        network, volley = demo_column(0, smoke=True)
+        program, _ = optimize_program(group_sorters(network))
+        compile_plan(program).warm()
+        evaluate_batch(program, [volley] * 4)
+        refs = weakref.ref(program), weakref.ref(program._plan)
+        gc.disable()
+        try:
+            del program
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_different_structures_get_different_plans(self):
         b = NetworkBuilder("other")

@@ -165,7 +165,6 @@ class TestCli:
                 "--count",
                 "2",
                 "--smoke",
-                "--no-grl",
                 "--no-faults",
                 "--no-shrink",
             ]
@@ -203,11 +202,6 @@ class TestCli:
             assert backend in out
         assert "function-table contract" in out
         assert "q:" in out and "missed:" in out
-
-    def test_kernels_demo_no_grl(self, capsys):
-        assert main(["kernels", "--demo", "router", "--no-grl"]) == 0
-        out = capsys.readouterr().out
-        assert "byte-identical across 3 backend(s)" in out
 
     def test_kernels_demo_unknown_name(self, capsys):
         assert main(["kernels", "--demo", "bogus"]) == 2

@@ -97,7 +97,7 @@ class TestFindDisagreements:
     def test_single_supporting_backend_cannot_disagree(self):
         run = BackendRun(
             volleys=[(1,)],
-            results={"a": [(1,)], "b": [None]},
+            results={"a": [(1,)]},
         )
         assert find_disagreements(run) == []
 

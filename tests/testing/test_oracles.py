@@ -14,13 +14,14 @@ from repro.network.compile_plan import MAX_FINITE
 from repro.network.graph import NetworkError
 from repro.runtime.engines import (
     ENGINES,
+    MAX_GATES,
     BackendEngine,
     CompiledBatchEngine,
     EventDrivenEngine,
     GRLCircuitEngine,
     InterpretedEngine,
 )
-from repro.testing.conformance import find_disagreements, run_conformance
+from repro.testing.conformance import find_disagreements
 from repro.testing.oracles import run_backends, saturate, saturate_outputs
 
 
@@ -68,15 +69,6 @@ class TestRegistry:
         assert [o.name for o in a] == [o.name for o in b]
         assert all(x is not y for x, y in zip(a, b))
 
-    def test_include_grl_toggle(self):
-        report = run_conformance(
-            0, 1, smoke=True, include_grl=False, with_faults=False
-        )
-        assert report.ok
-        assert "grl-circuit" not in report.skips
-        full = run_conformance(0, 1, smoke=True, with_faults=False)
-        assert report.comparisons < full.comparisons
-
 
 class TestStockOracles:
     VOLLEYS = [(2, 7), (4, 4), (INF, 1), (0, INF), (INF, INF)]
@@ -102,17 +94,14 @@ class TestStockOracles:
         reason = GRLCircuitEngine().supports_network(with_constants())
         assert reason is not None and "zero-source" in reason
 
-    def test_grl_budgets_volley_times(self):
-        oracle = GRLCircuitEngine(max_time=32)
-        assert oracle.supports_volley((31, INF))
-        assert not oracle.supports_volley((33, 0))
-
     def test_grl_budgets_netlist_size(self):
         b = NetworkBuilder("wide-delay")
         x = b.input("x")
-        b.output("y", b.inc(x, 10_000))
-        reason = GRLCircuitEngine(max_gates=400).supports_network(b.build())
-        assert reason is not None and "too large" in reason
+        b.output("y", b.inc(x, MAX_GATES))
+        reason = GRLCircuitEngine().supports_network(b.build())
+        assert reason == (
+            f"netlist too large for cycle simulation ({MAX_GATES + 1} gates)"
+        )
 
 
 class TestRunBackends:
@@ -141,16 +130,12 @@ class TestRunBackends:
         assert run.skipped == {}
         assert all(None not in rows for rows in run.results.values())
 
-    def test_partial_backend_leaves_none_rows(self):
-        run = run_backends(
-            diamond(),
-            [(2, 7), (MAX_FINITE, 0)],
-            oracles=[InterpretedEngine(), GRLCircuitEngine(max_time=32)],
-        )
-        assert run.results["grl-circuit"] == [(2,), None]
-        assert run.results["interpreted"][1] == (0,)
-        assert run.names_for(0) == ["interpreted", "grl-circuit"]
-        assert run.names_for(1) == ["interpreted"]
+    def test_near_sentinel_volleys_run_on_every_backend(self):
+        volleys = [(2, 7), (MAX_FINITE, 0), (MAX_FINITE - 1, MAX_FINITE)]
+        run = run_backends(diamond(), volleys)
+        assert run.skipped == {}
+        for rows in run.results.values():
+            assert rows == [(2,), (0,), (MAX_FINITE - 1,)]
 
     def test_unsupported_network_lands_in_skipped(self):
         run = run_backends(with_constants(), [(4,)])
